@@ -6,15 +6,16 @@ free-group products never revisit, while the recurrent lattice walk
 revisits more and more densely: its range fraction decays toward zero.
 """
 
-from fiberlab import driving_preset, range_ratio_curve, system_preset, visit_record
+from fiberlab import driving_preset, range_ratio_curve, system_preset, walk
 
 z2 = driving_preset("z2-uniform")
 f2 = driving_preset("f2-markov")
 bern2, _ = system_preset("free-monoid-uniform")
 
-walk = visit_record("z2", [0, 1, 0, 2, 3, 1])
+first, keys = walk("z2", [0, 1, 0, 2, 3, 1])
 print("lattice coordinates along +e1,-e1,+e1,+e2,-e2,-e1:")
-print("  ", [c.pair() for c in walk.coordinates], "-> distinct", walk.distinct_count)
+print("   first visits", first.tolist())
+print("   distinct", [key.decode() for key in keys], "->", len(keys))
 
 print()
 print("range fraction |visited|/n, averaged over 10 seeds:")

@@ -3,11 +3,10 @@ for randomly driven symbolic systems."""
 
 from .actions import (
     ACTION_KINDS,
-    CoordinateAction,
     VisitRecord,
     range_ratio_curve,
-    step,
     visit_record,
+    walk,
 )
 from .coding import (
     ArDecompositionReport,
@@ -18,7 +17,6 @@ from .coding import (
     build_codebooks,
     conditional_rate,
     decode,
-    empirical_cross_entropy,
     empirical_two_pass_rate,
     encode,
     pair_counts,
@@ -46,11 +44,8 @@ from .errors import (
 )
 from .fiber import (
     FiberSystemSpec,
-    LogProbability,
     OrbitName,
-    SampledConfiguration,
     conditional_cylinder_fraction,
-    conditional_cylinder_prob,
     emit_name,
     exact_averaged_entropy,
     information_function,

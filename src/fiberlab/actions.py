@@ -1,25 +1,35 @@
 """Coordinates traced out along a driving word.
 
-Three concrete actions are supported: the free monoid over the driving
-alphabet (coordinates are the plain prefixes, extended on the right), the
-integer lattice Z^2 over the four generators +-e1, +-e2, and the free
-group on two generators over a, a^-1, b, b^-1 (reduced words).  Group
-coordinates are updated by left multiplication, c_{i+1} = theta_i * c_i,
-so the coordinate after i steps is the left-to-right product of the first
-i letters in reverse order; the free monoid appends instead.  The two
-orientations differ by a word reversal that preserves all visit counts.
+Three actions are supported: the free monoid over the driving alphabet
+(coordinates are the plain prefixes, extended on the right), the integer
+lattice Z^2 over the four generators +-e1, +-e2, and the free group on two
+generators over a, a^-1, b, b^-1 (reduced words).  Group coordinates are
+updated by left multiplication, c_{i+1} = theta_i * c_i, so the coordinate
+after i steps is the left-to-right product of the first i letters in
+reverse order; the free monoid appends instead.  The two orientations
+differ by a word reversal that preserves all visit counts.
 
-Every coordinate exposes a canonical byte key.  Lattice keys encode the
-integer pair; word-like coordinates chain a 16-byte blake2b digest per
-letter, so a key depends only on the coordinate itself, never on how or
-when it was reached.
+Each action is written once, in LAWS, as an identity coordinate, a step
+rule and a canonical byte key.  Lattice keys encode the integer pair;
+word keys chain a 16-byte blake2b digest per letter, so a key depends only
+on the coordinate itself, never on how or when it was reached.  Two
+coordinates are equal exactly when their keys are.
+
+walk() is the one loop that steps a driving word.  It returns first[i],
+the smallest j with c_j = c_i, and the keys of the distinct coordinates in
+first-visit order.  Everything else is read off these: position i is a
+first visit when first[i] == i, so visit counts are a cumulative sum, and
+an orbit name is fixed by its symbols at the first visits.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,156 +38,37 @@ ACTION_KINDS = ("free-monoid", "z2", "f2")
 Z2_VECTORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 F2_INVERSE = (1, 0, 3, 2)
 
-_Z2_LIMIT = 1 << 62
+# a free-monoid key chains one byte per letter
+_MONOID_LETTERS = 256
+
+
+def _digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=16).digest()
 
 
 def _chain(key: bytes, letter: int) -> bytes:
-    return hashlib.blake2b(key + bytes([letter]), digest_size=16).digest()
+    return _digest(key + bytes([letter]))
 
 
-class MonoidCoordinate:
-    """A free-monoid coordinate: the word of letters consumed so far.
-
-    Held as a parent chain so stepping is O(1); the explicit word is
-    materialized on demand.
-    """
-
-    __slots__ = ("parent", "letter", "depth", "key")
-
-    _ROOT_KEY = hashlib.blake2b(b"fiberlab:free-monoid:e", digest_size=16).digest()
-
-    def __init__(self, parent, letter, depth: int, key: bytes):
-        self.parent = parent
-        self.letter = letter
-        self.depth = depth
-        self.key = key
-
-    @classmethod
-    def identity(cls) -> "MonoidCoordinate":
-        return cls(None, None, 0, cls._ROOT_KEY)
-
-    def step(self, letter: int) -> "MonoidCoordinate":
-        return MonoidCoordinate(self, letter, self.depth + 1, _chain(self.key, letter))
-
-    def word(self) -> tuple[int, ...]:
-        out = []
-        node = self
-        while node.letter is not None:
-            out.append(node.letter)
-            node = node.parent
-        return tuple(reversed(out))
-
-    def __eq__(self, other):
-        return isinstance(other, MonoidCoordinate) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"MonoidCoordinate{self.word()!r}"
+def _z2_step(c: tuple[int, int], letter: int) -> tuple[int, int]:
+    dx, dy = Z2_VECTORS[letter]
+    return (c[0] + dx, c[1] + dy)
 
 
-class LatticeCoordinate:
-    """A point of Z^2 reached by summing generator vectors."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: int = 0, y: int = 0):
-        self.x = x
-        self.y = y
-
-    @classmethod
-    def identity(cls) -> "LatticeCoordinate":
-        return cls(0, 0)
-
-    def step(self, letter: int) -> "LatticeCoordinate":
-        dx, dy = Z2_VECTORS[letter]
-        x, y = self.x + dx, self.y + dy
-        if abs(x) > _Z2_LIMIT or abs(y) > _Z2_LIMIT:
-            raise OverflowError("lattice coordinate out of the supported range")
-        return LatticeCoordinate(x, y)
-
-    @property
-    def key(self) -> bytes:
-        return b"%d,%d" % (self.x, self.y)
-
-    def pair(self) -> tuple[int, int]:
-        return (self.x, self.y)
-
-    def __eq__(self, other):
-        return isinstance(other, LatticeCoordinate) and self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
-    def __repr__(self):
-        return f"LatticeCoordinate({self.x}, {self.y})"
+def _f2_step(c: tuple, letter: int) -> tuple:
+    # c is (key, head letter, parent): left multiplication cancels the head
+    # or prepends the letter
+    if c[1] == F2_INVERSE[letter]:
+        return c[2]
+    return (_chain(c[0], letter), letter, c)
 
 
-class ReducedWordCoordinate:
-    """A reduced word of the free group on two generators.
-
-    Nodes form a tree keyed head-last: stepping left-multiplies by a
-    generator, either cancelling the current head letter or prepending a
-    new one.  Child nodes are memoized on their parent so equal coordinates
-    reached within one walk are the same object.
-    """
-
-    __slots__ = ("parent", "letter", "depth", "key", "_children")
-
-    _ROOT_KEY = hashlib.blake2b(b"fiberlab:f2:e", digest_size=16).digest()
-
-    def __init__(self, parent, letter, depth, key):
-        self.parent = parent
-        self.letter = letter
-        self.depth = depth
-        self.key = key
-        self._children = {}
-
-    @classmethod
-    def identity(cls) -> "ReducedWordCoordinate":
-        return cls(None, None, 0, cls._ROOT_KEY)
-
-    def step(self, letter: int) -> "ReducedWordCoordinate":
-        if self.letter is not None and letter == F2_INVERSE[self.letter]:
-            return self.parent
-        child = self._children.get(letter)
-        if child is None:
-            child = ReducedWordCoordinate(self, letter, self.depth + 1, _chain(self.key, letter))
-            self._children[letter] = child
-        return child
-
-    def word(self) -> tuple[int, ...]:
-        # letters head first: node.letter is the head of the reduced word
-        out = []
-        node = self
-        while node.letter is not None:
-            out.append(node.letter)
-            node = node.parent
-        return tuple(out)
-
-    def __eq__(self, other):
-        return isinstance(other, ReducedWordCoordinate) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"ReducedWordCoordinate{self.word()!r}"
-
-
-_IDENTITY = {
-    "free-monoid": MonoidCoordinate.identity,
-    "z2": LatticeCoordinate.identity,
-    "f2": ReducedWordCoordinate.identity,
+# kind -> (identity coordinate, step rule, canonical key of a coordinate)
+LAWS = {
+    "free-monoid": (_digest(b"fiberlab:free-monoid:e"), _chain, lambda c: c),
+    "z2": ((0, 0), _z2_step, lambda c: b"%d,%d" % c),
+    "f2": ((_digest(b"fiberlab:f2:e"), None, None), _f2_step, itemgetter(0)),
 }
-
-
-def identity_coordinate(kind: str):
-    try:
-        return _IDENTITY[kind]()
-    except KeyError:
-        raise ValueError(f"unknown action kind {kind!r}") from None
 
 
 def driving_size(kind: str) -> int | None:
@@ -187,43 +78,54 @@ def driving_size(kind: str) -> int | None:
     return None if kind == "free-monoid" else 4
 
 
-@dataclass(frozen=True)
-class CoordinateAction:
-    """An action kind together with its current coordinate."""
-
-    kind: str
-    state: object
-    alphabet_size: int | None = None
-
-    @classmethod
-    def initial(cls, kind: str, alphabet_size: int | None = None) -> "CoordinateAction":
-        fixed = driving_size(kind)
-        if fixed is not None:
-            if alphabet_size is not None and alphabet_size != fixed:
-                raise ValueError(f"action {kind!r} requires a driving alphabet of size {fixed}")
-            alphabet_size = fixed
-        return cls(kind, identity_coordinate(kind), alphabet_size)
+def check_driving_size(kind: str, size: int) -> None:
+    """Raise ValueError unless a driving alphabet of this size fits the action."""
+    fixed = driving_size(kind)
+    if fixed is not None and size != fixed:
+        raise ValueError(f"action {kind!r} requires a driving alphabet of size {fixed}")
 
 
-def step(action: CoordinateAction, theta: int) -> CoordinateAction:
-    """Advance the action by one driving letter and return the new value."""
-    theta = int(theta)
-    limit = action.alphabet_size if action.alphabet_size is not None else driving_size(action.kind)
-    if theta < 0 or (limit is not None and theta >= limit):
-        raise ValueError(f"letter {theta} is not in the driving alphabet of this action")
-    return CoordinateAction(action.kind, action.state.step(theta), action.alphabet_size)
+class Walk(NamedTuple):
+    """First visits of c_0 .. c_{n-1} and the keys of the distinct coordinates."""
+
+    first: np.ndarray
+    keys: list
+
+
+def walk(kind: str, letters) -> Walk:
+    """Step the identity along a driving word and record first visits.
+
+    c_0 is the identity and c_{i+1} = step(c_i, letters[i]), so the last
+    letter never moves a recorded coordinate.  first[i] is the smallest j
+    with c_j = c_i (int64); keys[d] is the key of the d-th distinct
+    coordinate, in first-visit order.  Letters outside the action's
+    driving alphabet raise ValueError.
+    """
+    limit = driving_size(kind) or _MONOID_LETTERS
+    identity, step, key = LAWS[kind]
+    letters = np.asarray(letters, dtype=np.int64).tolist()
+    if letters and (min(letters) < 0 or max(letters) >= limit):
+        raise ValueError(f"driving letters of action {kind!r} must lie in [0, {limit})")
+    first = array("q")
+    seen: dict[bytes, int] = {}
+    keys = []
+    for i, c in enumerate(accumulate(letters[:-1], step, initial=identity) if letters else ()):
+        k = key(c)
+        j = seen.setdefault(k, i)
+        if j == i:
+            keys.append(k)
+        first.append(j)
+    return Walk(np.frombuffer(first, dtype=np.int64), keys)
 
 
 @dataclass(frozen=True)
 class VisitRecord:
-    """Coordinates c_0 .. c_{n-1} visited along a driving word of length n.
+    """Distinct-coordinate counts along a driving word of length n.
 
-    c_0 is the identity and c_{i+1} = step(c_i, alpha_i), so the last
-    letter of the word never contributes a coordinate.  distinct_counts[i]
-    is the number of distinct coordinates among c_0 .. c_i.
+    distinct_counts[i] is the number of distinct coordinates among
+    c_0 .. c_i, with the coordinates of walk().
     """
 
-    coordinates: list
     distinct_counts: np.ndarray
 
     @property
@@ -231,25 +133,9 @@ class VisitRecord:
         return int(self.distinct_counts[-1]) if len(self.distinct_counts) else 0
 
 
-def visit_record(kind: str, alpha, alphabet_size: int | None = None) -> VisitRecord:
-    letters = [int(x) for x in alpha]
-    fixed = driving_size(kind)
-    limit = fixed if fixed is not None else alphabet_size
-    coords = []
-    counts = np.empty(len(letters), dtype=np.int64)
-    if not letters:
-        return VisitRecord(coords, counts)
-    coord = identity_coordinate(kind)
-    seen = set()
-    for i, letter in enumerate(letters):
-        if letter < 0 or (limit is not None and letter >= limit):
-            raise ValueError(f"letter {letter} is not in the driving alphabet of this action")
-        coords.append(coord)
-        seen.add(coord.key)
-        counts[i] = len(seen)
-        if i + 1 < len(letters):
-            coord = coord.step(letter)
-    return VisitRecord(coords, counts)
+def visit_record(kind: str, alpha) -> VisitRecord:
+    first = walk(kind, alpha).first
+    return VisitRecord(np.cumsum(first == np.arange(len(first))))
 
 
 def range_ratio_curve(kind: str, spec, n: int, seeds: Sequence[int], checkpoints=None):
@@ -260,9 +146,7 @@ def range_ratio_curve(kind: str, spec, n: int, seeds: Sequence[int], checkpoints
     """
     from .driving import sample_trajectory
 
-    fixed = driving_size(kind)
-    if fixed is not None and spec.alphabet.size != fixed:
-        raise ValueError(f"action {kind!r} requires a driving alphabet of size {fixed}")
+    check_driving_size(kind, spec.alphabet.size)
     if checkpoints is None:
         checkpoints = default_checkpoints(n)
     checkpoints = sorted({int(c) for c in checkpoints if 1 <= int(c) <= n})

@@ -2,7 +2,8 @@
 
 Subcommands: verify-brudno, verify-ar, entropy, range, simulate.  Exit
 codes: 0 on success, 1 when an asserted inequality or tolerance fails
-(reports are still written), 2 on configuration or resource errors.
+(reports are still written), 2 on any library error (bad configuration,
+model mismatch, resource cap), reported as one line on stderr.
 Reports are deterministic functions of (config, seeds); the env var
 FIBERLAB_MAX_CELLS > 1 runs independent grid cells in worker processes
 without changing any output byte.
@@ -244,17 +245,15 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every library error ends as one stderr line and exit 2."""
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        return COMMANDS[args.command](_config_from_args(args))
     except ConfigError as exc:
         print(f"fiberlab: configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return COMMANDS[args.command](config)
-    except (ConfigError, ResourceLimitError) as exc:
+    except (ValueError, ResourceLimitError, OverflowError) as exc:
         print(f"fiberlab: {exc}", file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

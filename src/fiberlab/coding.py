@@ -22,19 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .actions import check_driving_size, walk
 from .driving import MarkovChainSpec, block_code_details, cylinder_prob, sample_trajectory
 from .errors import MalformedStreamError, ModelMismatchError, ResourceLimitError
-from .fiber import (
-    FiberSystemSpec,
-    OrbitName,
-    conditional_cylinder_prob,
-    coordinate_pattern,
-    emit_name,
-    information_function,
-)
+from .fiber import ENUMERATION_CAP, FiberSystemSpec, OrbitName, emit_name, information_function
 from .kraft import BinaryCodebook, canonical_kraft_code, shannon_length
 
-ENUMERATION_CAP = 2 ** 24
 _EXACT_AUTO_CAP = 2 ** 20
 _TOL = 1e-12
 
@@ -86,13 +79,7 @@ class BlockCodebookFamily:
     def __init__(self, k: int, fiber_spec: FiberSystemSpec, driving_spec: MarkovChainSpec):
         if k < 1:
             raise ValueError("block length must be >= 1")
-        from .actions import driving_size
-
-        fixed = driving_size(fiber_spec.action_kind)
-        if fixed is not None and driving_spec.alphabet.size != fixed:
-            raise ValueError(
-                f"action {fiber_spec.action_kind!r} requires a driving alphabet of size {fixed}"
-            )
+        check_driving_size(fiber_spec.action_kind, driving_spec.alphabet.size)
         self.k = k
         self.fiber_spec = fiber_spec
         self.driving_spec = driving_spec
@@ -117,7 +104,8 @@ class BlockCodebookFamily:
         if pattern is None:
             if self.context_probability(u) == 0:
                 raise ModelMismatchError(f"driving block {u} has zero probability")
-            pattern = coordinate_pattern(self.fiber_spec.action_kind, u)
+            # the conditional block law depends on u only through its first visits
+            pattern = tuple(walk(self.fiber_spec.action_kind, u).first.tolist())
             self._context_patterns[u] = pattern
         code = self._pattern_codes.get(pattern)
         if code is None:
@@ -288,25 +276,6 @@ def pair_frequencies(alpha, omega, k: int, stride: str = "block", m: int | None 
     return {pair: c / m for pair, c in counts.items()}
 
 
-def empirical_cross_entropy(frequencies: dict, fiber_spec: FiberSystemSpec, driving_spec: MarkovChainSpec, k: int) -> float:
-    """Cross entropy -sum a(u, v) log2 mu[v | context u], in bits per block.
-
-    Every observed pair must have positive probability under the model;
-    otherwise ModelMismatchError is raised.
-    """
-    bits = 0.0
-    for (u, v), freq in frequencies.items():
-        if len(u) != k or len(v) != k:
-            raise ValueError("observed pairs must be k-blocks")
-        if cylinder_prob(driving_spec, u) == 0:
-            raise ModelMismatchError(f"observed driving block {u} has zero probability")
-        lp = conditional_cylinder_prob(fiber_spec, u, v)
-        if lp.is_zero:
-            raise ModelMismatchError(f"observed pair {(u, v)} has zero conditional probability")
-        bits -= freq * lp.log2
-    return bits
-
-
 @dataclass(frozen=True)
 class EstimatorReport:
     """Per-run record of coded, empirical and exact per-symbol rates."""
@@ -386,7 +355,7 @@ def conditional_rate(name: OrbitName, family: BlockCodebookFamily, exact="auto")
     info_rate = None
     no_undershoot_ok = None
     if n >= 1:
-        info_rate = information_function(name.fiber_spec, name.driving, name.letters) / n
+        info_rate = information_function(name.fiber_spec, name, name.letters) / n
         no_undershoot_ok = code_rate >= info_rate - 2.0 * math.log2(n) / n - _TOL
 
     if exact == "auto":

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .coding import ENUMERATION_CAP
-from .driving import MarkovChainSpec, driving_preset
-from .fiber import FiberSystemSpec
+from .actions import check_driving_size
+from .driving import MarkovChainSpec, driving_preset, is_stationary
+from .fiber import ENUMERATION_CAP, FiberSystemSpec
 from .words import Alphabet
 
 MAX_HORIZON = 10 ** 7
@@ -75,13 +75,13 @@ class ExperimentConfig:
             raise ConfigError("format must be csv or json")
         if self.tolerance < 0:
             raise ConfigError("tolerance must be nonnegative")
-        from .actions import driving_size
-
-        fixed = driving_size(self.fiber.action_kind)
-        if fixed is not None and self.driving.alphabet.size != fixed:
-            raise ConfigError(
-                f"action {self.fiber.action_kind!r} needs a driving alphabet of size {fixed}"
-            )
+        try:
+            check_driving_size(self.fiber.action_kind, self.driving.alphabet.size)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        # block contexts are coded under the stationary block law
+        if not is_stationary(self.driving):
+            raise ConfigError("the driving chain must be stationary: pi must be invariant under Pi")
 
 
 def _spec_pair(data: dict) -> tuple[MarkovChainSpec, FiberSystemSpec]:

@@ -3,32 +3,32 @@
 A fiber system pairs a coordinate action with a product (per-coordinate
 i.i.d.) symbol distribution on a fiber alphabet.  Configurations are
 uncountable objects, so they are realized lazily: the symbol at a
-coordinate is a deterministic keyed hash of (seed, canonical coordinate),
-drawn on first visit and reused on every revisit.  Probabilities of
-orbit-name cylinders are handled in the log2 domain, with zero carried as
-an explicit flag; exact rational values back the small-block code
-constructions.
+coordinate is a deterministic keyed hash of (seed, canonical coordinate
+key).  An orbit name is fixed by its symbols at the first visits of its
+driving walk, so only first visits are hashed, the information function
+is -log2 p summed over them, and the averaged entropy is the expected
+number of distinct coordinates times H(p).  Exact rational values back the
+small-block code constructions.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import hashlib
 import numpy as np
 
-from .actions import ACTION_KINDS, driving_size, identity_coordinate
-from .driving import DrivingTrajectory, MarkovChainSpec, _as_fraction, cylinder_prob
+from .actions import ACTION_KINDS, LAWS, check_driving_size, walk
+from .driving import SUM_TOL, DrivingTrajectory, MarkovChainSpec, _as_fraction, _cumulative, _pick, cylinder_prob
 from .errors import InfiniteInformationError, ResourceLimitError
 from .words import Alphabet
 
-EXHAUSTIVE_CAP = 2 ** 24
-SUM_TOL = 1e-12
+# the most words (or word pairs) any exhaustive enumeration may visit
+ENUMERATION_CAP = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -67,25 +67,8 @@ class FiberSystemSpec:
         return -sum(float(q) * math.log2(float(q)) for q in self.p)
 
 
-@dataclass(frozen=True)
-class LogProbability:
-    """A probability in the log2 domain; zero is an explicit flag."""
-
-    log2: float
-    is_zero: bool = False
-
-    @property
-    def value(self) -> float:
-        return 0.0 if self.is_zero else 2.0 ** self.log2
-
-
-def _check_letters(kind: str, letters) -> list[int]:
-    limit = driving_size(kind)
-    out = [int(x) for x in letters]
-    for x in out:
-        if x < 0 or (limit is not None and x >= limit):
-            raise ValueError(f"driving letter {x} is not valid for action {kind!r}")
-    return out
+def _log2p(spec: FiberSystemSpec) -> np.ndarray:
+    return np.array([math.log2(float(q)) for q in spec.p])
 
 
 def _driving_letters(driving) -> Sequence[int]:
@@ -94,51 +77,25 @@ def _driving_letters(driving) -> Sequence[int]:
     return driving
 
 
-class SampledConfiguration:
-    """Lazy realization of a random configuration.
-
-    Symbols are drawn per coordinate with a keyed blake2b hash of the
-    canonical coordinate key, mapped through the inverse CDF of p in
-    alphabet order, and memoized so a coordinate's symbol never changes.
-    """
-
-    def __init__(self, spec: FiberSystemSpec, seed: int):
-        seed = int(seed)
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        self.spec = spec
-        self.seed = seed
-        self.assignments: dict[bytes, int] = {}
-        self._key = seed.to_bytes(8, "little")
-        acc = 0.0
-        self._thresholds = []
-        for q in spec.p:
-            acc += float(q)
-            self._thresholds.append(acc)
-
-    def symbol_at(self, coordinate) -> int:
-        key = coordinate.key
-        sym = self.assignments.get(key)
-        if sym is None:
-            digest = hashlib.blake2b(key, digest_size=8, key=self._key).digest()
-            u = int.from_bytes(digest, "little") / 2.0 ** 64
-            sym = min(bisect_right(self._thresholds, u), len(self._thresholds) - 1)
-            self.assignments[key] = sym
-        return sym
-
-
 @dataclass(frozen=True)
 class OrbitName:
-    """The fiber symbols read while a configuration is driven along alpha."""
+    """The fiber symbols read while a configuration is driven along alpha.
+
+    first is the walk of the driving word (see actions.walk), kept so the
+    name's information needs no second walk; it is computed when omitted.
+    """
 
     fiber_spec: FiberSystemSpec
     driving: np.ndarray
     letters: np.ndarray
     seed: int | None = None
+    first: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.driving) != len(self.letters):
             raise ValueError("orbit name must be as long as its driving word")
+        if self.first is None:
+            object.__setattr__(self, "first", walk(self.fiber_spec.action_kind, self.driving).first)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -147,88 +104,70 @@ class OrbitName:
 def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
     """Drive a lazily sampled configuration along alpha and read its name.
 
-    The i-th symbol is the configuration's inscription at the coordinate
-    reached by the first i letters; revisited coordinates reuse the stored
-    symbol, so the name is always consistent.
+    The symbol at a coordinate is drawn from its key alone: a blake2b hash
+    keyed by the seed, read as u in [0, 1) and mapped through the inverse
+    CDF of p in alphabet order.  Only first visits are hashed; a revisit
+    reads the symbol of its first visit, so the name is always consistent.
     """
-    letters = _check_letters(spec.action_kind, _driving_letters(alpha))
-    config = SampledConfiguration(spec, seed)
-    coord = identity_coordinate(spec.action_kind)
-    out = np.empty(len(letters), dtype=np.int64)
-    last = len(letters) - 1
-    for i, a in enumerate(letters):
-        out[i] = config.symbol_at(coord)
-        if i != last:
-            coord = coord.step(a)
-    return OrbitName(spec, np.asarray(letters, dtype=np.int64), out, seed)
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    driving = np.asarray(_driving_letters(alpha), dtype=np.int64)
+    first, keys = walk(spec.action_kind, driving)
+    salt = seed.to_bytes(8, "little")
+    cumulative = _cumulative(spec.p)
+
+    def draw(key: bytes) -> int:
+        digest = hashlib.blake2b(key, digest_size=8, key=salt).digest()
+        return _pick(cumulative, int.from_bytes(digest, "little") / 2.0 ** 64)
+
+    # each symbol is written at its first visit, and every step reads its first visit
+    at_first = np.zeros(len(first), dtype=np.int64)
+    at_first[first == np.arange(len(first))] = [draw(key) for key in keys]
+    return OrbitName(spec, driving, at_first[first], seed, first)
 
 
-def coordinate_pattern(kind: str, u) -> tuple[int, ...]:
-    """First-occurrence pattern of the coordinates read along u.
-
-    pattern[i] is the smallest j with c_j = c_i; positions with
-    pattern[i] == i are the first visits.  Conditional cylinder values
-    depend on u only through this pattern.
-    """
-    letters = _check_letters(kind, u)
-    coord = identity_coordinate(kind)
-    first: dict[bytes, int] = {}
-    pattern = []
-    last = len(letters) - 1
-    for i, a in enumerate(letters):
-        pattern.append(first.setdefault(coord.key, i))
-        if i != last:
-            coord = coord.step(a)
-    return tuple(pattern)
+def _first_symbols(spec: FiberSystemSpec, first: np.ndarray, v) -> np.ndarray | None:
+    """The symbols v reads at first visits, or None when v gives a
+    revisited coordinate two different symbols."""
+    v = np.asarray(v, dtype=np.int64)
+    if len(v) != len(first):
+        raise ValueError("driving and fiber words must have equal length")
+    if v.size and (v.min() < 0 or v.max() >= spec.fiber_alphabet.size):
+        raise ValueError("fiber letter out of range")
+    if not np.array_equal(v[first], v):
+        return None
+    return v[first == np.arange(len(v))]
 
 
-def conditional_cylinder_prob(spec: FiberSystemSpec, u, v) -> LogProbability:
-    """Probability that the orbit driven by u reads the fiber word v.
+def conditional_cylinder_fraction(spec: FiberSystemSpec, u, v) -> Fraction:
+    """Exact probability that the orbit driven by u reads the fiber word v.
 
     Zero when v assigns conflicting symbols to a revisited coordinate;
     otherwise the product of p over the distinct coordinates visited.
     """
-    v = [int(x) for x in v]
-    pattern = coordinate_pattern(spec.action_kind, u)
-    if len(pattern) != len(v):
-        raise ValueError("driving and fiber words must have equal length")
-    log2 = 0.0
-    logp = [math.log2(float(q)) for q in spec.p]
-    for i, j in enumerate(pattern):
-        if not 0 <= v[i] < spec.fiber_alphabet.size:
-            raise ValueError(f"fiber letter {v[i]} out of range")
-        if j == i:
-            log2 += logp[v[i]]
-        elif v[i] != v[j]:
-            return LogProbability(0.0, is_zero=True)
-    return LogProbability(log2)
-
-
-def conditional_cylinder_fraction(spec: FiberSystemSpec, u, v) -> Fraction:
-    """Exact rational companion of conditional_cylinder_prob."""
-    v = [int(x) for x in v]
-    pattern = coordinate_pattern(spec.action_kind, u)
-    if len(pattern) != len(v):
-        raise ValueError("driving and fiber words must have equal length")
-    prob = Fraction(1)
-    for i, j in enumerate(pattern):
-        if j == i:
-            prob *= spec.p[v[i]]
-        elif v[i] != v[j]:
-            return Fraction(0)
-    return prob
+    symbols = _first_symbols(spec, walk(spec.action_kind, u).first, v)
+    if symbols is None:
+        return Fraction(0)
+    return math.prod((spec.p[s] for s in symbols.tolist()), start=Fraction(1))
 
 
 def information_function(spec: FiberSystemSpec, alpha, omega) -> float:
     """Bits of information in the orbit-name cylinder, -log2 of its measure.
 
-    Raises InfiniteInformationError on an inconsistent (zero-probability)
-    prefix pair.  Names produced by emit_name are always consistent.
+    alpha is a driving word, a trajectory, or an OrbitName, whose kept walk
+    is reused.  The value is -log2 p summed over the first visits.  Raises
+    InfiniteInformationError on an inconsistent (zero-probability) prefix
+    pair.  Names produced by emit_name are always consistent.
     """
-    lp = conditional_cylinder_prob(spec, _driving_letters(alpha), omega)
-    if lp.is_zero:
+    if isinstance(alpha, OrbitName):
+        first = alpha.first
+    else:
+        first = walk(spec.action_kind, _driving_letters(alpha)).first
+    symbols = _first_symbols(spec, first, omega)
+    if symbols is None:
         raise InfiniteInformationError("prefix pair has zero probability")
-    return -lp.log2
+    return -float(_log2p(spec)[symbols].sum())
 
 
 @dataclass(frozen=True)
@@ -246,14 +185,15 @@ class ExactAveragedEntropy:
 def _expected_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> float:
     """Expected number of distinct coordinates among c_0 .. c_{n-1}.
 
-    Enumerates the positive-probability driving words depth first; only
-    the first n-1 letters move the coordinate, so the tree is cut there.
+    Enumerates the positive-probability driving words depth first with the
+    action's step rule; only the first n-1 letters move the coordinate, so
+    the tree is cut there.
     """
+    identity, step, key = LAWS[kind]
     size = driving_spec.alphabet.size
     pi = [float(x) for x in driving_spec.pi]
     Pi = [[float(x) for x in row] for row in driving_spec.Pi]
-    root = identity_coordinate(kind)
-    counts = {root.key: 1}
+    counts = {key(identity): 1}
     acc = 0.0
 
     def rec(coord, depth, prob, prev):
@@ -265,15 +205,15 @@ def _expected_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> floa
             q = pi[letter] if prev is None else Pi[prev][letter]
             if q == 0.0:
                 continue
-            nxt = coord.step(letter)
-            key = nxt.key
-            counts[key] = counts.get(key, 0) + 1
+            nxt = step(coord, letter)
+            k = key(nxt)
+            counts[k] = counts.get(k, 0) + 1
             rec(nxt, depth + 1, prob * q, letter)
-            counts[key] -= 1
-            if not counts[key]:
-                del counts[key]
+            counts[k] -= 1
+            if not counts[k]:
+                del counts[k]
 
-    rec(root, 0, 1.0, None)
+    rec(identity, 0, 1.0, None)
     return acc
 
 
@@ -286,28 +226,17 @@ def _averaged_entropy_enumerated(spec: FiberSystemSpec, driving_spec: MarkovChai
     """
     size = driving_spec.alphabet.size
     fiber_size = spec.fiber_alphabet.size
-    logp = np.array([math.log2(float(q)) for q in spec.p])
+    logp = _log2p(spec)
     V = np.array(list(itertools.product(range(fiber_size), repeat=n)), dtype=np.int64)
     total = 0.0
     for u in itertools.product(range(size), repeat=n):
         nu = float(cylinder_prob(driving_spec, u))
         if nu == 0.0:
             continue
-        coord = identity_coordinate(spec.action_kind)
-        groups: dict[bytes, list[int]] = {}
-        for i, a in enumerate(u):
-            groups.setdefault(coord.key, []).append(i)
-            if i + 1 < n:
-                coord = coord.step(a)
-        mask = np.ones(len(V), dtype=bool)
-        log2mu = np.zeros(len(V))
-        for positions in groups.values():
-            cols = V[:, positions]
-            if len(positions) > 1:
-                mask &= (cols == cols[:, :1]).all(axis=1)
-            log2mu += logp[V[:, positions[0]]]
-        mu = np.exp2(log2mu[mask])
-        total -= nu * float((mu * log2mu[mask]).sum())
+        first = walk(spec.action_kind, u).first
+        mask = (V == V[:, first]).all(axis=1)
+        log2mu = logp[V[:, first == np.arange(n)]].sum(axis=1)[mask]
+        total -= nu * float((np.exp2(log2mu) * log2mu).sum())
     return total
 
 
@@ -327,17 +256,15 @@ def exact_averaged_entropy(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    fixed = driving_size(spec.action_kind)
-    if fixed is not None and driving_spec.alphabet.size != fixed:
-        raise ValueError(f"action {spec.action_kind!r} requires a driving alphabet of size {fixed}")
+    check_driving_size(spec.action_kind, driving_spec.alphabet.size)
     size = driving_spec.alphabet.size
     if method == "fast":
-        if size ** n > EXHAUSTIVE_CAP:
-            raise ResourceLimitError(f"{size}**{n} driving words exceed the exhaustive cap")
+        if size ** n > ENUMERATION_CAP:
+            raise ResourceLimitError(f"{size}**{n} driving words exceed the enumeration cap")
         bits = _expected_distinct(driving_spec, spec.action_kind, n) * spec.symbol_entropy()
     elif method == "enumerate":
-        if (size * spec.fiber_alphabet.size) ** n > EXHAUSTIVE_CAP:
-            raise ResourceLimitError("full (u, v) enumeration exceeds the exhaustive cap")
+        if (size * spec.fiber_alphabet.size) ** n > ENUMERATION_CAP:
+            raise ResourceLimitError("full (u, v) enumeration exceeds the enumeration cap")
         bits = _averaged_entropy_enumerated(spec, driving_spec, n)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -376,27 +303,11 @@ class SmbReport:
 
 def information_curve(spec: FiberSystemSpec, alpha, seed: int, checkpoints) -> list[SmbRow]:
     """Information of the sampled orbit name at the given horizons."""
-    letters = _check_letters(spec.action_kind, _driving_letters(alpha))
-    cps = sorted({int(c) for c in checkpoints if 1 <= int(c) <= len(letters)})
-    config = SampledConfiguration(spec, seed)
-    logp = [math.log2(float(q)) for q in spec.p]
-    coord = identity_coordinate(spec.action_kind)
-    seen: set[bytes] = set()
-    bits = 0.0
-    rows = []
-    ci = 0
-    last = len(letters) - 1
-    for i, a in enumerate(letters):
-        key = coord.key
-        if key not in seen:
-            seen.add(key)
-            bits -= logp[config.symbol_at(coord)]
-        if ci < len(cps) and i + 1 == cps[ci]:
-            rows.append(SmbRow(seed, cps[ci], bits))
-            ci += 1
-        if i != last:
-            coord = coord.step(a)
-    return rows
+    name = emit_name(spec, alpha, seed)
+    n = len(name)
+    cps = sorted({int(c) for c in checkpoints if 1 <= int(c) <= n})
+    bits = np.cumsum(np.where(name.first == np.arange(n), -_log2p(spec)[name.letters], 0.0))
+    return [SmbRow(seed, c, float(bits[c - 1])) for c in cps]
 
 
 def smb_convergence(

@@ -1,80 +1,99 @@
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fiberlab import CoordinateAction, driving_preset, range_ratio_curve, step, visit_record
+from fiberlab import (
+    Alphabet,
+    BlockCodebookFamily,
+    ExperimentConfig,
+    FiberSystemSpec,
+    MarkovChainSpec,
+    driving_preset,
+    exact_averaged_entropy,
+    range_ratio_curve,
+    visit_record,
+    walk,
+)
 from fiberlab.actions import default_checkpoints
+from fiberlab.config import ConfigError
 
 # generator indices for the lattice and free-group alphabets
 E1, NEG_E1, E2, NEG_E2 = 0, 1, 2, 3
 A, A_INV, B, B_INV = 0, 1, 2, 3
+INVERSE = (1, 0, 3, 2)
 
 
-def walk(kind, letters):
-    action = CoordinateAction.initial(kind)
-    for letter in letters:
-        action = step(action, letter)
-    return action
+def final_key(kind, letters):
+    """Key of the coordinate reached after every letter of the word."""
+    first, keys = walk(kind, list(letters) + [0])
+    ordinal = np.cumsum(first == np.arange(len(first))) - 1
+    return keys[ordinal[first[-1]]]
 
 
 def test_initial_state_is_identity():
-    assert CoordinateAction.initial("z2").state.pair() == (0, 0)
-    assert CoordinateAction.initial("f2").state.word() == ()
-    assert CoordinateAction.initial("free-monoid").state.word() == ()
+    for kind in ("free-monoid", "z2", "f2"):
+        first, keys = walk(kind, [0])
+        assert first.tolist() == [0] and len(keys) == 1
+    assert walk("z2", [E1]).keys == [b"0,0"]
 
 
 def test_step_examples():
-    assert walk("z2", [E1]).state.pair() == (1, 0)
-    assert walk("f2", [A, A_INV]).state.word() == ()
-    assert walk("free-monoid", [0, 1, 1]).state.word() == (0, 1, 1)
+    assert final_key("z2", [E1]) == b"1,0"
+    assert final_key("f2", [A, A_INV]) == final_key("f2", [])
+    assert final_key("free-monoid", [0, 1, 1]) != final_key("free-monoid", [1, 1, 0])
+    assert walk("free-monoid", [0, 1, 1, 0]).first.tolist() == [0, 1, 2, 3]
 
 
 def test_step_rejects_foreign_symbols():
+    for kind, letter in (("z2", 4), ("f2", 4), ("z2", -1), ("free-monoid", -1), ("free-monoid", 256)):
+        with pytest.raises(ValueError):
+            walk(kind, [0, letter])
     with pytest.raises(ValueError):
-        step(CoordinateAction.initial("z2"), 4)
-    with pytest.raises(ValueError):
-        step(CoordinateAction.initial("free-monoid", alphabet_size=2), 2)
+        walk("z3", [0])
 
 
 def test_f2_left_multiplication_prepends():
-    # stepping a then b gives the product b*a, head letter last stepped
-    assert walk("f2", [A, B]).state.word() == (B, A)
+    # stepping a then b gives the product b*a: the head is the letter last
+    # stepped, so b^-1 cancels it and a^-1 does not
+    assert walk("f2", [A, B, B_INV, A]).first.tolist() == [0, 1, 2, 1]
+    assert walk("f2", [A, B, A_INV, A]).first.tolist() == [0, 1, 2, 3]
 
 
 def test_f2_step_then_inverse_step_returns():
-    inverse = (1, 0, 3, 2)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        base = walk("f2", [int(x) for x in rng.integers(0, 4, rng.integers(0, 10))])
+        base = [int(x) for x in rng.integers(0, 4, rng.integers(0, 10))]
         for letter in range(4):
-            back = step(step(base, letter), inverse[letter])
-            assert back.state == base.state
-            assert back.state.word() == base.state.word()
+            first = walk("f2", base + [letter, INVERSE[letter], 0]).first
+            assert first[-1] == first[len(base)]
+            assert final_key("f2", base + [letter, INVERSE[letter]]) == final_key("f2", base)
 
 
 def test_f2_retraces_coordinates_under_inverse_walk():
-    inverse = (1, 0, 3, 2)
     rng = np.random.default_rng(4)
     letters = [int(x) for x in rng.integers(0, 4, 40)]
-    action = CoordinateAction.initial("f2")
-    trace = [action.state]
-    for letter in letters:
-        action = step(action, letter)
-        trace.append(action.state)
-    for letter, previous in zip(reversed(letters), reversed(trace[:-1])):
-        action = step(action, inverse[letter])
-        assert action.state == previous
+    back = [INVERSE[letter] for letter in reversed(letters)]
+    first = walk("f2", letters + back + [0]).first
+    n = len(letters)
+    # c_{n+t} = c_{n-t}: the inverse word retraces the path to the identity
+    for t in range(n + 1):
+        assert first[n + t] == first[n - t]
 
 
 def test_visit_record_examples():
+    assert walk("z2", [E1, NEG_E1]).keys == [b"0,0", b"1,0"]
     record = visit_record("z2", [E1, NEG_E1])
-    assert [c.pair() for c in record.coordinates] == [(0, 0), (1, 0)]
+    assert record.distinct_counts.tolist() == [1, 2]
     assert record.distinct_count == 2
 
-    record = visit_record("z2", [E1, NEG_E1, E1])
-    assert [c.pair() for c in record.coordinates] == [(0, 0), (1, 0), (0, 0)]
-    assert record.distinct_count == 2
+    first, keys = walk("z2", [E1, NEG_E1, E1])
+    assert first.tolist() == [0, 1, 0] and keys == [b"0,0", b"1,0"]
+    assert visit_record("z2", [E1, NEG_E1, E1]).distinct_count == 2
 
     assert visit_record("free-monoid", []).distinct_count == 0
+    assert walk("free-monoid", []).first.dtype == np.int64
 
 
 def test_visit_record_counts_are_monotone_and_bounded():
@@ -91,7 +110,7 @@ def test_visit_record_counts_are_monotone_and_bounded():
 def test_free_monoid_all_prefixes_distinct():
     rng = np.random.default_rng(12)
     letters = [int(x) for x in rng.integers(0, 3, 500)]
-    record = visit_record("free-monoid", letters, alphabet_size=3)
+    record = visit_record("free-monoid", letters)
     assert record.distinct_count == 500
     assert np.array_equal(record.distinct_counts, np.arange(1, 501))
 
@@ -107,10 +126,10 @@ def test_z2_action_is_abelian():
     rng = np.random.default_rng(7)
     for _ in range(30):
         letters = [int(x) for x in rng.integers(0, 4, rng.integers(1, 13))]
-        final = walk("z2", letters).state.pair()
+        final = final_key("z2", letters)
         perm = list(letters)
         rng.shuffle(perm)
-        assert walk("z2", perm).state.pair() == final
+        assert final_key("z2", perm) == final
 
 
 def test_range_ratio_curve_is_one_for_free_monoid_and_f2():
@@ -133,3 +152,19 @@ def test_default_checkpoints_are_sorted_and_bounded():
     assert points == sorted(set(points))
     assert points[-1] == 10 ** 5
     assert points[0] >= 1
+
+
+@pytest.mark.parametrize("entry", ["family", "config", "exact", "range"])
+def test_driving_alphabet_size_is_checked_at_every_entry_point(entry):
+    half = Fraction(1, 2)
+    binary = Alphabet(("0", "1"))
+    driving = MarkovChainSpec.bernoulli(binary, (half, half))
+    fiber = FiberSystemSpec("z2", binary, (half, half))
+    calls = {
+        "family": lambda: BlockCodebookFamily(2, fiber, driving),
+        "config": lambda: ExperimentConfig(driving, fiber, (100,), (2,), (1,), Path("reports")),
+        "exact": lambda: exact_averaged_entropy(fiber, driving, 3),
+        "range": lambda: range_ratio_curve("z2", driving, 100, [1]),
+    }
+    with pytest.raises(ConfigError if entry == "config" else ValueError, match="driving alphabet of size 4"):
+        calls[entry]()

@@ -158,3 +158,26 @@ def test_cli_parallel_cells_match_serial_bytes(tmp_path):
     subprocess.run(cmd + base + ["--out", str(parallel)], check=True,
                    env=dict(env, FIBERLAB_MAX_CELLS="3"), capture_output=True)
     assert read_all(serial) == read_all(parallel)
+
+
+NON_STATIONARY = {
+    "driving": {"alphabet": ["0", "1"], "pi": ["1", "0"], "Pi": [["0", "1"], ["1", "0"]]},
+    "fiber": {"action": "free-monoid", "fiber_alphabet": ["0", "1"], "p": ["1/2", "1/2"]},
+    "horizons": [100],
+    "block_lengths": [3],
+    "seeds": [1],
+}
+
+
+@pytest.mark.parametrize("case", ["range-n-0", "non-stationary"])
+def test_cli_library_errors_exit_2_with_one_line(tmp_path, capsys, case):
+    out = str(tmp_path / "reports")
+    if case == "range-n-0":
+        args = ["range", "--preset", "z2-uniform", "--n", "0", "--seed", "1", "--out", out]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**NON_STATIONARY, "out": out}), encoding="utf-8")
+        args = ["verify-brudno", "--config", str(path)]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fiberlab: ") and err.count("\n") == 1

@@ -16,12 +16,12 @@ from fiberlab import (
     ResourceLimitError,
     ar_decomposition_check,
     build_codebooks,
+    conditional_cylinder_fraction,
     conditional_rate,
     cylinder_prob,
     decode,
     driving_preset,
     emit_name,
-    empirical_cross_entropy,
     empirical_two_pass_rate,
     encode,
     exact_averaged_entropy,
@@ -204,39 +204,40 @@ def test_pair_frequencies_converge_to_product_measure():
 
 
 def test_empirical_cross_entropy_identities():
-    # plugging the exact pair probabilities reproduces the exact entropy
+    # at the exact pair probabilities the block cross entropy is the exact entropy
     for k in range(1, 7):
-        exact = {}
+        bits = 0.0
         for u in itertools.product(range(4), repeat=k):
             nu = cylinder_prob(F2_DRIVING, u)
             if nu == 0:
                 continue
-            from fiberlab import conditional_cylinder_fraction
-
             for v in itertools.product(range(2), repeat=k):
                 mu = conditional_cylinder_fraction(F2, u, v)
                 if mu > 0:
-                    exact[(u, v)] = float(nu * mu)
-        bits = empirical_cross_entropy(exact, F2, F2_DRIVING, k)
+                    bits -= float(nu * mu) * math.log2(mu)
         assert bits == pytest.approx(exact_averaged_entropy(F2, F2_DRIVING, k).bits, abs=1e-9)
 
 
+def cross_entropy_rate(fiber, driving, alpha, omega, k):
+    name = OrbitName(fiber, np.array(alpha), np.array(omega))
+    return conditional_rate(name, BlockCodebookFamily(k, fiber, driving), exact=None).cross_entropy_rate
+
+
 def test_empirical_cross_entropy_uniform_monoid_is_k():
-    freqs = pair_frequencies([0, 1, 1, 0, 1, 0], [1, 1, 0, 0, 1, 1], 3, "block")
-    assert empirical_cross_entropy(freqs, MONOID, BERNOULLI2, 3) == pytest.approx(3.0)
+    # k bits per k-block
+    assert cross_entropy_rate(MONOID, BERNOULLI2, [0, 1, 1, 0, 1, 0], [1, 1, 0, 0, 1, 1], 3) == 1.0
 
 
 def test_empirical_cross_entropy_degenerate_pair():
-    freqs = {((0, 0), (1, 1)): 1.0}
-    assert empirical_cross_entropy(freqs, MONOID, BERNOULLI2, 2) == pytest.approx(2.0)
+    assert cross_entropy_rate(MONOID, BERNOULLI2, [0, 0], [1, 1], 2) == 1.0
 
 
 def test_empirical_cross_entropy_rejects_null_pairs():
     with pytest.raises(ModelMismatchError):
-        empirical_cross_entropy({((0, 1), (0, 0)): 1.0}, F2, F2_DRIVING, 2)
+        cross_entropy_rate(F2, F2_DRIVING, [0, 1], [0, 0], 2)
     with pytest.raises(ModelMismatchError):
         # the origin is revisited at step 2, so the fiber block conflicts
-        empirical_cross_entropy({((E1, NEG_E1, E1), (0, 1, 1)): 1.0}, Z2, Z2_DRIVING, 3)
+        cross_entropy_rate(Z2, Z2_DRIVING, [E1, NEG_E1, E1], [0, 1, 1], 3)
 
 
 def test_conditional_rate_uniform_monoid_exact():

@@ -12,7 +12,6 @@ from fiberlab import (
     MarkovChainSpec,
     ResourceLimitError,
     conditional_cylinder_fraction,
-    conditional_cylinder_prob,
     driving_preset,
     emit_name,
     exact_averaged_entropy,
@@ -74,15 +73,10 @@ def test_emit_name_distribution_is_roughly_uniform():
     assert np.all(np.abs(freq - 0.5) < 0.02)
 
 
-def test_conditional_cylinder_prob_examples():
+def test_conditional_cylinder_fraction_examples():
     for v in itertools.product(range(2), repeat=4):
-        assert conditional_cylinder_prob(MONOID, [0, 1, 1, 0], v).value == pytest.approx(1 / 16)
-    consistent = conditional_cylinder_prob(Z2, [E1, NEG_E1, E1], [0, 1, 0])
-    assert consistent.value == pytest.approx(1 / 4)
-    assert not consistent.is_zero
-    conflicted = conditional_cylinder_prob(Z2, [E1, NEG_E1, E1], [0, 1, 1])
-    assert conflicted.is_zero and conflicted.value == 0.0
-    assert conditional_cylinder_prob(Z2, [], []).value == 1.0
+        assert conditional_cylinder_fraction(MONOID, [0, 1, 1, 0], v) == Fraction(1, 16)
+    assert conditional_cylinder_fraction(Z2, [], []) == 1
 
 
 def test_conditional_cylinder_fraction_agrees():
@@ -90,9 +84,11 @@ def test_conditional_cylinder_fraction_agrees():
     assert conditional_cylinder_fraction(Z2, [E1, NEG_E1, E1], [0, 1, 1]) == 0
 
 
-def test_conditional_cylinder_prob_length_mismatch():
+def test_conditional_cylinder_fraction_length_mismatch():
     with pytest.raises(ValueError):
-        conditional_cylinder_prob(Z2, [E1], [0, 1])
+        conditional_cylinder_fraction(Z2, [E1], [0, 1])
+    with pytest.raises(ValueError):
+        conditional_cylinder_fraction(Z2, [E1], [2])
 
 
 def test_information_function_values():

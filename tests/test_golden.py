@@ -1,0 +1,70 @@
+"""Golden bytes: report files and orbit names pinned by sha256.
+
+The digests were recorded before the coordinate walk was rewritten, so any
+change to a blake2b coordinate key, a symbol hash or a report format shows
+here.  The f2 names are driven by the uniform Bernoulli chain, which
+backtracks, so they also pin the cancel-and-revisit path of the f2 walk
+that the f2-markov preset never reaches.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from fiberlab import Alphabet, MarkovChainSpec, emit_name, sample_trajectory, system_preset
+from fiberlab.cli import main
+
+REPORT_DIGESTS = {
+    ("verify-brudno", "free-monoid-uniform"): "063f98759651453e9460482475c621262b0d632abf8b4b669ecc0046cb1390cd",
+    ("verify-brudno", "z2-uniform"): "3792efc5b560c70f3b9f2fc61f83263e8e3f7417951f413a28b9542f7916ffef",
+    ("verify-brudno", "f2-markov"): "1432d46db1f715eda75e0441480859b812a46ea46d8578346101528d6badb43e",
+    ("verify-ar", "free-monoid-uniform"): "bc4938d0be2a5ba199684a31d40aefd5c7ea14d816001aabe6705f8adf40f9d5",
+    ("verify-ar", "z2-uniform"): "d205b1bf8010283f54c36805a4d00672d5b2d4f5789b5478a35937144853a9ba",
+    ("verify-ar", "f2-markov"): "05ab6333036ceba18673ca5219df07ff0224158ddae3a44e54f09dce44b10245",
+}
+
+NAME_DIGESTS = {
+    ("free-monoid", 1): "dc24e076a3a75a8068c974e50fedf58e8194c923ab79ef8bcf3f3103c7737e9e",
+    ("free-monoid", 2): "52c6d5185d9392106298fd035a5e4e75c9abad33a7c04bc938e9fb8d49f9f41d",
+    ("z2", 1): "965f227cea01493bea0da5d3c5d855947de76bc91e811ebf886984c752556c66",
+    ("z2", 2): "9799fca9cc01af1ad0890a1e58d7dd610fa4f8a83e20b06011fc39d20bc96516",
+    ("f2", 1): "26e3a89c792483d0ee0e4d63023cc5229bc303267dc57d44ea5286bb7976dcc2",
+    ("f2", 2): "a8c2f20b87da8b4bf06baa96934c3aa614460106713354f8bdd20ce270c7d4d4",
+}
+
+UNIFORM_F2 = MarkovChainSpec.bernoulli(Alphabet(("a", "A", "b", "B")), (Fraction(1, 4),) * 4)
+
+
+def report_digest(directory):
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def name_digest(kind, seed):
+    preset = {"free-monoid": "free-monoid-uniform", "z2": "z2-uniform", "f2": "f2-markov"}[kind]
+    driving, fiber = system_preset(preset)
+    if kind == "f2":
+        driving = UNIFORM_F2
+    trajectory = sample_trajectory(driving, 20_000, seed)
+    letters = emit_name(fiber, trajectory, seed).letters
+    return hashlib.sha256(letters.astype("<i8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command,preset", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_unchanged(tmp_path, command, preset):
+    out = tmp_path / "reports"
+    config = {"preset": preset, "horizons": [20_000], "block_lengths": [4, 8], "seeds": [1, 2], "out": str(out)}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 0
+    assert report_digest(out) == REPORT_DIGESTS[command, preset]
+
+
+@pytest.mark.parametrize("kind,seed", sorted(NAME_DIGESTS))
+def test_orbit_name_bytes_are_unchanged(kind, seed):
+    assert name_digest(kind, seed) == NAME_DIGESTS[kind, seed]

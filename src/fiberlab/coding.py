@@ -9,6 +9,22 @@ first-occurrence pattern of the coordinates it visits, so codebooks are
 built once per pattern and shared; contexts can therefore be materialized
 lazily, which keeps long-horizon runs cheap, or eagerly over all positive
 contexts under the desk-scale cap.
+
+The cost of a block depends on its (u, v) pair alone, so the coders work
+from one table of a name's distinct pairs in first-occurrence order (see
+driving._block_table): encode joins codewords by block index, the cross
+entropy sums counts times log2 mu, and the joint coder reads its lengths
+off the pairs.  Per-pair work runs in first-occurrence order, so the
+first offending block raises, as a block-by-block loop would.
+
+A context met inside a name takes its pattern from the name's own walk:
+group coordinates cancel on the right, so two steps of a block visit the
+same coordinate of the context's walk exactly when they visit the same
+coordinate of the name's walk, and free-monoid coordinates never repeat.
+Only contexts given without a name (decode, build_codebooks,
+codebook_for) are walked.  Positivity is an exact test for zeros in pi
+and Pi; the exact context probability nu is computed only by the plain
+coder, whose values the joint coder reuses.
 """
 
 from __future__ import annotations
@@ -18,12 +34,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
 import numpy as np
 
 from .actions import check_driving_size, walk
-from .driving import MarkovChainSpec, block_code_details, cylinder_prob, sample_trajectory
+from .driving import (
+    MarkovChainSpec,
+    _block_table,
+    _letters_of,
+    _sum_in_block_order,
+    block_code_details,
+    sample_trajectory,
+)
 from .errors import MalformedStreamError, ModelMismatchError, ResourceLimitError
 from .fiber import ENUMERATION_CAP, FiberSystemSpec, OrbitName, emit_name, information_function
 from .kraft import BinaryCodebook, canonical_kraft_code, shannon_length
@@ -69,6 +90,16 @@ def _build_pattern_code(spec: FiberSystemSpec, pattern: tuple[int, ...]) -> _Pat
     return _PatternCode(canonical_kraft_code(lengths), lengths, log2mu, fractions)
 
 
+def _pattern(first) -> tuple[int, ...]:
+    """pattern[i] = the smallest j with first[j] == first[i].
+
+    On a context's own walk this is its first-visit list; on a block of a
+    name's walk it is the same list, read off the name.
+    """
+    seen: dict[int, int] = {}
+    return tuple(seen.setdefault(c, i) for i, c in enumerate(first))
+
+
 class BlockCodebookFamily:
     """The per-context codebooks for one (fiber system, driving chain, k).
 
@@ -84,40 +115,50 @@ class BlockCodebookFamily:
         self.fiber_spec = fiber_spec
         self.driving_spec = driving_spec
         self.fiber_bits = (fiber_spec.fiber_alphabet.size - 1).bit_length()
+        self._starts = tuple(x != 0 for x in driving_spec.pi)
+        self._moves = tuple(tuple(x != 0 for x in row) for row in driving_spec.Pi)
         self._pattern_codes: dict[tuple[int, ...], _PatternCode] = {}
-        self._context_patterns: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._context_nu: dict[tuple[int, ...], Fraction] = {}
+        self._context_codes: dict[tuple[int, ...], _PatternCode] = {}
 
-    def context_probability(self, u) -> Fraction:
-        u = tuple(int(x) for x in u)
-        nu = self._context_nu.get(u)
-        if nu is None:
-            nu = cylinder_prob(self.driving_spec, u)
-            self._context_nu[u] = nu
-        return nu
+    def _positive(self, u: tuple[int, ...]) -> bool:
+        """Whether the driving block u has positive probability: no zero in pi or Pi on its path."""
+        if min(u) < 0 or max(u) >= len(self._starts):
+            raise ValueError("letter index out of range for the driving alphabet")
+        moves = self._moves
+        return self._starts[u[0]] and all(moves[a][b] for a, b in zip(u, u[1:]))
 
     def _code_for(self, u) -> _PatternCode:
+        """The pattern code of a context given without a name, which is walked."""
         u = tuple(int(x) for x in u)
+        code = self._context_codes.get(u)
+        return code if code is not None else self._add_context(u, None)
+
+    def _add_context(self, u: tuple[int, ...], first) -> _PatternCode:
+        """Materialize the context u.
+
+        first is the walk of a name across a block whose context is u, or
+        None, in which case u itself is walked.
+        """
         if len(u) != self.k:
             raise ValueError(f"context must have length {self.k}")
-        pattern = self._context_patterns.get(u)
-        if pattern is None:
-            if self.context_probability(u) == 0:
-                raise ModelMismatchError(f"driving block {u} has zero probability")
-            # the conditional block law depends on u only through its first visits
-            pattern = tuple(walk(self.fiber_spec.action_kind, u).first.tolist())
-            self._context_patterns[u] = pattern
+        if not self._positive(u):
+            raise ModelMismatchError(f"driving block {u} has zero probability")
+        if first is None:
+            first = walk(self.fiber_spec.action_kind, u).first
+        # the conditional block law depends on u only through its first visits
+        pattern = _pattern(first.tolist())
         code = self._pattern_codes.get(pattern)
         if code is None:
             code = _build_pattern_code(self.fiber_spec, pattern)
             self._pattern_codes[pattern] = code
+        self._context_codes[u] = code
         return code
 
     def codebook_for(self, u) -> BinaryCodebook:
         return self._code_for(u).codebook
 
     def contexts(self):
-        return iter(self._context_patterns)
+        return iter(self._context_codes)
 
     def verify_length_bounds(self) -> bool:
         """Exact check that every built length obeys l <= -log2 mu + 1."""
@@ -141,7 +182,7 @@ def build_codebooks(fiber_spec: FiberSystemSpec, driving_spec: MarkovChainSpec, 
     if (size * fiber_spec.fiber_alphabet.size) ** k > ENUMERATION_CAP:
         raise ResourceLimitError("eager codebook enumeration exceeds the desk-scale cap")
     for u in itertools.product(range(size), repeat=k):
-        if family.context_probability(u) > 0:
+        if family._positive(u):
             family._code_for(u)
     return family
 
@@ -163,6 +204,28 @@ class EncodedStream:
         return len(self.bits)
 
 
+def _name_table(name: OrbitName, k: int):
+    """The distinct (u, v) pairs of the name's n // k aligned k-blocks."""
+    return _block_table((name.driving, name.letters), k, k, len(name) // k)
+
+
+def _pair_codes(name: OrbitName, family: BlockCodebookFamily, table):
+    """Yield (u, v, pattern code) for each distinct pair of the name's table.
+
+    Pairs come in first-occurrence order; a context not yet in the family
+    takes its pattern from the name's walk across the pair's first block.
+    """
+    k = family.k
+    codes = family._context_codes
+    for row, block in zip(table.rows, table.first.tolist()):
+        row = row.tolist()
+        u, v = tuple(row[:k]), tuple(row[k:])
+        code = codes.get(u)
+        if code is None:
+            code = family._add_context(u, name.first[block * k : (block + 1) * k])
+        yield u, v, code
+
+
 def encode(name: OrbitName, family: BlockCodebookFamily) -> EncodedStream:
     """Code the k-blocks of the name against their driving contexts.
 
@@ -173,22 +236,17 @@ def encode(name: OrbitName, family: BlockCodebookFamily) -> EncodedStream:
     if name.fiber_spec != family.fiber_spec:
         raise ValueError("name and family disagree on the fiber system")
     k = family.k
-    n = len(name)
-    m = n // k
-    alpha = name.driving
-    omega = name.letters
-    parts = []
-    for i in range(m):
-        u = tuple(int(x) for x in alpha[i * k : (i + 1) * k])
-        v = tuple(int(x) for x in omega[i * k : (i + 1) * k])
-        code = family._code_for(u)
+    m = len(name) // k
+    table = _name_table(name, k)
+    words = []
+    for u, v, code in _pair_codes(name, family, table):
         word = code.codebook.entries.get(v)
         if word is None:
             raise ModelMismatchError(f"fiber block {v} is inconsistent with driving block {u}")
-        parts.append(word)
+        words.append(word)
     raw = family.fiber_bits
-    tail = "".join(format(int(s), f"0{raw}b") for s in omega[m * k :]) if raw else ""
-    return EncodedStream("".join(parts) + tail, m, k, tail)
+    tail = "".join(format(int(s), f"0{raw}b") for s in name.letters[m * k :]) if raw else ""
+    return EncodedStream("".join(np.array(words, dtype=object)[table.index]) + tail, m, k, tail)
 
 
 def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndarray:
@@ -199,7 +257,7 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
     the raw tail is parsed last.  Any leftover or missing bits raise
     MalformedStreamError.
     """
-    letters = [int(x) for x in (alpha.letters if hasattr(alpha, "letters") else alpha)]
+    letters = _letters_of(alpha).tolist()
     k = family.k
     n = len(letters)
     m = n // k
@@ -241,10 +299,11 @@ def pair_counts(alpha, omega, k: int, stride: str = "block", m: int | None = Non
     """Occurrence counts of aligned (driving, fiber) windows of length k.
 
     stride "block" scans offsets 0, k, 2k, ...; stride "slide" scans every
-    offset.  Returns (counter, number of windows scanned).
+    offset.  Returns (counter, number of windows scanned); the counter's
+    keys are (u, v) tuples in first-occurrence order.
     """
-    a = [int(x) for x in (alpha.letters if hasattr(alpha, "letters") else alpha)]
-    w = [int(x) for x in omega]
+    a = _letters_of(alpha)
+    w = np.asarray(omega, dtype=np.int64)
     if len(a) != len(w):
         raise ValueError("driving and fiber sequences must have equal length")
     if k < 1:
@@ -262,10 +321,11 @@ def pair_counts(alpha, omega, k: int, stride: str = "block", m: int | None = Non
         m = available
     if not 0 <= m <= available:
         raise ValueError(f"requested {m} windows but only {available} fit the horizon")
+    table = _block_table((a, w), k, hop, m)
     counts: Counter = Counter()
-    for i in range(m):
-        off = i * hop
-        counts[(tuple(a[off : off + k]), tuple(w[off : off + k]))] += 1
+    for row, c in zip(table.rows, table.counts.tolist()):
+        row = row.tolist()
+        counts[tuple(row[:k]), tuple(row[k:])] = c
     return counts, m
 
 
@@ -345,10 +405,10 @@ def conditional_rate(name: OrbitName, family: BlockCodebookFamily, exact="auto")
     cross = None
     eq15_ok = None
     if m >= 1:
-        counts, _ = pair_counts(name.driving, name.letters, k, "block", m)
+        table = _name_table(name, k)
         acc = 0.0
-        for (u, v), c in counts.items():
-            acc -= c * family._code_for(u).log2mu[v]
+        for (_, v, code), c in zip(_pair_codes(name, family, table), table.counts.tolist()):
+            acc -= c * code.log2mu[v]
         cross = acc / (m * k)
         eq15_ok = code_rate <= cross + 1.0 / k + tail_bits / n + _TOL
 
@@ -431,8 +491,9 @@ def ar_decomposition_check(
 
     The joint coder spends ceil(-log2(nu[u] mu[u|v])) bits per aligned
     pair block and raw codes remainder pairs; the plain coder is the
-    driving block coder; the conditional coder is the contextual fiber
-    coder.  The report carries joint - plain - conditional.
+    driving block coder, whose exact nu the joint coder reuses; the
+    conditional coder is the contextual fiber coder.  The report carries
+    joint - plain - conditional.
     """
     trajectory = sample_trajectory(driving_spec, n, seed)
     name = emit_name(fiber_spec, trajectory, seed)
@@ -442,34 +503,29 @@ def ar_decomposition_check(
     if n == 0:
         return ArDecompositionReport(0, k, seed, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, True)
 
-    plain_total, plain_ideal, m, _ = block_code_details(driving_spec, trajectory, k)
+    plain = block_code_details(driving_spec, trajectory, k)
 
-    joint_lengths: dict[tuple, int] = {}
-    joint_total = 0
-    joint_ideal = 0.0
-    for i in range(m):
-        u = tuple(int(x) for x in trajectory.letters[i * k : (i + 1) * k])
-        v = tuple(int(x) for x in name.letters[i * k : (i + 1) * k])
-        pair = (u, v)
-        if pair not in joint_lengths:
-            prob = family.context_probability(u) * family._code_for(u).fractions[v]
-            if prob == 0:
-                raise ModelMismatchError(f"pair block {pair} has zero probability")
-            joint_lengths[pair] = max(1, shannon_length(prob))
-        joint_total += joint_lengths[pair]
-        joint_ideal += -family._code_for(u).log2mu[v] - math.log2(float(family.context_probability(u)))
+    # every pair is consistent and every context positive: encode checked both
+    table = _name_table(name, k)
+    lengths = np.empty(len(table.rows), dtype=np.int64)
+    ideals = np.empty(len(table.rows))
+    for r, (u, v, code) in enumerate(_pair_codes(name, family, table)):
+        nu = plain.nu[u]
+        lengths[r] = max(1, shannon_length(nu * code.fractions[v]))
+        ideals[r] = -code.log2mu[v] - math.log2(float(nu))
     pair_raw = (driving_spec.alphabet.size * fiber_spec.fiber_alphabet.size - 1).bit_length()
-    joint_total += (n - m * k) * pair_raw
+    joint_total = int(table.counts @ lengths) + (n - plain.m * k) * pair_raw
+    joint_ideal = _sum_in_block_order(ideals, table.index)
 
     return ArDecompositionReport(
         n=n,
         k=k,
         seed=seed,
         joint_rate=joint_total / n,
-        plain_rate=plain_total / n,
+        plain_rate=plain.total_bits / n,
         conditional_rate=cond.code_rate,
         joint_ideal_rate=joint_ideal / n,
-        plain_ideal_rate=plain_ideal / n,
+        plain_ideal_rate=plain.ideal_bits / n,
         conditional_cross_rate=cond.cross_entropy_rate if cond.cross_entropy_rate is not None else 0.0,
         eq15_ok=cond.eq15_ok,
         length_bound_ok=cond.length_bound_ok,

@@ -4,6 +4,11 @@ trajectory sampling and the plain block coder.
 Probabilities are held as exact fractions so that cylinder values and the
 integer codeword lengths derived from them are free of float rounding.
 All entropies and rates are reported in bits (binary logarithm).
+
+Block coders cost a word block by block, and the cost of a block depends
+on its letters alone, so they work from _block_table: the distinct blocks
+in first-occurrence order and each block's index into them.  Per-block
+sums are then taken in block order, as a block-by-block loop takes them.
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModelMismatchError
 from .kraft import shannon_length
@@ -108,12 +114,11 @@ def driving_preset(name: str) -> MarkovChainSpec:
     raise ValueError(f"unknown driving preset {name!r}")
 
 
-def _letters_of(word) -> tuple[int, ...]:
-    if isinstance(word, Word):
-        return word.letters
-    if isinstance(word, DrivingTrajectory):
-        return tuple(int(x) for x in word.letters)
-    return tuple(int(x) for x in word)
+def _letters_of(word) -> np.ndarray:
+    """The letter indices (int64) of a Word, a DrivingTrajectory or a sequence."""
+    if isinstance(word, (Word, DrivingTrajectory)):
+        word = word.letters
+    return np.asarray(word, dtype=np.int64)
 
 
 def cylinder_prob(spec: MarkovChainSpec, v) -> Fraction:
@@ -121,7 +126,7 @@ def cylinder_prob(spec: MarkovChainSpec, v) -> Fraction:
 
     The empty word has probability 1.
     """
-    letters = _letters_of(v)
+    letters = _letters_of(v).tolist()
     if isinstance(v, Word) and v.alphabet != spec.alphabet:
         raise ValueError("word is over a different alphabet")
     s = spec.alphabet.size
@@ -255,35 +260,87 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
     return DrivingTrajectory(spec, seed, letters)
 
 
-def block_code_details(spec: MarkovChainSpec, trajectory, k: int):
+class _BlockTable(NamedTuple):
+    """The distinct rows of a table of windows, in first-occurrence order.
+
+    rows[index[i]] is window i, counts[j] is how many windows equal rows[j]
+    and first[j] is the first of them.
+    """
+
+    rows: np.ndarray
+    index: np.ndarray
+    counts: np.ndarray
+    first: np.ndarray
+
+
+def _block_table(words, k: int, hop: int, m: int) -> _BlockTable:
+    """Slice equally long words into their first m windows of length k.
+
+    Window i starts at offset i * hop; its row lays the slices of the words
+    side by side.  Rows are compared as raw bytes, so no block is packed
+    into an integer, whatever k is.
+    """
+    if m:
+        rows = np.concatenate(
+            [sliding_window_view(np.asarray(w, dtype=np.int64), k)[::hop][:m] for w in words], axis=1
+        )
+    else:
+        rows = np.empty((0, k * len(words)), dtype=np.int64)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return _BlockTable(rows[first[order]], rank[inverse], counts[order], first[order])
+
+
+def _sum_in_block_order(per_row, index: np.ndarray) -> float:
+    """Sum per_row[index] left to right from 0.0, as a block-by-block loop does.
+
+    np.cumsum adds sequentially; np.sum adds pairwise and rounds otherwise.
+    """
+    return float(np.cumsum(np.concatenate(([0.0], np.asarray(per_row, dtype=float)[index])))[-1])
+
+
+class PlainBlockCode(NamedTuple):
+    """The plain block coder's bit counts on one driving word.
+
+    nu maps each distinct full block to its exact cylinder probability.
+    """
+
+    total_bits: int
+    ideal_bits: float
+    m: int
+    tail_bits: int
+    nu: dict
+
+
+def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockCode:
     """Total and ideal bit counts of the plain per-block Shannon coder.
 
     Full k-blocks cost ceil(-log2 nu[block]) bits; the n mod k remainder
-    symbols are raw coded at ceil(log2 |alphabet|) bits each.  Returns
-    (total_bits, ideal_bits, m, tail_bits).
+    symbols are raw coded at ceil(log2 |alphabet|) bits each.  nu is
+    computed once per distinct block; the first block (in block order) of
+    zero probability raises ModelMismatchError.
     """
     if k < 1:
         raise ValueError("block length must be >= 1")
     letters = _letters_of(trajectory)
     n = len(letters)
     m = n // k
-    lengths: dict[tuple[int, ...], int] = {}
-    ideals: dict[tuple[int, ...], float] = {}
-    total = 0
-    ideal = 0.0
-    for i in range(m):
-        block = letters[i * k : (i + 1) * k]
-        if block not in lengths:
-            prob = cylinder_prob(spec, block)
-            if prob == 0:
-                raise ModelMismatchError(f"block {block} has zero probability under the chain")
-            lengths[block] = shannon_length(prob)
-            ideals[block] = -math.log2(float(prob))
-        total += lengths[block]
-        ideal += ideals[block]
+    table = _block_table((letters,), k, k, m)
+    nu: dict[tuple[int, ...], Fraction] = {}
+    for row in table.rows:
+        block = tuple(row.tolist())
+        prob = cylinder_prob(spec, block)
+        if prob == 0:
+            raise ModelMismatchError(f"block {block} has zero probability under the chain")
+        nu[block] = prob
+    total = sum(int(c) * shannon_length(prob) for c, prob in zip(table.counts, nu.values()))
+    ideal = _sum_in_block_order([-math.log2(float(prob)) for prob in nu.values()], table.index)
     raw = (spec.alphabet.size - 1).bit_length()
     tail_bits = (n - m * k) * raw
-    return total + tail_bits, ideal, m, tail_bits
+    return PlainBlockCode(total + tail_bits, ideal, m, tail_bits, nu)
 
 
 def block_code_rate(spec: MarkovChainSpec, trajectory, k: int) -> float:
@@ -291,5 +348,4 @@ def block_code_rate(spec: MarkovChainSpec, trajectory, k: int) -> float:
     letters = _letters_of(trajectory)
     if len(letters) == 0:
         return 0.0
-    total, _, _, _ = block_code_details(spec, letters, k)
-    return total / len(letters)
+    return block_code_details(spec, letters, k).total_bits / len(letters)

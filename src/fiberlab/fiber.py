@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .actions import ACTION_KINDS, LAWS, check_driving_size, walk
-from .driving import SUM_TOL, DrivingTrajectory, MarkovChainSpec, _as_fraction, _cumulative, _pick, cylinder_prob
+from .driving import SUM_TOL, MarkovChainSpec, _as_fraction, _cumulative, _letters_of, _pick, cylinder_prob
 from .errors import InfiniteInformationError, ResourceLimitError
 from .words import Alphabet
 
@@ -71,12 +71,6 @@ def _log2p(spec: FiberSystemSpec) -> np.ndarray:
     return np.array([math.log2(float(q)) for q in spec.p])
 
 
-def _driving_letters(driving) -> Sequence[int]:
-    if isinstance(driving, DrivingTrajectory):
-        return driving.letters
-    return driving
-
-
 @dataclass(frozen=True)
 class OrbitName:
     """The fiber symbols read while a configuration is driven along alpha.
@@ -112,7 +106,7 @@ def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
     seed = int(seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be a 64-bit unsigned integer")
-    driving = np.asarray(_driving_letters(alpha), dtype=np.int64)
+    driving = _letters_of(alpha)
     first, keys = walk(spec.action_kind, driving)
     salt = seed.to_bytes(8, "little")
     cumulative = _cumulative(spec.p)
@@ -163,7 +157,7 @@ def information_function(spec: FiberSystemSpec, alpha, omega) -> float:
     if isinstance(alpha, OrbitName):
         first = alpha.first
     else:
-        first = walk(spec.action_kind, _driving_letters(alpha)).first
+        first = walk(spec.action_kind, _letters_of(alpha)).first
     symbols = _first_symbols(spec, first, omega)
     if symbols is None:
         raise InfiniteInformationError("prefix pair has zero probability")

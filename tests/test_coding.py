@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,10 @@ from fiberlab import (
     pair_frequencies,
     sample_trajectory,
     system_preset,
+    walk,
 )
+from fiberlab import coding, driving
+from fiberlab.coding import _pattern
 
 BINARY = Alphabet(("0", "1"))
 HALF = Fraction(1, 2)
@@ -46,7 +50,10 @@ F2_DRIVING = driving_preset("f2-markov")
 
 SYSTEMS = ((MONOID, BERNOULLI2), (Z2, Z2_DRIVING), (F2, F2_DRIVING))
 
-E1, NEG_E1 = 0, 1
+E1, NEG_E1, E2, NEG_E2 = 0, 1, 2, 3
+
+# the uniform Bernoulli chain on the f2 generators backtracks, unlike f2-markov
+UNIFORM_F2 = MarkovChainSpec.bernoulli(Alphabet(("a", "A", "b", "B")), (Fraction(1, 4),) * 4)
 
 
 def test_build_codebooks_uniform_monoid():
@@ -314,3 +321,110 @@ def test_two_pass_rate_tracks_model_rate():
     assert two_pass.rate >= model - 1e-9  # the header is charged
     assert two_pass.rate <= model + 0.4
     assert two_pass.header_bits > 0
+
+
+@pytest.mark.parametrize(
+    "fiber,chain,revisits",
+    [(MONOID, BERNOULLI2, False), (Z2, Z2_DRIVING, True), (F2, F2_DRIVING, False), (F2, UNIFORM_F2, True)],
+    ids=["free-monoid-uniform", "z2-uniform", "f2-markov", "f2-uniform"],
+)
+def test_block_pattern_is_read_off_the_name_walk(fiber, chain, revisits):
+    # group coordinates cancel on the right, so a block of the name's walk
+    # repeats exactly where the walk of its context does
+    name = emit_name(fiber, sample_trajectory(chain, 2000, 11), seed=11)
+    repeating = 0
+    for k in (1, 5, 8):
+        for s in range(len(name) - k + 1):
+            expected = tuple(walk(fiber.action_kind, name.driving[s : s + k]).first.tolist())
+            assert _pattern(name.first[s : s + k].tolist()) == expected
+            repeating += expected != tuple(range(k))
+    assert bool(repeating) == revisits
+
+
+def square_then_backtrack():
+    # block 0 closes a square (e1 e2 -e1 -e2) and reads two symbols at the
+    # origin; block 1 steps e1 then -e1, which the f2-markov chain forbids
+    square = [E1, E2, NEG_E1, NEG_E2, E1]
+    backtrack = [E1, NEG_E1, E1, E1, E1]
+    return square, [0, 0, 0, 0, 1], backtrack, [0] * 5
+
+
+def test_encode_raises_at_the_first_offending_block():
+    square, conflict, backtrack, zeros = square_then_backtrack()
+    family = BlockCodebookFamily(5, Z2, F2_DRIVING)
+    name = OrbitName(Z2, np.array(square + backtrack), np.array(conflict + zeros))
+    for run in (encode, conditional_rate):
+        with pytest.raises(ModelMismatchError, match=r"fiber block \(0, 0, 0, 0, 1\) is inconsistent"):
+            run(name, family)
+    swapped = OrbitName(Z2, np.array(backtrack + square), np.array(zeros + conflict))
+    with pytest.raises(ModelMismatchError, match=r"driving block \(0, 1, 0, 0, 0\) has zero probability"):
+        encode(swapped, family)
+
+
+def test_encode_rejects_context_letters_outside_the_driving_alphabet():
+    name = OrbitName(MONOID, np.array([0, 1, 2, 0]), np.array([0, 0, 0, 0]))
+    with pytest.raises(ValueError):
+        encode(name, BlockCodebookFamily(2, MONOID, BERNOULLI2))
+
+
+@pytest.mark.parametrize("preset", ["free-monoid-uniform", "z2-uniform", "f2-markov"])
+@pytest.mark.parametrize("n", [1, 7])
+def test_runs_shorter_than_a_block_are_all_tail(preset, n):
+    chain, fiber = system_preset(preset)
+    trajectory = sample_trajectory(chain, n, 3)
+    name = emit_name(fiber, trajectory, seed=3)
+    family = BlockCodebookFamily(8, fiber, chain)
+    stream = encode(name, family)
+    assert stream.m == 0 and stream.bits == stream.tail == "".join(str(x) for x in name.letters.tolist())
+    assert np.array_equal(decode(stream, trajectory, family), name.letters)
+    report = conditional_rate(name, family, exact=None)
+    assert report.code_rate == 1.0 and report.tail_bits == n
+    assert report.cross_entropy_rate is None and report.eq15_ok is None
+    ar = ar_decomposition_check(chain, fiber, n, 8, 3)
+    assert ar.plain_rate == (chain.alphabet.size - 1).bit_length()
+    assert ar.joint_rate == (2 * chain.alphabet.size - 1).bit_length()
+    assert ar.conditional_rate == 1.0 and ar.residual == 0.0
+    assert ar.joint_ideal_rate == ar.plain_ideal_rate == ar.conditional_cross_rate == 0.0
+
+
+def test_ideal_rates_of_a_certain_run_are_positive_zero():
+    # every block has probability 1, so each ideal cost is -0.0; the sums
+    # start from 0.0, as a block-by-block loop does, and stay +0.0
+    one = Alphabet(("x",))
+    chain = MarkovChainSpec.bernoulli(one, (Fraction(1),))
+    fiber = FiberSystemSpec("free-monoid", one, (Fraction(1),))
+    report = ar_decomposition_check(chain, fiber, 20, 4, 1)
+    assert math.copysign(1.0, report.joint_ideal_rate) == math.copysign(1.0, report.plain_ideal_rate) == 1.0
+
+
+@pytest.mark.parametrize("stride,hop", [("block", None), ("slide", 1)])
+def test_pair_counts_match_the_window_loop(stride, hop):
+    # the loop pair_counts replaced, kept as the reference: keys, key order and values
+    trajectory = sample_trajectory(Z2_DRIVING, 999, 4)
+    name = emit_name(Z2, trajectory, seed=4)
+    alpha, omega = trajectory.letters.tolist(), name.letters.tolist()
+    for k in (1, 3, 8):
+        counts, m = pair_counts(trajectory, name.letters, k, stride)
+        expected = Counter()
+        for i in range(m):
+            off = i * (hop or k)
+            expected[tuple(alpha[off : off + k]), tuple(omega[off : off + k])] += 1
+        assert list(counts.items()) == list(expected.items())
+        assert all(type(x) is int for u, v in counts for x in u + v)
+
+
+def test_cells_compute_nu_once_per_context_and_walk_no_context(monkeypatch):
+    nu_calls, walked = [], []
+    nu_of, walk_of = driving.cylinder_prob, coding.walk
+    monkeypatch.setattr(driving, "cylinder_prob", lambda spec, v: nu_calls.append(tuple(v)) or nu_of(spec, v))
+    monkeypatch.setattr(coding, "walk", lambda kind, letters: walked.append(letters) or walk_of(kind, letters))
+    n, k, seed = 20_003, 8, 5
+    ar_decomposition_check(F2_DRIVING, F2, n, k, seed)
+    letters = sample_trajectory(F2_DRIVING, n, seed).letters.tolist()
+    contexts = {tuple(letters[i * k : (i + 1) * k]) for i in range(n // k)}
+    assert sorted(nu_calls) == sorted(contexts)
+    assert walked == []
+    nu_calls.clear()
+    trajectory = sample_trajectory(Z2_DRIVING, n, seed)
+    conditional_rate(emit_name(Z2, trajectory, seed), BlockCodebookFamily(k, Z2, Z2_DRIVING), exact=None)
+    assert nu_calls == [] and walked == []

@@ -19,6 +19,8 @@ from fiberlab import (
     is_stationary,
     sample_trajectory,
 )
+from fiberlab.driving import block_code_details
+from fiberlab.kraft import shannon_length
 
 F2 = driving_preset("f2-markov")
 UNIFORM4 = MarkovChainSpec.bernoulli(Alphabet(("a", "b", "c", "d")), (Fraction(1, 4),) * 4)
@@ -200,3 +202,32 @@ def test_block_code_rate_empty_and_tail():
 def test_block_code_rate_rejects_null_blocks():
     with pytest.raises(ModelMismatchError):
         block_code_rate(F2, [0, 1], 2)  # "a" followed by its inverse
+
+
+def test_block_code_details_match_the_block_loop():
+    # the loop the plain coder replaced, kept as the reference: lengths and
+    # ideals summed block by block, nu computed per block
+    skewed = MarkovChainSpec.bernoulli(Alphabet(("a", "b", "c")), tuple(Fraction(q, 7) for q in (1, 2, 4)))
+    for spec, n, k in ((skewed, 1003, 3), (skewed, 2, 3), (F2, 5001, 6), (UNIFORM2, 4096, 8)):
+        letters = sample_trajectory(spec, n, 7).letters.tolist()
+        m = n // k
+        total, ideal = 0, 0.0
+        for i in range(m):
+            prob = cylinder_prob(spec, letters[i * k : (i + 1) * k])
+            total += shannon_length(prob)
+            ideal += -math.log2(float(prob))
+        raw = (spec.alphabet.size - 1).bit_length()
+        plain = block_code_details(spec, letters, k)
+        assert plain.total_bits == total + (n - m * k) * raw
+        assert plain.ideal_bits == ideal  # same additions in the same order
+        assert plain.m == m and plain.tail_bits == (n - m * k) * raw
+        blocks = [tuple(letters[i * k : (i + 1) * k]) for i in range(m)]
+        assert list(plain.nu) == list(dict.fromkeys(blocks))
+        assert all(plain.nu[b] == cylinder_prob(spec, b) for b in blocks)
+
+
+def test_block_code_details_raise_at_the_first_null_block():
+    with pytest.raises(ModelMismatchError, match=r"block \(2, 3\)"):
+        block_code_details(F2, [0, 2, 2, 3, 0, 1], 2)  # b B, then a A
+    with pytest.raises(ValueError):
+        block_code_details(F2, [0, 2, 0, 4], 2)  # letter 4 is outside the alphabet

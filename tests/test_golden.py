@@ -2,7 +2,9 @@
 
 The digests were recorded before the coordinate walk was rewritten, so any
 change to a blake2b coordinate key, a symbol hash or a report format shows
-here.  The f2 names are driven by the uniform Bernoulli chain, which
+here.  The tail digests, at n = 20003, were recorded before the block
+coders were rebuilt on one table of distinct block pairs; 20003 is a
+multiple of neither block length, so they also pin the raw-coded tails.  The f2 names are driven by the uniform Bernoulli chain, which
 backtracks, so they also pin the cancel-and-revisit path of the f2 walk
 that the f2-markov preset never reaches.
 """
@@ -23,6 +25,15 @@ REPORT_DIGESTS = {
     ("verify-ar", "free-monoid-uniform"): "bc4938d0be2a5ba199684a31d40aefd5c7ea14d816001aabe6705f8adf40f9d5",
     ("verify-ar", "z2-uniform"): "d205b1bf8010283f54c36805a4d00672d5b2d4f5789b5478a35937144853a9ba",
     ("verify-ar", "f2-markov"): "05ab6333036ceba18673ca5219df07ff0224158ddae3a44e54f09dce44b10245",
+}
+
+TAIL_REPORT_DIGESTS = {
+    ("verify-brudno", "free-monoid-uniform"): "97236ca825ad019ed766579dc9a110b848c2cc70e0bf5b61d7087ee9afcf8abb",
+    ("verify-brudno", "z2-uniform"): "bdc10fd991e925c478e4d989a947b017ed90bab253ce6a151456794b37ea03a7",
+    ("verify-brudno", "f2-markov"): "8edf4b449783adbb7487e12e3633cf181f41b2f5653cd672142f041fa542f6ff",
+    ("verify-ar", "free-monoid-uniform"): "ab6839bc6ba31f5cb618f4f57776a83393b2a4a9ec2af0d0d5e2838474e326c6",
+    ("verify-ar", "z2-uniform"): "a720f38c9f73ac20b86f49ac30ec3513754a12216fe150d1e46303c63c29d9c8",
+    ("verify-ar", "f2-markov"): "25af582b16028943640ec6352d0f96f24d667c0869ea630b2ad9c55baeb4d0fc",
 }
 
 NAME_DIGESTS = {
@@ -55,14 +66,23 @@ def name_digest(kind, seed):
     return hashlib.sha256(letters.astype("<i8").tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("command,preset", sorted(REPORT_DIGESTS))
-def test_report_bytes_are_unchanged(tmp_path, command, preset):
+def run_digest(tmp_path, command, preset, n):
     out = tmp_path / "reports"
-    config = {"preset": preset, "horizons": [20_000], "block_lengths": [4, 8], "seeds": [1, 2], "out": str(out)}
+    config = {"preset": preset, "horizons": [n], "block_lengths": [4, 8], "seeds": [1, 2], "out": str(out)}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert main([command, "--config", str(path)]) == 0
-    assert report_digest(out) == REPORT_DIGESTS[command, preset]
+    return report_digest(out)
+
+
+@pytest.mark.parametrize("command,preset", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_unchanged(tmp_path, command, preset):
+    assert run_digest(tmp_path, command, preset, 20_000) == REPORT_DIGESTS[command, preset]
+
+
+@pytest.mark.parametrize("command,preset", sorted(TAIL_REPORT_DIGESTS))
+def test_report_bytes_with_a_tail_are_unchanged(tmp_path, command, preset):
+    assert run_digest(tmp_path, command, preset, 20_003) == TAIL_REPORT_DIGESTS[command, preset]
 
 
 @pytest.mark.parametrize("kind,seed", sorted(NAME_DIGESTS))

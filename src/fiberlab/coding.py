@@ -5,26 +5,28 @@ For block length k, every driving k-block u of positive probability gets
 its own prefix-free code over the fiber k-blocks v of positive conditional
 probability, with Shannon lengths ceil(-log2 mu(v | context u)).  The
 conditional block distribution depends on u only through the
-first-occurrence pattern of the coordinates it visits, so codebooks are
-built once per pattern and shared; contexts can therefore be materialized
-lazily, which keeps long-horizon runs cheap, or eagerly over all positive
+first-occurrence pattern of the coordinates it visits, so the family keys
+its codes by pattern alone and builds each once: lazily, as patterns
+occur, which keeps long-horizon runs cheap, or eagerly over all positive
 contexts under the desk-scale cap.
 
 The cost of a block depends on its (u, v) pair alone, so the coders work
 from one table of a name's distinct pairs in first-occurrence order (see
-driving._block_table): encode joins codewords by block index, the cross
+driving._block_table), built once per cell: encode joins codewords by
+block index, the coded length is counts times codeword lengths, the cross
 entropy sums counts times log2 mu, and the joint coder reads its lengths
-off the pairs.  Per-pair work runs in first-occurrence order, so the
-first offending block raises, as a block-by-block loop would.
+off the same pairs.  All rows of a table are checked at once, and the
+first offending row raises, as a block-by-block loop would.
 
-A context met inside a name takes its pattern from the name's own walk:
-group coordinates cancel on the right, so two steps of a block visit the
-same coordinate of the context's walk exactly when they visit the same
-coordinate of the name's walk, and free-monoid coordinates never repeat.
-Only contexts given without a name (decode, build_codebooks,
-codebook_for) are walked.  Positivity is an exact test for zeros in pi
-and Pi; the exact context probability nu is computed only by the plain
-coder, whose values the joint coder reuses.
+A block's pattern is read off a walk across it.  Group coordinates cancel
+on the right, so two steps of a block visit the same coordinate of the
+block's own walk exactly when they visit the same coordinate of any longer
+walk that contains the block, and free-monoid coordinates never repeat.
+A name's blocks therefore take their patterns from the name's walk, and
+decode walks the driving word once; only codebook_for and build_codebooks
+walk a lone context.  Positivity is an exact test for zeros in pi and Pi;
+the exact context probability nu is computed only by the plain coder,
+whose values the joint coder reuses.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
 import numpy as np
 
 from .actions import check_driving_size, walk
@@ -49,7 +52,6 @@ from .errors import MalformedStreamError, ModelMismatchError, ResourceLimitError
 from .fiber import ENUMERATION_CAP, FiberSystemSpec, OrbitName, emit_name, information_function
 from .kraft import BinaryCodebook, canonical_kraft_code, shannon_length
 
-_EXACT_AUTO_CAP = 2 ** 20
 _TOL = 1e-12
 
 
@@ -90,21 +92,18 @@ def _build_pattern_code(spec: FiberSystemSpec, pattern: tuple[int, ...]) -> _Pat
     return _PatternCode(canonical_kraft_code(lengths), lengths, log2mu, fractions)
 
 
-def _pattern(first) -> tuple[int, ...]:
-    """pattern[i] = the smallest j with first[j] == first[i].
-
-    On a context's own walk this is its first-visit list; on a block of a
-    name's walk it is the same list, read off the name.
-    """
-    seen: dict[int, int] = {}
-    return tuple(seen.setdefault(c, i) for i, c in enumerate(first))
+def _patterns(first: np.ndarray) -> np.ndarray:
+    """pattern[r, i] = the smallest j with first[r, j] == first[r, i], for walks first[r] across blocks."""
+    return (first[:, :, None] == first[:, None, :]).argmax(axis=2)
 
 
 class BlockCodebookFamily:
     """The per-context codebooks for one (fiber system, driving chain, k).
 
-    Contexts are materialized on first use; build_codebooks constructs the
-    family eagerly over every positive-probability context instead.
+    A context's codebook is that of its first-visit pattern, so the family
+    keeps one memo, pattern -> code, filled as patterns occur;
+    build_codebooks fills it eagerly over every positive-probability
+    context instead.
     """
 
     def __init__(self, k: int, fiber_spec: FiberSystemSpec, driving_spec: MarkovChainSpec):
@@ -115,50 +114,53 @@ class BlockCodebookFamily:
         self.fiber_spec = fiber_spec
         self.driving_spec = driving_spec
         self.fiber_bits = (fiber_spec.fiber_alphabet.size - 1).bit_length()
-        self._starts = tuple(x != 0 for x in driving_spec.pi)
-        self._moves = tuple(tuple(x != 0 for x in row) for row in driving_spec.Pi)
+        self._starts = np.array([x != 0 for x in driving_spec.pi], dtype=bool)
+        self._moves = np.array([[x != 0 for x in row] for row in driving_spec.Pi], dtype=bool)
         self._pattern_codes: dict[tuple[int, ...], _PatternCode] = {}
-        self._context_codes: dict[tuple[int, ...], _PatternCode] = {}
 
-    def _positive(self, u: tuple[int, ...]) -> bool:
-        """Whether the driving block u has positive probability: no zero in pi or Pi on its path."""
-        if min(u) < 0 or max(u) >= len(self._starts):
-            raise ValueError("letter index out of range for the driving alphabet")
-        moves = self._moves
-        return self._starts[u[0]] and all(moves[a][b] for a, b in zip(u, u[1:]))
+    def _codes(self, rows: np.ndarray, first: np.ndarray) -> list[_PatternCode]:
+        """Check table rows and return the pattern code of each.
 
-    def _code_for(self, u) -> _PatternCode:
-        """The pattern code of a context given without a name, which is walked."""
-        u = tuple(int(x) for x in u)
-        code = self._context_codes.get(u)
-        return code if code is not None else self._add_context(u, None)
-
-    def _add_context(self, u: tuple[int, ...], first) -> _PatternCode:
-        """Materialize the context u.
-
-        first is the walk of a name across a block whose context is u, or
-        None, in which case u itself is walked.
+        A row is a context u, or a pair u + v, of k letters each; first[r]
+        is a walk across row r's driving block.  The first offending row
+        raises: a context letter outside the driving alphabet raises
+        ValueError, a context of zero probability or a fiber block that
+        gives one coordinate two symbols, or uses a letter outside the
+        fiber alphabet, raises ModelMismatchError.
         """
-        if len(u) != self.k:
-            raise ValueError(f"context must have length {self.k}")
-        if not self._positive(u):
-            raise ModelMismatchError(f"driving block {u} has zero probability")
-        if first is None:
-            first = walk(self.fiber_spec.action_kind, u).first
-        # the conditional block law depends on u only through its first visits
-        pattern = _pattern(first.tolist())
-        code = self._pattern_codes.get(pattern)
-        if code is None:
-            code = _build_pattern_code(self.fiber_spec, pattern)
-            self._pattern_codes[pattern] = code
-        self._context_codes[u] = code
-        return code
+        k = self.k
+        u, v = rows[:, :k], rows[:, k:]
+        pattern = _patterns(first)
+        outside = ((u < 0) | (u >= len(self._starts))).any(axis=1)
+        u = np.where(outside[:, None], 0, u)  # such rows raise below; index safely until then
+        null = ~(self._starts[u[:, 0]] & self._moves[u[:, :-1], u[:, 1:]].all(axis=1))
+        # context rows have no v; cut to v's width, the pattern checks nothing there
+        copies = np.take_along_axis(v, pattern[:, : v.shape[1]], axis=1)
+        outside_fiber = (v < 0) | (v >= self.fiber_spec.fiber_alphabet.size)
+        inconsistent = (outside_fiber | (copies != v)).any(axis=1)
+        bad = outside | null | inconsistent
+        if bad.any():
+            r = int(bad.argmax())
+            context = tuple(rows[r, :k].tolist())
+            if outside[r]:
+                raise ValueError("letter index out of range for the driving alphabet")
+            if null[r]:
+                raise ModelMismatchError(f"driving block {context} has zero probability")
+            block = tuple(rows[r, k:].tolist())
+            raise ModelMismatchError(f"fiber block {block} is inconsistent with driving block {context}")
+        codes = []
+        for p in map(tuple, pattern.tolist()):
+            code = self._pattern_codes.get(p)
+            if code is None:
+                code = self._pattern_codes[p] = _build_pattern_code(self.fiber_spec, p)
+            codes.append(code)
+        return codes
 
     def codebook_for(self, u) -> BinaryCodebook:
-        return self._code_for(u).codebook
-
-    def contexts(self):
-        return iter(self._context_codes)
+        u = np.asarray(u, dtype=np.int64)
+        if u.shape != (self.k,):
+            raise ValueError(f"context must have length {self.k}")
+        return self._codes(u[None, :], walk(self.fiber_spec.action_kind, u).first[None, :])[0].codebook
 
     def verify_length_bounds(self) -> bool:
         """Exact check that every built length obeys l <= -log2 mu + 1."""
@@ -171,19 +173,23 @@ class BlockCodebookFamily:
 
 
 def build_codebooks(fiber_spec: FiberSystemSpec, driving_spec: MarkovChainSpec, k: int) -> BlockCodebookFamily:
-    """Materialize codebooks for every driving k-block of positive probability.
+    """Build the codebook of every driving k-block of positive probability.
 
     Enforces the desk-scale enumeration cap (|driving| * |fiber|)**k <= 2**24;
-    beyond it, construct BlockCodebookFamily directly and let contexts build
-    lazily as they occur.
+    beyond it, construct BlockCodebookFamily directly and let patterns
+    build lazily as they occur.  Each positive context is walked once.
     """
     family = BlockCodebookFamily(k, fiber_spec, driving_spec)
     size = driving_spec.alphabet.size
     if (size * fiber_spec.fiber_alphabet.size) ** k > ENUMERATION_CAP:
         raise ResourceLimitError("eager codebook enumeration exceeds the desk-scale cap")
-    for u in itertools.product(range(size), repeat=k):
-        if family._positive(u):
-            family._code_for(u)
+    # the positive contexts are the paths along nonzero entries of pi, then Pi
+    contexts = np.flatnonzero(family._starts)[:, None]
+    for _ in range(k - 1):
+        rows, letters = np.nonzero(family._moves[contexts[:, -1]])
+        contexts = np.column_stack((contexts[rows], letters))
+    first = [walk(fiber_spec.action_kind, u).first for u in contexts]
+    family._codes(contexts, np.array(first, dtype=np.int64).reshape(contexts.shape))
     return family
 
 
@@ -204,26 +210,21 @@ class EncodedStream:
         return len(self.bits)
 
 
-def _name_table(name: OrbitName, k: int):
-    """The distinct (u, v) pairs of the name's n // k aligned k-blocks."""
-    return _block_table((name.driving, name.letters), k, k, len(name) // k)
+def _coded_pairs(name: OrbitName, family: BlockCodebookFamily):
+    """Build the name's table of distinct (u, v) pairs once and check every pair.
 
-
-def _pair_codes(name: OrbitName, family: BlockCodebookFamily, table):
-    """Yield (u, v, pattern code) for each distinct pair of the name's table.
-
-    Pairs come in first-occurrence order; a context not yet in the family
-    takes its pattern from the name's walk across the pair's first block.
+    Returns the table and, per pair, its pattern code, its fiber block v
+    and its codeword.  Each pair takes its pattern from the name's walk
+    across its first block.
     """
+    if name.fiber_spec != family.fiber_spec:
+        raise ValueError("name and family disagree on the fiber system")
     k = family.k
-    codes = family._context_codes
-    for row, block in zip(table.rows, table.first.tolist()):
-        row = row.tolist()
-        u, v = tuple(row[:k]), tuple(row[k:])
-        code = codes.get(u)
-        if code is None:
-            code = family._add_context(u, name.first[block * k : (block + 1) * k])
-        yield u, v, code
+    table = _block_table((name.driving, name.letters), k, k, len(name) // k)
+    codes = family._codes(table.rows, name.first[table.first[:, None] * k + np.arange(k)])
+    fiber_blocks = list(map(tuple, table.rows[:, k:].tolist()))
+    words = [code.codebook.entries[v] for code, v in zip(codes, fiber_blocks)]
+    return table, codes, fiber_blocks, words
 
 
 def encode(name: OrbitName, family: BlockCodebookFamily) -> EncodedStream:
@@ -233,17 +234,9 @@ def encode(name: OrbitName, family: BlockCodebookFamily) -> EncodedStream:
     bits each.  A block pair outside the model support raises
     ModelMismatchError.
     """
-    if name.fiber_spec != family.fiber_spec:
-        raise ValueError("name and family disagree on the fiber system")
+    table, _, _, words = _coded_pairs(name, family)
     k = family.k
-    m = len(name) // k
-    table = _name_table(name, k)
-    words = []
-    for u, v, code in _pair_codes(name, family, table):
-        word = code.codebook.entries.get(v)
-        if word is None:
-            raise ModelMismatchError(f"fiber block {v} is inconsistent with driving block {u}")
-        words.append(word)
+    m = len(table.index)
     raw = family.fiber_bits
     tail = "".join(format(int(s), f"0{raw}b") for s in name.letters[m * k :]) if raw else ""
     return EncodedStream("".join(np.array(words, dtype=object)[table.index]) + tail, m, k, tail)
@@ -252,21 +245,24 @@ def encode(name: OrbitName, family: BlockCodebookFamily) -> EncodedStream:
 def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndarray:
     """Replay the decoding machine against the driving word used at encode time.
 
-    Scans the stream bit by bit until the prefix read so far matches a
-    codeword of the current context, emits its source block and continues;
-    the raw tail is parsed last.  Any leftover or missing bits raise
-    MalformedStreamError.
+    Every context is checked first, from one walk of the driving word's
+    full blocks.  Then the stream is scanned bit by bit until the prefix
+    read so far matches a codeword of the current context, which emits its
+    source block, and so on; the raw tail is parsed last.  Any leftover or
+    missing bits raise MalformedStreamError.
     """
-    letters = _letters_of(alpha).tolist()
+    letters = _letters_of(alpha)
     k = family.k
     n = len(letters)
     m = n // k
+    table = _block_table((letters,), k, k, m)
+    first = walk(family.fiber_spec.action_kind, letters[: m * k]).first
+    codes = family._codes(table.rows, first[table.first[:, None] * k + np.arange(k)])
     bits = stream.bits
     pos = 0
     out: list[int] = []
-    for i in range(m):
-        u = tuple(letters[i * k : (i + 1) * k])
-        code = family._code_for(u)
+    for i in table.index.tolist():
+        code = codes[i]
         block = None
         for length in code.lengths_sorted:
             if pos + length <= len(bits):
@@ -369,47 +365,25 @@ class EstimatorReport:
             "seed": "" if self.seed is None else self.seed,
         }
 
-    def to_json(self) -> dict:
-        row = self.to_csv_row()
-        row.update(
-            info_rate=self.info_rate,
-            total_bits=self.total_bits,
-            tail_bits=self.tail_bits,
-            length_bound_ok=self.length_bound_ok,
-            eq15_ok=self.eq15_ok,
-            no_undershoot_ok=self.no_undershoot_ok,
-        )
-        return {key: (None if value == "" else value) for key, value in row.items()}
 
-
-def conditional_rate(name: OrbitName, family: BlockCodebookFamily, exact="auto") -> EstimatorReport:
-    """Code the name and report bits per symbol against its entropy references.
-
-    The coded rate is checked on every run against the per-block length
-    bound, the blockwise cross-entropy bound
-    code_rate <= H_hat/k + 1/k + tail/n, and the information-function
-    floor code_rate >= J/n - 2 log2(n)/n.  exact may be "auto" (compute
-    the exact rate when the block enumeration is desk scale), None, or a
-    precomputed float.
-    """
+def _conditional(name: OrbitName, family: BlockCodebookFamily, exact):
+    """conditional_rate's report, then the table, codes and fiber blocks of its pairs."""
     from .fiber import exact_averaged_entropy
 
     k = family.k
     n = len(name)
-    stream = encode(name, family)
-    total_bits = len(stream.bits)
-    tail_bits = len(stream.tail)
-    m = stream.m
+    table, codes, fiber_blocks, words = _coded_pairs(name, family)
+    m = len(table.index)
+    tail_bits = (n - m * k) * family.fiber_bits
+    total_bits = int(table.counts @ np.array([len(w) for w in words], dtype=np.int64)) + tail_bits
     code_rate = total_bits / n if n else 0.0
 
     cross = None
     eq15_ok = None
     if m >= 1:
-        table = _name_table(name, k)
-        acc = 0.0
-        for (_, v, code), c in zip(_pair_codes(name, family, table), table.counts.tolist()):
-            acc -= c * code.log2mu[v]
-        cross = acc / (m * k)
+        log2mu = np.array([code.log2mu[v] for code, v in zip(codes, fiber_blocks)])
+        # subtract counts times log2 mu pair by pair from 0.0; np.cumsum adds sequentially
+        cross = float(np.cumsum(np.concatenate(([0.0], -(table.counts * log2mu))))[-1]) / (m * k)
         eq15_ok = code_rate <= cross + 1.0 / k + tail_bits / n + _TOL
 
     info_rate = None
@@ -419,19 +393,18 @@ def conditional_rate(name: OrbitName, family: BlockCodebookFamily, exact="auto")
         no_undershoot_ok = code_rate >= info_rate - 2.0 * math.log2(n) / n - _TOL
 
     if exact == "auto":
-        exact_rate = None
-        if family.driving_spec.alphabet.size ** k <= _EXACT_AUTO_CAP:
-            exact_rate = exact_averaged_entropy(name.fiber_spec, family.driving_spec, k).rate
-    else:
-        exact_rate = exact
+        try:
+            exact = exact_averaged_entropy(name.fiber_spec, family.driving_spec, k).rate
+        except ResourceLimitError:
+            exact = None
 
-    return EstimatorReport(
+    report = EstimatorReport(
         n=n,
         k=k,
         seed=name.seed,
         code_rate=code_rate,
         cross_entropy_rate=cross,
-        exact_rate=exact_rate,
+        exact_rate=exact,
         info_rate=info_rate,
         total_bits=total_bits,
         tail_bits=tail_bits,
@@ -439,6 +412,21 @@ def conditional_rate(name: OrbitName, family: BlockCodebookFamily, exact="auto")
         eq15_ok=eq15_ok,
         no_undershoot_ok=no_undershoot_ok,
     )
+    return report, table, codes, fiber_blocks
+
+
+def conditional_rate(name: OrbitName, family: BlockCodebookFamily, exact="auto") -> EstimatorReport:
+    """Code the name and report bits per symbol against its entropy references.
+
+    The coded rate is checked on every run against the per-block length
+    bound, the blockwise cross-entropy bound
+    code_rate <= H_hat/k + 1/k + tail/n, and the information-function
+    floor code_rate >= J/n - 2 log2(n)/n.  exact may be "auto" (compute
+    the exact rate unless its enumeration exceeds the enumeration cap),
+    None, or a precomputed float.  The bits are counted, not written: they
+    equal len(encode(name, family).bits).
+    """
+    return _conditional(name, family, exact)[0]
 
 
 @dataclass(frozen=True)
@@ -498,23 +486,21 @@ def ar_decomposition_check(
     trajectory = sample_trajectory(driving_spec, n, seed)
     name = emit_name(fiber_spec, trajectory, seed)
     family = BlockCodebookFamily(k, fiber_spec, driving_spec)
-    cond = conditional_rate(name, family, exact=None)
+    cond, table, codes, fiber_blocks = _conditional(name, family, None)
 
     if n == 0:
         return ArDecompositionReport(0, k, seed, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, True)
 
     plain = block_code_details(driving_spec, trajectory, k)
 
-    # every pair is consistent and every context positive: encode checked both
-    table = _name_table(name, k)
-    lengths = np.empty(len(table.rows), dtype=np.int64)
-    ideals = np.empty(len(table.rows))
-    for r, (u, v, code) in enumerate(_pair_codes(name, family, table)):
-        nu = plain.nu[u]
-        lengths[r] = max(1, shannon_length(nu * code.fractions[v]))
-        ideals[r] = -code.log2mu[v] - math.log2(float(nu))
+    # every pair is consistent and every context positive: the conditional pass checked both
+    lengths, ideals = [], []
+    for u, code, v in zip(table.rows[:, :k].tolist(), codes, fiber_blocks):
+        nu = plain.nu[tuple(u)]
+        lengths.append(max(1, shannon_length(nu * code.fractions[v])))
+        ideals.append(-code.log2mu[v] - math.log2(float(nu)))
     pair_raw = (driving_spec.alphabet.size * fiber_spec.fiber_alphabet.size - 1).bit_length()
-    joint_total = int(table.counts @ lengths) + (n - plain.m * k) * pair_raw
+    joint_total = int(table.counts @ np.array(lengths, dtype=np.int64)) + (n - plain.m * k) * pair_raw
     joint_ideal = _sum_in_block_order(ideals, table.index)
 
     return ArDecompositionReport(

@@ -8,7 +8,7 @@ accept an infeasible profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
 
@@ -17,11 +17,14 @@ from .words import is_prefix_free
 
 
 def kraft_sum(lengths: Iterable[int]) -> Fraction:
-    """Exact value of sum(2**-l) over the given codeword lengths."""
-    total = Fraction(0)
-    for l in lengths:
-        total += Fraction(1, 2 ** int(l))
-    return total
+    """Exact value of sum(2**-l) over the given codeword lengths.
+
+    Summed as the integer sum(2**(L - l)) over 2**L, L the largest length
+    (or 0).
+    """
+    lengths = [int(l) for l in lengths]
+    top = max([0, *lengths])
+    return Fraction(sum(1 << (top - l) for l in lengths), 1 << top)
 
 
 def shannon_length(probability: Fraction) -> int:
@@ -33,11 +36,9 @@ def shannon_length(probability: Fraction) -> int:
     if not 0 < p <= 1:
         raise ValueError("probability must lie in (0, 1]")
     num, den = p.numerator, p.denominator
-    length = 0
-    scaled = num
-    while scaled < den:
-        scaled <<= 1
-        length += 1
+    # shifted by this much, num has den's bit length, so one more shift at most
+    length = den.bit_length() - num.bit_length()
+    length += (num << length) < den
     return length
 
 
@@ -57,9 +58,6 @@ class BinaryCodebook:
             raise ValueError("codewords must be prefix free")
         if kraft_sum(len(w) for w in values) > 1:
             raise KraftInfeasibleError("codeword lengths violate Kraft's inequality")
-
-    def length_of(self, block: Hashable) -> int:
-        return len(self.entries[block])
 
     def __len__(self) -> int:
         return len(self.entries)

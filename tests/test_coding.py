@@ -34,8 +34,8 @@ from fiberlab import (
     system_preset,
     walk,
 )
-from fiberlab import coding, driving
-from fiberlab.coding import _pattern
+from fiberlab import coding, driving, fiber as fiber_module
+from fiberlab.coding import _patterns
 
 BINARY = Alphabet(("0", "1"))
 HALF = Fraction(1, 2)
@@ -95,7 +95,10 @@ def test_codebooks_are_prefix_free_with_exact_kraft_and_length_bounds():
         for k in range(1, 5):
             family = build_codebooks(fiber, driving, k)
             assert family.verify_length_bounds()
-            for u in family.contexts():
+            size = driving.alphabet.size
+            for u in itertools.product(range(size), repeat=k):
+                if cylinder_prob(driving, u) == 0:
+                    continue
                 book = family.codebook_for(u)
                 assert is_prefix_free(book.entries.values())
                 assert kraft_sum(len(w) for w in book.entries.values()) <= 1
@@ -334,10 +337,12 @@ def test_block_pattern_is_read_off_the_name_walk(fiber, chain, revisits):
     name = emit_name(fiber, sample_trajectory(chain, 2000, 11), seed=11)
     repeating = 0
     for k in (1, 5, 8):
-        for s in range(len(name) - k + 1):
-            expected = tuple(walk(fiber.action_kind, name.driving[s : s + k]).first.tolist())
-            assert _pattern(name.first[s : s + k].tolist()) == expected
-            repeating += expected != tuple(range(k))
+        patterns = _patterns(np.lib.stride_tricks.sliding_window_view(name.first, k))
+        for s, pattern in enumerate(patterns.tolist()):
+            expected = walk(fiber.action_kind, name.driving[s : s + k]).first.tolist()
+            assert pattern == expected
+            repeating += expected != list(range(k))
+        assert len(patterns) == len(name) - k + 1
     assert bool(repeating) == revisits
 
 
@@ -428,3 +433,69 @@ def test_cells_compute_nu_once_per_context_and_walk_no_context(monkeypatch):
     trajectory = sample_trajectory(Z2_DRIVING, n, seed)
     conditional_rate(emit_name(Z2, trajectory, seed), BlockCodebookFamily(k, Z2, Z2_DRIVING), exact=None)
     assert nu_calls == [] and walked == []
+
+
+@pytest.mark.parametrize("preset", ["free-monoid-uniform", "z2-uniform", "f2-markov"])
+@pytest.mark.parametrize("k", [4, 8])
+def test_counted_bits_equal_the_encoded_stream(preset, k):
+    # conditional_rate counts counts times codeword lengths plus the tail
+    chain, fiber = system_preset(preset)
+    trajectory = sample_trajectory(chain, 20_003, 7)
+    name = emit_name(fiber, trajectory, seed=7)
+    family = BlockCodebookFamily(k, fiber, chain)
+    stream = encode(name, family)
+    report = conditional_rate(name, family, exact=None)
+    assert stream.tail
+    assert (report.total_bits, report.tail_bits) == (len(stream.bits), len(stream.tail))
+
+
+def test_fiber_letters_outside_the_alphabet_are_inconsistent():
+    name = OrbitName(Z2, np.array([E1, E2, E1, E2]), np.array([0, 1, 2, 0]))
+    family = BlockCodebookFamily(4, Z2, Z2_DRIVING)
+    for run in (encode, conditional_rate):
+        with pytest.raises(ModelMismatchError, match=r"fiber block \(0, 1, 2, 0\) is inconsistent"):
+            run(name, family)
+
+
+def test_out_of_range_context_and_inconsistent_block_raise_in_block_order():
+    # the free monoid walks any byte, so a letter outside the binary chain
+    # reaches the coder; fiber letter 2 lies outside the binary fiber
+    family = BlockCodebookFamily(2, MONOID, BERNOULLI2)
+    outside_first = OrbitName(MONOID, np.array([0, 2, 0, 0]), np.array([0, 0, 0, 2]))
+    inconsistent_first = OrbitName(MONOID, np.array([0, 0, 0, 2]), np.array([0, 2, 0, 0]))
+    for run in (encode, conditional_rate):
+        with pytest.raises(ValueError, match="out of range for the driving alphabet"):
+            run(outside_first, family)
+        with pytest.raises(ModelMismatchError, match="inconsistent"):
+            run(inconsistent_first, family)
+
+
+def test_decode_checks_every_context_before_reading_bits():
+    # block 0 is positive but has no bits; block 1 (a then its inverse) is null
+    from fiberlab import EncodedStream
+
+    family = BlockCodebookFamily(2, F2, F2_DRIVING)
+    with pytest.raises(ModelMismatchError, match=r"driving block \(0, 1\) has zero probability"):
+        decode(EncodedStream("", 2, 2, ""), [0, 0, 0, 1], family)
+
+
+def test_one_cell_builds_the_pair_table_once(monkeypatch):
+    built = []
+    table_of = coding._block_table
+    monkeypatch.setattr(coding, "_block_table", lambda *args: built.append(args) or table_of(*args))
+    n, k, seed = 20_003, 8, 5
+    trajectory = sample_trajectory(Z2_DRIVING, n, seed)
+    conditional_rate(emit_name(Z2, trajectory, seed), BlockCodebookFamily(k, Z2, Z2_DRIVING), exact=None)
+    assert len(built) == 1
+    built.clear()
+    ar_decomposition_check(F2_DRIVING, F2, n, k, seed)
+    assert len(built) == 1
+
+
+def test_auto_exact_rate_is_refused_past_the_enumeration_cap(monkeypatch):
+    # 4**13 driving words exceed fiber.ENUMERATION_CAP, so no word is enumerated
+    monkeypatch.setattr(fiber_module, "_expected_distinct", lambda *args: pytest.fail("enumerated"))
+    trajectory = sample_trajectory(Z2_DRIVING, 100, 1)
+    report = conditional_rate(emit_name(Z2, trajectory, seed=1), BlockCodebookFamily(13, Z2, Z2_DRIVING))
+    assert report.exact_rate is None
+    assert report.cross_entropy_rate is not None

@@ -138,3 +138,22 @@ def test_shannon_length_exact_ceiling():
     # exact powers of two must not pick up a spurious extra bit
     assert shannon_length(Fraction(1, 2 ** 53)) == 53
     assert shannon_length(Fraction(1, 4) * Fraction(1, 3) ** 9) == 17
+
+
+def test_shannon_length_matches_its_definition_at_powers_of_two():
+    # the smallest l with 2**-l <= p, checked by definition on p = 1, on
+    # powers of two and on each side of them
+    def by_definition(p):
+        return next(l for l in itertools.count() if Fraction(1, 2 ** l) <= p)
+
+    cases = [Fraction(1)]
+    for l in range(1, 60):
+        cases += [Fraction(1, 2 ** l), Fraction(1, 2 ** l) - Fraction(1, 2 ** 60), Fraction(1, 2 ** l) + Fraction(1, 2 ** 60)]
+    cases += [Fraction(1, 2 ** l) for l in range(60, 300, 7)]
+    for p in cases:
+        assert shannon_length(p) == by_definition(p)
+
+
+def test_kraft_sum_matches_its_definition():
+    for lengths in ([], [1], [3, 1, 2, 3], [1, 1, 1], [200, 1, 64, 64], [0, 5]):
+        assert kraft_sum(lengths) == sum((Fraction(1, 2 ** l) for l in lengths), Fraction(0))

@@ -1,8 +1,11 @@
 """Exact averaged entropies of the first n orbit symbols.
 
 For product fiber measures the inner sum over fiber words collapses to
-(distinct coordinates) * H(p); the full double enumeration over (u, v)
-pairs is kept as an independent oracle and agrees to 1e-9.  The
+(distinct coordinates) * H(p).  The fast path takes the expected number
+of distinct coordinates as an exact fraction from a backward taboo
+recursion over the driving chain, with no driving word listed, and rounds
+it once; the full double enumeration over (u, v) pairs is kept as an
+independent oracle and agrees to 1e-9.  The
 per-symbol rate H_n / n is nonincreasing and its limit is the fiber
 entropy of the system: log2 |fiber| for the never-revisiting actions,
 zero for the lattice walk.

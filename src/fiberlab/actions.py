@@ -36,7 +36,8 @@ import numpy as np
 ACTION_KINDS = ("free-monoid", "z2", "f2")
 
 Z2_VECTORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-F2_INVERSE = (1, 0, 3, 2)
+# both groups pair their generators: INVERSE[a] is the letter of a's inverse
+INVERSE = (1, 0, 3, 2)
 
 # a free-monoid key chains one byte per letter
 _MONOID_LETTERS = 256
@@ -58,7 +59,7 @@ def _z2_step(c: tuple[int, int], letter: int) -> tuple[int, int]:
 def _f2_step(c: tuple, letter: int) -> tuple:
     # c is (key, head letter, parent): left multiplication cancels the head
     # or prepends the letter
-    if c[1] == F2_INVERSE[letter]:
+    if c[1] == INVERSE[letter]:
         return c[2]
     return (_chain(c[0], letter), letter, c)
 

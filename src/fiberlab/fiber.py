@@ -7,8 +7,11 @@ coordinate is a deterministic keyed hash of (seed, canonical coordinate
 key).  An orbit name is fixed by its symbols at the first visits of its
 driving walk, so only first visits are hashed, the information function
 is -log2 p summed over them, and the averaged entropy is the expected
-number of distinct coordinates times H(p).  Exact rational values back the
-small-block code constructions.
+number of distinct coordinates times H(p).  That expectation is an exact
+Fraction, found by a backward taboo recursion over the driving chain (the
+range of a random walk) rather than by listing driving words; the full
+(u, v) enumeration is kept as an independent oracle.  Exact rational
+values back the small-block code constructions.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .actions import ACTION_KINDS, LAWS, check_driving_size, walk
+from .actions import ACTION_KINDS, INVERSE, LAWS, check_driving_size, walk
 from .driving import SUM_TOL, MarkovChainSpec, _as_fraction, _cumulative, _letters_of, _pick, cylinder_prob
 from .errors import InfiniteInformationError, ResourceLimitError
 from .words import Alphabet
@@ -176,39 +179,62 @@ class ExactAveragedEntropy:
         return self.bits / self.n
 
 
-def _expected_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> float:
-    """Expected number of distinct coordinates among c_0 .. c_{n-1}.
+def _expected_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Fraction:
+    """Exact expected number of distinct coordinates among c_0 .. c_{n-1}.
 
-    Enumerates the positive-probability driving words depth first with the
-    action's step rule; only the first n-1 letters move the coordinate, so
-    the tree is cut there.
+    A backward taboo recursion, in the manner of the range of a random walk.
+    Group coordinates are c_i = theta_{i-1} ... theta_0, so c_i repeats an
+    earlier coordinate exactly when some theta_{i-1} ... theta_{i-m} is the
+    identity.  Read the driving word backwards from theta_{i-1} and keep
+    h = (theta_{i-1} ... theta_{i-m})^-1: an earlier letter b multiplies h
+    on the left by b^-1, the action's own step rule, and c_i is new when h
+    never reaches the identity.  A state is (h, a), with a the letter read
+    last; its weight is the integer scale**(m-1) times the chain's
+    transition product along the m letters read.  The weights do not
+    depend on i, so P(c_i is new) = sum of weight * pi[a] at m = i, and one
+    pass over m = 1 .. n-1 gives every term.  Free-monoid prefixes never
+    repeat, so there the value is n.
     """
+    if kind == "free-monoid":
+        return Fraction(n)
     identity, step, key = LAWS[kind]
     size = driving_spec.alphabet.size
-    pi = [float(x) for x in driving_spec.pi]
-    Pi = [[float(x) for x in row] for row in driving_spec.Pi]
-    counts = {key(identity): 1}
-    acc = 0.0
-
-    def rec(coord, depth, prob, prev):
-        nonlocal acc
-        if depth == n - 1:
-            acc += prob * len(counts)
-            return
-        for letter in range(size):
-            q = pi[letter] if prev is None else Pi[prev][letter]
-            if q == 0.0:
-                continue
-            nxt = step(coord, letter)
-            k = key(nxt)
-            counts[k] = counts.get(k, 0) + 1
-            rec(nxt, depth + 1, prob * q, letter)
-            counts[k] -= 1
-            if not counts[k]:
-                del counts[k]
-
-    rec(identity, 0, 1.0, None)
-    return acc
+    scale = math.lcm(*(q.denominator for row in driving_spec.Pi for q in row))
+    # before[a] lists each letter b that may precede a, with scale * Pi[b][a]
+    before = [[(b, int(row[a] * scale)) for b, row in enumerate(driving_spec.Pi) if row[a]] for a in range(size)]
+    origin = key(identity)
+    # where: key of h -> h; weights: (key of h, a) -> weight; both at level m
+    where = {}
+    weights = {}
+    for a in range(size):
+        h = step(identity, INVERSE[a])
+        k = key(h)
+        where[k] = h
+        weights[k, a] = 1
+    totals = [1] * size
+    expected = Fraction(1)
+    for m in range(1, n):
+        expected += sum(p * w for p, w in zip(driving_spec.pi, totals)) / scale ** (m - 1)
+        if m == n - 1:
+            break
+        # level m + 1; the last level is summed without being kept
+        keep = m + 1 < n - 1
+        totals = [0] * size
+        grown_where, grown = {}, {}
+        for (k, a), x in weights.items():
+            h = where[k]
+            for b, t in before[a]:
+                g = step(h, INVERSE[b])
+                kg = key(g)
+                if kg == origin:
+                    continue
+                totals[b] += t * x
+                if keep:
+                    grown_where[kg] = g
+                    pair = (kg, b)
+                    grown[pair] = grown.get(pair, 0) + t * x
+        where, weights = grown_where, grown
+    return expected
 
 
 def _averaged_entropy_enumerated(spec: FiberSystemSpec, driving_spec: MarkovChainSpec, n: int) -> float:
@@ -244,9 +270,12 @@ def exact_averaged_entropy(
 
     The "fast" method uses the product-measure collapse: the inner fiber
     sum for a driving word equals (distinct coordinates) * H(p), so the
-    value is E[distinct] * H(p).  The "enumerate" method is the
-    independent oracle summing -mu log2 mu over every (u, v) pair.  Both
-    enforce desk-scale caps and raise ResourceLimitError beyond them.
+    value is E[distinct] * H(p), with E[distinct] an exact Fraction from
+    the taboo recursion of _expected_distinct, rounded once.  The
+    "enumerate" method is the independent oracle summing -mu log2 mu over
+    every (u, v) pair.  Both raise ResourceLimitError past
+    ENUMERATION_CAP: size**n driving words bound the recursion's states,
+    and (size * fiber size)**n pairs the oracle's sum.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -255,7 +284,7 @@ def exact_averaged_entropy(
     if method == "fast":
         if size ** n > ENUMERATION_CAP:
             raise ResourceLimitError(f"{size}**{n} driving words exceed the enumeration cap")
-        bits = _expected_distinct(driving_spec, spec.action_kind, n) * spec.symbol_entropy()
+        bits = float(_expected_distinct(driving_spec, spec.action_kind, n)) * spec.symbol_entropy()
     elif method == "enumerate":
         if (size * spec.fiber_alphabet.size) ** n > ENUMERATION_CAP:
             raise ResourceLimitError("full (u, v) enumeration exceeds the enumeration cap")
@@ -310,14 +339,13 @@ def smb_convergence(
     n: int,
     seeds: Sequence[int],
     checkpoints=None,
-    exact_cap: int = 2 ** 16,
 ) -> SmbReport:
     """Sampled per-symbol information rates against the exact entropy curve.
 
     For each seed one trajectory and one configuration are sampled and
-    J/n is reported at logarithmically spaced horizons.  Horizons whose
-    exhaustive enumeration stays below exact_cap driving words also get
-    the exact rate for comparison.
+    J/n is reported at logarithmically spaced horizons.  Horizons that
+    exact_averaged_entropy accepts (ENUMERATION_CAP decides) also get the
+    exact rate for comparison.
     """
     from .actions import default_checkpoints
     from .driving import sample_trajectory
@@ -328,9 +356,10 @@ def smb_convergence(
     for seed in seeds:
         trajectory = sample_trajectory(driving_spec, n, seed)
         rows.extend(information_curve(spec, trajectory, seed, checkpoints))
-    size = driving_spec.alphabet.size
     exact_curve = []
     for c in sorted({int(c) for c in checkpoints if 1 <= int(c) <= n}):
-        if size ** c <= exact_cap:
+        try:
             exact_curve.append((c, exact_averaged_entropy(spec, driving_spec, c).rate))
+        except ResourceLimitError:
+            pass
     return SmbReport(rows, exact_curve)

@@ -103,10 +103,10 @@ def test_criterion_2_exact_entropy_oracle():
                 fast = exact_averaged_entropy(fiber, driving, n).bits
                 oracle = exact_averaged_entropy(fiber, driving, n, method="enumerate").bits
                 assert abs(fast - oracle) <= 1e-9
-        assert abs(exact_averaged_entropy(Z2, Z2_DRIVING, 3).bits - 2.75) <= 1e-9
+        assert exact_averaged_entropy(Z2, Z2_DRIVING, 3).bits == 2.75
         for n in range(1, 9):
-            assert abs(exact_averaged_entropy(MONOID, BERNOULLI2, n).bits - n) <= 1e-9
-            assert abs(exact_averaged_entropy(F2, F2_DRIVING, n).bits - n) <= 1e-9
+            assert exact_averaged_entropy(MONOID, BERNOULLI2, n).bits == n
+            assert exact_averaged_entropy(F2, F2_DRIVING, n).bits == n
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ from fiberlab import (
     MarkovChainSpec,
     ResourceLimitError,
     conditional_cylinder_fraction,
+    cylinder_prob,
     driving_preset,
     emit_name,
     exact_averaged_entropy,
@@ -20,7 +21,9 @@ from fiberlab import (
     smb_convergence,
     system_preset,
     visit_record,
+    walk,
 )
+from fiberlab import fiber as fiber_module
 
 BINARY = Alphabet(("0", "1"))
 HALF = Fraction(1, 2)
@@ -34,6 +37,22 @@ Z2_DRIVING = driving_preset("z2-uniform")
 F2_DRIVING = driving_preset("f2-markov")
 
 E1, NEG_E1 = 0, 1
+
+GENERATORS = Alphabet(("a", "A", "b", "B"))
+UNIFORM4 = MarkovChainSpec.bernoulli(GENERATORS, (Fraction(1, 4),) * 4)
+SKEWED4 = MarkovChainSpec.bernoulli(GENERATORS, (HALF, Fraction(1, 5), Fraction(1, 5), Fraction(1, 10)))
+# starts at letter 0 and is not stationary; zeros in Pi forbid some steps,
+# while others backtrack (3 after 2, 0 after 1)
+NONSTATIONARY4 = MarkovChainSpec(
+    GENERATORS,
+    (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
+    (
+        (Fraction(1, 3), Fraction(0), Fraction(2, 3), Fraction(0)),
+        (HALF, HALF, Fraction(0), Fraction(0)),
+        (Fraction(0), Fraction(1, 4), Fraction(1, 4), HALF),
+        (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
+    ),
+)
 
 
 def test_spec_validation():
@@ -121,10 +140,40 @@ def test_emitted_names_always_have_finite_information():
             assert math.isfinite(bits) and bits >= 0
 
 
+def expected_distinct_by_words(driving, kind, n):
+    """E[distinct coordinates among c_0 .. c_{n-1}], summed over all driving words."""
+    size = driving.alphabet.size
+    return sum(
+        cylinder_prob(driving, u) * int((walk(kind, u).first == np.arange(n)).sum())
+        for u in itertools.product(range(size), repeat=n)
+    )
+
+
+CHAINS = {"uniform": UNIFORM4, "skewed": SKEWED4, "f2-markov": F2_DRIVING, "nonstationary": NONSTATIONARY4}
+DISTINCT_CASES = [
+    pytest.param(kind, chain, id=f"{kind}-{name}") for kind in ("z2", "f2") for name, chain in CHAINS.items()
+] + [
+    pytest.param("free-monoid", BERNOULLI2, id="free-monoid-uniform"),
+    pytest.param("free-monoid", SKEWED4, id="free-monoid-skewed"),
+]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("kind,driving", DISTINCT_CASES)
+def test_expected_distinct_equals_the_word_sum_exactly(kind, driving, n):
+    value = fiber_module._expected_distinct(driving, kind, n)
+    assert isinstance(value, Fraction)
+    assert value == expected_distinct_by_words(driving, kind, n)
+
+
+def test_expected_distinct_z2_uniform_at_eleven():
+    assert fiber_module._expected_distinct(Z2_DRIVING, "z2", 11) == Fraction(516513, 65536)
+
+
 def test_exact_averaged_entropy_free_monoid_is_linear():
     result = exact_averaged_entropy(MONOID, BERNOULLI2, 5)
-    assert result.bits == pytest.approx(5.0, abs=1e-12)
-    assert result.rate == pytest.approx(1.0, abs=1e-12)
+    assert result.bits == 5.0
+    assert result.rate == 1.0
 
 
 def test_exact_averaged_entropy_z2_three_steps():
@@ -136,7 +185,13 @@ def test_exact_averaged_entropy_z2_three_steps():
 
 def test_exact_averaged_entropy_f2_is_linear():
     result = exact_averaged_entropy(F2, F2_DRIVING, 6)
-    assert result.bits == pytest.approx(6.0, abs=1e-9)
+    assert result.bits == 6.0
+
+
+def test_exact_averaged_entropy_f2_markov_is_exactly_n_up_to_the_cap():
+    # no-backtracking f2 never revisits; 4**12 words is the enumeration cap
+    for n in range(1, 13):
+        assert exact_averaged_entropy(F2, F2_DRIVING, n).bits == n
 
 
 @pytest.mark.parametrize(
@@ -205,6 +260,14 @@ def test_smb_convergence_z2_matches_visit_record():
     # pathwise ratios fluctuate at tiny n; decrease sets in by n = 100 here
     rates = [row.rate for row in report.rows if row.horizon >= 100]
     assert rates == sorted(rates, reverse=True)
+
+
+def test_smb_convergence_exact_curve_stops_at_the_enumeration_cap():
+    report = smb_convergence(Z2, Z2_DRIVING, 13, seeds=[1], checkpoints=[12, 13])
+    rows = list(report.csv_rows())
+    # 4**12 driving words is the enumeration cap, 4**13 lies past it
+    assert rows[0]["n"] == 12 and rows[0]["exact_h_n"] == exact_averaged_entropy(Z2, Z2_DRIVING, 12).rate
+    assert rows[1]["n"] == 13 and rows[1]["exact_h_n"] == ""
 
 
 def test_smb_convergence_omits_zero_horizon():

@@ -4,9 +4,15 @@ The digests were recorded before the coordinate walk was rewritten, so any
 change to a blake2b coordinate key, a symbol hash or a report format shows
 here.  The tail digests, at n = 20003, were recorded before the block
 coders were rebuilt on one table of distinct block pairs; 20003 is a
-multiple of neither block length, so they also pin the raw-coded tails.  The f2 names are driven by the uniform Bernoulli chain, which
-backtracks, so they also pin the cancel-and-revisit path of the f2 walk
-that the f2-markov preset never reaches.
+multiple of neither block length, so they also pin the raw-coded tails.
+The f2 names are driven by the uniform Bernoulli chain, which backtracks,
+so they also pin the cancel-and-revisit path of the f2 walk that the
+f2-markov preset never reaches.
+
+The two f2-markov verify-brudno digests were re-recorded when the exact
+entropy became an exact Fraction rounded once: the old float search gave
+7.999999999999786 bits at k = 8, the exact value is 8.  Both f2-markov and
+the free monoid then have rate exactly 1 and equal report bytes.
 """
 
 import hashlib
@@ -21,7 +27,7 @@ from fiberlab.cli import main
 REPORT_DIGESTS = {
     ("verify-brudno", "free-monoid-uniform"): "063f98759651453e9460482475c621262b0d632abf8b4b669ecc0046cb1390cd",
     ("verify-brudno", "z2-uniform"): "3792efc5b560c70f3b9f2fc61f83263e8e3f7417951f413a28b9542f7916ffef",
-    ("verify-brudno", "f2-markov"): "1432d46db1f715eda75e0441480859b812a46ea46d8578346101528d6badb43e",
+    ("verify-brudno", "f2-markov"): "063f98759651453e9460482475c621262b0d632abf8b4b669ecc0046cb1390cd",
     ("verify-ar", "free-monoid-uniform"): "bc4938d0be2a5ba199684a31d40aefd5c7ea14d816001aabe6705f8adf40f9d5",
     ("verify-ar", "z2-uniform"): "d205b1bf8010283f54c36805a4d00672d5b2d4f5789b5478a35937144853a9ba",
     ("verify-ar", "f2-markov"): "05ab6333036ceba18673ca5219df07ff0224158ddae3a44e54f09dce44b10245",
@@ -30,7 +36,7 @@ REPORT_DIGESTS = {
 TAIL_REPORT_DIGESTS = {
     ("verify-brudno", "free-monoid-uniform"): "97236ca825ad019ed766579dc9a110b848c2cc70e0bf5b61d7087ee9afcf8abb",
     ("verify-brudno", "z2-uniform"): "bdc10fd991e925c478e4d989a947b017ed90bab253ce6a151456794b37ea03a7",
-    ("verify-brudno", "f2-markov"): "8edf4b449783adbb7487e12e3633cf181f41b2f5653cd672142f041fa542f6ff",
+    ("verify-brudno", "f2-markov"): "97236ca825ad019ed766579dc9a110b848c2cc70e0bf5b61d7087ee9afcf8abb",
     ("verify-ar", "free-monoid-uniform"): "ab6839bc6ba31f5cb618f4f57776a83393b2a4a9ec2af0d0d5e2838474e326c6",
     ("verify-ar", "z2-uniform"): "a720f38c9f73ac20b86f49ac30ec3513754a12216fe150d1e46303c63c29d9c8",
     ("verify-ar", "f2-markov"): "25af582b16028943640ec6352d0f96f24d667c0869ea630b2ad9c55baeb4d0fc",
@@ -83,6 +89,15 @@ def test_report_bytes_are_unchanged(tmp_path, command, preset):
 @pytest.mark.parametrize("command,preset", sorted(TAIL_REPORT_DIGESTS))
 def test_report_bytes_with_a_tail_are_unchanged(tmp_path, command, preset):
     assert run_digest(tmp_path, command, preset, 20_003) == TAIL_REPORT_DIGESTS[command, preset]
+
+
+def test_f2_markov_brudno_reports_equal_the_free_monoid_ones(tmp_path):
+    # neither system revisits a coordinate and both have exact rate 1
+    digests = []
+    for preset in ("f2-markov", "free-monoid-uniform"):
+        (tmp_path / preset).mkdir()
+        digests.append(run_digest(tmp_path / preset, "verify-brudno", preset, 20_000))
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("kind,seed", sorted(NAME_DIGESTS))

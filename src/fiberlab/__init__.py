@@ -20,7 +20,6 @@ from .coding import (
     empirical_two_pass_rate,
     encode,
     pair_counts,
-    pair_frequencies,
 )
 from .config import ExperimentConfig, SYSTEM_PRESETS, load_config, load_config_file, system_preset
 from .driving import (
@@ -45,14 +44,13 @@ from .errors import (
 from .fiber import (
     FiberSystemSpec,
     OrbitName,
-    conditional_cylinder_fraction,
     emit_name,
     exact_averaged_entropy,
     information_function,
     smb_convergence,
 )
 from .kraft import BinaryCodebook, canonical_kraft_code, kraft_sum, shannon_length
-from .words import Alphabet, Word, enumerate_word, is_prefix, is_prefix_free
+from .words import Alphabet, Word, enumerate_word, is_prefix_free
 
 __version__ = "0.1.0"
 

@@ -15,11 +15,19 @@ word keys chain a 16-byte blake2b digest per letter, so a key depends only
 on the coordinate itself, never on how or when it was reached.  Two
 coordinates are equal exactly when their keys are.
 
-walk() is the one loop that steps a driving word.  It returns first[i],
-the smallest j with c_j = c_i, and the keys of the distinct coordinates in
-first-visit order.  Everything else is read off these: position i is a
-first visit when first[i] == i, so visit counts are a cumulative sum, and
-an orbit name is fixed by its symbols at the first visits.
+walk() is the one contract for stepping a driving word.  It returns
+first[i], the smallest j with c_j = c_i, and the keys of the distinct
+coordinates in first-visit order.  Everything else is read off these:
+position i is a first visit when first[i] == i, so visit counts are a
+cumulative sum, and an orbit name is fixed by its symbols at the first
+visits.  Three kernels meet the contract, one per action: z2 sums the
+generator vectors and groups equal positions by one stable sort, the free
+monoid chains one key per step (its prefixes never repeat), and f2 numbers
+the tree nodes it meets, so a key is hashed only at a new node.
+
+LAWS steps one coordinate at a time; the backward taboo recursion of
+fiber._expected_distinct uses it, and the tests keep the generic walk
+over LAWS as the oracle the kernels must equal.
 """
 
 from __future__ import annotations
@@ -36,11 +44,14 @@ import numpy as np
 ACTION_KINDS = ("free-monoid", "z2", "f2")
 
 Z2_VECTORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_Z2_PACKED = np.array([(dx << 32) + dy for dx, dy in Z2_VECTORS], dtype=np.int64)
 # both groups pair their generators: INVERSE[a] is the letter of a's inverse
 INVERSE = (1, 0, 3, 2)
+_INVERSE = np.array(INVERSE)
 
 # a free-monoid key chains one byte per letter
 _MONOID_LETTERS = 256
+_BYTES = [bytes([letter]) for letter in range(_MONOID_LETTERS)]
 
 
 def _digest(data: bytes) -> bytes:
@@ -48,7 +59,7 @@ def _digest(data: bytes) -> bytes:
 
 
 def _chain(key: bytes, letter: int) -> bytes:
-    return _digest(key + bytes([letter]))
+    return _digest(key + _BYTES[letter])
 
 
 def _z2_step(c: tuple[int, int], letter: int) -> tuple[int, int]:
@@ -93,30 +104,99 @@ class Walk(NamedTuple):
     keys: list
 
 
+def _chained(identity: bytes, letters: np.ndarray) -> Walk:
+    # every step reaches a new coordinate, whose key chains the letter on
+    # bytes iterate as ints, with no list of n Python ints alongside the keys
+    steps = letters[:-1].astype(np.uint8).tobytes()
+    keys = list(accumulate(steps, _chain, initial=identity))
+    return Walk(np.arange(len(letters), dtype=np.int64), keys)
+
+
+def _walk_free_monoid(letters: np.ndarray) -> Walk:
+    return _chained(LAWS["free-monoid"][0], letters)
+
+
+def _walk_z2(letters: np.ndarray) -> Walk:
+    n = len(letters)
+    # position (x, y) as the int64 x * 2**32 + y, one-to-one while |y| < 2**31,
+    # so one cumulative sum of packed steps gives every position
+    first = np.empty(n, dtype=np.int64)
+    packed = np.zeros(n, dtype=np.int64)
+    np.take(_Z2_PACKED, letters[:-1], out=packed[1:])
+    np.cumsum(packed, out=packed)
+    # a stable sort groups equal positions, each group led by its first
+    # visit; the buffers of first and packed are reused along the way
+    order = np.argsort(packed, kind="stable")
+    ordered = np.take(packed, order, out=first)
+    new = np.ones(n, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    at, positions = order[new], ordered[new]
+    group = np.cumsum(new, out=packed)
+    group -= 1
+    first[order] = np.take(at, group, out=group)
+    del packed, order, new, group
+    positions = positions[np.argsort(at)]
+    y = ((positions + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
+    keys = [b"%d,%d" % c for c in zip(((positions - y) >> 32).tolist(), y.tolist())]
+    return Walk(first, keys)
+
+
+def _walk_f2(letters: np.ndarray) -> Walk:
+    steps = letters[:-1]
+    if not (steps[1:] == _INVERSE[steps[:-1]]).any():
+        # a reduced word never cancels its head, so it never revisits
+        return _chained(LAWS["f2"][0][0], letters)
+    # tree nodes are numbered in first-visit order; node 0 is the identity.
+    # A child is entered from its parent only after being left upwards, so
+    # children (node * 4 + letter -> child) holds just the edges walked back.
+    keys = [LAWS["f2"][0][0]]
+    head = array("q", [-1])
+    parent = array("q", [-1])
+    born = array("q", [0])
+    children: dict[int, int] = {}
+    node = array("q", [0]) * len(letters)
+    cur = 0
+    for i, letter in enumerate(steps.tolist(), 1):
+        if head[cur] == INVERSE[letter]:
+            up = parent[cur]
+            children[up * 4 + head[cur]] = cur
+            cur = up
+        else:
+            child = children.get(cur * 4 + letter)
+            if child is None:
+                child = len(keys)
+                keys.append(_chain(keys[cur], letter))
+                head.append(letter)
+                parent.append(cur)
+                born.append(i)
+            cur = child
+        node[i] = cur
+    return Walk(np.frombuffer(born, dtype=np.int64)[np.frombuffer(node, dtype=np.int64)], keys)
+
+
+_KERNELS = {"free-monoid": _walk_free_monoid, "z2": _walk_z2, "f2": _walk_f2}
+
+
 def walk(kind: str, letters) -> Walk:
     """Step the identity along a driving word and record first visits.
 
     c_0 is the identity and c_{i+1} = step(c_i, letters[i]), so the last
     letter never moves a recorded coordinate.  first[i] is the smallest j
     with c_j = c_i (int64); keys[d] is the key of the d-th distinct
-    coordinate, in first-visit order.  Letters outside the action's
-    driving alphabet raise ValueError.
+    coordinate, in first-visit order, equal to LAWS[kind]'s key.  Letters
+    outside the action's driving alphabet raise ValueError.
+
+    Each action has its own kernel; all of them equal the generic walk
+    that steps LAWS one letter at a time.
     """
     limit = driving_size(kind) or _MONOID_LETTERS
-    identity, step, key = LAWS[kind]
-    letters = np.asarray(letters, dtype=np.int64).tolist()
-    if letters and (min(letters) < 0 or max(letters) >= limit):
+    letters = np.asarray(letters, dtype=np.int64)
+    if not letters.size:
+        return Walk(np.zeros(0, dtype=np.int64), [])
+    # read as unsigned, a negative letter exceeds every limit
+    if letters.view(np.uint64).max() >= limit:
         raise ValueError(f"driving letters of action {kind!r} must lie in [0, {limit})")
-    first = array("q")
-    seen: dict[bytes, int] = {}
-    keys = []
-    for i, c in enumerate(accumulate(letters[:-1], step, initial=identity) if letters else ()):
-        k = key(c)
-        j = seen.setdefault(k, i)
-        if j == i:
-            keys.append(k)
-        first.append(j)
-    return Walk(np.frombuffer(first, dtype=np.int64), keys)
+    return _KERNELS[kind](letters)
 
 
 @dataclass(frozen=True)

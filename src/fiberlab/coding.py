@@ -149,7 +149,7 @@ class BlockCodebookFamily:
             block = tuple(rows[r, k:].tolist())
             raise ModelMismatchError(f"fiber block {block} is inconsistent with driving block {context}")
         codes = []
-        for p in map(tuple, pattern.tolist()):
+        for p in zip(*pattern.T.tolist()):
             code = self._pattern_codes.get(p)
             if code is None:
                 code = self._pattern_codes[p] = _build_pattern_code(self.fiber_spec, p)
@@ -222,7 +222,8 @@ def _coded_pairs(name: OrbitName, family: BlockCodebookFamily):
     k = family.k
     table = _block_table((name.driving, name.letters), k, k, len(name) // k)
     codes = family._codes(table.rows, name.first[table.first[:, None] * k + np.arange(k)])
-    fiber_blocks = list(map(tuple, table.rows[:, k:].tolist()))
+    # zip over columns builds each row's tuple without a list per row
+    fiber_blocks = list(zip(*table.rows[:, k:].T.tolist()))
     words = [code.codebook.entries[v] for code, v in zip(codes, fiber_blocks)]
     return table, codes, fiber_blocks, words
 

@@ -26,12 +26,14 @@ from typing import Sequence
 import numpy as np
 
 from .actions import ACTION_KINDS, INVERSE, LAWS, check_driving_size, walk
-from .driving import SUM_TOL, MarkovChainSpec, _as_fraction, _cumulative, _letters_of, _pick, cylinder_prob
+from .driving import SUM_TOL, MarkovChainSpec, _as_fraction, _cumulative, _letters_of, cylinder_prob
 from .errors import InfiniteInformationError, ResourceLimitError
 from .words import Alphabet
 
 # the most words (or word pairs) any exhaustive enumeration may visit
 ENUMERATION_CAP = 2 ** 24
+# symbol draws hashed per joined buffer in emit_name
+_DRAW_CHUNK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -101,27 +103,39 @@ class OrbitName:
 def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
     """Drive a lazily sampled configuration along alpha and read its name.
 
-    The symbol at a coordinate is drawn from its key alone: a blake2b hash
-    keyed by the seed, read as u in [0, 1) and mapped through the inverse
-    CDF of p in alphabet order.  Only first visits are hashed; a revisit
-    reads the symbol of its first visit, so the name is always consistent.
+    The symbol at a coordinate is drawn from its key alone: an 8-byte
+    blake2b hash keyed by the seed, read as a little-endian integer over
+    2**64 (a float64 u in [0, 1]) and mapped through the inverse CDF of p
+    in alphabet order, u = 1.0 to the last symbol.  Each distinct key is
+    hashed once, at its first visit, and all symbols are then drawn in one
+    vectorized pass; a revisit reads the symbol of its first visit, so the
+    name is always consistent.
     """
     seed = int(seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be a 64-bit unsigned integer")
     driving = _letters_of(alpha)
+    # the name is allocated before the walk's temporaries, so that freeing
+    # them leaves one free stretch of heap rather than holes below it
+    letters = np.zeros(len(driving), dtype=np.int64)
     first, keys = walk(spec.action_kind, driving)
     salt = seed.to_bytes(8, "little")
+    # one keyed hash per distinct key, joined a chunk at a time so that no
+    # list holds every digest at once
+    draws = np.empty(len(keys), dtype=np.uint64)
+    for start in range(0, len(keys), _DRAW_CHUNK):
+        chunk = keys[start:start + _DRAW_CHUNK]
+        digests = b"".join([hashlib.blake2b(key, digest_size=8, key=salt).digest() for key in chunk])
+        draws[start:start + len(chunk)] = np.frombuffer(digests, dtype="<u8")
+    del keys
+    u = draws.astype(np.float64) / 2.0 ** 64
     cumulative = _cumulative(spec.p)
-
-    def draw(key: bytes) -> int:
-        digest = hashlib.blake2b(key, digest_size=8, key=salt).digest()
-        return _pick(cumulative, int.from_bytes(digest, "little") / 2.0 ** 64)
-
-    # each symbol is written at its first visit, and every step reads its first visit
-    at_first = np.zeros(len(first), dtype=np.int64)
-    at_first[first == np.arange(len(first))] = [draw(key) for key in keys]
-    return OrbitName(spec, driving, at_first[first], seed, first)
+    symbols = np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
+    # each symbol is written at its first visit, and every step reads its
+    # first visit (take buffers an aliased out in its default mode)
+    letters[first == np.arange(len(first))] = symbols
+    np.take(letters, first, out=letters)
+    return OrbitName(spec, driving, letters, seed, first)
 
 
 def _first_symbols(spec: FiberSystemSpec, first: np.ndarray, v) -> np.ndarray | None:

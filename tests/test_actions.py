@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +15,11 @@ from fiberlab import (
     driving_preset,
     exact_averaged_entropy,
     range_ratio_curve,
+    sample_trajectory,
     visit_record,
     walk,
 )
-from fiberlab.actions import default_checkpoints
+from fiberlab.actions import LAWS, default_checkpoints
 from fiberlab.config import ConfigError
 
 # generator indices for the lattice and free-group alphabets
@@ -168,3 +171,69 @@ def test_driving_alphabet_size_is_checked_at_every_entry_point(entry):
     }
     with pytest.raises(ConfigError if entry == "config" else ValueError, match="driving alphabet of size 4"):
         calls[entry]()
+
+
+def reference_walk(kind, letters):
+    """The generic walk over LAWS: step every letter and key every coordinate."""
+    identity, step, key = LAWS[kind]
+    letters = np.asarray(letters, dtype=np.int64).tolist()
+    seen, first, keys = {}, [], []
+    for i, c in enumerate(accumulate(letters[:-1], step, initial=identity) if letters else ()):
+        k = key(c)
+        j = seen.setdefault(k, i)
+        if j == i:
+            keys.append(k)
+        first.append(j)
+    return first, keys
+
+
+# chain -> action it drives; the f2 Bernoulli chain backtracks and revisits,
+# and the f2 chain that never repeats a letter backtracks without repeats
+ORACLE_CHAINS = {
+    "z2-uniform": "z2",
+    "f2-markov": "f2",
+    "f2-bernoulli": "f2",
+    "f2-no-repeat": "f2",
+    "monoid-bytes": "free-monoid",
+}
+
+
+def oracle_letters(chain, n):
+    if chain == "monoid-bytes":
+        return np.random.default_rng(n).integers(0, 256, n)
+    generators = Alphabet(("a", "A", "b", "B"))
+    quarter, third = Fraction(1, 4), Fraction(1, 3)
+    if chain == "f2-bernoulli":
+        driving = MarkovChainSpec.bernoulli(generators, (quarter,) * 4)
+    elif chain == "f2-no-repeat":
+        Pi = tuple(tuple(Fraction(0) if a == b else third for b in range(4)) for a in range(4))
+        driving = MarkovChainSpec(generators, (quarter,) * 4, Pi)
+    else:
+        driving = driving_preset(chain)
+    return sample_trajectory(driving, n, n + 5).letters
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 20003])
+@pytest.mark.parametrize("chain", list(ORACLE_CHAINS))
+def test_walk_kernels_equal_the_generic_walk(chain, n):
+    kind = ORACLE_CHAINS[chain]
+    letters = oracle_letters(chain, n)
+    first, keys = reference_walk(kind, letters)
+    if chain in ("f2-bernoulli", "f2-no-repeat") and n == 20003:
+        assert len(keys) < n
+    for given in (letters.tolist(), letters.astype(np.int64), letters.astype(np.uint8)):
+        got = walk(kind, given)
+        assert got.first.dtype == np.int64
+        assert np.array_equal(got.first, np.array(first, dtype=np.int64))
+        assert got.keys == keys
+
+
+@pytest.mark.parametrize("kind, letter", [("z2", -1), ("z2", 4), ("f2", -1), ("f2", 4),
+                                          ("free-monoid", -1), ("free-monoid", 256)])
+def test_walk_kernels_reject_foreign_letters_like_the_generic_walk(kind, letter):
+    limit = 256 if kind == "free-monoid" else 4
+    message = re.escape(f"driving letters of action {kind!r} must lie in [0, {limit})")
+    for word in ([letter], [0, 1, letter], [letter, 0, 1]):
+        for given in (word, np.array(word, dtype=np.int64)):
+            with pytest.raises(ValueError, match=message):
+                walk(kind, given)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from fiberlab.cli import main
-from fiberlab.config import ConfigError, load_config, system_preset
+from fiberlab.config import MAX_HORIZON, ConfigError, load_config, system_preset
 
 
 def run(args):
@@ -181,3 +181,13 @@ def test_cli_library_errors_exit_2_with_one_line(tmp_path, capsys, case):
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("fiberlab: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify-brudno", "verify-ar", "entropy", "range", "simulate"])
+def test_cli_refuses_a_horizon_past_max_horizon(tmp_path, capsys, command):
+    out = tmp_path / "reports"
+    args = [command, "--preset", "f2-markov", "--n", str(MAX_HORIZON + 1), "--seed", "1", "--out", str(out)]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fiberlab: configuration error: horizon") and err.count("\n") == 1
+    assert not out.exists()

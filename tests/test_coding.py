@@ -17,7 +17,6 @@ from fiberlab import (
     ResourceLimitError,
     ar_decomposition_check,
     build_codebooks,
-    conditional_cylinder_fraction,
     conditional_rate,
     cylinder_prob,
     decode,
@@ -29,13 +28,13 @@ from fiberlab import (
     is_prefix_free,
     kraft_sum,
     pair_counts,
-    pair_frequencies,
     sample_trajectory,
     system_preset,
     walk,
 )
 from fiberlab import coding, driving, fiber as fiber_module
-from fiberlab.coding import _patterns
+from fiberlab.coding import _patterns, pair_frequencies
+from fiberlab.fiber import conditional_cylinder_fraction
 
 BINARY = Alphabet(("0", "1"))
 HALF = Fraction(1, 2)

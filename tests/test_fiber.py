@@ -1,5 +1,8 @@
+import hashlib
 import itertools
 import math
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +14,6 @@ from fiberlab import (
     InfiniteInformationError,
     MarkovChainSpec,
     ResourceLimitError,
-    conditional_cylinder_fraction,
     cylinder_prob,
     driving_preset,
     emit_name,
@@ -23,7 +25,8 @@ from fiberlab import (
     visit_record,
     walk,
 )
-from fiberlab import fiber as fiber_module
+from fiberlab import actions, fiber as fiber_module
+from fiberlab.fiber import conditional_cylinder_fraction
 
 BINARY = Alphabet(("0", "1"))
 HALF = Fraction(1, 2)
@@ -90,6 +93,54 @@ def test_emit_name_distribution_is_roughly_uniform():
     name = emit_name(MONOID, [0] * 20000, seed=3)
     freq = np.bincount(name.letters, minlength=2) / len(name)
     assert np.all(np.abs(freq - 0.5) < 0.02)
+
+
+@pytest.mark.parametrize("spec, driving", [(Z2, Z2_DRIVING), (F2, F2_DRIVING), (F2, UNIFORM4), (MONOID, BERNOULLI2)])
+def test_emit_name_hashes_each_distinct_coordinate_once(monkeypatch, spec, driving):
+    # the floor while name bytes are pinned: one symbol draw per distinct
+    # coordinate, and one chain hash per word coordinate other than the identity
+    letters = sample_trajectory(driving, 5000, 4).letters
+    distinct = visit_record(spec.action_kind, letters).distinct_count
+    calls = Counter()
+    real = hashlib.blake2b
+
+    def counting(*args, **kwargs):
+        calls["draw" if "key" in kwargs else "chain"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(actions.hashlib, "blake2b", counting)
+    assert fiber_module.hashlib.blake2b is counting
+    emit_name(spec, letters, seed=3)
+    chains = {"z2": 0, "f2": distinct - 1, "free-monoid": len(letters) - 1}[spec.action_kind]
+    assert (calls["draw"], calls["chain"]) == (distinct, chains)
+
+
+def test_one_pass_draw_equals_the_scalar_inverse_cdf(monkeypatch):
+    # digest values at and around every cumulative boundary, at the float64
+    # rounding edges (2**64 - 1 rounds to u = 1.0) and at random
+    thirds = FiberSystemSpec("free-monoid", Alphabet(("0", "1", "2")), (Fraction(1, 3),) * 3)
+    cumulative = [1 / 3, 1 / 3 + 1 / 3, 1 / 3 + 1 / 3 + 1 / 3]
+    values = [0, 1, 2 ** 53 + 1, 2 ** 63, 2 ** 64 - 1, 2 ** 64 - 1024, 2 ** 64 - 1025, 2 ** 64 - 2049]
+    # offsets within one float64 step of a boundary, and within one float32 step
+    for c in cumulative:
+        m = int(Fraction(c) * 2 ** 64)
+        values += [v for d in (0, 1, 2 ** 11, 2 ** 20, 2 ** 36) for v in (m - d, m + d) if v < 2 ** 64]
+    values += np.random.default_rng(8).integers(0, 2 ** 64, 300, dtype=np.uint64).tolist()
+    digests = iter(v.to_bytes(8, "little") for v in values)
+    real = hashlib.blake2b
+
+    class Fixed:
+        def digest(self):
+            return next(digests)
+
+    def fixed_draws(*args, **kwargs):
+        return Fixed() if "key" in kwargs else real(*args, **kwargs)
+
+    monkeypatch.setattr(fiber_module.hashlib, "blake2b", fixed_draws)
+    name = emit_name(thirds, [0] * len(values), seed=1)
+    expected = [min(bisect_right(cumulative, v / 2.0 ** 64), 2) for v in values]
+    assert name.letters.tolist() == expected
+    assert expected[values.index(2 ** 64 - 1)] == 2  # u rounds to 1.0
 
 
 def test_conditional_cylinder_fraction_examples():

@@ -11,11 +11,11 @@ from fiberlab import (
     Word,
     canonical_kraft_code,
     enumerate_word,
-    is_prefix,
     is_prefix_free,
     kraft_sum,
     shannon_length,
 )
+from fiberlab.words import is_prefix
 
 BINARY = Alphabet(("0", "1"))
 

@@ -14,7 +14,6 @@ from .coding import (
     EncodedStream,
     EstimatorReport,
     ar_decomposition_check,
-    build_codebooks,
     conditional_rate,
     decode,
     empirical_two_pass_rate,

@@ -3,35 +3,47 @@ complexity estimators.
 
 For block length k, every driving k-block u of positive probability gets
 its own prefix-free code over the fiber k-blocks v of positive conditional
-probability, with Shannon lengths ceil(-log2 mu(v | context u)).  The
-conditional block distribution depends on u only through the
-first-occurrence pattern of the coordinates it visits, so the family keys
-its codes by pattern alone and builds each once: lazily, as patterns
-occur, which keeps long-horizon runs cheap, or eagerly over all positive
-contexts under the desk-scale cap.
+probability, with Shannon lengths ceil(-log2 mu(v | context u)).  A block
+v is consistent with u when it repeats a symbol wherever u's walk revisits
+a coordinate, and then mu(v | u) is the product of p over the d symbols v
+reads at its d first visits.  So the code depends on u only through d:
+the canonical code sorts blocks by (length, v), two consistent blocks
+first differ at a first visit (every other position copies an earlier
+one), so v's order is the lexicographic order of its first-visit symbols,
+and lengths depend on those symbols alone.  The family therefore keeps one
+code per count d, over the assignments a in F^d of symbols to first
+visits, and the codeword of v is that of a = v at its first visits.  At
+most k codes are built, lazily as counts occur, which keeps long-horizon
+runs cheap, or eagerly over all positive contexts under the desk-scale
+cap.
+
+An assignment is held as its rank, the integer with digits a in base |F|,
+first symbol most significant, so ranks order assignments
+lexicographically and a count code is a set of arrays indexed by rank:
+codewords, lengths, log2 mu and mu.
 
 The cost of a block depends on its (u, v) pair alone, so the coders work
 from one table of a name's distinct pairs in first-occurrence order (see
-driving._block_table), built once per cell: encode joins codewords by
-block index, the coded length is counts times codeword lengths, the cross
-entropy sums counts times log2 mu, and the joint coder reads its lengths
-off the same pairs.  All rows of a table are checked at once, and the
-first offending row raises, as a block-by-block loop would.
+driving._block_table), built once per cell and ranked in one vectorized
+pass: encode joins codewords by block index, the coded length is counts
+times codeword lengths, the cross entropy sums counts times log2 mu, and
+the joint coder reads its lengths off the same pairs.  All rows of a table
+are checked at once, and the first offending row raises, as a
+block-by-block loop would.
 
-A block's pattern is read off a walk across it.  Group coordinates cancel
-on the right, so two steps of a block visit the same coordinate of the
-block's own walk exactly when they visit the same coordinate of any longer
-walk that contains the block, and free-monoid coordinates never repeat.
-A name's blocks therefore take their patterns from the name's walk, and
-decode walks the driving word once; only codebook_for and build_codebooks
-walk a lone context.  Positivity is an exact test for zeros in pi and Pi;
-the exact context probability nu is computed only by the plain coder,
-whose values the joint coder reuses.
+A block's first visits are read off a walk across it.  Group coordinates
+cancel on the right, so two steps of a block visit the same coordinate of
+the block's own walk exactly when they visit the same coordinate of any
+longer walk that contains the block, and free-monoid coordinates never
+repeat.  A name's blocks therefore take their patterns from the name's
+walk, and decode walks the driving word once; only codebook_for and
+build_codebooks walk a lone context.  Positivity is an exact test for
+zeros in pi and Pi; the exact context probability nu is computed only by
+the plain coder, whose values the joint coder reuses.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -55,41 +67,31 @@ from .kraft import BinaryCodebook, canonical_kraft_code, shannon_length
 _TOL = 1e-12
 
 
-class _PatternCode:
-    """Codebook and exact block probabilities shared by one visit pattern."""
+class _CountCode:
+    """The code shared by all blocks with d first visits, indexed by rank.
 
-    __slots__ = ("codebook", "lengths", "log2mu", "fractions", "decode_map", "lengths_sorted")
+    Entry r belongs to the assignment a in F^d of rank r: its codeword,
+    its length max(1, ceil(-log2 mu)), log2 mu and mu = prod p[a_j], exact.
+    """
 
-    def __init__(self, codebook, lengths, log2mu, fractions):
-        self.codebook = codebook
-        self.lengths = lengths
-        self.log2mu = log2mu
-        self.fractions = fractions
-        self.decode_map = {w: v for v, w in codebook.entries.items()}
-        self.lengths_sorted = sorted(set(lengths.values()))
+    __slots__ = ("words", "lengths", "log2mu", "fractions", "decode_map", "lengths_sorted")
 
-
-def _build_pattern_code(spec: FiberSystemSpec, pattern: tuple[int, ...]) -> _PatternCode:
-    reps = [i for i, j in enumerate(pattern) if i == j]
-    size = spec.fiber_alphabet.size
-    lengths: dict[tuple[int, ...], int] = {}
-    log2mu: dict[tuple[int, ...], float] = {}
-    fractions: dict[tuple[int, ...], Fraction] = {}
-    for assignment in itertools.product(range(size), repeat=len(reps)):
-        v = [0] * len(pattern)
-        for r, sym in zip(reps, assignment):
-            v[r] = sym
-        for i, j in enumerate(pattern):
-            v[i] = v[j]
-        v = tuple(v)
-        frac = Fraction(1)
-        for sym in assignment:
-            frac *= spec.p[sym]
-        fractions[v] = frac
+    def __init__(self, spec: FiberSystemSpec, d: int):
+        # appending a symbol as the least significant digit keeps rank order
+        fractions = [Fraction(1)]
+        for _ in range(d):
+            fractions = [f * q for f in fractions for q in spec.p]
         # clamp covers the degenerate one-symbol fiber where mu = 1
-        lengths[v] = max(1, shannon_length(frac))
-        log2mu[v] = math.log2(float(frac))
-    return _PatternCode(canonical_kraft_code(lengths), lengths, log2mu, fractions)
+        lengths = [max(1, shannon_length(f)) for f in fractions]
+        entries = canonical_kraft_code(dict(enumerate(lengths))).entries
+        self.words = np.empty(len(fractions), dtype=object)
+        self.words[:] = [entries[r] for r in range(len(fractions))]
+        self.lengths = np.array(lengths, dtype=np.int64)
+        self.log2mu = np.array([math.log2(float(f)) for f in fractions])
+        self.fractions = np.empty(len(fractions), dtype=object)
+        self.fractions[:] = fractions
+        self.decode_map = {w: r for r, w in enumerate(self.words.tolist())}
+        self.lengths_sorted = sorted(set(lengths))
 
 
 def _patterns(first: np.ndarray) -> np.ndarray:
@@ -97,13 +99,28 @@ def _patterns(first: np.ndarray) -> np.ndarray:
     return (first[:, :, None] == first[:, None, :]).argmax(axis=2)
 
 
+def _place_values(pattern: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each block's first visits lie, and each position's weight in the block's rank.
+
+    A block with d first visits that reads a_0 .. a_{d-1} there has rank
+    sum a_j size**(d-1-j).  Every position carries the weight of the first
+    visit it copies, so the rank is the sum of block * weight over first
+    visits and block = rank // weight % size at every position.
+    """
+    first_visit = pattern == np.arange(pattern.shape[1])
+    slots = np.cumsum(first_visit, axis=1)
+    return first_visit, size ** (slots[:, -1:] - np.take_along_axis(slots, pattern, axis=1))
+
+
 class BlockCodebookFamily:
     """The per-context codebooks for one (fiber system, driving chain, k).
 
-    A context's codebook is that of its first-visit pattern, so the family
-    keeps one memo, pattern -> code, filled as patterns occur;
-    build_codebooks fills it eagerly over every positive-probability
-    context instead.
+    A context's codebook is the count code of its number d of first
+    visits, read through its first-visit pattern (see the module
+    docstring), so the family keeps one memo, d -> code, filled as counts
+    occur; build_codebooks fills it eagerly over every positive-probability
+    context instead.  It never holds more than k codes, the code for d
+    having |F|**d entries.
     """
 
     def __init__(self, k: int, fiber_spec: FiberSystemSpec, driving_spec: MarkovChainSpec):
@@ -116,17 +133,18 @@ class BlockCodebookFamily:
         self.fiber_bits = (fiber_spec.fiber_alphabet.size - 1).bit_length()
         self._starts = np.array([x != 0 for x in driving_spec.pi], dtype=bool)
         self._moves = np.array([[x != 0 for x in row] for row in driving_spec.Pi], dtype=bool)
-        self._pattern_codes: dict[tuple[int, ...], _PatternCode] = {}
+        self._count_codes: dict[int, _CountCode] = {}
 
-    def _codes(self, rows: np.ndarray, first: np.ndarray) -> list[_PatternCode]:
-        """Check table rows and return the pattern code of each.
+    def _codes(self, rows: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Check table rows and return each row's first-visit count and pattern.
 
         A row is a context u, or a pair u + v, of k letters each; first[r]
         is a walk across row r's driving block.  The first offending row
         raises: a context letter outside the driving alphabet raises
         ValueError, a context of zero probability or a fiber block that
         gives one coordinate two symbols, or uses a letter outside the
-        fiber alphabet, raises ModelMismatchError.
+        fiber alphabet, raises ModelMismatchError.  The count code of every
+        row is built before this returns.
         """
         k = self.k
         u, v = rows[:, :k], rows[:, k:]
@@ -148,36 +166,53 @@ class BlockCodebookFamily:
                 raise ModelMismatchError(f"driving block {context} has zero probability")
             block = tuple(rows[r, k:].tolist())
             raise ModelMismatchError(f"fiber block {block} is inconsistent with driving block {context}")
-        codes = []
-        for p in zip(*pattern.T.tolist()):
-            code = self._pattern_codes.get(p)
-            if code is None:
-                code = self._pattern_codes[p] = _build_pattern_code(self.fiber_spec, p)
-            codes.append(code)
-        return codes
+        counts = (pattern == np.arange(k)).sum(axis=1)
+        for d in np.unique(counts).tolist():
+            if d not in self._count_codes:
+                self._count_codes[d] = _CountCode(self.fiber_spec, d)
+        return counts, pattern
+
+    def _read(self, counts: np.ndarray, ranks: np.ndarray, field: str) -> np.ndarray:
+        """One field of _CountCode per row, at the row's rank in its count code."""
+        out = None
+        for d in np.unique(counts).tolist():
+            values = getattr(self._count_codes[d], field)
+            if out is None:
+                out = np.empty(len(counts), dtype=values.dtype)
+            rows = counts == d
+            out[rows] = values[ranks[rows]]
+        return np.empty(0) if out is None else out
 
     def codebook_for(self, u) -> BinaryCodebook:
+        """Context u's codebook over full fiber k-blocks, expanded from its count code."""
         u = np.asarray(u, dtype=np.int64)
         if u.shape != (self.k,):
             raise ValueError(f"context must have length {self.k}")
-        return self._codes(u[None, :], walk(self.fiber_spec.action_kind, u).first[None, :])[0].codebook
+        counts, pattern = self._codes(u[None, :], walk(self.fiber_spec.action_kind, u).first[None, :])
+        code = self._count_codes[int(counts[0])]
+        _, place = _place_values(pattern, self.fiber_spec.fiber_alphabet.size)
+        # the canonical order, (length, v), is (length, rank)
+        ranks = np.argsort(code.lengths, kind="stable")
+        blocks = ranks[:, None] // place % self.fiber_spec.fiber_alphabet.size
+        return BinaryCodebook(dict(zip(zip(*blocks.T.tolist()), code.words[ranks].tolist())))
 
     def verify_length_bounds(self) -> bool:
         """Exact check that every built length obeys l <= -log2 mu + 1."""
-        for code in self._pattern_codes.values():
-            for v, length in code.lengths.items():
-                frac = code.fractions[v]
+        for code in self._count_codes.values():
+            for frac, length in zip(code.fractions.tolist(), code.lengths.tolist()):
                 if frac.numerator * (1 << length) > 2 * frac.denominator:
                     return False
         return True
 
 
 def build_codebooks(fiber_spec: FiberSystemSpec, driving_spec: MarkovChainSpec, k: int) -> BlockCodebookFamily:
-    """Build the codebook of every driving k-block of positive probability.
+    """Build the count code of every driving k-block of positive probability.
 
+    Every first-visit count d that a positive context has gets its code,
+    over F^d (see the module docstring), so codebook_for then only expands.
     Enforces the desk-scale enumeration cap (|driving| * |fiber|)**k <= 2**24;
-    beyond it, construct BlockCodebookFamily directly and let patterns
-    build lazily as they occur.  Each positive context is walked once.
+    beyond it, construct BlockCodebookFamily directly and let counts build
+    lazily as they occur.  Each positive context is walked once.
     """
     family = BlockCodebookFamily(k, fiber_spec, driving_spec)
     size = driving_spec.alphabet.size
@@ -213,19 +248,20 @@ class EncodedStream:
 def _coded_pairs(name: OrbitName, family: BlockCodebookFamily):
     """Build the name's table of distinct (u, v) pairs once and check every pair.
 
-    Returns the table and, per pair, its pattern code, its fiber block v
-    and its codeword.  Each pair takes its pattern from the name's walk
-    across its first block.
+    Returns the table and, per pair, its first-visit count d and the rank
+    of v's first-visit symbols, which index the pair's entry in the count
+    code for d.  Each pair takes its pattern from the name's walk across
+    its first block.
     """
     if name.fiber_spec != family.fiber_spec:
         raise ValueError("name and family disagree on the fiber system")
     k = family.k
     table = _block_table((name.driving, name.letters), k, k, len(name) // k)
-    codes = family._codes(table.rows, name.first[table.first[:, None] * k + np.arange(k)])
-    # zip over columns builds each row's tuple without a list per row
-    fiber_blocks = list(zip(*table.rows[:, k:].T.tolist()))
-    words = [code.codebook.entries[v] for code, v in zip(codes, fiber_blocks)]
-    return table, codes, fiber_blocks, words
+    first = name.first[table.first[:, None] * k + np.arange(k)]
+    counts, pattern = family._codes(table.rows, first)
+    first_visit, place = _place_values(pattern, family.fiber_spec.fiber_alphabet.size)
+    ranks = np.where(first_visit, table.rows[:, k:] * place, 0).sum(axis=1)
+    return table, counts, ranks
 
 
 def encode(name: OrbitName, family: BlockCodebookFamily) -> EncodedStream:
@@ -235,12 +271,12 @@ def encode(name: OrbitName, family: BlockCodebookFamily) -> EncodedStream:
     bits each.  A block pair outside the model support raises
     ModelMismatchError.
     """
-    table, _, _, words = _coded_pairs(name, family)
+    table, counts, ranks = _coded_pairs(name, family)
     k = family.k
     m = len(table.index)
     raw = family.fiber_bits
     tail = "".join(format(int(s), f"0{raw}b") for s in name.letters[m * k :]) if raw else ""
-    return EncodedStream("".join(np.array(words, dtype=object)[table.index]) + tail, m, k, tail)
+    return EncodedStream("".join(family._read(counts, ranks, "words")[table.index]) + tail, m, k, tail)
 
 
 def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndarray:
@@ -248,32 +284,39 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
 
     Every context is checked first, from one walk of the driving word's
     full blocks.  Then the stream is scanned bit by bit until the prefix
-    read so far matches a codeword of the current context, which emits its
-    source block, and so on; the raw tail is parsed last.  Any leftover or
-    missing bits raise MalformedStreamError.
+    read so far matches a codeword of the current context's count code,
+    which gives the rank of the block's first-visit symbols, and so on;
+    the raw tail is parsed last.  Any leftover or missing bits raise
+    MalformedStreamError.  The ranks are then expanded through the blocks'
+    patterns in one pass.
     """
     letters = _letters_of(alpha)
     k = family.k
+    size = family.fiber_spec.fiber_alphabet.size
     n = len(letters)
     m = n // k
     table = _block_table((letters,), k, k, m)
     first = walk(family.fiber_spec.action_kind, letters[: m * k]).first
-    codes = family._codes(table.rows, first[table.first[:, None] * k + np.arange(k)])
+    counts, pattern = family._codes(table.rows, first[table.first[:, None] * k + np.arange(k)])
+    codes = [family._count_codes[d] for d in counts.tolist()]
     bits = stream.bits
     pos = 0
-    out: list[int] = []
+    ranks: list[int] = []
     for i in table.index.tolist():
         code = codes[i]
-        block = None
+        rank = None
         for length in code.lengths_sorted:
             if pos + length <= len(bits):
-                block = code.decode_map.get(bits[pos : pos + length])
-                if block is not None:
+                rank = code.decode_map.get(bits[pos : pos + length])
+                if rank is not None:
                     pos += length
                     break
-        if block is None:
+        if rank is None:
             raise MalformedStreamError("bits exhausted before a codeword matched")
-        out.extend(block)
+        ranks.append(rank)
+    _, place = _place_values(pattern, size)
+    blocks = np.array(ranks, dtype=np.int64)[:, None] // place[table.index] % size
+    tail: list[int] = []
     raw = family.fiber_bits
     tail_count = n - m * k
     if raw:
@@ -281,15 +324,15 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
             if pos + raw > len(bits):
                 raise MalformedStreamError("bits exhausted inside the raw tail")
             sym = int(bits[pos : pos + raw], 2)
-            if sym >= family.fiber_spec.fiber_alphabet.size:
+            if sym >= size:
                 raise MalformedStreamError("raw tail symbol out of range")
-            out.append(sym)
+            tail.append(sym)
             pos += raw
     else:
-        out.extend([0] * tail_count)
+        tail = [0] * tail_count
     if pos != len(bits):
         raise MalformedStreamError("trailing bits after the decoded name")
-    return np.array(out, dtype=np.int64)
+    return np.concatenate((blocks.ravel(), np.array(tail, dtype=np.int64)))
 
 
 def pair_counts(alpha, omega, k: int, stride: str = "block", m: int | None = None):
@@ -368,21 +411,21 @@ class EstimatorReport:
 
 
 def _conditional(name: OrbitName, family: BlockCodebookFamily, exact):
-    """conditional_rate's report, then the table, codes and fiber blocks of its pairs."""
+    """conditional_rate's report, then the table, first-visit counts and ranks of its pairs."""
     from .fiber import exact_averaged_entropy
 
     k = family.k
     n = len(name)
-    table, codes, fiber_blocks, words = _coded_pairs(name, family)
+    table, counts, ranks = _coded_pairs(name, family)
     m = len(table.index)
     tail_bits = (n - m * k) * family.fiber_bits
-    total_bits = int(table.counts @ np.array([len(w) for w in words], dtype=np.int64)) + tail_bits
+    total_bits = int(table.counts @ family._read(counts, ranks, "lengths")) + tail_bits
     code_rate = total_bits / n if n else 0.0
 
     cross = None
     eq15_ok = None
     if m >= 1:
-        log2mu = np.array([code.log2mu[v] for code, v in zip(codes, fiber_blocks)])
+        log2mu = family._read(counts, ranks, "log2mu")
         # subtract counts times log2 mu pair by pair from 0.0; np.cumsum adds sequentially
         cross = float(np.cumsum(np.concatenate(([0.0], -(table.counts * log2mu))))[-1]) / (m * k)
         eq15_ok = code_rate <= cross + 1.0 / k + tail_bits / n + _TOL
@@ -413,7 +456,7 @@ def _conditional(name: OrbitName, family: BlockCodebookFamily, exact):
         eq15_ok=eq15_ok,
         no_undershoot_ok=no_undershoot_ok,
     )
-    return report, table, codes, fiber_blocks
+    return report, table, counts, ranks
 
 
 def conditional_rate(name: OrbitName, family: BlockCodebookFamily, exact="auto") -> EstimatorReport:
@@ -487,7 +530,7 @@ def ar_decomposition_check(
     trajectory = sample_trajectory(driving_spec, n, seed)
     name = emit_name(fiber_spec, trajectory, seed)
     family = BlockCodebookFamily(k, fiber_spec, driving_spec)
-    cond, table, codes, fiber_blocks = _conditional(name, family, None)
+    cond, table, counts, ranks = _conditional(name, family, None)
 
     if n == 0:
         return ArDecompositionReport(0, k, seed, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, True)
@@ -495,11 +538,13 @@ def ar_decomposition_check(
     plain = block_code_details(driving_spec, trajectory, k)
 
     # every pair is consistent and every context positive: the conditional pass checked both
+    fractions = family._read(counts, ranks, "fractions").tolist()
+    log2mu = family._read(counts, ranks, "log2mu").tolist()
     lengths, ideals = [], []
-    for u, code, v in zip(table.rows[:, :k].tolist(), codes, fiber_blocks):
+    for u, mu, log2_mu in zip(table.rows[:, :k].tolist(), fractions, log2mu):
         nu = plain.nu[tuple(u)]
-        lengths.append(max(1, shannon_length(nu * code.fractions[v])))
-        ideals.append(-code.log2mu[v] - math.log2(float(nu)))
+        lengths.append(max(1, shannon_length(nu * mu)))
+        ideals.append(-log2_mu - math.log2(float(nu)))
     pair_raw = (driving_spec.alphabet.size * fiber_spec.fiber_alphabet.size - 1).bit_length()
     joint_total = int(table.counts @ np.array(lengths, dtype=np.int64)) + (n - plain.m * k) * pair_raw
     joint_ideal = _sum_in_block_order(ideals, table.index)

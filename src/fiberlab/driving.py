@@ -2,7 +2,10 @@
 trajectory sampling and the plain block coder.
 
 Probabilities are held as exact fractions so that cylinder values and the
-integer codeword lengths derived from them are free of float rounding.
+integer codeword lengths derived from them are free of float rounding.  A
+float is read as the exact binary value it stores, so sums and
+stationarity are tested exactly: (0.1, 0.9) sums to 1 + 2**-55 and is
+refused, while "1/10" and "9/10" are exact.
 All entropies and rates are reported in bits (binary logarithm).
 
 Block coders cost a word block by block, and the cost of a block depends
@@ -27,11 +30,10 @@ from .errors import ModelMismatchError
 from .kraft import shannon_length
 from .words import Alphabet, Word
 
-STATIONARY_TOL = 1e-10
-SUM_TOL = 1e-12
-
 Z2_GENERATOR_LABELS = ("+e1", "-e1", "+e2", "-e2")
 F2_GENERATOR_LABELS = ("a", "A", "b", "B")
+# the end of the message that refuses an inexact probability sum
+_EXACT_HINT = ' (a float is read as its binary value; give exact strings such as "1/10")'
 
 
 def _as_fraction(x) -> Fraction:
@@ -68,11 +70,11 @@ class MarkovChainSpec:
             raise ValueError("pi and Pi must be indexed by the alphabet")
         if any(x < 0 for x in pi) or any(x < 0 for row in Pi for x in row):
             raise ValueError("probabilities must be nonnegative")
-        if abs(float(sum(pi)) - 1.0) > SUM_TOL:
-            raise ValueError("pi must sum to 1")
+        if sum(pi) != 1:
+            raise ValueError(f"pi must sum to exactly 1{_EXACT_HINT}")
         for i, row in enumerate(Pi):
-            if abs(float(sum(row)) - 1.0) > SUM_TOL:
-                raise ValueError(f"row {i} of Pi must sum to 1")
+            if sum(row) != 1:
+                raise ValueError(f"row {i} of Pi must sum to exactly 1{_EXACT_HINT}")
 
     @classmethod
     def bernoulli(cls, alphabet: Alphabet, p: Sequence) -> "MarkovChainSpec":
@@ -143,13 +145,9 @@ def cylinder_prob(spec: MarkovChainSpec, v) -> Fraction:
 
 
 def is_stationary(spec: MarkovChainSpec) -> bool:
-    """Whether pi is invariant under Pi (pi^T Pi = pi^T), within 1e-10."""
+    """Whether pi is invariant under Pi (pi^T Pi = pi^T), exactly."""
     s = spec.alphabet.size
-    for j in range(s):
-        acc = sum(float(spec.pi[i]) * float(spec.Pi[i][j]) for i in range(s))
-        if abs(acc - float(spec.pi[j])) > STATIONARY_TOL:
-            return False
-    return True
+    return all(sum(spec.pi[i] * spec.Pi[i][j] for i in range(s)) == spec.pi[j] for j in range(s))
 
 
 def is_irreducible(spec: MarkovChainSpec) -> bool:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .actions import ACTION_KINDS, INVERSE, LAWS, check_driving_size, walk
-from .driving import SUM_TOL, MarkovChainSpec, _as_fraction, _cumulative, _letters_of, cylinder_prob
+from .driving import _EXACT_HINT, MarkovChainSpec, _as_fraction, _cumulative, _letters_of, cylinder_prob
 from .errors import InfiniteInformationError, ResourceLimitError
 from .words import Alphabet
 
@@ -53,8 +53,8 @@ class FiberSystemSpec:
             raise ValueError("p must be indexed by the fiber alphabet")
         if any(x <= 0 for x in p):
             raise ValueError("every fiber symbol must have positive probability")
-        if abs(float(sum(p)) - 1.0) > SUM_TOL:
-            raise ValueError("p must sum to 1")
+        if sum(p) != 1:
+            raise ValueError(f"p must sum to exactly 1{_EXACT_HINT}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "FiberSystemSpec":

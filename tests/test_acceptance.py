@@ -89,8 +89,8 @@ def test_criterion_1_coding_soundness():
                 # exact prefix-freeness, Kraft and length-bound checks on
                 # every codebook the runs materialized
                 assert family.verify_length_bounds()
-                for code in family._pattern_codes.values():
-                    words = code.codebook.entries.values()
+                for code in family._count_codes.values():
+                    words = code.words.tolist()
                     assert is_prefix_free(words)
                     assert kraft_sum(len(w) for w in words) <= 1
         assert instances >= 1000

@@ -191,3 +191,22 @@ def test_cli_refuses_a_horizon_past_max_horizon(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("fiberlab: configuration error: horizon") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify-brudno", "verify-ar"])
+def test_cli_refuses_float_probabilities_that_do_not_sum_to_one(tmp_path, capsys, command):
+    # 0.1 and 0.9 are read as their binary values, which sum to 1 + 2**-55
+    out = tmp_path / "reports"
+    fiber = {"action": "z2", "fiber_alphabet": ["0", "1"], "p": [0.1, 0.9]}
+    config = {"driving": "z2-uniform", "fiber": fiber, "horizons": [100], "block_lengths": [4], "seeds": [1]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "out": str(out)}), encoding="utf-8")
+    assert run([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fiberlab: configuration error: ") and "p must sum to exactly 1" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+    # the same law as exact strings is accepted
+    fiber["p"] = ["1/10", "9/10"]
+    path.write_text(json.dumps({**config, "fiber": fiber, "out": str(out)}), encoding="utf-8")
+    assert run([command, "--config", str(path)]) == 0

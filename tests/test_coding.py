@@ -16,7 +16,6 @@ from fiberlab import (
     OrbitName,
     ResourceLimitError,
     ar_decomposition_check,
-    build_codebooks,
     conditional_rate,
     cylinder_prob,
     decode,
@@ -26,14 +25,16 @@ from fiberlab import (
     encode,
     exact_averaged_entropy,
     is_prefix_free,
+    canonical_kraft_code,
     kraft_sum,
     pair_counts,
     sample_trajectory,
+    shannon_length,
     system_preset,
     walk,
 )
 from fiberlab import coding, driving, fiber as fiber_module
-from fiberlab.coding import _patterns, pair_frequencies
+from fiberlab.coding import _patterns, build_codebooks, pair_frequencies
 from fiberlab.fiber import conditional_cylinder_fraction
 
 BINARY = Alphabet(("0", "1"))
@@ -53,6 +54,11 @@ E1, NEG_E1, E2, NEG_E2 = 0, 1, 2, 3
 
 # the uniform Bernoulli chain on the f2 generators backtracks, unlike f2-markov
 UNIFORM_F2 = MarkovChainSpec.bernoulli(Alphabet(("a", "A", "b", "B")), (Fraction(1, 4),) * 4)
+
+# skewed fiber laws give one code codewords of several lengths
+THIRDS = FiberSystemSpec("z2", BINARY, (Fraction(1, 3), Fraction(2, 3)))
+FIFTHS = FiberSystemSpec("z2", Alphabet(("0", "1", "2")), (Fraction(1, 5), Fraction(1, 5), Fraction(3, 5)))
+ONE_SYMBOL = FiberSystemSpec("z2", Alphabet(("x",)), (Fraction(1),))
 
 
 def test_build_codebooks_uniform_monoid():
@@ -498,3 +504,62 @@ def test_auto_exact_rate_is_refused_past_the_enumeration_cap(monkeypatch):
     report = conditional_rate(emit_name(Z2, trajectory, seed=1), BlockCodebookFamily(13, Z2, Z2_DRIVING))
     assert report.exact_rate is None
     assert report.cross_entropy_rate is not None
+
+
+def pattern_codebook(spec, pattern):
+    """The canonical code of one first-visit pattern over full fiber blocks.
+
+    Codes were built this way, one per pattern, before the family keyed
+    them by the number of first visits; kept as the oracle.
+    """
+    reps = [i for i, j in enumerate(pattern) if i == j]
+    lengths = {}
+    for assignment in itertools.product(range(spec.fiber_alphabet.size), repeat=len(reps)):
+        v = [0] * len(pattern)
+        for r, sym in zip(reps, assignment):
+            v[r] = sym
+        for i, j in enumerate(pattern):
+            v[i] = v[j]
+        frac = Fraction(1)
+        for sym in assignment:
+            frac *= spec.p[sym]
+        lengths[tuple(v)] = max(1, shannon_length(frac))
+    return canonical_kraft_code(lengths)
+
+
+@pytest.mark.parametrize(
+    "fiber,chain",
+    [
+        (Z2, Z2_DRIVING),
+        (MONOID, BERNOULLI2),
+        (F2, UNIFORM_F2),
+        (THIRDS, Z2_DRIVING),
+        (FIFTHS, Z2_DRIVING),
+        (ONE_SYMBOL, Z2_DRIVING),
+    ],
+    ids=["z2-uniform", "free-monoid-uniform", "f2-uniform", "z2-thirds", "z2-fifths", "z2-one-symbol"],
+)
+def test_count_codes_equal_the_per_pattern_oracle(fiber, chain):
+    for k in range(1, 6):
+        family = BlockCodebookFamily(k, fiber, chain)
+        oracles = {}
+        for u in itertools.product(range(chain.alphabet.size), repeat=k):
+            if cylinder_prob(chain, u) == 0:
+                continue
+            pattern = tuple(walk(fiber.action_kind, u).first.tolist())
+            if pattern not in oracles:
+                oracles[pattern] = pattern_codebook(fiber, pattern)
+            book = family.codebook_for(u)
+            # same entries, inserted in the same canonical order
+            assert list(book.entries.items()) == list(oracles[pattern].entries.items())
+        assert len(family._count_codes) <= k
+
+
+def test_a_cell_materializes_at_most_k_count_codes():
+    k = 8
+    trajectory = sample_trajectory(Z2_DRIVING, 20_000, 3)
+    family = BlockCodebookFamily(k, Z2, Z2_DRIVING)
+    conditional_rate(emit_name(Z2, trajectory, seed=3), family, exact=None)
+    assert 1 <= len(family._count_codes) <= k
+    for d, code in family._count_codes.items():
+        assert len(code.words) == len(code.lengths) == len(code.fractions) == len(code.decode_map) == 2 ** d

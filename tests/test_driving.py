@@ -33,6 +33,13 @@ def test_spec_validation():
         MarkovChainSpec(two, (Fraction(1, 2), Fraction(1, 4)), ((Fraction(1, 2),) * 2,) * 2)
     with pytest.raises(ValueError):
         MarkovChainSpec(two, (Fraction(1, 2),) * 2, ((Fraction(1, 2), Fraction(1, 4)),) * 2)
+    # sums are exact: 0.1 + 0.9 as binary floats is 1 + 2**-55
+    assert sum(Fraction(x) for x in (0.1, 0.9)) == 1 + Fraction(1, 2 ** 55)
+    with pytest.raises(ValueError, match="pi must sum to exactly 1"):
+        MarkovChainSpec.bernoulli(two, (0.1, 0.9))
+    with pytest.raises(ValueError, match="row 1 of Pi must sum to exactly 1"):
+        MarkovChainSpec(two, (0.5, 0.5), ((0.5, 0.5), (0.1, 0.9)))
+    assert MarkovChainSpec.bernoulli(two, ("1/10", "9/10")).pi == (Fraction(1, 10), Fraction(9, 10))
 
 
 def test_cylinder_prob_examples():
@@ -90,6 +97,20 @@ def test_is_stationary():
         ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))),
     )
     assert not is_stationary(skewed)
+    # invariance is tested exactly, so an error of 2**-60 is not stationary
+    eps = Fraction(1, 2 ** 60)
+    near = MarkovChainSpec(
+        Alphabet(("0", "1")),
+        (Fraction(1, 2) + eps, Fraction(1, 2) - eps),
+        ((Fraction(1, 2),) * 2, (Fraction(1, 2),) * 2),
+    )
+    assert is_stationary(near) is False
+    exact = MarkovChainSpec(
+        Alphabet(("0", "1")),
+        (Fraction(1, 3), Fraction(2, 3)),
+        ((Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(1, 2))),
+    )
+    assert is_stationary(exact) is True
 
 
 def test_is_irreducible():

@@ -65,6 +65,9 @@ def test_spec_validation():
         FiberSystemSpec("z2", BINARY, (Fraction(1), Fraction(0)))  # zero-probability symbol
     with pytest.raises(ValueError):
         FiberSystemSpec("z2", BINARY, (HALF, HALF, HALF))
+    with pytest.raises(ValueError, match="p must sum to exactly 1"):
+        FiberSystemSpec("z2", BINARY, (0.1, 0.9))  # 1 + 2**-55 as binary floats
+    assert sum(FiberSystemSpec("z2", BINARY, ("1/10", "9/10")).p) == 1
 
 
 def test_emit_name_basics():

@@ -9,6 +9,12 @@ The f2 names are driven by the uniform Bernoulli chain, which backtracks,
 so they also pin the cancel-and-revisit path of the f2 walk that the
 f2-markov preset never reaches.
 
+The skewed digests, at n = 20003, were recorded before codes were keyed by
+the number of first visits.  The uniform binary presets give every
+codeword of a code one length; fiber laws (1/3, 2/3) and (1/5, 1/5, 3/5)
+give codewords of several lengths, so these digests also pin the
+(length, block) order of the canonical codes.
+
 The two f2-markov verify-brudno digests were re-recorded when the exact
 entropy became an exact Fraction rounded once: the old float search gave
 7.999999999999786 bits at k = 8, the exact value is 8.  Both f2-markov and
@@ -42,6 +48,15 @@ TAIL_REPORT_DIGESTS = {
     ("verify-ar", "f2-markov"): "25af582b16028943640ec6352d0f96f24d667c0869ea630b2ad9c55baeb4d0fc",
 }
 
+SKEWED_LAWS = {"thirds": ("1/3", "2/3"), "fifths": ("1/5", "1/5", "3/5")}
+
+SKEWED_REPORT_DIGESTS = {
+    ("verify-brudno", "thirds"): "8f60ffdbd499c4e8da9a4692308c02877e3a6f6f819ae96121327ad1836f7213",
+    ("verify-brudno", "fifths"): "7fab231c7bb6e96f7120cae594a16b61eb261465d647a15862ba692c7e324db9",
+    ("verify-ar", "thirds"): "a8b84d7c0cde2bb5b6b161e5d1009ce6540a9cf46e2397854ccd2f196e93af00",
+    ("verify-ar", "fifths"): "c13c65fba3060e6d035702684867d895e23a740010de4e93e587b521905bbcab",
+}
+
 NAME_DIGESTS = {
     ("free-monoid", 1): "dc24e076a3a75a8068c974e50fedf58e8194c923ab79ef8bcf3f3103c7737e9e",
     ("free-monoid", 2): "52c6d5185d9392106298fd035a5e4e75c9abad33a7c04bc938e9fb8d49f9f41d",
@@ -73,8 +88,12 @@ def name_digest(kind, seed):
 
 
 def run_digest(tmp_path, command, preset, n):
+    return config_digest(tmp_path, command, {"preset": preset, "horizons": [n], "block_lengths": [4, 8]})
+
+
+def config_digest(tmp_path, command, config):
     out = tmp_path / "reports"
-    config = {"preset": preset, "horizons": [n], "block_lengths": [4, 8], "seeds": [1, 2], "out": str(out)}
+    config = {**config, "seeds": [1, 2], "out": str(out)}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert main([command, "--config", str(path)]) == 0
@@ -89,6 +108,14 @@ def test_report_bytes_are_unchanged(tmp_path, command, preset):
 @pytest.mark.parametrize("command,preset", sorted(TAIL_REPORT_DIGESTS))
 def test_report_bytes_with_a_tail_are_unchanged(tmp_path, command, preset):
     assert run_digest(tmp_path, command, preset, 20_003) == TAIL_REPORT_DIGESTS[command, preset]
+
+
+@pytest.mark.parametrize("command,law", sorted(SKEWED_REPORT_DIGESTS))
+def test_skewed_fiber_report_bytes_are_unchanged(tmp_path, command, law):
+    p = SKEWED_LAWS[law]
+    fiber = {"action": "z2", "fiber_alphabet": [str(s) for s in range(len(p))], "p": list(p)}
+    config = {"driving": "z2-uniform", "fiber": fiber, "horizons": [20_003], "block_lengths": [4, 5]}
+    assert config_digest(tmp_path, command, config) == SKEWED_REPORT_DIGESTS[command, law]
 
 
 def test_f2_markov_brudno_reports_equal_the_free_monoid_ones(tmp_path):

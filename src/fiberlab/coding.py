@@ -20,7 +20,9 @@ cap.
 An assignment is held as its rank, the integer with digits a in base |F|,
 first symbol most significant, so ranks order assignments
 lexicographically and a count code is a set of arrays indexed by rank:
-codewords, lengths, log2 mu and mu.
+codewords, lengths, log2 mu and mu.  mu is exact, an integer numerator
+over the code's one denominator lcm(den p)**d, so lengths, the length
+bound and the joint coder's lengths are integer computations.
 
 The cost of a block depends on its (u, v) pair alone, so the coders work
 from one table of a name's distinct pairs in first-occurrence order (see
@@ -39,7 +41,10 @@ repeat.  A name's blocks therefore take their patterns from the name's
 walk, and decode walks the driving word once; only codebook_for and
 build_codebooks walk a lone context.  Positivity is an exact test for
 zeros in pi and Pi; the exact context probability nu is computed only by
-the plain coder, whose values the joint coder reuses.
+the plain coder, as integer numerators over one denominator, and the joint
+coder reuses them: a pair's context is the plain table's row of the
+pair's first block, and its joint length is read off nu's numerator times
+mu's over the product of their denominators.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from .driving import (
 )
 from .errors import MalformedStreamError, ModelMismatchError, ResourceLimitError
 from .fiber import ENUMERATION_CAP, FiberSystemSpec, OrbitName, emit_name, information_function
-from .kraft import BinaryCodebook, canonical_kraft_code, shannon_length
+from .kraft import BinaryCodebook, _shannon_bits, canonical_kraft_code, shannon_length
 
 _TOL = 1e-12
 
@@ -71,25 +76,32 @@ class _CountCode:
     """The code shared by all blocks with d first visits, indexed by rank.
 
     Entry r belongs to the assignment a in F^d of rank r: its codeword,
-    its length max(1, ceil(-log2 mu)), log2 mu and mu = prod p[a_j], exact.
+    its length max(1, ceil(-log2 mu)), log2 mu, and mu = prod p[a_j]
+    exactly, as the integer numerators[r] over den = lcm(den p)**d.
+    log2(num / den) equals log2 of the reduced Fraction's float, since int
+    division is correctly rounded.
     """
 
-    __slots__ = ("words", "lengths", "log2mu", "fractions", "decode_map", "lengths_sorted")
+    __slots__ = ("words", "lengths", "log2mu", "numerators", "den", "decode_map", "lengths_sorted")
 
     def __init__(self, spec: FiberSystemSpec, d: int):
-        # appending a symbol as the least significant digit keeps rank order
-        fractions = [Fraction(1)]
+        p_den = math.lcm(*(q.denominator for q in spec.p))
+        p_nums = [q.numerator * (p_den // q.denominator) for q in spec.p]
+        # prefix products: appending a symbol as the least significant digit keeps rank order
+        nums = [1]
         for _ in range(d):
-            fractions = [f * q for f in fractions for q in spec.p]
+            nums = [x * q for x in nums for q in p_nums]
+        den = p_den ** d
         # clamp covers the degenerate one-symbol fiber where mu = 1
-        lengths = [max(1, shannon_length(f)) for f in fractions]
+        lengths = [max(1, _shannon_bits(x, den)) for x in nums]
         entries = canonical_kraft_code(dict(enumerate(lengths))).entries
-        self.words = np.empty(len(fractions), dtype=object)
-        self.words[:] = [entries[r] for r in range(len(fractions))]
+        self.words = np.empty(len(nums), dtype=object)
+        self.words[:] = [entries[r] for r in range(len(nums))]
         self.lengths = np.array(lengths, dtype=np.int64)
-        self.log2mu = np.array([math.log2(float(f)) for f in fractions])
-        self.fractions = np.empty(len(fractions), dtype=object)
-        self.fractions[:] = fractions
+        self.log2mu = np.array([math.log2(x / den) for x in nums])
+        self.numerators = np.empty(len(nums), dtype=object)
+        self.numerators[:] = nums
+        self.den = den
         self.decode_map = {w: r for r, w in enumerate(self.words.tolist())}
         self.lengths_sorted = sorted(set(lengths))
 
@@ -197,10 +209,10 @@ class BlockCodebookFamily:
         return BinaryCodebook(dict(zip(zip(*blocks.T.tolist()), code.words[ranks].tolist())))
 
     def verify_length_bounds(self) -> bool:
-        """Exact check that every built length obeys l <= -log2 mu + 1."""
+        """Exact check that every built length obeys l <= -log2 mu + 1, as num * 2**l <= 2 * den."""
         for code in self._count_codes.values():
-            for frac, length in zip(code.fractions.tolist(), code.lengths.tolist()):
-                if frac.numerator * (1 << length) > 2 * frac.denominator:
+            for num, length in zip(code.numerators.tolist(), code.lengths.tolist()):
+                if num << length > 2 * code.den:
                     return False
         return True
 
@@ -523,9 +535,9 @@ def ar_decomposition_check(
 
     The joint coder spends ceil(-log2(nu[u] mu[u|v])) bits per aligned
     pair block and raw codes remainder pairs; the plain coder is the
-    driving block coder, whose exact nu the joint coder reuses; the
-    conditional coder is the contextual fiber coder.  The report carries
-    joint - plain - conditional.
+    driving block coder, whose exact nu numerators the joint coder reuses;
+    the conditional coder is the contextual fiber coder.  The report
+    carries joint - plain - conditional.
     """
     trajectory = sample_trajectory(driving_spec, n, seed)
     name = emit_name(fiber_spec, trajectory, seed)
@@ -538,13 +550,12 @@ def ar_decomposition_check(
     plain = block_code_details(driving_spec, trajectory, k)
 
     # every pair is consistent and every context positive: the conditional pass checked both
-    fractions = family._read(counts, ranks, "fractions").tolist()
-    log2mu = family._read(counts, ranks, "log2mu").tolist()
-    lengths, ideals = [], []
-    for u, mu, log2_mu in zip(table.rows[:, :k].tolist(), fractions, log2mu):
-        nu = plain.nu[tuple(u)]
-        lengths.append(max(1, shannon_length(nu * mu)))
-        ideals.append(-log2_mu - math.log2(float(nu)))
+    contexts = plain.table.index[table.first]
+    nums = (plain.nums[contexts] * family._read(counts, ranks, "numerators")).tolist()
+    dens = {d: plain.den * code.den for d, code in family._count_codes.items()}
+    lengths = [max(1, _shannon_bits(num, dens[d])) for num, d in zip(nums, counts.tolist())]
+    log2nu = np.array([math.log2(num / plain.den) for num in plain.nums.tolist()])
+    ideals = -family._read(counts, ranks, "log2mu") - log2nu[contexts]
     pair_raw = (driving_spec.alphabet.size * fiber_spec.fiber_alphabet.size - 1).bit_length()
     joint_total = int(table.counts @ np.array(lengths, dtype=np.int64)) + (n - plain.m * k) * pair_raw
     joint_ideal = _sum_in_block_order(ideals, table.index)

@@ -12,6 +12,19 @@ Block coders cost a word block by block, and the cost of a block depends
 on its letters alone, so they work from _block_table: the distinct blocks
 in first-occurrence order and each block's index into them.  Per-block
 sums are then taken in block order, as a block-by-block loop takes them.
+
+The cylinder probabilities of k-blocks share one denominator,
+den(pi) * lcm(den Pi)**(k-1), so a table of blocks is scored as integer
+numerators over it (_cylinder_numerators), in Python ints that cannot
+overflow; cylinder_prob is the one-row case.  A Shannon length is read off
+the bit lengths of numerator and denominator, and an ideal length is
+log2(num / den), which equals log2 of the Fraction's float because int
+division is correctly rounded.
+
+The Markov sampler steps a transition table: the next letter depends on a
+uniform only through the interval of distinct cumulative values it falls
+in, so one vectorized search per chunk of uniforms gives each step's
+interval, and a Python loop only looks up (interval, state) in a table.
 """
 
 from __future__ import annotations
@@ -27,13 +40,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModelMismatchError
-from .kraft import shannon_length
+from .kraft import _shannon_bits
 from .words import Alphabet, Word
 
 Z2_GENERATOR_LABELS = ("+e1", "-e1", "+e2", "-e2")
 F2_GENERATOR_LABELS = ("a", "A", "b", "B")
 # the end of the message that refuses an inexact probability sum
 _EXACT_HINT = ' (a float is read as its binary value; give exact strings such as "1/10")'
+# uniforms the Markov sampler searches at once; chunks keep its temporaries small
+_SAMPLE_CHUNK = 2 ** 11
 
 
 def _as_fraction(x) -> Fraction:
@@ -123,25 +138,43 @@ def _letters_of(word) -> np.ndarray:
     return np.asarray(word, dtype=np.int64)
 
 
+def _cylinder_numerators(spec: MarkovChainSpec, rows: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """Exact cylinder probabilities of a table of driving blocks of k >= 1 letters.
+
+    Returns (nums, den, outside): row r has probability nums[r] / den, with
+    den = den(pi) * lcm(den Pi)**(k-1) and den(x) the least common
+    denominator of x's entries, and outside[r] tells whether row r holds a
+    letter outside the alphabet (its numerator is then meaningless).  The
+    numerators are Python ints in an object array, products of the integer
+    numerators of pi and Pi, so none can overflow.
+    """
+    s = spec.alphabet.size
+    outside = ((rows < 0) | (rows >= s)).any(axis=1)
+    rows = np.where(outside[:, None], 0, rows)  # index safely; outside rows are flagged
+    pi_den = math.lcm(*(x.denominator for x in spec.pi))
+    step_den = math.lcm(*(x.denominator for row in spec.Pi for x in row))
+    starts = np.array([x.numerator * (pi_den // x.denominator) for x in spec.pi], dtype=object)
+    steps = np.array([[x.numerator * (step_den // x.denominator) for x in row] for row in spec.Pi], dtype=object)
+    nums = starts[rows[:, 0]]
+    for j in range(1, rows.shape[1]):
+        nums = nums * steps[rows[:, j - 1], rows[:, j]]
+    return nums, pi_den * step_den ** (rows.shape[1] - 1), outside
+
+
 def cylinder_prob(spec: MarkovChainSpec, v) -> Fraction:
     """Exact probability of the cylinder of all sequences extending v.
 
     The empty word has probability 1.
     """
-    letters = _letters_of(v).tolist()
+    letters = _letters_of(v)
     if isinstance(v, Word) and v.alphabet != spec.alphabet:
         raise ValueError("word is over a different alphabet")
-    s = spec.alphabet.size
-    if any(not 0 <= x < s for x in letters):
-        raise ValueError("letter index out of range for the driving alphabet")
-    if not letters:
+    if not len(letters):
         return Fraction(1)
-    prob = spec.pi[letters[0]]
-    for a, b in zip(letters, letters[1:]):
-        if prob == 0:
-            return Fraction(0)
-        prob *= spec.Pi[a][b]
-    return prob
+    nums, den, outside = _cylinder_numerators(spec, letters[None, :])
+    if outside[0]:
+        raise ValueError("letter index out of range for the driving alphabet")
+    return Fraction(nums[0], den)
 
 
 def is_stationary(spec: MarkovChainSpec) -> bool:
@@ -222,17 +255,15 @@ def _cumulative(probs) -> list[float]:
     return out
 
 
-def _pick(cumulative: list[float], u: float) -> int:
-    return min(bisect_right(cumulative, u), len(cumulative) - 1)
-
-
 def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajectory:
     """Sample n letters, the first from pi and each next from the Pi row of
     the current state.
 
     The generator is numpy's PCG64 seeded with the given 64-bit seed; one
     uniform draw per letter is mapped through the inverse CDF in alphabet
-    order, so trajectories are bitwise reproducible for equal seeds.
+    order, so trajectories are bitwise reproducible for equal seeds.  The
+    letter after state a is min(#{c in cum(Pi[a]) : c <= u}, size - 1),
+    which is bisect_right on the float cumulative row.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -250,11 +281,21 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
         cum = np.array(pi_cum)
         letters = np.minimum(np.searchsorted(cum, us, side="right"), len(cum) - 1).astype(np.int64)
         return DrivingTrajectory(spec, seed, letters)
-    state = _pick(pi_cum, us[0])
+    s = spec.alphabet.size
+    state = min(bisect_right(pi_cum, us[0]), s - 1)
     letters[0] = state
-    for i in range(1, n):
-        state = _pick(row_cums[state], us[i])
-        letters[i] = state
+    # The next letter depends on u only through c, the number of distinct
+    # cumulative values <= u: after[c * s + a] is the letter after state a
+    # for such u, picked at -inf (c = 0) or at the c-th smallest value.
+    edges = sorted({c for row in row_cums for c in row})
+    after = [min(bisect_right(row, x), s - 1) for x in [-math.inf, *edges] for row in row_cums]
+    edges = np.array(edges)
+    out = memoryview(letters)
+    for start in range(1, n, _SAMPLE_CHUNK):
+        cuts = np.searchsorted(edges, us[start : start + _SAMPLE_CHUNK], side="right") * s
+        for i, base in enumerate(cuts.tolist(), start):
+            state = after[base + state]
+            out[i] = state
     return DrivingTrajectory(spec, seed, letters)
 
 
@@ -303,14 +344,17 @@ def _sum_in_block_order(per_row, index: np.ndarray) -> float:
 class PlainBlockCode(NamedTuple):
     """The plain block coder's bit counts on one driving word.
 
-    nu maps each distinct full block to its exact cylinder probability.
+    table holds the word's distinct full blocks (see _block_table); block
+    table.rows[j] has exact cylinder probability nums[j] / den.
     """
 
     total_bits: int
     ideal_bits: float
     m: int
     tail_bits: int
-    nu: dict
+    table: _BlockTable
+    nums: np.ndarray
+    den: int
 
 
 def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockCode:
@@ -318,8 +362,10 @@ def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockC
 
     Full k-blocks cost ceil(-log2 nu[block]) bits; the n mod k remainder
     symbols are raw coded at ceil(log2 |alphabet|) bits each.  nu is
-    computed once per distinct block; the first block (in block order) of
-    zero probability raises ModelMismatchError.
+    computed once per distinct block, as integer numerators over one
+    denominator; the first block (in block order) that holds a letter
+    outside the alphabet raises ValueError, or that has zero probability
+    raises ModelMismatchError.
     """
     if k < 1:
         raise ValueError("block length must be >= 1")
@@ -327,18 +373,19 @@ def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockC
     n = len(letters)
     m = n // k
     table = _block_table((letters,), k, k, m)
-    nu: dict[tuple[int, ...], Fraction] = {}
-    for row in table.rows:
-        block = tuple(row.tolist())
-        prob = cylinder_prob(spec, block)
-        if prob == 0:
-            raise ModelMismatchError(f"block {block} has zero probability under the chain")
-        nu[block] = prob
-    total = sum(int(c) * shannon_length(prob) for c, prob in zip(table.counts, nu.values()))
-    ideal = _sum_in_block_order([-math.log2(float(prob)) for prob in nu.values()], table.index)
+    nums, den, outside = _cylinder_numerators(spec, table.rows)
+    bad = outside | (nums == 0)
+    if bad.any():
+        r = int(bad.argmax())
+        if outside[r]:
+            raise ValueError("letter index out of range for the driving alphabet")
+        raise ModelMismatchError(f"block {tuple(table.rows[r].tolist())} has zero probability under the chain")
+    nums_list = nums.tolist()
+    total = sum(c * _shannon_bits(num, den) for c, num in zip(table.counts.tolist(), nums_list))
+    ideal = _sum_in_block_order([-math.log2(num / den) for num in nums_list], table.index)
     raw = (spec.alphabet.size - 1).bit_length()
     tail_bits = (n - m * k) * raw
-    return PlainBlockCode(total + tail_bits, ideal, m, tail_bits, nu)
+    return PlainBlockCode(total + tail_bits, ideal, m, tail_bits, table, nums, den)
 
 
 def block_code_rate(spec: MarkovChainSpec, trajectory, k: int) -> float:

@@ -119,14 +119,19 @@ def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
     # them leaves one free stretch of heap rather than holes below it
     letters = np.zeros(len(driving), dtype=np.int64)
     first, keys = walk(spec.action_kind, driving)
-    salt = seed.to_bytes(8, "little")
-    # one keyed hash per distinct key, joined a chunk at a time so that no
-    # list holds every digest at once
+    # one keyed hash per distinct key, each a copy of one keyed hasher so
+    # that the key block is compressed once; digests are joined a chunk at
+    # a time so that no list holds every digest at once
+    base = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
     draws = np.empty(len(keys), dtype=np.uint64)
+    digests: list[bytes] = []
     for start in range(0, len(keys), _DRAW_CHUNK):
-        chunk = keys[start:start + _DRAW_CHUNK]
-        digests = b"".join([hashlib.blake2b(key, digest_size=8, key=salt).digest() for key in chunk])
-        draws[start:start + len(chunk)] = np.frombuffer(digests, dtype="<u8")
+        for key in keys[start:start + _DRAW_CHUNK]:
+            h = base.copy()
+            h.update(key)
+            digests.append(h.digest())
+        draws[start:start + len(digests)] = np.frombuffer(b"".join(digests), dtype="<u8")
+        digests.clear()
     del keys
     u = draws.astype(np.float64) / 2.0 ** 64
     cumulative = _cumulative(spec.p)

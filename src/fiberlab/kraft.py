@@ -35,7 +35,11 @@ def shannon_length(probability: Fraction) -> int:
     p = Fraction(probability)
     if not 0 < p <= 1:
         raise ValueError("probability must lie in (0, 1]")
-    num, den = p.numerator, p.denominator
+    return _shannon_bits(p.numerator, p.denominator)
+
+
+def _shannon_bits(num: int, den: int) -> int:
+    """ceil(-log2(num / den)) for integers 0 < num <= den, reduced or not."""
     # shifted by this much, num has den's bit length, so one more shift at most
     length = den.bit_length() - num.bit_length()
     length += (num << length) < den

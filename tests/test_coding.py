@@ -303,6 +303,52 @@ def test_ar_decomposition_f2_exact_block_costs():
     assert report.plain_ideal_rate == pytest.approx(0.2 + 0.9 * math.log2(3), abs=1e-9)
 
 
+# stationary: pi = (3/7, 4/7) solves pi Pi = pi; nu differs from context to context
+SKEWED_CHAIN2 = MarkovChainSpec(
+    BINARY, (Fraction(3, 7), Fraction(4, 7)), ((Fraction(1, 3), Fraction(2, 3)), (HALF, HALF))
+)
+SKEWED_Z2 = MarkovChainSpec.bernoulli(Alphabet(("+e1", "-e1", "+e2", "-e2")), (HALF,) + (Fraction(1, 6),) * 3)
+MONOID_THIRDS = FiberSystemSpec("free-monoid", BINARY, (Fraction(1, 3), Fraction(2, 3)))
+
+
+@pytest.mark.parametrize(
+    "chain,fiber,k",
+    [(SKEWED_CHAIN2, MONOID_THIRDS, 5), (SKEWED_Z2, THIRDS, 4), (SKEWED_Z2, FIFTHS, 3), (F2_DRIVING, F2, 6)],
+    ids=["monoid-skewed", "z2-skewed-thirds", "z2-skewed-fifths", "f2-markov"],
+)
+def test_joint_coder_equals_the_fraction_block_loop(chain, fiber, k):
+    # the joint coder before it scored pairs by integer numerators, kept as
+    # the reference: one Fraction nu * mu and one ideal per block, in block order
+    n, seed = 3001, 11
+    letters = sample_trajectory(chain, n, seed).letters.tolist()
+    name = emit_name(fiber, letters, seed).letters.tolist()
+    total, ideal = 0, 0.0
+    for i in range(n // k):
+        u, v = letters[i * k : (i + 1) * k], name[i * k : (i + 1) * k]
+        nu, mu = cylinder_prob(chain, u), conditional_cylinder_fraction(fiber, u, v)
+        total += max(1, shannon_length(nu * mu))
+        ideal += -math.log2(float(mu)) - math.log2(float(nu))
+    pair_raw = (chain.alphabet.size * fiber.fiber_alphabet.size - 1).bit_length()
+    report = ar_decomposition_check(chain, fiber, n, k, seed)
+    assert report.joint_rate == (total + (n % k) * pair_raw) / n
+    assert report.joint_ideal_rate == ideal / n
+
+
+def test_length_bound_check_reads_every_count_code_entry():
+    family = build_codebooks(THIRDS, Z2_DRIVING, 3)
+    assert family.verify_length_bounds()
+    for code in family._count_codes.values():
+        for r, num in enumerate(code.numerators.tolist()):
+            # the longest length with num * 2**l <= 2 * den passes, one more fails
+            longest = (2 * code.den // num).bit_length() - 1
+            kept = code.lengths[r]
+            code.lengths[r] = longest
+            assert family.verify_length_bounds()
+            code.lengths[r] = longest + 1
+            assert not family.verify_length_bounds()
+            code.lengths[r] = kept
+
+
 def test_ar_decomposition_empty_run():
     report = ar_decomposition_check(BERNOULLI2, MONOID, 0, 4, 1)
     assert report.joint_rate == report.plain_rate == report.conditional_rate == 0.0
@@ -424,15 +470,19 @@ def test_pair_counts_match_the_window_loop(stride, hop):
 
 
 def test_cells_compute_nu_once_per_context_and_walk_no_context(monkeypatch):
+    # nu is scored in one call per cell, over exactly the cell's distinct contexts
     nu_calls, walked = [], []
-    nu_of, walk_of = driving.cylinder_prob, coding.walk
-    monkeypatch.setattr(driving, "cylinder_prob", lambda spec, v: nu_calls.append(tuple(v)) or nu_of(spec, v))
+    nu_of, walk_of = driving._cylinder_numerators, coding.walk
+    monkeypatch.setattr(
+        driving, "_cylinder_numerators", lambda spec, rows: nu_calls.append(rows.tolist()) or nu_of(spec, rows)
+    )
     monkeypatch.setattr(coding, "walk", lambda kind, letters: walked.append(letters) or walk_of(kind, letters))
     n, k, seed = 20_003, 8, 5
     ar_decomposition_check(F2_DRIVING, F2, n, k, seed)
     letters = sample_trajectory(F2_DRIVING, n, seed).letters.tolist()
     contexts = {tuple(letters[i * k : (i + 1) * k]) for i in range(n // k)}
-    assert sorted(nu_calls) == sorted(contexts)
+    assert len(nu_calls) == 1
+    assert sorted(map(tuple, nu_calls[0])) == sorted(contexts)
     assert walked == []
     nu_calls.clear()
     trajectory = sample_trajectory(Z2_DRIVING, n, seed)
@@ -562,4 +612,4 @@ def test_a_cell_materializes_at_most_k_count_codes():
     conditional_rate(emit_name(Z2, trajectory, seed=3), family, exact=None)
     assert 1 <= len(family._count_codes) <= k
     for d, code in family._count_codes.items():
-        assert len(code.words) == len(code.lengths) == len(code.fractions) == len(code.decode_map) == 2 ** d
+        assert len(code.words) == len(code.lengths) == len(code.numerators) == len(code.decode_map) == 2 ** d

@@ -1,6 +1,9 @@
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
+
+import warnings
 
 import numpy as np
 import pytest
@@ -19,12 +22,50 @@ from fiberlab import (
     is_stationary,
     sample_trajectory,
 )
-from fiberlab.driving import block_code_details
+from fiberlab.driving import _SAMPLE_CHUNK, _cylinder_numerators, block_code_details
 from fiberlab.kraft import shannon_length
 
 F2 = driving_preset("f2-markov")
 UNIFORM4 = MarkovChainSpec.bernoulli(Alphabet(("a", "b", "c", "d")), (Fraction(1, 4),) * 4)
 UNIFORM2 = MarkovChainSpec.bernoulli(Alphabet(("0", "1")), (Fraction(1, 2), Fraction(1, 2)))
+# denominators 5 for pi and 2, 3 and 6 for Pi, so lcm(den Pi) = 6 is no row's own
+MIXED = MarkovChainSpec(
+    Alphabet(("x", "y", "z")),
+    (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)),
+    tuple(tuple(Fraction(1, q) for q in row) for row in ((2, 3, 6), (3, 6, 2), (6, 2, 3))),
+)
+# skewed and not stationary, with a zero transition (x never follows x)
+SKEWED3 = MarkovChainSpec(
+    Alphabet(("x", "y", "z")),
+    (Fraction(1, 10), Fraction(3, 10), Fraction(3, 5)),
+    (
+        (Fraction(0), Fraction(1, 7), Fraction(6, 7)),
+        (Fraction(9, 10), Fraction(1, 20), Fraction(1, 20)),
+        (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+    ),
+)
+
+
+def fraction_cylinder(spec, u):
+    """The Fraction product cylinder_prob computed before it scored blocks
+    by integer numerators, kept as the oracle."""
+    prob = spec.pi[u[0]]
+    for a, b in zip(u, u[1:]):
+        prob *= spec.Pi[a][b]
+    return prob
+
+
+def bisect_trajectory(spec, n, seed):
+    """The per-letter bisect loop the transition table replaced, kept as the oracle."""
+    us = np.random.Generator(np.random.PCG64(seed)).random(n).tolist()
+    pi_cum = list(itertools.accumulate(float(p) for p in spec.pi))
+    row_cums = [list(itertools.accumulate(float(p) for p in row)) for row in spec.Pi]
+    letters, cum = [], pi_cum
+    for u in us:
+        state = min(bisect_right(cum, u), spec.alphabet.size - 1)
+        letters.append(state)
+        cum = row_cums[state]
+    return letters
 
 
 def test_spec_validation():
@@ -176,6 +217,18 @@ def test_sample_trajectory_fast_path_matches_generic_loop():
     assert np.array_equal(fast, sample_trajectory(loop_spec, 10000, 9).letters)
 
 
+@pytest.mark.parametrize("spec", [F2, SKEWED3], ids=["f2-markov", "skewed3"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_markov_sampler_equals_the_per_letter_bisect_loop(spec, seed):
+    sizes = (0, 1, 2, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, _SAMPLE_CHUNK + 2, 3 * _SAMPLE_CHUNK + 5)
+    for n in sizes:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # SKEWED3 is not stationary
+            letters = sample_trajectory(spec, n, seed).letters
+        assert letters.dtype == np.int64
+        assert letters.tolist() == bisect_trajectory(spec, n, seed)
+
+
 def test_sample_trajectory_f2_never_emits_inverse_pairs():
     letters = sample_trajectory(F2, 10 ** 5, 7).letters
     inverse = np.array([1, 0, 3, 2])
@@ -243,8 +296,9 @@ def test_block_code_details_match_the_block_loop():
         assert plain.ideal_bits == ideal  # same additions in the same order
         assert plain.m == m and plain.tail_bits == (n - m * k) * raw
         blocks = [tuple(letters[i * k : (i + 1) * k]) for i in range(m)]
-        assert list(plain.nu) == list(dict.fromkeys(blocks))
-        assert all(plain.nu[b] == cylinder_prob(spec, b) for b in blocks)
+        rows = [tuple(row) for row in plain.table.rows.tolist()]
+        assert rows == list(dict.fromkeys(blocks))
+        assert [Fraction(num, plain.den) for num in plain.nums.tolist()] == [cylinder_prob(spec, b) for b in rows]
 
 
 def test_block_code_details_raise_at_the_first_null_block():
@@ -252,3 +306,40 @@ def test_block_code_details_raise_at_the_first_null_block():
         block_code_details(F2, [0, 2, 2, 3, 0, 1], 2)  # b B, then a A
     with pytest.raises(ValueError):
         block_code_details(F2, [0, 2, 0, 4], 2)  # letter 4 is outside the alphabet
+
+
+def test_block_code_details_raise_at_the_first_offending_block_either_way():
+    with pytest.raises(ValueError, match="out of range") as raised:
+        block_code_details(F2, [0, 4, 2, 3], 2)  # letter 4, then b B
+    assert raised.type is ValueError
+    with pytest.raises(ModelMismatchError, match=r"block \(2, 3\)"):
+        block_code_details(F2, [2, 3, 0, 4], 2)  # b B, then letter 4
+    with pytest.raises(ValueError, match="out of range") as raised:
+        block_code_details(F2, [0, 1, 5], 3)  # a A is null, but the block holds letter 5
+    assert raised.type is ValueError
+
+
+@pytest.mark.parametrize("spec,pi_den,step_den", [(F2, 4, 3), (MIXED, 5, 6)], ids=["f2-markov", "mixed"])
+def test_cylinder_numerators_equal_the_fraction_products(spec, pi_den, step_den):
+    size = spec.alphabet.size
+    for k in range(1, 7):
+        rows = np.array(list(itertools.product(range(size), repeat=k)), dtype=np.int64)
+        nums, den, outside = _cylinder_numerators(spec, rows)
+        assert den == pi_den * step_den ** (k - 1)
+        assert not outside.any()
+        assert all(type(num) is int for num in nums.tolist())
+        for u, num in zip(rows.tolist(), nums.tolist()):
+            assert Fraction(num, den) == fraction_cylinder(spec, u) == cylinder_prob(spec, u)
+        assert sum(nums.tolist()) == den
+        if spec is F2:
+            # every positive context has probability 1 / (4 * 3**(k-1))
+            assert {num for num in nums.tolist() if num} == {1}
+
+
+def test_cylinder_numerators_do_not_overflow():
+    # den = 5 * 6**79 is far past int64
+    rows = np.random.default_rng(4).integers(0, 3, (5, 80))
+    nums, den, _ = _cylinder_numerators(MIXED, rows)
+    assert den == 5 * 6 ** 79
+    for u, num in zip(rows.tolist(), nums.tolist()):
+        assert Fraction(num, den) == fraction_cylinder(MIXED, u) > 0

@@ -101,21 +101,33 @@ def test_emit_name_distribution_is_roughly_uniform():
 @pytest.mark.parametrize("spec, driving", [(Z2, Z2_DRIVING), (F2, F2_DRIVING), (F2, UNIFORM4), (MONOID, BERNOULLI2)])
 def test_emit_name_hashes_each_distinct_coordinate_once(monkeypatch, spec, driving):
     # the floor while name bytes are pinned: one symbol draw per distinct
-    # coordinate, and one chain hash per word coordinate other than the identity
+    # coordinate, each a copy of the one keyed hasher of the call, and one
+    # chain hash per word coordinate other than the identity
     letters = sample_trajectory(driving, 5000, 4).letters
     distinct = visit_record(spec.action_kind, letters).distinct_count
     calls = Counter()
     real = hashlib.blake2b
 
+    class CountingCopies:
+        def __init__(self, hasher):
+            self.hasher = hasher
+
+        def copy(self):
+            calls["draw"] += 1
+            return self.hasher.copy()
+
     def counting(*args, **kwargs):
-        calls["draw" if "key" in kwargs else "chain"] += 1
+        if "key" in kwargs:
+            calls["keyed"] += 1
+            return CountingCopies(real(*args, **kwargs))
+        calls["chain"] += 1
         return real(*args, **kwargs)
 
     monkeypatch.setattr(actions.hashlib, "blake2b", counting)
     assert fiber_module.hashlib.blake2b is counting
     emit_name(spec, letters, seed=3)
     chains = {"z2": 0, "f2": distinct - 1, "free-monoid": len(letters) - 1}[spec.action_kind]
-    assert (calls["draw"], calls["chain"]) == (distinct, chains)
+    assert (calls["keyed"], calls["draw"], calls["chain"]) == (1, distinct, chains)
 
 
 def test_one_pass_draw_equals_the_scalar_inverse_cdf(monkeypatch):
@@ -133,6 +145,12 @@ def test_one_pass_draw_equals_the_scalar_inverse_cdf(monkeypatch):
     real = hashlib.blake2b
 
     class Fixed:
+        def copy(self):
+            return self
+
+        def update(self, data):
+            pass
+
         def digest(self):
             return next(digests)
 

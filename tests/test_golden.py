@@ -19,6 +19,12 @@ The two f2-markov verify-brudno digests were re-recorded when the exact
 entropy became an exact Fraction rounded once: the old float search gave
 7.999999999999786 bits at k = 8, the exact value is 8.  Both f2-markov and
 the free monoid then have rate exactly 1 and equal report bytes.
+
+Report bytes count bits, so they pin codeword lengths but not the
+codewords themselves.  The codeword digests, sha256 of encode(name).bits
+at n = 20003 under the two skewed laws, were recorded before block
+probabilities became integer numerators; they pin every codeword and its
+canonical (length, block) order.
 """
 
 import hashlib
@@ -27,7 +33,16 @@ from fractions import Fraction
 
 import pytest
 
-from fiberlab import Alphabet, MarkovChainSpec, emit_name, sample_trajectory, system_preset
+from fiberlab import (
+    Alphabet,
+    BlockCodebookFamily,
+    FiberSystemSpec,
+    MarkovChainSpec,
+    emit_name,
+    encode,
+    sample_trajectory,
+    system_preset,
+)
 from fiberlab.cli import main
 
 REPORT_DIGESTS = {
@@ -55,6 +70,17 @@ SKEWED_REPORT_DIGESTS = {
     ("verify-brudno", "fifths"): "7fab231c7bb6e96f7120cae594a16b61eb261465d647a15862ba692c7e324db9",
     ("verify-ar", "thirds"): "a8b84d7c0cde2bb5b6b161e5d1009ce6540a9cf46e2397854ccd2f196e93af00",
     ("verify-ar", "fifths"): "c13c65fba3060e6d035702684867d895e23a740010de4e93e587b521905bbcab",
+}
+
+CODEWORD_DIGESTS = {
+    ("thirds", 4, 1): "dfbe2c419bf08cb0b9569fdf4be90beaa65eb43eda16f5b42a58600b16e58a48",
+    ("thirds", 4, 2): "85844a7d506ea9b7c624b6df6cc45d18b6b4aa0b4e5717cc25a0706cca2a080b",
+    ("thirds", 5, 1): "f652ae12fb1abe0088bbdf3f015befa996224713317451b9987b49c3895972fd",
+    ("thirds", 5, 2): "6fff0e52040b1f0511e76f3662d80c40fbe2a8e57bf0a1eead7d97ea0a1f8af7",
+    ("fifths", 4, 1): "27272a70ed520a0491200116298b33518cdcfabd789bd597dc4c972f298c5e50",
+    ("fifths", 4, 2): "47588025e5396be78d3f65057331ceafde8be2c0e2e0a8f54b88113810fca456",
+    ("fifths", 5, 1): "a354301c36994f16c1cd970bea373a621ba01e44607d7a072389a6cb413acf12",
+    ("fifths", 5, 2): "c701188e73079e6426ff85e12507ca8491a58359a59e2864595bba298caf727d",
 }
 
 NAME_DIGESTS = {
@@ -125,6 +151,16 @@ def test_f2_markov_brudno_reports_equal_the_free_monoid_ones(tmp_path):
         (tmp_path / preset).mkdir()
         digests.append(run_digest(tmp_path / preset, "verify-brudno", preset, 20_000))
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("law,k,seed", sorted(CODEWORD_DIGESTS))
+def test_skewed_codeword_bits_are_unchanged(law, k, seed):
+    p = SKEWED_LAWS[law]
+    fiber = FiberSystemSpec("z2", Alphabet(tuple(str(s) for s in range(len(p)))), tuple(Fraction(x) for x in p))
+    driving, _ = system_preset("z2-uniform")
+    name = emit_name(fiber, sample_trajectory(driving, 20_003, seed), seed)
+    bits = encode(name, BlockCodebookFamily(k, fiber, driving)).bits
+    assert hashlib.sha256(bits.encode()).hexdigest() == CODEWORD_DIGESTS[law, k, seed]
 
 
 @pytest.mark.parametrize("kind,seed", sorted(NAME_DIGESTS))

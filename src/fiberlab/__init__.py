@@ -1,6 +1,8 @@
 """fiberlab: exact fiber entropies and code-length complexity estimates
 for randomly driven symbolic systems."""
 
+from types import ModuleType as _ModuleType
+
 from .actions import (
     ACTION_KINDS,
     VisitRecord,
@@ -46,11 +48,10 @@ from .fiber import (
     emit_name,
     exact_averaged_entropy,
     information_function,
-    smb_convergence,
 )
 from .kraft import BinaryCodebook, canonical_kraft_code, kraft_sum, shannon_length
 from .words import Alphabet, Word, enumerate_word, is_prefix_free
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -3,7 +3,7 @@
 Subcommands: verify-brudno, verify-ar, entropy, range, simulate.  Exit
 codes: 0 on success, 1 when an asserted inequality or tolerance fails
 (reports are still written), 2 on any library error (bad configuration,
-model mismatch, resource cap), reported as one line on stderr.
+model mismatch, resource cap, unwritable report) as one stderr line.
 Reports are deterministic functions of (config, seeds); the env var
 FIBERLAB_MAX_CELLS > 1 runs independent grid cells in worker processes
 without changing any output byte.
@@ -70,10 +70,11 @@ def _write_summary(config: ExperimentConfig, stem: str, summary: dict) -> Path:
 
 
 def _max_cells() -> int:
+    value = os.environ.get("FIBERLAB_MAX_CELLS", "1")
     try:
-        return max(1, int(os.environ.get("FIBERLAB_MAX_CELLS", "1")))
+        return max(1, int(value))
     except ValueError:
-        return 1
+        raise ConfigError(f"FIBERLAB_MAX_CELLS must be an integer, not {value!r}") from None
 
 
 def _map_cells(worker, cells):
@@ -245,13 +246,13 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; every library error ends as one stderr line and exit 2."""
+    """Run one subcommand; every library or report-writing error ends as one stderr line and exit 2."""
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](_config_from_args(args))
     except ConfigError as exc:
         print(f"fiberlab: configuration error: {exc}", file=sys.stderr)
-    except (ValueError, ResourceLimitError, OverflowError) as exc:
+    except (ValueError, ResourceLimitError, OverflowError, OSError) as exc:
         print(f"fiberlab: {exc}", file=sys.stderr)
     return 2
 

@@ -61,7 +61,7 @@ from .driving import (
     MarkovChainSpec,
     _block_table,
     _letters_of,
-    _sum_in_block_order,
+    _sequential_sum,
     block_code_details,
     sample_trajectory,
 )
@@ -85,8 +85,7 @@ class _CountCode:
     __slots__ = ("words", "lengths", "log2mu", "numerators", "den", "decode_map", "lengths_sorted")
 
     def __init__(self, spec: FiberSystemSpec, d: int):
-        p_den = math.lcm(*(q.denominator for q in spec.p))
-        p_nums = [q.numerator * (p_den // q.denominator) for q in spec.p]
+        p_nums, p_den = spec._p_numerators
         # prefix products: appending a symbol as the least significant digit keeps rank order
         nums = [1]
         for _ in range(d):
@@ -143,8 +142,8 @@ class BlockCodebookFamily:
         self.fiber_spec = fiber_spec
         self.driving_spec = driving_spec
         self.fiber_bits = (fiber_spec.fiber_alphabet.size - 1).bit_length()
-        self._starts = np.array([x != 0 for x in driving_spec.pi], dtype=bool)
-        self._moves = np.array([[x != 0 for x in row] for row in driving_spec.Pi], dtype=bool)
+        self._starts = driving_spec._pi_numerators[0] != 0
+        self._moves = driving_spec._Pi_numerators[0] != 0
         self._count_codes: dict[int, _CountCode] = {}
 
     def _codes(self, rows: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -381,13 +380,6 @@ def pair_counts(alpha, omega, k: int, stride: str = "block", m: int | None = Non
     return counts, m
 
 
-def pair_frequencies(alpha, omega, k: int, stride: str = "block", m: int | None = None) -> dict:
-    counts, m = pair_counts(alpha, omega, k, stride, m)
-    if m == 0:
-        raise ValueError("horizon too short for a single window")
-    return {pair: c / m for pair, c in counts.items()}
-
-
 @dataclass(frozen=True)
 class EstimatorReport:
     """Per-run record of coded, empirical and exact per-symbol rates."""
@@ -437,9 +429,7 @@ def _conditional(name: OrbitName, family: BlockCodebookFamily, exact):
     cross = None
     eq15_ok = None
     if m >= 1:
-        log2mu = family._read(counts, ranks, "log2mu")
-        # subtract counts times log2 mu pair by pair from 0.0; np.cumsum adds sequentially
-        cross = float(np.cumsum(np.concatenate(([0.0], -(table.counts * log2mu))))[-1]) / (m * k)
+        cross = _sequential_sum(-(table.counts * family._read(counts, ranks, "log2mu"))) / (m * k)
         eq15_ok = code_rate <= cross + 1.0 / k + tail_bits / n + _TOL
 
     info_rate = None
@@ -558,7 +548,7 @@ def ar_decomposition_check(
     ideals = -family._read(counts, ranks, "log2mu") - log2nu[contexts]
     pair_raw = (driving_spec.alphabet.size * fiber_spec.fiber_alphabet.size - 1).bit_length()
     joint_total = int(table.counts @ np.array(lengths, dtype=np.int64)) + (n - plain.m * k) * pair_raw
-    joint_ideal = _sum_in_block_order(ideals, table.index)
+    joint_ideal = _sequential_sum(ideals[table.index])
 
     return ArDecompositionReport(
         n=n,

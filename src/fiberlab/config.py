@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -73,8 +74,8 @@ class ExperimentConfig:
                 raise ConfigError("seeds must be 64-bit unsigned integers")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
-        if self.tolerance < 0:
-            raise ConfigError("tolerance must be nonnegative")
+        if not self.tolerance >= 0:  # NaN fails every comparison
+            raise ConfigError("tolerance must be a nonnegative number")
         try:
             check_driving_size(self.fiber.action_kind, self.driving.alphabet.size)
         except ValueError as exc:
@@ -104,7 +105,7 @@ def _spec_pair(data: dict) -> tuple[MarkovChainSpec, FiberSystemSpec]:
         fiber = FiberSystemSpec.from_dict(fiber)
     elif fiber is None:
         fiber = base_fiber
-    elif fiber is not None:
+    else:
         raise ConfigError("fiber must be a spec object")
     if driving is None or fiber is None:
         raise ConfigError("config must name a preset or give both driving and fiber specs")
@@ -124,9 +125,10 @@ def load_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
         return ExperimentConfig(
             driving=driving,
             fiber=fiber,
-            horizons=tuple(int(n) for n in merged.get("horizons", (5000,))),
-            block_lengths=tuple(int(k) for k in merged.get("block_lengths", (4,))),
-            seeds=tuple(int(s) for s in merged.get("seeds", (1, 2))),
+            # operator.index refuses a float or string where int() would truncate or parse it
+            horizons=tuple(operator.index(n) for n in merged.get("horizons", (5000,))),
+            block_lengths=tuple(operator.index(k) for k in merged.get("block_lengths", (4,))),
+            seeds=tuple(operator.index(s) for s in merged.get("seeds", (1, 2))),
             out=Path(merged.get("out", "fiberlab-reports")),
             format=str(merged.get("format", "csv")),
             tolerance=float(merged.get("tolerance", 0.1)),

@@ -13,12 +13,13 @@ on its letters alone, so they work from _block_table: the distinct blocks
 in first-occurrence order and each block's index into them.  Per-block
 sums are then taken in block order, as a block-by-block loop takes them.
 
-The cylinder probabilities of k-blocks share one denominator,
-den(pi) * lcm(den Pi)**(k-1), so a table of blocks is scored as integer
-numerators over it (_cylinder_numerators), in Python ints that cannot
-overflow; cylinder_prob is the one-row case.  A Shannon length is read off
-the bit lengths of numerator and denominator, and an ideal length is
-log2(num / den), which equals log2 of the Fraction's float because int
+Each law's integer numerators over its least common denominator are
+cached on its spec.  The cylinder probabilities of k-blocks share one
+denominator, den(pi) * lcm(den Pi)**(k-1), so a table of blocks is scored
+as integer numerators over it (_cylinder_numerators), in Python ints that
+cannot overflow; cylinder_prob is the one-row case.  A Shannon length is
+read off the bit lengths of numerator and denominator, and an ideal length
+is log2(num / den), which equals log2 of the Fraction's float because int
 division is correctly rounded.
 
 The Markov sampler steps a transition table: the next letter depends on a
@@ -34,6 +35,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -61,6 +63,12 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, (float, np.floating)):
         return Fraction(float(x))
     raise ValueError(f"cannot interpret {x!r} as a probability")
+
+
+def _over_lcm(probs) -> tuple[np.ndarray, int]:
+    """Exact probabilities as Python-int numerators, in an object array, over their lcm denominator."""
+    den = math.lcm(*(x.denominator for x in probs))
+    return np.array([x.numerator * (den // x.denominator) for x in probs], dtype=object), den
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,16 @@ class MarkovChainSpec:
             if sum(row) != 1:
                 raise ValueError(f"row {i} of Pi must sum to exactly 1{_EXACT_HINT}")
 
+    @cached_property
+    def _pi_numerators(self) -> tuple[np.ndarray, int]:
+        return _over_lcm(self.pi)
+
+    @cached_property
+    def _Pi_numerators(self) -> tuple[np.ndarray, int]:
+        """Pi[a][b] = nums[a, b] / den, with den the lcm of every row's denominators."""
+        nums, den = _over_lcm([x for row in self.Pi for x in row])
+        return nums.reshape(len(self.Pi), -1), den
+
     @classmethod
     def bernoulli(cls, alphabet: Alphabet, p: Sequence) -> "MarkovChainSpec":
         p = tuple(_as_fraction(x) for x in p)
@@ -100,13 +118,6 @@ class MarkovChainSpec:
     def from_dict(cls, data: dict) -> "MarkovChainSpec":
         alphabet = Alphabet(tuple(data["alphabet"]))
         return cls(alphabet, tuple(data["pi"]), tuple(tuple(row) for row in data["Pi"]))
-
-    def to_dict(self) -> dict:
-        return {
-            "alphabet": list(self.alphabet.symbols),
-            "pi": [str(x) for x in self.pi],
-            "Pi": [[str(x) for x in row] for row in self.Pi],
-        }
 
 
 def driving_preset(name: str) -> MarkovChainSpec:
@@ -148,13 +159,10 @@ def _cylinder_numerators(spec: MarkovChainSpec, rows: np.ndarray) -> tuple[np.nd
     numerators are Python ints in an object array, products of the integer
     numerators of pi and Pi, so none can overflow.
     """
-    s = spec.alphabet.size
-    outside = ((rows < 0) | (rows >= s)).any(axis=1)
+    starts, pi_den = spec._pi_numerators
+    steps, step_den = spec._Pi_numerators
+    outside = ((rows < 0) | (rows >= len(starts))).any(axis=1)
     rows = np.where(outside[:, None], 0, rows)  # index safely; outside rows are flagged
-    pi_den = math.lcm(*(x.denominator for x in spec.pi))
-    step_den = math.lcm(*(x.denominator for row in spec.Pi for x in row))
-    starts = np.array([x.numerator * (pi_den // x.denominator) for x in spec.pi], dtype=object)
-    steps = np.array([[x.numerator * (step_den // x.denominator) for x in row] for row in spec.Pi], dtype=object)
     nums = starts[rows[:, 0]]
     for j in range(1, rows.shape[1]):
         nums = nums * steps[rows[:, j - 1], rows[:, j]]
@@ -333,12 +341,12 @@ def _block_table(words, k: int, hop: int, m: int) -> _BlockTable:
     return _BlockTable(rows[first[order]], rank[inverse], counts[order], first[order])
 
 
-def _sum_in_block_order(per_row, index: np.ndarray) -> float:
-    """Sum per_row[index] left to right from 0.0, as a block-by-block loop does.
+def _sequential_sum(values) -> float:
+    """Sum values left to right from 0.0, as a block-by-block loop does.
 
     np.cumsum adds sequentially; np.sum adds pairwise and rounds otherwise.
     """
-    return float(np.cumsum(np.concatenate(([0.0], np.asarray(per_row, dtype=float)[index])))[-1])
+    return float(np.cumsum(np.concatenate(([0.0], np.asarray(values, dtype=float))))[-1])
 
 
 class PlainBlockCode(NamedTuple):
@@ -382,7 +390,7 @@ def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockC
         raise ModelMismatchError(f"block {tuple(table.rows[r].tolist())} has zero probability under the chain")
     nums_list = nums.tolist()
     total = sum(c * _shannon_bits(num, den) for c, num in zip(table.counts.tolist(), nums_list))
-    ideal = _sum_in_block_order([-math.log2(num / den) for num in nums_list], table.index)
+    ideal = _sequential_sum(np.array([-math.log2(num / den) for num in nums_list])[table.index])
     raw = (spec.alphabet.size - 1).bit_length()
     tail_bits = (n - m * k) * raw
     return PlainBlockCode(total + tail_bits, ideal, m, tail_bits, table, nums, den)

@@ -1,4 +1,5 @@
-"""Randomly driven symbolic fibers.
+"""Randomly driven symbolic fibers: orbit names, their information, and
+the exact averaged entropy they are checked against.
 
 A fiber system pairs a coordinate action with a product (per-coordinate
 i.i.d.) symbol distribution on a fiber alphabet.  Configurations are
@@ -10,8 +11,8 @@ is -log2 p summed over them, and the averaged entropy is the expected
 number of distinct coordinates times H(p).  That expectation is an exact
 Fraction, found by a backward taboo recursion over the driving chain (the
 range of a random walk) rather than by listing driving words; the full
-(u, v) enumeration is kept as an independent oracle.  Exact rational
-values back the small-block code constructions.
+(u, v) enumeration is kept as an independent oracle.  Sampled names are
+compared with the exact rates by the coders (coding.conditional_rate).
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
 from .actions import ACTION_KINDS, INVERSE, LAWS, check_driving_size, walk
 from .driving import _EXACT_HINT, MarkovChainSpec, _as_fraction, _cumulative, _letters_of, cylinder_prob
+from .driving import _over_lcm
 from .errors import InfiniteInformationError, ResourceLimitError
 from .words import Alphabet
 
@@ -56,16 +58,13 @@ class FiberSystemSpec:
         if sum(p) != 1:
             raise ValueError(f"p must sum to exactly 1{_EXACT_HINT}")
 
+    @cached_property
+    def _p_numerators(self) -> tuple[np.ndarray, int]:
+        return _over_lcm(self.p)
+
     @classmethod
     def from_dict(cls, data: dict) -> "FiberSystemSpec":
         return cls(data["action"], Alphabet(tuple(data["fiber_alphabet"])), tuple(data["p"]))
-
-    def to_dict(self) -> dict:
-        return {
-            "action": self.action_kind,
-            "fiber_alphabet": list(self.fiber_alphabet.symbols),
-            "p": [str(x) for x in self.p],
-        }
 
     def symbol_entropy(self) -> float:
         """Shannon entropy of the per-coordinate distribution, in bits."""
@@ -218,9 +217,9 @@ def _expected_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Frac
         return Fraction(n)
     identity, step, key = LAWS[kind]
     size = driving_spec.alphabet.size
-    scale = math.lcm(*(q.denominator for row in driving_spec.Pi for q in row))
+    steps, scale = driving_spec._Pi_numerators
     # before[a] lists each letter b that may precede a, with scale * Pi[b][a]
-    before = [[(b, int(row[a] * scale)) for b, row in enumerate(driving_spec.Pi) if row[a]] for a in range(size)]
+    before = [[(b, t) for b, t in enumerate(steps[:, a].tolist()) if t] for a in range(size)]
     origin = key(identity)
     # where: key of h -> h; weights: (key of h, a) -> weight; both at level m
     where = {}
@@ -311,74 +310,3 @@ def exact_averaged_entropy(
     else:
         raise ValueError(f"unknown method {method!r}")
     return ExactAveragedEntropy(n, bits)
-
-
-@dataclass(frozen=True)
-class SmbRow:
-    seed: int
-    horizon: int
-    information_bits: float
-
-    @property
-    def rate(self) -> float:
-        return self.information_bits / self.horizon
-
-
-@dataclass(frozen=True)
-class SmbReport:
-    """Per-seed information rates at checkpoints, with the exact curve."""
-
-    rows: list
-    exact_curve: list
-
-    def csv_rows(self):
-        exact = dict(self.exact_curve)
-        for row in self.rows:
-            yield {
-                "n": row.horizon,
-                "J_n": row.information_bits,
-                "J_n_over_n": row.rate,
-                "exact_h_n": exact.get(row.horizon, ""),
-                "seed": row.seed,
-            }
-
-
-def information_curve(spec: FiberSystemSpec, alpha, seed: int, checkpoints) -> list[SmbRow]:
-    """Information of the sampled orbit name at the given horizons."""
-    name = emit_name(spec, alpha, seed)
-    n = len(name)
-    cps = sorted({int(c) for c in checkpoints if 1 <= int(c) <= n})
-    bits = np.cumsum(np.where(name.first == np.arange(n), -_log2p(spec)[name.letters], 0.0))
-    return [SmbRow(seed, c, float(bits[c - 1])) for c in cps]
-
-
-def smb_convergence(
-    spec: FiberSystemSpec,
-    driving_spec: MarkovChainSpec,
-    n: int,
-    seeds: Sequence[int],
-    checkpoints=None,
-) -> SmbReport:
-    """Sampled per-symbol information rates against the exact entropy curve.
-
-    For each seed one trajectory and one configuration are sampled and
-    J/n is reported at logarithmically spaced horizons.  Horizons that
-    exact_averaged_entropy accepts (ENUMERATION_CAP decides) also get the
-    exact rate for comparison.
-    """
-    from .actions import default_checkpoints
-    from .driving import sample_trajectory
-
-    if checkpoints is None:
-        checkpoints = default_checkpoints(n)
-    rows = []
-    for seed in seeds:
-        trajectory = sample_trajectory(driving_spec, n, seed)
-        rows.extend(information_curve(spec, trajectory, seed, checkpoints))
-    exact_curve = []
-    for c in sorted({int(c) for c in checkpoints if 1 <= int(c) <= n}):
-        try:
-            exact_curve.append((c, exact_averaged_entropy(spec, driving_spec, c).rate))
-        except ResourceLimitError:
-            pass
-    return SmbReport(rows, exact_curve)

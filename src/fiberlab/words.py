@@ -67,17 +67,6 @@ class Word:
         return iter(self.letters)
 
 
-def is_prefix(v: Word, w: Word) -> bool:
-    """Whether v is a (not necessarily proper) prefix of w.
-
-    The empty word is a prefix of every word.  Raises ValueError when the
-    two words live over different alphabets.
-    """
-    if v.alphabet != w.alphabet:
-        raise ValueError("words must share an alphabet")
-    return len(v) <= len(w) and w.letters[: len(v)] == v.letters
-
-
 def _as_letter_sequences(words) -> list[tuple]:
     seqs = []
     alphabet = None

@@ -41,6 +41,15 @@ def test_load_config_validation():
         load_config({**base, "format": "xml"})
     with pytest.raises(ConfigError):
         load_config({})
+    # values that int() or a < 0 check would silently bend
+    with pytest.raises(ConfigError):
+        load_config({**base, "tolerance": float("nan")})
+    with pytest.raises(ConfigError):
+        load_config({**base, "seeds": [1.5]})
+    with pytest.raises(ConfigError):
+        load_config({**base, "horizons": [2.7]})
+    config = load_config(json.loads('{"preset": "z2-uniform", "horizons": [100], "block_lengths": [2], "seeds": [3]}'))
+    assert (config.horizons, config.block_lengths, config.seeds) == ((100,), (2,), (3,))
 
 
 def test_cli_requires_preset_or_config(capsys):
@@ -169,11 +178,17 @@ NON_STATIONARY = {
 }
 
 
-@pytest.mark.parametrize("case", ["range-n-0", "non-stationary"])
-def test_cli_library_errors_exit_2_with_one_line(tmp_path, capsys, case):
+@pytest.mark.parametrize("case", ["range-n-0", "non-stationary", "out-under-a-file", "max-cells-not-an-integer"])
+def test_cli_library_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, case):
     out = str(tmp_path / "reports")
     if case == "range-n-0":
         args = ["range", "--preset", "z2-uniform", "--n", "0", "--seed", "1", "--out", out]
+    elif case == "out-under-a-file":
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        args = ["entropy", "--preset", "z2-uniform", "--k", "3", "--out", str(tmp_path / "file" / "sub")]
+    elif case == "max-cells-not-an-integer":
+        monkeypatch.setenv("FIBERLAB_MAX_CELLS", "three")
+        args = ["verify-brudno", "--preset", "z2-uniform", "--n", "100", "--k", "2", "--seed", "1", "--out", out]
     else:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**NON_STATIONARY, "out": out}), encoding="utf-8")

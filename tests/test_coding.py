@@ -34,7 +34,7 @@ from fiberlab import (
     walk,
 )
 from fiberlab import coding, driving, fiber as fiber_module
-from fiberlab.coding import _patterns, build_codebooks, pair_frequencies
+from fiberlab.coding import _patterns, build_codebooks
 from fiberlab.fiber import conditional_cylinder_fraction
 
 BINARY = Alphabet(("0", "1"))
@@ -173,8 +173,6 @@ def test_pair_counts_constant_sequences():
 def test_pair_counts_validates_horizon():
     with pytest.raises(ValueError):
         pair_counts([0, 1], [0, 1], 2, "block", m=2)
-    with pytest.raises(ValueError):
-        pair_frequencies([], [], 1)
 
 
 def shifted_block_counts(alpha, omega, k, m):
@@ -209,13 +207,13 @@ def test_pair_frequencies_converge_to_product_measure():
     n = 2 * 10 ** 5
     trajectory = sample_trajectory(BERNOULLI2, n, 6)
     name = emit_name(MONOID, trajectory, seed=6)
-    freqs = pair_frequencies(trajectory.letters, name.letters, 2, "block")
-    m = n // 2
+    counts, m = pair_counts(trajectory.letters, name.letters, 2, "block")
+    assert m == n // 2
     for u in itertools.product(range(2), repeat=2):
         for v in itertools.product(range(2), repeat=2):
             expected = 1 / 16
             se = math.sqrt(expected * (1 - expected) / m)
-            assert abs(freqs.get((u, v), 0.0) - expected) <= 3 * se
+            assert abs(counts[u, v] / m - expected) <= 3 * se
 
 
 def test_empirical_cross_entropy_identities():

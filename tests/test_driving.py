@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 
 from fiberlab import (
     Alphabet,
+    FiberSystemSpec,
     MarkovChainSpec,
     ModelMismatchError,
     Word,
@@ -343,3 +345,22 @@ def test_cylinder_numerators_do_not_overflow():
     assert den == 5 * 6 ** 79
     for u, num in zip(rows.tolist(), nums.tolist()):
         assert Fraction(num, den) == fraction_cylinder(MIXED, u) > 0
+
+
+@pytest.mark.parametrize(
+    "spec", [MIXED, SKEWED3, FiberSystemSpec("z2", Alphabet(("0", "1", "2")), ("1/6", "1/3", "1/2"))]
+)
+def test_integer_forms_are_derived_once_outside_the_spec_value(spec):
+    fresh = pickle.loads(pickle.dumps(spec))
+    before = (repr(spec), hash(spec))
+    names = ["_p_numerators"] if isinstance(spec, FiberSystemSpec) else ["_pi_numerators", "_Pi_numerators"]
+    for name in names:
+        assert getattr(spec, name) is getattr(spec, name)
+    # the cached forms are no fields: equality, hashing and repr are unchanged, and a
+    # spec pickled with its cache filled unpickles equal, with the same numerators
+    assert (repr(spec), hash(spec)) == before and spec == fresh
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == fresh and hash(copy) == hash(fresh)
+    for name in names:
+        nums, den = getattr(copy, name)
+        assert den == getattr(fresh, name)[1] and nums.tolist() == getattr(fresh, name)[0].tolist()

@@ -20,7 +20,6 @@ from fiberlab import (
     exact_averaged_entropy,
     information_function,
     sample_trajectory,
-    smb_convergence,
     system_preset,
     visit_record,
     walk,
@@ -313,44 +312,3 @@ def test_exact_averaged_entropy_enforces_caps():
         exact_averaged_entropy(Z2, Z2_DRIVING, 13)
     with pytest.raises(ResourceLimitError):
         exact_averaged_entropy(Z2, Z2_DRIVING, 9, method="enumerate")
-
-
-def test_smb_convergence_free_monoid_is_identically_one():
-    report = smb_convergence(MONOID, BERNOULLI2, 2000, seeds=[1, 2], checkpoints=[10, 100, 2000])
-    assert all(row.rate == 1.0 for row in report.rows)
-    assert dict(report.exact_curve)[10] == pytest.approx(1.0)
-
-
-def test_smb_convergence_z2_matches_visit_record():
-    n = 5000
-    checkpoints = [10, 100, 1000, 5000]
-    report = smb_convergence(Z2, Z2_DRIVING, n, seeds=[4], checkpoints=checkpoints)
-    letters = sample_trajectory(Z2_DRIVING, n, 4).letters
-    record = visit_record("z2", letters)
-    for row in report.rows:
-        assert row.information_bits == float(record.distinct_counts[row.horizon - 1])
-    # pathwise ratios fluctuate at tiny n; decrease sets in by n = 100 here
-    rates = [row.rate for row in report.rows if row.horizon >= 100]
-    assert rates == sorted(rates, reverse=True)
-
-
-def test_smb_convergence_exact_curve_stops_at_the_enumeration_cap():
-    report = smb_convergence(Z2, Z2_DRIVING, 13, seeds=[1], checkpoints=[12, 13])
-    rows = list(report.csv_rows())
-    # 4**12 driving words is the enumeration cap, 4**13 lies past it
-    assert rows[0]["n"] == 12 and rows[0]["exact_h_n"] == exact_averaged_entropy(Z2, Z2_DRIVING, 12).rate
-    assert rows[1]["n"] == 13 and rows[1]["exact_h_n"] == ""
-
-
-def test_smb_convergence_omits_zero_horizon():
-    report = smb_convergence(MONOID, BERNOULLI2, 100, seeds=[1], checkpoints=[0, 10])
-    assert [row.horizon for row in report.rows] == [10]
-
-
-def test_smb_report_csv_row_schema():
-    report = smb_convergence(Z2, Z2_DRIVING, 100, seeds=[1], checkpoints=[5, 100])
-    rows = list(report.csv_rows())
-    assert [sorted(r) for r in rows] == [sorted(("n", "J_n", "J_n_over_n", "exact_h_n", "seed"))] * 2
-    assert rows[0]["n"] == 5 and rows[0]["seed"] == 1
-    assert rows[0]["exact_h_n"] != ""  # horizons under the cap carry the exact rate
-    assert rows[1]["exact_h_n"] == ""  # 4**100 driving words are not enumerable

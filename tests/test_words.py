@@ -15,7 +15,6 @@ from fiberlab import (
     kraft_sum,
     shannon_length,
 )
-from fiberlab.words import is_prefix
 
 BINARY = Alphabet(("0", "1"))
 
@@ -30,19 +29,6 @@ def test_alphabet_rejects_duplicates_and_empty():
 def test_word_rejects_out_of_range_letters():
     with pytest.raises(ValueError):
         Word(BINARY, (0, 2))
-
-
-def test_is_prefix_definition_cases():
-    w = Word.from_symbols(BINARY, "0110")
-    assert is_prefix(Word.from_symbols(BINARY, "01"), w)
-    assert is_prefix(Word(BINARY), Word.from_symbols(BINARY, "0"))
-    assert not is_prefix(Word.from_symbols(BINARY, "10"), w)
-
-
-def test_is_prefix_rejects_mismatched_alphabets():
-    other = Alphabet(("x", "y"))
-    with pytest.raises(ValueError):
-        is_prefix(Word(BINARY, (0,)), Word(other, (0,)))
 
 
 def test_is_prefix_free_cases():

@@ -2,13 +2,16 @@
 
 For product fiber measures the inner sum over fiber words collapses to
 (distinct coordinates) * H(p).  The fast path takes the expected number
-of distinct coordinates as an exact fraction from a backward taboo
-recursion over the driving chain, with no driving word listed, and rounds
-it once; the full double enumeration over (u, v) pairs is kept as an
-independent oracle and agrees to 1e-9.  The
-per-symbol rate H_n / n is nonincreasing and its limit is the fiber
+of distinct coordinates as an exact fraction, with no driving word listed,
+and rounds it once: it is n where no coordinate repeats (the free monoid,
+and f2 under the no-backtracking chain), and for z2 under i.i.d. steps it
+comes from the range identity E[R_n] = sum_{i<n} P(no return by step i),
+with first returns from the renewal equation.  The full double enumeration
+over (u, v) pairs is kept as an independent oracle and agrees to 1e-9.
+The per-symbol rate H_n / n is nonincreasing and its limit is the fiber
 entropy of the system: log2 |fiber| for the never-revisiting actions,
-zero for the lattice walk.
+zero for the lattice walk.  The z2 rates at n = 10, 100 and 1000 fall
+toward 0 slowly: E[R_n] is asymptotic to pi n / log n (Dvoretzky-Erdos).
 """
 
 from fiberlab import exact_averaged_entropy, system_preset
@@ -31,3 +34,7 @@ for n in (3, 5, 7):
     oracle = exact_averaged_entropy(fiber, driving, n, method="enumerate").bits
     print(f"z2 H_{n}: fast path {fast:.9f}, full (u, v) enumeration {oracle:.9f}")
 print("at n = 3 the value is exactly 2.75 bits: the origin is revisited with probability 1/4")
+
+print()
+for n in (10, 100, 1000):
+    print(f"z2 H_{n} / {n} = {exact_averaged_entropy(fiber, driving, n).rate:.6f}  (renewal identity)")

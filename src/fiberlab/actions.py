@@ -26,7 +26,7 @@ monoid chains one key per step (its prefixes never repeat), and f2 numbers
 the tree nodes it meets, so a key is hashed only at a new node.
 
 LAWS steps one coordinate at a time; the backward taboo recursion of
-fiber._expected_distinct uses it, and the tests keep the generic walk
+fiber._taboo_distinct uses it, and the tests keep the generic walk
 over LAWS as the oracle the kernels must equal.
 """
 

@@ -468,7 +468,7 @@ def conditional_rate(name: OrbitName, family: BlockCodebookFamily, exact="auto")
     bound, the blockwise cross-entropy bound
     code_rate <= H_hat/k + 1/k + tail/n, and the information-function
     floor code_rate >= J/n - 2 log2(n)/n.  exact may be "auto" (compute
-    the exact rate unless its enumeration exceeds the enumeration cap),
+    the exact rate unless exact_averaged_entropy refuses k past its cap),
     None, or a precomputed float.  The bits are counted, not written: they
     equal len(encode(name, family).bits).
     """

@@ -112,6 +112,19 @@ def _spec_pair(data: dict) -> tuple[MarkovChainSpec, FiberSystemSpec]:
     return driving, fiber
 
 
+def _not_boolean(key: str, value):
+    # JSON true and false load as bool, a subclass of int that float() and
+    # operator.index would read as 1 and 0
+    if isinstance(value, bool):
+        raise ConfigError(f"{key}: {str(value).lower()} is a boolean, not a number")
+    return value
+
+
+def _integers(merged: dict, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
+    # operator.index refuses a float or string where int() would truncate or parse it
+    return tuple(operator.index(_not_boolean(key, x)) for x in merged.get(key, default))
+
+
 def load_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Build a validated config from a JSON document plus CLI overrides."""
     if not isinstance(data, dict):
@@ -125,13 +138,12 @@ def load_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
         return ExperimentConfig(
             driving=driving,
             fiber=fiber,
-            # operator.index refuses a float or string where int() would truncate or parse it
-            horizons=tuple(operator.index(n) for n in merged.get("horizons", (5000,))),
-            block_lengths=tuple(operator.index(k) for k in merged.get("block_lengths", (4,))),
-            seeds=tuple(operator.index(s) for s in merged.get("seeds", (1, 2))),
+            horizons=_integers(merged, "horizons", (5000,)),
+            block_lengths=_integers(merged, "block_lengths", (4,)),
+            seeds=_integers(merged, "seeds", (1, 2)),
             out=Path(merged.get("out", "fiberlab-reports")),
             format=str(merged.get("format", "csv")),
-            tolerance=float(merged.get("tolerance", 0.1)),
+            tolerance=float(_not_boolean("tolerance", merged.get("tolerance", 0.1))),
         )
     except ConfigError:
         raise

@@ -8,9 +8,12 @@ coordinate is a deterministic keyed hash of (seed, canonical coordinate
 key).  An orbit name is fixed by its symbols at the first visits of its
 driving walk, so only first visits are hashed, the information function
 is -log2 p summed over them, and the averaged entropy is the expected
-number of distinct coordinates times H(p).  That expectation is an exact
-Fraction, found by a backward taboo recursion over the driving chain (the
-range of a random walk) rather than by listing driving words; the full
+number of distinct coordinates times H(p).  That expectation (the range of
+a random walk) is an exact Fraction, found without listing driving words
+by one of three paths chosen from the input: exactly n where no
+coordinate can repeat (the free monoid, and f2 under a chain that never
+steps to an inverse), the renewal identity for z2 under i.i.d. steps, and
+a backward taboo recursion over the driving chain otherwise.  The full
 (u, v) enumeration is kept as an independent oracle.  Sampled names are
 compared with the exact rates by the coders (coding.conditional_rate).
 """
@@ -197,8 +200,98 @@ class ExactAveragedEntropy:
         return self.bits / self.n
 
 
+def _range_path(driving_spec: MarkovChainSpec, kind: str) -> str:
+    """The exact path _expected_distinct takes: "linear", "renewal" or "taboo".
+
+    linear: no coordinate can repeat, on the free monoid and on f2 under a
+    chain that never steps from a letter to its inverse (every positive
+    driving word is then reduced).  renewal: z2 under i.i.d. steps, every
+    row of Pi equal to pi.  taboo: everything else.
+    """
+    if kind == "free-monoid":
+        return "linear"
+    Pi = driving_spec.Pi
+    if kind == "f2" and all(row[INVERSE[a]] == 0 for a, row in enumerate(Pi)):
+        return "linear"
+    if kind == "z2" and all(row == driving_spec.pi for row in Pi):
+        return "renewal"
+    return "taboo"
+
+
 def _expected_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Fraction:
     """Exact expected number of distinct coordinates among c_0 .. c_{n-1}.
+
+    Dispatches on _range_path: n itself where nothing repeats, the renewal
+    identity of _renewal_distinct for z2 under i.i.d. steps (O(n**2)
+    integer products), and the taboo recursion of _taboo_distinct otherwise.
+    """
+    path = _range_path(driving_spec, kind)
+    if path == "linear":
+        return Fraction(n)
+    if path == "renewal":
+        return _renewal_distinct(driving_spec, n)
+    return _taboo_distinct(driving_spec, kind, n)
+
+
+def _return_numerators(driving_spec: MarkovChainSpec, half: int) -> list[int]:
+    """U_{2h} = u_{2h} * den**(2h) for h = 0 .. half, with den = lcm(den pi).
+
+    u_m = P(S_m = 0) for the z2 walk of i.i.d. steps of law pi is the
+    constant term of (p0 x + p1/x + p2 y + p3/y)**m, zero for odd m, so
+    U_{2h} = C(2h, h) * g_h with g_h = sum_a C(h, a)**2 X**a Y**(h-a),
+    X = n0 n1 and Y = n2 n3 the products of the integer numerators of
+    opposite steps.  g_h is a scaled Legendre polynomial, so it obeys
+    (h+1) g_{h+1} = (2h+1)(X+Y) g_h - h (Y-X)**2 g_{h-1}, whose division is
+    exact; the tests compare it with the sum.
+    """
+    nums, _ = driving_spec._pi_numerators
+    x, y = nums[0] * nums[1], nums[2] * nums[3]
+    g = [1, x + y]
+    for h in range(1, half):
+        g.append(((2 * h + 1) * (x + y) * g[h] - h * (y - x) ** 2 * g[h - 1]) // (h + 1))
+    return [math.comb(2 * h, h) * g[h] for h in range(half + 1)]
+
+
+def _survival_numerators(driving_spec: MarkovChainSpec, n: int) -> tuple[list[int], int]:
+    """S_i = P(T_0 > i) * den**i for i = 0 .. n-1, and den = lcm(den pi).
+
+    T_0 is the first return time to the origin of the z2 walk of i.i.d.
+    steps of law pi.  First returns F_m = f_m den**m follow from the
+    renewal equation u_m = sum_{0<j<=m} f_j u_{m-j}: F_m = U_m - sum_{0<j<m}
+    F_j U_{m-j}, zero for odd m, and S_i = den S_{i-1} - F_i from S_0 = 1.
+    """
+    _, den = driving_spec._pi_numerators
+    half = (n - 1) // 2
+    returns = _return_numerators(driving_spec, half)
+    # firsts[h] = F_{2h}; F_0 is not a return
+    firsts = [0]
+    for h in range(1, half + 1):
+        firsts.append(returns[h] - sum(map(int.__mul__, firsts[1:h], returns[h - 1:0:-1])))
+    survival = [1]
+    for i in range(1, n):
+        survival.append(den * survival[-1] - (0 if i % 2 else firsts[i // 2]))
+    return survival, den
+
+
+def _renewal_distinct(driving_spec: MarkovChainSpec, n: int) -> Fraction:
+    """E[distinct coordinates among c_0 .. c_{n-1}] for z2 under i.i.d. steps.
+
+    c_i = theta_{i-1} + ... + theta_0 is new exactly when no sum of the
+    last m <= i steps is zero; reversed i.i.d. steps have the same law, so
+    that is the event T_0 > i for a fresh walk, and E[R_n] = sum_{i<n}
+    P(T_0 > i), the Dvoretzky-Erdos / Kesten-Spitzer-Whitman range identity
+    (Spitzer, Principles of Random Walk).  One Fraction over den**(n-1) is
+    formed at the end.
+    """
+    survival, den = _survival_numerators(driving_spec, n)
+    total = 0
+    for s in survival:
+        total = total * den + s
+    return Fraction(total, den ** (n - 1))
+
+
+def _taboo_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Fraction:
+    """E[distinct coordinates among c_0 .. c_{n-1}] for any chain and group.
 
     A backward taboo recursion, in the manner of the range of a random walk.
     Group coordinates are c_i = theta_{i-1} ... theta_0, so c_i repeats an
@@ -210,11 +303,9 @@ def _expected_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Frac
     last; its weight is the integer scale**(m-1) times the chain's
     transition product along the m letters read.  The weights do not
     depend on i, so P(c_i is new) = sum of weight * pi[a] at m = i, and one
-    pass over m = 1 .. n-1 gives every term.  Free-monoid prefixes never
-    repeat, so there the value is n.
+    pass over m = 1 .. n-1 gives every term.  States never merge across
+    levels, so their number grows with n (bounded by size**n).
     """
-    if kind == "free-monoid":
-        return Fraction(n)
     identity, step, key = LAWS[kind]
     size = driving_spec.alphabet.size
     steps, scale = driving_spec._Pi_numerators
@@ -289,18 +380,28 @@ def exact_averaged_entropy(
     The "fast" method uses the product-measure collapse: the inner fiber
     sum for a driving word equals (distinct coordinates) * H(p), so the
     value is E[distinct] * H(p), with E[distinct] an exact Fraction from
-    the taboo recursion of _expected_distinct, rounded once.  The
-    "enumerate" method is the independent oracle summing -mu log2 mu over
-    every (u, v) pair.  Both raise ResourceLimitError past
-    ENUMERATION_CAP: size**n driving words bound the recursion's states,
-    and (size * fiber size)**n pairs the oracle's sum.
+    _expected_distinct, rounded once.  The "enumerate" method is the
+    independent oracle summing -mu log2 mu over every (u, v) pair.
+
+    Each path's cost is checked against ENUMERATION_CAP before anything is
+    allocated, and ResourceLimitError is raised past it:
+    - linear (free monoid, f2 that never cancels): no cap, the value is n;
+    - renewal (z2 under i.i.d. steps): n**2 * den.bit_length() bits of
+      integer tables, den = lcm(den pi), so n <= 2364 on z2-uniform;
+    - taboo (every other chain): size**n driving words bound its states;
+    - "enumerate": (size * fiber size)**n pairs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     check_driving_size(spec.action_kind, driving_spec.alphabet.size)
     size = driving_spec.alphabet.size
     if method == "fast":
-        if size ** n > ENUMERATION_CAP:
+        path = _range_path(driving_spec, spec.action_kind)
+        if path == "renewal":
+            table_bits = n * n * driving_spec._pi_numerators[1].bit_length()
+            if table_bits > ENUMERATION_CAP:
+                raise ResourceLimitError(f"renewal tables of {table_bits} bits exceed the enumeration cap")
+        elif path == "taboo" and size ** n > ENUMERATION_CAP:
             raise ResourceLimitError(f"{size}**{n} driving words exceed the enumeration cap")
         bits = float(_expected_distinct(driving_spec, spec.action_kind, n)) * spec.symbol_entropy()
     elif method == "enumerate":

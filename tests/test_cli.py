@@ -225,3 +225,21 @@ def test_cli_refuses_float_probabilities_that_do_not_sum_to_one(tmp_path, capsys
     fiber["p"] = ["1/10", "9/10"]
     path.write_text(json.dumps({**config, "fiber": fiber, "out": str(out)}), encoding="utf-8")
     assert run([command, "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("key", ["horizons", "block_lengths", "seeds", "tolerance"])
+def test_cli_refuses_json_booleans_in_a_config_file(tmp_path, capsys, key):
+    # JSON true is a Python bool, which operator.index and float() read as 1
+    out = tmp_path / "reports"
+    config = {"preset": "z2-uniform", "horizons": [100], "block_lengths": [2], "seeds": [1], "tolerance": 1}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, key: True if key == "tolerance" else [True], "out": str(out)}),
+                    encoding="utf-8")
+    assert run(["verify-ar", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fiberlab: configuration error: {key}: true is a boolean") and err.count("\n") == 1
+    assert not out.exists()
+    # the same document with JSON integers loads
+    path.write_text(json.dumps({**config, "out": str(out)}), encoding="utf-8")
+    assert run(["verify-ar", "--config", str(path)]) == 0
+    assert load_config(json.loads(path.read_text(encoding="utf-8"))).tolerance == 1.0

@@ -545,13 +545,28 @@ def test_one_cell_builds_the_pair_table_once(monkeypatch):
     assert len(built) == 1
 
 
+# a stationary z2 chain that is not i.i.d.: it repeats its last step w.p. 1/2
+PERSISTENT_Z2 = MarkovChainSpec(
+    Alphabet(("a", "A", "b", "B")),
+    (Fraction(1, 4),) * 4,
+    tuple(tuple(HALF if a == b else Fraction(1, 6) for b in range(4)) for a in range(4)),
+)
+
+
 def test_auto_exact_rate_is_refused_past_the_enumeration_cap(monkeypatch):
-    # 4**13 driving words exceed fiber.ENUMERATION_CAP, so no word is enumerated
+    # the taboo path counts 4**13 driving words, past fiber.ENUMERATION_CAP,
+    # so no word is enumerated
     monkeypatch.setattr(fiber_module, "_expected_distinct", lambda *args: pytest.fail("enumerated"))
-    trajectory = sample_trajectory(Z2_DRIVING, 100, 1)
-    report = conditional_rate(emit_name(Z2, trajectory, seed=1), BlockCodebookFamily(13, Z2, Z2_DRIVING))
+    trajectory = sample_trajectory(PERSISTENT_Z2, 100, 1)
+    report = conditional_rate(emit_name(Z2, trajectory, seed=1), BlockCodebookFamily(13, Z2, PERSISTENT_Z2))
     assert report.exact_rate is None
     assert report.cross_entropy_rate is not None
+
+
+def test_auto_exact_rate_on_iid_z2_past_the_old_cap_is_the_renewal_value():
+    trajectory = sample_trajectory(Z2_DRIVING, 100, 1)
+    report = conditional_rate(emit_name(Z2, trajectory, seed=1), BlockCodebookFamily(13, Z2, Z2_DRIVING))
+    assert report.exact_rate == float(fiber_module._renewal_distinct(Z2_DRIVING, 13)) * Z2.symbol_entropy() / 13
 
 
 def pattern_codebook(spec, pattern):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import statistics
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -19,6 +20,7 @@ from fiberlab import (
     emit_name,
     exact_averaged_entropy,
     information_function,
+    range_ratio_curve,
     sample_trajectory,
     system_preset,
     visit_record,
@@ -235,6 +237,8 @@ def test_expected_distinct_equals_the_word_sum_exactly(kind, driving, n):
     value = fiber_module._expected_distinct(driving, kind, n)
     assert isinstance(value, Fraction)
     assert value == expected_distinct_by_words(driving, kind, n)
+    if kind != "free-monoid":
+        assert fiber_module._taboo_distinct(driving, kind, n) == value
 
 
 def test_expected_distinct_z2_uniform_at_eleven():
@@ -260,7 +264,7 @@ def test_exact_averaged_entropy_f2_is_linear():
 
 
 def test_exact_averaged_entropy_f2_markov_is_exactly_n_up_to_the_cap():
-    # no-backtracking f2 never revisits; 4**12 words is the enumeration cap
+    # no-backtracking f2 never revisits
     for n in range(1, 13):
         assert exact_averaged_entropy(F2, F2_DRIVING, n).bits == n
 
@@ -307,8 +311,136 @@ def test_conditional_cylinder_normalization(n):
         assert total == 1
 
 
-def test_exact_averaged_entropy_enforces_caps():
-    with pytest.raises(ResourceLimitError):
-        exact_averaged_entropy(Z2, Z2_DRIVING, 13)
+def test_exact_averaged_entropy_enforces_caps(monkeypatch):
+    def refused(*args):
+        pytest.fail("ran past its cap")
+
+    # the taboo path counts size**n driving words: 4**13 > 2**24
+    monkeypatch.setattr(fiber_module, "_taboo_distinct", refused)
+    with pytest.raises(ResourceLimitError, match=r"4\*\*13 driving words"):
+        exact_averaged_entropy(Z2, NONSTATIONARY4, 13)
+    with pytest.raises(ResourceLimitError, match=r"4\*\*13 driving words"):
+        exact_averaged_entropy(F2, UNIFORM4, 13)
+    # the renewal path counts n**2 * den.bit_length() table bits: 2364**2 * 3
+    # fits in 2**24 and 2365**2 * 3 does not; the cap refuses before any table
+    monkeypatch.setattr(fiber_module, "_survival_numerators", refused)
+    with pytest.raises(ResourceLimitError, match="renewal tables"):
+        exact_averaged_entropy(Z2, Z2_DRIVING, 2365)
+    monkeypatch.setattr(fiber_module, "_renewal_distinct", lambda driving, n: Fraction(n, 3))
+    assert exact_averaged_entropy(Z2, Z2_DRIVING, 2364).bits == 788.0
     with pytest.raises(ResourceLimitError):
         exact_averaged_entropy(Z2, Z2_DRIVING, 9, method="enumerate")
+
+
+def iid4(*p):
+    return MarkovChainSpec.bernoulli(GENERATORS, tuple(Fraction(x) for x in p))
+
+
+TENTHS4 = iid4("1/10", "2/10", "3/10", "4/10")
+LINE4 = iid4("1/2", "1/2", 0, 0)  # the simple walk on the first axis
+DIAGONAL4 = iid4("1/2", 0, "1/2", 0)  # steps +e1 and +e2 only: never returns
+RENEWAL_CASES = {"uniform": Z2_DRIVING, "tenths": TENTHS4, "line": LINE4, "diagonal": DIAGONAL4}
+
+
+@pytest.mark.parametrize("driving", RENEWAL_CASES.values(), ids=RENEWAL_CASES.keys())
+def test_renewal_equals_the_taboo_recursion(driving):
+    assert fiber_module._range_path(driving, "z2") == "renewal"
+    for n in range(1, 13):
+        value = fiber_module._renewal_distinct(driving, n)
+        assert isinstance(value, Fraction)
+        assert value == fiber_module._taboo_distinct(driving, "z2", n)
+        assert fiber_module._expected_distinct(driving, "z2", n) == value
+        if driving is DIAGONAL4:
+            assert value == n
+
+
+@pytest.mark.parametrize("driving", [TENTHS4, LINE4], ids=["tenths", "line"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_renewal_matches_the_uv_oracle(driving, n):
+    fast = exact_averaged_entropy(Z2, driving, n).bits
+    oracle = exact_averaged_entropy(Z2, driving, n, method="enumerate").bits
+    assert fast == pytest.approx(oracle, abs=1e-9)
+
+
+def test_return_numerators_equal_the_constant_term():
+    # z2-uniform: u_2m = C(2m, m)**2 / 16**m, and den = 4
+    returns = fiber_module._return_numerators(Z2_DRIVING, 200)
+    assert returns == [math.comb(2 * m, m) ** 2 for m in range(201)]
+    # any i.i.d. law: C(2h, h) * sum_a C(h, a)**2 (n0 n1)**a (n2 n3)**(h-a)
+    nums, den = TENTHS4._pi_numerators
+    assert den == 10
+    x, y = nums[0] * nums[1], nums[2] * nums[3]
+    expected = [
+        math.comb(2 * h, h) * sum(math.comb(h, a) ** 2 * x ** a * y ** (h - a) for a in range(h + 1))
+        for h in range(61)
+    ]
+    assert fiber_module._return_numerators(TENTHS4, 60) == expected
+
+
+def test_transient_walk_range_falls_toward_its_escape_probability():
+    """E[R_n]/n for the walk with steps +e1 w.p. 3/4 and -e1 w.p. 1/4.
+
+    By Dvoretzky-Erdos, E[R_n]/n decreases to P(no return) = |p - q| =
+    Fraction(1, 2); every ratio up to n = 2000 lies strictly above it.  The
+    first return takes two steps, so E[R_1]/1 = E[R_2]/2 = 1 and the
+    decrease is strict from n = 2 on.
+    """
+    limit = Fraction(1, 2)
+    driving = iid4("3/4", "1/4", 0, 0)
+    survival, den = fiber_module._survival_numerators(driving, 2000)
+    expected, ratios = Fraction(0), []
+    for i, s in enumerate(survival):
+        expected += Fraction(s, den ** i)
+        ratios.append(expected / (i + 1))
+    assert ratios[-1] == fiber_module._renewal_distinct(driving, 2000) / 2000
+    assert ratios[0] == ratios[1] == 1
+    assert all(b < a for a, b in zip(ratios[1:], ratios[2:]))
+    assert ratios[-1] > limit
+
+
+def test_renewal_matches_the_monte_carlo_range_at_1000():
+    n, seeds = 1000, range(400)
+    samples = [range_ratio_curve("z2", Z2_DRIVING, n, [seed], [n])[0][1] for seed in seeds]
+    mean = range_ratio_curve("z2", Z2_DRIVING, n, seeds, [n])[0][1]
+    assert mean == pytest.approx(statistics.fmean(samples), abs=1e-12)
+    standard_error = statistics.stdev(samples) / math.sqrt(len(samples))
+    exact = fiber_module._renewal_distinct(Z2_DRIVING, n) / n
+    assert abs(mean - float(exact)) < 4 * standard_error
+
+
+# rows unequal to each other; uniform rows under a start that is not their law
+PERSISTENT4 = MarkovChainSpec(
+    GENERATORS,
+    (Fraction(1, 4),) * 4,
+    tuple(tuple(HALF if a == b else Fraction(1, 6) for b in range(4)) for a in range(4)),
+)
+FIXED_START4 = MarkovChainSpec(GENERATORS, (Fraction(1), Fraction(0), Fraction(0), Fraction(0)), UNIFORM4.Pi)
+
+
+@pytest.mark.parametrize("driving", [PERSISTENT4, FIXED_START4], ids=["unequal-rows", "fixed-start"])
+def test_non_iid_z2_chains_take_the_taboo_path(monkeypatch, driving):
+    calls = []
+    taboo = fiber_module._taboo_distinct
+    monkeypatch.setattr(fiber_module, "_taboo_distinct", lambda *args: calls.append(args) or taboo(*args))
+    monkeypatch.setattr(fiber_module, "_renewal_distinct", lambda *args: pytest.fail("renewal path"))
+    for n in range(1, 7):
+        assert exact_averaged_entropy(Z2, driving, n).bits == float(expected_distinct_by_words(driving, "z2", n))
+    assert len(calls) == 6
+
+
+def test_f2_that_never_cancels_is_exactly_n_past_the_old_cap(monkeypatch):
+    # Pi never steps from a letter to its inverse, so every driving word is
+    # reduced and no coordinate repeats
+    monkeypatch.setattr(fiber_module, "_taboo_distinct", lambda *args: pytest.fail("taboo path"))
+    for n in (13, 50, 10 ** 4):
+        assert exact_averaged_entropy(F2, F2_DRIVING, n).bits == n
+
+
+@pytest.mark.parametrize("driving", [UNIFORM4, NONSTATIONARY4], ids=["uniform", "nonstationary"])
+def test_f2_chains_that_backtrack_take_the_taboo_path(monkeypatch, driving):
+    calls = []
+    taboo = fiber_module._taboo_distinct
+    monkeypatch.setattr(fiber_module, "_taboo_distinct", lambda *args: calls.append(args) or taboo(*args))
+    assert fiber_module._range_path(driving, "f2") == "taboo"
+    assert exact_averaged_entropy(F2, driving, 6).bits == float(expected_distinct_by_words(driving, "f2", 6))
+    assert len(calls) == 1

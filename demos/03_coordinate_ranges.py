@@ -6,16 +6,24 @@ free-group products never revisit, while the recurrent lattice walk
 revisits more and more densely: its range fraction decays toward zero.
 """
 
+from itertools import accumulate
+
 from fiberlab import driving_preset, range_ratio_curve, system_preset, walk
+from fiberlab.actions import LAWS
 
 z2 = driving_preset("z2-uniform")
 f2 = driving_preset("f2-markov")
 bern2, _ = system_preset("free-monoid-uniform")
 
-first, keys = walk("z2", [0, 1, 0, 2, 3, 1])
+word = [0, 1, 0, 2, 3, 1]
+first = walk("z2", word).first
+# the generic step rule names each coordinate; walk() reports which are new
+identity, step, key = LAWS["z2"]
+coordinates = accumulate(word[:-1], step, initial=identity)
+distinct = [key(c).decode() for i, c in enumerate(coordinates) if first[i] == i]
 print("lattice coordinates along +e1,-e1,+e1,+e2,-e2,-e1:")
 print("   first visits", first.tolist())
-print("   distinct", [key.decode() for key in keys], "->", len(keys))
+print("   distinct", distinct, "->", len(distinct))
 
 print()
 print("range fraction |visited|/n, averaged over 10 seeds:")

@@ -16,14 +16,18 @@ on the coordinate itself, never on how or when it was reached.  Two
 coordinates are equal exactly when their keys are.
 
 walk() is the one contract for stepping a driving word.  It returns
-first[i], the smallest j with c_j = c_i, and the keys of the distinct
-coordinates in first-visit order.  Everything else is read off these:
-position i is a first visit when first[i] == i, so visit counts are a
-cumulative sum, and an orbit name is fixed by its symbols at the first
-visits.  Three kernels meet the contract, one per action: z2 sums the
-generator vectors and groups equal positions by one stable sort, the free
-monoid chains one key per step (its prefixes never repeat), and f2 numbers
-the tree nodes it meets, so a key is hashed only at a new node.
+first[i], the smallest j with c_j = c_i, and, when given a seed, the
+symbol draws of the distinct coordinates in first-visit order: each the
+8-byte blake2b digest of the coordinate's key, keyed by the seed.
+Everything else is read off these: position i is a first visit when
+first[i] == i, so visit counts are a cumulative sum, and an orbit name is
+fixed by its symbols at the first visits.  A key is hashed when the walk
+first meets its coordinate, and never without a seed, so the walks that
+only read first hash nothing.  Three kernels meet the contract, one per
+action: z2 sums the generator vectors and groups equal positions by one
+stable sort, formatting keys only to draw them; the free monoid chains one
+key per step and draws it as it goes (its prefixes never repeat); and f2
+numbers the tree nodes it meets, chaining their keys after the walk.
 
 LAWS steps one coordinate at a time; the backward taboo recursion of
 fiber._taboo_distinct uses it, and the tests keep the generic walk
@@ -35,9 +39,9 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,9 +57,19 @@ _INVERSE = np.array(INVERSE)
 _MONOID_LETTERS = 256
 _BYTES = [bytes([letter]) for letter in range(_MONOID_LETTERS)]
 
+# every chain hash is a copy of this one hasher: the same digest as
+# blake2b(data, digest_size=16), without parsing the parameters each time
+_CHAIN_HASHER = hashlib.blake2b(digest_size=16)
+# symbol draws are joined into the draw array this many at a time; while
+# it runs, bytes.join holds an 80-byte buffer view per part, so a chunk of
+# digests and views stays under 1 MB
+_DRAW_CHUNK = 2 ** 12
+
 
 def _digest(data: bytes) -> bytes:
-    return hashlib.blake2b(data, digest_size=16).digest()
+    h = _CHAIN_HASHER.copy()
+    h.update(data)
+    return h.digest()
 
 
 def _chain(key: bytes, letter: int) -> bytes:
@@ -98,25 +112,56 @@ def check_driving_size(kind: str, size: int) -> None:
 
 
 class Walk(NamedTuple):
-    """First visits of c_0 .. c_{n-1} and the keys of the distinct coordinates."""
+    """First visits of c_0 .. c_{n-1} and the symbol draws of the distinct coordinates."""
 
     first: np.ndarray
-    keys: list
+    draws: np.ndarray | None
 
 
-def _chained(identity: bytes, letters: np.ndarray) -> Walk:
-    # every step reaches a new coordinate, whose key chains the letter on
-    # bytes iterate as ints, with no list of n Python ints alongside the keys
+def _check_seed(seed) -> int:
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    return seed
+
+
+def _draws(seed: int, keys: Iterable[bytes], count: int) -> np.ndarray:
+    """The keyed digests of the first count keys, read as little-endian uint64.
+
+    Each draw is a copy of one hasher keyed by the seed, so the key block
+    is compressed once; keys are consumed, and their digests joined, a
+    chunk at a time, so neither keys nor digests need all be held at once.
+    """
+    base = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
+    draws = np.empty(count, dtype=np.uint64)
+    keys = iter(keys)
+    digests: list[bytes] = []
+    for start in range(0, count, _DRAW_CHUNK):
+        for key in islice(keys, _DRAW_CHUNK):
+            h = base.copy()
+            h.update(key)
+            digests.append(h.digest())
+        draws[start:start + len(digests)] = np.frombuffer(b"".join(digests), dtype="<u8")
+        digests.clear()
+    return draws
+
+
+def _chained(identity: bytes, letters: np.ndarray, seed: int | None) -> Walk:
+    # every step reaches a new coordinate, whose key chains the letter on;
+    # the keys are drawn as they are chained, and never held in a list
+    first = np.arange(len(letters), dtype=np.int64)
+    if seed is None:
+        return Walk(first, None)
+    # bytes iterate as ints, with no list of n Python ints alongside
     steps = letters[:-1].astype(np.uint8).tobytes()
-    keys = list(accumulate(steps, _chain, initial=identity))
-    return Walk(np.arange(len(letters), dtype=np.int64), keys)
+    return Walk(first, _draws(seed, accumulate(steps, _chain, initial=identity), len(letters)))
 
 
-def _walk_free_monoid(letters: np.ndarray) -> Walk:
-    return _chained(LAWS["free-monoid"][0], letters)
+def _walk_free_monoid(letters: np.ndarray, seed: int | None) -> Walk:
+    return _chained(LAWS["free-monoid"][0], letters, seed)
 
 
-def _walk_z2(letters: np.ndarray) -> Walk:
+def _walk_z2(letters: np.ndarray, seed: int | None) -> Walk:
     n = len(letters)
     # position (x, y) as the int64 x * 2**32 + y, one-to-one while |y| < 2**31,
     # so one cumulative sum of packed steps gives every position
@@ -135,21 +180,24 @@ def _walk_z2(letters: np.ndarray) -> Walk:
     group -= 1
     first[order] = np.take(at, group, out=group)
     del packed, order, new, group
+    if seed is None:
+        return Walk(first, None)
     positions = positions[np.argsort(at)]
     y = ((positions + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
     keys = [b"%d,%d" % c for c in zip(((positions - y) >> 32).tolist(), y.tolist())]
-    return Walk(first, keys)
+    # the positions go before the draws are allocated, to keep them off the peak
+    del at, positions, y
+    return Walk(first, _draws(seed, keys, len(keys)))
 
 
-def _walk_f2(letters: np.ndarray) -> Walk:
+def _walk_f2(letters: np.ndarray, seed: int | None) -> Walk:
     steps = letters[:-1]
     if not (steps[1:] == _INVERSE[steps[:-1]]).any():
         # a reduced word never cancels its head, so it never revisits
-        return _chained(LAWS["f2"][0][0], letters)
+        return _chained(LAWS["f2"][0][0], letters, seed)
     # tree nodes are numbered in first-visit order; node 0 is the identity.
     # A child is entered from its parent only after being left upwards, so
     # children (node * 4 + letter -> child) holds just the edges walked back.
-    keys = [LAWS["f2"][0][0]]
     head = array("q", [-1])
     parent = array("q", [-1])
     born = array("q", [0])
@@ -164,39 +212,49 @@ def _walk_f2(letters: np.ndarray) -> Walk:
         else:
             child = children.get(cur * 4 + letter)
             if child is None:
-                child = len(keys)
-                keys.append(_chain(keys[cur], letter))
+                child = len(head)
                 head.append(letter)
                 parent.append(cur)
                 born.append(i)
             cur = child
         node[i] = cur
-    return Walk(np.frombuffer(born, dtype=np.int64)[np.frombuffer(node, dtype=np.int64)], keys)
+    first = np.frombuffer(born, dtype=np.int64)[np.frombuffer(node, dtype=np.int64)]
+    if seed is None:
+        return Walk(first, None)
+    # a node's parent is numbered before it, so one pass in node order
+    # chains every key from its parent's
+    keys = [LAWS["f2"][0][0]]
+    for letter, up in zip(islice(head, 1, None), islice(parent, 1, None)):
+        keys.append(_chain(keys[up], letter))
+    return Walk(first, _draws(seed, keys, len(keys)))
 
 
 _KERNELS = {"free-monoid": _walk_free_monoid, "z2": _walk_z2, "f2": _walk_f2}
 
 
-def walk(kind: str, letters) -> Walk:
+def walk(kind: str, letters, seed: int | None = None) -> Walk:
     """Step the identity along a driving word and record first visits.
 
     c_0 is the identity and c_{i+1} = step(c_i, letters[i]), so the last
     letter never moves a recorded coordinate.  first[i] is the smallest j
-    with c_j = c_i (int64); keys[d] is the key of the d-th distinct
-    coordinate, in first-visit order, equal to LAWS[kind]'s key.  Letters
-    outside the action's driving alphabet raise ValueError.
+    with c_j = c_i (int64).  With a seed (a 64-bit unsigned integer),
+    draws[d] is the uint64 symbol draw of the d-th distinct coordinate, in
+    first-visit order: the little-endian 8-byte blake2b digest of its
+    LAWS[kind] key, keyed by the seed's 8 little-endian bytes.  Without
+    one, draws is None and no key is hashed.  Letters outside the action's
+    driving alphabet raise ValueError.
 
     Each action has its own kernel; all of them equal the generic walk
     that steps LAWS one letter at a time.
     """
     limit = driving_size(kind) or _MONOID_LETTERS
+    if seed is not None:
+        seed = _check_seed(seed)
     letters = np.asarray(letters, dtype=np.int64)
-    if not letters.size:
-        return Walk(np.zeros(0, dtype=np.int64), [])
     # read as unsigned, a negative letter exceeds every limit
-    if letters.view(np.uint64).max() >= limit:
+    if letters.size and letters.view(np.uint64).max() >= limit:
         raise ValueError(f"driving letters of action {kind!r} must lie in [0, {limit})")
-    return _KERNELS[kind](letters)
+    return _KERNELS[kind](letters, seed)
 
 
 @dataclass(frozen=True)

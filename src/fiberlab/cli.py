@@ -94,6 +94,7 @@ def _brudno_cell(cell):
 
 
 def cmd_verify_brudno(config: ExperimentConfig) -> int:
+    config.check_codebook_cap()
     exact_by_k = {}
     for k in config.block_lengths:
         try:
@@ -143,6 +144,7 @@ def _ar_cell(cell):
 
 
 def cmd_verify_ar(config: ExperimentConfig) -> int:
+    config.check_codebook_cap()
     cells = [
         (config, seed, k, n)
         for n in config.horizons

@@ -66,7 +66,7 @@ from .driving import (
     sample_trajectory,
 )
 from .errors import MalformedStreamError, ModelMismatchError, ResourceLimitError
-from .fiber import ENUMERATION_CAP, FiberSystemSpec, OrbitName, emit_name, information_function
+from .fiber import FiberSystemSpec, OrbitName, _exceeds_cap, emit_name, information_function
 from .kraft import BinaryCodebook, _shannon_bits, canonical_kraft_code, shannon_length
 
 _TOL = 1e-12
@@ -227,7 +227,7 @@ def build_codebooks(fiber_spec: FiberSystemSpec, driving_spec: MarkovChainSpec, 
     """
     family = BlockCodebookFamily(k, fiber_spec, driving_spec)
     size = driving_spec.alphabet.size
-    if (size * fiber_spec.fiber_alphabet.size) ** k > ENUMERATION_CAP:
+    if _exceeds_cap(size * fiber_spec.fiber_alphabet.size, k):
         raise ResourceLimitError("eager codebook enumeration exceeds the desk-scale cap")
     # the positive contexts are the paths along nonzero entries of pi, then Pi
     contexts = np.flatnonzero(family._starts)[:, None]

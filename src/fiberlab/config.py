@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pathlib import Path
 
 from .actions import check_driving_size
 from .driving import MarkovChainSpec, driving_preset, is_stationary
-from .fiber import ENUMERATION_CAP, FiberSystemSpec
+from .fiber import FiberSystemSpec, _exceeds_cap
 from .words import Alphabet
 
 MAX_HORIZON = 10 ** 7
@@ -49,6 +50,18 @@ class ExperimentConfig:
     format: str = "csv"
     tolerance: float = 0.1
 
+    def check_codebook_cap(self) -> None:
+        """Refuse a block length whose pair blocks pass the enumeration cap.
+
+        The block coders of verify-brudno and verify-ar are checked against
+        (|driving| * |fiber|)**k <= 2**24; the other commands have caps of
+        their own, on the path they take.
+        """
+        cap_base = self.driving.alphabet.size * self.fiber.fiber_alphabet.size
+        for k in self.block_lengths:
+            if _exceeds_cap(cap_base, k):
+                raise ConfigError(f"block length {k} exceeds the enumeration cap ({cap_base}**{k} > 2**24)")
+
     def __post_init__(self):
         if not self.horizons:
             raise ConfigError("at least one horizon is required")
@@ -59,14 +72,8 @@ class ExperimentConfig:
                 raise ConfigError(f"horizon {n} outside [0, {MAX_HORIZON}]")
         if not self.block_lengths:
             raise ConfigError("at least one block length is required")
-        cap_base = self.driving.alphabet.size * self.fiber.fiber_alphabet.size
-        for k in self.block_lengths:
-            if k < 1:
-                raise ConfigError("block lengths must be >= 1")
-            if cap_base ** k > ENUMERATION_CAP:
-                raise ConfigError(
-                    f"block length {k} exceeds the enumeration cap ({cap_base}**{k} > 2**24)"
-                )
+        if min(self.block_lengths) < 1:
+            raise ConfigError("block lengths must be >= 1")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         for s in self.seeds:
@@ -74,8 +81,8 @@ class ExperimentConfig:
                 raise ConfigError("seeds must be 64-bit unsigned integers")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
-        if not self.tolerance >= 0:  # NaN fails every comparison
-            raise ConfigError("tolerance must be a nonnegative number")
+        if not 0 <= self.tolerance < math.inf:  # NaN fails every comparison
+            raise ConfigError(f"tolerance must be a finite nonnegative number, not {self.tolerance}")
         try:
             check_driving_size(self.fiber.action_kind, self.driving.alphabet.size)
         except ValueError as exc:

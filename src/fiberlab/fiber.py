@@ -20,7 +20,6 @@ compared with the exact rates by the coders (coding.conditional_rate).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .actions import ACTION_KINDS, INVERSE, LAWS, check_driving_size, walk
+from .actions import ACTION_KINDS, INVERSE, LAWS, _check_seed, check_driving_size, walk
 from .driving import _EXACT_HINT, MarkovChainSpec, _as_fraction, _cumulative, _letters_of, cylinder_prob
 from .driving import _over_lcm
 from .errors import InfiniteInformationError, ResourceLimitError
@@ -37,8 +36,14 @@ from .words import Alphabet
 
 # the most words (or word pairs) any exhaustive enumeration may visit
 ENUMERATION_CAP = 2 ** 24
-# symbol draws hashed per joined buffer in emit_name
-_DRAW_CHUNK = 2 ** 16
+
+
+def _exceeds_cap(base: int, power: int) -> bool:
+    """base**power > ENUMERATION_CAP, with no power formed far past the cap.
+
+    For base >= 2 the power at the cap's bit length already exceeds it.
+    """
+    return base ** min(power, ENUMERATION_CAP.bit_length()) > ENUMERATION_CAP
 
 
 @dataclass(frozen=True)
@@ -105,39 +110,28 @@ class OrbitName:
 def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
     """Drive a lazily sampled configuration along alpha and read its name.
 
-    The symbol at a coordinate is drawn from its key alone: an 8-byte
-    blake2b hash keyed by the seed, read as a little-endian integer over
-    2**64 (a float64 u in [0, 1]) and mapped through the inverse CDF of p
-    in alphabet order, u = 1.0 to the last symbol.  Each distinct key is
-    hashed once, at its first visit, and all symbols are then drawn in one
-    vectorized pass; a revisit reads the symbol of its first visit, so the
-    name is always consistent.
+    The symbol at a coordinate is drawn from its key alone: the walk's
+    draw, an 8-byte blake2b hash keyed by the seed (see actions.walk), read
+    as an integer over 2**64 (a float64 u in [0, 1]) and mapped through the
+    inverse CDF of p in alphabet order, u = 1.0 to the last symbol.  Each
+    distinct coordinate is hashed once, when the walk first meets it, and
+    all symbols are then drawn in one vectorized pass; a revisit reads the
+    symbol of its first visit, so the name is always consistent.
     """
-    seed = int(seed)
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError("seed must be a 64-bit unsigned integer")
+    seed = _check_seed(seed)
     driving = _letters_of(alpha)
     # the name is allocated before the walk's temporaries, so that freeing
     # them leaves one free stretch of heap rather than holes below it
     letters = np.zeros(len(driving), dtype=np.int64)
-    first, keys = walk(spec.action_kind, driving)
-    # one keyed hash per distinct key, each a copy of one keyed hasher so
-    # that the key block is compressed once; digests are joined a chunk at
-    # a time so that no list holds every digest at once
-    base = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
-    draws = np.empty(len(keys), dtype=np.uint64)
-    digests: list[bytes] = []
-    for start in range(0, len(keys), _DRAW_CHUNK):
-        for key in keys[start:start + _DRAW_CHUNK]:
-            h = base.copy()
-            h.update(key)
-            digests.append(h.digest())
-        draws[start:start + len(digests)] = np.frombuffer(b"".join(digests), dtype="<u8")
-        digests.clear()
-    del keys
-    u = draws.astype(np.float64) / 2.0 ** 64
+    first, draws = walk(spec.action_kind, driving, seed)
+    # u and symbols are formed in place, over one buffer each
+    u = draws.astype(np.float64)
+    del draws
+    u /= 2.0 ** 64
     cumulative = _cumulative(spec.p)
-    symbols = np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
+    symbols = np.searchsorted(cumulative, u, side="right")
+    del u
+    np.minimum(symbols, len(cumulative) - 1, out=symbols)
     # each symbol is written at its first visit, and every step reads its
     # first visit (take buffers an aliased out in its default mode)
     letters[first == np.arange(len(first))] = symbols
@@ -401,11 +395,11 @@ def exact_averaged_entropy(
             table_bits = n * n * driving_spec._pi_numerators[1].bit_length()
             if table_bits > ENUMERATION_CAP:
                 raise ResourceLimitError(f"renewal tables of {table_bits} bits exceed the enumeration cap")
-        elif path == "taboo" and size ** n > ENUMERATION_CAP:
+        elif path == "taboo" and _exceeds_cap(size, n):
             raise ResourceLimitError(f"{size}**{n} driving words exceed the enumeration cap")
         bits = float(_expected_distinct(driving_spec, spec.action_kind, n)) * spec.symbol_entropy()
     elif method == "enumerate":
-        if (size * spec.fiber_alphabet.size) ** n > ENUMERATION_CAP:
+        if _exceeds_cap(size * spec.fiber_alphabet.size, n):
             raise ResourceLimitError("full (u, v) enumeration exceeds the enumeration cap")
         bits = _averaged_entropy_enumerated(spec, driving_spec, n)
     else:

@@ -1,5 +1,7 @@
+import hashlib
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from pathlib import Path
 
@@ -29,17 +31,24 @@ INVERSE = (1, 0, 3, 2)
 
 
 def final_key(kind, letters):
-    """Key of the coordinate reached after every letter of the word."""
-    first, keys = walk(kind, list(letters) + [0])
-    ordinal = np.cumsum(first == np.arange(len(first))) - 1
-    return keys[ordinal[first[-1]]]
+    """LAWS key of the coordinate reached after every letter of the word."""
+    identity, step, key = LAWS[kind]
+    return key(reduce(step, letters, identity))
+
+
+def keyed_draws(seed, keys):
+    """The symbol draws walk() must give these keys: seed-keyed 8-byte digests."""
+    key = seed.to_bytes(8, "little")
+    return [int.from_bytes(hashlib.blake2b(k, digest_size=8, key=key).digest(), "little") for k in keys]
 
 
 def test_initial_state_is_identity():
     for kind in ("free-monoid", "z2", "f2"):
-        first, keys = walk(kind, [0])
-        assert first.tolist() == [0] and len(keys) == 1
-    assert walk("z2", [E1]).keys == [b"0,0"]
+        first, draws = walk(kind, [0], seed=1)
+        assert first.tolist() == [0]
+        assert draws.tolist() == keyed_draws(1, [final_key(kind, [])])
+    assert final_key("z2", []) == b"0,0"
+    assert walk("z2", [E1]).draws is None
 
 
 def test_step_examples():
@@ -55,6 +64,9 @@ def test_step_rejects_foreign_symbols():
             walk(kind, [0, letter])
     with pytest.raises(ValueError):
         walk("z3", [0])
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            walk("z2", [0], seed)
 
 
 def test_f2_left_multiplication_prepends():
@@ -86,17 +98,18 @@ def test_f2_retraces_coordinates_under_inverse_walk():
 
 
 def test_visit_record_examples():
-    assert walk("z2", [E1, NEG_E1]).keys == [b"0,0", b"1,0"]
+    assert walk("z2", [E1, NEG_E1], seed=2).draws.tolist() == keyed_draws(2, [b"0,0", b"1,0"])
     record = visit_record("z2", [E1, NEG_E1])
     assert record.distinct_counts.tolist() == [1, 2]
     assert record.distinct_count == 2
 
-    first, keys = walk("z2", [E1, NEG_E1, E1])
-    assert first.tolist() == [0, 1, 0] and keys == [b"0,0", b"1,0"]
+    first, draws = walk("z2", [E1, NEG_E1, E1], seed=2)
+    assert first.tolist() == [0, 1, 0] and draws.tolist() == keyed_draws(2, [b"0,0", b"1,0"])
     assert visit_record("z2", [E1, NEG_E1, E1]).distinct_count == 2
 
     assert visit_record("free-monoid", []).distinct_count == 0
     assert walk("free-monoid", []).first.dtype == np.int64
+    assert walk("free-monoid", [], seed=2).draws.tolist() == []
 
 
 def test_visit_record_counts_are_monotone_and_bounded():
@@ -221,11 +234,16 @@ def test_walk_kernels_equal_the_generic_walk(chain, n):
     first, keys = reference_walk(kind, letters)
     if chain in ("f2-bernoulli", "f2-no-repeat") and n == 20003:
         assert len(keys) < n
+    draws = {seed: np.array(keyed_draws(seed, keys), dtype=np.uint64) for seed in (0, 2 ** 64 - 1)}
     for given in (letters.tolist(), letters.astype(np.int64), letters.astype(np.uint8)):
         got = walk(kind, given)
         assert got.first.dtype == np.int64
         assert np.array_equal(got.first, np.array(first, dtype=np.int64))
-        assert got.keys == keys
+        assert got.draws is None
+        for seed, expected in draws.items():
+            seeded = walk(kind, given, seed)
+            assert np.array_equal(seeded.first, got.first)
+            assert seeded.draws.dtype == np.uint64 and np.array_equal(seeded.draws, expected)
 
 
 @pytest.mark.parametrize("kind, letter", [("z2", -1), ("z2", 4), ("f2", -1), ("f2", 4),

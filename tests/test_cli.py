@@ -33,8 +33,9 @@ def test_load_config_validation():
         load_config({**base, "horizons": [100, 50]})  # not ascending
     with pytest.raises(ConfigError):
         load_config({**base, "horizons": [10 ** 8]})  # horizon cap
-    with pytest.raises(ConfigError):
-        load_config({**base, "block_lengths": [9]})  # (4*2)**9 > 2**24
+    # (4*2)**9 > 2**24 is refused by the block coders' commands, not on loading
+    with pytest.raises(ConfigError, match=r"8\*\*9 > 2\*\*24"):
+        load_config({**base, "block_lengths": [9]}).check_codebook_cap()
     with pytest.raises(ConfigError):
         load_config({**base, "seeds": [-1]})
     with pytest.raises(ConfigError):
@@ -243,3 +244,48 @@ def test_cli_refuses_json_booleans_in_a_config_file(tmp_path, capsys, key):
     path.write_text(json.dumps({**config, "out": str(out)}), encoding="utf-8")
     assert run(["verify-ar", "--config", str(path)]) == 0
     assert load_config(json.loads(path.read_text(encoding="utf-8"))).tolerance == 1.0
+
+
+@pytest.mark.parametrize("form", ["json-string", "json-overflow", "flag"])
+def test_cli_refuses_an_infinite_tolerance(tmp_path, capsys, form):
+    # a tolerance of inf would pass every residual
+    out = tmp_path / "reports"
+    args = ["verify-ar", "--preset", "f2-markov", "--n", "200", "--k", "2", "--seed", "1", "--out", str(out)]
+    if form == "flag":
+        args += ["--tolerance", "inf"]
+    else:
+        path = tmp_path / "config.json"
+        # JSON reads 1e400 as a float that overflows to inf
+        path.write_text('{"tolerance": %s}' % ('"inf"' if form == "json-string" else "1e400"), encoding="utf-8")
+        args += ["--config", str(path)]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fiberlab: configuration error: tolerance must be a finite") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [9, 300])
+def test_cli_entropy_reaches_past_the_codebook_cap(tmp_path, k):
+    # the renewal path gives z2-uniform's exact value up to k = 2364
+    out = tmp_path / "reports"
+    assert run(["entropy", "--preset", "z2-uniform", "--k", str(k), "--out", str(out)]) == 0
+    row = (out / "entropy.csv").read_text(encoding="utf-8").splitlines()[-1]
+    assert row.startswith(f"{k},")
+
+
+def test_cli_entropy_past_the_renewal_cap_exits_2(tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert run(["entropy", "--preset", "z2-uniform", "--k", "2365", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fiberlab: renewal tables of") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["9", "100000"])
+@pytest.mark.parametrize("command", ["verify-brudno", "verify-ar"])
+def test_cli_block_coders_keep_the_codebook_cap(tmp_path, capsys, command, k):
+    out = tmp_path / "reports"
+    assert run([command, "--preset", "z2-uniform", "--n", "100", "--k", k, "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"fiberlab: configuration error: block length {k} exceeds the enumeration cap (8**{k} > 2**24)\n"
+    assert not out.exists()

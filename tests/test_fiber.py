@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import statistics
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -99,36 +100,88 @@ def test_emit_name_distribution_is_roughly_uniform():
     assert np.all(np.abs(freq - 0.5) < 0.02)
 
 
-@pytest.mark.parametrize("spec, driving", [(Z2, Z2_DRIVING), (F2, F2_DRIVING), (F2, UNIFORM4), (MONOID, BERNOULLI2)])
-def test_emit_name_hashes_each_distinct_coordinate_once(monkeypatch, spec, driving):
-    # the floor while name bytes are pinned: one symbol draw per distinct
-    # coordinate, each a copy of the one keyed hasher of the call, and one
-    # chain hash per word coordinate other than the identity
-    letters = sample_trajectory(driving, 5000, 4).letters
-    distinct = visit_record(spec.action_kind, letters).distinct_count
+class CountingCopies:
+    """A hasher whose copies are counted under one label."""
+
+    def __init__(self, hasher, calls, label):
+        self.hasher, self.calls, self.label = hasher, calls, label
+
+    def copy(self):
+        self.calls[self.label] += 1
+        return self.hasher.copy()
+
+
+def count_hashes(monkeypatch) -> Counter:
+    """Count keyed hashers made, their copies (draws) and chain-hasher copies."""
     calls = Counter()
     real = hashlib.blake2b
-
-    class CountingCopies:
-        def __init__(self, hasher):
-            self.hasher = hasher
-
-        def copy(self):
-            calls["draw"] += 1
-            return self.hasher.copy()
 
     def counting(*args, **kwargs):
         if "key" in kwargs:
             calls["keyed"] += 1
-            return CountingCopies(real(*args, **kwargs))
-        calls["chain"] += 1
+            return CountingCopies(real(*args, **kwargs), calls, "draw")
+        calls["unkeyed"] += 1
         return real(*args, **kwargs)
 
     monkeypatch.setattr(actions.hashlib, "blake2b", counting)
-    assert fiber_module.hashlib.blake2b is counting
+    monkeypatch.setattr(actions, "_CHAIN_HASHER", CountingCopies(actions._CHAIN_HASHER, calls, "chain"))
+    return calls
+
+
+# a z2 walk, an f2 chain that never cancels, one that does, and the free monoid
+HASH_CASES = [(Z2, Z2_DRIVING), (F2, F2_DRIVING), (F2, UNIFORM4), (MONOID, BERNOULLI2)]
+
+
+@pytest.mark.parametrize("spec, driving", HASH_CASES)
+def test_emit_name_hashes_each_distinct_coordinate_once(monkeypatch, spec, driving):
+    # the floor while name bytes are pinned: one symbol draw per distinct
+    # coordinate, each a copy of the one keyed hasher of the call, and one
+    # chain hash, a copy of the chain hasher, per word coordinate other
+    # than the identity
+    letters = sample_trajectory(driving, 5000, 4).letters
+    distinct = visit_record(spec.action_kind, letters).distinct_count
+    calls = count_hashes(monkeypatch)
     emit_name(spec, letters, seed=3)
     chains = {"z2": 0, "f2": distinct - 1, "free-monoid": len(letters) - 1}[spec.action_kind]
-    assert (calls["keyed"], calls["draw"], calls["chain"]) == (1, distinct, chains)
+    assert (calls["keyed"], calls["draw"], calls["chain"], calls["unkeyed"]) == (1, distinct, chains, 0)
+
+
+def test_emit_name_holds_no_list_of_keys():
+    # every f2-markov coordinate is new, so a list of the 2e5 keys and
+    # their digests would take the peak past the bound; each coordinate is
+    # drawn as the walk meets it
+    letters = sample_trajectory(F2_DRIVING, 200_000, 4).letters
+    tracemalloc.start()
+    try:
+        emit_name(F2, letters, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
+
+
+@pytest.mark.parametrize("spec, driving", HASH_CASES, ids=["z2", "f2-reduced", "f2-cancelling", "free-monoid"])
+def test_first_only_walks_hash_nothing(monkeypatch, spec, driving):
+    from fiberlab.coding import BlockCodebookFamily, build_codebooks, decode, encode
+
+    kind, k = spec.action_kind, 3
+    letters = sample_trajectory(driving, 600, 4).letters
+    name = emit_name(spec, letters, seed=3)
+    family = BlockCodebookFamily(k, spec, driving)
+    stream = encode(name, family)
+    if kind == "f2":
+        # the tree kernel runs exactly where the chain cancels
+        assert (walk(kind, letters).first != np.arange(len(letters))).any() == (driving is UNIFORM4)
+    calls = count_hashes(monkeypatch)
+    assert np.array_equal(decode(stream, letters, BlockCodebookFamily(k, spec, driving)), name.letters)
+    visit_record(kind, letters)
+    range_ratio_curve(kind, driving, 300, seeds=[1, 2])
+    information_function(spec, letters, name.letters)
+    fiber_module.OrbitName(spec, name.driving, name.letters, name.seed)
+    family.codebook_for(letters[:k])
+    build_codebooks(spec, driving, k)
+    conditional_cylinder_fraction(spec, letters[:50], name.letters[:50])
+    assert sum(calls.values()) == 0, calls
 
 
 def test_one_pass_draw_equals_the_scalar_inverse_cdf(monkeypatch):
@@ -158,7 +211,7 @@ def test_one_pass_draw_equals_the_scalar_inverse_cdf(monkeypatch):
     def fixed_draws(*args, **kwargs):
         return Fixed() if "key" in kwargs else real(*args, **kwargs)
 
-    monkeypatch.setattr(fiber_module.hashlib, "blake2b", fixed_draws)
+    monkeypatch.setattr(actions.hashlib, "blake2b", fixed_draws)
     name = emit_name(thirds, [0] * len(values), seed=1)
     expected = [min(bisect_right(cumulative, v / 2.0 ** 64), 2) for v in values]
     assert name.letters.tolist() == expected
@@ -309,6 +362,12 @@ def test_conditional_cylinder_normalization(n):
             conditional_cylinder_fraction(F2, u, v) for v in itertools.product(range(2), repeat=n)
         )
         assert total == 1
+
+
+def test_exceeds_cap_equals_the_power_it_avoids():
+    for base in range(1, 9):
+        for power in range(0, 40):
+            assert fiber_module._exceeds_cap(base, power) == (base ** power > fiber_module.ENUMERATION_CAP)
 
 
 def test_exact_averaged_entropy_enforces_caps(monkeypatch):

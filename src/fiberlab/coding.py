@@ -13,9 +13,8 @@ one), so v's order is the lexicographic order of its first-visit symbols,
 and lengths depend on those symbols alone.  The family therefore keeps one
 code per count d, over the assignments a in F^d of symbols to first
 visits, and the codeword of v is that of a = v at its first visits.  At
-most k codes are built, lazily as counts occur, which keeps long-horizon
-runs cheap, or eagerly over all positive contexts under the desk-scale
-cap.
+most k codes are built, each the first time a block with its count
+occurs, which keeps long-horizon runs cheap.
 
 An assignment is held as its rank, the integer with digits a in base |F|,
 first symbol most significant, so ranks order assignments
@@ -38,13 +37,13 @@ cancel on the right, so two steps of a block visit the same coordinate of
 the block's own walk exactly when they visit the same coordinate of any
 longer walk that contains the block, and free-monoid coordinates never
 repeat.  A name's blocks therefore take their patterns from the name's
-walk, and decode walks the driving word once; only codebook_for and
-build_codebooks walk a lone context.  Positivity is an exact test for
-zeros in pi and Pi; the exact context probability nu is computed only by
-the plain coder, as integer numerators over one denominator, and the joint
-coder reuses them: a pair's context is the plain table's row of the
-pair's first block, and its joint length is read off nu's numerator times
-mu's over the product of their denominators.
+walk, and decode walks the driving word once; only codebook_for walks a
+lone context.  Positivity is an exact test for zeros in pi and Pi; the
+exact context probability nu is computed only by the plain coder, as
+integer numerators over one denominator, and the joint coder reuses them:
+a pair's context is the plain table's row of the pair's first block, and
+its joint length is read off nu's numerator times mu's over the product
+of their denominators.
 """
 
 from __future__ import annotations
@@ -65,11 +64,13 @@ from .driving import (
     block_code_details,
     sample_trajectory,
 )
-from .errors import MalformedStreamError, ModelMismatchError, ResourceLimitError
-from .fiber import FiberSystemSpec, OrbitName, _exceeds_cap, emit_name, information_function
+from .errors import MalformedStreamError, ModelMismatchError
+from .fiber import FiberSystemSpec, OrbitName, emit_name, exact_rate_or_none, information_function
 from .kraft import BinaryCodebook, _shannon_bits, canonical_kraft_code, shannon_length
 
 _TOL = 1e-12
+# the information-function floor gates a verdict from this horizon on
+UNDERSHOOT_MIN_N = 1000
 
 
 class _CountCode:
@@ -128,10 +129,9 @@ class BlockCodebookFamily:
 
     A context's codebook is the count code of its number d of first
     visits, read through its first-visit pattern (see the module
-    docstring), so the family keeps one memo, d -> code, filled as counts
-    occur; build_codebooks fills it eagerly over every positive-probability
-    context instead.  It never holds more than k codes, the code for d
-    having |F|**d entries.
+    docstring), so the family keeps one memo, d -> code, filled the first
+    time a block with count d is checked.  It never holds more than k
+    codes, the code for d having |F|**d entries.
     """
 
     def __init__(self, k: int, fiber_spec: FiberSystemSpec, driving_spec: MarkovChainSpec):
@@ -214,29 +214,6 @@ class BlockCodebookFamily:
                 if num << length > 2 * code.den:
                     return False
         return True
-
-
-def build_codebooks(fiber_spec: FiberSystemSpec, driving_spec: MarkovChainSpec, k: int) -> BlockCodebookFamily:
-    """Build the count code of every driving k-block of positive probability.
-
-    Every first-visit count d that a positive context has gets its code,
-    over F^d (see the module docstring), so codebook_for then only expands.
-    Enforces the desk-scale enumeration cap (|driving| * |fiber|)**k <= 2**24;
-    beyond it, construct BlockCodebookFamily directly and let counts build
-    lazily as they occur.  Each positive context is walked once.
-    """
-    family = BlockCodebookFamily(k, fiber_spec, driving_spec)
-    size = driving_spec.alphabet.size
-    if _exceeds_cap(size * fiber_spec.fiber_alphabet.size, k):
-        raise ResourceLimitError("eager codebook enumeration exceeds the desk-scale cap")
-    # the positive contexts are the paths along nonzero entries of pi, then Pi
-    contexts = np.flatnonzero(family._starts)[:, None]
-    for _ in range(k - 1):
-        rows, letters = np.nonzero(family._moves[contexts[:, -1]])
-        contexts = np.column_stack((contexts[rows], letters))
-    first = [walk(fiber_spec.action_kind, u).first for u in contexts]
-    family._codes(contexts, np.array(first, dtype=np.int64).reshape(contexts.shape))
-    return family
 
 
 @dataclass(frozen=True)
@@ -382,7 +359,12 @@ def pair_counts(alpha, omega, k: int, stride: str = "block", m: int | None = Non
 
 @dataclass(frozen=True)
 class EstimatorReport:
-    """Per-run record of coded, empirical and exact per-symbol rates."""
+    """Per-run record of coded, empirical and exact per-symbol rates.
+
+    COLUMNS names the report's CSV columns, in order.
+    """
+
+    COLUMNS = ("n", "k", "code_rate", "H_hat_over_k", "exact_h_k", "residual", "seed")
 
     n: int
     k: int
@@ -402,22 +384,26 @@ class EstimatorReport:
         reference = self.exact_rate if self.exact_rate is not None else self.cross_entropy_rate
         return None if reference is None else self.code_rate - reference
 
+    @property
+    def bounds_hold(self) -> bool:
+        """The run's verdict on its three per-run inequalities.
+
+        The length bound always gates, the cross-entropy bound where a block
+        was coded, and the information-function floor from n = UNDERSHOOT_MIN_N on.
+        """
+        gates = [self.length_bound_ok, self.eq15_ok]
+        if self.n >= UNDERSHOOT_MIN_N:
+            gates.append(self.no_undershoot_ok)
+        return all(bool(gate) for gate in gates if gate is not None)
+
     def to_csv_row(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "code_rate": self.code_rate,
-            "H_hat_over_k": "" if self.cross_entropy_rate is None else self.cross_entropy_rate,
-            "exact_h_k": "" if self.exact_rate is None else self.exact_rate,
-            "residual": "" if self.residual is None else self.residual,
-            "seed": "" if self.seed is None else self.seed,
-        }
+        values = (self.n, self.k, self.code_rate, self.cross_entropy_rate, self.exact_rate, self.residual,
+                  self.seed)
+        return dict(zip(self.COLUMNS, ("" if v is None else v for v in values)))
 
 
 def _conditional(name: OrbitName, family: BlockCodebookFamily, exact):
     """conditional_rate's report, then the table, first-visit counts and ranks of its pairs."""
-    from .fiber import exact_averaged_entropy
-
     k = family.k
     n = len(name)
     table, counts, ranks = _coded_pairs(name, family)
@@ -439,10 +425,7 @@ def _conditional(name: OrbitName, family: BlockCodebookFamily, exact):
         no_undershoot_ok = code_rate >= info_rate - 2.0 * math.log2(n) / n - _TOL
 
     if exact == "auto":
-        try:
-            exact = exact_averaged_entropy(name.fiber_spec, family.driving_spec, k).rate
-        except ResourceLimitError:
-            exact = None
+        exact = exact_rate_or_none(name.fiber_spec, family.driving_spec, k)
 
     report = EstimatorReport(
         n=n,
@@ -481,7 +464,21 @@ class ArDecompositionReport:
 
     The ideal companions drop the integer rounding and tail costs: they
     are the exact -log2 probabilities of the coded blocks per symbol.
+    COLUMNS names the report's CSV columns, in order.
     """
+
+    COLUMNS = (
+        "n",
+        "k",
+        "joint_rate",
+        "plain_rate",
+        "conditional_rate",
+        "residual",
+        "joint_ideal_rate",
+        "plain_ideal_rate",
+        "conditional_cross_rate",
+        "seed",
+    )
 
     n: int
     k: int
@@ -492,26 +489,13 @@ class ArDecompositionReport:
     joint_ideal_rate: float
     plain_ideal_rate: float
     conditional_cross_rate: float
-    eq15_ok: bool | None
-    length_bound_ok: bool
 
     @property
     def residual(self) -> float:
         return self.joint_rate - self.plain_rate - self.conditional_rate
 
     def to_csv_row(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "joint_rate": self.joint_rate,
-            "plain_rate": self.plain_rate,
-            "conditional_rate": self.conditional_rate,
-            "residual": self.residual,
-            "joint_ideal_rate": self.joint_ideal_rate,
-            "plain_ideal_rate": self.plain_ideal_rate,
-            "conditional_cross_rate": self.conditional_cross_rate,
-            "seed": self.seed,
-        }
+        return {column: getattr(self, column) for column in self.COLUMNS}
 
 
 def ar_decomposition_check(
@@ -535,7 +519,7 @@ def ar_decomposition_check(
     cond, table, counts, ranks = _conditional(name, family, None)
 
     if n == 0:
-        return ArDecompositionReport(0, k, seed, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, True)
+        return ArDecompositionReport(0, k, seed, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     plain = block_code_details(driving_spec, trajectory, k)
 
@@ -560,8 +544,6 @@ def ar_decomposition_check(
         joint_ideal_rate=joint_ideal / n,
         plain_ideal_rate=plain.ideal_bits / n,
         conditional_cross_rate=cond.cross_entropy_rate if cond.cross_entropy_rate is not None else 0.0,
-        eq15_ok=cond.eq15_ok,
-        length_bound_ok=cond.length_bound_ok,
     )
 
 

@@ -10,15 +10,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .actions import check_driving_size
-from .driving import MarkovChainSpec, driving_preset, is_stationary
-from .fiber import FiberSystemSpec, _exceeds_cap
+from .driving import PRESETS, MarkovChainSpec, driving_preset, is_stationary
+from .fiber import ENUMERATION_CAP, FiberSystemSpec, _exceeds_cap
 from .words import Alphabet
 
 MAX_HORIZON = 10 ** 7
 
-SYSTEM_PRESETS = ("free-monoid-uniform", "z2-uniform", "f2-markov")
-
-_BINARY_FIBER = Alphabet(("0", "1"))
+SYSTEM_PRESETS = tuple(PRESETS)
 
 
 class ConfigError(ValueError):
@@ -26,17 +24,11 @@ class ConfigError(ValueError):
 
 
 def system_preset(name: str) -> tuple[MarkovChainSpec, FiberSystemSpec]:
-    """Named complete systems: a driving measure paired with a fiber system."""
+    """A named complete system: the preset's driving chain, and uniform binary symbols on its action."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; known presets: {', '.join(SYSTEM_PRESETS)}")
     half = Fraction(1, 2)
-    if name == "free-monoid-uniform":
-        driving = MarkovChainSpec.bernoulli(Alphabet(("0", "1")), (half, half))
-        fiber = FiberSystemSpec("free-monoid", _BINARY_FIBER, (half, half))
-        return driving, fiber
-    if name == "z2-uniform":
-        return driving_preset("z2-uniform"), FiberSystemSpec("z2", _BINARY_FIBER, (half, half))
-    if name == "f2-markov":
-        return driving_preset("f2-markov"), FiberSystemSpec("f2", _BINARY_FIBER, (half, half))
-    raise ConfigError(f"unknown preset {name!r}; known presets: {', '.join(SYSTEM_PRESETS)}")
+    return driving_preset(name), FiberSystemSpec(PRESETS[name][0], Alphabet(("0", "1")), (half, half))
 
 
 @dataclass(frozen=True)
@@ -54,13 +46,16 @@ class ExperimentConfig:
         """Refuse a block length whose pair blocks pass the enumeration cap.
 
         The block coders of verify-brudno and verify-ar are checked against
-        (|driving| * |fiber|)**k <= 2**24; the other commands have caps of
-        their own, on the path they take.
+        (|driving| * |fiber|)**k <= ENUMERATION_CAP; the other commands have
+        caps of their own, on the path they take.
         """
         cap_base = self.driving.alphabet.size * self.fiber.fiber_alphabet.size
         for k in self.block_lengths:
             if _exceeds_cap(cap_base, k):
-                raise ConfigError(f"block length {k} exceeds the enumeration cap ({cap_base}**{k} > 2**24)")
+                raise ConfigError(
+                    f"block length {k} exceeds the enumeration cap "
+                    f"({cap_base}**{k} > 2**{ENUMERATION_CAP.bit_length() - 1})"
+                )
 
     def __post_init__(self):
         if not self.horizons:
@@ -149,8 +144,8 @@ def load_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
             block_lengths=_integers(merged, "block_lengths", (4,)),
             seeds=_integers(merged, "seeds", (1, 2)),
             out=Path(merged.get("out", "fiberlab-reports")),
-            format=str(merged.get("format", "csv")),
-            tolerance=float(_not_boolean("tolerance", merged.get("tolerance", 0.1))),
+            format=str(merged.get("format", ExperimentConfig.format)),
+            tolerance=float(_not_boolean("tolerance", merged.get("tolerance", ExperimentConfig.tolerance))),
         )
     except ConfigError:
         raise

@@ -41,12 +41,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .actions import INVERSE
 from .errors import ModelMismatchError
 from .kraft import _shannon_bits
 from .words import Alphabet, Word
 
-Z2_GENERATOR_LABELS = ("+e1", "-e1", "+e2", "-e2")
-F2_GENERATOR_LABELS = ("a", "A", "b", "B")
 # the end of the message that refuses an inexact probability sum
 _EXACT_HINT = ' (a float is read as its binary value; give exact strings such as "1/10")'
 # uniforms the Markov sampler searches at once; chunks keep its temporaries small
@@ -120,26 +119,39 @@ class MarkovChainSpec:
         return cls(alphabet, tuple(data["pi"]), tuple(tuple(row) for row in data["Pi"]))
 
 
-def driving_preset(name: str) -> MarkovChainSpec:
-    """Built-in driving measures: "z2-uniform" and "f2-markov".
+def _uniform(labels: tuple[str, ...]) -> MarkovChainSpec:
+    """The uniform Bernoulli measure on the letters."""
+    return MarkovChainSpec.bernoulli(Alphabet(labels), (Fraction(1, len(labels)),) * len(labels))
 
-    z2-uniform is the uniform Bernoulli measure on the four lattice
-    generators.  f2-markov is the nearest-neighbour measure on the four
-    free-group generators: uniform start, transition 1/3 to each letter
-    other than the inverse of the current one, so exactly the words with
-    no letter followed by its inverse carry positive probability.
+
+def _non_backtracking(labels: tuple[str, ...]) -> MarkovChainSpec:
+    """Uniform start, then 1/3 to each letter other than the inverse of the current one.
+
+    Exactly the words with no letter followed by its inverse are positive.
     """
-    if name == "z2-uniform":
-        return MarkovChainSpec.bernoulli(Alphabet(Z2_GENERATOR_LABELS), (Fraction(1, 4),) * 4)
-    if name == "f2-markov":
-        alphabet = Alphabet(F2_GENERATOR_LABELS)
-        inverse = (1, 0, 3, 2)
-        rows = tuple(
-            tuple(Fraction(0) if j == inverse[i] else Fraction(1, 3) for j in range(4))
-            for i in range(4)
-        )
-        return MarkovChainSpec(alphabet, (Fraction(1, 4),) * 4, rows)
-    raise ValueError(f"unknown driving preset {name!r}")
+    rows = tuple(
+        tuple(Fraction(0) if j == INVERSE[i] else Fraction(1, 3) for j in range(4)) for i in range(4)
+    )
+    return MarkovChainSpec(Alphabet(labels), (Fraction(1, 4),) * 4, rows)
+
+
+# preset name -> (the action its chain drives, the chain's letters, the measure
+# on them).  z2's letters are the lattice generators and f2's the free-group
+# generators, each next to its inverse as actions.INVERSE pairs them.
+PRESETS = {
+    "free-monoid-uniform": ("free-monoid", ("0", "1"), _uniform),
+    "z2-uniform": ("z2", ("+e1", "-e1", "+e2", "-e2"), _uniform),
+    "f2-markov": ("f2", ("a", "A", "b", "B"), _non_backtracking),
+}
+
+
+def driving_preset(name: str) -> MarkovChainSpec:
+    """The driving chain of a named system in PRESETS."""
+    try:
+        _, labels, measure = PRESETS[name]
+    except KeyError:
+        raise ValueError(f"unknown driving preset {name!r}") from None
+    return measure(labels)
 
 
 def _letters_of(word) -> np.ndarray:

@@ -381,7 +381,7 @@ def exact_averaged_entropy(
     allocated, and ResourceLimitError is raised past it:
     - linear (free monoid, f2 that never cancels): no cap, the value is n;
     - renewal (z2 under i.i.d. steps): n**2 * den.bit_length() bits of
-      integer tables, den = lcm(den pi), so n <= 2364 on z2-uniform;
+      integer tables, den = lcm(den pi), so n <= 2364 under uniform z2 steps;
     - taboo (every other chain): size**n driving words bound its states;
     - "enumerate": (size * fiber size)**n pairs.
     """
@@ -405,3 +405,11 @@ def exact_averaged_entropy(
     else:
         raise ValueError(f"unknown method {method!r}")
     return ExactAveragedEntropy(n, bits)
+
+
+def exact_rate_or_none(spec: FiberSystemSpec, driving_spec: MarkovChainSpec, k: int) -> float | None:
+    """The exact rate h_k = H_k / k, or None where exact_averaged_entropy refuses k past its cap."""
+    try:
+        return exact_averaged_entropy(spec, driving_spec, k).rate
+    except ResourceLimitError:
+        return None

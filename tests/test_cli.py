@@ -7,6 +7,7 @@ import pytest
 
 from fiberlab.cli import main
 from fiberlab.config import MAX_HORIZON, ConfigError, load_config, system_preset
+from fiberlab.driving import driving_preset
 
 
 def run(args):
@@ -20,6 +21,7 @@ def read_all(directory):
 def test_system_presets_expand():
     for name in ("free-monoid-uniform", "z2-uniform", "f2-markov"):
         driving, fiber = system_preset(name)
+        assert driving == driving_preset(name)
         assert driving.alphabet.size in (2, 4)
         assert fiber.fiber_alphabet.size == 2
     with pytest.raises(ConfigError):
@@ -125,6 +127,28 @@ def test_cli_simulate_is_byte_identical(tmp_path):
     assert run(args) == 0
     assert read_all(out) == first
     assert "simulate_seed7.csv" in first
+
+
+def test_cli_simulate_streams_its_csv_rows(tmp_path):
+    # one dict per step held at once took 24 MB at this n; the CSV writer now
+    # reads the rows one at a time, and the peak is the run's own arrays
+    import tracemalloc
+
+    out = tmp_path / "reports"
+    tracemalloc.start()
+    try:
+        assert run(["simulate", "--preset", "z2-uniform", "--n", "100000", "--seed", "1", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    code = "import sys, fiberlab.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_cli_config_file_round_trip(tmp_path):

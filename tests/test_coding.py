@@ -14,7 +14,6 @@ from fiberlab import (
     MarkovChainSpec,
     ModelMismatchError,
     OrbitName,
-    ResourceLimitError,
     ar_decomposition_check,
     conditional_rate,
     cylinder_prob,
@@ -34,7 +33,7 @@ from fiberlab import (
     walk,
 )
 from fiberlab import coding, driving, fiber as fiber_module
-from fiberlab.coding import _patterns, build_codebooks
+from fiberlab.coding import UNDERSHOOT_MIN_N, EstimatorReport, _patterns
 from fiberlab.fiber import conditional_cylinder_fraction
 
 BINARY = Alphabet(("0", "1"))
@@ -61,8 +60,13 @@ FIFTHS = FiberSystemSpec("z2", Alphabet(("0", "1", "2")), (Fraction(1, 5), Fract
 ONE_SYMBOL = FiberSystemSpec("z2", Alphabet(("x",)), (Fraction(1),))
 
 
+def positive_contexts(driving, k):
+    size = driving.alphabet.size
+    return [u for u in itertools.product(range(size), repeat=k) if cylinder_prob(driving, u) != 0]
+
+
 def test_build_codebooks_uniform_monoid():
-    family = build_codebooks(MONOID, BERNOULLI2, 3)
+    family = BlockCodebookFamily(3, MONOID, BERNOULLI2)
     for u in itertools.product(range(2), repeat=3):
         book = family.codebook_for(u)
         assert len(book) == 8
@@ -79,14 +83,9 @@ def test_build_codebooks_z2_revisit_context():
 
 def test_build_codebooks_k1_lengths():
     skewed = FiberSystemSpec("free-monoid", Alphabet(("a", "b", "c")), (HALF, Fraction(1, 4), Fraction(1, 4)))
-    family = build_codebooks(skewed, BERNOULLI2, 1)
+    family = BlockCodebookFamily(1, skewed, BERNOULLI2)
     book = family.codebook_for((0,))
     assert sorted(len(w) for w in book.entries.values()) == [1, 2, 2]
-
-
-def test_build_codebooks_enforces_cap():
-    with pytest.raises(ResourceLimitError):
-        build_codebooks(F2, F2_DRIVING, 10)
 
 
 def test_family_rejects_null_context():
@@ -98,15 +97,12 @@ def test_family_rejects_null_context():
 def test_codebooks_are_prefix_free_with_exact_kraft_and_length_bounds():
     for fiber, driving in SYSTEMS:
         for k in range(1, 5):
-            family = build_codebooks(fiber, driving, k)
-            assert family.verify_length_bounds()
-            size = driving.alphabet.size
-            for u in itertools.product(range(size), repeat=k):
-                if cylinder_prob(driving, u) == 0:
-                    continue
+            family = BlockCodebookFamily(k, fiber, driving)
+            for u in positive_contexts(driving, k):
                 book = family.codebook_for(u)
                 assert is_prefix_free(book.entries.values())
                 assert kraft_sum(len(w) for w in book.entries.values()) <= 1
+            assert family.verify_length_bounds()
 
 
 def test_encode_empty_name():
@@ -284,6 +280,29 @@ def test_conditional_rate_z2_bounds():
     assert report.code_rate <= report.cross_entropy_rate + 1 / 8 + 1e-12
 
 
+def verdict(n, **flags):
+    rates = dict(code_rate=1.0, cross_entropy_rate=1.0, exact_rate=1.0, info_rate=1.0, total_bits=n, tail_bits=0)
+    flags = {"length_bound_ok": True, "eq15_ok": True, "no_undershoot_ok": True, **flags}
+    return EstimatorReport(n=n, k=4, seed=1, **rates, **flags).bounds_hold
+
+
+def test_the_information_floor_gates_from_a_thousand_symbols():
+    assert UNDERSHOOT_MIN_N == 1000
+    assert verdict(999, no_undershoot_ok=False)
+    assert not verdict(1000, no_undershoot_ok=False)
+    assert not verdict(1000, no_undershoot_ok=np.bool_(False))
+    assert verdict(1000)
+
+
+def test_the_verdict_skips_a_missing_cross_entropy_bound_and_keeps_the_length_bound():
+    assert verdict(1000, eq15_ok=None)
+    assert verdict(0, eq15_ok=None, no_undershoot_ok=None)
+    assert not verdict(1000, eq15_ok=False)
+    assert not verdict(999, eq15_ok=np.bool_(False))
+    assert not verdict(1000, length_bound_ok=False)
+    assert not verdict(999, length_bound_ok=False, eq15_ok=None, no_undershoot_ok=False)
+
+
 def test_ar_decomposition_monoid_analytic():
     report = ar_decomposition_check(BERNOULLI2, MONOID, 8192, 8, 4)
     assert report.joint_rate == pytest.approx(2.0)
@@ -333,7 +352,10 @@ def test_joint_coder_equals_the_fraction_block_loop(chain, fiber, k):
 
 
 def test_length_bound_check_reads_every_count_code_entry():
-    family = build_codebooks(THIRDS, Z2_DRIVING, 3)
+    family = BlockCodebookFamily(3, THIRDS, Z2_DRIVING)
+    for u in positive_contexts(Z2_DRIVING, 3):
+        family.codebook_for(u)
+    assert sorted(family._count_codes) == [2, 3]
     assert family.verify_length_bounds()
     for code in family._count_codes.values():
         for r, num in enumerate(code.numerators.tolist()):

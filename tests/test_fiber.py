@@ -162,7 +162,7 @@ def test_emit_name_holds_no_list_of_keys():
 
 @pytest.mark.parametrize("spec, driving", HASH_CASES, ids=["z2", "f2-reduced", "f2-cancelling", "free-monoid"])
 def test_first_only_walks_hash_nothing(monkeypatch, spec, driving):
-    from fiberlab.coding import BlockCodebookFamily, build_codebooks, decode, encode
+    from fiberlab.coding import BlockCodebookFamily, decode, encode
 
     kind, k = spec.action_kind, 3
     letters = sample_trajectory(driving, 600, 4).letters
@@ -179,7 +179,6 @@ def test_first_only_walks_hash_nothing(monkeypatch, spec, driving):
     information_function(spec, letters, name.letters)
     fiber_module.OrbitName(spec, name.driving, name.letters, name.seed)
     family.codebook_for(letters[:k])
-    build_codebooks(spec, driving, k)
     conditional_cylinder_fraction(spec, letters[:50], name.letters[:50])
     assert sum(calls.values()) == 0, calls
 

@@ -25,6 +25,12 @@ codewords themselves.  The codeword digests, sha256 of encode(name).bits
 at n = 20003 under the two skewed laws, were recorded before block
 probabilities became integer numerators; they pin every codeword and its
 canonical (length, block) order.
+
+The format digests pin what the report digests above leave open: the JSON
+reports of the verify commands and the reports of entropy, range and
+simulate, each at a small horizon.  They were recorded before the report
+columns, the verify verdicts and the simulate rows were each moved to one
+owner.
 """
 
 import hashlib
@@ -92,6 +98,34 @@ NAME_DIGESTS = {
     ("f2", 2): "a8c2f20b87da8b4bf06baa96934c3aa614460106713354f8bdd20ce270c7d4d4",
 }
 
+# (command, format): (config, digest)
+FORMAT_DIGESTS = {
+    ("verify-brudno", "json"): (
+        {"preset": "z2-uniform", "horizons": [2003], "block_lengths": [4, 8]},
+        "d715e1a1d1766c299a360acc4d3be5e726a9cb50aa720f7e132af879b1bf582f",
+    ),
+    ("verify-ar", "json"): (
+        {"preset": "f2-markov", "horizons": [2003], "block_lengths": [4, 8]},
+        "8b585cad849d679fe30da5c8277661b32131ab086d7620bc396f802b5800895b",
+    ),
+    ("entropy", "csv"): (
+        {"preset": "z2-uniform", "block_lengths": [1, 2, 3, 4, 5, 6]},
+        "ad493a77a9998bd5818cbb3c7cc4ab8e008a018efad5ca2263000dc4cfc71d7e",
+    ),
+    ("range", "csv"): (
+        {"preset": "z2-uniform", "horizons": [1, 10, 100, 1000]},
+        "7171ca52572f29525a76070f2f84ffe801fe70836c9c6d152d9107227d75d417",
+    ),
+    ("simulate", "csv"): (
+        {"preset": "z2-uniform", "horizons": [300]},
+        "14d53e6231cd789b7a2f4b3e747c7041648a33a6fa909fc5e7a96b4d8b4c9031",
+    ),
+    ("simulate", "json"): (
+        {"preset": "f2-markov", "horizons": [300]},
+        "0a54ed5d1065e027620ea8c0d4cea38dae0a199ccecc143b2a2a44648b7ed520",
+    ),
+}
+
 UNIFORM_F2 = MarkovChainSpec.bernoulli(Alphabet(("a", "A", "b", "B")), (Fraction(1, 4),) * 4)
 
 
@@ -142,6 +176,12 @@ def test_skewed_fiber_report_bytes_are_unchanged(tmp_path, command, law):
     fiber = {"action": "z2", "fiber_alphabet": [str(s) for s in range(len(p))], "p": list(p)}
     config = {"driving": "z2-uniform", "fiber": fiber, "horizons": [20_003], "block_lengths": [4, 5]}
     assert config_digest(tmp_path, command, config) == SKEWED_REPORT_DIGESTS[command, law]
+
+
+@pytest.mark.parametrize("command,format", sorted(FORMAT_DIGESTS))
+def test_report_formats_are_unchanged(tmp_path, command, format):
+    config, digest = FORMAT_DIGESTS[command, format]
+    assert config_digest(tmp_path, command, {**config, "format": format}) == digest
 
 
 def test_f2_markov_brudno_reports_equal_the_free_monoid_ones(tmp_path):

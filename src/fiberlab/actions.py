@@ -26,8 +26,11 @@ first meets its coordinate, and never without a seed, so the walks that
 only read first hash nothing.  Three kernels meet the contract, one per
 action: z2 sums the generator vectors and groups equal positions by one
 stable sort, formatting keys only to draw them; the free monoid chains one
-key per step and draws it as it goes (its prefixes never repeat); and f2
-numbers the tree nodes it meets, chaining their keys after the walk.
+key per step (its prefixes never repeat); and f2 numbers the tree nodes it
+meets, then chains their keys in node order, each from its parent's.  A
+chained coordinate costs one pass of one Python loop, which chains its key
+and then draws it, with both hashers' copy methods bound once; the free
+monoid keeps only the last key, the f2 tree every node's.
 
 LAWS steps one coordinate at a time; the backward taboo recursion of
 fiber._taboo_distinct uses it, and the tests keep the generic walk
@@ -39,9 +42,8 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, islice
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -125,36 +127,56 @@ def _check_seed(seed) -> int:
     return seed
 
 
-def _draws(seed: int, keys: Iterable[bytes], count: int) -> np.ndarray:
-    """The keyed digests of the first count keys, read as little-endian uint64.
+def _draw_hasher(seed: int):
+    """The copy method of one blake2b hasher keyed by the seed.
 
-    Each draw is a copy of one hasher keyed by the seed, so the key block
-    is compressed once; keys are consumed, and their digests joined, a
-    chunk at a time, so neither keys nor digests need all be held at once.
+    Each draw is a copy of the one hasher, so the key block is compressed once.
     """
-    base = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
-    draws = np.empty(count, dtype=np.uint64)
-    keys = iter(keys)
-    digests: list[bytes] = []
-    for start in range(0, count, _DRAW_CHUNK):
-        for key in islice(keys, _DRAW_CHUNK):
-            h = base.copy()
+    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little")).copy
+
+
+def _draws(seed: int, keys: list[bytes]) -> np.ndarray:
+    """The keyed digests of the keys, read as little-endian uint64."""
+    draw = _draw_hasher(seed)
+    draws = np.empty(len(keys), dtype=np.uint64)
+    for start in range(0, len(keys), _DRAW_CHUNK):
+        digests = []
+        for key in keys[start:start + _DRAW_CHUNK]:
+            h = draw()
             h.update(key)
             digests.append(h.digest())
         draws[start:start + len(digests)] = np.frombuffer(b"".join(digests), dtype="<u8")
-        digests.clear()
     return draws
 
 
 def _chained(identity: bytes, letters: np.ndarray, seed: int | None) -> Walk:
     # every step reaches a new coordinate, whose key chains the letter on;
-    # the keys are drawn as they are chained, and never held in a list
-    first = np.arange(len(letters), dtype=np.int64)
+    # one loop chains each key and draws it, so no key is held
+    n = len(letters)
+    first = np.arange(n, dtype=np.int64)
     if seed is None:
         return Walk(first, None)
-    # bytes iterate as ints, with no list of n Python ints alongside
+    chain, draw, byte = _CHAIN_HASHER.copy, _draw_hasher(seed), _BYTES
+    draws = np.empty(n, dtype=np.uint64)
+    # bytes iterate as ints, with no list of n Python ints alongside;
+    # coordinate i chains letter i - 1 onto the key of coordinate i - 1
     steps = letters[:-1].astype(np.uint8).tobytes()
-    return Walk(first, _draws(seed, accumulate(steps, _chain, initial=identity), len(letters)))
+    key = identity
+    h = draw()
+    h.update(key)
+    digests = [h.digest()]
+    for start in range(0, n, _DRAW_CHUNK):
+        append = digests.append
+        for letter in steps[max(start - 1, 0):start + _DRAW_CHUNK - 1]:
+            h = chain()
+            h.update(key + byte[letter])
+            key = h.digest()
+            h = draw()
+            h.update(key)
+            append(h.digest())
+        draws[start:start + len(digests)] = np.frombuffer(b"".join(digests), dtype="<u8")
+        digests = []
+    return Walk(first, draws)
 
 
 def _walk_free_monoid(letters: np.ndarray, seed: int | None) -> Walk:
@@ -187,7 +209,7 @@ def _walk_z2(letters: np.ndarray, seed: int | None) -> Walk:
     keys = [b"%d,%d" % c for c in zip(((positions - y) >> 32).tolist(), y.tolist())]
     # the positions go before the draws are allocated, to keep them off the peak
     del at, positions, y
-    return Walk(first, _draws(seed, keys, len(keys)))
+    return Walk(first, _draws(seed, keys))
 
 
 def _walk_f2(letters: np.ndarray, seed: int | None) -> Walk:
@@ -221,12 +243,32 @@ def _walk_f2(letters: np.ndarray, seed: int | None) -> Walk:
     first = np.frombuffer(born, dtype=np.int64)[np.frombuffer(node, dtype=np.int64)]
     if seed is None:
         return Walk(first, None)
+    # the walk's edges and node per step go before the keys are chained,
+    # to keep them off the peak
+    del children, node
     # a node's parent is numbered before it, so one pass in node order
-    # chains every key from its parent's
+    # chains every key from its parent's and draws it
+    chain, draw, byte = _CHAIN_HASHER.copy, _draw_hasher(seed), _BYTES
+    count = len(head)
+    draws = np.empty(count, dtype=np.uint64)
     keys = [LAWS["f2"][0][0]]
-    for letter, up in zip(islice(head, 1, None), islice(parent, 1, None)):
-        keys.append(_chain(keys[up], letter))
-    return Walk(first, _draws(seed, keys, len(keys)))
+    h = draw()
+    h.update(keys[0])
+    digests = [h.digest()]
+    for start in range(0, count, _DRAW_CHUNK):
+        append = digests.append
+        lo, hi = max(start, 1), start + _DRAW_CHUNK
+        for letter, up in zip(head[lo:hi], parent[lo:hi]):
+            h = chain()
+            h.update(keys[up] + byte[letter])
+            key = h.digest()
+            keys.append(key)
+            h = draw()
+            h.update(key)
+            append(h.digest())
+        draws[start:start + len(digests)] = np.frombuffer(b"".join(digests), dtype="<u8")
+        digests = []
+    return Walk(first, draws)
 
 
 _KERNELS = {"free-monoid": _walk_free_monoid, "z2": _walk_z2, "f2": _walk_f2}

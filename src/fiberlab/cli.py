@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .actions import range_ratio_curve
@@ -31,18 +32,37 @@ from .driving import sample_trajectory
 from .errors import ResourceLimitError
 from .fiber import emit_name, exact_averaged_entropy, exact_rate_or_none
 
+# rows a JSON report encodes at once: one encode call per row would cost
+# more than the rows, and the whole report at once holds every row in memory
+_JSON_BATCH = 2 ** 12
+
 
 def _write_rows(config: ExperimentConfig, stem: str, columns, rows) -> Path:
-    """Write an iterable of rows, dicts keyed by columns; only JSON holds them all at once."""
+    """Write an iterable of rows, dicts keyed by columns, one row at a time.
+
+    JSON reports keep the bytes of json.dumps(payload, indent=2,
+    sort_keys=True) on the whole payload: its keys sort as columns, rows,
+    schema, and rows are encoded _JSON_BATCH at a time and indented to
+    their depth.
+    """
     config.out.mkdir(parents=True, exist_ok=True)
+    schema = f"fiberlab.{stem}.v1"
     if config.format == "json":
         path = config.out / f"{stem}.json"
-        payload = {"schema": f"fiberlab.{stem}.v1", "columns": list(columns), "rows": list(rows)}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(encode({"columns": list(columns)})[:-2] + ',\n  "rows": [')
+            rows, count = iter(rows), 0
+            while batch := list(islice(rows, _JSON_BATCH)):
+                # "[" + rows at depth 1 + "\n]", cut to the rows, one level deeper
+                handle.write(("," if count else "") + encode(batch)[1:-2].replace("\n", "\n  "))
+                count += len(batch)
+            handle.write("\n  ]" if count else "]")
+            handle.write(',\n  "schema": ' + encode(schema) + "\n}\n")
         return path
     path = config.out / f"{stem}.csv"
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(f"# fiberlab.{stem}.v1\n")
+        handle.write(f"# {schema}\n")
         writer = csv.DictWriter(handle, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)

@@ -111,6 +111,15 @@ def _patterns(first: np.ndarray) -> np.ndarray:
     return (first[:, :, None] == first[:, None, :]).argmax(axis=2)
 
 
+def _present(counts: np.ndarray) -> list[int]:
+    """The distinct first-visit counts, ascending.
+
+    A bare np.unique would import numpy.ma on its first call (numpy 2.4
+    tests for a masked array), about 15 ms and 1.25 MB of RSS in one run.
+    """
+    return np.flatnonzero(np.bincount(counts)).tolist()
+
+
 def _place_values(pattern: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Where each block's first visits lie, and each position's weight in the block's rank.
 
@@ -178,7 +187,7 @@ class BlockCodebookFamily:
             block = tuple(rows[r, k:].tolist())
             raise ModelMismatchError(f"fiber block {block} is inconsistent with driving block {context}")
         counts = (pattern == np.arange(k)).sum(axis=1)
-        for d in np.unique(counts).tolist():
+        for d in _present(counts):
             if d not in self._count_codes:
                 self._count_codes[d] = _CountCode(self.fiber_spec, d)
         return counts, pattern
@@ -186,7 +195,7 @@ class BlockCodebookFamily:
     def _read(self, counts: np.ndarray, ranks: np.ndarray, field: str) -> np.ndarray:
         """One field of _CountCode per row, at the row's rank in its count code."""
         out = None
-        for d in np.unique(counts).tolist():
+        for d in _present(counts):
             values = getattr(self._count_codes[d], field)
             if out is None:
                 out = np.empty(len(counts), dtype=values.dtype)

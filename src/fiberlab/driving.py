@@ -25,7 +25,9 @@ division is correctly rounded.
 The Markov sampler steps a transition table: the next letter depends on a
 uniform only through the interval of distinct cumulative values it falls
 in, so one vectorized search per chunk of uniforms gives each step's
-interval, and a Python loop only looks up (interval, state) in a table.
+interval.  The table composes: r steps are one lookup of (r intervals,
+state), so a Python loop finds the state at every r-th step only and r
+vectorized gathers fill in the letters between.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ from .words import Alphabet, Word
 _EXACT_HINT = ' (a float is read as its binary value; give exact strings such as "1/10")'
 # uniforms the Markov sampler searches at once; chunks keep its temporaries small
 _SAMPLE_CHUNK = 2 ** 11
+# a block table's window keys stay at or below this, so they fit an int64
+_KEY_LIMIT = 2 ** 62
+# entries the sampler's composed step table may hold: it resolves r letters
+# per lookup, for the largest r whose table of C**r * s entries fits
+_COMPOSED_ENTRIES = 2 ** 12
 
 
 def _as_fraction(x) -> Fraction:
@@ -275,6 +282,27 @@ def _cumulative(probs) -> list[float]:
     return out
 
 
+def _composition_depth(cuts: int, s: int) -> int:
+    """The largest r >= 1 with cuts**r * s <= _COMPOSED_ENTRIES, or 1 when none fits."""
+    r = 1
+    while cuts ** (r + 1) * s <= _COMPOSED_ENTRIES:
+        r += 1
+    return r
+
+
+def _composed(after: np.ndarray, r: int) -> np.ndarray:
+    """The step table composed r times: comp[code, a] is the state r steps after a.
+
+    after[c, a] is the state after a under cut c; code reads the r cuts as
+    base-C digits, the first cut most significant, with C = len(after).
+    """
+    cuts = np.arange(len(after))[None, :, None]
+    comp = after
+    for _ in range(r - 1):
+        comp = after[cuts, comp[:, None, :]].reshape(-1, after.shape[1])
+    return comp
+
+
 def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajectory:
     """Sample n letters, the first from pi and each next from the Pi row of
     the current state.
@@ -284,6 +312,16 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
     order, so trajectories are bitwise reproducible for equal seeds.  The
     letter after state a is min(#{c in cum(Pi[a]) : c <= u}, size - 1),
     which is bisect_right on the float cumulative row.
+
+    That letter depends on u only through its cut c in [0, C): the number
+    of the C - 1 distinct cumulative values of all rows that are <= u.  So
+    r steps compose into one table comp[code * s + a] of C**r * s entries,
+    the state r steps after a, with code the r cuts read as base-C digits.
+    r is the largest depth whose table holds at most _COMPOSED_ENTRIES
+    entries (at least 1, which is the plain step table); f2-markov has
+    C = 5 and s = 4, so r = 4.  The Python loop looks the table up once per
+    r letters, and r gathers in the plain table fill in the letters
+    between; the letters equal those of the per-letter loop bit for bit.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -302,20 +340,36 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
         letters = np.minimum(np.searchsorted(cum, us, side="right"), len(cum) - 1).astype(np.int64)
         return DrivingTrajectory(spec, seed, letters)
     s = spec.alphabet.size
-    state = min(bisect_right(pi_cum, us[0]), s - 1)
-    letters[0] = state
+    letters[0] = min(bisect_right(pi_cum, us[0]), s - 1)
     # The next letter depends on u only through c, the number of distinct
-    # cumulative values <= u: after[c * s + a] is the letter after state a
-    # for such u, picked at -inf (c = 0) or at the c-th smallest value.
+    # cumulative values <= u: after[c, a] is the letter after state a for
+    # such u, picked at -inf (c = 0) or at the c-th smallest value.
     edges = sorted({c for row in row_cums for c in row})
-    after = [min(bisect_right(row, x), s - 1) for x in [-math.inf, *edges] for row in row_cums]
+    after = np.array([[min(bisect_right(row, x), s - 1) for row in row_cums] for x in [-math.inf, *edges]])
     edges = np.array(edges)
-    out = memoryview(letters)
-    for start in range(1, n, _SAMPLE_CHUNK):
-        cuts = np.searchsorted(edges, us[start : start + _SAMPLE_CHUNK], side="right") * s
-        for i, base in enumerate(cuts.tolist(), start):
-            state = after[base + state]
-            out[i] = state
+    r = _composition_depth(len(after), s)
+    comp = _composed(after, r).ravel().tolist()
+    weights = len(after) ** np.arange(r - 1, -1, -1)
+    step = _SAMPLE_CHUNK // r * r
+    for start in range(1, n, step):
+        # the chunk's cuts, r to a row; the last row of the last chunk is
+        # padded with c = 0, whose letters are computed but never kept
+        size = min(step, n - start)
+        cuts = np.zeros(-(-size // r) * r, dtype=np.int64)
+        cuts[:size] = np.searchsorted(edges, us[start : start + size], side="right")
+        cuts = cuts.reshape(-1, r)
+        # the Python loop visits block starts only: the state before each block
+        state = int(letters[start - 1])
+        before = [state]
+        for base in (cuts @ weights * s)[:-1].tolist():
+            state = comp[base + state]
+            before.append(state)
+        # then r gathers fill each block's letters from the state before it
+        block = np.empty_like(cuts)
+        state = np.array(before)
+        for j in range(r):
+            state = block[:, j] = after[cuts[:, j], state]
+        letters[start : start + size] = block.ravel()[:size]
     return DrivingTrajectory(spec, seed, letters)
 
 
@@ -332,25 +386,47 @@ class _BlockTable(NamedTuple):
     first: np.ndarray
 
 
+def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each value's rank among the distinct values, and their number."""
+    distinct, rank = np.unique(values, return_inverse=True)
+    return rank, len(distinct)
+
+
 def _block_table(words, k: int, hop: int, m: int) -> _BlockTable:
     """Slice equally long words into their first m windows of length k.
 
     Window i starts at offset i * hop; its row lays the slices of the words
-    side by side.  Rows are compared as raw bytes, so no block is packed
-    into an integer, whatever k is.
+    side by side.  Each window is keyed by one int64: the row's columns
+    read as mixed-radix digits, each offset by its column's minimum and
+    counted in its column's span, and the key is ranked densely whenever
+    the next column would take it past 2**62, so any letters and any k
+    fit.  Only the distinct rows are gathered from the windows.
     """
-    if m:
-        rows = np.concatenate(
-            [sliding_window_view(np.asarray(w, dtype=np.int64), k)[::hop][:m] for w in words], axis=1
-        )
-    else:
-        rows = np.empty((0, k * len(words)), dtype=np.int64)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    if not m:
+        empty = np.empty(0, dtype=np.int64)
+        return _BlockTable(np.empty((0, k * len(words)), dtype=np.int64), empty, empty, empty)
+    views = [sliding_window_view(np.asarray(w, dtype=np.int64), k)[::hop][:m] for w in words]
+    key, span = np.zeros(m, dtype=np.int64), 1
+    for column in (view[:, j] for view in views for j in range(k)):
+        lo = int(column.min())
+        width = int(column.max()) - lo + 1
+        if span * width > _KEY_LIMIT:
+            key, span = _dense_rank(key)
+            if span * width > _KEY_LIMIT:
+                # a column wider than the limit leaves too little room even
+                # after the key is ranked; ranking it too leaves at most m values
+                (column, width), lo = _dense_rank(column), 0
+        key = key * width + (column - lo)
+        span *= width
+    _, first, inverse, counts = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return _BlockTable(rows[first[order]], rank[inverse], counts[order], first[order])
+    first = first[order]
+    rows = np.empty((len(first), k * len(words)), dtype=np.int64)
+    for j, view in enumerate(views):
+        rows[:, j * k : (j + 1) * k] = view[first]
+    return _BlockTable(rows, rank[inverse], counts[order], first)
 
 
 def _sequential_sum(values) -> float:

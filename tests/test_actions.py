@@ -21,7 +21,7 @@ from fiberlab import (
     visit_record,
     walk,
 )
-from fiberlab.actions import LAWS, default_checkpoints
+from fiberlab.actions import _DRAW_CHUNK, LAWS, default_checkpoints
 from fiberlab.config import ConfigError
 
 # generator indices for the lattice and free-group alphabets
@@ -255,3 +255,24 @@ def test_walk_kernels_reject_foreign_letters_like_the_generic_walk(kind, letter)
         for given in (word, np.array(word, dtype=np.int64)):
             with pytest.raises(ValueError, match=message):
                 walk(kind, given)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, _DRAW_CHUNK + 1])
+@pytest.mark.parametrize("kind, path", [("free-monoid", "chained"), ("f2", "chained"), ("f2", "tree")])
+def test_chain_and_draw_loops_cross_draw_chunks(kind, path, offset):
+    # the loops that chain a key and draw it join digests _DRAW_CHUNK at a
+    # time; around a chunk's end, every coordinate is drawn exactly once
+    count = _DRAW_CHUNK + offset
+    rng = np.random.default_rng(count)
+    if path == "chained":
+        # a and b only: an f2 word that never cancels takes the chained kernel
+        letters = rng.choice([A, B], count) if kind == "f2" else rng.integers(0, 256, count)
+    else:
+        # count - 1 steps out along a, one step back and a last letter that
+        # moves nothing recorded: the tree has count nodes
+        letters = np.array([A] * (count - 1) + [A_INV, A])
+    first, keys = reference_walk(kind, letters)
+    assert len(keys) == count
+    got = walk(kind, letters, seed=5)
+    assert np.array_equal(got.first, np.array(first, dtype=np.int64))
+    assert got.draws.tolist() == keyed_draws(5, keys)

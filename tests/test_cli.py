@@ -144,6 +144,36 @@ def test_cli_simulate_streams_its_csv_rows(tmp_path):
     assert peak < 8 * 2 ** 20
 
 
+@pytest.mark.parametrize("rows", [
+    [],
+    [{"i": 0, "x": 0.1, "y": ""}],
+    [{"i": 0, "x": 0.1, "y": ""}, {"i": 1, "x": -2.5e-300, "y": "b"}, {"i": 2, "x": float("nan"), "y": ""}],
+], ids=["0-rows", "1-row", "3-rows"])
+@pytest.mark.parametrize("batch", [2, 2 ** 12])
+def test_cli_json_reports_stream_the_bytes_of_one_dump(tmp_path, monkeypatch, rows, batch):
+    from fiberlab import cli
+
+    monkeypatch.setattr(cli, "_JSON_BATCH", batch)  # 2 splits three rows across batches
+    config = load_config({"preset": "z2-uniform", "out": str(tmp_path), "format": "json"})
+    columns = ("i", "x", "y")
+    path = cli._write_rows(config, "probe", columns, iter(rows))
+    payload = {"schema": "fiberlab.probe.v1", "columns": list(columns), "rows": rows}
+    assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_verify_ar_never_loads_numpy_ma(tmp_path):
+    # a bare np.unique loads numpy.ma on its first call (numpy 2.4), which
+    # costs a run about 15 ms and 1.25 MB of RSS
+    code = (
+        "import sys; from fiberlab.cli import main; "
+        f"main(['verify-ar', '--preset', 'f2-markov', '--n', '2000', '--k', '4', '--seed', '1', '--out', {str(tmp_path)!r}]); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True)
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
     code = "import sys, fiberlab.cli; print('concurrent.futures.process' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberlab import (
     Alphabet,
@@ -24,7 +26,13 @@ from fiberlab import (
     is_stationary,
     sample_trajectory,
 )
-from fiberlab.driving import _SAMPLE_CHUNK, _cylinder_numerators, block_code_details
+from fiberlab.driving import (
+    _SAMPLE_CHUNK,
+    _block_table,
+    _composition_depth,
+    _cylinder_numerators,
+    block_code_details,
+)
 from fiberlab.kraft import shannon_length
 
 F2 = driving_preset("f2-markov")
@@ -68,6 +76,24 @@ def bisect_trajectory(spec, n, seed):
         letters.append(state)
         cum = row_cums[state]
     return letters
+
+
+def void_block_table(words, k, hop, m):
+    """The block table keyed by each row's raw bytes as one void scalar,
+    which the int64 mixed-radix key replaced, kept as the oracle."""
+    if m:
+        rows = np.concatenate(
+            [np.lib.stride_tricks.sliding_window_view(np.asarray(w, dtype=np.int64), k)[::hop][:m] for w in words],
+            axis=1,
+        )
+    else:
+        rows = np.empty((0, k * len(words)), dtype=np.int64)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rows[first[order]], rank[inverse], counts[order], first[order]
 
 
 def test_spec_validation():
@@ -219,16 +245,116 @@ def test_sample_trajectory_fast_path_matches_generic_loop():
     assert np.array_equal(fast, sample_trajectory(loop_spec, 10000, 9).letters)
 
 
-@pytest.mark.parametrize("spec", [F2, SKEWED3], ids=["f2-markov", "skewed3"])
+def sampler_depth(spec):
+    """The sampler's composition depth r for the chain, from its cut count C."""
+    row_cums = [itertools.accumulate(float(p) for p in row) for row in spec.Pi]
+    return _composition_depth(len({c for row in row_cums for c in row}) + 1, spec.alphabet.size)
+
+
+def sampler_sizes(r):
+    """Sizes around r and around the sampler's chunk boundaries: chunks of
+    _SAMPLE_CHUNK // r * r letters follow the first letter."""
+    step = _SAMPLE_CHUNK // r * r
+    sizes = {0, 1, 2, r - 1, r, r + 1, 2 * r + 1, 3 * _SAMPLE_CHUNK + 5}
+    for edge in (_SAMPLE_CHUNK, step + 1, 2 * step + 1):
+        sizes |= {edge - r, edge - 1, edge, edge + 1, edge + r}
+    return sorted(size for size in sizes if size >= 0)
+
+
+def assert_sampler_equals_bisect_loop(spec, n, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # some chains are not stationary
+        letters = sample_trajectory(spec, n, seed).letters
+    assert letters.dtype == np.int64
+    assert letters.tolist() == bisect_trajectory(spec, n, seed)
+
+
+# pi and Pi with zeros, one leading a row (its cumulative values start at
+# 0.0) and one ending it (1.0 twice)
+ZEROS3 = MarkovChainSpec(
+    Alphabet(("x", "y", "z")),
+    (Fraction(0), Fraction(1, 2), Fraction(1, 2)),
+    (
+        (Fraction(0), Fraction(1, 4), Fraction(3, 4)),
+        (Fraction(2, 3), Fraction(1, 3), Fraction(0)),
+        (Fraction(1, 5), Fraction(0), Fraction(4, 5)),
+    ),
+)
+# six letters whose rows have 29 distinct cumulative values, so C = 30 and
+# a two-step table (30**2 * 6 entries) passes the budget: r = 1 runs
+WIDE6 = MarkovChainSpec(
+    Alphabet(tuple("uvwxyz")),
+    (Fraction(1, 6),) * 6,
+    tuple(
+        tuple(Fraction(w, sum(row)) for w in row)
+        for row in ((1, 2, 3, 4, 5, 6), (7, 1, 1, 2, 3, 9), (5, 5, 1, 8, 2, 2),
+                    (2, 9, 4, 1, 1, 6), (3, 1, 7, 7, 2, 1), (11, 1, 2, 1, 3, 5))
+    ),
+)
+
+
+def test_the_sampler_composes_as_deep_as_the_budget_allows():
+    assert (sampler_depth(F2), sampler_depth(SKEWED3), sampler_depth(ZEROS3)) == (4, 3, 4)
+    assert sampler_depth(WIDE6) == 1
+
+
+@pytest.mark.parametrize("spec", [F2, SKEWED3, ZEROS3, WIDE6], ids=["f2-markov", "skewed3", "zeros3", "wide6"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_markov_sampler_equals_the_per_letter_bisect_loop(spec, seed):
-    sizes = (0, 1, 2, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, _SAMPLE_CHUNK + 2, 3 * _SAMPLE_CHUNK + 5)
-    for n in sizes:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # SKEWED3 is not stationary
-            letters = sample_trajectory(spec, n, seed).letters
-        assert letters.dtype == np.int64
-        assert letters.tolist() == bisect_trajectory(spec, n, seed)
+    for n in sampler_sizes(sampler_depth(spec)):
+        assert_sampler_equals_bisect_loop(spec, n, seed)
+
+
+@st.composite
+def rational_chains(draw):
+    s = draw(st.integers(2, 5))
+    weights = st.lists(st.integers(0, 6), min_size=s, max_size=s).filter(any)
+    pi = draw(weights)
+    rows = [draw(weights) for _ in range(s)]
+    law = lambda w: tuple(Fraction(x, sum(w)) for x in w)  # noqa: E731
+    return MarkovChainSpec(Alphabet(tuple("abcde"[:s])), law(pi), tuple(law(row) for row in rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_chains(), st.integers(0, 3 * _SAMPLE_CHUNK), st.integers(0, 2 ** 64 - 1))
+def test_markov_sampler_equals_the_bisect_loop_on_random_rational_chains(spec, n, seed):
+    assert_sampler_equals_bisect_loop(spec, n, seed)
+
+
+def block_table_cases():
+    rng = np.random.default_rng(5)
+    small = rng.integers(0, 3, size=600)
+    # negative letters and letters at and past 2**40
+    wide = rng.choice(np.array([-7, -1, 0, 2 ** 40, 2 ** 40 + 3, 2 ** 50]), size=600)
+    # columns spanning nearly all of int64, each wider than 2**62 alone
+    extreme = rng.choice(np.array([-(2 ** 63), -1, 0, 2 ** 63 - 1]), size=600)
+    # 200 rows of 2 x 40 binary letters, in twins that differ only in the
+    # first letter: 80 columns of span 2 pass 2**62 and re-rank the key,
+    # where a key that wrapped modulo 2**64 would lose that letter
+    rows = np.repeat(rng.integers(0, 2, size=(100, 80)), 2, axis=0)
+    rows[1::2, 0] ^= 1
+    twins = (rows[:, :40].ravel(), rows[:, 40:].ravel())
+    return [
+        ("one word", (small,), 8, 8, 75),
+        ("overlapping windows", (small,), 5, 1, 596),
+        ("negative and past 2**40", (wide,), 3, 3, 200),
+        ("re-ranked", twins, 40, 40, 200),
+        ("re-ranked, overlapping", (small, small[::-1].copy()), 40, 2, 280),
+        ("two wide words", (wide, extreme), 4, 4, 150),
+        ("fewer windows than fit", (small,), 8, 8, 10),
+        ("m = 0", (small,), 8, 8, 0),
+        ("m = 0, word shorter than k", (small[:3],), 8, 8, 0),
+    ]
+
+
+@pytest.mark.parametrize("words, k, hop, m", [case[1:] for case in block_table_cases()],
+                         ids=[case[0] for case in block_table_cases()])
+def test_block_table_equals_the_void_key_table(words, k, hop, m):
+    table = _block_table(words, k, hop, m)
+    for got, want in zip(table, void_block_table(words, k, hop, m)):
+        assert got.shape == want.shape
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_sample_trajectory_f2_never_emits_inverse_pairs():

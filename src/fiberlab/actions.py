@@ -25,12 +25,13 @@ fixed by its symbols at the first visits.  A key is hashed when the walk
 first meets its coordinate, and never without a seed, so the walks that
 only read first hash nothing.  Three kernels meet the contract, one per
 action: z2 sums the generator vectors and groups equal positions by one
-stable sort, formatting keys only to draw them; the free monoid chains one
-key per step (its prefixes never repeat); and f2 numbers the tree nodes it
-meets, then chains their keys in node order, each from its parent's.  A
-chained coordinate costs one pass of one Python loop, which chains its key
-and then draws it, with both hashers' copy methods bound once; the free
-monoid keeps only the last key, the f2 tree every node's.
+stable sort; the free monoid chains one key per step (its prefixes never
+repeat); and f2 numbers the tree nodes it meets, then chains their keys in
+node order, each from its parent's.  Every kernel draws a coordinate in
+the same pass of one Python loop that makes its key, with the hashers'
+copy methods bound once, and joins the digests _DRAW_CHUNK at a time: z2
+formats each position's key and draws it, so no list of keys is built,
+the free monoid keeps only the last chained key, the f2 tree every node's.
 
 LAWS steps one coordinate at a time; the backward taboo recursion of
 fiber._taboo_distinct uses it, and the tests keep the generic walk
@@ -135,20 +136,6 @@ def _draw_hasher(seed: int):
     return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little")).copy
 
 
-def _draws(seed: int, keys: list[bytes]) -> np.ndarray:
-    """The keyed digests of the keys, read as little-endian uint64."""
-    draw = _draw_hasher(seed)
-    draws = np.empty(len(keys), dtype=np.uint64)
-    for start in range(0, len(keys), _DRAW_CHUNK):
-        digests = []
-        for key in keys[start:start + _DRAW_CHUNK]:
-            h = draw()
-            h.update(key)
-            digests.append(h.digest())
-        draws[start:start + len(digests)] = np.frombuffer(b"".join(digests), dtype="<u8")
-    return draws
-
-
 def _chained(identity: bytes, letters: np.ndarray, seed: int | None) -> Walk:
     # every step reaches a new coordinate, whose key chains the letter on;
     # one loop chains each key and draws it, so no key is held
@@ -205,11 +192,22 @@ def _walk_z2(letters: np.ndarray, seed: int | None) -> Walk:
     if seed is None:
         return Walk(first, None)
     positions = positions[np.argsort(at)]
-    y = ((positions + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
-    keys = [b"%d,%d" % c for c in zip(((positions - y) >> 32).tolist(), y.tolist())]
-    # the positions go before the draws are allocated, to keep them off the peak
-    del at, positions, y
-    return Walk(first, _draws(seed, keys))
+    del at
+    # one loop per chunk of positions formats each key and draws it, so no
+    # key is held past its draw
+    draw = _draw_hasher(seed)
+    draws = np.empty(len(positions), dtype=np.uint64)
+    for start in range(0, len(positions), _DRAW_CHUNK):
+        chunk = positions[start:start + _DRAW_CHUNK]
+        y = ((chunk + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
+        digests = []
+        append = digests.append
+        for c in zip(((chunk - y) >> 32).tolist(), y.tolist()):
+            h = draw()
+            h.update(b"%d,%d" % c)
+            append(h.digest())
+        draws[start:start + len(digests)] = np.frombuffer(b"".join(digests), dtype="<u8")
+    return Walk(first, draws)
 
 
 def _walk_f2(letters: np.ndarray, seed: int | None) -> Walk:

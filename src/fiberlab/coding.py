@@ -25,12 +25,14 @@ bound and the joint coder's lengths are integer computations.
 
 The cost of a block depends on its (u, v) pair alone, so the coders work
 from one table of a name's distinct pairs in first-occurrence order (see
-driving._block_table), built once per cell and ranked in one vectorized
-pass: encode joins codewords by block index, the coded length is counts
-times codeword lengths, the cross entropy sums counts times log2 mu, and
-the joint coder reads its lengths off the same pairs.  All rows of a table
-are checked at once, and the first offending row raises, as a
-block-by-block loop would.
+driving._block_table), built once per cell.  Its windows stay views of
+the name, and the pairs are gathered, checked, patterned and ranked a
+span of driving._ROW_CHUNK rows at a time, keeping only each pair's
+first-visit count and rank: encode joins codewords by block index, the
+coded length is counts times codeword lengths, the cross entropy sums
+counts times log2 mu over the whole table, and the joint coder reads its
+lengths off the same pairs.  Spans are checked in order, so the first
+offending row raises, as a block-by-block loop would.
 
 A block's first visits are read off a walk across it.  Group coordinates
 cancel on the right, so two steps of a block visit the same coordinate of
@@ -59,8 +61,10 @@ from .actions import check_driving_size, walk
 from .driving import (
     MarkovChainSpec,
     _block_table,
+    _gather,
     _letters_of,
     _sequential_sum,
+    _spans,
     block_code_details,
     sample_trajectory,
 )
@@ -248,16 +252,22 @@ def _coded_pairs(name: OrbitName, family: BlockCodebookFamily):
     Returns the table and, per pair, its first-visit count d and the rank
     of v's first-visit symbols, which index the pair's entry in the count
     code for d.  Each pair takes its pattern from the name's walk across
-    its first block.
+    its first block.  Pairs are gathered, checked and ranked a span of
+    driving._ROW_CHUNK at a time, in table order, so only the counts and
+    ranks are held for the whole table.
     """
     if name.fiber_spec != family.fiber_spec:
         raise ValueError("name and family disagree on the fiber system")
     k = family.k
     table = _block_table((name.driving, name.letters), k, k, len(name) // k)
-    first = name.first[table.first[:, None] * k + np.arange(k)]
-    counts, pattern = family._codes(table.rows, first)
-    first_visit, place = _place_values(pattern, family.fiber_spec.fiber_alphabet.size)
-    ranks = np.where(first_visit, table.rows[:, k:] * place, 0).sum(axis=1)
+    counts = np.empty(len(table.first), dtype=np.int64)
+    ranks = np.empty_like(counts)
+    for lo, hi in _spans(len(table.first)):
+        rows = _gather(table, lo, hi)
+        walks = name.first[table.first[lo:hi, None] * k + np.arange(k)]
+        counts[lo:hi], pattern = family._codes(rows, walks)
+        first_visit, place = _place_values(pattern, family.fiber_spec.fiber_alphabet.size)
+        ranks[lo:hi] = np.where(first_visit, rows[:, k:] * place, 0).sum(axis=1)
     return table, counts, ranks
 
 
@@ -280,12 +290,13 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
     """Replay the decoding machine against the driving word used at encode time.
 
     Every context is checked first, from one walk of the driving word's
-    full blocks.  Then the stream is scanned bit by bit until the prefix
-    read so far matches a codeword of the current context's count code,
-    which gives the rank of the block's first-visit symbols, and so on;
-    the raw tail is parsed last.  Any leftover or missing bits raise
-    MalformedStreamError.  The ranks are then expanded through the blocks'
-    patterns in one pass.
+    full blocks, a span of driving._ROW_CHUNK distinct contexts at a time.
+    Then the stream is scanned bit by bit until the prefix read so far
+    matches a codeword of the current context's count code, which gives
+    the rank of the block's first-visit symbols, and so on; each span of
+    blocks is expanded through the patterns of its own walk as soon as it
+    is read, and the raw tail is parsed last.  Any leftover or missing
+    bits raise MalformedStreamError.
     """
     letters = _letters_of(alpha)
     k = family.k
@@ -294,25 +305,31 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
     m = n // k
     table = _block_table((letters,), k, k, m)
     first = walk(family.fiber_spec.action_kind, letters[: m * k]).first
-    counts, pattern = family._codes(table.rows, first[table.first[:, None] * k + np.arange(k)])
+    counts = np.empty(len(table.first), dtype=np.int64)
+    for lo, hi in _spans(len(table.first)):
+        walks = first[table.first[lo:hi, None] * k + np.arange(k)]
+        counts[lo:hi], _ = family._codes(_gather(table, lo, hi), walks)
     codes = [family._count_codes[d] for d in counts.tolist()]
     bits = stream.bits
     pos = 0
-    ranks: list[int] = []
-    for i in table.index.tolist():
-        code = codes[i]
-        rank = None
-        for length in code.lengths_sorted:
-            if pos + length <= len(bits):
-                rank = code.decode_map.get(bits[pos : pos + length])
-                if rank is not None:
-                    pos += length
-                    break
-        if rank is None:
-            raise MalformedStreamError("bits exhausted before a codeword matched")
-        ranks.append(rank)
-    _, place = _place_values(pattern, size)
-    blocks = np.array(ranks, dtype=np.int64)[:, None] // place[table.index] % size
+    decoded = np.empty(n, dtype=np.int64)
+    for lo, hi in _spans(m):
+        ranks: list[int] = []
+        for i in table.index[lo:hi].tolist():
+            code = codes[i]
+            rank = None
+            for length in code.lengths_sorted:
+                if pos + length <= len(bits):
+                    rank = code.decode_map.get(bits[pos : pos + length])
+                    if rank is not None:
+                        pos += length
+                        break
+            if rank is None:
+                raise MalformedStreamError("bits exhausted before a codeword matched")
+            ranks.append(rank)
+        # a block's pattern is that of its own walk, which its context row shares
+        _, place = _place_values(_patterns(first[lo * k : hi * k].reshape(-1, k)), size)
+        decoded[lo * k : hi * k] = (np.array(ranks, dtype=np.int64)[:, None] // place % size).ravel()
     tail: list[int] = []
     raw = family.fiber_bits
     tail_count = n - m * k
@@ -329,7 +346,8 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
         tail = [0] * tail_count
     if pos != len(bits):
         raise MalformedStreamError("trailing bits after the decoded name")
-    return np.concatenate((blocks.ravel(), np.array(tail, dtype=np.int64)))
+    decoded[m * k :] = tail
+    return decoded
 
 
 def pair_counts(alpha, omega, k: int, stride: str = "block", m: int | None = None):
@@ -360,9 +378,9 @@ def pair_counts(alpha, omega, k: int, stride: str = "block", m: int | None = Non
         raise ValueError(f"requested {m} windows but only {available} fit the horizon")
     table = _block_table((a, w), k, hop, m)
     counts: Counter = Counter()
-    for row, c in zip(table.rows, table.counts.tolist()):
-        row = row.tolist()
-        counts[tuple(row[:k]), tuple(row[k:])] = c
+    for lo, hi in _spans(len(table.first)):
+        for row, c in zip(_gather(table, lo, hi).tolist(), table.counts[lo:hi].tolist()):
+            counts[tuple(row[:k]), tuple(row[k:])] = c
     return counts, m
 
 

@@ -10,8 +10,11 @@ All entropies and rates are reported in bits (binary logarithm).
 
 Block coders cost a word block by block, and the cost of a block depends
 on its letters alone, so they work from _block_table: the distinct blocks
-in first-occurrence order and each block's index into them.  Per-block
-sums are then taken in block order, as a block-by-block loop takes them.
+in first-occurrence order and each block's index into them.  The table
+keeps its windows as views of the words, and the coders gather, check and
+score its distinct blocks _ROW_CHUNK at a time, in table order, keeping
+one value per block.  Per-block sums are then taken in block order over
+whole arrays, as a block-by-block loop takes them.
 
 Each law's integer numerators over its least common denominator are
 cached on its spec.  The cylinder probabilities of k-blocks share one
@@ -54,6 +57,9 @@ _EXACT_HINT = ' (a float is read as its binary value; give exact strings such as
 _SAMPLE_CHUNK = 2 ** 11
 # a block table's window keys stay at or below this, so they fit an int64
 _KEY_LIMIT = 2 ** 62
+# distinct rows of a block table that the coders gather, check and score at
+# once; chunks keep their temporaries small
+_ROW_CHUNK = 2 ** 12
 # entries the sampler's composed step table may hold: it resolves r letters
 # per lookup, for the largest r whose table of C**r * s entries fits
 _COMPOSED_ENTRIES = 2 ** 12
@@ -168,6 +174,11 @@ def _letters_of(word) -> np.ndarray:
     return np.asarray(word, dtype=np.int64)
 
 
+def _cylinder_den(spec: MarkovChainSpec, k: int) -> int:
+    """The denominator den(pi) * lcm(den Pi)**(k-1) of every k-block's cylinder probability."""
+    return spec._pi_numerators[1] * spec._Pi_numerators[1] ** (k - 1)
+
+
 def _cylinder_numerators(spec: MarkovChainSpec, rows: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """Exact cylinder probabilities of a table of driving blocks of k >= 1 letters.
 
@@ -178,14 +189,14 @@ def _cylinder_numerators(spec: MarkovChainSpec, rows: np.ndarray) -> tuple[np.nd
     numerators are Python ints in an object array, products of the integer
     numerators of pi and Pi, so none can overflow.
     """
-    starts, pi_den = spec._pi_numerators
-    steps, step_den = spec._Pi_numerators
+    starts = spec._pi_numerators[0]
+    steps = spec._Pi_numerators[0]
     outside = ((rows < 0) | (rows >= len(starts))).any(axis=1)
     rows = np.where(outside[:, None], 0, rows)  # index safely; outside rows are flagged
     nums = starts[rows[:, 0]]
     for j in range(1, rows.shape[1]):
         nums = nums * steps[rows[:, j - 1], rows[:, j]]
-    return nums, pi_den * step_den ** (rows.shape[1] - 1), outside
+    return nums, _cylinder_den(spec, rows.shape[1]), outside
 
 
 def cylinder_prob(spec: MarkovChainSpec, v) -> Fraction:
@@ -329,16 +340,17 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
         warnings.warn("sampling from a non-stationary chain", stacklevel=2)
     rng = np.random.Generator(np.random.PCG64(seed))
     us = rng.random(n)
-    letters = np.empty(n, dtype=np.int64)
     if n == 0:
-        return DrivingTrajectory(spec, seed, letters)
+        return DrivingTrajectory(spec, seed, np.empty(0, dtype=np.int64))
     pi_cum = _cumulative(spec.pi)
     row_cums = [_cumulative(row) for row in spec.Pi]
     if all(row == spec.Pi[0] for row in spec.Pi) and spec.pi == spec.Pi[0]:
-        # Bernoulli fast path, identical to the generic loop
-        cum = np.array(pi_cum)
-        letters = np.minimum(np.searchsorted(cum, us, side="right"), len(cum) - 1).astype(np.int64)
+        # Bernoulli fast path, identical to the generic loop; the search's
+        # result is clipped in place, so only it and the uniforms are held
+        letters = np.searchsorted(np.array(pi_cum), us, side="right").astype(np.int64, copy=False)
+        np.minimum(letters, len(pi_cum) - 1, out=letters)
         return DrivingTrajectory(spec, seed, letters)
+    letters = np.empty(n, dtype=np.int64)
     s = spec.alphabet.size
     letters[0] = min(bisect_right(pi_cum, us[0]), s - 1)
     # The next letter depends on u only through c, the number of distinct
@@ -376,14 +388,33 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
 class _BlockTable(NamedTuple):
     """The distinct rows of a table of windows, in first-occurrence order.
 
-    rows[index[i]] is window i, counts[j] is how many windows equal rows[j]
-    and first[j] is the first of them.
+    windows holds one (m, k) array per word, usually a zero-copy view of
+    it, whose row i is the word's window i.  Row i lays the words' windows
+    i side by side; distinct row j is row first[j] (see _gather), counts[j]
+    is how many rows equal it, and index[i] is the distinct row equal to
+    row i.
     """
 
-    rows: np.ndarray
+    windows: tuple[np.ndarray, ...]
     index: np.ndarray
     counts: np.ndarray
     first: np.ndarray
+
+
+def _gather(table: _BlockTable, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Distinct rows lo .. hi - 1 of the table, as one int64 array."""
+    first = table.first[lo:hi]
+    k = table.windows[0].shape[1]
+    rows = np.empty((len(first), k * len(table.windows)), dtype=np.int64)
+    for j, view in enumerate(table.windows):
+        rows[:, j * k : (j + 1) * k] = view[first]
+    return rows
+
+
+def _spans(size: int):
+    """(lo, hi) over range(size), _ROW_CHUNK at a time."""
+    for lo in range(0, size, _ROW_CHUNK):
+        yield lo, min(lo + _ROW_CHUNK, size)
 
 
 def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -400,12 +431,13 @@ def _block_table(words, k: int, hop: int, m: int) -> _BlockTable:
     read as mixed-radix digits, each offset by its column's minimum and
     counted in its column's span, and the key is ranked densely whenever
     the next column would take it past 2**62, so any letters and any k
-    fit.  Only the distinct rows are gathered from the windows.
+    fit.  The windows stay views of the words; callers gather the distinct
+    rows they need a span at a time (_gather, _spans).
     """
     if not m:
         empty = np.empty(0, dtype=np.int64)
-        return _BlockTable(np.empty((0, k * len(words)), dtype=np.int64), empty, empty, empty)
-    views = [sliding_window_view(np.asarray(w, dtype=np.int64), k)[::hop][:m] for w in words]
+        return _BlockTable(tuple(np.empty((0, k), dtype=np.int64) for _ in words), empty, empty, empty)
+    views = tuple(sliding_window_view(np.asarray(w, dtype=np.int64), k)[::hop][:m] for w in words)
     key, span = np.zeros(m, dtype=np.int64), 1
     for column in (view[:, j] for view in views for j in range(k)):
         lo = int(column.min())
@@ -422,11 +454,7 @@ def _block_table(words, k: int, hop: int, m: int) -> _BlockTable:
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    first = first[order]
-    rows = np.empty((len(first), k * len(words)), dtype=np.int64)
-    for j, view in enumerate(views):
-        rows[:, j * k : (j + 1) * k] = view[first]
-    return _BlockTable(rows, rank[inverse], counts[order], first)
+    return _BlockTable(views, rank[inverse], counts[order], first[order])
 
 
 def _sequential_sum(values) -> float:
@@ -441,7 +469,7 @@ class PlainBlockCode(NamedTuple):
     """The plain block coder's bit counts on one driving word.
 
     table holds the word's distinct full blocks (see _block_table); block
-    table.rows[j] has exact cylinder probability nums[j] / den.
+    _gather(table)[j] has exact cylinder probability nums[j] / den.
     """
 
     total_bits: int
@@ -469,13 +497,16 @@ def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockC
     n = len(letters)
     m = n // k
     table = _block_table((letters,), k, k, m)
-    nums, den, outside = _cylinder_numerators(spec, table.rows)
-    bad = outside | (nums == 0)
-    if bad.any():
-        r = int(bad.argmax())
-        if outside[r]:
-            raise ValueError("letter index out of range for the driving alphabet")
-        raise ModelMismatchError(f"block {tuple(table.rows[r].tolist())} has zero probability under the chain")
+    nums, den = np.empty(len(table.first), dtype=object), _cylinder_den(spec, k)
+    for lo, hi in _spans(len(table.first)):
+        rows = _gather(table, lo, hi)
+        nums[lo:hi], _, outside = _cylinder_numerators(spec, rows)
+        bad = outside | (nums[lo:hi] == 0)
+        if bad.any():
+            r = int(bad.argmax())
+            if outside[r]:
+                raise ValueError("letter index out of range for the driving alphabet")
+            raise ModelMismatchError(f"block {tuple(rows[r].tolist())} has zero probability under the chain")
     nums_list = nums.tolist()
     total = sum(c * _shannon_bits(num, den) for c, num in zip(table.counts.tolist(), nums_list))
     ideal = _sequential_sum(np.array([-math.log2(num / den) for num in nums_list])[table.index])

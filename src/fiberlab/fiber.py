@@ -36,6 +36,8 @@ from .words import Alphabet
 
 # the most words (or word pairs) any exhaustive enumeration may visit
 ENUMERATION_CAP = 2 ** 24
+# positions of a name checked at once against its walk
+_SCAN_CHUNK = 2 ** 16
 
 
 def _exceeds_cap(base: int, power: int) -> bool:
@@ -141,15 +143,22 @@ def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
 
 def _first_symbols(spec: FiberSystemSpec, first: np.ndarray, v) -> np.ndarray | None:
     """The symbols v reads at first visits, or None when v gives a
-    revisited coordinate two different symbols."""
+    revisited coordinate two different symbols.
+
+    v is read _SCAN_CHUNK positions at a time, so no temporary is as long as v.
+    """
     v = np.asarray(v, dtype=np.int64)
     if len(v) != len(first):
         raise ValueError("driving and fiber words must have equal length")
     if v.size and (v.min() < 0 or v.max() >= spec.fiber_alphabet.size):
         raise ValueError("fiber letter out of range")
-    if not np.array_equal(v[first], v):
-        return None
-    return v[first == np.arange(len(v))]
+    symbols = [v[:0]]  # so that an empty v concatenates too
+    for lo in range(0, len(v), _SCAN_CHUNK):
+        at, here = first[lo:lo + _SCAN_CHUNK], v[lo:lo + _SCAN_CHUNK]
+        if not np.array_equal(v[at], here):
+            return None
+        symbols.append(here[at == np.arange(lo, lo + len(at))])
+    return np.concatenate(symbols)
 
 
 def conditional_cylinder_fraction(spec: FiberSystemSpec, u, v) -> Fraction:

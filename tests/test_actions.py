@@ -258,15 +258,20 @@ def test_walk_kernels_reject_foreign_letters_like_the_generic_walk(kind, letter)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1, _DRAW_CHUNK + 1])
-@pytest.mark.parametrize("kind, path", [("free-monoid", "chained"), ("f2", "chained"), ("f2", "tree")])
+@pytest.mark.parametrize("kind, path", [("free-monoid", "chained"), ("f2", "chained"), ("f2", "tree"),
+                                        ("z2", "formatted")])
 def test_chain_and_draw_loops_cross_draw_chunks(kind, path, offset):
-    # the loops that chain a key and draw it join digests _DRAW_CHUNK at a
+    # the loops that make a key and draw it join digests _DRAW_CHUNK at a
     # time; around a chunk's end, every coordinate is drawn exactly once
     count = _DRAW_CHUNK + offset
     rng = np.random.default_rng(count)
     if path == "chained":
         # a and b only: an f2 word that never cancels takes the chained kernel
         letters = rng.choice([A, B], count) if kind == "f2" else rng.integers(0, 256, count)
+    elif path == "formatted":
+        # a z2 path that turns at random but only ever goes up or right
+        # visits count distinct points, one key per point
+        letters = rng.choice([E1, E2], count)
     else:
         # count - 1 steps out along a, one step back and a last letter that
         # moves nothing recorded: the tree has count nodes

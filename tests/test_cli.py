@@ -129,18 +129,13 @@ def test_cli_simulate_is_byte_identical(tmp_path):
     assert "simulate_seed7.csv" in first
 
 
-def test_cli_simulate_streams_its_csv_rows(tmp_path):
+def test_cli_simulate_streams_its_csv_rows(tmp_path, traced_peak):
     # one dict per step held at once took 24 MB at this n; the CSV writer now
     # reads the rows one at a time, and the peak is the run's own arrays
-    import tracemalloc
-
     out = tmp_path / "reports"
-    tracemalloc.start()
-    try:
-        assert run(["simulate", "--preset", "z2-uniform", "--n", "100000", "--seed", "1", "--out", str(out)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    args = ["simulate", "--preset", "z2-uniform", "--n", "100000", "--seed", "1", "--out", str(out)]
+    code, peak = traced_peak(lambda: run(args))
+    assert code == 0
     assert peak < 8 * 2 ** 20
 
 

@@ -34,6 +34,7 @@ from fiberlab import (
 )
 from fiberlab import coding, driving, fiber as fiber_module
 from fiberlab.coding import UNDERSHOOT_MIN_N, EstimatorReport, _patterns
+from fiberlab.driving import _gather, block_code_details
 from fiberlab.fiber import conditional_cylinder_fraction
 
 BINARY = Alphabet(("0", "1"))
@@ -648,3 +649,102 @@ def test_a_cell_materializes_at_most_k_count_codes():
     assert 1 <= len(family._count_codes) <= k
     for d, code in family._count_codes.items():
         assert len(code.words) == len(code.lengths) == len(code.numerators) == len(code.decode_map) == 2 ** d
+
+
+def coder_results(fiber, chain, n, k, seed):
+    """Everything the block coders compute on one sampled run, as plain values."""
+    trajectory = sample_trajectory(chain, n, seed)
+    name = emit_name(fiber, trajectory, seed)
+    family = BlockCodebookFamily(k, fiber, chain)
+    stream = encode(name, family)
+    plain = block_code_details(chain, trajectory, k)
+    table = plain.table
+    return {
+        "conditional_rate": conditional_rate(name, family, exact=None),
+        "bits": stream.bits,
+        "decode": decode(stream, name.driving, family).tolist(),
+        "ar": ar_decomposition_check(chain, fiber, n, k, seed),
+        "plain": (plain.total_bits, plain.ideal_bits, plain.m, plain.tail_bits, plain.nums.tolist(), plain.den),
+        "plain table": [_gather(table).tolist(), table.index.tolist(), table.counts.tolist(), table.first.tolist()],
+        "pair_counts": [list(pair_counts(name.driving, name.letters, k, stride)[0].items())
+                        for stride in ("block", "slide")],
+    }
+
+
+CHUNK_CASES = [(MONOID, BERNOULLI2, 61, 3), (Z2, Z2_DRIVING, 301, 3), (F2, F2_DRIVING, 203, 2),
+               (FIFTHS, Z2_DRIVING, 100, 4)]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_coders_equal_the_unchunked_result_across_row_chunks(monkeypatch, chunk):
+    # the coders gather, check and score a block table's distinct rows
+    # _ROW_CHUNK at a time; every table here spans the default chunk once
+    # and several small chunks, with a partial chunk at the end
+    want = [coder_results(*case, seed=4) for case in CHUNK_CASES]
+    monkeypatch.setattr(driving, "_ROW_CHUNK", chunk)
+    for case, expected in zip(CHUNK_CASES, want):
+        got = coder_results(*case, seed=4)
+        assert len(got["plain table"][0]) > chunk
+        assert got == expected
+
+
+def raised(run):
+    with pytest.raises(ValueError) as info:
+        run()
+    return type(info.value), str(info.value)
+
+
+def late_offenders():
+    """Calls that fail at the last row of a table, after 12 or more good distinct rows."""
+    # the 12 positive f2-markov 2-blocks, then a A, which has probability 0
+    positive = [(a, b) for a in range(4) for b in range(4) if b != [1, 0, 3, 2][a]]
+    null_driving = np.array([x for block in positive for x in block] + [0, 1])
+    f2_family = BlockCodebookFamily(2, F2, F2_DRIVING)
+    null_name = OrbitName(F2, null_driving, np.zeros(len(null_driving), dtype=np.int64))
+    # 12 distinct z2 3-blocks that first step right or up, then the block
+    # right, left, right, which returns to its start, reading 0, 1, 1
+    turns = itertools.product((E1, E2), (E1, E2), (E1, E2, NEG_E2))
+    z2_driving = np.array([x for block in turns for x in block] + [E1, NEG_E1, E1])
+    z2_letters = np.zeros(len(z2_driving), dtype=np.int64)
+    z2_letters[-2:] = 1
+    inconsistent = OrbitName(Z2, z2_driving, z2_letters)
+    z2_family = BlockCodebookFamily(3, Z2, Z2_DRIVING)
+    # the 16 binary monoid 4-blocks, then one with driving letter 2
+    outside_driving = np.array([x for block in itertools.product((0, 1), repeat=4) for x in block] + [0, 2, 0, 0])
+    outside = OrbitName(MONOID, outside_driving, np.zeros(len(outside_driving), dtype=np.int64))
+    monoid_family = BlockCodebookFamily(4, MONOID, BERNOULLI2)
+    from fiberlab import EncodedStream
+
+    return {
+        "null context, conditional_rate": lambda: conditional_rate(null_name, f2_family, exact=None),
+        "null context, encode": lambda: encode(null_name, f2_family),
+        "null context, decode": lambda: decode(EncodedStream("", 13, 2, ""), null_driving, f2_family),
+        "null block, block_code_details": lambda: block_code_details(F2_DRIVING, null_driving, 2),
+        "inconsistent, conditional_rate": lambda: conditional_rate(inconsistent, z2_family, exact=None),
+        "inconsistent, encode": lambda: encode(inconsistent, z2_family),
+        "outside, conditional_rate": lambda: conditional_rate(outside, monoid_family, exact=None),
+        "outside, encode": lambda: encode(outside, monoid_family),
+        "outside, decode": lambda: decode(EncodedStream("", 17, 4, ""), outside_driving, monoid_family),
+        "outside, block_code_details": lambda: block_code_details(BERNOULLI2, outside_driving, 4),
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_a_late_offending_row_raises_the_unchunked_message(monkeypatch, chunk):
+    want = {label: raised(run) for label, run in late_offenders().items()}
+    monkeypatch.setattr(driving, "_ROW_CHUNK", chunk)
+    got = {label: raised(run) for label, run in late_offenders().items()}
+    assert got == want
+    assert "driving block (0, 1) has zero probability" in want["null context, encode"][1]
+    assert "fiber block (0, 1, 1) is inconsistent" in want["inconsistent, encode"][1]
+    assert "out of range" in want["outside, decode"][1]
+
+
+def test_conditional_rate_holds_no_pair_table(traced_peak):
+    # the 25,000 distinct pairs of this name, gathered, patterned and ranked
+    # all at once, took the peak to 11.7 MB; chunks of driving._ROW_CHUNK
+    # rows keep only each pair's count and rank
+    name = emit_name(Z2, sample_trajectory(Z2_DRIVING, 200_000, 3), seed=3)
+    family = BlockCodebookFamily(8, Z2, Z2_DRIVING)
+    _, peak = traced_peak(lambda: conditional_rate(name, family))
+    assert peak < 6 * 2 ** 20

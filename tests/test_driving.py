@@ -31,6 +31,7 @@ from fiberlab.driving import (
     _block_table,
     _composition_depth,
     _cylinder_numerators,
+    _gather,
     block_code_details,
 )
 from fiberlab.kraft import shannon_length
@@ -234,15 +235,36 @@ def test_sample_trajectory_empty_and_reproducible():
     assert not np.array_equal(a, c)
 
 
-def test_sample_trajectory_fast_path_matches_generic_loop():
-    # a Bernoulli chain in disguise: rows equal but pi differs, so the
-    # generic loop runs; compare against the true Bernoulli spec
+class TopUniforms(np.random.Generator):
+    """A generator whose every third uniform is the largest double below 1."""
+
+    def random(self, n):
+        us = super().random(n)
+        us[::3] = np.nextafter(1.0, 0.0)
+        return us
+
+
+def test_sample_trajectory_fast_path_matches_generic_loop(monkeypatch):
+    # the Bernoulli path searches every uniform at once and clips in place;
+    # its int64 letters equal the per-letter bisect loop's, and the same law
+    # given row by row takes the same path
     p = (Fraction(1, 2), Fraction(1, 2))
     bern = MarkovChainSpec.bernoulli(Alphabet(("0", "1")), p)
     fast = sample_trajectory(bern, 10000, 9).letters
+    assert fast.dtype == np.int64
     rows = tuple(p for _ in range(2))
     loop_spec = MarkovChainSpec(Alphabet(("0", "1")), p, rows)
     assert np.array_equal(fast, sample_trajectory(loop_spec, 10000, 9).letters)
+    assert fast.tolist() == bisect_trajectory(bern, 10000, 9)
+    # ten letters of 1/10 sum to 1 - 2**-53 as floats, so a uniform there
+    # is past the last cumulative value and is clipped to the last letter
+    tenths = MarkovChainSpec.bernoulli(Alphabet(tuple("0123456789")), (Fraction(1, 10),) * 10)
+    assert list(itertools.accumulate([0.1] * 10))[-1] == np.nextafter(1.0, 0.0)
+    monkeypatch.setattr(np.random, "Generator", TopUniforms)
+    letters = sample_trajectory(tenths, 1000, 9).letters
+    assert letters.dtype == np.int64
+    assert letters[::3].tolist() == [9] * 334
+    assert letters.tolist() == bisect_trajectory(tenths, 1000, 9)
 
 
 def sampler_depth(spec):
@@ -351,7 +373,7 @@ def block_table_cases():
                          ids=[case[0] for case in block_table_cases()])
 def test_block_table_equals_the_void_key_table(words, k, hop, m):
     table = _block_table(words, k, hop, m)
-    for got, want in zip(table, void_block_table(words, k, hop, m)):
+    for got, want in zip((_gather(table), table.index, table.counts, table.first), void_block_table(words, k, hop, m)):
         assert got.shape == want.shape
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -424,7 +446,7 @@ def test_block_code_details_match_the_block_loop():
         assert plain.ideal_bits == ideal  # same additions in the same order
         assert plain.m == m and plain.tail_bits == (n - m * k) * raw
         blocks = [tuple(letters[i * k : (i + 1) * k]) for i in range(m)]
-        rows = [tuple(row) for row in plain.table.rows.tolist()]
+        rows = [tuple(row) for row in _gather(plain.table).tolist()]
         assert rows == list(dict.fromkeys(blocks))
         assert [Fraction(num, plain.den) for num in plain.nums.tolist()] == [cylinder_prob(spec, b) for b in rows]
 

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import math
 import statistics
-import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -146,17 +145,12 @@ def test_emit_name_hashes_each_distinct_coordinate_once(monkeypatch, spec, drivi
     assert (calls["keyed"], calls["draw"], calls["chain"], calls["unkeyed"]) == (1, distinct, chains, 0)
 
 
-def test_emit_name_holds_no_list_of_keys():
+def test_emit_name_holds_no_list_of_keys(traced_peak):
     # every f2-markov coordinate is new, so a list of the 2e5 keys and
     # their digests would take the peak past the bound; each coordinate is
     # drawn as the walk meets it
     letters = sample_trajectory(F2_DRIVING, 200_000, 4).letters
-    tracemalloc.start()
-    try:
-        emit_name(F2, letters, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: emit_name(F2, letters, seed=3))
     assert peak < 12 * 2 ** 20
 
 

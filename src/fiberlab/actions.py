@@ -108,8 +108,13 @@ def driving_size(kind: str) -> int | None:
 
 
 def check_driving_size(kind: str, size: int) -> None:
-    """Raise ValueError unless a driving alphabet of this size fits the action."""
+    """Raise ValueError unless a driving alphabet of this size fits the action.
+
+    The free monoid takes at most _MONOID_LETTERS letters, one key byte each.
+    """
     fixed = driving_size(kind)
+    if fixed is None and size > _MONOID_LETTERS:
+        raise ValueError(f"action {kind!r} takes at most {_MONOID_LETTERS} driving letters, not {size}")
     if fixed is not None and size != fixed:
         raise ValueError(f"action {kind!r} requires a driving alphabet of size {fixed}")
 
@@ -321,11 +326,13 @@ def range_ratio_curve(kind: str, spec, n: int, seeds: Sequence[int], checkpoints
     """Monte Carlo means of (distinct coordinates)/n_i at log-spaced horizons.
 
     Returns a list of (n_i, mean ratio) pairs averaged over one sampled
-    trajectory per seed.
+    trajectory per seed; at least one seed is required.
     """
     from .driving import sample_trajectory
 
     check_driving_size(kind, spec.alphabet.size)
+    if not seeds:
+        raise ValueError("at least one seed is required")
     if checkpoints is None:
         checkpoints = default_checkpoints(n)
     checkpoints = sorted({int(c) for c in checkpoints if 1 <= int(c) <= n})

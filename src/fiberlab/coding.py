@@ -295,14 +295,17 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
     matches a codeword of the current context's count code, which gives
     the rank of the block's first-visit symbols, and so on; each span of
     blocks is expanded through the patterns of its own walk as soon as it
-    is read, and the raw tail is parsed last.  Any leftover or missing
-    bits raise MalformedStreamError.
+    is read, and the raw tail is parsed last.  A stream of other block
+    length or block count than family.k and len(alpha) // k, or any
+    leftover or missing bits, raise MalformedStreamError.
     """
     letters = _letters_of(alpha)
     k = family.k
     size = family.fiber_spec.fiber_alphabet.size
     n = len(letters)
     m = n // k
+    if (stream.m, stream.k) != (m, k):
+        raise MalformedStreamError(f"stream of {stream.m} blocks of length {stream.k}, not {m} of length {k}")
     table = _block_table((letters,), k, k, m)
     first = walk(family.fiber_spec.action_kind, letters[: m * k]).first
     counts = np.empty(len(table.first), dtype=np.int64)

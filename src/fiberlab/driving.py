@@ -66,14 +66,18 @@ _COMPOSED_ENTRIES = 2 ** 12
 
 
 def _as_fraction(x) -> Fraction:
+    """x as an exact Fraction; a string such as "1/0", a NaN or an infinity is refused with ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    if isinstance(x, (float, np.floating)):
-        return Fraction(float(x))
+    try:
+        if isinstance(x, str):
+            return Fraction(x)
+        if isinstance(x, (int, np.integer)):
+            return Fraction(int(x))
+        if isinstance(x, (float, np.floating)):
+            return Fraction(float(x))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
     raise ValueError(f"cannot interpret {x!r} as a probability")
 
 

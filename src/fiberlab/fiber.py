@@ -34,7 +34,11 @@ from .driving import _over_lcm
 from .errors import InfiniteInformationError, ResourceLimitError
 from .words import Alphabet
 
-# the most words (or word pairs) any exhaustive enumeration may visit
+# the one cap on exhaustive work, each bound checked by the code that
+# allocates it: taboo driving words size**n (_taboo_distinct), enumeration
+# pairs (size * fiber size)**n (_averaged_entropy_enumerated), renewal
+# table bits n**2 * den.bit_length() (_renewal_distinct), and the CLI block
+# coders' pair blocks (|driving| * |fiber|)**k (ExperimentConfig.check_codebook_cap)
 ENUMERATION_CAP = 2 ** 24
 # positions of a name checked at once against its walk
 _SCAN_CHUNK = 2 ** 16
@@ -203,35 +207,21 @@ class ExactAveragedEntropy:
         return self.bits / self.n
 
 
-def _range_path(driving_spec: MarkovChainSpec, kind: str) -> str:
-    """The exact path _expected_distinct takes: "linear", "renewal" or "taboo".
-
-    linear: no coordinate can repeat, on the free monoid and on f2 under a
-    chain that never steps from a letter to its inverse (every positive
-    driving word is then reduced).  renewal: z2 under i.i.d. steps, every
-    row of Pi equal to pi.  taboo: everything else.
-    """
-    if kind == "free-monoid":
-        return "linear"
-    Pi = driving_spec.Pi
-    if kind == "f2" and all(row[INVERSE[a]] == 0 for a, row in enumerate(Pi)):
-        return "linear"
-    if kind == "z2" and all(row == driving_spec.pi for row in Pi):
-        return "renewal"
-    return "taboo"
-
-
 def _expected_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Fraction:
     """Exact expected number of distinct coordinates among c_0 .. c_{n-1}.
 
-    Dispatches on _range_path: n itself where nothing repeats, the renewal
-    identity of _renewal_distinct for z2 under i.i.d. steps (O(n**2)
-    integer products), and the taboo recursion of _taboo_distinct otherwise.
+    The one place a path is chosen; each path refuses past its own cap:
+    - linear, n itself: no coordinate can repeat, on the free monoid and on
+      f2 under a chain that never steps from a letter to its inverse (every
+      positive driving word is then reduced);
+    - renewal, _renewal_distinct: z2 under i.i.d. steps, every row of Pi
+      equal to pi (O(n**2) integer products);
+    - taboo, _taboo_distinct: every other chain.
     """
-    path = _range_path(driving_spec, kind)
-    if path == "linear":
+    Pi = driving_spec.Pi
+    if kind == "free-monoid" or (kind == "f2" and all(row[INVERSE[a]] == 0 for a, row in enumerate(Pi))):
         return Fraction(n)
-    if path == "renewal":
+    if kind == "z2" and all(row == driving_spec.pi for row in Pi):
         return _renewal_distinct(driving_spec, n)
     return _taboo_distinct(driving_spec, kind, n)
 
@@ -284,8 +274,12 @@ def _renewal_distinct(driving_spec: MarkovChainSpec, n: int) -> Fraction:
     that is the event T_0 > i for a fresh walk, and E[R_n] = sum_{i<n}
     P(T_0 > i), the Dvoretzky-Erdos / Kesten-Spitzer-Whitman range identity
     (Spitzer, Principles of Random Walk).  One Fraction over den**(n-1) is
-    formed at the end.
+    formed at the end.  Refuses past ENUMERATION_CAP bits of integer tables,
+    n**2 * den.bit_length() with den = lcm(den pi), before any is built.
     """
+    table_bits = n * n * driving_spec._pi_numerators[1].bit_length()
+    if table_bits > ENUMERATION_CAP:
+        raise ResourceLimitError(f"renewal tables of {table_bits} bits exceed the enumeration cap")
     survival, den = _survival_numerators(driving_spec, n)
     total = 0
     for s in survival:
@@ -307,10 +301,13 @@ def _taboo_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Fractio
     transition product along the m letters read.  The weights do not
     depend on i, so P(c_i is new) = sum of weight * pi[a] at m = i, and one
     pass over m = 1 .. n-1 gives every term.  States never merge across
-    levels, so their number grows with n (bounded by size**n).
+    levels, so their number grows with n (bounded by size**n), and size**n
+    past ENUMERATION_CAP is refused before any state is built.
     """
-    identity, step, key = LAWS[kind]
     size = driving_spec.alphabet.size
+    if _exceeds_cap(size, n):
+        raise ResourceLimitError(f"{size}**{n} driving words exceed the enumeration cap")
+    identity, step, key = LAWS[kind]
     steps, scale = driving_spec._Pi_numerators
     # before[a] lists each letter b that may precede a, with scale * Pi[b][a]
     before = [[(b, t) for b, t in enumerate(steps[:, a].tolist()) if t] for a in range(size)]
@@ -354,10 +351,13 @@ def _averaged_entropy_enumerated(spec: FiberSystemSpec, driving_spec: MarkovChai
 
     For every driving word u of positive probability, every fiber word v
     is scored with its exact conditional cylinder probability; no use is
-    made of the product-measure collapse.
+    made of the product-measure collapse.  (size * fiber size)**n pairs
+    past ENUMERATION_CAP are refused before any word is listed.
     """
     size = driving_spec.alphabet.size
     fiber_size = spec.fiber_alphabet.size
+    if _exceeds_cap(size * fiber_size, n):
+        raise ResourceLimitError("full (u, v) enumeration exceeds the enumeration cap")
     logp = _log2p(spec)
     V = np.array(list(itertools.product(range(fiber_size), repeat=n)), dtype=np.int64)
     total = 0.0
@@ -386,8 +386,8 @@ def exact_averaged_entropy(
     _expected_distinct, rounded once.  The "enumerate" method is the
     independent oracle summing -mu log2 mu over every (u, v) pair.
 
-    Each path's cost is checked against ENUMERATION_CAP before anything is
-    allocated, and ResourceLimitError is raised past it:
+    Each path checks its own cost against ENUMERATION_CAP before it
+    allocates, and raises ResourceLimitError past it:
     - linear (free monoid, f2 that never cancels): no cap, the value is n;
     - renewal (z2 under i.i.d. steps): n**2 * den.bit_length() bits of
       integer tables, den = lcm(den pi), so n <= 2364 under uniform z2 steps;
@@ -397,19 +397,9 @@ def exact_averaged_entropy(
     if n < 1:
         raise ValueError("n must be >= 1")
     check_driving_size(spec.action_kind, driving_spec.alphabet.size)
-    size = driving_spec.alphabet.size
     if method == "fast":
-        path = _range_path(driving_spec, spec.action_kind)
-        if path == "renewal":
-            table_bits = n * n * driving_spec._pi_numerators[1].bit_length()
-            if table_bits > ENUMERATION_CAP:
-                raise ResourceLimitError(f"renewal tables of {table_bits} bits exceed the enumeration cap")
-        elif path == "taboo" and _exceeds_cap(size, n):
-            raise ResourceLimitError(f"{size}**{n} driving words exceed the enumeration cap")
         bits = float(_expected_distinct(driving_spec, spec.action_kind, n)) * spec.symbol_entropy()
     elif method == "enumerate":
-        if _exceeds_cap(size * spec.fiber_alphabet.size, n):
-            raise ResourceLimitError("full (u, v) enumeration exceeds the enumeration cap")
         bits = _averaged_entropy_enumerated(spec, driving_spec, n)
     else:
         raise ValueError(f"unknown method {method!r}")

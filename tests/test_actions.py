@@ -163,6 +163,12 @@ def test_range_ratio_curve_decreases_for_z2():
     assert ratios[-1] < ratios[0]
 
 
+def test_range_ratio_curve_refuses_no_seeds():
+    # a mean over no trajectories is 0/0
+    with pytest.raises(ValueError, match="at least one seed"):
+        range_ratio_curve("z2", driving_preset("z2-uniform"), 100, [])
+
+
 def test_default_checkpoints_are_sorted_and_bounded():
     points = default_checkpoints(10 ** 5)
     assert points == sorted(set(points))

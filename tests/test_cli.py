@@ -277,6 +277,53 @@ def test_cli_refuses_float_probabilities_that_do_not_sum_to_one(tmp_path, capsys
     assert run([command, "--config", str(path)]) == 0
 
 
+@pytest.mark.parametrize("value", ["1/0", float("nan"), float("inf")], ids=["zero-denominator", "NaN", "Infinity"])
+@pytest.mark.parametrize("where", ["pi", "Pi", "p"])
+def test_cli_refuses_a_probability_that_is_no_number(tmp_path, capsys, where, value):
+    out = tmp_path / "reports"
+    quarter = ["1/4"] * 4
+    driving = {"alphabet": ["a", "A", "b", "B"], "pi": list(quarter), "Pi": [list(quarter) for _ in range(4)]}
+    fiber = {"action": "z2", "fiber_alphabet": ["0", "1"], "p": ["1/2", "1/2"]}
+    {"pi": driving["pi"], "Pi": driving["Pi"][0], "p": fiber["p"]}[where][0] = value
+    config = {"driving": driving, "fiber": fiber, "block_lengths": [2], "out": str(out)}
+    path = tmp_path / "config.json"
+    # json writes the floats as the bare NaN and Infinity that it also reads
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(["entropy", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fiberlab: configuration error:") and "as a probability" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def monoid_config(letters, out):
+    """A free-monoid system on this many letters: a uniform first letter, then repeated."""
+    Pi = [[int(a == b) for b in range(letters)] for a in range(letters)]
+    driving = {"alphabet": [str(a) for a in range(letters)], "pi": [f"1/{letters}"] * letters, "Pi": Pi}
+    fiber = {"action": "free-monoid", "fiber_alphabet": ["0", "1"], "p": ["1/2", "1/2"]}
+    return {"driving": driving, "fiber": fiber, "horizons": [50], "block_lengths": [1], "seeds": [1], "out": str(out)}
+
+
+@pytest.mark.parametrize("command", ["verify-brudno", "verify-ar", "entropy", "range", "simulate"])
+def test_cli_refuses_a_free_monoid_past_256_letters_at_load(tmp_path, capsys, command):
+    # a free-monoid key chains one byte per letter, so the walk takes 256
+    out = tmp_path / "reports"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(monoid_config(257, out)), encoding="utf-8")
+    assert run([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "fiberlab: configuration error: action 'free-monoid' takes at most 256 driving letters, not 257\n"
+    assert not out.exists()
+
+
+def test_cli_runs_a_free_monoid_of_256_letters(tmp_path):
+    out = tmp_path / "reports"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(monoid_config(256, out)), encoding="utf-8")
+    assert run(["range", "--config", str(path)]) == 0
+    assert (out / "range.csv").exists()
+
+
 @pytest.mark.parametrize("key", ["horizons", "block_lengths", "seeds", "tolerance"])
 def test_cli_refuses_json_booleans_in_a_config_file(tmp_path, capsys, key):
     # JSON true is a Python bool, which operator.index and float() read as 1

@@ -152,6 +152,21 @@ def test_decode_truncated_stream_is_malformed():
         decode(padded, trajectory, family)
 
 
+def test_decode_refuses_a_stream_of_another_block_length():
+    # these streams were once decoded bit by bit, and 65 of the 800 decodes
+    # returned a wrong name without raising
+    family = BlockCodebookFamily(4, Z2, Z2_DRIVING)
+    for seed in range(200):
+        trajectory = sample_trajectory(Z2_DRIVING, 40, seed)
+        stream = encode(emit_name(Z2, trajectory, seed), family)
+        for k in (2, 3, 5, 8):
+            with pytest.raises(MalformedStreamError, match="blocks of length 4, not"):
+                decode(stream, trajectory, BlockCodebookFamily(k, Z2, Z2_DRIVING))
+    # the last stream's 10 blocks against a driving word of 11
+    with pytest.raises(MalformedStreamError, match="10 blocks of length 4, not 11 of length 4"):
+        decode(stream, sample_trajectory(Z2_DRIVING, 44, 0), family)
+
+
 def test_encode_rejects_inconsistent_name():
     # omega claims two symbols at the revisited origin
     bad = OrbitName(Z2, np.array([E1, NEG_E1, E1, E1]), np.array([0, 1, 1, 0]))
@@ -578,10 +593,11 @@ PERSISTENT_Z2 = MarkovChainSpec(
 
 def test_auto_exact_rate_is_refused_past_the_enumeration_cap(monkeypatch):
     # the taboo path counts 4**13 driving words, past fiber.ENUMERATION_CAP,
-    # so no word is enumerated
-    monkeypatch.setattr(fiber_module, "_expected_distinct", lambda *args: pytest.fail("enumerated"))
+    # so no state is built: each would look up its group law in fiber.LAWS
     trajectory = sample_trajectory(PERSISTENT_Z2, 100, 1)
-    report = conditional_rate(emit_name(Z2, trajectory, seed=1), BlockCodebookFamily(13, Z2, PERSISTENT_Z2))
+    name = emit_name(Z2, trajectory, seed=1)
+    monkeypatch.setattr(fiber_module, "LAWS", {})
+    report = conditional_rate(name, BlockCodebookFamily(13, Z2, PERSISTENT_Z2), exact="auto")
     assert report.exact_rate is None
     assert report.cross_entropy_rate is not None
 

@@ -5,6 +5,7 @@ import statistics
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -367,8 +368,9 @@ def test_exact_averaged_entropy_enforces_caps(monkeypatch):
     def refused(*args):
         pytest.fail("ran past its cap")
 
-    # the taboo path counts size**n driving words: 4**13 > 2**24
-    monkeypatch.setattr(fiber_module, "_taboo_distinct", refused)
+    # the taboo path counts size**n driving words: 4**13 > 2**24; it refuses
+    # before any state is built, each of which looks up its group law
+    monkeypatch.setattr(fiber_module, "LAWS", {})
     with pytest.raises(ResourceLimitError, match=r"4\*\*13 driving words"):
         exact_averaged_entropy(Z2, NONSTATIONARY4, 13)
     with pytest.raises(ResourceLimitError, match=r"4\*\*13 driving words"):
@@ -378,9 +380,12 @@ def test_exact_averaged_entropy_enforces_caps(monkeypatch):
     monkeypatch.setattr(fiber_module, "_survival_numerators", refused)
     with pytest.raises(ResourceLimitError, match="renewal tables"):
         exact_averaged_entropy(Z2, Z2_DRIVING, 2365)
-    monkeypatch.setattr(fiber_module, "_renewal_distinct", lambda driving, n: Fraction(n, 3))
-    assert exact_averaged_entropy(Z2, Z2_DRIVING, 2364).bits == 788.0
-    with pytest.raises(ResourceLimitError):
+    # survival numerators all 1 over den 1 give E[R_n] = n
+    monkeypatch.setattr(fiber_module, "_survival_numerators", lambda driving, n: ([1] * n, 1))
+    assert exact_averaged_entropy(Z2, Z2_DRIVING, 2364).bits == 2364.0
+    # the oracle counts (size * fiber size)**n pairs: 8**9 > 2**24
+    monkeypatch.setattr(fiber_module, "itertools", SimpleNamespace(product=refused))
+    with pytest.raises(ResourceLimitError, match=r"full \(u, v\) enumeration"):
         exact_averaged_entropy(Z2, Z2_DRIVING, 9, method="enumerate")
 
 
@@ -394,16 +399,30 @@ DIAGONAL4 = iid4("1/2", 0, "1/2", 0)  # steps +e1 and +e2 only: never returns
 RENEWAL_CASES = {"uniform": Z2_DRIVING, "tenths": TENTHS4, "line": LINE4, "diagonal": DIAGONAL4}
 
 
+def record_paths(monkeypatch):
+    """Wrap the renewal and taboo paths; the returned list names each call.
+
+    The linear path is no function, so it records nothing.
+    """
+    calls = []
+    for name in ("_renewal_distinct", "_taboo_distinct"):
+        path = getattr(fiber_module, name)
+        monkeypatch.setattr(fiber_module, name, lambda *args, name=name, path=path: calls.append(name) or path(*args))
+    return calls
+
+
 @pytest.mark.parametrize("driving", RENEWAL_CASES.values(), ids=RENEWAL_CASES.keys())
-def test_renewal_equals_the_taboo_recursion(driving):
-    assert fiber_module._range_path(driving, "z2") == "renewal"
+def test_renewal_equals_the_taboo_recursion(monkeypatch, driving):
+    renewal, taboo = fiber_module._renewal_distinct, fiber_module._taboo_distinct
+    calls = record_paths(monkeypatch)
     for n in range(1, 13):
-        value = fiber_module._renewal_distinct(driving, n)
+        value = renewal(driving, n)
         assert isinstance(value, Fraction)
-        assert value == fiber_module._taboo_distinct(driving, "z2", n)
+        assert value == taboo(driving, "z2", n)
         assert fiber_module._expected_distinct(driving, "z2", n) == value
         if driving is DIAGONAL4:
             assert value == n
+    assert calls == ["_renewal_distinct"] * 12
 
 
 @pytest.mark.parametrize("driving", [TENTHS4, LINE4], ids=["tenths", "line"])
@@ -471,28 +490,23 @@ FIXED_START4 = MarkovChainSpec(GENERATORS, (Fraction(1), Fraction(0), Fraction(0
 
 @pytest.mark.parametrize("driving", [PERSISTENT4, FIXED_START4], ids=["unequal-rows", "fixed-start"])
 def test_non_iid_z2_chains_take_the_taboo_path(monkeypatch, driving):
-    calls = []
-    taboo = fiber_module._taboo_distinct
-    monkeypatch.setattr(fiber_module, "_taboo_distinct", lambda *args: calls.append(args) or taboo(*args))
-    monkeypatch.setattr(fiber_module, "_renewal_distinct", lambda *args: pytest.fail("renewal path"))
+    calls = record_paths(monkeypatch)
     for n in range(1, 7):
         assert exact_averaged_entropy(Z2, driving, n).bits == float(expected_distinct_by_words(driving, "z2", n))
-    assert len(calls) == 6
+    assert calls == ["_taboo_distinct"] * 6
 
 
 def test_f2_that_never_cancels_is_exactly_n_past_the_old_cap(monkeypatch):
     # Pi never steps from a letter to its inverse, so every driving word is
     # reduced and no coordinate repeats
-    monkeypatch.setattr(fiber_module, "_taboo_distinct", lambda *args: pytest.fail("taboo path"))
+    calls = record_paths(monkeypatch)
     for n in (13, 50, 10 ** 4):
         assert exact_averaged_entropy(F2, F2_DRIVING, n).bits == n
+    assert calls == []
 
 
 @pytest.mark.parametrize("driving", [UNIFORM4, NONSTATIONARY4], ids=["uniform", "nonstationary"])
 def test_f2_chains_that_backtrack_take_the_taboo_path(monkeypatch, driving):
-    calls = []
-    taboo = fiber_module._taboo_distinct
-    monkeypatch.setattr(fiber_module, "_taboo_distinct", lambda *args: calls.append(args) or taboo(*args))
-    assert fiber_module._range_path(driving, "f2") == "taboo"
+    calls = record_paths(monkeypatch)
     assert exact_averaged_entropy(F2, driving, 6).bits == float(expected_distinct_by_words(driving, "f2", 6))
-    assert len(calls) == 1
+    assert calls == ["_taboo_distinct"]

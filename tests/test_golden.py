@@ -31,6 +31,13 @@ reports of the verify commands and the reports of entropy, range and
 simulate, each at a small horizon.  They were recorded before the report
 columns, the verify verdicts and the simulate rows were each moved to one
 owner.
+
+The exact-layer digest pins exact_averaged_entropy over a grid of systems
+and horizons: each value as repr(bits), each refusal as "Type: message".
+It was recorded before the choice of a range path and each path's cap
+moved into the path itself, so it pins the linear, renewal and taboo
+values, both sides of the renewal cap (n = 2364 under uniform z2 steps),
+the taboo and enumeration refusals, and the unknown-method message.
 """
 
 import hashlib
@@ -46,6 +53,7 @@ from fiberlab import (
     MarkovChainSpec,
     emit_name,
     encode,
+    exact_averaged_entropy,
     sample_trajectory,
     system_preset,
 )
@@ -128,6 +136,40 @@ FORMAT_DIGESTS = {
 
 UNIFORM_F2 = MarkovChainSpec.bernoulli(Alphabet(("a", "A", "b", "B")), (Fraction(1, 4),) * 4)
 
+EXACT_DIGEST = "9ea1df40ae5e830fc3d4d32feef5298ec69cad5d5767c651a4710b067b0d2647"
+
+
+def exact_cases():
+    """(label, fiber, driving, n, method) over the exact layer's paths and caps.
+
+    The three presets; z2 under four i.i.d. laws, one that returns to the
+    origin only along one axis and one that never returns; z2 under a chain
+    that repeats its last step w.p. 1/2 (taboo); and f2 under the uniform
+    Bernoulli chain, which backtracks (taboo).  The non-preset systems
+    carry the fiber law (1/3, 2/3), so that rounding shows.
+    """
+    generators = Alphabet(("a", "A", "b", "B"))
+    thirds = (Fraction(1, 3), Fraction(2, 3))
+    binary = Alphabet(("0", "1"))
+    systems = {name: system_preset(name)[::-1] for name in ("free-monoid-uniform", "z2-uniform", "f2-markov")}
+    laws = {"tenths": ("1/10", "2/10", "3/10", "4/10"), "line": ("1/2", "1/2", 0, 0),
+            "diagonal": ("1/2", 0, "1/2", 0), "drift": ("3/4", "1/4", 0, 0)}
+    for name, law in laws.items():
+        driving = MarkovChainSpec.bernoulli(generators, tuple(Fraction(x) for x in law))
+        systems[f"z2-{name}"] = (FiberSystemSpec("z2", binary, thirds), driving)
+    persistent = tuple(tuple(Fraction(1, 2) if a == b else Fraction(1, 6) for b in range(4)) for a in range(4))
+    persistent_chain = MarkovChainSpec(generators, (Fraction(1, 4),) * 4, persistent)
+    systems["z2-persistent"] = (FiberSystemSpec("z2", binary, thirds), persistent_chain)
+    systems["f2-uniform"] = (FiberSystemSpec("f2", binary, thirds), UNIFORM_F2)
+    for label, (fiber, driving) in systems.items():
+        # the renewal cap under den 4 and den 10; 10**4 is past every cap but the linear path's
+        large = (2364, 2365) if label in ("z2-uniform", "z2-tenths") else ()
+        for n in (*range(1, 15), *large, 10 ** 4):
+            for method in ("fast", "enumerate") if n <= 6 or n == 10 ** 4 else ("fast",):
+                yield label, fiber, driving, n, method
+    fiber, driving = systems["z2-uniform"]
+    yield "z2-uniform", fiber, driving, 3, "exhaustive"
+
 
 def report_digest(directory):
     digest = hashlib.sha256()
@@ -206,3 +248,14 @@ def test_skewed_codeword_bits_are_unchanged(law, k, seed):
 @pytest.mark.parametrize("kind,seed", sorted(NAME_DIGESTS))
 def test_orbit_name_bytes_are_unchanged(kind, seed):
     assert name_digest(kind, seed) == NAME_DIGESTS[kind, seed]
+
+
+def test_exact_averaged_entropy_values_and_refusals_are_unchanged():
+    lines = []
+    for label, fiber, driving, n, method in exact_cases():
+        try:
+            outcome = repr(exact_averaged_entropy(fiber, driving, n, method).bits)
+        except Exception as error:
+            outcome = f"{type(error).__name__}: {error}"
+        lines.append(f"{label} {n} {method}: {outcome}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXACT_DIGEST

@@ -25,13 +25,19 @@ fixed by its symbols at the first visits.  A key is hashed when the walk
 first meets its coordinate, and never without a seed, so the walks that
 only read first hash nothing.  Three kernels meet the contract, one per
 action: z2 sums the generator vectors and groups equal positions by one
-stable sort; the free monoid chains one key per step (its prefixes never
+sort; the free monoid chains one key per step (its prefixes never
 repeat); and f2 numbers the tree nodes it meets, then chains their keys in
 node order, each from its parent's.  Every kernel draws a coordinate in
 the same pass of one Python loop that makes its key, with the hashers'
 copy methods bound once, and joins the digests _DRAW_CHUNK at a time: z2
 formats each position's key and draws it, so no list of keys is built,
 the free monoid keeps only the last chained key, the f2 tree every node's.
+
+Per-letter arrays take the smallest dtype that holds their values:
+driving letters are uint8 (every driving alphabet has at most 256
+letters), first is int32 while n < 2**31 (int64 past it), and draws are
+uint64.  walk() reads uint8 letters as they are and copies any other
+integer letters to uint8 once it has checked their range.
 
 LAWS steps one coordinate at a time; the backward taboo recursion of
 fiber._taboo_distinct uses it, and the tests keep the generic walk
@@ -54,7 +60,7 @@ Z2_VECTORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _Z2_PACKED = np.array([(dx << 32) + dy for dx, dy in Z2_VECTORS], dtype=np.int64)
 # both groups pair their generators: INVERSE[a] is the letter of a's inverse
 INVERSE = (1, 0, 3, 2)
-_INVERSE = np.array(INVERSE)
+_INVERSE = np.array(INVERSE, dtype=np.uint8)
 
 # a free-monoid key chains one byte per letter
 _MONOID_LETTERS = 256
@@ -67,6 +73,20 @@ _CHAIN_HASHER = hashlib.blake2b(digest_size=16)
 # it runs, bytes.join holds an 80-byte buffer view per part, so a chunk of
 # digests and views stays under 1 MB
 _DRAW_CHUNK = 2 ** 12
+
+
+def _index_dtype(n: int) -> np.dtype:
+    """The dtype of step indices below n: int32 while n < 2**31, else int64.
+
+    Its char is also the array typecode of the same C type.
+    """
+    return np.dtype("i" if n < 2 ** 31 else "q")
+
+
+def _integers(letters) -> np.ndarray:
+    """letters as an array: one of integers as it is, with no copy, anything else as int64."""
+    letters = np.asarray(letters)
+    return letters if letters.dtype.kind in "iu" else letters.astype(np.int64)
 
 
 def _digest(data: bytes) -> bytes:
@@ -145,14 +165,14 @@ def _chained(identity: bytes, letters: np.ndarray, seed: int | None) -> Walk:
     # every step reaches a new coordinate, whose key chains the letter on;
     # one loop chains each key and draws it, so no key is held
     n = len(letters)
-    first = np.arange(n, dtype=np.int64)
+    first = np.arange(n, dtype=_index_dtype(n))
     if seed is None:
         return Walk(first, None)
     chain, draw, byte = _CHAIN_HASHER.copy, _draw_hasher(seed), _BYTES
     draws = np.empty(n, dtype=np.uint64)
     # bytes iterate as ints, with no list of n Python ints alongside;
     # coordinate i chains letter i - 1 onto the key of coordinate i - 1
-    steps = letters[:-1].astype(np.uint8).tobytes()
+    steps = letters[:-1].tobytes()
     key = identity
     h = draw()
     h.update(key)
@@ -179,21 +199,27 @@ def _walk_z2(letters: np.ndarray, seed: int | None) -> Walk:
     n = len(letters)
     # position (x, y) as the int64 x * 2**32 + y, one-to-one while |y| < 2**31,
     # so one cumulative sum of packed steps gives every position
-    first = np.empty(n, dtype=np.int64)
     packed = np.zeros(n, dtype=np.int64)
-    np.take(_Z2_PACKED, letters[:-1], out=packed[1:])
+    # in mode "clip" take writes straight to out, as the checked letters allow
+    np.take(_Z2_PACKED, letters[:-1], out=packed[1:], mode="clip")
     np.cumsum(packed, out=packed)
-    # a stable sort groups equal positions, each group led by its first
-    # visit; the buffers of first and packed are reused along the way
-    order = np.argsort(packed, kind="stable")
-    ordered = np.take(packed, order, out=first)
+    # a sort groups equal positions; sorting the positions in place as well
+    # lays them out as the order reads them, with no second buffer, and the
+    # default sorts are faster than a stable one and need no merge buffer
+    order = np.argsort(packed)
+    packed.sort()
     new = np.ones(n, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    at, positions = order[new], ordered[new]
-    group = np.cumsum(new, out=packed)
-    group -= 1
-    first[order] = np.take(at, group, out=group)
-    del packed, order, new, group
+    np.not_equal(packed[1:], packed[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    positions = None if seed is None else packed[starts]
+    del new, packed
+    # a group's first visit is its least step, wherever the sort put it
+    first = np.empty(n, dtype=_index_dtype(n))
+    at = np.minimum.reduceat(order, starts).astype(first.dtype)
+    sizes = np.diff(starts, append=n)
+    del starts
+    first[order] = np.repeat(at, sizes)
+    del order, sizes
     if seed is None:
         return Walk(first, None)
     positions = positions[np.argsort(at)]
@@ -223,11 +249,12 @@ def _walk_f2(letters: np.ndarray, seed: int | None) -> Walk:
     # tree nodes are numbered in first-visit order; node 0 is the identity.
     # A child is entered from its parent only after being left upwards, so
     # children (node * 4 + letter -> child) holds just the edges walked back.
-    head = array("q", [-1])
-    parent = array("q", [-1])
-    born = array("q", [0])
+    index = _index_dtype(len(letters)).char
+    head = array("b", [-1])
+    parent = array(index, [-1])
+    born = array(index, [0])
     children: dict[int, int] = {}
-    node = array("q", [0]) * len(letters)
+    node = array(index, [0]) * len(letters)
     cur = 0
     for i, letter in enumerate(steps.tolist(), 1):
         if head[cur] == INVERSE[letter]:
@@ -243,7 +270,7 @@ def _walk_f2(letters: np.ndarray, seed: int | None) -> Walk:
                 born.append(i)
             cur = child
         node[i] = cur
-    first = np.frombuffer(born, dtype=np.int64)[np.frombuffer(node, dtype=np.int64)]
+    first = np.frombuffer(born, dtype=index)[np.frombuffer(node, dtype=index)]
     if seed is None:
         return Walk(first, None)
     # the walk's edges and node per step go before the keys are chained,
@@ -282,7 +309,11 @@ def walk(kind: str, letters, seed: int | None = None) -> Walk:
 
     c_0 is the identity and c_{i+1} = step(c_i, letters[i]), so the last
     letter never moves a recorded coordinate.  first[i] is the smallest j
-    with c_j = c_i (int64).  With a seed (a 64-bit unsigned integer),
+    with c_j = c_i, as int32 while n < 2**31 (int64 past it).  Letters of
+    any integer dtype are taken; uint8 letters are read without a copy,
+    and any others are checked and copied to uint8 once, so a negative
+    letter or one past the alphabet is refused whatever its dtype.  With a
+    seed (a 64-bit unsigned integer),
     draws[d] is the uint64 symbol draw of the d-th distinct coordinate, in
     first-visit order: the little-endian 8-byte blake2b digest of its
     LAWS[kind] key, keyed by the seed's 8 little-endian bytes.  Without
@@ -295,11 +326,10 @@ def walk(kind: str, letters, seed: int | None = None) -> Walk:
     limit = driving_size(kind) or _MONOID_LETTERS
     if seed is not None:
         seed = _check_seed(seed)
-    letters = np.asarray(letters, dtype=np.int64)
-    # read as unsigned, a negative letter exceeds every limit
-    if letters.size and letters.view(np.uint64).max() >= limit:
+    letters = _integers(letters)
+    if letters.size and (letters.min() < 0 or letters.max() >= limit):
         raise ValueError(f"driving letters of action {kind!r} must lie in [0, {limit})")
-    return _KERNELS[kind](letters, seed)
+    return _KERNELS[kind](letters.astype(np.uint8, copy=False), seed)
 
 
 @dataclass(frozen=True)
@@ -307,7 +337,7 @@ class VisitRecord:
     """Distinct-coordinate counts along a driving word of length n.
 
     distinct_counts[i] is the number of distinct coordinates among
-    c_0 .. c_i, with the coordinates of walk().
+    c_0 .. c_i, with the coordinates of walk(), in the dtype of its first.
     """
 
     distinct_counts: np.ndarray
@@ -319,7 +349,7 @@ class VisitRecord:
 
 def visit_record(kind: str, alpha) -> VisitRecord:
     first = walk(kind, alpha).first
-    return VisitRecord(np.cumsum(first == np.arange(len(first))))
+    return VisitRecord(np.cumsum(first == np.arange(len(first), dtype=first.dtype), dtype=first.dtype))
 
 
 def range_ratio_curve(kind: str, spec, n: int, seeds: Sequence[int], checkpoints=None):

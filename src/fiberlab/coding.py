@@ -62,6 +62,7 @@ from .driving import (
     MarkovChainSpec,
     _block_table,
     _gather,
+    _letter_dtype,
     _letters_of,
     _sequential_sum,
     _spans,
@@ -297,7 +298,8 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
     blocks is expanded through the patterns of its own walk as soon as it
     is read, and the raw tail is parsed last.  A stream of other block
     length or block count than family.k and len(alpha) // k, or any
-    leftover or missing bits, raise MalformedStreamError.
+    leftover or missing bits, raise MalformedStreamError.  The name comes
+    back in the dtype emit_name gives it, driving._letter_dtype(|F|).
     """
     letters = _letters_of(alpha)
     k = family.k
@@ -315,7 +317,7 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
     codes = [family._count_codes[d] for d in counts.tolist()]
     bits = stream.bits
     pos = 0
-    decoded = np.empty(n, dtype=np.int64)
+    decoded = np.empty(n, dtype=_letter_dtype(size))
     for lo, hi in _spans(m):
         ranks: list[int] = []
         for i in table.index[lo:hi].tolist():
@@ -361,7 +363,7 @@ def pair_counts(alpha, omega, k: int, stride: str = "block", m: int | None = Non
     keys are (u, v) tuples in first-occurrence order.
     """
     a = _letters_of(alpha)
-    w = np.asarray(omega, dtype=np.int64)
+    w = _letters_of(omega)
     if len(a) != len(w):
         raise ValueError("driving and fiber sequences must have equal length")
     if k < 1:

@@ -14,10 +14,12 @@ from .driving import PRESETS, MarkovChainSpec, driving_preset, is_stationary
 from .fiber import ENUMERATION_CAP, FiberSystemSpec, _exceeds_cap
 from .words import Alphabet
 
-# the longest horizon a config may ask for.  Peak RSS (ru_maxrss) of one
-# cell at n = 1e7, seed 1, on a 2-vCPU x86-64 host (Python 3.11, numpy 2.4):
-# verify-brudno on z2-uniform at k = 8 452 MB, verify-ar on f2-markov at
-# k = 8 515 MB, range and CSV simulate on z2-uniform 452 MB each
+# the longest horizon a config may ask for.  Peak RSS (ru_maxrss) and CPU
+# time of one cell at n = 1e7, seed 1, on a 2-vCPU x86-64 host (Python
+# 3.11, numpy 2.4), with uint8 letters and symbols and int32 first visits:
+# verify-brudno on z2-uniform at k = 8 242 MB and 5.5 s, verify-ar on
+# f2-markov at k = 8 268 MB and 15-19 s, range on z2-uniform 229 MB and
+# 1.5 s, CSV simulate on z2-uniform 242 MB and 26-30 s
 MAX_HORIZON = 10 ** 7
 
 SYSTEM_PRESETS = tuple(PRESETS)

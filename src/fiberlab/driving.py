@@ -17,8 +17,11 @@ one value per block.  Per-block sums are then taken in block order over
 whole arrays, as a block-by-block loop takes them.
 
 Each law's integer numerators over its least common denominator are
-cached on its spec.  The cylinder probabilities of k-blocks share one
-denominator, den(pi) * lcm(den Pi)**(k-1), so a table of blocks is scored
+cached on its spec, and a spec is validated on them: entries are
+nonnegative, each law's numerators sum to its denominator, and pi is
+stationary when pi's numerators times Pi's equal pi's times den(Pi).  The
+cylinder probabilities of k-blocks share one denominator,
+den(pi) * lcm(den Pi)**(k-1), so a table of blocks is scored
 as integer numerators over it (_cylinder_numerators), in Python ints that
 cannot overflow; cylinder_prob is the one-row case.  A Shannon length is
 read off the bit lengths of numerator and denominator, and an ideal length
@@ -30,12 +33,16 @@ uniform only through the interval of distinct cumulative values it falls
 in, so one vectorized search per chunk of uniforms gives each step's
 interval.  The table composes: r steps are one lookup of (r intervals,
 state), so a Python loop finds the state at every r-th step only and r
-vectorized gathers fill in the letters between.
+vectorized gathers fill in the letters between.  Uniforms are drawn a
+chunk at a time from the one PCG64 stream, which gives the same doubles
+as one draw of all of them, and letters are kept in the smallest dtype
+that holds them (_letter_dtype), uint8 for every action's alphabet.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -46,14 +53,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .actions import INVERSE
+from .actions import INVERSE, _integers
 from .errors import ModelMismatchError
 from .kraft import _shannon_bits
 from .words import Alphabet, Word
 
 # the end of the message that refuses an inexact probability sum
 _EXACT_HINT = ' (a float is read as its binary value; give exact strings such as "1/10")'
-# uniforms the Markov sampler searches at once; chunks keep its temporaries small
+# uniforms the sampler draws and searches at once; chunks keep its
+# temporaries small
 _SAMPLE_CHUNK = 2 ** 11
 # a block table's window keys stay at or below this, so they fit an int64
 _KEY_LIMIT = 2 ** 62
@@ -107,12 +115,17 @@ class MarkovChainSpec:
         object.__setattr__(self, "Pi", Pi)
         if len(pi) != s or any(len(row) != s for row in Pi) or len(Pi) != s:
             raise ValueError("pi and Pi must be indexed by the alphabet")
-        if any(x < 0 for x in pi) or any(x < 0 for row in Pi for x in row):
+        # denominators are positive, so the integer numerators decide
+        # signs and sums exactly
+        starts, start_den = self._pi_numerators
+        steps, step_den = self._Pi_numerators
+        starts, steps = starts.tolist(), steps.tolist()
+        if min(starts) < 0 or min(map(min, steps)) < 0:
             raise ValueError("probabilities must be nonnegative")
-        if sum(pi) != 1:
+        if sum(starts) != start_den:
             raise ValueError(f"pi must sum to exactly 1{_EXACT_HINT}")
-        for i, row in enumerate(Pi):
-            if sum(row) != 1:
+        for i, row in enumerate(steps):
+            if sum(row) != step_den:
                 raise ValueError(f"row {i} of Pi must sum to exactly 1{_EXACT_HINT}")
 
     @cached_property
@@ -171,11 +184,21 @@ def driving_preset(name: str) -> MarkovChainSpec:
     return measure(labels)
 
 
+def _letter_dtype(size: int) -> np.dtype:
+    """The smallest dtype that holds the letter indices 0 .. size - 1, at least uint8."""
+    return np.min_scalar_type(max(size - 1, 0))
+
+
 def _letters_of(word) -> np.ndarray:
-    """The letter indices (int64) of a Word, a DrivingTrajectory or a sequence."""
+    """The letter indices of a Word, a DrivingTrajectory or a sequence.
+
+    An array of integers is returned as it is, with no copy, so a
+    trajectory's letters stay uint8; any other sequence (a Word's tuple, a
+    list) becomes int64.
+    """
     if isinstance(word, (Word, DrivingTrajectory)):
         word = word.letters
-    return np.asarray(word, dtype=np.int64)
+    return _integers(word)
 
 
 def _cylinder_den(spec: MarkovChainSpec, k: int) -> int:
@@ -220,9 +243,15 @@ def cylinder_prob(spec: MarkovChainSpec, v) -> Fraction:
 
 
 def is_stationary(spec: MarkovChainSpec) -> bool:
-    """Whether pi is invariant under Pi (pi^T Pi = pi^T), exactly."""
-    s = spec.alphabet.size
-    return all(sum(spec.pi[i] * spec.Pi[i][j] for i in range(s)) == spec.pi[j] for j in range(s))
+    """Whether pi is invariant under Pi (pi^T Pi = pi^T), exactly.
+
+    With pi = starts / den(pi) and Pi = steps / den(Pi), that is
+    starts^T steps = starts^T * den(Pi), in Python ints.
+    """
+    starts = spec._pi_numerators[0].tolist()
+    steps, step_den = spec._Pi_numerators
+    columns = zip(*steps.tolist())
+    return all(sum(map(operator.mul, starts, column)) == x * step_den for x, column in zip(starts, columns))
 
 
 def is_irreducible(spec: MarkovChainSpec) -> bool:
@@ -278,7 +307,12 @@ def entropy_rate(spec: MarkovChainSpec) -> float:
 
 @dataclass(frozen=True)
 class DrivingTrajectory:
-    """A sampled finite trajectory of the driving chain."""
+    """A sampled finite trajectory of the driving chain.
+
+    letters holds one letter index per step, in _letter_dtype(size): uint8
+    for every alphabet an action takes, which has at most 256 letters
+    (actions.check_driving_size).
+    """
 
     spec: MarkovChainSpec
     seed: int
@@ -337,26 +371,33 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
     C = 5 and s = 4, so r = 4.  The Python loop looks the table up once per
     r letters, and r gathers in the plain table fill in the letters
     between; the letters equal those of the per-letter loop bit for bit.
+
+    Uniforms are drawn a chunk at a time, which reads the same doubles
+    off the stream as one draw of all n, and letters are stored in
+    _letter_dtype(size): uint8 for every alphabet of at most 256 letters,
+    as every action's driving alphabet is.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not is_stationary(spec):
         warnings.warn("sampling from a non-stationary chain", stacklevel=2)
     rng = np.random.Generator(np.random.PCG64(seed))
-    us = rng.random(n)
+    s = spec.alphabet.size
+    letters = np.empty(n, dtype=_letter_dtype(s))
     if n == 0:
-        return DrivingTrajectory(spec, seed, np.empty(0, dtype=np.int64))
+        return DrivingTrajectory(spec, seed, letters)
     pi_cum = _cumulative(spec.pi)
     row_cums = [_cumulative(row) for row in spec.Pi]
     if all(row == spec.Pi[0] for row in spec.Pi) and spec.pi == spec.Pi[0]:
-        # Bernoulli fast path, identical to the generic loop; the search's
-        # result is clipped in place, so only it and the uniforms are held
-        letters = np.searchsorted(np.array(pi_cum), us, side="right").astype(np.int64, copy=False)
-        np.minimum(letters, len(pi_cum) - 1, out=letters)
+        # Bernoulli fast path, identical to the generic loop: each chunk of
+        # uniforms is searched and clipped in place
+        cumulative = np.array(pi_cum)
+        for start in range(0, n, _SAMPLE_CHUNK):
+            found = np.searchsorted(cumulative, rng.random(min(_SAMPLE_CHUNK, n - start)), side="right")
+            np.minimum(found, s - 1, out=found)
+            letters[start : start + len(found)] = found
         return DrivingTrajectory(spec, seed, letters)
-    letters = np.empty(n, dtype=np.int64)
-    s = spec.alphabet.size
-    letters[0] = min(bisect_right(pi_cum, us[0]), s - 1)
+    letters[0] = min(bisect_right(pi_cum, rng.random()), s - 1)
     # The next letter depends on u only through c, the number of distinct
     # cumulative values <= u: after[c, a] is the letter after state a for
     # such u, picked at -inf (c = 0) or at the c-th smallest value.
@@ -372,7 +413,7 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
         # padded with c = 0, whose letters are computed but never kept
         size = min(step, n - start)
         cuts = np.zeros(-(-size // r) * r, dtype=np.int64)
-        cuts[:size] = np.searchsorted(edges, us[start : start + size], side="right")
+        cuts[:size] = np.searchsorted(edges, rng.random(size), side="right")
         cuts = cuts.reshape(-1, r)
         # the Python loop visits block starts only: the state before each block
         state = int(letters[start - 1])
@@ -435,15 +476,17 @@ def _block_table(words, k: int, hop: int, m: int) -> _BlockTable:
     read as mixed-radix digits, each offset by its column's minimum and
     counted in its column's span, and the key is ranked densely whenever
     the next column would take it past 2**62, so any letters and any k
-    fit.  The windows stay views of the words; callers gather the distinct
-    rows they need a span at a time (_gather, _spans).
+    fit.  The windows stay views of the words, in the words' own dtypes,
+    and only one column at a time is widened to int64 to be keyed; callers
+    gather the distinct rows they need, as int64, a span at a time
+    (_gather, _spans).
     """
     if not m:
         empty = np.empty(0, dtype=np.int64)
         return _BlockTable(tuple(np.empty((0, k), dtype=np.int64) for _ in words), empty, empty, empty)
-    views = tuple(sliding_window_view(np.asarray(w, dtype=np.int64), k)[::hop][:m] for w in words)
+    views = tuple(sliding_window_view(_letters_of(w), k)[::hop][:m] for w in words)
     key, span = np.zeros(m, dtype=np.int64), 1
-    for column in (view[:, j] for view in views for j in range(k)):
+    for column in (view[:, j].astype(np.int64) for view in views for j in range(k)):
         lo = int(column.min())
         width = int(column.max()) - lo + 1
         if span * width > _KEY_LIMIT:
@@ -452,7 +495,10 @@ def _block_table(words, k: int, hop: int, m: int) -> _BlockTable:
                 # a column wider than the limit leaves too little room even
                 # after the key is ranked; ranking it too leaves at most m values
                 (column, width), lo = _dense_rank(column), 0
-        key = key * width + (column - lo)
+        # in place, on the column's own int64 copy
+        column -= lo
+        key *= width
+        key += column
         span *= width
     _, first, inverse, counts = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
     order = np.argsort(first)

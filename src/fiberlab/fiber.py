@@ -29,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .actions import ACTION_KINDS, INVERSE, LAWS, _check_seed, check_driving_size, walk
-from .driving import _EXACT_HINT, MarkovChainSpec, _as_fraction, _cumulative, _letters_of, cylinder_prob
-from .driving import _over_lcm
+from .driving import _EXACT_HINT, MarkovChainSpec, _as_fraction, _cumulative, _letter_dtype, _letters_of
+from .driving import _over_lcm, cylinder_prob
 from .errors import InfiniteInformationError, ResourceLimitError
 from .words import Alphabet
 
@@ -40,8 +40,8 @@ from .words import Alphabet
 # table bits n**2 * den.bit_length() (_renewal_distinct), and the CLI block
 # coders' pair blocks (|driving| * |fiber|)**k (ExperimentConfig.check_codebook_cap)
 ENUMERATION_CAP = 2 ** 24
-# positions of a name checked at once against its walk
-_SCAN_CHUNK = 2 ** 16
+# positions of a name drawn, or checked against its walk, at once
+_SCAN_CHUNK = 2 ** 12
 
 
 def _exceeds_cap(base: int, power: int) -> bool:
@@ -95,6 +95,10 @@ class OrbitName:
 
     first is the walk of the driving word (see actions.walk), kept so the
     name's information needs no second walk; it is computed when omitted.
+    emit_name stores letters in driving._letter_dtype(|F|), uint8 up to
+    256 symbols and uint16 up to 65536; driving keeps the dtype it was
+    given (uint8 for a sampled trajectory), and first is int32 while the
+    name is shorter than 2**31.
     """
 
     fiber_spec: FiberSystemSpec
@@ -120,28 +124,34 @@ def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
     draw, an 8-byte blake2b hash keyed by the seed (see actions.walk), read
     as an integer over 2**64 (a float64 u in [0, 1]) and mapped through the
     inverse CDF of p in alphabet order, u = 1.0 to the last symbol.  Each
-    distinct coordinate is hashed once, when the walk first meets it, and
-    all symbols are then drawn in one vectorized pass; a revisit reads the
-    symbol of its first visit, so the name is always consistent.
+    distinct coordinate is hashed once, when the walk first meets it.  The
+    name is then read _SCAN_CHUNK positions at a time: the chunk's draws
+    are mapped to u and to symbols, each with the same float64 operations
+    as one pass over all of them, and written at their first visits, and
+    every step reads its first visit, which lies in the chunk or before
+    it; so the name is always consistent.  Symbols are stored in
+    driving._letter_dtype(|F|).
     """
     seed = _check_seed(seed)
     driving = _letters_of(alpha)
+    size = spec.fiber_alphabet.size
     # the name is allocated before the walk's temporaries, so that freeing
     # them leaves one free stretch of heap rather than holes below it
-    letters = np.zeros(len(driving), dtype=np.int64)
+    letters = np.zeros(len(driving), dtype=_letter_dtype(size))
     first, draws = walk(spec.action_kind, driving, seed)
-    # u and symbols are formed in place, over one buffer each
-    u = draws.astype(np.float64)
-    del draws
-    u /= 2.0 ** 64
     cumulative = _cumulative(spec.p)
-    symbols = np.searchsorted(cumulative, u, side="right")
-    del u
-    np.minimum(symbols, len(cumulative) - 1, out=symbols)
-    # each symbol is written at its first visit, and every step reads its
-    # first visit (take buffers an aliased out in its default mode)
-    letters[first == np.arange(len(first))] = symbols
-    np.take(letters, first, out=letters)
+    drawn = 0
+    for lo in range(0, len(first), _SCAN_CHUNK):
+        steps = first[lo : lo + _SCAN_CHUNK]
+        name = letters[lo : lo + _SCAN_CHUNK]
+        new = steps == np.arange(lo, lo + len(steps))
+        u = draws[drawn : drawn + np.count_nonzero(new)].astype(np.float64)
+        drawn += len(u)
+        u /= 2.0 ** 64
+        symbols = np.searchsorted(cumulative, u, side="right")
+        np.minimum(symbols, size - 1, out=symbols)
+        name[new] = symbols
+        name[:] = letters[steps]
     return OrbitName(spec, driving, letters, seed, first)
 
 
@@ -149,9 +159,10 @@ def _first_symbols(spec: FiberSystemSpec, first: np.ndarray, v) -> np.ndarray | 
     """The symbols v reads at first visits, or None when v gives a
     revisited coordinate two different symbols.
 
-    v is read _SCAN_CHUNK positions at a time, so no temporary is as long as v.
+    v is read _SCAN_CHUNK positions at a time, so no temporary is as long
+    as v, and the symbols keep v's own dtype.
     """
-    v = np.asarray(v, dtype=np.int64)
+    v = _letters_of(v)
     if len(v) != len(first):
         raise ValueError("driving and fiber words must have equal length")
     if v.size and (v.min() < 0 or v.max() >= spec.fiber_alphabet.size):

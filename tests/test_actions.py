@@ -108,7 +108,7 @@ def test_visit_record_examples():
     assert visit_record("z2", [E1, NEG_E1, E1]).distinct_count == 2
 
     assert visit_record("free-monoid", []).distinct_count == 0
-    assert walk("free-monoid", []).first.dtype == np.int64
+    assert walk("free-monoid", []).first.dtype == np.int32
     assert walk("free-monoid", [], seed=2).draws.tolist() == []
 
 
@@ -243,7 +243,7 @@ def test_walk_kernels_equal_the_generic_walk(chain, n):
     draws = {seed: np.array(keyed_draws(seed, keys), dtype=np.uint64) for seed in (0, 2 ** 64 - 1)}
     for given in (letters.tolist(), letters.astype(np.int64), letters.astype(np.uint8)):
         got = walk(kind, given)
-        assert got.first.dtype == np.int64
+        assert got.first.dtype == np.int32
         assert np.array_equal(got.first, np.array(first, dtype=np.int64))
         assert got.draws is None
         for seed, expected in draws.items():
@@ -257,8 +257,12 @@ def test_walk_kernels_equal_the_generic_walk(chain, n):
 def test_walk_kernels_reject_foreign_letters_like_the_generic_walk(kind, letter):
     limit = 256 if kind == "free-monoid" else 4
     message = re.escape(f"driving letters of action {kind!r} must lie in [0, {limit})")
+    # every integer dtype that holds the letter: int8 -1 has the bits of
+    # uint8 255, a letter the free monoid takes
+    dtypes = [np.dtype(c) for c in np.typecodes["AllInteger"]]
+    dtypes = [d for d in dtypes if np.iinfo(d).min <= letter <= np.iinfo(d).max]
     for word in ([letter], [0, 1, letter], [letter, 0, 1]):
-        for given in (word, np.array(word, dtype=np.int64)):
+        for given in (word, *(np.array(word, dtype=d) for d in dtypes)):
             with pytest.raises(ValueError, match=message):
                 walk(kind, given)
 

@@ -756,6 +756,32 @@ def test_a_late_offending_row_raises_the_unchunked_message(monkeypatch, chunk):
     assert "out of range" in want["outside, decode"][1]
 
 
+# tracemalloc bytes per letter at n = 2e5, seed 3, k = 8, each call's own
+# peak: the measured value with about 15% over it.  Measured: walk 4.0 (f2,
+# whose f2-markov words never cancel, so first is an int32 arange) and 18.8
+# (z2: packed positions, the sort's int64 order and the int32 first);
+# emit_name 16.8 and 21.6 (the walk, its uint64 draws and the uint8 name);
+# conditional_rate 16.3 and 16.3 (the pair table's keys and the
+# information function's float64 -log2 p).
+BYTES_PER_LETTER = {
+    "f2-markov": {"walk": 5, "emit_name": 20, "conditional_rate": 19},
+    "z2-uniform": {"walk": 22, "emit_name": 25, "conditional_rate": 19},
+}
+
+
+@pytest.mark.parametrize("preset", list(BYTES_PER_LETTER))
+def test_bytes_per_letter_stay_under_their_bounds(traced_peak, preset):
+    n = 200_000
+    driving_spec, fiber_spec = system_preset(preset)
+    trajectory = sample_trajectory(driving_spec, n, 3)
+    _, walked = traced_peak(lambda: walk(fiber_spec.action_kind, trajectory.letters))
+    name, emitted = traced_peak(lambda: emit_name(fiber_spec, trajectory, seed=3))
+    family = BlockCodebookFamily(8, fiber_spec, driving_spec)
+    _, coded = traced_peak(lambda: conditional_rate(name, family))
+    measured = {"walk": walked / n, "emit_name": emitted / n, "conditional_rate": coded / n}
+    assert all(measured[call] < bound for call, bound in BYTES_PER_LETTER[preset].items()), measured
+
+
 def test_conditional_rate_holds_no_pair_table(traced_peak):
     # the 25,000 distinct pairs of this name, gathered, patterned and ranked
     # all at once, took the peak to 11.7 MB; chunks of driving._ROW_CHUNK

@@ -246,12 +246,12 @@ class TopUniforms(np.random.Generator):
 
 def test_sample_trajectory_fast_path_matches_generic_loop(monkeypatch):
     # the Bernoulli path searches every uniform at once and clips in place;
-    # its int64 letters equal the per-letter bisect loop's, and the same law
+    # its uint8 letters equal the per-letter bisect loop's, and the same law
     # given row by row takes the same path
     p = (Fraction(1, 2), Fraction(1, 2))
     bern = MarkovChainSpec.bernoulli(Alphabet(("0", "1")), p)
     fast = sample_trajectory(bern, 10000, 9).letters
-    assert fast.dtype == np.int64
+    assert fast.dtype == np.uint8
     rows = tuple(p for _ in range(2))
     loop_spec = MarkovChainSpec(Alphabet(("0", "1")), p, rows)
     assert np.array_equal(fast, sample_trajectory(loop_spec, 10000, 9).letters)
@@ -262,7 +262,7 @@ def test_sample_trajectory_fast_path_matches_generic_loop(monkeypatch):
     assert list(itertools.accumulate([0.1] * 10))[-1] == np.nextafter(1.0, 0.0)
     monkeypatch.setattr(np.random, "Generator", TopUniforms)
     letters = sample_trajectory(tenths, 1000, 9).letters
-    assert letters.dtype == np.int64
+    assert letters.dtype == np.uint8
     assert letters[::3].tolist() == [9] * 334
     assert letters.tolist() == bisect_trajectory(tenths, 1000, 9)
 
@@ -287,7 +287,7 @@ def assert_sampler_equals_bisect_loop(spec, n, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # some chains are not stationary
         letters = sample_trajectory(spec, n, seed).letters
-    assert letters.dtype == np.int64
+    assert letters.dtype == np.uint8
     assert letters.tolist() == bisect_trajectory(spec, n, seed)
 
 
@@ -343,6 +343,46 @@ def test_markov_sampler_equals_the_bisect_loop_on_random_rational_chains(spec, n
     assert_sampler_equals_bisect_loop(spec, n, seed)
 
 
+def fraction_is_stationary(spec):
+    """pi^T Pi = pi^T in Fraction sums, the check the integer numerators replaced, kept as the oracle."""
+    s = spec.alphabet.size
+    return all(sum(spec.pi[i] * spec.Pi[i][j] for i in range(s)) == spec.pi[j] for j in range(s))
+
+
+def fraction_law_holds(pi, Pi):
+    """Nonnegative entries and Fraction sums of exactly 1, as the spec once checked them."""
+    laws = (pi, *Pi)
+    return all(x >= 0 for law in laws for x in law) and all(sum(law) == 1 for law in laws)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_chains(), st.data())
+def test_integer_spec_checks_agree_with_fraction_sums(spec, data):
+    # the chain, its first row as the start, and a Bernoulli chain of its
+    # pi, which is stationary
+    for chain in (spec, MarkovChainSpec(spec.alphabet, spec.Pi[0], spec.Pi),
+                  MarkovChainSpec.bernoulli(spec.alphabet, spec.pi)):
+        assert is_stationary(chain) == fraction_is_stationary(chain)
+    # nudge one entry of pi (law 0) or of a row of Pi, and maybe take the
+    # nudge back from another entry of the same law, so sums hold or miss
+    # 1 and entries may turn negative
+    s = spec.alphabet.size
+    laws = [list(spec.pi), *(list(row) for row in spec.Pi)]
+    law = laws[data.draw(st.integers(0, s), label="law")]
+    j, back = data.draw(st.integers(0, s - 1), label="entry"), data.draw(st.integers(-1, s - 1), label="back")
+    delta = data.draw(st.sampled_from([Fraction(0), Fraction(1, 7), Fraction(-1, 7), Fraction(1, 2 ** 60)]))
+    law[j] += delta
+    if back >= 0:
+        law[back] -= delta
+    pi, Pi = tuple(laws[0]), tuple(tuple(row) for row in laws[1:])
+    try:
+        MarkovChainSpec(spec.alphabet, pi, Pi)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == fraction_law_holds(pi, Pi)
+
+
 def block_table_cases():
     rng = np.random.default_rng(5)
     small = rng.integers(0, 3, size=600)
@@ -377,6 +417,40 @@ def test_block_table_equals_the_void_key_table(words, k, hop, m):
         assert got.shape == want.shape
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def test_small_dtypes_never_wrap():
+    # uint8 letters that use 255 and uint16 symbols past 255: under NumPy 2
+    # arithmetic between such an array and a Python int keeps the array's
+    # dtype, so a missing widening would wrap silently.  The fiber law is
+    # dyadic (256 symbols of 1/512, two of 1/4), so information is an
+    # integer number of bits and the Fraction reference is exact.
+    from fiberlab import decode, emit_name, encode, information_function
+    from fiberlab.coding import BlockCodebookFamily
+
+    driving = MarkovChainSpec.bernoulli(Alphabet(tuple(f"x{i}" for i in range(256))), (Fraction(1, 256),) * 256)
+    p = (Fraction(1, 512),) * 256 + (Fraction(1, 4),) * 2
+    fiber = FiberSystemSpec("free-monoid", Alphabet(tuple(f"y{i}" for i in range(258))), p)
+    trajectory = sample_trajectory(driving, 3001, 5)
+    name = emit_name(fiber, trajectory, seed=5)
+    assert trajectory.letters.dtype == np.uint8 and trajectory.letters.max() == 255
+    assert name.letters.dtype == np.uint16 and name.letters.max() == 257
+
+    family = BlockCodebookFamily(2, fiber, driving)
+    decoded = decode(encode(name, family), trajectory, family)
+    assert decoded.dtype == np.uint16 and np.array_equal(decoded, name.letters)
+
+    words = (trajectory.letters, name.letters)
+    for k, hop, m in ((2, 2, 1500), (3, 1, 2999), (40, 40, 75)):
+        table = _block_table(words, k, hop, m)
+        for got, want in zip((_gather(table), table.index, table.counts, table.first),
+                             void_block_table(words, k, hop, m)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    # free-monoid coordinates never repeat, so every position is a first visit
+    cylinder = math.prod((p[s] for s in name.letters.tolist()), start=Fraction(1))
+    assert cylinder.numerator == 1
+    assert information_function(fiber, trajectory, name.letters) == cylinder.denominator.bit_length() - 1
 
 
 def test_sample_trajectory_f2_never_emits_inverse_pairs():

@@ -29,9 +29,13 @@ sort; the free monoid chains one key per step (its prefixes never
 repeat); and f2 numbers the tree nodes it meets, then chains their keys in
 node order, each from its parent's.  Every kernel draws a coordinate in
 the same pass of one Python loop that makes its key, with the hashers'
-copy methods bound once, and joins the digests _DRAW_CHUNK at a time: z2
+copy methods bound once, and joins the digests a span at a time: z2
 formats each position's key and draws it, so no list of keys is built,
 the free monoid keeps only the last chained key, the f2 tree every node's.
+
+Every chunked pass (these joins, fiber's name reads, the sampler, the
+coders' rows and JSON report rows) takes the spans of _CHUNK that _spans
+cuts, and gives the same result for any span length.
 
 Per-letter arrays take the smallest dtype that holds their values:
 driving letters are uint8 (every driving alphabet has at most 256
@@ -47,6 +51,7 @@ over LAWS as the oracle the kernels must equal.
 from __future__ import annotations
 
 import hashlib
+import math
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
@@ -69,10 +74,9 @@ _BYTES = [bytes([letter]) for letter in range(_MONOID_LETTERS)]
 # every chain hash is a copy of this one hasher: the same digest as
 # blake2b(data, digest_size=16), without parsing the parameters each time
 _CHAIN_HASHER = hashlib.blake2b(digest_size=16)
-# symbol draws are joined into the draw array this many at a time; while
-# it runs, bytes.join holds an 80-byte buffer view per part, so a chunk of
-# digests and views stays under 1 MB
-_DRAW_CHUNK = 2 ** 12
+# items every chunked pass takes at once (_spans): a span of digests, with
+# bytes.join's 80-byte buffer view per part, stays under 1 MB
+_CHUNK = 2 ** 12
 
 
 def _index_dtype(n: int) -> np.dtype:
@@ -83,9 +87,26 @@ def _index_dtype(n: int) -> np.dtype:
     return np.dtype("i" if n < 2 ** 31 else "q")
 
 
+def _spans(stop: float = math.inf, start: int = 0, multiple: int = 1):
+    """(lo, hi) over range(start, stop), endless by default.
+
+    Every span but the last is _CHUNK rounded down to a multiple of
+    multiple, and at least multiple, long; _CHUNK is read as the spans begin.
+    """
+    lo, step = start, max(_CHUNK // multiple, 1) * multiple
+    while lo < stop:
+        yield lo, min(lo + step, stop)
+        lo += step
+
+
 def _integers(letters) -> np.ndarray:
-    """letters as an array: one of integers as it is, with no copy, anything else as int64."""
+    """letters as a one-dimensional integer array, with no copy when they are one.
+
+    An empty sequence becomes int64; anything else (floats, bools, 2-D) raises ValueError.
+    """
     letters = np.asarray(letters)
+    if letters.ndim != 1 or (letters.dtype.kind not in "iu" and letters.size):
+        raise ValueError(f"letters must be one-dimensional integers, not {letters.ndim}-D {letters.dtype}")
     return letters if letters.dtype.kind in "iu" else letters.astype(np.int64)
 
 
@@ -177,16 +198,16 @@ def _chained(identity: bytes, letters: np.ndarray, seed: int | None) -> Walk:
     h = draw()
     h.update(key)
     digests = [h.digest()]
-    for start in range(0, n, _DRAW_CHUNK):
+    for lo, hi in _spans(n):
         append = digests.append
-        for letter in steps[max(start - 1, 0):start + _DRAW_CHUNK - 1]:
+        for letter in steps[max(lo - 1, 0):hi - 1]:
             h = chain()
             h.update(key + byte[letter])
             key = h.digest()
             h = draw()
             h.update(key)
             append(h.digest())
-        draws[start:start + len(digests)] = np.frombuffer(b"".join(digests), dtype="<u8")
+        draws[lo:hi] = np.frombuffer(b"".join(digests), dtype="<u8")
         digests = []
     return Walk(first, draws)
 
@@ -228,8 +249,8 @@ def _walk_z2(letters: np.ndarray, seed: int | None) -> Walk:
     # key is held past its draw
     draw = _draw_hasher(seed)
     draws = np.empty(len(positions), dtype=np.uint64)
-    for start in range(0, len(positions), _DRAW_CHUNK):
-        chunk = positions[start:start + _DRAW_CHUNK]
+    for lo, hi in _spans(len(positions)):
+        chunk = positions[lo:hi]
         y = ((chunk + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
         digests = []
         append = digests.append
@@ -237,7 +258,7 @@ def _walk_z2(letters: np.ndarray, seed: int | None) -> Walk:
             h = draw()
             h.update(b"%d,%d" % c)
             append(h.digest())
-        draws[start:start + len(digests)] = np.frombuffer(b"".join(digests), dtype="<u8")
+        draws[lo:hi] = np.frombuffer(b"".join(digests), dtype="<u8")
     return Walk(first, draws)
 
 
@@ -285,10 +306,9 @@ def _walk_f2(letters: np.ndarray, seed: int | None) -> Walk:
     h = draw()
     h.update(keys[0])
     digests = [h.digest()]
-    for start in range(0, count, _DRAW_CHUNK):
+    for lo, hi in _spans(count):
         append = digests.append
-        lo, hi = max(start, 1), start + _DRAW_CHUNK
-        for letter, up in zip(head[lo:hi], parent[lo:hi]):
+        for letter, up in zip(head[max(lo, 1):hi], parent[max(lo, 1):hi]):
             h = chain()
             h.update(keys[up] + byte[letter])
             key = h.digest()
@@ -296,7 +316,7 @@ def _walk_f2(letters: np.ndarray, seed: int | None) -> Walk:
             h = draw()
             h.update(key)
             append(h.digest())
-        draws[start:start + len(digests)] = np.frombuffer(b"".join(digests), dtype="<u8")
+        draws[lo:hi] = np.frombuffer(b"".join(digests), dtype="<u8")
         digests = []
     return Walk(first, draws)
 
@@ -318,7 +338,8 @@ def walk(kind: str, letters, seed: int | None = None) -> Walk:
     first-visit order: the little-endian 8-byte blake2b digest of its
     LAWS[kind] key, keyed by the seed's 8 little-endian bytes.  Without
     one, draws is None and no key is hashed.  Letters outside the action's
-    driving alphabet raise ValueError.
+    driving alphabet, or that are not one-dimensional integers, raise
+    ValueError.
 
     Each action has its own kernel; all of them equal the generic walk
     that steps LAWS one letter at a time.

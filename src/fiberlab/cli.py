@@ -6,7 +6,7 @@ codes: 0 on success, 1 when an asserted inequality or tolerance fails
 model mismatch, resource cap, unwritable report) as one stderr line.
 Reports are deterministic functions of (config, seeds); the env var
 FIBERLAB_MAX_CELLS > 1 runs independent grid cells in worker processes
-without changing any output byte.
+without changing any output byte.  Report rows stream (see _write_rows).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from itertools import islice
 from pathlib import Path
 
-from .actions import range_ratio_curve
+from .actions import _spans, range_ratio_curve
 from .coding import (
     ArDecompositionReport,
     BlockCodebookFamily,
@@ -32,18 +32,14 @@ from .driving import sample_trajectory
 from .errors import ResourceLimitError
 from .fiber import emit_name, exact_averaged_entropy, exact_rate_or_none
 
-# rows a JSON report encodes at once: one encode call per row would cost
-# more than the rows, and the whole report at once holds every row in memory
-_JSON_BATCH = 2 ** 12
-
-
 def _write_rows(config: ExperimentConfig, stem: str, columns, rows) -> Path:
     """Write an iterable of rows, dicts keyed by columns, one row at a time.
 
     JSON reports keep the bytes of json.dumps(payload, indent=2,
     sort_keys=True) on the whole payload: its keys sort as columns, rows,
-    schema, and rows are encoded _JSON_BATCH at a time and indented to
-    their depth.
+    schema, and rows are encoded a span at a time (actions._spans) and
+    indented to their depth: one encode call per row would cost more than
+    the rows, and one for the whole report would hold every row in memory.
     """
     config.out.mkdir(parents=True, exist_ok=True)
     schema = f"fiberlab.{stem}.v1"
@@ -52,12 +48,14 @@ def _write_rows(config: ExperimentConfig, stem: str, columns, rows) -> Path:
         encode = json.JSONEncoder(indent=2, sort_keys=True).encode
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(encode({"columns": list(columns)})[:-2] + ',\n  "rows": [')
-            rows, count = iter(rows), 0
-            while batch := list(islice(rows, _JSON_BATCH)):
+            rows = iter(rows)
+            for lo, hi in _spans():
+                if not (batch := list(islice(rows, hi - lo))):
+                    break
                 # "[" + rows at depth 1 + "\n]", cut to the rows, one level deeper
-                handle.write(("," if count else "") + encode(batch)[1:-2].replace("\n", "\n  "))
-                count += len(batch)
-            handle.write("\n  ]" if count else "]")
+                handle.write(("," if lo else "") + encode(batch)[1:-2].replace("\n", "\n  "))
+            # lo is 0 here only when the first span found no rows
+            handle.write("\n  ]" if lo else "]")
             handle.write(',\n  "schema": ' + encode(schema) + "\n}\n")
         return path
     path = config.out / f"{stem}.csv"

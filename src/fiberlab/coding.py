@@ -27,7 +27,7 @@ The cost of a block depends on its (u, v) pair alone, so the coders work
 from one table of a name's distinct pairs in first-occurrence order (see
 driving._block_table), built once per cell.  Its windows stay views of
 the name, and the pairs are gathered, checked, patterned and ranked a
-span of driving._ROW_CHUNK rows at a time, keeping only each pair's
+span of rows at a time (actions._spans), keeping only each pair's
 first-visit count and rank: encode joins codewords by block index, the
 coded length is counts times codeword lengths, the cross entropy sums
 counts times log2 mu over the whole table, and the joint coder reads its
@@ -51,13 +51,14 @@ of their denominators.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .actions import check_driving_size, walk
+from .actions import _spans, check_driving_size, walk
 from .driving import (
     MarkovChainSpec,
     _block_table,
@@ -65,7 +66,6 @@ from .driving import (
     _letter_dtype,
     _letters_of,
     _sequential_sum,
-    _spans,
     block_code_details,
     sample_trajectory,
 )
@@ -253,8 +253,8 @@ def _coded_pairs(name: OrbitName, family: BlockCodebookFamily):
     Returns the table and, per pair, its first-visit count d and the rank
     of v's first-visit symbols, which index the pair's entry in the count
     code for d.  Each pair takes its pattern from the name's walk across
-    its first block.  Pairs are gathered, checked and ranked a span of
-    driving._ROW_CHUNK at a time, in table order, so only the counts and
+    its first block.  Pairs are gathered, checked and ranked a span at a
+    time (actions._spans), in table order, so only the counts and
     ranks are held for the whole table.
     """
     if name.fiber_spec != family.fiber_spec:
@@ -291,15 +291,16 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
     """Replay the decoding machine against the driving word used at encode time.
 
     Every context is checked first, from one walk of the driving word's
-    full blocks, a span of driving._ROW_CHUNK distinct contexts at a time.
+    full blocks, a span of distinct contexts at a time (actions._spans).
     Then the stream is scanned bit by bit until the prefix read so far
     matches a codeword of the current context's count code, which gives
     the rank of the block's first-visit symbols, and so on; each span of
     blocks is expanded through the patterns of its own walk as soon as it
     is read, and the raw tail is parsed last.  A stream of other block
-    length or block count than family.k and len(alpha) // k, or any
-    leftover or missing bits, raise MalformedStreamError.  The name comes
-    back in the dtype emit_name gives it, driving._letter_dtype(|F|).
+    length or block count than family.k and len(alpha) // k, a character
+    other than "0" or "1", or any leftover or missing bits, raise
+    MalformedStreamError.  The name comes back in the dtype emit_name
+    gives it, driving._letter_dtype(|F|).
     """
     letters = _letters_of(alpha)
     k = family.k
@@ -308,6 +309,8 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
     m = n // k
     if (stream.m, stream.k) != (m, k):
         raise MalformedStreamError(f"stream of {stream.m} blocks of length {stream.k}, not {m} of length {k}")
+    if not re.fullmatch("[01]*", stream.bits):
+        raise MalformedStreamError('stream bits must be "0" or "1"')
     table = _block_table((letters,), k, k, m)
     first = walk(family.fiber_spec.action_kind, letters[: m * k]).first
     counts = np.empty(len(table.first), dtype=np.int64)

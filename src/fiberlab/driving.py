@@ -12,9 +12,9 @@ Block coders cost a word block by block, and the cost of a block depends
 on its letters alone, so they work from _block_table: the distinct blocks
 in first-occurrence order and each block's index into them.  The table
 keeps its windows as views of the words, and the coders gather, check and
-score its distinct blocks _ROW_CHUNK at a time, in table order, keeping
-one value per block.  Per-block sums are then taken in block order over
-whole arrays, as a block-by-block loop takes them.
+score its distinct blocks a span at a time (actions._spans), in table
+order, keeping one value per block.  Per-block sums are then taken in
+block order over whole arrays, as a block-by-block loop takes them.
 
 Each law's integer numerators over its least common denominator are
 cached on its spec, and a spec is validated on them: entries are
@@ -30,11 +30,11 @@ division is correctly rounded.
 
 The Markov sampler steps a transition table: the next letter depends on a
 uniform only through the interval of distinct cumulative values it falls
-in, so one vectorized search per chunk of uniforms gives each step's
+in, so one vectorized search per span of uniforms gives each step's
 interval.  The table composes: r steps are one lookup of (r intervals,
 state), so a Python loop finds the state at every r-th step only and r
 vectorized gathers fill in the letters between.  Uniforms are drawn a
-chunk at a time from the one PCG64 stream, which gives the same doubles
+span at a time from the one PCG64 stream, which gives the same doubles
 as one draw of all of them, and letters are kept in the smallest dtype
 that holds them (_letter_dtype), uint8 for every action's alphabet.
 """
@@ -53,21 +53,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .actions import INVERSE, _integers
+from .actions import INVERSE, _integers, _spans
 from .errors import ModelMismatchError
 from .kraft import _shannon_bits
 from .words import Alphabet, Word
 
 # the end of the message that refuses an inexact probability sum
 _EXACT_HINT = ' (a float is read as its binary value; give exact strings such as "1/10")'
-# uniforms the sampler draws and searches at once; chunks keep its
-# temporaries small
-_SAMPLE_CHUNK = 2 ** 11
 # a block table's window keys stay at or below this, so they fit an int64
 _KEY_LIMIT = 2 ** 62
-# distinct rows of a block table that the coders gather, check and score at
-# once; chunks keep their temporaries small
-_ROW_CHUNK = 2 ** 12
 # entries the sampler's composed step table may hold: it resolves r letters
 # per lookup, for the largest r whose table of C**r * s entries fits
 _COMPOSED_ENTRIES = 2 ** 12
@@ -192,9 +186,8 @@ def _letter_dtype(size: int) -> np.dtype:
 def _letters_of(word) -> np.ndarray:
     """The letter indices of a Word, a DrivingTrajectory or a sequence.
 
-    An array of integers is returned as it is, with no copy, so a
-    trajectory's letters stay uint8; any other sequence (a Word's tuple, a
-    list) becomes int64.
+    Read by actions._integers: a trajectory's uint8 letters are not copied,
+    a Word's tuple or a list becomes int64, and floats or 2-D are refused.
     """
     if isinstance(word, (Word, DrivingTrajectory)):
         word = word.letters
@@ -372,8 +365,9 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
     r letters, and r gathers in the plain table fill in the letters
     between; the letters equal those of the per-letter loop bit for bit.
 
-    Uniforms are drawn a chunk at a time, which reads the same doubles
-    off the stream as one draw of all n, and letters are stored in
+    Uniforms are drawn a span at a time (actions._spans, each span a
+    multiple of r on the composed path), which reads the same doubles off
+    the stream as one draw of all n, and letters are stored in
     _letter_dtype(size): uint8 for every alphabet of at most 256 letters,
     as every action's driving alphabet is.
     """
@@ -389,13 +383,13 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
     pi_cum = _cumulative(spec.pi)
     row_cums = [_cumulative(row) for row in spec.Pi]
     if all(row == spec.Pi[0] for row in spec.Pi) and spec.pi == spec.Pi[0]:
-        # Bernoulli fast path, identical to the generic loop: each chunk of
+        # Bernoulli fast path, identical to the generic loop: each span of
         # uniforms is searched and clipped in place
         cumulative = np.array(pi_cum)
-        for start in range(0, n, _SAMPLE_CHUNK):
-            found = np.searchsorted(cumulative, rng.random(min(_SAMPLE_CHUNK, n - start)), side="right")
+        for lo, hi in _spans(n):
+            found = np.searchsorted(cumulative, rng.random(hi - lo), side="right")
             np.minimum(found, s - 1, out=found)
-            letters[start : start + len(found)] = found
+            letters[lo:hi] = found
         return DrivingTrajectory(spec, seed, letters)
     letters[0] = min(bisect_right(pi_cum, rng.random()), s - 1)
     # The next letter depends on u only through c, the number of distinct
@@ -407,11 +401,10 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
     r = _composition_depth(len(after), s)
     comp = _composed(after, r).ravel().tolist()
     weights = len(after) ** np.arange(r - 1, -1, -1)
-    step = _SAMPLE_CHUNK // r * r
-    for start in range(1, n, step):
-        # the chunk's cuts, r to a row; the last row of the last chunk is
+    for start, stop in _spans(n, start=1, multiple=r):
+        # the span's cuts, r to a row; the last row of the last span is
         # padded with c = 0, whose letters are computed but never kept
-        size = min(step, n - start)
+        size = stop - start
         cuts = np.zeros(-(-size // r) * r, dtype=np.int64)
         cuts[:size] = np.searchsorted(edges, rng.random(size), side="right")
         cuts = cuts.reshape(-1, r)
@@ -456,12 +449,6 @@ def _gather(table: _BlockTable, lo: int = 0, hi: int | None = None) -> np.ndarra
     return rows
 
 
-def _spans(size: int):
-    """(lo, hi) over range(size), _ROW_CHUNK at a time."""
-    for lo in range(0, size, _ROW_CHUNK):
-        yield lo, min(lo + _ROW_CHUNK, size)
-
-
 def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
     """Each value's rank among the distinct values, and their number."""
     distinct, rank = np.unique(values, return_inverse=True)
@@ -479,7 +466,7 @@ def _block_table(words, k: int, hop: int, m: int) -> _BlockTable:
     fit.  The windows stay views of the words, in the words' own dtypes,
     and only one column at a time is widened to int64 to be keyed; callers
     gather the distinct rows they need, as int64, a span at a time
-    (_gather, _spans).
+    (_gather, actions._spans).
     """
     if not m:
         empty = np.empty(0, dtype=np.int64)

@@ -7,8 +7,9 @@ uncountable objects, so they are realized lazily: the symbol at a
 coordinate is a deterministic keyed hash of (seed, canonical coordinate
 key).  An orbit name is fixed by its symbols at the first visits of its
 driving walk, so only first visits are hashed, the information function
-is -log2 p summed over them, and the averaged entropy is the expected
-number of distinct coordinates times H(p).  That expectation (the range of
+is -log2 p summed over them (both read a name a span at a time, by
+actions._spans), and the averaged entropy is the expected number of
+distinct coordinates times H(p).  That expectation (the range of
 a random walk) is an exact Fraction, found without listing driving words
 by one of three paths chosen from the input: exactly n where no
 coordinate can repeat (the free monoid, and f2 under a chain that never
@@ -28,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .actions import ACTION_KINDS, INVERSE, LAWS, _check_seed, check_driving_size, walk
+from .actions import ACTION_KINDS, INVERSE, LAWS, _check_seed, _spans, check_driving_size, walk
 from .driving import _EXACT_HINT, MarkovChainSpec, _as_fraction, _cumulative, _letter_dtype, _letters_of
 from .driving import _over_lcm, cylinder_prob
 from .errors import InfiniteInformationError, ResourceLimitError
@@ -40,8 +41,6 @@ from .words import Alphabet
 # table bits n**2 * den.bit_length() (_renewal_distinct), and the CLI block
 # coders' pair blocks (|driving| * |fiber|)**k (ExperimentConfig.check_codebook_cap)
 ENUMERATION_CAP = 2 ** 24
-# positions of a name drawn, or checked against its walk, at once
-_SCAN_CHUNK = 2 ** 12
 
 
 def _exceeds_cap(base: int, power: int) -> bool:
@@ -125,11 +124,11 @@ def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
     as an integer over 2**64 (a float64 u in [0, 1]) and mapped through the
     inverse CDF of p in alphabet order, u = 1.0 to the last symbol.  Each
     distinct coordinate is hashed once, when the walk first meets it.  The
-    name is then read _SCAN_CHUNK positions at a time: the chunk's draws
-    are mapped to u and to symbols, each with the same float64 operations
-    as one pass over all of them, and written at their first visits, and
-    every step reads its first visit, which lies in the chunk or before
-    it; so the name is always consistent.  Symbols are stored in
+    name is then read a span of positions at a time (actions._spans): the
+    span's draws are mapped to u and to symbols, each with the same float64
+    operations as one pass over all of them, and written at their first
+    visits, and every step reads its first visit, which lies in the span or
+    before it; so the name is always consistent.  Symbols are stored in
     driving._letter_dtype(|F|).
     """
     seed = _check_seed(seed)
@@ -141,10 +140,9 @@ def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
     first, draws = walk(spec.action_kind, driving, seed)
     cumulative = _cumulative(spec.p)
     drawn = 0
-    for lo in range(0, len(first), _SCAN_CHUNK):
-        steps = first[lo : lo + _SCAN_CHUNK]
-        name = letters[lo : lo + _SCAN_CHUNK]
-        new = steps == np.arange(lo, lo + len(steps))
+    for lo, hi in _spans(len(first)):
+        steps, name = first[lo:hi], letters[lo:hi]
+        new = steps == np.arange(lo, hi)
         u = draws[drawn : drawn + np.count_nonzero(new)].astype(np.float64)
         drawn += len(u)
         u /= 2.0 ** 64
@@ -159,8 +157,8 @@ def _first_symbols(spec: FiberSystemSpec, first: np.ndarray, v) -> np.ndarray | 
     """The symbols v reads at first visits, or None when v gives a
     revisited coordinate two different symbols.
 
-    v is read _SCAN_CHUNK positions at a time, so no temporary is as long
-    as v, and the symbols keep v's own dtype.
+    v is read a span of positions at a time (actions._spans), so no
+    temporary is as long as v, and the symbols keep v's own dtype.
     """
     v = _letters_of(v)
     if len(v) != len(first):
@@ -168,35 +166,26 @@ def _first_symbols(spec: FiberSystemSpec, first: np.ndarray, v) -> np.ndarray | 
     if v.size and (v.min() < 0 or v.max() >= spec.fiber_alphabet.size):
         raise ValueError("fiber letter out of range")
     symbols = [v[:0]]  # so that an empty v concatenates too
-    for lo in range(0, len(v), _SCAN_CHUNK):
-        at, here = first[lo:lo + _SCAN_CHUNK], v[lo:lo + _SCAN_CHUNK]
+    for lo, hi in _spans(len(v)):
+        at, here = first[lo:hi], v[lo:hi]
         if not np.array_equal(v[at], here):
             return None
-        symbols.append(here[at == np.arange(lo, lo + len(at))])
+        symbols.append(here[at == np.arange(lo, hi)])
     return np.concatenate(symbols)
-
-
-def conditional_cylinder_fraction(spec: FiberSystemSpec, u, v) -> Fraction:
-    """Exact probability that the orbit driven by u reads the fiber word v.
-
-    Zero when v assigns conflicting symbols to a revisited coordinate;
-    otherwise the product of p over the distinct coordinates visited.
-    """
-    symbols = _first_symbols(spec, walk(spec.action_kind, u).first, v)
-    if symbols is None:
-        return Fraction(0)
-    return math.prod((spec.p[s] for s in symbols.tolist()), start=Fraction(1))
 
 
 def information_function(spec: FiberSystemSpec, alpha, omega) -> float:
     """Bits of information in the orbit-name cylinder, -log2 of its measure.
 
     alpha is a driving word, a trajectory, or an OrbitName, whose kept walk
-    is reused.  The value is -log2 p summed over the first visits.  Raises
+    is reused; a name of another action than spec's raises ValueError.  The
+    value is -log2 p summed over the first visits.  Raises
     InfiniteInformationError on an inconsistent (zero-probability) prefix
     pair.  Names produced by emit_name are always consistent.
     """
     if isinstance(alpha, OrbitName):
+        if alpha.fiber_spec.action_kind != spec.action_kind:
+            raise ValueError("name and spec disagree on the action")
         first = alpha.first
     else:
         first = walk(spec.action_kind, _letters_of(alpha)).first

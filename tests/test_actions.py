@@ -14,6 +14,7 @@ from fiberlab import (
     ExperimentConfig,
     FiberSystemSpec,
     MarkovChainSpec,
+    cylinder_prob,
     driving_preset,
     exact_averaged_entropy,
     range_ratio_curve,
@@ -21,7 +22,7 @@ from fiberlab import (
     visit_record,
     walk,
 )
-from fiberlab.actions import _DRAW_CHUNK, LAWS, default_checkpoints
+from fiberlab.actions import _CHUNK, LAWS, default_checkpoints
 from fiberlab.config import ConfigError
 
 # generator indices for the lattice and free-group alphabets
@@ -267,13 +268,28 @@ def test_walk_kernels_reject_foreign_letters_like_the_generic_walk(kind, letter)
                 walk(kind, given)
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1, _DRAW_CHUNK + 1])
+def test_letters_that_are_not_one_dimensional_integers_are_refused():
+    # these were once cast to int64: floats truncated to letters, and a 2-D
+    # word walked, and counted, by its rows
+    z2_chain = driving_preset("z2-uniform")
+    message = "letters must be one-dimensional integers"
+    for run in (lambda: walk("z2", [0.2, 1.9, 2.5]), lambda: cylinder_prob(z2_chain, [3.9]),
+                lambda: walk("free-monoid", [[0, 1], [1, 0]]), lambda: visit_record("free-monoid", [[0, 1], [1, 0]]),
+                lambda: walk("f2", np.array([True, False])), lambda: walk("z2", 3)):
+        with pytest.raises(ValueError, match=message):
+            run()
+    # an empty word is still empty int64 letters
+    assert len(walk("z2", []).first) == 0
+    assert cylinder_prob(z2_chain, ()) == 1
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, _CHUNK + 1])
 @pytest.mark.parametrize("kind, path", [("free-monoid", "chained"), ("f2", "chained"), ("f2", "tree"),
                                         ("z2", "formatted")])
 def test_chain_and_draw_loops_cross_draw_chunks(kind, path, offset):
-    # the loops that make a key and draw it join digests _DRAW_CHUNK at a
-    # time; around a chunk's end, every coordinate is drawn exactly once
-    count = _DRAW_CHUNK + offset
+    # the loops that make a key and draw it join digests _CHUNK at a time;
+    # around a chunk's end, every coordinate is drawn exactly once
+    count = _CHUNK + offset
     rng = np.random.default_rng(count)
     if path == "chained":
         # a and b only: an f2 word that never cancels takes the chained kernel

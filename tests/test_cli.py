@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from fiberlab.cli import main
+from fiberlab.cli import COMMANDS, main
 from fiberlab.config import MAX_HORIZON, ConfigError, load_config, system_preset
 from fiberlab.driving import driving_preset
 
@@ -146,14 +146,36 @@ def test_cli_simulate_streams_its_csv_rows(tmp_path, traced_peak):
 ], ids=["0-rows", "1-row", "3-rows"])
 @pytest.mark.parametrize("batch", [2, 2 ** 12])
 def test_cli_json_reports_stream_the_bytes_of_one_dump(tmp_path, monkeypatch, rows, batch):
-    from fiberlab import cli
+    from fiberlab import actions, cli
 
-    monkeypatch.setattr(cli, "_JSON_BATCH", batch)  # 2 splits three rows across batches
+    monkeypatch.setattr(actions, "_CHUNK", batch)  # 2 splits three rows across batches
     config = load_config({"preset": "z2-uniform", "out": str(tmp_path), "format": "json"})
     columns = ("i", "x", "y")
     path = cli._write_rows(config, "probe", columns, iter(rows))
     payload = {"schema": "fiberlab.probe.v1", "columns": list(columns), "rows": rows}
     assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("preset", ["free-monoid-uniform", "z2-uniform", "f2-markov"])
+def test_report_bytes_do_not_depend_on_the_chunk(tmp_path, monkeypatch, preset):
+    # every chunked pass cuts its spans by actions._CHUNK; at 1, 2, 3 and 7
+    # the walks, names, sampler, coders and JSON batches all split
+    from fiberlab import actions
+
+    def reports(label):
+        got = {}
+        for command in COMMANDS:
+            for format in ("csv", "json"):
+                out = tmp_path / label / command / format
+                config = load_config({"preset": preset, "horizons": [29, 61], "block_lengths": [2, 3],
+                                      "seeds": [1, 2], "format": format, "out": str(out)})
+                got[command, format] = COMMANDS[command](config), read_all(out)
+        return got
+
+    want = reports("default")
+    for chunk in (1, 2, 3, 7):
+        monkeypatch.setattr(actions, "_CHUNK", chunk)
+        assert reports(f"chunk{chunk}") == want, chunk
 
 
 def test_cli_verify_ar_never_loads_numpy_ma(tmp_path):

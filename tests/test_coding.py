@@ -32,10 +32,10 @@ from fiberlab import (
     system_preset,
     walk,
 )
-from fiberlab import coding, driving, fiber as fiber_module
+from fiberlab import actions, coding, driving, fiber as fiber_module
 from fiberlab.coding import UNDERSHOOT_MIN_N, EstimatorReport, _patterns
 from fiberlab.driving import _gather, block_code_details
-from fiberlab.fiber import conditional_cylinder_fraction
+from oracles import conditional_cylinder_fraction
 
 BINARY = Alphabet(("0", "1"))
 HALF = Fraction(1, 2)
@@ -150,6 +150,24 @@ def test_decode_truncated_stream_is_malformed():
     padded = EncodedStream(stream.bits + "0", stream.m, stream.k, stream.tail + "0")
     with pytest.raises(MalformedStreamError):
         decode(padded, trajectory, family)
+
+
+def test_decode_refuses_characters_other_than_bits():
+    # four symbols take 2 raw bits each; int(s, 2) once read "+1" and " 1"
+    # as the tail symbol 1 and raised a plain ValueError on "1_"
+    from fiberlab import EncodedStream
+
+    fiber = FiberSystemSpec("free-monoid", Alphabet(("0", "1", "2", "3")), (Fraction(1, 4),) * 4)
+    family = BlockCodebookFamily(2, fiber, BERNOULLI2)
+    assert decode(EncodedStream("01", 0, 2, "01"), [0], family).tolist() == [1]
+    for bits in ("+1", " 1", "1_", "1\n", "0\u0661"):
+        with pytest.raises(MalformedStreamError, match="must be"):
+            decode(EncodedStream(bits, 0, 2, bits), [0], family)
+    # in a block's codeword as well as in the tail
+    trajectory = sample_trajectory(BERNOULLI2, 9, 1)
+    stream = encode(emit_name(fiber, trajectory, 1), family)
+    with pytest.raises(MalformedStreamError, match="must be"):
+        decode(EncodedStream(" " + stream.bits[1:], stream.m, stream.k, stream.tail), trajectory, family)
 
 
 def test_decode_refuses_a_stream_of_another_block_length():
@@ -694,10 +712,10 @@ CHUNK_CASES = [(MONOID, BERNOULLI2, 61, 3), (Z2, Z2_DRIVING, 301, 3), (F2, F2_DR
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 def test_coders_equal_the_unchunked_result_across_row_chunks(monkeypatch, chunk):
     # the coders gather, check and score a block table's distinct rows
-    # _ROW_CHUNK at a time; every table here spans the default chunk once
+    # _CHUNK at a time; every table here spans the default chunk once
     # and several small chunks, with a partial chunk at the end
     want = [coder_results(*case, seed=4) for case in CHUNK_CASES]
-    monkeypatch.setattr(driving, "_ROW_CHUNK", chunk)
+    monkeypatch.setattr(actions, "_CHUNK", chunk)
     for case, expected in zip(CHUNK_CASES, want):
         got = coder_results(*case, seed=4)
         assert len(got["plain table"][0]) > chunk
@@ -748,7 +766,7 @@ def late_offenders():
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 def test_a_late_offending_row_raises_the_unchunked_message(monkeypatch, chunk):
     want = {label: raised(run) for label, run in late_offenders().items()}
-    monkeypatch.setattr(driving, "_ROW_CHUNK", chunk)
+    monkeypatch.setattr(actions, "_CHUNK", chunk)
     got = {label: raised(run) for label, run in late_offenders().items()}
     assert got == want
     assert "driving block (0, 1) has zero probability" in want["null context, encode"][1]
@@ -784,7 +802,7 @@ def test_bytes_per_letter_stay_under_their_bounds(traced_peak, preset):
 
 def test_conditional_rate_holds_no_pair_table(traced_peak):
     # the 25,000 distinct pairs of this name, gathered, patterned and ranked
-    # all at once, took the peak to 11.7 MB; chunks of driving._ROW_CHUNK
+    # all at once, took the peak to 11.7 MB; chunks of actions._CHUNK
     # rows keep only each pair's count and rank
     name = emit_name(Z2, sample_trajectory(Z2_DRIVING, 200_000, 3), seed=3)
     family = BlockCodebookFamily(8, Z2, Z2_DRIVING)

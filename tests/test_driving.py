@@ -26,8 +26,8 @@ from fiberlab import (
     is_stationary,
     sample_trajectory,
 )
+from fiberlab.actions import _CHUNK
 from fiberlab.driving import (
-    _SAMPLE_CHUNK,
     _block_table,
     _composition_depth,
     _cylinder_numerators,
@@ -275,10 +275,10 @@ def sampler_depth(spec):
 
 def sampler_sizes(r):
     """Sizes around r and around the sampler's chunk boundaries: chunks of
-    _SAMPLE_CHUNK // r * r letters follow the first letter."""
-    step = _SAMPLE_CHUNK // r * r
-    sizes = {0, 1, 2, r - 1, r, r + 1, 2 * r + 1, 3 * _SAMPLE_CHUNK + 5}
-    for edge in (_SAMPLE_CHUNK, step + 1, 2 * step + 1):
+    _CHUNK // r * r letters follow the first letter."""
+    step = _CHUNK // r * r
+    sizes = {0, 1, 2, r - 1, r, r + 1, 2 * r + 1, 3 * _CHUNK + 5}
+    for edge in (_CHUNK, step + 1, 2 * step + 1):
         sizes |= {edge - r, edge - 1, edge, edge + 1, edge + r}
     return sorted(size for size in sizes if size >= 0)
 
@@ -338,7 +338,7 @@ def rational_chains(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_chains(), st.integers(0, 3 * _SAMPLE_CHUNK), st.integers(0, 2 ** 64 - 1))
+@given(rational_chains(), st.integers(0, 3 * _CHUNK), st.integers(0, 2 ** 64 - 1))
 def test_markov_sampler_equals_the_bisect_loop_on_random_rational_chains(spec, n, seed):
     assert_sampler_equals_bisect_loop(spec, n, seed)
 

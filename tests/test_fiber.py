@@ -28,7 +28,7 @@ from fiberlab import (
     walk,
 )
 from fiberlab import actions, fiber as fiber_module
-from fiberlab.fiber import conditional_cylinder_fraction
+from oracles import conditional_cylinder_fraction
 
 BINARY = Alphabet(("0", "1"))
 HALF = Fraction(1, 2)
@@ -247,6 +247,18 @@ def test_information_function_equals_range_times_log_fiber_size():
 def test_information_function_rejects_inconsistent_names():
     with pytest.raises(InfiniteInformationError):
         information_function(Z2, [E1, NEG_E1, E1], [0, 1, 1])
+
+
+def test_information_function_refuses_a_name_of_another_action():
+    # the z2 walk of this word revisits its start, the f2 walk does not: the
+    # name's kept z2 walk once gave 4.0 bits under the f2 spec, not 5.0
+    driving = [0, 2, 1, 3, 0]
+    name = emit_name(Z2, driving, seed=1)
+    assert name.first.tolist() == [0, 1, 2, 3, 0]
+    assert information_function(F2, driving, name.letters) == 5.0
+    with pytest.raises(ValueError, match="disagree on the action"):
+        information_function(F2, name, name.letters)
+    assert information_function(Z2, name, name.letters) == 4.0
 
 
 def test_emitted_names_always_have_finite_information():

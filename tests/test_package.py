@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import fiberlab
 
 PUBLIC_NAMES = [
@@ -19,3 +22,12 @@ def test_public_names_are_pinned_and_exclude_submodules():
     namespace = {}
     exec("from fiberlab import *", namespace)
     assert sorted(name for name in namespace if name != "__builtins__") == PUBLIC_NAMES
+
+
+def test_only_actions_binds_the_chunk():
+    # a module that imported _CHUNK would keep its own binding, which a test
+    # that patches actions._CHUNK leaves alone; __main__ runs the CLI on import
+    names = [info.name for info in pkgutil.iter_modules(fiberlab.__path__) if info.name != "__main__"]
+    modules = [importlib.import_module(f"fiberlab.{name}") for name in names]
+    bound = [(module.__name__, name) for module in modules for name in vars(module) if "CHUNK" in name.upper()]
+    assert bound == [("fiberlab.actions", "_CHUNK")]

@@ -9,7 +9,7 @@ revisits more and more densely: its range fraction decays toward zero.
 from itertools import accumulate
 
 from fiberlab import driving_preset, range_ratio_curve, system_preset, walk
-from fiberlab.actions import LAWS
+from fiberlab.actions import Z2_VECTORS
 
 z2 = driving_preset("z2-uniform")
 f2 = driving_preset("f2-markov")
@@ -17,10 +17,10 @@ bern2, _ = system_preset("free-monoid-uniform")
 
 word = [0, 1, 0, 2, 3, 1]
 first = walk("z2", word).first
-# the generic step rule names each coordinate; walk() reports which are new
-identity, step, key = LAWS["z2"]
-coordinates = accumulate(word[:-1], step, initial=identity)
-distinct = [key(c).decode() for i, c in enumerate(coordinates) if first[i] == i]
+# summing the generator vectors names each coordinate; walk() reports which are new
+coordinates = accumulate((Z2_VECTORS[letter] for letter in word[:-1]),
+                         lambda c, v: (c[0] + v[0], c[1] + v[1]), initial=(0, 0))
+distinct = ["%d,%d" % c for i, c in enumerate(coordinates) if first[i] == i]
 print("lattice coordinates along +e1,-e1,+e1,+e2,-e2,-e1:")
 print("   first visits", first.tolist())
 print("   distinct", distinct, "->", len(distinct))

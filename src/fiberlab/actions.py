@@ -9,11 +9,11 @@ after i steps is the left-to-right product of the first i letters in
 reverse order; the free monoid appends instead.  The two orientations
 differ by a word reversal that preserves all visit counts.
 
-Each action is written once, in LAWS, as an identity coordinate, a step
-rule and a canonical byte key.  Lattice keys encode the integer pair;
-word keys chain a 16-byte blake2b digest per letter, so a key depends only
-on the coordinate itself, never on how or when it was reached.  Two
-coordinates are equal exactly when their keys are.
+Every coordinate has a canonical byte key.  A lattice key is the
+integer pair written b"x,y"; a word key chains a 16-byte blake2b digest
+per letter onto the identity's key (_MONOID_IDENTITY, _F2_IDENTITY), so a
+key depends only on the coordinate itself, never on how or when it was
+reached.  Two coordinates are equal exactly when their keys are.
 
 walk() is the one contract for stepping a driving word.  It returns
 first[i], the smallest j with c_j = c_i, and, when given a seed, the
@@ -43,18 +43,17 @@ letters), first is int32 while n < 2**31 (int64 past it), and draws are
 uint64.  walk() reads uint8 letters as they are and copies any other
 integer letters to uint8 once it has checked their range.
 
-LAWS steps one coordinate at a time; the backward taboo recursion of
-fiber._taboo_distinct uses it, and the tests keep the generic walk
-over LAWS as the oracle the kernels must equal.
+The tests keep a generic walk that steps and keys one coordinate at a
+time (tests/oracles.py) as the oracle the kernels must equal.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -74,6 +73,9 @@ _BYTES = [bytes([letter]) for letter in range(_MONOID_LETTERS)]
 # every chain hash is a copy of this one hasher: the same digest as
 # blake2b(data, digest_size=16), without parsing the parameters each time
 _CHAIN_HASHER = hashlib.blake2b(digest_size=16)
+# the keys of the two word identities, from which every other key chains
+_MONOID_IDENTITY = hashlib.blake2b(b"fiberlab:free-monoid:e", digest_size=16).digest()
+_F2_IDENTITY = hashlib.blake2b(b"fiberlab:f2:e", digest_size=16).digest()
 # items every chunked pass takes at once (_spans): a span of digests, with
 # bytes.join's 80-byte buffer view per part, stays under 1 MB
 _CHUNK = 2 ** 12
@@ -110,37 +112,6 @@ def _integers(letters) -> np.ndarray:
     return letters if letters.dtype.kind in "iu" else letters.astype(np.int64)
 
 
-def _digest(data: bytes) -> bytes:
-    h = _CHAIN_HASHER.copy()
-    h.update(data)
-    return h.digest()
-
-
-def _chain(key: bytes, letter: int) -> bytes:
-    return _digest(key + _BYTES[letter])
-
-
-def _z2_step(c: tuple[int, int], letter: int) -> tuple[int, int]:
-    dx, dy = Z2_VECTORS[letter]
-    return (c[0] + dx, c[1] + dy)
-
-
-def _f2_step(c: tuple, letter: int) -> tuple:
-    # c is (key, head letter, parent): left multiplication cancels the head
-    # or prepends the letter
-    if c[1] == INVERSE[letter]:
-        return c[2]
-    return (_chain(c[0], letter), letter, c)
-
-
-# kind -> (identity coordinate, step rule, canonical key of a coordinate)
-LAWS = {
-    "free-monoid": (_digest(b"fiberlab:free-monoid:e"), _chain, lambda c: c),
-    "z2": ((0, 0), _z2_step, lambda c: b"%d,%d" % c),
-    "f2": ((_digest(b"fiberlab:f2:e"), None, None), _f2_step, itemgetter(0)),
-}
-
-
 def driving_size(kind: str) -> int | None:
     """Number of driving letters the action consumes, None when unconstrained."""
     if kind not in ACTION_KINDS:
@@ -167,8 +138,22 @@ class Walk(NamedTuple):
     draws: np.ndarray | None
 
 
+def _integer(value, what: str) -> int:
+    """value as an int, by operator.index: the one rule for seeds, horizons
+    and block lengths.  A bool, float, string or other non-integer raises
+    ValueError.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, not {value!r}")
+
+
 def _check_seed(seed) -> int:
-    seed = int(seed)
+    """seed as an int in [0, 2**64), the one seed rule; anything else raises ValueError."""
+    seed = _integer(seed, "seed")
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be a 64-bit unsigned integer")
     return seed
@@ -213,7 +198,7 @@ def _chained(identity: bytes, letters: np.ndarray, seed: int | None) -> Walk:
 
 
 def _walk_free_monoid(letters: np.ndarray, seed: int | None) -> Walk:
-    return _chained(LAWS["free-monoid"][0], letters, seed)
+    return _chained(_MONOID_IDENTITY, letters, seed)
 
 
 def _walk_z2(letters: np.ndarray, seed: int | None) -> Walk:
@@ -266,7 +251,7 @@ def _walk_f2(letters: np.ndarray, seed: int | None) -> Walk:
     steps = letters[:-1]
     if not (steps[1:] == _INVERSE[steps[:-1]]).any():
         # a reduced word never cancels its head, so it never revisits
-        return _chained(LAWS["f2"][0][0], letters, seed)
+        return _chained(_F2_IDENTITY, letters, seed)
     # tree nodes are numbered in first-visit order; node 0 is the identity.
     # A child is entered from its parent only after being left upwards, so
     # children (node * 4 + letter -> child) holds just the edges walked back.
@@ -302,7 +287,7 @@ def _walk_f2(letters: np.ndarray, seed: int | None) -> Walk:
     chain, draw, byte = _CHAIN_HASHER.copy, _draw_hasher(seed), _BYTES
     count = len(head)
     draws = np.empty(count, dtype=np.uint64)
-    keys = [LAWS["f2"][0][0]]
+    keys = [_F2_IDENTITY]
     h = draw()
     h.update(keys[0])
     digests = [h.digest()]
@@ -336,13 +321,13 @@ def walk(kind: str, letters, seed: int | None = None) -> Walk:
     seed (a 64-bit unsigned integer),
     draws[d] is the uint64 symbol draw of the d-th distinct coordinate, in
     first-visit order: the little-endian 8-byte blake2b digest of its
-    LAWS[kind] key, keyed by the seed's 8 little-endian bytes.  Without
+    key, keyed by the seed's 8 little-endian bytes.  Without
     one, draws is None and no key is hashed.  Letters outside the action's
     driving alphabet, or that are not one-dimensional integers, raise
     ValueError.
 
     Each action has its own kernel; all of them equal the generic walk
-    that steps LAWS one letter at a time.
+    that steps one letter at a time.
     """
     limit = driving_size(kind) or _MONOID_LETTERS
     if seed is not None:

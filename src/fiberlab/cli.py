@@ -3,10 +3,11 @@
 Subcommands: verify-brudno, verify-ar, entropy, range, simulate.  Exit
 codes: 0 on success, 1 when an asserted inequality or tolerance fails
 (reports are still written), 2 on any library error (bad configuration,
-model mismatch, resource cap, unwritable report) as one stderr line.
-Reports are deterministic functions of (config, seeds); the env var
-FIBERLAB_MAX_CELLS > 1 runs independent grid cells in worker processes
-without changing any output byte.  Report rows stream (see _write_rows).
+model mismatch, resource cap, out of memory, unwritable report) as one
+stderr line.  Reports are deterministic functions of (config, seeds).  A
+verify command runs its grid cells in order, in the one process that
+writes the verdict, so a run's CPU time and peak RSS are its own.  Report
+rows stream (see _write_rows).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from itertools import islice
 from pathlib import Path
@@ -75,32 +75,13 @@ def _write_summary(config: ExperimentConfig, stem: str, summary: dict) -> Path:
     return path
 
 
-def _max_cells() -> int:
-    value = os.environ.get("FIBERLAB_MAX_CELLS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        raise ConfigError(f"FIBERLAB_MAX_CELLS must be an integer, not {value!r}") from None
-
-
-def _map_cells(worker, cells):
-    workers = min(_max_cells(), len(cells))
-    if workers <= 1 or len(cells) <= 1:
-        return [worker(cell) for cell in cells]
-    # imported here so that a serial run never loads the process pool
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, cells))
-
-
 def _grid(config: ExperimentConfig):
     """Each verify cell's (n, k, seed), in report row order."""
     return [(n, k, seed) for n in config.horizons for k in config.block_lengths for seed in config.seeds]
 
 
-def _brudno_cell(cell):
-    config, n, k, seed, exact_rate = cell
+def _brudno_cell(config: ExperimentConfig, n: int, k: int, seed: int, exact_rate) -> EstimatorReport:
+    # one frame per cell: its name and walk are freed before the next cell samples
     trajectory = sample_trajectory(config.driving, n, seed)
     name = emit_name(config.fiber, trajectory, seed)
     family = BlockCodebookFamily(k, config.fiber, config.driving)
@@ -110,8 +91,7 @@ def _brudno_cell(cell):
 def cmd_verify_brudno(config: ExperimentConfig) -> int:
     config.check_codebook_cap()
     exact_by_k = {k: exact_rate_or_none(config.fiber, config.driving, k) for k in config.block_lengths}
-    cells = [(config, n, k, seed, exact_by_k[k]) for n, k, seed in _grid(config)]
-    reports = _map_cells(_brudno_cell, cells)
+    reports = [_brudno_cell(config, n, k, seed, exact_by_k[k]) for n, k, seed in _grid(config)]
     ok = all(report.bounds_hold for report in reports)
     max_code_gap = 0.0
     max_cross_gap = 0.0
@@ -125,35 +105,29 @@ def cmd_verify_brudno(config: ExperimentConfig) -> int:
         config,
         "brudno",
         {
-            "cells": len(cells),
+            "cells": len(reports),
             "max_gap_code_vs_exact": max_code_gap,
             "max_gap_cross_vs_exact": max_cross_gap,
             "all_bounds_hold": ok,
         },
     )
-    print(f"verify-brudno: {len(cells)} cells, max |code - exact| = {max_code_gap:.6g}, "
+    print(f"verify-brudno: {len(reports)} cells, max |code - exact| = {max_code_gap:.6g}, "
           f"bounds {'hold' if ok else 'VIOLATED'}")
     return 0 if ok else 1
 
 
-def _ar_cell(cell):
-    config, n, k, seed = cell
-    return ar_decomposition_check(config.driving, config.fiber, n, k, seed)
-
-
 def cmd_verify_ar(config: ExperimentConfig) -> int:
     config.check_codebook_cap()
-    cells = [(config, n, k, seed) for n, k, seed in _grid(config)]
-    reports = _map_cells(_ar_cell, cells)
+    reports = [ar_decomposition_check(config.driving, config.fiber, n, k, seed) for n, k, seed in _grid(config)]
     worst = max((abs(r.residual) for r in reports), default=0.0)
     ok = worst <= config.tolerance
     _write_rows(config, "ar", ArDecompositionReport.COLUMNS, (report.to_csv_row() for report in reports))
     _write_summary(
         config,
         "ar",
-        {"cells": len(cells), "max_abs_residual": worst, "tolerance": config.tolerance, "pass": bool(ok)},
+        {"cells": len(reports), "max_abs_residual": worst, "tolerance": config.tolerance, "pass": bool(ok)},
     )
-    print(f"verify-ar: {len(cells)} cells, max |residual| = {worst:.6g} "
+    print(f"verify-ar: {len(reports)} cells, max |residual| = {worst:.6g} "
           f"({'<=' if ok else '>'} tolerance {config.tolerance})")
     return 0 if ok else 1
 
@@ -240,7 +214,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; every library or report-writing error ends as one stderr line and exit 2."""
+    """Run one subcommand; every library, memory or report-writing error ends as one stderr line and exit 2."""
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](_config_from_args(args))
@@ -248,6 +222,9 @@ def main(argv=None) -> int:
         print(f"fiberlab: configuration error: {exc}", file=sys.stderr)
     except (ValueError, ResourceLimitError, OverflowError, OSError) as exc:
         print(f"fiberlab: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        # numpy names the array it could not allocate; a bare MemoryError names nothing
+        print(f"fiberlab: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
     return 2
 
 

@@ -58,7 +58,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .actions import _spans, check_driving_size, walk
+from .actions import _integer, _spans, check_driving_size, walk
 from .driving import (
     MarkovChainSpec,
     _block_table,
@@ -149,7 +149,7 @@ class BlockCodebookFamily:
     """
 
     def __init__(self, k: int, fiber_spec: FiberSystemSpec, driving_spec: MarkovChainSpec):
-        if k < 1:
+        if _integer(k, "block length") < 1:
             raise ValueError("block length must be >= 1")
         check_driving_size(fiber_spec.action_kind, driving_spec.alphabet.size)
         self.k = k
@@ -369,7 +369,7 @@ def pair_counts(alpha, omega, k: int, stride: str = "block", m: int | None = Non
     w = _letters_of(omega)
     if len(a) != len(w):
         raise ValueError("driving and fiber sequences must have equal length")
-    if k < 1:
+    if _integer(k, "window length") < 1:
         raise ValueError("window length must be >= 1")
     n = len(a)
     if stride == "block":

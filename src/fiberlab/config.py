@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .actions import check_driving_size
+from .actions import _check_seed, _integer, check_driving_size
 from .driving import PRESETS, MarkovChainSpec, driving_preset, is_stationary
 from .fiber import ENUMERATION_CAP, FiberSystemSpec, _exceeds_cap
 from .words import Alphabet
@@ -64,6 +64,16 @@ class ExperimentConfig:
                 )
 
     def __post_init__(self):
+        # the library's one rule for integers and seeds, before any comparison
+        try:
+            for n in self.horizons:
+                _integer(n, "a horizon")
+            for k in self.block_lengths:
+                _integer(k, "a block length")
+            for s in self.seeds:
+                _check_seed(s)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.horizons:
             raise ConfigError("at least one horizon is required")
         if list(self.horizons) != sorted(self.horizons):
@@ -77,9 +87,6 @@ class ExperimentConfig:
             raise ConfigError("block lengths must be >= 1")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        for s in self.seeds:
-            if not 0 <= s < 2 ** 64:
-                raise ConfigError("seeds must be 64-bit unsigned integers")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
         if not 0 <= self.tolerance < math.inf:  # NaN fails every comparison

@@ -53,7 +53,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .actions import INVERSE, _integers, _spans
+from .actions import INVERSE, _check_seed, _integer, _integers, _spans
 from .errors import ModelMismatchError
 from .kraft import _shannon_bits
 from .words import Alphabet, Word
@@ -371,6 +371,7 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
     _letter_dtype(size): uint8 for every alphabet of at most 256 letters,
     as every action's driving alphabet is.
     """
+    n, seed = _integer(n, "n"), _check_seed(seed)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not is_stationary(spec):
@@ -528,7 +529,7 @@ def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockC
     outside the alphabet raises ValueError, or that has zero probability
     raises ModelMismatchError.
     """
-    if k < 1:
+    if _integer(k, "block length") < 1:
         raise ValueError("block length must be >= 1")
     letters = _letters_of(trajectory)
     n = len(letters)

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .actions import ACTION_KINDS, INVERSE, LAWS, _check_seed, _spans, check_driving_size, walk
+from .actions import ACTION_KINDS, INVERSE, Z2_VECTORS, _check_seed, _integer, _spans, check_driving_size, walk
 from .driving import _EXACT_HINT, MarkovChainSpec, _as_fraction, _cumulative, _letter_dtype, _letters_of
 from .driving import _over_lcm, cylinder_prob
 from .errors import InfiniteInformationError, ResourceLimitError
@@ -287,6 +287,21 @@ def _renewal_distinct(driving_spec: MarkovChainSpec, n: int) -> Fraction:
     return Fraction(total, den ** (n - 1))
 
 
+def _z2_left(h: tuple[int, int], letter: int) -> tuple[int, int]:
+    dx, dy = Z2_VECTORS[letter]
+    return (h[0] + dx, h[1] + dy)
+
+
+def _f2_left(h: tuple[int, ...], letter: int) -> tuple[int, ...]:
+    # h is the reduced word, head first: letter * h cancels the head or prepends
+    return h[1:] if h and h[0] == INVERSE[letter] else (letter,) + h
+
+
+# kind -> (identity, left multiplication by a letter) on the group
+# coordinates themselves, which key the taboo states
+_GROUP_STEPS = {"z2": ((0, 0), _z2_left), "f2": ((), _f2_left)}
+
+
 def _taboo_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Fraction:
     """E[distinct coordinates among c_0 .. c_{n-1}] for any chain and group.
 
@@ -295,8 +310,9 @@ def _taboo_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Fractio
     earlier coordinate exactly when some theta_{i-1} ... theta_{i-m} is the
     identity.  Read the driving word backwards from theta_{i-1} and keep
     h = (theta_{i-1} ... theta_{i-m})^-1: an earlier letter b multiplies h
-    on the left by b^-1, the action's own step rule, and c_i is new when h
-    never reaches the identity.  A state is (h, a), with a the letter read
+    on the left by b^-1 (_GROUP_STEPS), and c_i is new when h never reaches
+    the identity.  A state is (h, a), with h the group element itself (a
+    lattice point, or a reduced word as a tuple) and a the letter read
     last; its weight is the integer scale**(m-1) times the chain's
     transition product along the m letters read.  The weights do not
     depend on i, so P(c_i is new) = sum of weight * pi[a] at m = i, and one
@@ -307,19 +323,12 @@ def _taboo_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Fractio
     size = driving_spec.alphabet.size
     if _exceeds_cap(size, n):
         raise ResourceLimitError(f"{size}**{n} driving words exceed the enumeration cap")
-    identity, step, key = LAWS[kind]
+    identity, step = _GROUP_STEPS[kind]
     steps, scale = driving_spec._Pi_numerators
     # before[a] lists each letter b that may precede a, with scale * Pi[b][a]
     before = [[(b, t) for b, t in enumerate(steps[:, a].tolist()) if t] for a in range(size)]
-    origin = key(identity)
-    # where: key of h -> h; weights: (key of h, a) -> weight; both at level m
-    where = {}
-    weights = {}
-    for a in range(size):
-        h = step(identity, INVERSE[a])
-        k = key(h)
-        where[k] = h
-        weights[k, a] = 1
+    # weights: (h, a) -> weight at level m
+    weights = {(step(identity, INVERSE[a]), a): 1 for a in range(size)}
     totals = [1] * size
     expected = Fraction(1)
     for m in range(1, n):
@@ -329,20 +338,16 @@ def _taboo_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Fractio
         # level m + 1; the last level is summed without being kept
         keep = m + 1 < n - 1
         totals = [0] * size
-        grown_where, grown = {}, {}
-        for (k, a), x in weights.items():
-            h = where[k]
+        grown = {}
+        for (h, a), x in weights.items():
             for b, t in before[a]:
                 g = step(h, INVERSE[b])
-                kg = key(g)
-                if kg == origin:
+                if g == identity:
                     continue
                 totals[b] += t * x
                 if keep:
-                    grown_where[kg] = g
-                    pair = (kg, b)
-                    grown[pair] = grown.get(pair, 0) + t * x
-        where, weights = grown_where, grown
+                    grown[g, b] = grown.get((g, b), 0) + t * x
+        weights = grown
     return expected
 
 
@@ -394,7 +399,7 @@ def exact_averaged_entropy(
     - taboo (every other chain): size**n driving words bound its states;
     - "enumerate": (size * fiber size)**n pairs.
     """
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValueError("n must be >= 1")
     check_driving_size(spec.action_kind, driving_spec.alphabet.size)
     if method == "fast":

@@ -2,7 +2,6 @@ import hashlib
 import re
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +15,19 @@ from fiberlab import (
     MarkovChainSpec,
     cylinder_prob,
     driving_preset,
+    emit_name,
     exact_averaged_entropy,
+    pair_counts,
     range_ratio_curve,
     sample_trajectory,
+    system_preset,
     visit_record,
     walk,
 )
-from fiberlab.actions import _CHUNK, LAWS, default_checkpoints
+from fiberlab.actions import _CHUNK, default_checkpoints
 from fiberlab.config import ConfigError
+from fiberlab.driving import block_code_details
+from oracles import LAWS, reference_walk
 
 # generator indices for the lattice and free-group alphabets
 E1, NEG_E1, E2, NEG_E2 = 0, 1, 2, 3
@@ -177,6 +181,64 @@ def test_default_checkpoints_are_sorted_and_bounded():
     assert points[0] >= 1
 
 
+NOT_INTEGERS = [1.9, 2.0, "7", True, np.float64(3.0), np.True_]
+
+
+@pytest.mark.parametrize("seed", NOT_INTEGERS, ids=repr)
+def test_seeds_are_integers_at_every_entry_point(seed):
+    # int(seed) once ran 1.9 as seed 1 and "7" as seed 7
+    driving, fiber = system_preset("z2-uniform")
+    trajectory = sample_trajectory(driving, 10, 1)
+    message = "seed must be an integer"
+    for run in (lambda: walk("z2", [0, 1], seed), lambda: emit_name(fiber, trajectory, seed),
+                lambda: sample_trajectory(driving, 10, seed)):
+        with pytest.raises(ValueError, match=message):
+            run()
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(driving, fiber, (10,), (2,), (seed,), Path("reports"))
+
+
+def test_one_seed_range_at_every_entry_point():
+    driving, fiber = system_preset("z2-uniform")
+    trajectory = sample_trajectory(driving, 10, 1)
+    message = "seed must be a 64-bit unsigned integer"
+    for seed in (-1, 2 ** 64, 2 ** 70):
+        for run in (lambda: emit_name(fiber, trajectory, seed), lambda: sample_trajectory(driving, 10, seed)):
+            with pytest.raises(ValueError, match=message):
+                run()
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(driving, fiber, (10,), (2,), (seed,), Path("reports"))
+    # numpy integers are integers, and a name keeps its seed as an int
+    name = emit_name(fiber, trajectory, np.uint64(2 ** 64 - 1))
+    assert type(name.seed) is int and name.seed == 2 ** 64 - 1
+    assert np.array_equal(name.letters, emit_name(fiber, trajectory, 2 ** 64 - 1).letters)
+    assert np.array_equal(sample_trajectory(driving, 10, np.int64(1)).letters, trajectory.letters)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("preset", ["free-monoid-uniform", "z2-uniform", "f2-markov"])
+def test_horizons_and_block_lengths_are_integers_at_every_entry_point(preset, value):
+    # exact_averaged_entropy once gave an "exact" value at n = 2.5 on the
+    # free monoid and f2, and a bare TypeError on z2
+    driving, fiber = system_preset(preset)
+    letters = sample_trajectory(driving, 10, 1).letters
+    calls = {
+        "n must be an integer": (lambda: exact_averaged_entropy(fiber, driving, value),
+                                 lambda: sample_trajectory(driving, value, 1)),
+        "block length must be an integer": (lambda: BlockCodebookFamily(value, fiber, driving),
+                                            lambda: block_code_details(driving, letters, value)),
+        "window length must be an integer": (lambda: pair_counts(letters, letters, value),),
+    }
+    for message, runs in calls.items():
+        for run in runs:
+            with pytest.raises(ValueError, match=message):
+                run()
+    for horizons, block_lengths, message in (((value,), (2,), "a horizon"), ((10,), (value,), "a block length")):
+        with pytest.raises(ConfigError, match=f"{message} must be an integer"):
+            ExperimentConfig(driving, fiber, horizons, block_lengths, (1,), Path("reports"))
+    assert exact_averaged_entropy(fiber, driving, np.int64(3)) == exact_averaged_entropy(fiber, driving, 3)
+
+
 @pytest.mark.parametrize("entry", ["family", "config", "exact", "range"])
 def test_driving_alphabet_size_is_checked_at_every_entry_point(entry):
     half = Fraction(1, 2)
@@ -191,20 +253,6 @@ def test_driving_alphabet_size_is_checked_at_every_entry_point(entry):
     }
     with pytest.raises(ConfigError if entry == "config" else ValueError, match="driving alphabet of size 4"):
         calls[entry]()
-
-
-def reference_walk(kind, letters):
-    """The generic walk over LAWS: step every letter and key every coordinate."""
-    identity, step, key = LAWS[kind]
-    letters = np.asarray(letters, dtype=np.int64).tolist()
-    seen, first, keys = {}, [], []
-    for i, c in enumerate(accumulate(letters[:-1], step, initial=identity) if letters else ()):
-        k = key(c)
-        j = seen.setdefault(k, i)
-        if j == i:
-            keys.append(k)
-        first.append(j)
-    return first, keys
 
 
 # chain -> action it drives; the f2 Bernoulli chain backtracks and revisits,

@@ -611,10 +611,10 @@ PERSISTENT_Z2 = MarkovChainSpec(
 
 def test_auto_exact_rate_is_refused_past_the_enumeration_cap(monkeypatch):
     # the taboo path counts 4**13 driving words, past fiber.ENUMERATION_CAP,
-    # so no state is built: each would look up its group law in fiber.LAWS
+    # so no state is built: each would look up its group steps in fiber._GROUP_STEPS
     trajectory = sample_trajectory(PERSISTENT_Z2, 100, 1)
     name = emit_name(Z2, trajectory, seed=1)
-    monkeypatch.setattr(fiber_module, "LAWS", {})
+    monkeypatch.setattr(fiber_module, "_GROUP_STEPS", {})
     report = conditional_rate(name, BlockCodebookFamily(13, Z2, PERSISTENT_Z2), exact="auto")
     assert report.exact_rate is None
     assert report.cross_entropy_rate is not None

@@ -381,8 +381,8 @@ def test_exact_averaged_entropy_enforces_caps(monkeypatch):
         pytest.fail("ran past its cap")
 
     # the taboo path counts size**n driving words: 4**13 > 2**24; it refuses
-    # before any state is built, each of which looks up its group law
-    monkeypatch.setattr(fiber_module, "LAWS", {})
+    # before any state is built, each of which looks up its group steps
+    monkeypatch.setattr(fiber_module, "_GROUP_STEPS", {})
     with pytest.raises(ResourceLimitError, match=r"4\*\*13 driving words"):
         exact_averaged_entropy(Z2, NONSTATIONARY4, 13)
     with pytest.raises(ResourceLimitError, match=r"4\*\*13 driving words"):

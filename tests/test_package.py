@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import fiberlab
 
@@ -31,3 +33,24 @@ def test_only_actions_binds_the_chunk():
     modules = [importlib.import_module(f"fiberlab.{name}") for name in names]
     bound = [(module.__name__, name) for module in modules for name in vars(module) if "CHUNK" in name.upper()]
     assert bound == [("fiberlab.actions", "_CHUNK")]
+
+
+def test_no_module_reads_the_environment_or_starts_workers():
+    # a run is a function of (config, seeds) alone, and runs in the one
+    # process whose CPU time and peak RSS it reports: no module reads an
+    # environment variable or imports a worker pool, lazily or not
+    pools = ("concurrent", "multiprocessing")
+    found = []
+    for path in sorted(Path(fiberlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.split(".")[0] in pools or name in ("environ", "environb", "getenv")]
+    assert found == []

@@ -20,7 +20,6 @@ from .coding import (
     decode,
     empirical_two_pass_rate,
     encode,
-    pair_counts,
 )
 from .config import ExperimentConfig, SYSTEM_PRESETS, load_config, load_config_file, system_preset
 from .driving import (

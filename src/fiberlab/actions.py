@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import operator
 from array import array
 from dataclasses import dataclass
@@ -139,9 +140,9 @@ class Walk(NamedTuple):
 
 
 def _integer(value, what: str) -> int:
-    """value as an int, by operator.index: the one rule for seeds, horizons
-    and block lengths.  A bool, float, string or other non-integer raises
-    ValueError.
+    """value as an int, by operator.index: the one rule for seeds, horizons,
+    block lengths, checkpoints, codeword lengths and letter and word
+    indices.  A bool, float, string or other non-integer raises ValueError.
     """
     if not isinstance(value, bool):
         try:
@@ -149,6 +150,16 @@ def _integer(value, what: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{what} must be an integer, not {value!r}")
+
+
+def _real(value, what: str):
+    """value itself when it is a real number and not a bool: the one rule for
+    tolerances and supplied rates.  A bool, string or other non-real raises
+    ValueError.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be a real number, not {value!r}")
 
 
 def _check_seed(seed) -> int:
@@ -358,20 +369,21 @@ def visit_record(kind: str, alpha) -> VisitRecord:
     return VisitRecord(np.cumsum(first == np.arange(len(first), dtype=first.dtype), dtype=first.dtype))
 
 
-def range_ratio_curve(kind: str, spec, n: int, seeds: Sequence[int], checkpoints=None):
-    """Monte Carlo means of (distinct coordinates)/n_i at log-spaced horizons.
+def range_ratio_curve(kind: str, spec, n: int, seeds: Sequence[int], checkpoints: Sequence[int]):
+    """Monte Carlo means of (distinct coordinates)/n_i at the given horizons.
 
-    Returns a list of (n_i, mean ratio) pairs averaged over one sampled
-    trajectory per seed; at least one seed is required.
+    Returns a list of (n_i, mean ratio) pairs, one per distinct checkpoint
+    in [1, n] in ascending order, averaged over one sampled trajectory per
+    seed.  At least one seed and one such checkpoint are required, and a
+    checkpoint that is not an integer raises ValueError.
     """
     from .driving import sample_trajectory
 
     check_driving_size(kind, spec.alphabet.size)
     if not seeds:
         raise ValueError("at least one seed is required")
-    if checkpoints is None:
-        checkpoints = default_checkpoints(n)
-    checkpoints = sorted({int(c) for c in checkpoints if 1 <= int(c) <= n})
+    checkpoints = [_integer(c, "a checkpoint") for c in checkpoints]
+    checkpoints = sorted({c for c in checkpoints if 1 <= c <= n})
     if not checkpoints:
         raise ValueError("no valid checkpoints at or below the horizon")
     sums = np.zeros(len(checkpoints))
@@ -382,14 +394,3 @@ def range_ratio_curve(kind: str, spec, n: int, seeds: Sequence[int], checkpoints
             sums[j] += record.distinct_counts[c - 1] / c
     means = sums / len(seeds)
     return [(c, float(means[j])) for j, c in enumerate(checkpoints)]
-
-
-def default_checkpoints(n: int, per_decade: int = 4) -> list[int]:
-    """Logarithmically spaced integer horizons from 10 up to n."""
-    if n < 1:
-        return []
-    lo = 1.0
-    hi = np.log10(n)
-    grid = np.logspace(lo, hi, max(2, int((hi - lo) * per_decade) + 1)) if n >= 10 else np.array([n])
-    points = sorted({int(round(x)) for x in grid} | {n})
-    return [p for p in points if 1 <= p <= n]

@@ -58,7 +58,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .actions import _integer, _spans, check_driving_size, walk
+from .actions import _integer, _real, _spans, check_driving_size, walk
 from .driving import (
     MarkovChainSpec,
     _block_table,
@@ -358,12 +358,11 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
     return decoded
 
 
-def pair_counts(alpha, omega, k: int, stride: str = "block", m: int | None = None):
-    """Occurrence counts of aligned (driving, fiber) windows of length k.
+def pair_counts(alpha, omega, k: int) -> Counter:
+    """Occurrence counts of the aligned (driving, fiber) blocks of length k.
 
-    stride "block" scans offsets 0, k, 2k, ...; stride "slide" scans every
-    offset.  Returns (counter, number of windows scanned); the counter's
-    keys are (u, v) tuples in first-occurrence order.
+    Blocks start at offsets 0, k, 2k, ... and every full block is counted;
+    the counter's keys are (u, v) tuples in first-occurrence order.
     """
     a = _letters_of(alpha)
     w = _letters_of(omega)
@@ -371,25 +370,12 @@ def pair_counts(alpha, omega, k: int, stride: str = "block", m: int | None = Non
         raise ValueError("driving and fiber sequences must have equal length")
     if _integer(k, "window length") < 1:
         raise ValueError("window length must be >= 1")
-    n = len(a)
-    if stride == "block":
-        available = n // k
-        hop = k
-    elif stride == "slide":
-        available = max(0, n - k + 1)
-        hop = 1
-    else:
-        raise ValueError(f"unknown stride {stride!r}")
-    if m is None:
-        m = available
-    if not 0 <= m <= available:
-        raise ValueError(f"requested {m} windows but only {available} fit the horizon")
-    table = _block_table((a, w), k, hop, m)
+    table = _block_table((a, w), k, k, len(a) // k)
     counts: Counter = Counter()
     for lo, hi in _spans(len(table.first)):
         for row, c in zip(_gather(table, lo, hi).tolist(), table.counts[lo:hi].tolist()):
             counts[tuple(row[:k]), tuple(row[k:])] = c
-    return counts, m
+    return counts
 
 
 @dataclass(frozen=True)
@@ -487,9 +473,13 @@ def conditional_rate(name: OrbitName, family: BlockCodebookFamily, exact="auto")
     code_rate <= H_hat/k + 1/k + tail/n, and the information-function
     floor code_rate >= J/n - 2 log2(n)/n.  exact may be "auto" (compute
     the exact rate unless exact_averaged_entropy refuses k past its cap),
-    None, or a precomputed float.  The bits are counted, not written: they
-    equal len(encode(name, family).bits).
+    None, or a precomputed finite real that is not a bool; anything else
+    raises ValueError before the name is coded.  The bits are counted, not
+    written: they equal len(encode(name, family).bits).
     """
+    if exact is not None and not (isinstance(exact, str) and exact == "auto"):
+        if not math.isfinite(_real(exact, "exact")):
+            raise ValueError(f"exact must be finite, not {exact!r}")
     return _conditional(name, family, exact)[0]
 
 
@@ -546,11 +536,13 @@ def ar_decomposition_check(
     pair block and raw codes remainder pairs; the plain coder is the
     driving block coder, whose exact nu numerators the joint coder reuses;
     the conditional coder is the contextual fiber coder.  The report
-    carries joint - plain - conditional.
+    carries joint - plain - conditional.  The family is built first, so a
+    bad block length or a chain that does not fit the action is refused
+    before anything is sampled.
     """
+    family = BlockCodebookFamily(k, fiber_spec, driving_spec)
     trajectory = sample_trajectory(driving_spec, n, seed)
     name = emit_name(fiber_spec, trajectory, seed)
-    family = BlockCodebookFamily(k, fiber_spec, driving_spec)
     cond, table, counts, ranks = _conditional(name, family, None)
 
     if n == 0:
@@ -610,7 +602,7 @@ def empirical_two_pass_rate(name: OrbitName, k: int, driving_alphabet_size: int)
     if m == 0:
         tail_bits = n * raw
         return TwoPassReport(n, k, tail_bits / n if n else 0.0, 0, 0, tail_bits)
-    counts, _ = pair_counts(name.driving, name.letters, k, "block", m)
+    counts = pair_counts(name.driving, name.letters, k)
     context_totals: Counter = Counter()
     for (u, _), c in counts.items():
         context_totals[u] += c

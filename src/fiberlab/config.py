@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .actions import _check_seed, _integer, check_driving_size
+from .actions import _check_seed, _integer, _real, check_driving_size
 from .driving import PRESETS, MarkovChainSpec, driving_preset, is_stationary
 from .fiber import ENUMERATION_CAP, FiberSystemSpec, _exceeds_cap
 from .words import Alphabet
@@ -64,7 +64,7 @@ class ExperimentConfig:
                 )
 
     def __post_init__(self):
-        # the library's one rule for integers and seeds, before any comparison
+        # the library's one rule for integers, seeds and reals, before any comparison
         try:
             for n in self.horizons:
                 _integer(n, "a horizon")
@@ -72,6 +72,7 @@ class ExperimentConfig:
                 _integer(k, "a block length")
             for s in self.seeds:
                 _check_seed(s)
+            _real(self.tolerance, "tolerance")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not self.horizons:

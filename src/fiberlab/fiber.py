@@ -14,14 +14,14 @@ a random walk) is an exact Fraction, found without listing driving words
 by one of three paths chosen from the input: exactly n where no
 coordinate can repeat (the free monoid, and f2 under a chain that never
 steps to an inverse), the renewal identity for z2 under i.i.d. steps, and
-a backward taboo recursion over the driving chain otherwise.  The full
-(u, v) enumeration is kept as an independent oracle.  Sampled names are
-compared with the exact rates by the coders (coding.conditional_rate).
+a backward taboo recursion over the driving chain otherwise.  The tests
+keep the full (u, v) enumeration as an independent oracle
+(tests/oracles.py).  Sampled names are compared with the exact rates by
+the coders (coding.conditional_rate).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,15 +31,15 @@ import numpy as np
 
 from .actions import ACTION_KINDS, INVERSE, Z2_VECTORS, _check_seed, _integer, _spans, check_driving_size, walk
 from .driving import _EXACT_HINT, MarkovChainSpec, _as_fraction, _cumulative, _letter_dtype, _letters_of
-from .driving import _over_lcm, cylinder_prob
+from .driving import _over_lcm
 from .errors import InfiniteInformationError, ResourceLimitError
 from .words import Alphabet
 
 # the one cap on exhaustive work, each bound checked by the code that
-# allocates it: taboo driving words size**n (_taboo_distinct), enumeration
-# pairs (size * fiber size)**n (_averaged_entropy_enumerated), renewal
+# allocates it: taboo driving words size**n (_taboo_distinct), renewal
 # table bits n**2 * den.bit_length() (_renewal_distinct), and the CLI block
-# coders' pair blocks (|driving| * |fiber|)**k (ExperimentConfig.check_codebook_cap)
+# coders' pair blocks (|driving| * |fiber|)**k (ExperimentConfig.check_codebook_cap);
+# the tests' (u, v) oracle caps its pairs (size * fiber size)**n by it too
 ENUMERATION_CAP = 2 ** 24
 
 
@@ -351,63 +351,25 @@ def _taboo_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Fractio
     return expected
 
 
-def _averaged_entropy_enumerated(spec: FiberSystemSpec, driving_spec: MarkovChainSpec, n: int) -> float:
-    """Oracle path: the full double sum over driving and fiber words.
-
-    For every driving word u of positive probability, every fiber word v
-    is scored with its exact conditional cylinder probability; no use is
-    made of the product-measure collapse.  (size * fiber size)**n pairs
-    past ENUMERATION_CAP are refused before any word is listed.
-    """
-    size = driving_spec.alphabet.size
-    fiber_size = spec.fiber_alphabet.size
-    if _exceeds_cap(size * fiber_size, n):
-        raise ResourceLimitError("full (u, v) enumeration exceeds the enumeration cap")
-    logp = _log2p(spec)
-    V = np.array(list(itertools.product(range(fiber_size), repeat=n)), dtype=np.int64)
-    total = 0.0
-    for u in itertools.product(range(size), repeat=n):
-        nu = float(cylinder_prob(driving_spec, u))
-        if nu == 0.0:
-            continue
-        first = walk(spec.action_kind, u).first
-        mask = (V == V[:, first]).all(axis=1)
-        log2mu = logp[V[:, first == np.arange(n)]].sum(axis=1)[mask]
-        total -= nu * float((np.exp2(log2mu) * log2mu).sum())
-    return total
-
-
-def exact_averaged_entropy(
-    spec: FiberSystemSpec,
-    driving_spec: MarkovChainSpec,
-    n: int,
-    method: str = "fast",
-) -> ExactAveragedEntropy:
+def exact_averaged_entropy(spec: FiberSystemSpec, driving_spec: MarkovChainSpec, n: int) -> ExactAveragedEntropy:
     """Exact averaged entropy of the first n orbit symbols, in bits.
 
-    The "fast" method uses the product-measure collapse: the inner fiber
-    sum for a driving word equals (distinct coordinates) * H(p), so the
-    value is E[distinct] * H(p), with E[distinct] an exact Fraction from
-    _expected_distinct, rounded once.  The "enumerate" method is the
-    independent oracle summing -mu log2 mu over every (u, v) pair.
+    It uses the product-measure collapse: the inner fiber sum for a driving
+    word equals (distinct coordinates) * H(p), so the value is
+    E[distinct] * H(p), with E[distinct] an exact Fraction from
+    _expected_distinct, rounded once.
 
     Each path checks its own cost against ENUMERATION_CAP before it
     allocates, and raises ResourceLimitError past it:
     - linear (free monoid, f2 that never cancels): no cap, the value is n;
     - renewal (z2 under i.i.d. steps): n**2 * den.bit_length() bits of
       integer tables, den = lcm(den pi), so n <= 2364 under uniform z2 steps;
-    - taboo (every other chain): size**n driving words bound its states;
-    - "enumerate": (size * fiber size)**n pairs.
+    - taboo (every other chain): size**n driving words bound its states.
     """
     if _integer(n, "n") < 1:
         raise ValueError("n must be >= 1")
     check_driving_size(spec.action_kind, driving_spec.alphabet.size)
-    if method == "fast":
-        bits = float(_expected_distinct(driving_spec, spec.action_kind, n)) * spec.symbol_entropy()
-    elif method == "enumerate":
-        bits = _averaged_entropy_enumerated(spec, driving_spec, n)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    bits = float(_expected_distinct(driving_spec, spec.action_kind, n)) * spec.symbol_entropy()
     return ExactAveragedEntropy(n, bits)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
 
+from .actions import _integer
 from .errors import KraftInfeasibleError
 from .words import is_prefix_free
 
@@ -20,9 +21,9 @@ def kraft_sum(lengths: Iterable[int]) -> Fraction:
     """Exact value of sum(2**-l) over the given codeword lengths.
 
     Summed as the integer sum(2**(L - l)) over 2**L, L the largest length
-    (or 0).
+    (or 0).  A length that is not an integer raises ValueError.
     """
-    lengths = [int(l) for l in lengths]
+    lengths = [_integer(l, "a codeword length") for l in lengths]
     top = max([0, *lengths])
     return Fraction(sum(1 << (top - l) for l in lengths), 1 << top)
 
@@ -75,7 +76,7 @@ def canonical_kraft_code(lengths: Mapping[Hashable, int]) -> BinaryCodebook:
     codebook.  Raises KraftInfeasibleError when sum(2**-l) > 1.
     """
     for block, l in lengths.items():
-        if int(l) != l or l < 1:
+        if _integer(l, "a codeword length") < 1:
             raise ValueError(f"length for block {block!r} must be a positive integer, got {l!r}")
     if kraft_sum(lengths.values()) > 1:
         raise KraftInfeasibleError("requested lengths violate Kraft's inequality")

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .actions import _integer
+
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -48,7 +50,7 @@ class Word:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(int(x) for x in self.letters))
+        object.__setattr__(self, "letters", tuple(_integer(x, "a letter index") for x in self.letters))
         for x in self.letters:
             if not 0 <= x < self.alphabet.size:
                 raise ValueError(f"letter index {x} out of range for alphabet of size {self.alphabet.size}")
@@ -102,9 +104,10 @@ def enumerate_word(alphabet: Alphabet, index: int) -> Word:
     """Return the index-th word in length-then-lexicographic order.
 
     Index 0 is the empty word; the map is a bijection between the
-    nonnegative integers and all finite words over the alphabet.
+    nonnegative integers and all finite words over the alphabet.  An index
+    that is not an integer raises ValueError.
     """
-    if index < 0:
+    if _integer(index, "a word index") < 0:
         raise ValueError("index must be nonnegative")
     s = alphabet.size
     if s == 1:

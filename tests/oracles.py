@@ -1,7 +1,9 @@
 """Reference computations shared by several test modules."""
 
 import hashlib
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
@@ -9,7 +11,9 @@ from operator import itemgetter
 import numpy as np
 
 from fiberlab.actions import INVERSE, Z2_VECTORS, walk
-from fiberlab.fiber import _first_symbols
+from fiberlab.driving import cylinder_prob
+from fiberlab.errors import ResourceLimitError
+from fiberlab.fiber import _exceeds_cap, _first_symbols, _log2p
 
 
 def _digest(data: bytes) -> bytes:
@@ -71,3 +75,40 @@ def conditional_cylinder_fraction(spec, u, v) -> Fraction:
     if symbols is None:
         return Fraction(0)
     return math.prod((spec.p[s] for s in symbols.tolist()), start=Fraction(1))
+
+
+def averaged_entropy_enumerated(spec, driving_spec, n: int) -> float:
+    """Oracle path: the full double sum over driving and fiber words.
+
+    For every driving word u of positive probability, every fiber word v
+    is scored with its exact conditional cylinder probability; no use is
+    made of the product-measure collapse.  (size * fiber size)**n pairs
+    past ENUMERATION_CAP are refused before any word is listed.
+    """
+    size = driving_spec.alphabet.size
+    fiber_size = spec.fiber_alphabet.size
+    if _exceeds_cap(size * fiber_size, n):
+        raise ResourceLimitError("full (u, v) enumeration exceeds the enumeration cap")
+    logp = _log2p(spec)
+    V = np.array(list(itertools.product(range(fiber_size), repeat=n)), dtype=np.int64)
+    total = 0.0
+    for u in itertools.product(range(size), repeat=n):
+        nu = float(cylinder_prob(driving_spec, u))
+        if nu == 0.0:
+            continue
+        first = walk(spec.action_kind, u).first
+        mask = (V == V[:, first]).all(axis=1)
+        log2mu = logp[V[:, first == np.arange(n)]].sum(axis=1)[mask]
+        total -= nu * float((np.exp2(log2mu) * log2mu).sum())
+    return total
+
+
+def sliding_pair_counts(alpha, omega, k: int, m: int) -> Counter:
+    """Counts of the (driving, fiber) windows of length k at offsets 0 .. m - 1.
+
+    One window per offset, where coding.pair_counts takes one per block;
+    the shift-averaging identity equates these counts with the sum of the
+    block counts of the k phases.  Keys are (u, v) tuples of ints.
+    """
+    alpha, omega = np.asarray(alpha).tolist(), np.asarray(omega).tolist()
+    return Counter((tuple(alpha[i : i + k]), tuple(omega[i : i + k])) for i in range(m))

@@ -35,12 +35,13 @@ from fiberlab import (
     is_prefix_free,
     is_stationary,
     kraft_sum,
-    pair_counts,
     range_ratio_curve,
     sample_trajectory,
     system_preset,
     visit_record,
 )
+from fiberlab.coding import pair_counts
+from oracles import averaged_entropy_enumerated, sliding_pair_counts
 
 HALF = Fraction(1, 2)
 BINARY = Alphabet(("0", "1"))
@@ -101,7 +102,7 @@ def test_criterion_2_exact_entropy_oracle():
         for n in range(1, 9):
             for fiber, driving in SYSTEMS.values():
                 fast = exact_averaged_entropy(fiber, driving, n).bits
-                oracle = exact_averaged_entropy(fiber, driving, n, method="enumerate").bits
+                oracle = averaged_entropy_enumerated(fiber, driving, n)
                 assert abs(fast - oracle) <= 1e-9
         assert exact_averaged_entropy(Z2, Z2_DRIVING, 3).bits == 2.75
         for n in range(1, 9):
@@ -147,10 +148,11 @@ def test_criterion_4_shift_averaging_identity():
             name = emit_name(fiber, trajectory, seed)
             alpha = list(trajectory.letters)
             omega = list(name.letters)
-            sliding, _ = pair_counts(alpha, omega, k, "slide", m * k)
+            sliding = sliding_pair_counts(alpha, omega, k, m * k)
             recombined: dict = {}
             for r in range(k):
-                phase, _ = pair_counts(alpha[r:], omega[r:], k, "block", m)
+                # the m full blocks of phase r
+                phase = pair_counts(alpha[r : r + m * k], omega[r : r + m * k], k)
                 for pair, c in phase.items():
                     recombined[pair] = recombined.get(pair, 0) + c
             assert dict(sliding) == recombined

@@ -13,18 +13,22 @@ from fiberlab import (
     ExperimentConfig,
     FiberSystemSpec,
     MarkovChainSpec,
+    Word,
+    canonical_kraft_code,
     cylinder_prob,
     driving_preset,
     emit_name,
+    enumerate_word,
     exact_averaged_entropy,
-    pair_counts,
+    kraft_sum,
     range_ratio_curve,
     sample_trajectory,
     system_preset,
     visit_record,
     walk,
 )
-from fiberlab.actions import _CHUNK, default_checkpoints
+from fiberlab.actions import _CHUNK
+from fiberlab.coding import pair_counts
 from fiberlab.config import ConfigError
 from fiberlab.driving import block_code_details
 from oracles import LAWS, reference_walk
@@ -156,7 +160,7 @@ def test_z2_action_is_abelian():
 def test_range_ratio_curve_is_one_for_free_monoid_and_f2():
     f2 = driving_preset("f2-markov")
     for kind in ("free-monoid", "f2"):
-        curve = range_ratio_curve(kind, f2, 2000, seeds=[1, 2, 3])
+        curve = range_ratio_curve(kind, f2, 2000, [1, 2, 3], [10, 100, 1000, 2000])
         assert all(ratio == 1.0 for _, ratio in curve)
 
 
@@ -171,14 +175,7 @@ def test_range_ratio_curve_decreases_for_z2():
 def test_range_ratio_curve_refuses_no_seeds():
     # a mean over no trajectories is 0/0
     with pytest.raises(ValueError, match="at least one seed"):
-        range_ratio_curve("z2", driving_preset("z2-uniform"), 100, [])
-
-
-def test_default_checkpoints_are_sorted_and_bounded():
-    points = default_checkpoints(10 ** 5)
-    assert points == sorted(set(points))
-    assert points[-1] == 10 ** 5
-    assert points[0] >= 1
+        range_ratio_curve("z2", driving_preset("z2-uniform"), 100, [], [100])
 
 
 NOT_INTEGERS = [1.9, 2.0, "7", True, np.float64(3.0), np.True_]
@@ -239,6 +236,28 @@ def test_horizons_and_block_lengths_are_integers_at_every_entry_point(preset, va
     assert exact_averaged_entropy(fiber, driving, np.int64(3)) == exact_averaged_entropy(fiber, driving, 3)
 
 
+@pytest.mark.parametrize("entry", ["kraft_sum", "canonical_kraft_code", "Word", "enumerate_word", "range_ratio_curve"])
+def test_lengths_letters_indices_and_checkpoints_are_integers(entry):
+    # int() once truncated each of these: kraft_sum([1.5, 1.5]) gave exactly
+    # 1, Word(B, (0.7,)) stored letter 0, enumerate_word(B, 2.5) the word
+    # "1", range_ratio_curve read checkpoint 2.5 as 2; a bool was read as 0
+    # or 1, and canonical_kraft_code({"a": True}) died formatting the code
+    binary = Alphabet(("0", "1"))
+    driving = driving_preset("z2-uniform")
+    calls = {
+        "kraft_sum": lambda value: kraft_sum([1, value]),
+        "canonical_kraft_code": lambda value: canonical_kraft_code({"a": 1, "b": value}),
+        "Word": lambda value: Word(binary, (0, value)),
+        "enumerate_word": lambda value: enumerate_word(binary, value),
+        "range_ratio_curve": lambda value: range_ratio_curve("z2", driving, 10, [1], [value, 10]),
+    }
+    for value in (1.5, 0.7, True, "2"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            calls[entry](value)
+    # numpy integers are integers
+    calls[entry](np.int64(1))
+
+
 @pytest.mark.parametrize("entry", ["family", "config", "exact", "range"])
 def test_driving_alphabet_size_is_checked_at_every_entry_point(entry):
     half = Fraction(1, 2)
@@ -249,7 +268,7 @@ def test_driving_alphabet_size_is_checked_at_every_entry_point(entry):
         "family": lambda: BlockCodebookFamily(2, fiber, driving),
         "config": lambda: ExperimentConfig(driving, fiber, (100,), (2,), (1,), Path("reports")),
         "exact": lambda: exact_averaged_entropy(fiber, driving, 3),
-        "range": lambda: range_ratio_curve("z2", driving, 100, [1]),
+        "range": lambda: range_ratio_curve("z2", driving, 100, [1], [100]),
     }
     with pytest.raises(ConfigError if entry == "config" else ValueError, match="driving alphabet of size 4"):
         calls[entry]()

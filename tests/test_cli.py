@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fiberlab.cli import COMMANDS, main
-from fiberlab.config import MAX_HORIZON, ConfigError, load_config, system_preset
+from fiberlab.config import MAX_HORIZON, ConfigError, ExperimentConfig, load_config, system_preset
 from fiberlab.driving import driving_preset
 
 
@@ -354,6 +356,17 @@ def test_cli_refuses_json_booleans_in_a_config_file(tmp_path, capsys, key):
     path.write_text(json.dumps({**config, "out": str(out)}), encoding="utf-8")
     assert run(["verify-ar", "--config", str(path)]) == 0
     assert load_config(json.loads(path.read_text(encoding="utf-8"))).tolerance == 1.0
+
+
+def test_config_built_directly_refuses_a_tolerance_that_is_no_real():
+    # tolerance=True was kept as True, and "0.5" raised a bare TypeError
+    driving, fiber = system_preset("z2-uniform")
+    for tolerance in (True, "0.5", None, [0.1]):
+        with pytest.raises(ConfigError, match="tolerance must be a real number"):
+            ExperimentConfig(driving, fiber, (10,), (2,), (1,), Path("reports"), tolerance=tolerance)
+    for tolerance in (0, 0.5, Fraction(1, 2)):
+        config = ExperimentConfig(driving, fiber, (10,), (2,), (1,), Path("reports"), tolerance=tolerance)
+        assert config.tolerance == tolerance
 
 
 @pytest.mark.parametrize("form", ["json-string", "json-overflow", "flag"])

@@ -26,16 +26,15 @@ from fiberlab import (
     is_prefix_free,
     canonical_kraft_code,
     kraft_sum,
-    pair_counts,
     sample_trajectory,
     shannon_length,
     system_preset,
     walk,
 )
 from fiberlab import actions, coding, driving, fiber as fiber_module
-from fiberlab.coding import UNDERSHOOT_MIN_N, EstimatorReport, _patterns
+from fiberlab.coding import UNDERSHOOT_MIN_N, EstimatorReport, _patterns, pair_counts
 from fiberlab.driving import _gather, block_code_details
-from oracles import conditional_cylinder_fraction
+from oracles import conditional_cylinder_fraction, sliding_pair_counts
 
 BINARY = Alphabet(("0", "1"))
 HALF = Fraction(1, 2)
@@ -194,22 +193,17 @@ def test_encode_rejects_inconsistent_name():
 
 
 def test_pair_counts_constant_sequences():
-    counts, m = pair_counts([0] * 12, [1] * 12, 3, "block")
-    assert counts == {((0, 0, 0), (1, 1, 1)): 4} and m == 4
-    counts, m = pair_counts([0] * 12, [1] * 12, 3, "slide")
-    assert counts == {((0, 0, 0), (1, 1, 1)): 10} and m == 10
-
-
-def test_pair_counts_validates_horizon():
-    with pytest.raises(ValueError):
-        pair_counts([0, 1], [0, 1], 2, "block", m=2)
+    assert pair_counts([0] * 12, [1] * 12, 3) == {((0, 0, 0), (1, 1, 1)): 4}
+    # only full blocks count
+    assert pair_counts([0] * 14, [1] * 14, 3) == {((0, 0, 0), (1, 1, 1)): 4}
 
 
 def shifted_block_counts(alpha, omega, k, m):
     """Sum of block-stride counts over the k shifted starting phases."""
     total = {}
     for r in range(k):
-        counts, _ = pair_counts(alpha[r:], omega[r:], k, "block", m)
+        # the m full blocks of phase r
+        counts = pair_counts(alpha[r : r + m * k], omega[r : r + m * k], k)
         for pair, c in counts.items():
             total[pair] = total.get(pair, 0) + c
     return total
@@ -229,7 +223,7 @@ def test_shift_averaging_identity_exact(kind, seed):
         n = m * k + k - 1  # exactly enough for all phases and mk sliding scans
         trajectory = sample_trajectory(driving, n, int(rng.integers(0, 2 ** 32)))
         name = emit_name(fiber, trajectory, int(rng.integers(0, 2 ** 32)))
-        sliding, _ = pair_counts(trajectory.letters, name.letters, k, "slide", m * k)
+        sliding = sliding_pair_counts(trajectory.letters, name.letters, k, m * k)
         assert dict(sliding) == shifted_block_counts(list(trajectory.letters), list(name.letters), k, m)
 
 
@@ -237,8 +231,9 @@ def test_pair_frequencies_converge_to_product_measure():
     n = 2 * 10 ** 5
     trajectory = sample_trajectory(BERNOULLI2, n, 6)
     name = emit_name(MONOID, trajectory, seed=6)
-    counts, m = pair_counts(trajectory.letters, name.letters, 2, "block")
-    assert m == n // 2
+    counts = pair_counts(trajectory.letters, name.letters, 2)
+    m = n // 2
+    assert sum(counts.values()) == m
     for u in itertools.product(range(2), repeat=2):
         for v in itertools.product(range(2), repeat=2):
             expected = 1 / 16
@@ -507,17 +502,15 @@ def test_ideal_rates_of_a_certain_run_are_positive_zero():
     assert math.copysign(1.0, report.joint_ideal_rate) == math.copysign(1.0, report.plain_ideal_rate) == 1.0
 
 
-@pytest.mark.parametrize("stride,hop", [("block", None), ("slide", 1)])
-def test_pair_counts_match_the_window_loop(stride, hop):
+def test_pair_counts_match_the_window_loop():
     # the loop pair_counts replaced, kept as the reference: keys, key order and values
     trajectory = sample_trajectory(Z2_DRIVING, 999, 4)
     name = emit_name(Z2, trajectory, seed=4)
     alpha, omega = trajectory.letters.tolist(), name.letters.tolist()
     for k in (1, 3, 8):
-        counts, m = pair_counts(trajectory, name.letters, k, stride)
+        counts = pair_counts(trajectory, name.letters, k)
         expected = Counter()
-        for i in range(m):
-            off = i * (hop or k)
+        for off in range(0, len(alpha) // k * k, k):
             expected[tuple(alpha[off : off + k]), tuple(omega[off : off + k])] += 1
         assert list(counts.items()) == list(expected.items())
         assert all(type(x) is int for u, v in counts for x in u + v)
@@ -626,6 +619,32 @@ def test_auto_exact_rate_on_iid_z2_past_the_old_cap_is_the_renewal_value():
     assert report.exact_rate == float(fiber_module._renewal_distinct(Z2_DRIVING, 13)) * Z2.symbol_entropy() / 13
 
 
+def test_conditional_rate_refuses_an_exact_rate_that_is_no_finite_real(monkeypatch):
+    # exact="bogus" once came back as the report's exact_rate
+    name = emit_name(Z2, sample_trajectory(Z2_DRIVING, 100, 1), seed=1)
+    family = BlockCodebookFamily(4, Z2, Z2_DRIVING)
+    given = conditional_rate(name, family, exact=0.75)
+    assert given.exact_rate == 0.75 and given.residual == given.code_rate - 0.75
+    monkeypatch.setattr(coding, "_coded_pairs", lambda *args: pytest.fail("coded the name"))
+    for exact in ("bogus", "Auto", True, [0.5]):
+        with pytest.raises(ValueError, match="exact must be a real number"):
+            conditional_rate(name, family, exact=exact)
+    for exact in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="exact must be finite"):
+            conditional_rate(name, family, exact=exact)
+
+
+def test_ar_decomposition_check_refuses_before_it_samples(monkeypatch):
+    # a block length of 2.5 at n = 2e6 once sampled and named the whole run
+    # before the family refused it, and so did a z2 fiber on a 3-letter chain
+    monkeypatch.setattr(coding, "sample_trajectory", lambda *args: pytest.fail("sampled the run"))
+    with pytest.raises(ValueError, match="block length must be an integer"):
+        ar_decomposition_check(Z2_DRIVING, Z2, 2 * 10 ** 6, 2.5, 1)
+    three = MarkovChainSpec.bernoulli(Alphabet(("a", "b", "c")), (Fraction(1, 3),) * 3)
+    with pytest.raises(ValueError, match="driving alphabet of size 4"):
+        ar_decomposition_check(three, Z2, 2 * 10 ** 6, 2, 1)
+
+
 def pattern_codebook(spec, pattern):
     """The canonical code of one first-visit pattern over full fiber blocks.
 
@@ -700,8 +719,7 @@ def coder_results(fiber, chain, n, k, seed):
         "ar": ar_decomposition_check(chain, fiber, n, k, seed),
         "plain": (plain.total_bits, plain.ideal_bits, plain.m, plain.tail_bits, plain.nums.tolist(), plain.den),
         "plain table": [_gather(table).tolist(), table.index.tolist(), table.counts.tolist(), table.first.tolist()],
-        "pair_counts": [list(pair_counts(name.driving, name.letters, k, stride)[0].items())
-                        for stride in ("block", "slide")],
+        "pair_counts": list(pair_counts(name.driving, name.letters, k).items()),
     }
 
 

@@ -28,7 +28,8 @@ from fiberlab import (
     walk,
 )
 from fiberlab import actions, fiber as fiber_module
-from oracles import conditional_cylinder_fraction
+import oracles
+from oracles import averaged_entropy_enumerated, conditional_cylinder_fraction
 
 BINARY = Alphabet(("0", "1"))
 HALF = Fraction(1, 2)
@@ -170,7 +171,7 @@ def test_first_only_walks_hash_nothing(monkeypatch, spec, driving):
     calls = count_hashes(monkeypatch)
     assert np.array_equal(decode(stream, letters, BlockCodebookFamily(k, spec, driving)), name.letters)
     visit_record(kind, letters)
-    range_ratio_curve(kind, driving, 300, seeds=[1, 2])
+    range_ratio_curve(kind, driving, 300, [1, 2], [10, 300])
     information_function(spec, letters, name.letters)
     fiber_module.OrbitName(spec, name.driving, name.letters, name.seed)
     family.codebook_for(letters[:k])
@@ -338,14 +339,14 @@ def test_exact_averaged_entropy_f2_markov_is_exactly_n_up_to_the_cap():
 )
 def test_exact_averaged_entropy_oracle_equivalence_small(spec, driving, n):
     fast = exact_averaged_entropy(spec, driving, n).bits
-    oracle = exact_averaged_entropy(spec, driving, n, method="enumerate").bits
+    oracle = averaged_entropy_enumerated(spec, driving, n)
     assert fast == pytest.approx(oracle, abs=1e-9)
 
 
 def test_exact_averaged_entropy_nonuniform_p_oracle_equivalence():
     spec = FiberSystemSpec("z2", Alphabet(("0", "1", "2")), (HALF, Fraction(1, 4), Fraction(1, 4)))
     fast = exact_averaged_entropy(spec, Z2_DRIVING, 4).bits
-    oracle = exact_averaged_entropy(spec, Z2_DRIVING, 4, method="enumerate").bits
+    oracle = averaged_entropy_enumerated(spec, Z2_DRIVING, 4)
     assert fast == pytest.approx(oracle, abs=1e-9)
 
 
@@ -395,10 +396,10 @@ def test_exact_averaged_entropy_enforces_caps(monkeypatch):
     # survival numerators all 1 over den 1 give E[R_n] = n
     monkeypatch.setattr(fiber_module, "_survival_numerators", lambda driving, n: ([1] * n, 1))
     assert exact_averaged_entropy(Z2, Z2_DRIVING, 2364).bits == 2364.0
-    # the oracle counts (size * fiber size)**n pairs: 8**9 > 2**24
-    monkeypatch.setattr(fiber_module, "itertools", SimpleNamespace(product=refused))
+    # the (u, v) oracle counts (size * fiber size)**n pairs: 8**9 > 2**24
+    monkeypatch.setattr(oracles, "itertools", SimpleNamespace(product=refused))
     with pytest.raises(ResourceLimitError, match=r"full \(u, v\) enumeration"):
-        exact_averaged_entropy(Z2, Z2_DRIVING, 9, method="enumerate")
+        averaged_entropy_enumerated(Z2, Z2_DRIVING, 9)
 
 
 def iid4(*p):
@@ -441,7 +442,7 @@ def test_renewal_equals_the_taboo_recursion(monkeypatch, driving):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_renewal_matches_the_uv_oracle(driving, n):
     fast = exact_averaged_entropy(Z2, driving, n).bits
-    oracle = exact_averaged_entropy(Z2, driving, n, method="enumerate").bits
+    oracle = averaged_entropy_enumerated(Z2, driving, n)
     assert fast == pytest.approx(oracle, abs=1e-9)
 
 

@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "ar_decomposition_check", "block_code_rate", "bufetov_condition", "canonical_kraft_code", "conditional_rate",
     "cylinder_prob", "decode", "driving_preset", "emit_name", "empirical_two_pass_rate", "encode", "entropy_rate",
     "enumerate_word", "exact_averaged_entropy", "information_function", "is_irreducible", "is_prefix_free",
-    "is_stationary", "kraft_sum", "load_config", "load_config_file", "pair_counts", "range_ratio_curve",
+    "is_stationary", "kraft_sum", "load_config", "load_config_file", "range_ratio_curve",
     "sample_trajectory", "shannon_length", "system_preset", "visit_record", "walk",
 ]
 

@@ -593,8 +593,11 @@ def empirical_two_pass_rate(name: OrbitName, k: int, driving_alphabet_size: int)
     (context, block, count) triple at fixed widths; the payload uses
     Shannon lengths for the empirical conditional frequencies.  This
     cross-checks the model-based coder: no side knowledge of the measure
-    is assumed, and the header cost is charged to the rate.
+    is assumed, and the header cost is charged to the rate.  k is checked
+    first, so a name shorter than k is refused for a bad k too.
     """
+    if _integer(k, "block length") < 1:
+        raise ValueError("block length must be >= 1")
     n = len(name)
     m = n // k
     fiber_size = name.fiber_spec.fiber_alphabet.size

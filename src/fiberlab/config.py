@@ -141,6 +141,16 @@ def _integers(merged: dict, key: str, default: tuple[int, ...]) -> tuple[int, ..
     return tuple(operator.index(_not_boolean(key, x)) for x in merged.get(key, default))
 
 
+def _tolerance(merged: dict) -> float:
+    # a real number, refused as ExperimentConfig refuses it, then held as a
+    # float; float() alone would parse a string such as "0.5"
+    value = _not_boolean("tolerance", merged.get("tolerance", ExperimentConfig.tolerance))
+    try:
+        return float(_real(value, "tolerance"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def load_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Build a validated config from a JSON document plus CLI overrides."""
     if not isinstance(data, dict):
@@ -159,7 +169,7 @@ def load_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
             seeds=_integers(merged, "seeds", (1, 2)),
             out=Path(merged.get("out", "fiberlab-reports")),
             format=str(merged.get("format", ExperimentConfig.format)),
-            tolerance=float(_not_boolean("tolerance", merged.get("tolerance", ExperimentConfig.tolerance))),
+            tolerance=_tolerance(merged),
         )
     except ConfigError:
         raise

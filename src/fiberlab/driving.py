@@ -132,6 +132,11 @@ class MarkovChainSpec:
         nums, den = _over_lcm([x for row in self.Pi for x in row])
         return nums.reshape(len(self.Pi), -1), den
 
+    @cached_property
+    def _range_tables(self) -> dict:
+        """Action kind -> the exact range table fiber._expected_distinct keeps for this chain."""
+        return {}
+
     @classmethod
     def bernoulli(cls, alphabet: Alphabet, p: Sequence) -> "MarkovChainSpec":
         p = tuple(_as_fraction(x) for x in p)

@@ -14,7 +14,10 @@ a random walk) is an exact Fraction, found without listing driving words
 by one of three paths chosen from the input: exactly n where no
 coordinate can repeat (the free monoid, and f2 under a chain that never
 steps to an inverse), the renewal identity for z2 under i.i.d. steps, and
-a backward taboo recursion over the driving chain otherwise.  The tests
+a backward taboo recursion over the driving chain otherwise.  The path is
+chosen once per (chain, action) and kept on the chain with one table that
+serves every n up to the longest asked; a path's cap is checked before
+its table grows, so the cap bounds what the chain keeps.  The tests
 keep the full (u, v) enumeration as an independent oracle
 (tests/oracles.py).  Sampled names are compared with the exact rates by
 the coders (coding.conditional_rate).
@@ -36,8 +39,8 @@ from .errors import InfiniteInformationError, ResourceLimitError
 from .words import Alphabet
 
 # the one cap on exhaustive work, each bound checked by the code that
-# allocates it: taboo driving words size**n (_taboo_distinct), renewal
-# table bits n**2 * den.bit_length() (_renewal_distinct), and the CLI block
+# allocates it: taboo driving words size**n (_TabooTable), renewal
+# table bits n**2 * den.bit_length() (_RenewalTable), and the CLI block
 # coders' pair blocks (|driving| * |fiber|)**k (ExperimentConfig.check_codebook_cap);
 # the tests' (u, v) oracle caps its pairs (size * fiber size)**n by it too
 ENUMERATION_CAP = 2 ** 24
@@ -79,9 +82,13 @@ class FiberSystemSpec:
     def from_dict(cls, data: dict) -> "FiberSystemSpec":
         return cls(data["action"], Alphabet(tuple(data["fiber_alphabet"])), tuple(data["p"]))
 
-    def symbol_entropy(self) -> float:
-        """Shannon entropy of the per-coordinate distribution, in bits."""
+    @cached_property
+    def _entropy_bits(self) -> float:
         return -sum(float(q) * math.log2(float(q)) for q in self.p)
+
+    def symbol_entropy(self) -> float:
+        """Shannon entropy of the per-coordinate distribution, in bits, computed once per spec."""
+        return self._entropy_bits
 
 
 def _log2p(spec: FiberSystemSpec) -> np.ndarray:
@@ -210,81 +217,111 @@ class ExactAveragedEntropy:
 def _expected_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Fraction:
     """Exact expected number of distinct coordinates among c_0 .. c_{n-1}.
 
-    The one place a path is chosen; each path refuses past its own cap:
-    - linear, n itself: no coordinate can repeat, on the free monoid and on
+    The one place a path is chosen.  It is chosen once per (chain, action)
+    and kept as that path's table in driving_spec._range_tables[kind], so
+    the table goes away with its chain, and every later n up to the longest
+    asked is read from it.  Each path refuses past its own cap before its
+    table changes, and a table that fails in any other way is dropped:
+    - linear, _LINEAR: no coordinate can repeat, on the free monoid and on
       f2 under a chain that never steps from a letter to its inverse (every
-      positive driving word is then reduced);
-    - renewal, _renewal_distinct: z2 under i.i.d. steps, every row of Pi
-      equal to pi (O(n**2) integer products);
-    - taboo, _taboo_distinct: every other chain.
+      positive driving word is then reduced), so the value is n, with no
+      table;
+    - renewal, _RenewalTable: z2 under i.i.d. steps, every row of Pi equal
+      to pi, extended a step at a time (O(n**2) integer products in all);
+    - taboo, _TabooTable: every other chain, recomputed from level 1 for a
+      longer n.
     """
-    Pi = driving_spec.Pi
-    if kind == "free-monoid" or (kind == "f2" and all(row[INVERSE[a]] == 0 for a, row in enumerate(Pi))):
+    tables = driving_spec._range_tables
+    table = tables.get(kind)
+    if table is None:
+        Pi = driving_spec.Pi
+        if kind == "free-monoid" or (kind == "f2" and all(row[INVERSE[a]] == 0 for a, row in enumerate(Pi))):
+            table = _LINEAR
+        elif kind == "z2" and all(row == driving_spec.pi for row in Pi):
+            table = _RenewalTable(driving_spec)
+        else:
+            table = _TabooTable(driving_spec, kind)
+        tables[kind] = table
+    try:
+        return table.distinct(n)
+    except ResourceLimitError:
+        raise  # refused before the table changed
+    except BaseException:
+        # an interrupt or error while the table grew may leave it half
+        # extended; the next call starts a new one
+        del tables[kind]
+        raise
+
+
+class _LinearTable:
+    """The linear path: every coordinate is new, so E[R_n] = n and nothing is kept."""
+
+    @staticmethod
+    def distinct(n: int) -> Fraction:
         return Fraction(n)
-    if kind == "z2" and all(row == driving_spec.pi for row in Pi):
-        return _renewal_distinct(driving_spec, n)
-    return _taboo_distinct(driving_spec, kind, n)
 
 
-def _return_numerators(driving_spec: MarkovChainSpec, half: int) -> list[int]:
-    """U_{2h} = u_{2h} * den**(2h) for h = 0 .. half, with den = lcm(den pi).
-
-    u_m = P(S_m = 0) for the z2 walk of i.i.d. steps of law pi is the
-    constant term of (p0 x + p1/x + p2 y + p3/y)**m, zero for odd m, so
-    U_{2h} = C(2h, h) * g_h with g_h = sum_a C(h, a)**2 X**a Y**(h-a),
-    X = n0 n1 and Y = n2 n3 the products of the integer numerators of
-    opposite steps.  g_h is a scaled Legendre polynomial, so it obeys
-    (h+1) g_{h+1} = (2h+1)(X+Y) g_h - h (Y-X)**2 g_{h-1}, whose division is
-    exact; the tests compare it with the sum.
-    """
-    nums, _ = driving_spec._pi_numerators
-    x, y = nums[0] * nums[1], nums[2] * nums[3]
-    g = [1, x + y]
-    for h in range(1, half):
-        g.append(((2 * h + 1) * (x + y) * g[h] - h * (y - x) ** 2 * g[h - 1]) // (h + 1))
-    return [math.comb(2 * h, h) * g[h] for h in range(half + 1)]
+_LINEAR = _LinearTable()
 
 
-def _survival_numerators(driving_spec: MarkovChainSpec, n: int) -> tuple[list[int], int]:
-    """S_i = P(T_0 > i) * den**i for i = 0 .. n-1, and den = lcm(den pi).
-
-    T_0 is the first return time to the origin of the z2 walk of i.i.d.
-    steps of law pi.  First returns F_m = f_m den**m follow from the
-    renewal equation u_m = sum_{0<j<=m} f_j u_{m-j}: F_m = U_m - sum_{0<j<m}
-    F_j U_{m-j}, zero for odd m, and S_i = den S_{i-1} - F_i from S_0 = 1.
-    """
-    _, den = driving_spec._pi_numerators
-    half = (n - 1) // 2
-    returns = _return_numerators(driving_spec, half)
-    # firsts[h] = F_{2h}; F_0 is not a return
-    firsts = [0]
-    for h in range(1, half + 1):
-        firsts.append(returns[h] - sum(map(int.__mul__, firsts[1:h], returns[h - 1:0:-1])))
-    survival = [1]
-    for i in range(1, n):
-        survival.append(den * survival[-1] - (0 if i % 2 else firsts[i // 2]))
-    return survival, den
-
-
-def _renewal_distinct(driving_spec: MarkovChainSpec, n: int) -> Fraction:
-    """E[distinct coordinates among c_0 .. c_{n-1}] for z2 under i.i.d. steps.
+class _RenewalTable:
+    """E[distinct coordinates among c_0 .. c_{n-1}] for z2 under i.i.d. steps,
+    for every n up to the longest asked.
 
     c_i = theta_{i-1} + ... + theta_0 is new exactly when no sum of the
     last m <= i steps is zero; reversed i.i.d. steps have the same law, so
-    that is the event T_0 > i for a fresh walk, and E[R_n] = sum_{i<n}
-    P(T_0 > i), the Dvoretzky-Erdos / Kesten-Spitzer-Whitman range identity
-    (Spitzer, Principles of Random Walk).  One Fraction over den**(n-1) is
-    formed at the end.  Refuses past ENUMERATION_CAP bits of integer tables,
-    n**2 * den.bit_length() with den = lcm(den pi), before any is built.
+    that is the event T_0 > i for a fresh walk, T_0 its first return time to
+    the origin, and E[R_n] = sum_{i<n} P(T_0 > i), the Dvoretzky-Erdos /
+    Kesten-Spitzer-Whitman range identity (Spitzer, Principles of Random
+    Walk).  Over den = lcm(den pi) every term is an integer recurrence in i,
+    so the table grows a step at a time and a call forms one Fraction:
+    - returns[h] = U_{2h} = u_{2h} * den**(2h), with u_m = P(S_m = 0) the
+      constant term of (p0 x + p1/x + p2 y + p3/y)**m, zero for odd m, so
+      U_{2h} = C(2h, h) * g_h with g_h = sum_a C(h, a)**2 X**a Y**(h-a),
+      X = n0 n1 and Y = n2 n3 the products of the integer numerators of
+      opposite steps.  g_h is a scaled Legendre polynomial, so it obeys
+      (h+1) g_{h+1} = (2h+1)(X+Y) g_h - h (Y-X)**2 g_{h-1}, whose division
+      is exact; the tests compare it with the sum;
+    - firsts[h] = F_{2h}, the first returns F_m = f_m * den**m, from the
+      renewal equation u_m = sum_{0<j<=m} f_j u_{m-j}: F_m = U_m -
+      sum_{0<j<m} F_j U_{m-j}, zero for odd m;
+    - S_i = P(T_0 > i) * den**i = den * S_{i-1} - F_i from S_0 = 1, and
+      totals[i] = den * totals[i-1] + S_i, so E[R_n] = totals[n-1] / den**(n-1).
+    A call refuses n past ENUMERATION_CAP bits of integer tables,
+    n**2 * den.bit_length(), before the table grows, so a kept table stays
+    within about that many bits.
     """
-    table_bits = n * n * driving_spec._pi_numerators[1].bit_length()
-    if table_bits > ENUMERATION_CAP:
-        raise ResourceLimitError(f"renewal tables of {table_bits} bits exceed the enumeration cap")
-    survival, den = _survival_numerators(driving_spec, n)
-    total = 0
-    for s in survival:
-        total = total * den + s
-    return Fraction(total, den ** (n - 1))
+
+    def __init__(self, driving_spec: MarkovChainSpec):
+        nums, self.den = driving_spec._pi_numerators
+        self.x, self.y = nums[0] * nums[1], nums[2] * nums[3]
+        self.legendre = (1, self.x + self.y)  # (g_{h-1}, g_h) for the next h
+        self.returns = [1]
+        self.firsts = [0]  # F_0 is not a return
+        self.survival = 1  # S_i at the last i in totals
+        self.totals = [1]
+
+    def distinct(self, n: int) -> Fraction:
+        table_bits = n * n * self.den.bit_length()
+        if table_bits > ENUMERATION_CAP:
+            raise ResourceLimitError(f"renewal tables of {table_bits} bits exceed the enumeration cap")
+        self._extend(n)
+        return Fraction(self.totals[n - 1], self.den ** (n - 1))
+
+    def _extend(self, n: int) -> None:
+        """Grow the table to totals[n-1]."""
+        x, y, den, returns, firsts = self.x, self.y, self.den, self.returns, self.firsts
+        for i in range(len(self.totals), n):
+            first = 0
+            if i % 2 == 0:
+                h = i // 2
+                g, g_next = self.legendre
+                returns.append(math.comb(2 * h, h) * g_next)
+                self.legendre = g_next, ((2 * h + 1) * (x + y) * g_next - h * (y - x) ** 2 * g) // (h + 1)
+                first = returns[h] - sum(map(int.__mul__, firsts[1:h], returns[h - 1:0:-1]))
+                firsts.append(first)
+            self.survival = den * self.survival - first
+            self.totals.append(den * self.totals[-1] + self.survival)
 
 
 def _z2_left(h: tuple[int, int], letter: int) -> tuple[int, int]:
@@ -302,8 +339,9 @@ def _f2_left(h: tuple[int, ...], letter: int) -> tuple[int, ...]:
 _GROUP_STEPS = {"z2": ((0, 0), _z2_left), "f2": ((), _f2_left)}
 
 
-def _taboo_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Fraction:
-    """E[distinct coordinates among c_0 .. c_{n-1}] for any chain and group.
+class _TabooTable:
+    """E[distinct coordinates among c_0 .. c_{n-1}] for any chain and group,
+    for every n up to the longest asked.
 
     A backward taboo recursion, in the manner of the range of a random walk.
     Group coordinates are c_i = theta_{i-1} ... theta_0, so c_i repeats an
@@ -316,39 +354,52 @@ def _taboo_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Fractio
     last; its weight is the integer scale**(m-1) times the chain's
     transition product along the m letters read.  The weights do not
     depend on i, so P(c_i is new) = sum of weight * pi[a] at m = i, and one
-    pass over m = 1 .. n-1 gives every term.  States never merge across
-    levels, so their number grows with n (bounded by size**n), and size**n
-    past ENUMERATION_CAP is refused before any state is built.
+    pass over m = 1 .. n-1 gives every E[R_m] with m <= n.  The table keeps
+    those values and no level's states: states never merge across levels,
+    so their number grows with m (exponentially on f2, bounded by
+    size**m), and a longer n recomputes from level 1.  size**n past
+    ENUMERATION_CAP is refused before any state is built.
     """
-    size = driving_spec.alphabet.size
-    if _exceeds_cap(size, n):
-        raise ResourceLimitError(f"{size}**{n} driving words exceed the enumeration cap")
-    identity, step = _GROUP_STEPS[kind]
-    steps, scale = driving_spec._Pi_numerators
-    # before[a] lists each letter b that may precede a, with scale * Pi[b][a]
-    before = [[(b, t) for b, t in enumerate(steps[:, a].tolist()) if t] for a in range(size)]
-    # weights: (h, a) -> weight at level m
-    weights = {(step(identity, INVERSE[a]), a): 1 for a in range(size)}
-    totals = [1] * size
-    expected = Fraction(1)
-    for m in range(1, n):
-        expected += sum(p * w for p, w in zip(driving_spec.pi, totals)) / scale ** (m - 1)
-        if m == n - 1:
-            break
-        # level m + 1; the last level is summed without being kept
-        keep = m + 1 < n - 1
-        totals = [0] * size
-        grown = {}
-        for (h, a), x in weights.items():
-            for b, t in before[a]:
-                g = step(h, INVERSE[b])
-                if g == identity:
-                    continue
-                totals[b] += t * x
-                if keep:
-                    grown[g, b] = grown.get((g, b), 0) + t * x
-        weights = grown
-    return expected
+
+    def __init__(self, driving_spec: MarkovChainSpec, kind: str):
+        self.kind, self.pi, self.size = kind, driving_spec.pi, driving_spec.alphabet.size
+        steps, self.scale = driving_spec._Pi_numerators
+        # before[a] lists each letter b that may precede a, with scale * Pi[b][a]
+        self.before = [[(b, t) for b, t in enumerate(steps[:, a].tolist()) if t] for a in range(self.size)]
+        self.expected = [Fraction(1)]  # E[R_m] at m = 1, 2, ...
+
+    def distinct(self, n: int) -> Fraction:
+        if _exceeds_cap(self.size, n):
+            raise ResourceLimitError(f"{self.size}**{n} driving words exceed the enumeration cap")
+        if n > len(self.expected):
+            self.expected = self._levels(n)
+        return self.expected[n - 1]
+
+    def _levels(self, n: int) -> list[Fraction]:
+        """E[R_m] for m = 1 .. n, from level 1."""
+        identity, step = _GROUP_STEPS[self.kind]
+        # weights: (h, a) -> weight at level m
+        weights = {(step(identity, INVERSE[a]), a): 1 for a in range(self.size)}
+        totals = [1] * self.size
+        expected = [Fraction(1)]
+        for m in range(1, n):
+            expected.append(expected[-1] + sum(p * w for p, w in zip(self.pi, totals)) / self.scale ** (m - 1))
+            if m == n - 1:
+                break
+            # level m + 1; the last level is summed without being kept
+            keep = m + 1 < n - 1
+            totals = [0] * self.size
+            grown = {}
+            for (h, a), x in weights.items():
+                for b, t in self.before[a]:
+                    g = step(h, INVERSE[b])
+                    if g == identity:
+                        continue
+                    totals[b] += t * x
+                    if keep:
+                        grown[g, b] = grown.get((g, b), 0) + t * x
+            weights = grown
+        return expected
 
 
 def exact_averaged_entropy(spec: FiberSystemSpec, driving_spec: MarkovChainSpec, n: int) -> ExactAveragedEntropy:
@@ -357,14 +408,22 @@ def exact_averaged_entropy(spec: FiberSystemSpec, driving_spec: MarkovChainSpec,
     It uses the product-measure collapse: the inner fiber sum for a driving
     word equals (distinct coordinates) * H(p), so the value is
     E[distinct] * H(p), with E[distinct] an exact Fraction from
-    _expected_distinct, rounded once.
+    _expected_distinct, rounded once.  H(p) is computed once per fiber
+    spec.
 
-    Each path checks its own cost against ENUMERATION_CAP before it
-    allocates, and raises ResourceLimitError past it:
-    - linear (free monoid, f2 that never cancels): no cap, the value is n;
+    One table per (driving chain, action) serves every n up to the longest
+    asked: it is kept on driving_spec and goes away with it, so a sweep
+    n = 1 .. N costs about one call at N.  Each path checks its own cost
+    against ENUMERATION_CAP before its table grows, and raises
+    ResourceLimitError past it, leaving the table as it was; the cap thus
+    bounds the table too:
+    - linear (free monoid, f2 that never cancels): no cap and no table, the
+      value is n;
     - renewal (z2 under i.i.d. steps): n**2 * den.bit_length() bits of
-      integer tables, den = lcm(den pi), so n <= 2364 under uniform z2 steps;
-    - taboo (every other chain): size**n driving words bound its states.
+      integer tables, den = lcm(den pi), so n <= 2364 under uniform z2
+      steps; the table keeps about that many bits;
+    - taboo (every other chain): size**n driving words bound its states;
+      the table keeps one Fraction per n and no states.
     """
     if _integer(n, "n") < 1:
         raise ValueError("n must be >= 1")

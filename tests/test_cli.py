@@ -369,6 +369,20 @@ def test_config_built_directly_refuses_a_tolerance_that_is_no_real():
         assert config.tolerance == tolerance
 
 
+@pytest.mark.parametrize("tolerance", ["0.5", None, [0.1]])
+def test_a_config_file_refuses_a_tolerance_that_is_no_real(tmp_path, capsys, tolerance):
+    # float() read the string "0.5" as 0.5, although ExperimentConfig refuses it
+    with pytest.raises(ConfigError, match="tolerance must be a real number"):
+        load_config({"preset": "f2-markov", "tolerance": tolerance})
+    out = tmp_path / "reports"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"preset": "f2-markov", "tolerance": tolerance, "out": str(out)}), encoding="utf-8")
+    assert run(["verify-ar", "--config", str(path), "--n", "200", "--k", "2", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"fiberlab: configuration error: tolerance must be a real number, not {tolerance!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("form", ["json-string", "json-overflow", "flag"])
 def test_cli_refuses_an_infinite_tolerance(tmp_path, capsys, form):
     # a tolerance of inf would pass every residual
@@ -383,7 +397,9 @@ def test_cli_refuses_an_infinite_tolerance(tmp_path, capsys, form):
         args += ["--config", str(path)]
     assert run(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("fiberlab: configuration error: tolerance must be a finite") and err.count("\n") == 1
+    # a JSON string is refused as no real number, as ExperimentConfig refuses it
+    expected = "tolerance must be a real number, not 'inf'" if form == "json-string" else "tolerance must be a finite"
+    assert err.startswith(f"fiberlab: configuration error: {expected}") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -613,10 +613,22 @@ def test_auto_exact_rate_is_refused_past_the_enumeration_cap(monkeypatch):
     assert report.cross_entropy_rate is not None
 
 
+def test_two_pass_rate_checks_k_before_it_divides_by_it():
+    # k = 0 raised ZeroDivisionError, and a name shorter than k = 2.5 gave a report
+    name = emit_name(Z2, sample_trajectory(Z2_DRIVING, 100, 1), seed=1)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="block length must be >= 1"):
+            empirical_two_pass_rate(name, k, 4)
+    short = emit_name(Z2, [0], seed=1)
+    for k in (2.5, "2", True):
+        with pytest.raises(ValueError, match="block length must be an integer"):
+            empirical_two_pass_rate(short, k, 4)
+
+
 def test_auto_exact_rate_on_iid_z2_past_the_old_cap_is_the_renewal_value():
     trajectory = sample_trajectory(Z2_DRIVING, 100, 1)
     report = conditional_rate(emit_name(Z2, trajectory, seed=1), BlockCodebookFamily(13, Z2, Z2_DRIVING))
-    assert report.exact_rate == float(fiber_module._renewal_distinct(Z2_DRIVING, 13)) * Z2.symbol_entropy() / 13
+    assert report.exact_rate == float(fiber_module._RenewalTable(Z2_DRIVING).distinct(13)) * Z2.symbol_entropy() / 13
 
 
 def test_conditional_rate_refuses_an_exact_rate_that_is_no_finite_real(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import math
@@ -298,7 +299,7 @@ def test_expected_distinct_equals_the_word_sum_exactly(kind, driving, n):
     assert isinstance(value, Fraction)
     assert value == expected_distinct_by_words(driving, kind, n)
     if kind != "free-monoid":
-        assert fiber_module._taboo_distinct(driving, kind, n) == value
+        assert fiber_module._TabooTable(driving, kind).distinct(n) == value
 
 
 def test_expected_distinct_z2_uniform_at_eleven():
@@ -377,25 +378,35 @@ def test_exceeds_cap_equals_the_power_it_avoids():
             assert fiber_module._exceeds_cap(base, power) == (base ** power > fiber_module.ENUMERATION_CAP)
 
 
+def fresh(chain):
+    """An equal chain that keeps no range table yet."""
+    return MarkovChainSpec(chain.alphabet, chain.pi, chain.Pi)
+
+
 def test_exact_averaged_entropy_enforces_caps(monkeypatch):
     def refused(*args):
         pytest.fail("ran past its cap")
 
+    # each chain is new, so that no table kept by an earlier test answers
     # the taboo path counts size**n driving words: 4**13 > 2**24; it refuses
     # before any state is built, each of which looks up its group steps
     monkeypatch.setattr(fiber_module, "_GROUP_STEPS", {})
     with pytest.raises(ResourceLimitError, match=r"4\*\*13 driving words"):
-        exact_averaged_entropy(Z2, NONSTATIONARY4, 13)
+        exact_averaged_entropy(Z2, fresh(NONSTATIONARY4), 13)
     with pytest.raises(ResourceLimitError, match=r"4\*\*13 driving words"):
-        exact_averaged_entropy(F2, UNIFORM4, 13)
+        exact_averaged_entropy(F2, fresh(UNIFORM4), 13)
     # the renewal path counts n**2 * den.bit_length() table bits: 2364**2 * 3
-    # fits in 2**24 and 2365**2 * 3 does not; the cap refuses before any table
-    monkeypatch.setattr(fiber_module, "_survival_numerators", refused)
+    # fits in 2**24 and 2365**2 * 3 does not; the cap refuses before the table grows
+    monkeypatch.setattr(fiber_module._RenewalTable, "_extend", refused)
     with pytest.raises(ResourceLimitError, match="renewal tables"):
-        exact_averaged_entropy(Z2, Z2_DRIVING, 2365)
+        exact_averaged_entropy(Z2, fresh(Z2_DRIVING), 2365)
+
     # survival numerators all 1 over den 1 give E[R_n] = n
-    monkeypatch.setattr(fiber_module, "_survival_numerators", lambda driving, n: ([1] * n, 1))
-    assert exact_averaged_entropy(Z2, Z2_DRIVING, 2364).bits == 2364.0
+    def unit_survival(table, n):
+        table.den, table.totals = 1, list(range(1, n + 1))
+
+    monkeypatch.setattr(fiber_module._RenewalTable, "_extend", unit_survival)
+    assert exact_averaged_entropy(Z2, fresh(Z2_DRIVING), 2364).bits == 2364.0
     # the (u, v) oracle counts (size * fiber size)**n pairs: 8**9 > 2**24
     monkeypatch.setattr(oracles, "itertools", SimpleNamespace(product=refused))
     with pytest.raises(ResourceLimitError, match=r"full \(u, v\) enumeration"):
@@ -413,29 +424,34 @@ RENEWAL_CASES = {"uniform": Z2_DRIVING, "tenths": TENTHS4, "line": LINE4, "diago
 
 
 def record_paths(monkeypatch):
-    """Wrap the renewal and taboo paths; the returned list names each call.
+    """Wrap the renewal and taboo tables' distinct; the returned list names each call.
 
-    The linear path is no function, so it records nothing.
+    The linear path keeps no table, so it records nothing.
     """
     calls = []
-    for name in ("_renewal_distinct", "_taboo_distinct"):
-        path = getattr(fiber_module, name)
-        monkeypatch.setattr(fiber_module, name, lambda *args, name=name, path=path: calls.append(name) or path(*args))
+    for table in (fiber_module._RenewalTable, fiber_module._TabooTable):
+        def recorded(self, n, name=table.__name__, distinct=table.distinct):
+            calls.append(name)
+            return distinct(self, n)
+
+        monkeypatch.setattr(table, "distinct", recorded)
     return calls
 
 
 @pytest.mark.parametrize("driving", RENEWAL_CASES.values(), ids=RENEWAL_CASES.keys())
 def test_renewal_equals_the_taboo_recursion(monkeypatch, driving):
-    renewal, taboo = fiber_module._renewal_distinct, fiber_module._taboo_distinct
+    # bound before record_paths wraps the classes, so these calls are not recorded
+    renewal = fiber_module._RenewalTable(driving).distinct
+    taboo = fiber_module._TabooTable(driving, "z2").distinct
     calls = record_paths(monkeypatch)
     for n in range(1, 13):
-        value = renewal(driving, n)
+        value = renewal(n)
         assert isinstance(value, Fraction)
-        assert value == taboo(driving, "z2", n)
+        assert value == taboo(n)
         assert fiber_module._expected_distinct(driving, "z2", n) == value
         if driving is DIAGONAL4:
             assert value == n
-    assert calls == ["_renewal_distinct"] * 12
+    assert calls == ["_RenewalTable"] * 12
 
 
 @pytest.mark.parametrize("driving", [TENTHS4, LINE4], ids=["tenths", "line"])
@@ -447,9 +463,11 @@ def test_renewal_matches_the_uv_oracle(driving, n):
 
 
 def test_return_numerators_equal_the_constant_term():
-    # z2-uniform: u_2m = C(2m, m)**2 / 16**m, and den = 4
-    returns = fiber_module._return_numerators(Z2_DRIVING, 200)
-    assert returns == [math.comb(2 * m, m) ** 2 for m in range(201)]
+    # z2-uniform: u_2m = C(2m, m)**2 / 16**m, and den = 4; n = 2h + 1
+    # grows the table to U_2h
+    table = fiber_module._RenewalTable(Z2_DRIVING)
+    table.distinct(401)
+    assert table.returns == [math.comb(2 * m, m) ** 2 for m in range(201)]
     # any i.i.d. law: C(2h, h) * sum_a C(h, a)**2 (n0 n1)**a (n2 n3)**(h-a)
     nums, den = TENTHS4._pi_numerators
     assert den == 10
@@ -458,7 +476,9 @@ def test_return_numerators_equal_the_constant_term():
         math.comb(2 * h, h) * sum(math.comb(h, a) ** 2 * x ** a * y ** (h - a) for a in range(h + 1))
         for h in range(61)
     ]
-    assert fiber_module._return_numerators(TENTHS4, 60) == expected
+    table = fiber_module._RenewalTable(TENTHS4)
+    table.distinct(121)
+    assert table.returns == expected
 
 
 def test_transient_walk_range_falls_toward_its_escape_probability():
@@ -471,12 +491,14 @@ def test_transient_walk_range_falls_toward_its_escape_probability():
     """
     limit = Fraction(1, 2)
     driving = iid4("3/4", "1/4", 0, 0)
-    survival, den = fiber_module._survival_numerators(driving, 2000)
-    expected, ratios = Fraction(0), []
-    for i, s in enumerate(survival):
-        expected += Fraction(s, den ** i)
-        ratios.append(expected / (i + 1))
-    assert ratios[-1] == fiber_module._renewal_distinct(driving, 2000) / 2000
+    # one table, swept upwards, against one call at n = 2000 on a new chain
+    table = fiber_module._RenewalTable(driving)
+    expected = [table.distinct(n) for n in range(1, 2001)]
+    assert expected[-1] == fiber_module._expected_distinct(iid4("3/4", "1/4", 0, 0), "z2", 2000)
+    # E[R_{i+1}] - E[R_i] = P(T_0 > i), which falls from 1 toward the limit
+    survival = [b - a for a, b in zip([0] + expected, expected)]
+    assert survival[0] == 1 and all(limit < b <= a for a, b in zip(survival, survival[1:]))
+    ratios = [e / n for n, e in enumerate(expected, 1)]
     assert ratios[0] == ratios[1] == 1
     assert all(b < a for a, b in zip(ratios[1:], ratios[2:]))
     assert ratios[-1] > limit
@@ -488,7 +510,7 @@ def test_renewal_matches_the_monte_carlo_range_at_1000():
     mean = range_ratio_curve("z2", Z2_DRIVING, n, seeds, [n])[0][1]
     assert mean == pytest.approx(statistics.fmean(samples), abs=1e-12)
     standard_error = statistics.stdev(samples) / math.sqrt(len(samples))
-    exact = fiber_module._renewal_distinct(Z2_DRIVING, n) / n
+    exact = fiber_module._RenewalTable(Z2_DRIVING).distinct(n) / n
     assert abs(mean - float(exact)) < 4 * standard_error
 
 
@@ -506,7 +528,7 @@ def test_non_iid_z2_chains_take_the_taboo_path(monkeypatch, driving):
     calls = record_paths(monkeypatch)
     for n in range(1, 7):
         assert exact_averaged_entropy(Z2, driving, n).bits == float(expected_distinct_by_words(driving, "z2", n))
-    assert calls == ["_taboo_distinct"] * 6
+    assert calls == ["_TabooTable"] * 6
 
 
 def test_f2_that_never_cancels_is_exactly_n_past_the_old_cap(monkeypatch):
@@ -522,4 +544,70 @@ def test_f2_that_never_cancels_is_exactly_n_past_the_old_cap(monkeypatch):
 def test_f2_chains_that_backtrack_take_the_taboo_path(monkeypatch, driving):
     calls = record_paths(monkeypatch)
     assert exact_averaged_entropy(F2, driving, 6).bits == float(expected_distinct_by_words(driving, "f2", 6))
-    assert calls == ["_taboo_distinct"]
+    assert calls == ["_TabooTable"]
+
+
+# one chain instance per path: linear, renewal and taboo
+TABLE_CASES = {
+    "linear-f2-markov": ("f2", F2_DRIVING, range(1, 40)),
+    "renewal-z2-uniform": ("z2", Z2_DRIVING, range(1, 60)),
+    "taboo-nonstationary": ("z2", NONSTATIONARY4, range(1, 13)),
+}
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("kind,chain,horizons", TABLE_CASES.values(), ids=TABLE_CASES.keys())
+def test_one_table_answers_every_order_as_a_new_chain_does(kind, chain, horizons, order):
+    chain, horizons = fresh(chain), list(horizons)
+    if order == "descending":
+        horizons.reverse()
+    elif order == "shuffled":
+        np.random.default_rng(20).shuffle(horizons)
+    for n in horizons:
+        value = fiber_module._expected_distinct(chain, kind, n)
+        assert isinstance(value, Fraction)
+        assert value == fiber_module._expected_distinct(fresh(chain), kind, n)
+    assert len(chain._range_tables) == 1
+
+
+@pytest.mark.parametrize(
+    "chain,refused", [(Z2_DRIVING, 2365), (NONSTATIONARY4, 13)], ids=["renewal", "taboo"]
+)
+def test_a_refused_n_leaves_the_table_as_it_was(chain, refused):
+    chain = fresh(chain)
+    for n in (9, 4):
+        fiber_module._expected_distinct(chain, "z2", n)
+    table = chain._range_tables["z2"]
+    kept = copy.deepcopy(vars(table))
+    with pytest.raises(ResourceLimitError):
+        exact_averaged_entropy(Z2, chain, refused)
+    assert fiber_module.exact_rate_or_none(Z2, chain, refused) is None
+    assert chain._range_tables["z2"] is table and vars(table) == kept
+    for n in (9, 4, 10, 1):
+        assert fiber_module._expected_distinct(chain, "z2", n) == fiber_module._expected_distinct(fresh(chain), "z2", n)
+
+
+def test_symbol_entropy_is_computed_once_per_spec():
+    spec = FiberSystemSpec("z2", Alphabet(("0", "1", "2")), (HALF, Fraction(1, 4), Fraction(1, 4)))
+    assert spec.symbol_entropy() == 1.5
+    object.__setattr__(spec, "p", (Fraction(1),) * 3)  # not read again
+    assert spec.symbol_entropy() == 1.5
+
+
+def test_a_table_interrupted_while_it_grows_is_dropped(monkeypatch):
+    chain = fresh(Z2_DRIVING)
+    fiber_module._expected_distinct(chain, "z2", 5)
+    calls = iter(range(3))
+
+    def interrupted_sum(*args):
+        # the renewal step has appended U_2h but not yet F_2h
+        if next(calls, None) is None:
+            raise KeyboardInterrupt
+        return sum(*args)
+
+    monkeypatch.setattr(fiber_module, "sum", interrupted_sum, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        fiber_module._expected_distinct(chain, "z2", 40)
+    monkeypatch.undo()
+    assert "z2" not in chain._range_tables
+    assert fiber_module._expected_distinct(chain, "z2", 40) == fiber_module._expected_distinct(fresh(chain), "z2", 40)

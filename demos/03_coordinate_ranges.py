@@ -29,9 +29,9 @@ print()
 print("range fraction |visited|/n, averaged over 10 seeds:")
 print(f"{'n':>8}  {'free-monoid':>12}  {'f2':>8}  {'z2':>8}")
 checkpoints = [100, 1000, 10000, 100000]
-monoid_curve = dict(range_ratio_curve("free-monoid", bern2, 10 ** 5, range(10), checkpoints))
-f2_curve = dict(range_ratio_curve("f2", f2, 10 ** 5, range(10), checkpoints))
-z2_curve = dict(range_ratio_curve("z2", z2, 10 ** 5, range(10), checkpoints))
+monoid_curve = dict(range_ratio_curve("free-monoid", bern2, range(10), checkpoints))
+f2_curve = dict(range_ratio_curve("f2", f2, range(10), checkpoints))
+z2_curve = dict(range_ratio_curve("z2", z2, range(10), checkpoints))
 for n in checkpoints:
     print(f"{n:>8}  {monoid_curve[n]:>12.4f}  {f2_curve[n]:>8.4f}  {z2_curve[n]:>8.4f}")
 print("the lattice column keeps falling; the other two are pinned at 1")

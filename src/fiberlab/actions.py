@@ -369,13 +369,13 @@ def visit_record(kind: str, alpha) -> VisitRecord:
     return VisitRecord(np.cumsum(first == np.arange(len(first), dtype=first.dtype), dtype=first.dtype))
 
 
-def range_ratio_curve(kind: str, spec, n: int, seeds: Sequence[int], checkpoints: Sequence[int]):
+def range_ratio_curve(kind: str, spec, seeds: Sequence[int], checkpoints: Sequence[int]):
     """Monte Carlo means of (distinct coordinates)/n_i at the given horizons.
 
     Returns a list of (n_i, mean ratio) pairs, one per distinct checkpoint
-    in [1, n] in ascending order, averaged over one sampled trajectory per
-    seed.  At least one seed and one such checkpoint are required, and a
-    checkpoint that is not an integer raises ValueError.
+    n_i >= 1 in ascending order, averaged over one trajectory per seed,
+    sampled to the largest.  At least one seed and one such checkpoint are
+    required, and a checkpoint that is not an integer raises ValueError.
     """
     from .driving import sample_trajectory
 
@@ -383,12 +383,12 @@ def range_ratio_curve(kind: str, spec, n: int, seeds: Sequence[int], checkpoints
     if not seeds:
         raise ValueError("at least one seed is required")
     checkpoints = [_integer(c, "a checkpoint") for c in checkpoints]
-    checkpoints = sorted({c for c in checkpoints if 1 <= c <= n})
+    checkpoints = sorted({c for c in checkpoints if c >= 1})
     if not checkpoints:
-        raise ValueError("no valid checkpoints at or below the horizon")
+        raise ValueError("at least one checkpoint of 1 or more is required")
     sums = np.zeros(len(checkpoints))
     for seed in seeds:
-        letters = sample_trajectory(spec, n, seed).letters
+        letters = sample_trajectory(spec, checkpoints[-1], seed).letters
         record = visit_record(kind, letters)
         for j, c in enumerate(checkpoints):
             sums[j] += record.distinct_counts[c - 1] / c

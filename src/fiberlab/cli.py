@@ -143,8 +143,7 @@ def cmd_entropy(config: ExperimentConfig) -> int:
 
 
 def cmd_range(config: ExperimentConfig) -> int:
-    n = config.horizons[-1]
-    curve = range_ratio_curve(config.fiber.action_kind, config.driving, n, config.seeds, config.horizons)
+    curve = range_ratio_curve(config.fiber.action_kind, config.driving, config.seeds, config.horizons)
     rows = [{"n": c, "mean_ratio": ratio} for c, ratio in curve]
     _write_rows(config, "range", ("n", "mean_ratio"), rows)
     print(f"range: {len(rows)} checkpoints written")

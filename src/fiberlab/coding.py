@@ -24,15 +24,16 @@ over the code's one denominator lcm(den p)**d, so lengths, the length
 bound and the joint coder's lengths are integer computations.
 
 The cost of a block depends on its (u, v) pair alone, so the coders work
-from one table of a name's distinct pairs in first-occurrence order (see
-driving._block_table), built once per cell.  Its windows stay views of
-the name, and the pairs are gathered, checked, patterned and ranked a
-span of rows at a time (actions._spans), keeping only each pair's
-first-visit count and rank: encode joins codewords by block index, the
-coded length is counts times codeword lengths, the cross entropy sums
-counts times log2 mu over the whole table, and the joint coder reads its
-lengths off the same pairs.  Spans are checked in order, so the first
-offending row raises, as a block-by-block loop would.
+from one table of a name's distinct aligned pairs in first-occurrence
+order (driving._block_table), built once per cell.  One checked pass
+(BlockCodebookFamily._checked_table), which decode runs on its contexts,
+checks, patterns and ranks the rows a span at a time (actions._spans),
+keeping only each pair's first-visit count and rank: encode joins
+codewords by block index, the coded length is counts times codeword
+lengths, the cross entropy sums counts times log2 mu over the whole
+table, and the joint coder reads its lengths off the same pairs.  Spans
+are checked in order, so the first offending row raises, as a
+block-by-block loop would.
 
 A block's first visits are read off a walk across it.  Group coordinates
 cancel on the right, so two steps of a block visit the same coordinate of
@@ -197,6 +198,25 @@ class BlockCodebookFamily:
                 self._count_codes[d] = _CountCode(self.fiber_spec, d)
         return counts, pattern
 
+    def _checked_table(self, words, first: np.ndarray):
+        """Table the k-blocks of words, (driving,) or (driving, fiber), and check every row.
+
+        Each row reads its block's walk off first, a walk of the driving
+        word.  Returns the table and, per row, its first-visit count d and
+        the rank in the count code for d of its fiber block (0 for a context).
+        """
+        k = self.k
+        table = _block_table(words, k)
+        counts = np.empty(len(table.first), dtype=np.int64)
+        ranks = np.zeros_like(counts)
+        for lo, hi in _spans(len(table.first)):
+            rows = _gather(table, lo, hi)
+            counts[lo:hi], pattern = self._codes(rows, first[table.first[lo:hi, None] * k + np.arange(k)])
+            if len(words) > 1:
+                first_visit, place = _place_values(pattern, self.fiber_spec.fiber_alphabet.size)
+                ranks[lo:hi] = np.where(first_visit, rows[:, k:] * place, 0).sum(axis=1)
+        return table, counts, ranks
+
     def _read(self, counts: np.ndarray, ranks: np.ndarray, field: str) -> np.ndarray:
         """One field of _CountCode per row, at the row's rank in its count code."""
         out = None
@@ -248,28 +268,10 @@ class EncodedStream:
 
 
 def _coded_pairs(name: OrbitName, family: BlockCodebookFamily):
-    """Build the name's table of distinct (u, v) pairs once and check every pair.
-
-    Returns the table and, per pair, its first-visit count d and the rank
-    of v's first-visit symbols, which index the pair's entry in the count
-    code for d.  Each pair takes its pattern from the name's walk across
-    its first block.  Pairs are gathered, checked and ranked a span at a
-    time (actions._spans), in table order, so only the counts and
-    ranks are held for the whole table.
-    """
+    """The name's checked table of distinct (u, v) pairs: family._checked_table on its two words."""
     if name.fiber_spec != family.fiber_spec:
         raise ValueError("name and family disagree on the fiber system")
-    k = family.k
-    table = _block_table((name.driving, name.letters), k, k, len(name) // k)
-    counts = np.empty(len(table.first), dtype=np.int64)
-    ranks = np.empty_like(counts)
-    for lo, hi in _spans(len(table.first)):
-        rows = _gather(table, lo, hi)
-        walks = name.first[table.first[lo:hi, None] * k + np.arange(k)]
-        counts[lo:hi], pattern = family._codes(rows, walks)
-        first_visit, place = _place_values(pattern, family.fiber_spec.fiber_alphabet.size)
-        ranks[lo:hi] = np.where(first_visit, rows[:, k:] * place, 0).sum(axis=1)
-    return table, counts, ranks
+    return family._checked_table((name.driving, name.letters), name.first)
 
 
 def encode(name: OrbitName, family: BlockCodebookFamily) -> EncodedStream:
@@ -291,7 +293,7 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
     """Replay the decoding machine against the driving word used at encode time.
 
     Every context is checked first, from one walk of the driving word's
-    full blocks, a span of distinct contexts at a time (actions._spans).
+    full blocks, by the coders' one checked pass (_checked_table).
     Then the stream is scanned bit by bit until the prefix read so far
     matches a codeword of the current context's count code, which gives
     the rank of the block's first-visit symbols, and so on; each span of
@@ -311,12 +313,8 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
         raise MalformedStreamError(f"stream of {stream.m} blocks of length {stream.k}, not {m} of length {k}")
     if not re.fullmatch("[01]*", stream.bits):
         raise MalformedStreamError('stream bits must be "0" or "1"')
-    table = _block_table((letters,), k, k, m)
     first = walk(family.fiber_spec.action_kind, letters[: m * k]).first
-    counts = np.empty(len(table.first), dtype=np.int64)
-    for lo, hi in _spans(len(table.first)):
-        walks = first[table.first[lo:hi, None] * k + np.arange(k)]
-        counts[lo:hi], _ = family._codes(_gather(table, lo, hi), walks)
+    table, counts, _ = family._checked_table((letters,), first)
     codes = [family._count_codes[d] for d in counts.tolist()]
     bits = stream.bits
     pos = 0
@@ -338,23 +336,18 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
         # a block's pattern is that of its own walk, which its context row shares
         _, place = _place_values(_patterns(first[lo * k : hi * k].reshape(-1, k)), size)
         decoded[lo * k : hi * k] = (np.array(ranks, dtype=np.int64)[:, None] // place % size).ravel()
-    tail: list[int] = []
     raw = family.fiber_bits
-    tail_count = n - m * k
-    if raw:
-        for _ in range(tail_count):
-            if pos + raw > len(bits):
-                raise MalformedStreamError("bits exhausted inside the raw tail")
-            sym = int(bits[pos : pos + raw], 2)
-            if sym >= size:
-                raise MalformedStreamError("raw tail symbol out of range")
-            tail.append(sym)
-            pos += raw
-    else:
-        tail = [0] * tail_count
+    for i in range(m * k, n):
+        if pos + raw > len(bits):
+            raise MalformedStreamError("bits exhausted inside the raw tail")
+        # a one-symbol fiber codes its tail in no bits
+        sym = int(bits[pos : pos + raw] or "0", 2)
+        if sym >= size:
+            raise MalformedStreamError("raw tail symbol out of range")
+        decoded[i] = sym
+        pos += raw
     if pos != len(bits):
         raise MalformedStreamError("trailing bits after the decoded name")
-    decoded[m * k :] = tail
     return decoded
 
 
@@ -370,7 +363,7 @@ def pair_counts(alpha, omega, k: int) -> Counter:
         raise ValueError("driving and fiber sequences must have equal length")
     if _integer(k, "window length") < 1:
         raise ValueError("window length must be >= 1")
-    table = _block_table((a, w), k, k, len(a) // k)
+    table = _block_table((a, w), k)
     counts: Counter = Counter()
     for lo, hi in _spans(len(table.first)):
         for row, c in zip(_gather(table, lo, hi).tolist(), table.counts[lo:hi].tolist()):

@@ -24,6 +24,11 @@ MAX_HORIZON = 10 ** 7
 
 SYSTEM_PRESETS = tuple(PRESETS)
 
+# the keys a config document may hold, and those of its driving and fiber
+# spec objects; any other key is refused, not ignored
+_KEYS = {"preset", "driving", "fiber", "horizons", "block_lengths", "seeds", "out", "format", "tolerance"}
+_SPEC_KEYS = {"driving": {"alphabet", "pi", "Pi"}, "fiber": {"action", "fiber_alphabet", "p"}}
+
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed or exceeds a cap."""
@@ -149,16 +154,25 @@ def _tolerance(merged: dict) -> float:
         return float(_real(value, "tolerance"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    except OverflowError:
+        # a JSON integer such as 10**400, which float() cannot hold
+        raise ConfigError("tolerance must be a finite nonnegative number, not one past the float range") from None
 
 
 def load_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
-    """Build a validated config from a JSON document plus CLI overrides."""
+    """Build a validated config from a JSON document plus CLI overrides; an unknown key is refused."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     merged = dict(data)
     for key, value in (overrides or {}).items():
         if value is not None and value != []:
             merged[key] = value
+    unknown = [str(key) for key in merged if key not in _KEYS]
+    for name, known in _SPEC_KEYS.items():
+        if isinstance(merged.get(name), dict):
+            unknown += [f"{name}.{key}" for key in merged[name] if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
         driving, fiber = _spec_pair(merged)
         return ExperimentConfig(

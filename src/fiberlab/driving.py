@@ -9,10 +9,10 @@ refused, while "1/10" and "9/10" are exact.
 All entropies and rates are reported in bits (binary logarithm).
 
 Block coders cost a word block by block, and the cost of a block depends
-on its letters alone, so they work from _block_table: the distinct blocks
-in first-occurrence order and each block's index into them.  The table
-keeps its windows as views of the words, and the coders gather, check and
-score its distinct blocks a span at a time (actions._spans), in table
+on its letters alone, so they work from _block_table: the distinct aligned
+k-blocks in first-occurrence order and each block's index into them.  The
+table keeps its blocks as views of the words, and the coders gather, check
+and score its distinct blocks a span at a time (actions._spans), in table
 order, keeping one value per block.  Per-block sums are then taken in
 block order over whole arrays, as a block-by-block loop takes them.
 
@@ -48,10 +48,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .actions import INVERSE, _check_seed, _integer, _integers, _spans
 from .errors import ModelMismatchError
@@ -321,12 +321,7 @@ class DrivingTrajectory:
 
 
 def _cumulative(probs) -> list[float]:
-    acc = 0.0
-    out = []
-    for p in probs:
-        acc += float(p)
-        out.append(acc)
-    return out
+    return list(accumulate(float(p) for p in probs))
 
 
 def _composition_depth(cuts: int, s: int) -> int:
@@ -430,13 +425,13 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
 
 
 class _BlockTable(NamedTuple):
-    """The distinct rows of a table of windows, in first-occurrence order.
+    """The distinct rows of a table of aligned blocks, in first-occurrence order.
 
-    windows holds one (m, k) array per word, usually a zero-copy view of
-    it, whose row i is the word's window i.  Row i lays the words' windows
-    i side by side; distinct row j is row first[j] (see _gather), counts[j]
-    is how many rows equal it, and index[i] is the distinct row equal to
-    row i.
+    windows holds one (m, k) array per word, a zero-copy view of a
+    contiguous word, whose row i is the word's block i.  Row i lays the
+    words' blocks i side by side; distinct row j is row first[j] (see
+    _gather), counts[j] is how many rows equal it, and index[i] is the
+    distinct row equal to row i.
     """
 
     windows: tuple[np.ndarray, ...]
@@ -448,11 +443,7 @@ class _BlockTable(NamedTuple):
 def _gather(table: _BlockTable, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Distinct rows lo .. hi - 1 of the table, as one int64 array."""
     first = table.first[lo:hi]
-    k = table.windows[0].shape[1]
-    rows = np.empty((len(first), k * len(table.windows)), dtype=np.int64)
-    for j, view in enumerate(table.windows):
-        rows[:, j * k : (j + 1) * k] = view[first]
-    return rows
+    return np.concatenate([view[first] for view in table.windows], axis=1, dtype=np.int64)
 
 
 def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -461,23 +452,24 @@ def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
     return rank, len(distinct)
 
 
-def _block_table(words, k: int, hop: int, m: int) -> _BlockTable:
-    """Slice equally long words into their first m windows of length k.
+def _block_table(words, k: int) -> _BlockTable:
+    """Cut equally long letter arrays into their m = len // k aligned k-blocks.
 
-    Window i starts at offset i * hop; its row lays the slices of the words
-    side by side.  Each window is keyed by one int64: the row's columns
-    read as mixed-radix digits, each offset by its column's minimum and
-    counted in its column's span, and the key is ranked densely whenever
-    the next column would take it past 2**62, so any letters and any k
-    fit.  The windows stay views of the words, in the words' own dtypes,
-    and only one column at a time is widened to int64 to be keyed; callers
-    gather the distinct rows they need, as int64, a span at a time
-    (_gather, actions._spans).
+    Row i lays the words' blocks i, w[i * k : i * k + k], side by side; the
+    n mod k letters past the last block are left out.  Each row is keyed by
+    one int64: its columns read as mixed-radix digits, each offset by its
+    column's minimum and counted in its column's span, and the key is
+    ranked densely whenever the next column would take it past 2**62, so
+    any letters and any k fit.  The blocks stay views of the words,
+    w[: m * k].reshape(m, k), in their own dtypes, and only one column at
+    a time is widened to int64 to be keyed; callers gather the distinct
+    rows they need, as int64, a span at a time (_gather, actions._spans).
     """
+    m = len(words[0]) // k
+    views = tuple(w[: m * k].reshape(m, k) for w in words)
     if not m:
         empty = np.empty(0, dtype=np.int64)
-        return _BlockTable(tuple(np.empty((0, k), dtype=np.int64) for _ in words), empty, empty, empty)
-    views = tuple(sliding_window_view(_letters_of(w), k)[::hop][:m] for w in words)
+        return _BlockTable(views, empty, empty, empty)
     key, span = np.zeros(m, dtype=np.int64), 1
     for column in (view[:, j].astype(np.int64) for view in views for j in range(k)):
         lo = int(column.min())
@@ -539,7 +531,7 @@ def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockC
     letters = _letters_of(trajectory)
     n = len(letters)
     m = n // k
-    table = _block_table((letters,), k, k, m)
+    table = _block_table((letters,), k)
     nums, den = np.empty(len(table.first), dtype=object), _cylinder_den(spec, k)
     for lo, hi in _spans(len(table.first)):
         rows = _gather(table, lo, hi)

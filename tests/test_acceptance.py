@@ -183,7 +183,7 @@ def test_criterion_6_example_behaviors():
             assert not np.any(letters[1:] == inverse[letters[:-1]])
             assert visit_record("f2", letters).distinct_count == 10 ** 4
         curve = range_ratio_curve(
-            "z2", Z2_DRIVING, 10 ** 5, seeds=range(20),
+            "z2", Z2_DRIVING, seeds=range(20),
             checkpoints=[10 ** 3, 3163, 10 ** 4, 31623, 10 ** 5],
         )
         ratios = [ratio for _, ratio in curve]

@@ -160,13 +160,13 @@ def test_z2_action_is_abelian():
 def test_range_ratio_curve_is_one_for_free_monoid_and_f2():
     f2 = driving_preset("f2-markov")
     for kind in ("free-monoid", "f2"):
-        curve = range_ratio_curve(kind, f2, 2000, [1, 2, 3], [10, 100, 1000, 2000])
+        curve = range_ratio_curve(kind, f2, [1, 2, 3], [10, 100, 1000, 2000])
         assert all(ratio == 1.0 for _, ratio in curve)
 
 
 def test_range_ratio_curve_decreases_for_z2():
     z2 = driving_preset("z2-uniform")
-    curve = range_ratio_curve("z2", z2, 10 ** 4, seeds=range(5), checkpoints=[100, 1000, 10000])
+    curve = range_ratio_curve("z2", z2, seeds=range(5), checkpoints=[100, 1000, 10000])
     ratios = [ratio for _, ratio in curve]
     assert ratios == sorted(ratios, reverse=True)
     assert ratios[-1] < ratios[0]
@@ -175,7 +175,7 @@ def test_range_ratio_curve_decreases_for_z2():
 def test_range_ratio_curve_refuses_no_seeds():
     # a mean over no trajectories is 0/0
     with pytest.raises(ValueError, match="at least one seed"):
-        range_ratio_curve("z2", driving_preset("z2-uniform"), 100, [], [100])
+        range_ratio_curve("z2", driving_preset("z2-uniform"), [], [100])
 
 
 NOT_INTEGERS = [1.9, 2.0, "7", True, np.float64(3.0), np.True_]
@@ -249,7 +249,7 @@ def test_lengths_letters_indices_and_checkpoints_are_integers(entry):
         "canonical_kraft_code": lambda value: canonical_kraft_code({"a": 1, "b": value}),
         "Word": lambda value: Word(binary, (0, value)),
         "enumerate_word": lambda value: enumerate_word(binary, value),
-        "range_ratio_curve": lambda value: range_ratio_curve("z2", driving, 10, [1], [value, 10]),
+        "range_ratio_curve": lambda value: range_ratio_curve("z2", driving, [1], [value, 10]),
     }
     for value in (1.5, 0.7, True, "2"):
         with pytest.raises(ValueError, match="must be an integer"):
@@ -268,7 +268,7 @@ def test_driving_alphabet_size_is_checked_at_every_entry_point(entry):
         "family": lambda: BlockCodebookFamily(2, fiber, driving),
         "config": lambda: ExperimentConfig(driving, fiber, (100,), (2,), (1,), Path("reports")),
         "exact": lambda: exact_averaged_entropy(fiber, driving, 3),
-        "range": lambda: range_ratio_curve("z2", driving, 100, [1], [100]),
+        "range": lambda: range_ratio_curve("z2", driving, [1], [100]),
     }
     with pytest.raises(ConfigError if entry == "config" else ValueError, match="driving alphabet of size 4"):
         calls[entry]()

@@ -193,13 +193,6 @@ def test_cli_verify_ar_never_loads_numpy_ma(tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
 
 
-def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    code = "import sys, fiberlab.cli; print('concurrent.futures.process' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    result = subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True)
-    assert result.stdout.strip() == "False"
-
-
 def test_cli_config_file_round_trip(tmp_path):
     config = {
         "preset": "z2-uniform",
@@ -358,6 +351,21 @@ def test_cli_refuses_json_booleans_in_a_config_file(tmp_path, capsys, key):
     assert load_config(json.loads(path.read_text(encoding="utf-8"))).tolerance == 1.0
 
 
+@pytest.mark.parametrize("extra, named", [
+    ({"horizon": [100], "seed": [7]}, "horizon, seed"),
+    ({"driving": {**NON_STATIONARY["driving"], "P": []}, "fiber": {**NON_STATIONARY["fiber"], "q": []}},
+     "driving.P, fiber.q"),
+], ids=["top level", "spec objects"])
+def test_cli_refuses_unknown_config_keys(tmp_path, capsys, extra, named):
+    # "horizon" for "horizons" once ran the default horizon and seeds silently
+    out = tmp_path / "reports"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"preset": "z2-uniform", **extra, "out": str(out)}), encoding="utf-8")
+    assert run(["range", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"fiberlab: configuration error: unknown config keys: {named}\n"
+    assert not out.exists()
+
+
 def test_config_built_directly_refuses_a_tolerance_that_is_no_real():
     # tolerance=True was kept as True, and "0.5" raised a bare TypeError
     driving, fiber = system_preset("z2-uniform")
@@ -383,7 +391,7 @@ def test_a_config_file_refuses_a_tolerance_that_is_no_real(tmp_path, capsys, tol
     assert not out.exists()
 
 
-@pytest.mark.parametrize("form", ["json-string", "json-overflow", "flag"])
+@pytest.mark.parametrize("form", ["json-string", "json-overflow", "json-integer", "flag"])
 def test_cli_refuses_an_infinite_tolerance(tmp_path, capsys, form):
     # a tolerance of inf would pass every residual
     out = tmp_path / "reports"
@@ -392,8 +400,10 @@ def test_cli_refuses_an_infinite_tolerance(tmp_path, capsys, form):
         args += ["--tolerance", "inf"]
     else:
         path = tmp_path / "config.json"
-        # JSON reads 1e400 as a float that overflows to inf
-        path.write_text('{"tolerance": %s}' % ('"inf"' if form == "json-string" else "1e400"), encoding="utf-8")
+        # JSON reads 1e400 as a float that overflows to inf, and 1 followed
+        # by 400 zeros as an int that float() cannot hold
+        value = {"json-string": '"inf"', "json-overflow": "1e400", "json-integer": "1" + "0" * 400}[form]
+        path.write_text('{"tolerance": %s}' % value, encoding="utf-8")
         args += ["--config", str(path)]
     assert run(args) == 2
     err = capsys.readouterr().err

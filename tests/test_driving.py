@@ -79,22 +79,25 @@ def bisect_trajectory(spec, n, seed):
     return letters
 
 
-def void_block_table(words, k, hop, m):
+def void_block_table(words, k):
     """The block table keyed by each row's raw bytes as one void scalar,
     which the int64 mixed-radix key replaced, kept as the oracle."""
-    if m:
-        rows = np.concatenate(
-            [np.lib.stride_tricks.sliding_window_view(np.asarray(w, dtype=np.int64), k)[::hop][:m] for w in words],
-            axis=1,
-        )
-    else:
-        rows = np.empty((0, k * len(words)), dtype=np.int64)
+    m = len(words[0]) // k
+    rows = np.concatenate([np.asarray(w, dtype=np.int64)[: m * k].reshape(m, k) for w in words], axis=1)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return rows[first[order]], rank[inverse], counts[order], first[order]
+
+
+def assert_block_table_is_the_void_key_table(words, k):
+    table = _block_table(words, k)
+    for got, want in zip((_gather(table), table.index, table.counts, table.first), void_block_table(words, k)):
+        assert got.shape == want.shape
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_spec_validation():
@@ -397,26 +400,29 @@ def block_table_cases():
     rows[1::2, 0] ^= 1
     twins = (rows[:, :40].ravel(), rows[:, 40:].ravel())
     return [
-        ("one word", (small,), 8, 8, 75),
-        ("overlapping windows", (small,), 5, 1, 596),
-        ("negative and past 2**40", (wide,), 3, 3, 200),
-        ("re-ranked", twins, 40, 40, 200),
-        ("re-ranked, overlapping", (small, small[::-1].copy()), 40, 2, 280),
-        ("two wide words", (wide, extreme), 4, 4, 150),
-        ("fewer windows than fit", (small,), 8, 8, 10),
-        ("m = 0", (small,), 8, 8, 0),
-        ("m = 0, word shorter than k", (small[:3],), 8, 8, 0),
+        ("one word", (small,), 8),
+        ("negative and past 2**40", (wide,), 3),
+        ("re-ranked", twins, 40),
+        # 82 columns of span 3 re-rank the key; 600 = 14 * 41 + 26
+        ("re-ranked, length not a multiple of k", (small, small[::-1].copy()), 41),
+        ("two wide words", (wide, extreme), 4),
+        ("m = 0", (small[:0],), 8),
+        ("m = 0, word shorter than k", (small[:3],), 8),
     ]
 
 
-@pytest.mark.parametrize("words, k, hop, m", [case[1:] for case in block_table_cases()],
+@pytest.mark.parametrize("words, k", [case[1:] for case in block_table_cases()],
                          ids=[case[0] for case in block_table_cases()])
-def test_block_table_equals_the_void_key_table(words, k, hop, m):
-    table = _block_table(words, k, hop, m)
-    for got, want in zip((_gather(table), table.index, table.counts, table.first), void_block_table(words, k, hop, m)):
-        assert got.shape == want.shape
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+def test_block_table_equals_the_void_key_table(words, k):
+    assert_block_table_is_the_void_key_table(words, k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([np.uint8, np.uint16]), st.integers(1, 2), st.integers(0, 40), st.integers(1, 6), st.data())
+def test_block_table_of_small_words_equals_the_void_key_table(dtype, count, n, k, data):
+    letters = st.lists(st.integers(0, np.iinfo(dtype).max), min_size=n, max_size=n)
+    words = tuple(np.array(data.draw(letters), dtype=dtype) for _ in range(count))
+    assert_block_table_is_the_void_key_table(words, k)
 
 
 def test_small_dtypes_never_wrap():
@@ -440,12 +446,8 @@ def test_small_dtypes_never_wrap():
     decoded = decode(encode(name, family), trajectory, family)
     assert decoded.dtype == np.uint16 and np.array_equal(decoded, name.letters)
 
-    words = (trajectory.letters, name.letters)
-    for k, hop, m in ((2, 2, 1500), (3, 1, 2999), (40, 40, 75)):
-        table = _block_table(words, k, hop, m)
-        for got, want in zip((_gather(table), table.index, table.counts, table.first),
-                             void_block_table(words, k, hop, m)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+    for k in (2, 3, 40):
+        assert_block_table_is_the_void_key_table((trajectory.letters, name.letters), k)
 
     # free-monoid coordinates never repeat, so every position is a first visit
     cylinder = math.prod((p[s] for s in name.letters.tolist()), start=Fraction(1))

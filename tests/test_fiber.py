@@ -172,7 +172,7 @@ def test_first_only_walks_hash_nothing(monkeypatch, spec, driving):
     calls = count_hashes(monkeypatch)
     assert np.array_equal(decode(stream, letters, BlockCodebookFamily(k, spec, driving)), name.letters)
     visit_record(kind, letters)
-    range_ratio_curve(kind, driving, 300, [1, 2], [10, 300])
+    range_ratio_curve(kind, driving, [1, 2], [10, 300])
     information_function(spec, letters, name.letters)
     fiber_module.OrbitName(spec, name.driving, name.letters, name.seed)
     family.codebook_for(letters[:k])
@@ -506,8 +506,8 @@ def test_transient_walk_range_falls_toward_its_escape_probability():
 
 def test_renewal_matches_the_monte_carlo_range_at_1000():
     n, seeds = 1000, range(400)
-    samples = [range_ratio_curve("z2", Z2_DRIVING, n, [seed], [n])[0][1] for seed in seeds]
-    mean = range_ratio_curve("z2", Z2_DRIVING, n, seeds, [n])[0][1]
+    samples = [range_ratio_curve("z2", Z2_DRIVING, [seed], [n])[0][1] for seed in seeds]
+    mean = range_ratio_curve("z2", Z2_DRIVING, seeds, [n])[0][1]
     assert mean == pytest.approx(statistics.fmean(samples), abs=1e-12)
     standard_error = statistics.stdev(samples) / math.sqrt(len(samples))
     exact = fiber_module._RenewalTable(Z2_DRIVING).distinct(n) / n

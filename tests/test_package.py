@@ -37,8 +37,9 @@ def test_only_actions_binds_the_chunk():
 
 def test_no_module_reads_the_environment_or_starts_workers():
     # a run is a function of (config, seeds) alone, and runs in the one
-    # process whose CPU time and peak RSS it reports: no module reads an
-    # environment variable or imports a worker pool, lazily or not
+    # process whose CPU time and peak RSS it reports: no module, the CLI
+    # included, reads an environment variable or imports a worker pool
+    # (concurrent.futures or multiprocessing), lazily or not
     pools = ("concurrent", "multiprocessing")
     found = []
     for path in sorted(Path(fiberlab.__file__).parent.glob("*.py")):

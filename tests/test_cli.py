@@ -193,6 +193,13 @@ def test_cli_verify_ar_never_loads_numpy_ma(tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
 
 
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    code = "import sys, fiberlab.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True)
+    assert result.stdout.strip() == "False"
+
+
 def test_cli_config_file_round_trip(tmp_path):
     config = {
         "preset": "z2-uniform",

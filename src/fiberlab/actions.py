@@ -139,26 +139,35 @@ class Walk(NamedTuple):
     draws: np.ndarray | None
 
 
-def _integer(value, what: str) -> int:
-    """value as an int, by operator.index: the one rule for seeds, horizons,
-    block lengths, checkpoints, codeword lengths and letter and word
-    indices.  A bool, float, string or other non-integer raises ValueError.
+def _integer(value, what: str, least: int | None = None) -> int:
+    """value as an int, by operator.index, and at least least when given:
+    the one rule for seeds, horizons, block lengths, checkpoints, codeword
+    lengths and letter and word indices.  A bool, float, string or other
+    non-integer, or an integer below least, raises ValueError.
     """
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if least is not None and value < least:
+                raise ValueError(f"{what} must be >= {least}")
+            return value
     raise ValueError(f"{what} must be an integer, not {value!r}")
 
 
-def _real(value, what: str):
-    """value itself when it is a real number and not a bool: the one rule for
-    tolerances and supplied rates.  A bool, string or other non-real raises
-    ValueError.
+def _real(value, what: str) -> float:
+    """value as a float when it is a real number and not a bool: the one rule
+    for tolerances and supplied rates.  A bool, string or other non-real,
+    or a real past the float range such as 10**400, raises ValueError; NaN
+    and the infinities pass, for each caller to refuse in its own terms.
     """
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return value
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{what} must be a finite number, not one past the float range") from None
     raise ValueError(f"{what} must be a real number, not {value!r}")
 
 

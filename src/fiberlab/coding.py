@@ -150,8 +150,7 @@ class BlockCodebookFamily:
     """
 
     def __init__(self, k: int, fiber_spec: FiberSystemSpec, driving_spec: MarkovChainSpec):
-        if _integer(k, "block length") < 1:
-            raise ValueError("block length must be >= 1")
+        k = _integer(k, "block length", 1)
         check_driving_size(fiber_spec.action_kind, driving_spec.alphabet.size)
         self.k = k
         self.fiber_spec = fiber_spec
@@ -361,8 +360,7 @@ def pair_counts(alpha, omega, k: int) -> Counter:
     w = _letters_of(omega)
     if len(a) != len(w):
         raise ValueError("driving and fiber sequences must have equal length")
-    if _integer(k, "window length") < 1:
-        raise ValueError("window length must be >= 1")
+    k = _integer(k, "window length", 1)
     table = _block_table((a, w), k)
     counts: Counter = Counter()
     for lo, hi in _spans(len(table.first)):
@@ -471,7 +469,7 @@ def conditional_rate(name: OrbitName, family: BlockCodebookFamily, exact="auto")
     written: they equal len(encode(name, family).bits).
     """
     if exact is not None and not (isinstance(exact, str) and exact == "auto"):
-        if not math.isfinite(_real(exact, "exact")):
+        if not math.isfinite(exact := _real(exact, "exact")):
             raise ValueError(f"exact must be finite, not {exact!r}")
     return _conditional(name, family, exact)[0]
 
@@ -589,8 +587,7 @@ def empirical_two_pass_rate(name: OrbitName, k: int, driving_alphabet_size: int)
     is assumed, and the header cost is charged to the rate.  k is checked
     first, so a name shorter than k is refused for a bad k too.
     """
-    if _integer(k, "block length") < 1:
-        raise ValueError("block length must be >= 1")
+    k = _integer(k, "block length", 1)
     n = len(name)
     m = n // k
     fiber_size = name.fiber_spec.fiber_alphabet.size

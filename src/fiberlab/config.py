@@ -1,11 +1,18 @@
-"""Experiment configuration: JSON schema, named system presets and caps."""
+"""Experiment configuration: JSON schema, named system presets and caps.
+
+ExperimentConfig is the one validator.  It checks and converts each value
+once, by the library's rules (actions._integer, _check_seed and _real),
+and holds tuples of int, a float tolerance and a Path however it was
+built.  load_config merges overrides, refuses unknown keys, builds the
+specs and passes every other value on as the JSON gave it.
+"""
 
 from __future__ import annotations
 
 import json
 import math
-import operator
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,11 +31,6 @@ MAX_HORIZON = 10 ** 7
 
 SYSTEM_PRESETS = tuple(PRESETS)
 
-# the keys a config document may hold, and those of its driving and fiber
-# spec objects; any other key is refused, not ignored
-_KEYS = {"preset", "driving", "fiber", "horizons", "block_lengths", "seeds", "out", "format", "tolerance"}
-_SPEC_KEYS = {"driving": {"alphabet", "pi", "Pi"}, "fiber": {"action", "fiber_alphabet", "p"}}
-
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed or exceeds a cap."""
@@ -40,6 +42,24 @@ def system_preset(name: str) -> tuple[MarkovChainSpec, FiberSystemSpec]:
         raise ConfigError(f"unknown preset {name!r}; known presets: {', '.join(SYSTEM_PRESETS)}")
     half = Fraction(1, 2)
     return driving_preset(name), FiberSystemSpec(PRESETS[name][0], Alphabet(("0", "1")), (half, half))
+
+
+def _converted(key: str, value, rule):
+    """rule(value), a refusal raised as ConfigError; a bool, which every rule
+    refuses, is named as JSON spells it."""
+    try:
+        return rule(value)
+    except ValueError as exc:
+        if isinstance(value, bool):
+            raise ConfigError(f"{key}: {str(value).lower()} is a boolean, not a number ({exc})") from None
+        raise ConfigError(str(exc)) from None
+
+
+def _each(key: str, values, rule) -> tuple:
+    """rule(value) for each of a list of values, as a tuple; a string, which would iterate, is refused."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ConfigError(f"{key} must be a list, not {values!r}")
+    return tuple(_converted(key, value, rule) for value in values)
 
 
 @dataclass(frozen=True)
@@ -69,34 +89,32 @@ class ExperimentConfig:
                 )
 
     def __post_init__(self):
-        # the library's one rule for integers, seeds and reals, before any comparison
+        # every value is converted before any comparison, and kept converted
+        horizons = _each("horizons", self.horizons, lambda n: _integer(n, "a horizon", 0))
+        block_lengths = _each("block_lengths", self.block_lengths, lambda k: _integer(k, "a block length", 1))
+        seeds = _each("seeds", self.seeds, _check_seed)
+        tolerance = _converted("tolerance", self.tolerance, lambda t: _real(t, "tolerance"))
         try:
-            for n in self.horizons:
-                _integer(n, "a horizon")
-            for k in self.block_lengths:
-                _integer(k, "a block length")
-            for s in self.seeds:
-                _check_seed(s)
-            _real(self.tolerance, "tolerance")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if not self.horizons:
+            out = Path(self.out)
+        except TypeError:
+            raise ConfigError(f"out must be a path, not {self.out!r}") from None
+        for key, value in (("horizons", horizons), ("block_lengths", block_lengths), ("seeds", seeds),
+                           ("tolerance", tolerance), ("out", out)):
+            object.__setattr__(self, key, value)
+        if not horizons:
             raise ConfigError("at least one horizon is required")
-        if list(self.horizons) != sorted(self.horizons):
+        if list(horizons) != sorted(horizons):
             raise ConfigError("horizons must be ascending")
-        for n in self.horizons:
-            if not 0 <= n <= MAX_HORIZON:
-                raise ConfigError(f"horizon {n} outside [0, {MAX_HORIZON}]")
-        if not self.block_lengths:
+        if horizons[-1] > MAX_HORIZON:
+            raise ConfigError(f"horizon {horizons[-1]} outside [0, {MAX_HORIZON}]")
+        if not block_lengths:
             raise ConfigError("at least one block length is required")
-        if min(self.block_lengths) < 1:
-            raise ConfigError("block lengths must be >= 1")
-        if not self.seeds:
+        if not seeds:
             raise ConfigError("at least one seed is required")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
-        if not 0 <= self.tolerance < math.inf:  # NaN fails every comparison
-            raise ConfigError(f"tolerance must be a finite nonnegative number, not {self.tolerance}")
+        if not 0 <= tolerance < math.inf:  # NaN fails every comparison
+            raise ConfigError(f"tolerance must be a finite nonnegative number, not {tolerance}")
         try:
             check_driving_size(self.fiber.action_kind, self.driving.alphabet.size)
         except ValueError as exc:
@@ -104,6 +122,14 @@ class ExperimentConfig:
         # block contexts are coded under the stationary block law
         if not is_stationary(self.driving):
             raise ConfigError("the driving chain must be stationary: pi must be invariant under Pi")
+
+
+# the keys a config document may hold, and those of its driving and fiber
+# spec objects; any other key is refused, not ignored
+_KEYS = {field.name for field in fields(ExperimentConfig)} | {"preset"}
+_SPEC_KEYS = {"driving": {"alphabet", "pi", "Pi"}, "fiber": {"action", "fiber_alphabet", "p"}}
+# the values of the keys a document leaves out that ExperimentConfig has no default for
+_DEFAULTS = {"horizons": (5000,), "block_lengths": (4,), "seeds": (1, 2), "out": "fiberlab-reports"}
 
 
 def _spec_pair(data: dict) -> tuple[MarkovChainSpec, FiberSystemSpec]:
@@ -133,32 +159,6 @@ def _spec_pair(data: dict) -> tuple[MarkovChainSpec, FiberSystemSpec]:
     return driving, fiber
 
 
-def _not_boolean(key: str, value):
-    # JSON true and false load as bool, a subclass of int that float() and
-    # operator.index would read as 1 and 0
-    if isinstance(value, bool):
-        raise ConfigError(f"{key}: {str(value).lower()} is a boolean, not a number")
-    return value
-
-
-def _integers(merged: dict, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-    # operator.index refuses a float or string where int() would truncate or parse it
-    return tuple(operator.index(_not_boolean(key, x)) for x in merged.get(key, default))
-
-
-def _tolerance(merged: dict) -> float:
-    # a real number, refused as ExperimentConfig refuses it, then held as a
-    # float; float() alone would parse a string such as "0.5"
-    value = _not_boolean("tolerance", merged.get("tolerance", ExperimentConfig.tolerance))
-    try:
-        return float(_real(value, "tolerance"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    except OverflowError:
-        # a JSON integer such as 10**400, which float() cannot hold
-        raise ConfigError("tolerance must be a finite nonnegative number, not one past the float range") from None
-
-
 def load_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Build a validated config from a JSON document plus CLI overrides; an unknown key is refused."""
     if not isinstance(data, dict):
@@ -175,16 +175,8 @@ def load_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
         driving, fiber = _spec_pair(merged)
-        return ExperimentConfig(
-            driving=driving,
-            fiber=fiber,
-            horizons=_integers(merged, "horizons", (5000,)),
-            block_lengths=_integers(merged, "block_lengths", (4,)),
-            seeds=_integers(merged, "seeds", (1, 2)),
-            out=Path(merged.get("out", "fiberlab-reports")),
-            format=str(merged.get("format", ExperimentConfig.format)),
-            tolerance=_tolerance(merged),
-        )
+        values = {key: value for key, value in merged.items() if key not in ("preset", "driving", "fiber")}
+        return ExperimentConfig(driving, fiber, **{**_DEFAULTS, **values})
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

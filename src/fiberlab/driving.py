@@ -133,6 +133,11 @@ class MarkovChainSpec:
         return nums.reshape(len(self.Pi), -1), den
 
     @cached_property
+    def _iid(self) -> bool:
+        """Every row of Pi equals pi: the letters are i.i.d. under pi, a Bernoulli chain."""
+        return all(row == self.pi for row in self.Pi)
+
+    @cached_property
     def _range_tables(self) -> dict:
         """Action kind -> the exact range table fiber._expected_distinct keeps for this chain."""
         return {}
@@ -371,9 +376,7 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
     _letter_dtype(size): uint8 for every alphabet of at most 256 letters,
     as every action's driving alphabet is.
     """
-    n, seed = _integer(n, "n"), _check_seed(seed)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n, seed = _integer(n, "n", 0), _check_seed(seed)
     if not is_stationary(spec):
         warnings.warn("sampling from a non-stationary chain", stacklevel=2)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -383,7 +386,7 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
         return DrivingTrajectory(spec, seed, letters)
     pi_cum = _cumulative(spec.pi)
     row_cums = [_cumulative(row) for row in spec.Pi]
-    if all(row == spec.Pi[0] for row in spec.Pi) and spec.pi == spec.Pi[0]:
+    if spec._iid:
         # Bernoulli fast path, identical to the generic loop: each span of
         # uniforms is searched and clipped in place
         cumulative = np.array(pi_cum)
@@ -526,8 +529,7 @@ def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockC
     outside the alphabet raises ValueError, or that has zero probability
     raises ModelMismatchError.
     """
-    if _integer(k, "block length") < 1:
-        raise ValueError("block length must be >= 1")
+    k = _integer(k, "block length", 1)
     letters = _letters_of(trajectory)
     n = len(letters)
     m = n // k

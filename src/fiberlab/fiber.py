@@ -226,8 +226,9 @@ def _expected_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Frac
       f2 under a chain that never steps from a letter to its inverse (every
       positive driving word is then reduced), so the value is n, with no
       table;
-    - renewal, _RenewalTable: z2 under i.i.d. steps, every row of Pi equal
-      to pi, extended a step at a time (O(n**2) integer products in all);
+    - renewal, _RenewalTable: z2 under i.i.d. steps (driving_spec._iid,
+      every row of Pi equal to pi), extended a step at a time (O(n**2)
+      integer products in all);
     - taboo, _TabooTable: every other chain, recomputed from level 1 for a
       longer n.
     """
@@ -237,7 +238,7 @@ def _expected_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Frac
         Pi = driving_spec.Pi
         if kind == "free-monoid" or (kind == "f2" and all(row[INVERSE[a]] == 0 for a, row in enumerate(Pi))):
             table = _LINEAR
-        elif kind == "z2" and all(row == driving_spec.pi for row in Pi):
+        elif kind == "z2" and driving_spec._iid:
             table = _RenewalTable(driving_spec)
         else:
             table = _TabooTable(driving_spec, kind)
@@ -425,8 +426,7 @@ def exact_averaged_entropy(spec: FiberSystemSpec, driving_spec: MarkovChainSpec,
     - taboo (every other chain): size**n driving words bound its states;
       the table keeps one Fraction per n and no states.
     """
-    if _integer(n, "n") < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer(n, "n", 1)
     check_driving_size(spec.action_kind, driving_spec.alphabet.size)
     bits = float(_expected_distinct(driving_spec, spec.action_kind, n)) * spec.symbol_entropy()
     return ExactAveragedEntropy(n, bits)

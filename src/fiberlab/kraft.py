@@ -75,9 +75,8 @@ def canonical_kraft_code(lengths: Mapping[Hashable, int]) -> BinaryCodebook:
     as consecutive binary fractions, so equal inputs always yield the same
     codebook.  Raises KraftInfeasibleError when sum(2**-l) > 1.
     """
-    for block, l in lengths.items():
-        if _integer(l, "a codeword length") < 1:
-            raise ValueError(f"length for block {block!r} must be a positive integer, got {l!r}")
+    for l in lengths.values():
+        _integer(l, "a codeword length", 1)
     if kraft_sum(lengths.values()) > 1:
         raise KraftInfeasibleError("requested lengths violate Kraft's inequality")
     items = sorted(lengths.items(), key=lambda kv: (kv[1], kv[0]))

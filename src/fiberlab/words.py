@@ -107,8 +107,7 @@ def enumerate_word(alphabet: Alphabet, index: int) -> Word:
     nonnegative integers and all finite words over the alphabet.  An index
     that is not an integer raises ValueError.
     """
-    if _integer(index, "a word index") < 0:
-        raise ValueError("index must be nonnegative")
+    index = _integer(index, "a word index", 0)
     s = alphabet.size
     if s == 1:
         return Word(alphabet, (0,) * index)

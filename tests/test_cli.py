@@ -5,9 +5,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fiberlab.cli import COMMANDS, main
+from fiberlab.cli import COMMANDS, cmd_entropy, main
 from fiberlab.config import MAX_HORIZON, ConfigError, ExperimentConfig, load_config, system_preset
 from fiberlab.driving import driving_preset
 
@@ -379,9 +382,59 @@ def test_config_built_directly_refuses_a_tolerance_that_is_no_real():
     for tolerance in (True, "0.5", None, [0.1]):
         with pytest.raises(ConfigError, match="tolerance must be a real number"):
             ExperimentConfig(driving, fiber, (10,), (2,), (1,), Path("reports"), tolerance=tolerance)
+    # 10**400 was kept as an int, a tolerance no residual can reach
+    with pytest.raises(ConfigError, match="tolerance must be a finite number"):
+        ExperimentConfig(driving, fiber, (10,), (2,), (1,), Path("reports"), tolerance=10 ** 400)
     for tolerance in (0, 0.5, Fraction(1, 2)):
         config = ExperimentConfig(driving, fiber, (10,), (2,), (1,), Path("reports"), tolerance=tolerance)
-        assert config.tolerance == tolerance
+        assert config.tolerance == tolerance and type(config.tolerance) is float
+
+
+# JSON values and their Python look-alikes: ints huge and negative, floats
+# with NaN and the infinities, bools, strings, None and nested lists, and
+# the values each key accepts: ascending lists of small ints and floats in [0, 1]
+CONFIG_VALUES = st.one_of(
+    st.recursive(
+        st.one_of(st.integers(), st.sampled_from([-1, 0, 2 ** 64, MAX_HORIZON + 1, 10 ** 400]), st.floats(),
+                  st.booleans(), st.text(max_size=3), st.none()),
+        lambda inner: st.lists(inner, max_size=4),
+        max_leaves=8,
+    ),
+    st.lists(st.integers(0, 20), max_size=3).map(sorted),
+    st.floats(0, 1),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(key=st.sampled_from(["horizons", "block_lengths", "seeds", "tolerance"]), value=CONFIG_VALUES)
+def test_a_config_file_accepts_exactly_what_a_config_built_directly_accepts(key, value):
+    # load_config once checked these values by rules of its own: they
+    # disagreed with ExperimentConfig's on a tolerance of 10**400, and in the
+    # message or the exception for bools, nested lists and a non-list
+    driving, fiber = system_preset("z2-uniform")
+    values = {"horizons": (5000,), "block_lengths": (4,), "seeds": (1, 2), "out": "fiberlab-reports", key: value}
+    try:
+        direct = ExperimentConfig(driving, fiber, **values)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as refused:
+            load_config({"preset": "z2-uniform", key: value})
+        assert str(refused.value) == str(exc)
+    else:
+        assert load_config({"preset": "z2-uniform", key: value}) == direct
+
+
+def test_config_built_directly_holds_ints_and_a_path(tmp_path):
+    # np.int64 block lengths once reached the JSON report, which refused
+    # them, and a str out had no mkdir
+    driving, fiber = system_preset("z2-uniform")
+    out = tmp_path / "reports"
+    config = ExperimentConfig(driving, fiber, [10], [np.int64(2), np.int64(3)], [np.uint64(1)], str(out),
+                              format="json")
+    assert (config.horizons, config.block_lengths, config.seeds, config.out) == ((10,), (2, 3), (1,), out)
+    assert all(type(x) is int for x in config.horizons + config.block_lengths + config.seeds)
+    assert cmd_entropy(config) == 0
+    rows = json.loads((out / "entropy.json").read_text(encoding="utf-8"))["rows"]
+    assert [row["k"] for row in rows] == [2, 3]
 
 
 @pytest.mark.parametrize("tolerance", ["0.5", None, [0.1]])

@@ -641,8 +641,10 @@ def test_conditional_rate_refuses_an_exact_rate_that_is_no_finite_real(monkeypat
     for exact in ("bogus", "Auto", True, [0.5]):
         with pytest.raises(ValueError, match="exact must be a real number"):
             conditional_rate(name, family, exact=exact)
-    for exact in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="exact must be finite"):
+    # 10**400 once raised a bare OverflowError from math.isfinite
+    for exact, message in ((math.nan, "exact must be finite"), (math.inf, "exact must be finite"),
+                           (10 ** 400, "exact must be a finite number")):
+        with pytest.raises(ValueError, match=message):
             conditional_rate(name, family, exact=exact)
 
 

@@ -35,6 +35,21 @@ def test_only_actions_binds_the_chunk():
     assert bound == [("fiberlab.actions", "_CHUNK")]
 
 
+def test_only_actions_calls_operator_index():
+    # actions._integer is the one integer rule; config once converted its
+    # integers by an operator.index of its own, beside the one that
+    # ExperimentConfig applied, and the two gave different messages
+    found = set()
+    for path in sorted(Path(fiberlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "index":
+                if isinstance(node.value, ast.Name) and node.value.id == "operator":
+                    found.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "operator":
+                found.update(path.name for alias in node.names if alias.name == "index")
+    assert found == {"actions.py"}
+
+
 def test_no_module_reads_the_environment_or_starts_workers():
     # a run is a function of (config, seeds) alone, and runs in the one
     # process whose CPU time and peak RSS it reports: no module, the CLI

@@ -21,19 +21,17 @@ symbol draws of the distinct coordinates in first-visit order: each the
 8-byte blake2b digest of the coordinate's key, keyed by the seed.
 Everything else is read off these: position i is a first visit when
 first[i] == i, so visit counts are a cumulative sum, and an orbit name is
-fixed by its symbols at the first visits.  A key is hashed when the walk
-first meets its coordinate, and never without a seed, so the walks that
-only read first hash nothing.  Three kernels meet the contract, one per
-action: z2 sums the generator vectors and groups equal positions by one
-sort; the free monoid chains one key per step (its prefixes never
-repeat); and f2 numbers the tree nodes it meets, then chains their keys in
-node order, each from its parent's.  Every kernel draws a coordinate in
-the same pass of one Python loop that makes its key, with the hashers'
-copy methods bound once, and joins the digests a span at a time: z2
-formats each position's key and draws it, so no list of keys is built,
-the free monoid keeps only the last chained key, the f2 tree every node's.
+fixed by its symbols at the first visits.  Three kernels meet the
+contract, one per action: z2 sums the generator vectors and groups equal
+positions by one sort; the free monoid chains one key per step (its
+prefixes never repeat); and f2 numbers the tree nodes it meets, then
+chains their keys in node order, each from its parent's.  A kernel only
+yields its keys in first-visit order, and _draws alone hashes them under
+the seed, a span at a time: no list of keys is built but the f2 tree's.
+Without a seed no key is made, so the walks that only read first hash
+nothing.
 
-Every chunked pass (these joins, fiber's name reads, the sampler, the
+Every chunked pass (_draws' joins, fiber's name reads, the sampler, the
 coders' rows and JSON report rows) takes the spans of _CHUNK that _spans
 cuts, and gives the same result for any span length.
 
@@ -55,6 +53,7 @@ import numbers
 import operator
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -179,42 +178,48 @@ def _check_seed(seed) -> int:
     return seed
 
 
-def _draw_hasher(seed: int):
-    """The copy method of one blake2b hasher keyed by the seed.
+def _draws(keys, count: int, seed: int) -> np.ndarray:
+    """The uint64 symbol draws of the first count keys: the one draw rule.
 
-    Each draw is a copy of the one hasher, so the key block is compressed once.
+    Draw d is the little-endian 8-byte blake2b digest of the d-th key,
+    keyed by the seed's 8 little-endian bytes.  Each draw is a copy of one
+    keyed hasher, so the key block is compressed once, and keys are taken
+    from the iterator and their digests joined a span at a time.
     """
-    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little")).copy
-
-
-def _chained(identity: bytes, letters: np.ndarray, seed: int | None) -> Walk:
-    # every step reaches a new coordinate, whose key chains the letter on;
-    # one loop chains each key and draws it, so no key is held
-    n = len(letters)
-    first = np.arange(n, dtype=_index_dtype(n))
-    if seed is None:
-        return Walk(first, None)
-    chain, draw, byte = _CHAIN_HASHER.copy, _draw_hasher(seed), _BYTES
-    draws = np.empty(n, dtype=np.uint64)
-    # bytes iterate as ints, with no list of n Python ints alongside;
-    # coordinate i chains letter i - 1 onto the key of coordinate i - 1
-    steps = letters[:-1].tobytes()
-    key = identity
-    h = draw()
-    h.update(key)
-    digests = [h.digest()]
-    for lo, hi in _spans(n):
+    draw = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little")).copy
+    draws = np.empty(count, dtype=np.uint64)
+    keys = iter(keys)
+    for lo, hi in _spans(count):
+        digests = []
         append = digests.append
-        for letter in steps[max(lo - 1, 0):hi - 1]:
-            h = chain()
-            h.update(key + byte[letter])
-            key = h.digest()
+        for key in islice(keys, hi - lo):
             h = draw()
             h.update(key)
             append(h.digest())
         draws[lo:hi] = np.frombuffer(b"".join(digests), dtype="<u8")
-        digests = []
-    return Walk(first, draws)
+    return draws
+
+
+def _chain(key: bytes, steps: bytes):
+    """key, then each key chained from the one before by the next letter of steps."""
+    chain, byte = _CHAIN_HASHER.copy, _BYTES
+    yield key
+    # bytes iterate as ints, with no list of Python ints alongside
+    for letter in steps:
+        h = chain()
+        h.update(key + byte[letter])
+        key = h.digest()
+        yield key
+
+
+def _chained(identity: bytes, letters: np.ndarray, seed: int | None) -> Walk:
+    # every step reaches a new coordinate: coordinate i chains letter i - 1
+    # onto the key of coordinate i - 1, and only the last key is held
+    n = len(letters)
+    first = np.arange(n, dtype=_index_dtype(n))
+    if seed is None:
+        return Walk(first, None)
+    return Walk(first, _draws(_chain(identity, letters[:-1].tobytes()), n, seed))
 
 
 def _walk_free_monoid(letters: np.ndarray, seed: int | None) -> Walk:
@@ -250,21 +255,15 @@ def _walk_z2(letters: np.ndarray, seed: int | None) -> Walk:
         return Walk(first, None)
     positions = positions[np.argsort(at)]
     del at
-    # one loop per chunk of positions formats each key and draws it, so no
-    # key is held past its draw
-    draw = _draw_hasher(seed)
-    draws = np.empty(len(positions), dtype=np.uint64)
+    return Walk(first, _draws(_z2_keys(positions), len(positions), seed))
+
+
+def _z2_keys(positions: np.ndarray):
+    """The key b"x,y" of each packed position, formatted a span at a time."""
     for lo, hi in _spans(len(positions)):
-        chunk = positions[lo:hi]
-        y = ((chunk + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
-        digests = []
-        append = digests.append
-        for c in zip(((chunk - y) >> 32).tolist(), y.tolist()):
-            h = draw()
-            h.update(b"%d,%d" % c)
-            append(h.digest())
-        draws[lo:hi] = np.frombuffer(b"".join(digests), dtype="<u8")
-    return Walk(first, draws)
+        span = positions[lo:hi]
+        y = ((span + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
+        yield from map(b"%d,%d".__mod__, zip(((span - y) >> 32).tolist(), y.tolist()))
 
 
 def _walk_f2(letters: np.ndarray, seed: int | None) -> Walk:
@@ -302,28 +301,20 @@ def _walk_f2(letters: np.ndarray, seed: int | None) -> Walk:
     # the walk's edges and node per step go before the keys are chained,
     # to keep them off the peak
     del children, node
-    # a node's parent is numbered before it, so one pass in node order
-    # chains every key from its parent's and draws it
-    chain, draw, byte = _CHAIN_HASHER.copy, _draw_hasher(seed), _BYTES
-    count = len(head)
-    draws = np.empty(count, dtype=np.uint64)
+    return Walk(first, _draws(_tree_keys(head, parent), len(head), seed))
+
+
+def _tree_keys(head: array, parent: array):
+    """Each tree node's key in node order, chained from its parent's, numbered before it."""
+    chain, byte = _CHAIN_HASHER.copy, _BYTES
     keys = [_F2_IDENTITY]
-    h = draw()
-    h.update(keys[0])
-    digests = [h.digest()]
-    for lo, hi in _spans(count):
-        append = digests.append
-        for letter, up in zip(head[max(lo, 1):hi], parent[max(lo, 1):hi]):
-            h = chain()
-            h.update(keys[up] + byte[letter])
-            key = h.digest()
-            keys.append(key)
-            h = draw()
-            h.update(key)
-            append(h.digest())
-        draws[lo:hi] = np.frombuffer(b"".join(digests), dtype="<u8")
-        digests = []
-    return Walk(first, draws)
+    yield keys[0]
+    for letter, up in islice(zip(head, parent), 1, None):
+        h = chain()
+        h.update(keys[up] + byte[letter])
+        key = h.digest()
+        keys.append(key)
+        yield key
 
 
 _KERNELS = {"free-monoid": _walk_free_monoid, "z2": _walk_z2, "f2": _walk_f2}

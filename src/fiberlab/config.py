@@ -89,6 +89,11 @@ class ExperimentConfig:
                 )
 
     def __post_init__(self):
+        # the specs come first, as every later check reads them; a preset
+        # name or a spec object's dict is load_config's to build
+        for key, kind in (("driving", MarkovChainSpec), ("fiber", FiberSystemSpec)):
+            if not isinstance(getattr(self, key), kind):
+                raise ConfigError(f"{key} must be a {kind.__name__}, not {getattr(self, key)!r}")
         # every value is converted before any comparison, and kept converted
         horizons = _each("horizons", self.horizons, lambda n: _integer(n, "a horizon", 0))
         block_lengths = _each("block_lengths", self.block_lengths, lambda k: _integer(k, "a block length", 1))

@@ -354,8 +354,9 @@ def test_letters_that_are_not_one_dimensional_integers_are_refused():
 @pytest.mark.parametrize("kind, path", [("free-monoid", "chained"), ("f2", "chained"), ("f2", "tree"),
                                         ("z2", "formatted")])
 def test_chain_and_draw_loops_cross_draw_chunks(kind, path, offset):
-    # the loops that make a key and draw it join digests _CHUNK at a time;
-    # around a chunk's end, every coordinate is drawn exactly once
+    # each kernel's keys (chained, tree or formatted a span at a time) are
+    # drawn by _draws, _CHUNK at a time; around a span's end, every
+    # coordinate is drawn exactly once
     count = _CHUNK + offset
     rng = np.random.default_rng(count)
     if path == "chained":

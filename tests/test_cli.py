@@ -390,6 +390,20 @@ def test_config_built_directly_refuses_a_tolerance_that_is_no_real():
         assert config.tolerance == tolerance and type(config.tolerance) is float
 
 
+def test_config_built_directly_refuses_a_driving_or_fiber_that_is_no_spec():
+    # a preset name as either spec raised AttributeError: 'str' object has
+    # no attribute 'alphabet'; the specs are checked before any other value
+    driving, fiber = system_preset("z2-uniform")
+    for spec in ("z2-uniform", None, "x", {"preset": "z2-uniform"}, fiber):
+        with pytest.raises(ConfigError, match=r"^driving must be a MarkovChainSpec, not "):
+            ExperimentConfig(spec, fiber, (10,), (2,), (1,), Path("reports"))
+    for spec in ("z2-uniform", None, "x", {"action": "z2"}, driving):
+        with pytest.raises(ConfigError, match=r"^fiber must be a FiberSystemSpec, not "):
+            ExperimentConfig(driving, spec, (10,), (2,), (1,), Path("reports"), tolerance=True)
+    with pytest.raises(ConfigError, match="^driving must be"):
+        ExperimentConfig("z2-uniform", "z2-uniform", "no list", (2,), (1,), Path("reports"))
+
+
 # JSON values and their Python look-alikes: ints huge and negative, floats
 # with NaN and the infinities, bools, strings, None and nested lists, and
 # the values each key accepts: ascending lists of small ints and floats in [0, 1]

@@ -35,6 +35,25 @@ def test_only_actions_binds_the_chunk():
     assert bound == [("fiberlab.actions", "_CHUNK")]
 
 
+def _keyed_blake2b_calls(tree: ast.AST) -> list[ast.Call]:
+    """Every call of blake2b, plain or as an attribute, with a key= keyword."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "blake2b"
+            and any(keyword.arg == "key" for keyword in node.keywords)]
+
+
+def test_only_actions_draws_under_the_seed():
+    # actions._draws is the one draw rule; each walk kernel once built its
+    # own keyed blake2b and copied the draw loop by hand, so a new draw rule
+    # had three places to change
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(fiberlab.__file__).parent.glob("*.py"))}
+    counts = {name: len(_keyed_blake2b_calls(tree)) for name, tree in trees.items()}
+    assert {name: count for name, count in counts.items() if count} == {"actions.py": 1}
+    draws = [node for node in trees["actions.py"].body if isinstance(node, ast.FunctionDef) and node.name == "_draws"]
+    assert len(draws) == 1 and len(_keyed_blake2b_calls(draws[0])) == 1
+
+
 def test_only_actions_calls_operator_index():
     # actions._integer is the one integer rule; config once converted its
     # integers by an operator.index of its own, beside the one that

@@ -41,9 +41,10 @@ the block's own walk exactly when they visit the same coordinate of any
 longer walk that contains the block, and free-monoid coordinates never
 repeat.  A name's blocks therefore take their patterns from the name's
 walk, and decode walks the driving word once; only codebook_for walks a
-lone context.  Positivity is an exact test for zeros in pi and Pi; the
-exact context probability nu is computed only by the plain coder, as
-integer numerators over one denominator, and the joint coder reuses them:
+lone context.  Positivity is read off the chain's support, by the plain
+coder's test (driving._block_faults); the exact context probability nu is
+computed only by the plain coder, as integer numerators over one
+denominator, and the joint coder reuses them:
 a pair's context is the plain table's row of the pair's first block, and
 its joint length is read off nu's numerator times mu's over the product
 of their denominators.
@@ -62,6 +63,7 @@ import numpy as np
 from .actions import _integer, _real, _spans, check_driving_size, walk
 from .driving import (
     MarkovChainSpec,
+    _block_faults,
     _block_table,
     _gather,
     _letter_dtype,
@@ -156,8 +158,6 @@ class BlockCodebookFamily:
         self.fiber_spec = fiber_spec
         self.driving_spec = driving_spec
         self.fiber_bits = (fiber_spec.fiber_alphabet.size - 1).bit_length()
-        self._starts = driving_spec._pi_numerators[0] != 0
-        self._moves = driving_spec._Pi_numerators[0] != 0
         self._count_codes: dict[int, _CountCode] = {}
 
     def _codes(self, rows: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,15 +174,12 @@ class BlockCodebookFamily:
         k = self.k
         u, v = rows[:, :k], rows[:, k:]
         pattern = _patterns(first)
-        outside = ((u < 0) | (u >= len(self._starts))).any(axis=1)
-        u = np.where(outside[:, None], 0, u)  # such rows raise below; index safely until then
-        null = ~(self._starts[u[:, 0]] & self._moves[u[:, :-1], u[:, 1:]].all(axis=1))
+        outside, null = _block_faults(self.driving_spec, u)
         # context rows have no v; cut to v's width, the pattern checks nothing there
         copies = np.take_along_axis(v, pattern[:, : v.shape[1]], axis=1)
         outside_fiber = (v < 0) | (v >= self.fiber_spec.fiber_alphabet.size)
         inconsistent = (outside_fiber | (copies != v)).any(axis=1)
-        bad = outside | null | inconsistent
-        if bad.any():
+        if (bad := outside | null | inconsistent).any():
             r = int(bad.argmax())
             context = tuple(rows[r, :k].tolist())
             if outside[r]:
@@ -585,13 +582,16 @@ def empirical_two_pass_rate(name: OrbitName, k: int, driving_alphabet_size: int)
     Shannon lengths for the empirical conditional frequencies.  This
     cross-checks the model-based coder: no side knowledge of the measure
     is assumed, and the header cost is charged to the rate.  k is checked
-    first, so a name shorter than k is refused for a bad k too.
+    first, so a name shorter than k is refused for a bad k too, then the
+    driving alphabet size, which must exceed every driving letter.
     """
     k = _integer(k, "block length", 1)
+    size = _integer(driving_alphabet_size, "driving alphabet size", 1)
+    if len(name) and size <= name.driving.max():
+        raise ValueError(f"driving alphabet size {size} does not hold driving letter {name.driving.max()}")
     n = len(name)
     m = n // k
-    fiber_size = name.fiber_spec.fiber_alphabet.size
-    raw = (fiber_size - 1).bit_length()
+    raw = (name.fiber_spec.fiber_alphabet.size - 1).bit_length()
     if m == 0:
         tail_bits = n * raw
         return TwoPassReport(n, k, tail_bits / n if n else 0.0, 0, 0, tail_bits)
@@ -599,7 +599,7 @@ def empirical_two_pass_rate(name: OrbitName, k: int, driving_alphabet_size: int)
     context_totals: Counter = Counter()
     for (u, _), c in counts.items():
         context_totals[u] += c
-    theta_bits = (driving_alphabet_size - 1).bit_length()
+    theta_bits = (size - 1).bit_length()
     count_bits = m.bit_length()
     header_bits = 64 + len(counts) * (k * theta_bits + k * raw + count_bits)
     payload_bits = 0

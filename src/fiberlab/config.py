@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
 from .actions import _check_seed, _integer, _real, check_driving_size
-from .driving import PRESETS, MarkovChainSpec, driving_preset, is_stationary
+from .driving import PRESETS, MarkovChainSpec, _listed, driving_preset, is_stationary
 from .fiber import ENUMERATION_CAP, FiberSystemSpec, _exceeds_cap
 from .words import Alphabet
 
@@ -56,9 +55,11 @@ def _converted(key: str, value, rule):
 
 
 def _each(key: str, values, rule) -> tuple:
-    """rule(value) for each of a list of values, as a tuple; a string, which would iterate, is refused."""
-    if isinstance(values, str) or not isinstance(values, Iterable):
-        raise ConfigError(f"{key} must be a list, not {values!r}")
+    """rule(value) for each of a list of values (driving._listed, which refuses a string), as a tuple."""
+    try:
+        values = _listed(values, key)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return tuple(_converted(key, value, rule) for value in values)
 
 
@@ -138,13 +139,8 @@ _DEFAULTS = {"horizons": (5000,), "block_lengths": (4,), "seeds": (1, 2), "out":
 
 
 def _spec_pair(data: dict) -> tuple[MarkovChainSpec, FiberSystemSpec]:
-    preset = data.get("preset")
-    driving = data.get("driving")
-    fiber = data.get("fiber")
-    if preset is not None:
-        base_driving, base_fiber = system_preset(preset)
-    else:
-        base_driving = base_fiber = None
+    driving, fiber = data.get("driving"), data.get("fiber")
+    base_driving, base_fiber = (None, None) if data.get("preset") is None else system_preset(data["preset"])
     if isinstance(driving, str):
         driving = driving_preset(driving)
     elif isinstance(driving, dict):

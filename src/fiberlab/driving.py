@@ -26,17 +26,21 @@ as integer numerators over it (_cylinder_numerators), in Python ints that
 cannot overflow; cylinder_prob is the one-row case.  A Shannon length is
 read off the bit lengths of numerator and denominator, and an ideal length
 is log2(num / den), which equals log2 of the Fraction's float because int
-division is correctly rounded.
+division is correctly rounded.  Which blocks are positive is read off one
+support per chain, pi > 0 and Pi > 0 (MarkovChainSpec._support), by every
+coder (_block_faults, before any numerator) and by the chain diagnostics.
 
-The Markov sampler steps a transition table: the next letter depends on a
-uniform only through the interval of distinct cumulative values it falls
-in, so one vectorized search per span of uniforms gives each step's
-interval.  The table composes: r steps are one lookup of (r intervals,
-state), so a Python loop finds the state at every r-th step only and r
-vectorized gathers fill in the letters between.  Uniforms are drawn a
-span at a time from the one PCG64 stream, which gives the same doubles
-as one draw of all of them, and letters are kept in the smallest dtype
-that holds them (_letter_dtype), uint8 for every action's alphabet.
+Every sampled letter and orbit-name symbol is read off its uniform by one
+inverse CDF, _inverse_cdf.  The Markov sampler steps a transition table:
+the next letter depends on a uniform only through the interval of distinct
+cumulative values it falls in, so one vectorized search per span of
+uniforms gives each step's interval.  The table composes: r steps are one
+lookup of (r intervals, state), so a Python loop finds the state at every
+r-th step only and r vectorized gathers fill in the letters between.
+Uniforms are drawn a span at a time from the one PCG64 stream, which gives
+the same doubles as one draw of all of them, and letters are kept in the
+smallest dtype that holds them (_letter_dtype), uint8 for every action's
+alphabet.
 """
 
 from __future__ import annotations
@@ -44,12 +48,11 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,19 +71,26 @@ _COMPOSED_ENTRIES = 2 ** 12
 
 
 def _as_fraction(x) -> Fraction:
-    """x as an exact Fraction; a string such as "1/0", a NaN or an infinity is refused with ValueError."""
+    """x as an exact Fraction; a bool, a string such as "1/0", a NaN or an infinity is refused with ValueError."""
     if isinstance(x, Fraction):
         return x
     try:
         if isinstance(x, str):
             return Fraction(x)
-        if isinstance(x, (int, np.integer)):
+        if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
             return Fraction(int(x))
         if isinstance(x, (float, np.floating)):
             return Fraction(float(x))
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
     raise ValueError(f"cannot interpret {x!r} as a probability")
+
+
+def _listed(values, what: str) -> tuple:
+    """values as a tuple when they form a list; a string, which would iterate into its characters, raises ValueError."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ValueError(f"{what} must be a list, not {values!r}")
+    return tuple(values)
 
 
 def _over_lcm(probs) -> tuple[np.ndarray, int]:
@@ -133,6 +143,11 @@ class MarkovChainSpec:
         return nums.reshape(len(self.Pi), -1), den
 
     @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bool arrays pi > 0 and Pi > 0: which letters may start a word and which may follow which."""
+        return self._pi_numerators[0] > 0, self._Pi_numerators[0] > 0
+
+    @cached_property
     def _iid(self) -> bool:
         """Every row of Pi equals pi: the letters are i.i.d. under pi, a Bernoulli chain."""
         return all(row == self.pi for row in self.Pi)
@@ -149,8 +164,8 @@ class MarkovChainSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MarkovChainSpec":
-        alphabet = Alphabet(tuple(data["alphabet"]))
-        return cls(alphabet, tuple(data["pi"]), tuple(tuple(row) for row in data["Pi"]))
+        rows = tuple(_listed(row, f"row {i} of Pi") for i, row in enumerate(_listed(data["Pi"], "Pi")))
+        return cls(Alphabet(_listed(data["alphabet"], "alphabet")), _listed(data["pi"], "pi"), rows)
 
 
 def _uniform(labels: tuple[str, ...]) -> MarkovChainSpec:
@@ -209,24 +224,30 @@ def _cylinder_den(spec: MarkovChainSpec, k: int) -> int:
     return spec._pi_numerators[1] * spec._Pi_numerators[1] ** (k - 1)
 
 
-def _cylinder_numerators(spec: MarkovChainSpec, rows: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """Exact cylinder probabilities of a table of driving blocks of k >= 1 letters.
-
-    Returns (nums, den, outside): row r has probability nums[r] / den, with
-    den = den(pi) * lcm(den Pi)**(k-1) and den(x) the least common
-    denominator of x's entries, and outside[r] tells whether row r holds a
-    letter outside the alphabet (its numerator is then meaningless).  The
-    numerators are Python ints in an object array, products of the integer
-    numerators of pi and Pi, so none can overflow.
-    """
-    starts = spec._pi_numerators[0]
-    steps = spec._Pi_numerators[0]
+def _block_faults(spec: MarkovChainSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(outside, null) of a table of driving blocks of k >= 1 letters, read off the chain's support:
+    outside[r] tells whether row r holds a letter outside the alphabet, and
+    null[r] whether row r lies inside it and has probability zero."""
+    starts, moves = spec._support
     outside = ((rows < 0) | (rows >= len(starts))).any(axis=1)
     rows = np.where(outside[:, None], 0, rows)  # index safely; outside rows are flagged
-    nums = starts[rows[:, 0]]
+    null = ~(outside | (starts[rows[:, 0]] & moves[rows[:, :-1], rows[:, 1:]].all(axis=1)))
+    return outside, null
+
+
+def _cylinder_numerators(spec: MarkovChainSpec, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact cylinder probabilities of a table of driving blocks of k >= 1 letters, none outside the alphabet.
+
+    Returns (nums, den): row r has probability nums[r] / den, with
+    den = den(pi) * lcm(den Pi)**(k-1) and den(x) the least common
+    denominator of x's entries.  The numerators are Python ints, products
+    of the integer numerators of pi and Pi, so none can overflow.
+    """
+    steps = spec._Pi_numerators[0]
+    nums = spec._pi_numerators[0][rows[:, 0]]
     for j in range(1, rows.shape[1]):
         nums = nums * steps[rows[:, j - 1], rows[:, j]]
-    return nums, _cylinder_den(spec, rows.shape[1]), outside
+    return nums, _cylinder_den(spec, rows.shape[1])
 
 
 def cylinder_prob(spec: MarkovChainSpec, v) -> Fraction:
@@ -239,9 +260,9 @@ def cylinder_prob(spec: MarkovChainSpec, v) -> Fraction:
         raise ValueError("word is over a different alphabet")
     if not len(letters):
         return Fraction(1)
-    nums, den, outside = _cylinder_numerators(spec, letters[None, :])
-    if outside[0]:
+    if _block_faults(spec, letters[None, :])[0][0]:
         raise ValueError("letter index out of range for the driving alphabet")
+    nums, den = _cylinder_numerators(spec, letters[None, :])
     return Fraction(nums[0], den)
 
 
@@ -258,35 +279,18 @@ def is_stationary(spec: MarkovChainSpec) -> bool:
 
 
 def is_irreducible(spec: MarkovChainSpec) -> bool:
-    """Whether the directed graph of positive transitions is strongly connected."""
-    s = spec.alphabet.size
-    forward = [[j for j in range(s) if spec.Pi[i][j] > 0] for i in range(s)]
-    backward = [[j for j in range(s) if spec.Pi[j][i] > 0] for i in range(s)]
-
-    def reaches_all(adjacency):
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in adjacency[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == s
-
-    return reaches_all(forward) and reaches_all(backward)
+    """Whether the directed graph of positive transitions is strongly connected: its reachability
+    closure over paths of at most s steps, (I + moves)**s in boolean arithmetic, is all True."""
+    moves = spec._support[1]
+    return bool(np.linalg.matrix_power(moves | np.eye(len(moves), dtype=bool), len(moves)).all())
 
 
 def bufetov_condition(spec: MarkovChainSpec) -> bool:
     """Whether every pair of states has a common predecessor with positive
     transition probability to both (a checkable sufficient condition for
-    ergodicity of the driven skew product)."""
-    s = spec.alphabet.size
-    successors = [frozenset(j for j in range(s) if spec.Pi[i][j] > 0) for i in range(s)]
-    for a in range(s):
-        for b in range(a, s):
-            if not any(a in successors[d] and b in successors[d] for d in range(s)):
-                return False
-    return True
+    ergodicity of the driven skew product): moves.T @ moves is all True."""
+    moves = spec._support[1]
+    return bool((moves.T @ moves).all())
 
 
 def entropy_rate(spec: MarkovChainSpec) -> float:
@@ -325,8 +329,14 @@ class DrivingTrajectory:
         return len(self.letters)
 
 
-def _cumulative(probs) -> list[float]:
-    return list(accumulate(float(p) for p in probs))
+def _cumulative(probs) -> np.ndarray:
+    """The float64 cumulative sums of a law's entries, added left to right."""
+    return np.fromiter(accumulate(float(p) for p in probs), dtype=np.float64)
+
+
+def _inverse_cdf(cumulative: np.ndarray, u):
+    """The one inverse CDF, of every letter and symbol drawn: min(#{c in cumulative : c <= u}, size - 1)."""
+    return np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
 
 
 def _composition_depth(cuts: int, s: int) -> int:
@@ -355,20 +365,20 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
     the current state.
 
     The generator is numpy's PCG64 seeded with the given 64-bit seed; one
-    uniform draw per letter is mapped through the inverse CDF in alphabet
-    order, so trajectories are bitwise reproducible for equal seeds.  The
-    letter after state a is min(#{c in cum(Pi[a]) : c <= u}, size - 1),
-    which is bisect_right on the float cumulative row.
+    uniform draw per letter is mapped through the inverse CDF (_inverse_cdf)
+    of pi or of the current state's row of Pi, in alphabet order, so
+    trajectories are bitwise reproducible for equal seeds.
 
-    That letter depends on u only through its cut c in [0, C): the number
-    of the C - 1 distinct cumulative values of all rows that are <= u.  So
-    r steps compose into one table comp[code * s + a] of C**r * s entries,
-    the state r steps after a, with code the r cuts read as base-C digits.
-    r is the largest depth whose table holds at most _COMPOSED_ENTRIES
-    entries (at least 1, which is the plain step table); f2-markov has
-    C = 5 and s = 4, so r = 4.  The Python loop looks the table up once per
-    r letters, and r gathers in the plain table fill in the letters
-    between; the letters equal those of the per-letter loop bit for bit.
+    The letter after state a depends on u only through its cut c in [0, C),
+    the number of the C - 1 distinct cumulative values of all rows that are
+    <= u.  So r steps compose into one table comp[code * s + a] of
+    C**r * s entries, the state r steps after a, with code the r cuts read
+    as base-C digits.  r is the largest depth whose table holds at most
+    _COMPOSED_ENTRIES entries (at least 1, which is the plain step table);
+    f2-markov has C = 5 and s = 4, so r = 4.  The Python loop looks the
+    table up once per r letters, and r gathers in the plain table fill in
+    the letters between; the letters equal those of the per-letter loop
+    bit for bit.
 
     Uniforms are drawn a span at a time (actions._spans, each span a
     multiple of r on the composed path), which reads the same doubles off
@@ -385,23 +395,18 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
     if n == 0:
         return DrivingTrajectory(spec, seed, letters)
     pi_cum = _cumulative(spec.pi)
-    row_cums = [_cumulative(row) for row in spec.Pi]
     if spec._iid:
-        # Bernoulli fast path, identical to the generic loop: each span of
-        # uniforms is searched and clipped in place
-        cumulative = np.array(pi_cum)
+        # Bernoulli fast path, identical to the generic loop, a span of uniforms at a time
         for lo, hi in _spans(n):
-            found = np.searchsorted(cumulative, rng.random(hi - lo), side="right")
-            np.minimum(found, s - 1, out=found)
-            letters[lo:hi] = found
+            letters[lo:hi] = _inverse_cdf(pi_cum, rng.random(hi - lo))
         return DrivingTrajectory(spec, seed, letters)
-    letters[0] = min(bisect_right(pi_cum, rng.random()), s - 1)
+    letters[0] = _inverse_cdf(pi_cum, rng.random())
     # The next letter depends on u only through c, the number of distinct
     # cumulative values <= u: after[c, a] is the letter after state a for
     # such u, picked at -inf (c = 0) or at the c-th smallest value.
-    edges = sorted({c for row in row_cums for c in row})
-    after = np.array([[min(bisect_right(row, x), s - 1) for row in row_cums] for x in [-math.inf, *edges]])
-    edges = np.array(edges)
+    row_cums = [_cumulative(row) for row in spec.Pi]
+    edges = np.array(sorted({c for row in row_cums for c in row.tolist()}))
+    after = np.array([_inverse_cdf(row, np.concatenate(([-math.inf], edges))) for row in row_cums]).T
     r = _composition_depth(len(after), s)
     comp = _composed(after, r).ravel().tolist()
     weights = len(after) ** np.arange(r - 1, -1, -1)
@@ -537,13 +542,13 @@ def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockC
     nums, den = np.empty(len(table.first), dtype=object), _cylinder_den(spec, k)
     for lo, hi in _spans(len(table.first)):
         rows = _gather(table, lo, hi)
-        nums[lo:hi], _, outside = _cylinder_numerators(spec, rows)
-        bad = outside | (nums[lo:hi] == 0)
-        if bad.any():
+        outside, null = _block_faults(spec, rows)
+        if (bad := outside | null).any():
             r = int(bad.argmax())
             if outside[r]:
                 raise ValueError("letter index out of range for the driving alphabet")
             raise ModelMismatchError(f"block {tuple(rows[r].tolist())} has zero probability under the chain")
+        nums[lo:hi] = _cylinder_numerators(spec, rows)[0]
     nums_list = nums.tolist()
     total = sum(c * _shannon_bits(num, den) for c, num in zip(table.counts.tolist(), nums_list))
     ideal = _sequential_sum(np.array([-math.log2(num / den) for num in nums_list])[table.index])

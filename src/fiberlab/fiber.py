@@ -33,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .actions import ACTION_KINDS, INVERSE, Z2_VECTORS, _check_seed, _integer, _spans, check_driving_size, walk
-from .driving import _EXACT_HINT, MarkovChainSpec, _as_fraction, _cumulative, _letter_dtype, _letters_of
-from .driving import _over_lcm
+from .driving import _EXACT_HINT, MarkovChainSpec, _as_fraction, _cumulative, _inverse_cdf, _letter_dtype
+from .driving import _letters_of, _listed, _over_lcm
 from .errors import InfiniteInformationError, ResourceLimitError
 from .words import Alphabet
 
@@ -80,7 +80,7 @@ class FiberSystemSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FiberSystemSpec":
-        return cls(data["action"], Alphabet(tuple(data["fiber_alphabet"])), tuple(data["p"]))
+        return cls(data["action"], Alphabet(_listed(data["fiber_alphabet"], "fiber_alphabet")), _listed(data["p"], "p"))
 
     @cached_property
     def _entropy_bits(self) -> float:
@@ -129,21 +129,20 @@ def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
     The symbol at a coordinate is drawn from its key alone: the walk's
     draw, an 8-byte blake2b hash keyed by the seed (see actions.walk), read
     as an integer over 2**64 (a float64 u in [0, 1]) and mapped through the
-    inverse CDF of p in alphabet order, u = 1.0 to the last symbol.  Each
-    distinct coordinate is hashed once, when the walk first meets it.  The
-    name is then read a span of positions at a time (actions._spans): the
-    span's draws are mapped to u and to symbols, each with the same float64
-    operations as one pass over all of them, and written at their first
-    visits, and every step reads its first visit, which lies in the span or
-    before it; so the name is always consistent.  Symbols are stored in
-    driving._letter_dtype(|F|).
+    sampler's inverse CDF (driving._inverse_cdf) of p, u = 1.0 to the last
+    symbol.  Each distinct coordinate is hashed once, when the walk first
+    meets it.  The name is then read a span of positions at a time
+    (actions._spans): the span's draws are mapped to u and to symbols, each
+    with the same float64 operations as one pass over all of them, and
+    written at their first visits, and every step reads its first visit,
+    which lies in the span or before it; so the name is always consistent.
+    Symbols are stored in driving._letter_dtype(|F|).
     """
     seed = _check_seed(seed)
     driving = _letters_of(alpha)
-    size = spec.fiber_alphabet.size
     # the name is allocated before the walk's temporaries, so that freeing
     # them leaves one free stretch of heap rather than holes below it
-    letters = np.zeros(len(driving), dtype=_letter_dtype(size))
+    letters = np.zeros(len(driving), dtype=_letter_dtype(spec.fiber_alphabet.size))
     first, draws = walk(spec.action_kind, driving, seed)
     cumulative = _cumulative(spec.p)
     drawn = 0
@@ -153,9 +152,7 @@ def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
         u = draws[drawn : drawn + np.count_nonzero(new)].astype(np.float64)
         drawn += len(u)
         u /= 2.0 ** 64
-        symbols = np.searchsorted(cumulative, u, side="right")
-        np.minimum(symbols, size - 1, out=symbols)
-        name[new] = symbols
+        name[new] = _inverse_cdf(cumulative, u)
         name[:] = letters[steps]
     return OrbitName(spec, driving, letters, seed, first)
 
@@ -235,8 +232,7 @@ def _expected_distinct(driving_spec: MarkovChainSpec, kind: str, n: int) -> Frac
     tables = driving_spec._range_tables
     table = tables.get(kind)
     if table is None:
-        Pi = driving_spec.Pi
-        if kind == "free-monoid" or (kind == "f2" and all(row[INVERSE[a]] == 0 for a, row in enumerate(Pi))):
+        if kind == "free-monoid" or (kind == "f2" and not driving_spec._support[1][np.arange(4), INVERSE].any()):
             table = _LINEAR
         elif kind == "z2" and driving_spec._iid:
             table = _RenewalTable(driving_spec)

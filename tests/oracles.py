@@ -112,3 +112,37 @@ def sliding_pair_counts(alpha, omega, k: int, m: int) -> Counter:
     """
     alpha, omega = np.asarray(alpha).tolist(), np.asarray(omega).tolist()
     return Counter((tuple(alpha[i : i + k]), tuple(omega[i : i + k])) for i in range(m))
+
+
+def is_irreducible(spec) -> bool:
+    """Whether the graph of positive transitions is strongly connected, by
+    depth-first search over Fraction comparisons: the list-based check the
+    support's boolean reachability closure replaced, kept as the oracle."""
+    s = spec.alphabet.size
+    forward = [[j for j in range(s) if spec.Pi[i][j] > 0] for i in range(s)]
+    backward = [[j for j in range(s) if spec.Pi[j][i] > 0] for i in range(s)]
+
+    def reaches_all(adjacency):
+        seen = {0}
+        stack = [0]
+        while stack:
+            for j in adjacency[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return len(seen) == s
+
+    return reaches_all(forward) and reaches_all(backward)
+
+
+def bufetov_condition(spec) -> bool:
+    """Whether every pair of states has a common predecessor with positive
+    transition probability to both, by sets of successors: the list-based
+    check one product of the support replaced, kept as the oracle."""
+    s = spec.alphabet.size
+    successors = [frozenset(j for j in range(s) if spec.Pi[i][j] > 0) for i in range(s)]
+    for a in range(s):
+        for b in range(a, s):
+            if not any(a in successors[d] and b in successors[d] for d in range(s)):
+                return False
+    return True

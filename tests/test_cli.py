@@ -296,9 +296,11 @@ def test_cli_refuses_float_probabilities_that_do_not_sum_to_one(tmp_path, capsys
     assert run([command, "--config", str(path)]) == 0
 
 
-@pytest.mark.parametrize("value", ["1/0", float("nan"), float("inf")], ids=["zero-denominator", "NaN", "Infinity"])
+@pytest.mark.parametrize("value", ["1/0", float("nan"), float("inf"), True],
+                         ids=["zero-denominator", "NaN", "Infinity", "true"])
 @pytest.mark.parametrize("where", ["pi", "Pi", "p"])
 def test_cli_refuses_a_probability_that_is_no_number(tmp_path, capsys, where, value):
+    # JSON true, a Python bool and so an int, was once read as 1
     out = tmp_path / "reports"
     quarter = ["1/4"] * 4
     driving = {"alphabet": ["a", "A", "b", "B"], "pi": list(quarter), "Pi": [list(quarter) for _ in range(4)]}
@@ -374,6 +376,29 @@ def test_cli_refuses_unknown_config_keys(tmp_path, capsys, extra, named):
     assert run(["range", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"fiberlab: configuration error: unknown config keys: {named}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, key, value, named, string", [
+    ("driving", "alphabet", "ab", "alphabet", "ab"),
+    ("driving", "pi", "10", "pi", "10"),
+    ("driving", "Pi", "1001", "Pi", "1001"),
+    ("driving", "Pi", ["10", [0, 1]], "row 0 of Pi", "10"),
+    ("driving", "Pi", [[1, 0], "01"], "row 1 of Pi", "01"),
+    ("fiber", "fiber_alphabet", "01", "fiber_alphabet", "01"),
+    ("fiber", "p", "1", "p", "1"),
+])
+def test_a_config_refuses_a_string_where_a_spec_list_belongs(spec, key, value, named, string):
+    # a string iterated into its characters: {"alphabet": "ab", "pi": "10",
+    # "Pi": ["10", "01"]} loaded as the identity chain on a and b
+    driving = {"alphabet": ["a", "b"], "pi": [1, 0], "Pi": [[1, 0], [0, 1]]}
+    fiber = {"action": "free-monoid", "fiber_alphabet": ["0"] if key == "p" else ["0", "1"],
+             "p": ["1"] if key == "p" else ["1/2", "1/2"]}
+    config = {"driving": driving, "fiber": fiber}
+    load_config(config)
+    config[spec] = {**config[spec], key: value}
+    with pytest.raises(ConfigError) as refused:
+        load_config(config)
+    assert str(refused.value) == f"invalid configuration: {named} must be a list, not {string!r}"
 
 
 def test_config_built_directly_refuses_a_tolerance_that_is_no_real():

@@ -625,6 +625,22 @@ def test_two_pass_rate_checks_k_before_it_divides_by_it():
             empirical_two_pass_rate(short, k, 4)
 
 
+def test_two_pass_rate_checks_the_driving_alphabet_size():
+    # 2.0 raised AttributeError, 1 and True priced contexts at 0 bits each,
+    # and 0 priced them as 2 did
+    name = emit_name(MONOID, sample_trajectory(BERNOULLI2, 100, 1), seed=1)
+    assert name.driving.max() == 1
+    for size in (2.0, "2", True, None):
+        with pytest.raises(ValueError, match="driving alphabet size must be an integer"):
+            empirical_two_pass_rate(name, 4, size)
+    for size in (0, -3):
+        with pytest.raises(ValueError, match="driving alphabet size must be >= 1"):
+            empirical_two_pass_rate(name, 4, size)
+    with pytest.raises(ValueError, match="driving alphabet size 1 does not hold driving letter 1"):
+        empirical_two_pass_rate(name, 4, 1)
+    assert empirical_two_pass_rate(name, 4, 2).rate < empirical_two_pass_rate(name, 4, 3).rate
+
+
 def test_auto_exact_rate_on_iid_z2_past_the_old_cap_is_the_renewal_value():
     trajectory = sample_trajectory(Z2_DRIVING, 100, 1)
     report = conditional_rate(emit_name(Z2, trajectory, seed=1), BlockCodebookFamily(13, Z2, Z2_DRIVING))

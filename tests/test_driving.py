@@ -28,13 +28,18 @@ from fiberlab import (
 )
 from fiberlab.actions import _CHUNK
 from fiberlab.driving import (
+    _block_faults,
     _block_table,
     _composition_depth,
+    _cumulative,
     _cylinder_numerators,
     _gather,
+    _inverse_cdf,
     block_code_details,
 )
 from fiberlab.kraft import shannon_length
+
+import oracles
 
 F2 = driving_preset("f2-markov")
 UNIFORM4 = MarkovChainSpec.bernoulli(Alphabet(("a", "b", "c", "d")), (Fraction(1, 4),) * 4)
@@ -113,6 +118,15 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="row 1 of Pi must sum to exactly 1"):
         MarkovChainSpec(two, (0.5, 0.5), ((0.5, 0.5), (0.1, 0.9)))
     assert MarkovChainSpec.bernoulli(two, ("1/10", "9/10")).pi == (Fraction(1, 10), Fraction(9, 10))
+    # a bool is no probability: Python's True and False, ints to isinstance, once
+    # read as 1 and 0 and made this chain, while np.True_ was refused
+    document = {"alphabet": ["x", "y"], "pi": [True, False], "Pi": [[True, False], [False, True]]}
+    for build in (lambda: MarkovChainSpec(two, document["pi"], document["Pi"]),
+                  lambda: MarkovChainSpec.from_dict(document),
+                  lambda: MarkovChainSpec.bernoulli(two, (True, False)),
+                  lambda: MarkovChainSpec.bernoulli(two, (np.True_, 0))):
+        with pytest.raises(ValueError, match="as a probability"):
+            build()
 
 
 def test_cylinder_prob_examples():
@@ -346,6 +360,43 @@ def test_markov_sampler_equals_the_bisect_loop_on_random_rational_chains(spec, n
     assert_sampler_equals_bisect_loop(spec, n, seed)
 
 
+def zeroed(law, mask):
+    """law with its masked entries set to zero and the rest rescaled, or law itself when none would be left."""
+    kept = [Fraction(0) if gone else x for x, gone in zip(law, mask)]
+    return tuple(x / sum(kept) for x in kept) if any(kept) else law
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rational_chains(), st.data())
+def test_support_readings_equal_their_oracles_on_random_sparse_chains(spec, data):
+    # entries are zeroed at random, so that chains break apart and lose common predecessors
+    s = spec.alphabet.size
+    masks = data.draw(st.lists(st.lists(st.booleans(), min_size=s, max_size=s), min_size=s + 1, max_size=s + 1))
+    spec = MarkovChainSpec(spec.alphabet, zeroed(spec.pi, masks[0]),
+                           tuple(zeroed(row, mask) for row, mask in zip(spec.Pi, masks[1:])))
+    assert is_irreducible(spec) == oracles.is_irreducible(spec)
+    assert bufetov_condition(spec) == oracles.bufetov_condition(spec)
+    # driving rows with letters inside and just outside the alphabet
+    k = data.draw(st.integers(1, 4), label="k")
+    rows = data.draw(st.lists(st.lists(st.integers(-1, s), min_size=k, max_size=k), min_size=1, max_size=8))
+    outside, null = _block_faults(spec, np.array(rows, dtype=np.int64))
+    for row, out, zero in zip(rows, outside.tolist(), null.tolist()):
+        try:
+            prob = cylinder_prob(spec, row)
+        except ValueError:
+            assert out
+        else:
+            assert not out and zero == (prob == 0)
+    # the one inverse CDF, on a float and on an array, against bisect on the list
+    us = data.draw(st.lists(st.floats(0, 1), max_size=8), label="u")
+    for law in (spec.pi, *spec.Pi):
+        cumulative = _cumulative(law)
+        points = [0.0, 1.0, *cumulative.tolist(), *us]
+        expected = [min(bisect_right(cumulative.tolist(), u), s - 1) for u in points]
+        assert [int(_inverse_cdf(cumulative, u)) for u in points] == expected
+        assert _inverse_cdf(cumulative, np.array(points)).tolist() == expected
+
+
 def fraction_is_stationary(spec):
     """pi^T Pi = pi^T in Fraction sums, the check the integer numerators replaced, kept as the oracle."""
     s = spec.alphabet.size
@@ -550,9 +601,11 @@ def test_cylinder_numerators_equal_the_fraction_products(spec, pi_den, step_den)
     size = spec.alphabet.size
     for k in range(1, 7):
         rows = np.array(list(itertools.product(range(size), repeat=k)), dtype=np.int64)
-        nums, den, outside = _cylinder_numerators(spec, rows)
+        nums, den = _cylinder_numerators(spec, rows)
         assert den == pi_den * step_den ** (k - 1)
-        assert not outside.any()
+        # the support refuses exactly the rows of numerator 0, and no row is outside
+        outside, null = _block_faults(spec, rows)
+        assert not outside.any() and null.tolist() == [num == 0 for num in nums.tolist()]
         assert all(type(num) is int for num in nums.tolist())
         for u, num in zip(rows.tolist(), nums.tolist()):
             assert Fraction(num, den) == fraction_cylinder(spec, u) == cylinder_prob(spec, u)
@@ -565,7 +618,7 @@ def test_cylinder_numerators_equal_the_fraction_products(spec, pi_den, step_den)
 def test_cylinder_numerators_do_not_overflow():
     # den = 5 * 6**79 is far past int64
     rows = np.random.default_rng(4).integers(0, 3, (5, 80))
-    nums, den, _ = _cylinder_numerators(MIXED, rows)
+    nums, den = _cylinder_numerators(MIXED, rows)
     assert den == 5 * 6 ** 79
     for u, num in zip(rows.tolist(), nums.tolist()):
         assert Fraction(num, den) == fraction_cylinder(MIXED, u) > 0

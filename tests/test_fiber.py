@@ -72,6 +72,12 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="p must sum to exactly 1"):
         FiberSystemSpec("z2", BINARY, (0.1, 0.9))  # 1 + 2**-55 as binary floats
     assert sum(FiberSystemSpec("z2", BINARY, ("1/10", "9/10")).p) == 1
+    # True read as 1 once made a one-symbol fiber law
+    for p in ((True,), (np.True_,)):
+        with pytest.raises(ValueError, match="as a probability"):
+            FiberSystemSpec("free-monoid", Alphabet(("0",)), p)
+    with pytest.raises(ValueError, match="as a probability"):
+        FiberSystemSpec.from_dict({"action": "free-monoid", "fiber_alphabet": ["0"], "p": [True]})
 
 
 def test_emit_name_basics():

@@ -54,6 +54,37 @@ def test_only_actions_draws_under_the_seed():
     assert len(draws) == 1 and len(_keyed_blake2b_calls(draws[0])) == 1
 
 
+def _scoped(tree: ast.AST, scope: str = ""):
+    """(scope, node) for every node below tree, scope naming its enclosing classes and functions."""
+    for node in ast.iter_child_nodes(tree):
+        inner = f"{scope}.{node.name}".lstrip(".") if isinstance(node, (ast.ClassDef, ast.FunctionDef)) else scope
+        yield scope, node
+        yield from _scoped(node, inner)
+
+
+def test_one_support_and_one_inverse_cdf():
+    # MarkovChainSpec._support is the one reading of which blocks are
+    # positive, and driving._inverse_cdf the one reading of a uniform; the
+    # coders, the diagnostics and the range paths once compared the
+    # numerators with 0 or Pi's Fractions by hand, and the sampler and
+    # emit_name each searched the cumulative sums their own way
+    numerators = {"_pi_numerators", "_Pi_numerators"}
+    compared, bisected = set(), []
+    for path in sorted(Path(fiberlab.__file__).parent.glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                bisected += [path.name for alias in node.names if alias.name.split(".")[0] == "bisect"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bisect":
+                bisected.append(path.name)
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                zero = any(isinstance(x, ast.Constant) and x.value == 0 for x in operands)
+                if zero and any(getattr(y, "attr", None) in numerators for x in operands for y in ast.walk(x)):
+                    compared.add((path.name, scope))
+    assert bisected == []
+    assert compared == {("driving.py", "MarkovChainSpec._support")}
+
+
 def test_only_actions_calls_operator_index():
     # actions._integer is the one integer rule; config once converted its
     # integers by an operator.index of its own, beside the one that

@@ -38,8 +38,9 @@ cuts, and gives the same result for any span length.
 Per-letter arrays take the smallest dtype that holds their values:
 driving letters are uint8 (every driving alphabet has at most 256
 letters), first is int32 while n < 2**31 (int64 past it), and draws are
-uint64.  walk() reads uint8 letters as they are and copies any other
-integer letters to uint8 once it has checked their range.
+uint64.  Every letters argument is read by one rule, _integers, which
+checks them against an alphabet size when given one; walk() then reads
+uint8 letters as they are and copies other integer letters to uint8 once.
 
 The tests keep a generic walk that steps and keys one coordinate at a
 time (tests/oracles.py) as the oracle the kernels must equal.
@@ -101,15 +102,21 @@ def _spans(stop: float = math.inf, start: int = 0, multiple: int = 1):
         lo += step
 
 
-def _integers(letters) -> np.ndarray:
-    """letters as a one-dimensional integer array, with no copy when they are one.
+def _integers(letters, size: int | None = None, what: str = "letters") -> np.ndarray:
+    """letters as a one-dimensional integer array, with no copy when they are one: the one letters rule.
 
-    An empty sequence becomes int64; anything else (floats, bools, 2-D) raises ValueError.
+    A Word or DrivingTrajectory gives numpy its letters (__array__); no
+    .letters attribute is read, so an OrbitName is refused.  An empty
+    sequence becomes int64; floats, bools, 2-D and, given an alphabet size,
+    letters outside [0, size) raise ValueError.
     """
     letters = np.asarray(letters)
     if letters.ndim != 1 or (letters.dtype.kind not in "iu" and letters.size):
         raise ValueError(f"letters must be one-dimensional integers, not {letters.ndim}-D {letters.dtype}")
-    return letters if letters.dtype.kind in "iu" else letters.astype(np.int64)
+    letters = letters if letters.dtype.kind in "iu" else letters.astype(np.int64)
+    if size is not None and letters.size and (letters.min() < 0 or letters.max() >= size):
+        raise ValueError(f"{what} must lie in [0, {size})")
+    return letters
 
 
 def driving_size(kind: str) -> int | None:
@@ -325,17 +332,14 @@ def walk(kind: str, letters, seed: int | None = None) -> Walk:
 
     c_0 is the identity and c_{i+1} = step(c_i, letters[i]), so the last
     letter never moves a recorded coordinate.  first[i] is the smallest j
-    with c_j = c_i, as int32 while n < 2**31 (int64 past it).  Letters of
-    any integer dtype are taken; uint8 letters are read without a copy,
-    and any others are checked and copied to uint8 once, so a negative
-    letter or one past the alphabet is refused whatever its dtype.  With a
-    seed (a 64-bit unsigned integer),
-    draws[d] is the uint64 symbol draw of the d-th distinct coordinate, in
-    first-visit order: the little-endian 8-byte blake2b digest of its
-    key, keyed by the seed's 8 little-endian bytes.  Without
-    one, draws is None and no key is hashed.  Letters outside the action's
-    driving alphabet, or that are not one-dimensional integers, raise
-    ValueError.
+    with c_j = c_i, as int32 while n < 2**31 (int64 past it).  Letters are
+    read by _integers, so floats, bools, 2-D and letters outside the
+    action's driving alphabet raise ValueError whatever their dtype; uint8
+    letters are read without a copy, and others are copied to uint8 once.
+    With a seed (a 64-bit unsigned integer), draws[d] is the uint64 symbol
+    draw of the d-th distinct coordinate, in first-visit order: the
+    little-endian 8-byte blake2b digest of its key, keyed by the seed's 8
+    little-endian bytes.  Without one, draws is None and no key is hashed.
 
     Each action has its own kernel; all of them equal the generic walk
     that steps one letter at a time.
@@ -343,9 +347,7 @@ def walk(kind: str, letters, seed: int | None = None) -> Walk:
     limit = driving_size(kind) or _MONOID_LETTERS
     if seed is not None:
         seed = _check_seed(seed)
-    letters = _integers(letters)
-    if letters.size and (letters.min() < 0 or letters.max() >= limit):
-        raise ValueError(f"driving letters of action {kind!r} must lie in [0, {limit})")
+    letters = _integers(letters, limit, f"driving letters of action {kind!r}")
     return _KERNELS[kind](letters.astype(np.uint8, copy=False), seed)
 
 
@@ -380,7 +382,7 @@ def range_ratio_curve(kind: str, spec, seeds: Sequence[int], checkpoints: Sequen
     from .driving import sample_trajectory
 
     check_driving_size(kind, spec.alphabet.size)
-    if not seeds:
+    if not len(seeds):
         raise ValueError("at least one seed is required")
     checkpoints = [_integer(c, "a checkpoint") for c in checkpoints]
     checkpoints = sorted({c for c in checkpoints if c >= 1})
@@ -388,8 +390,7 @@ def range_ratio_curve(kind: str, spec, seeds: Sequence[int], checkpoints: Sequen
         raise ValueError("at least one checkpoint of 1 or more is required")
     sums = np.zeros(len(checkpoints))
     for seed in seeds:
-        letters = sample_trajectory(spec, checkpoints[-1], seed).letters
-        record = visit_record(kind, letters)
+        record = visit_record(kind, sample_trajectory(spec, checkpoints[-1], seed))
         for j, c in enumerate(checkpoints):
             sums[j] += record.distinct_counts[c - 1] / c
     means = sums / len(seeds)

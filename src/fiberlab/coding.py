@@ -33,7 +33,8 @@ codewords by block index, the coded length is counts times codeword
 lengths, the cross entropy sums counts times log2 mu over the whole
 table, and the joint coder reads its lengths off the same pairs.  Spans
 are checked in order, so the first offending row raises, as a
-block-by-block loop would.
+block-by-block loop would, by the plain coder's refusal too
+(driving._refuse_blocks); letters are read by actions._integers.
 
 A block's first visits are read off a walk across it.  Group coordinates
 cancel on the right, so two steps of a block visit the same coordinate of
@@ -42,7 +43,7 @@ longer walk that contains the block, and free-monoid coordinates never
 repeat.  A name's blocks therefore take their patterns from the name's
 walk, and decode walks the driving word once; only codebook_for walks a
 lone context.  Positivity is read off the chain's support, by the plain
-coder's test (driving._block_faults); the exact context probability nu is
+coder's refusal (driving._refuse_blocks); the exact context probability nu is
 computed only by the plain coder, as integer numerators over one
 denominator, and the joint coder reuses them:
 a pair's context is the plain table's row of the pair's first block, and
@@ -60,19 +61,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .actions import _integer, _real, _spans, check_driving_size, walk
+from .actions import _integer, _integers, _real, _spans, check_driving_size, walk
 from .driving import (
     MarkovChainSpec,
-    _block_faults,
     _block_table,
     _gather,
     _letter_dtype,
-    _letters_of,
+    _refuse_blocks,
     _sequential_sum,
     block_code_details,
     sample_trajectory,
 )
-from .errors import MalformedStreamError, ModelMismatchError
+from .errors import MalformedStreamError
 from .fiber import FiberSystemSpec, OrbitName, emit_name, exact_rate_or_none, information_function
 from .kraft import BinaryCodebook, _shannon_bits, canonical_kraft_code, shannon_length
 
@@ -165,29 +165,18 @@ class BlockCodebookFamily:
 
         A row is a context u, or a pair u + v, of k letters each; first[r]
         is a walk across row r's driving block.  The first offending row
-        raises: a context letter outside the driving alphabet raises
-        ValueError, a context of zero probability or a fiber block that
-        gives one coordinate two symbols, or uses a letter outside the
-        fiber alphabet, raises ModelMismatchError.  The count code of every
-        row is built before this returns.
+        raises, by driving._refuse_blocks: a fiber block is inconsistent
+        when it gives one coordinate two symbols or uses a letter outside
+        the fiber alphabet.  The count code of every row is built before
+        this returns.
         """
         k = self.k
-        u, v = rows[:, :k], rows[:, k:]
+        v = rows[:, k:]
         pattern = _patterns(first)
-        outside, null = _block_faults(self.driving_spec, u)
         # context rows have no v; cut to v's width, the pattern checks nothing there
         copies = np.take_along_axis(v, pattern[:, : v.shape[1]], axis=1)
         outside_fiber = (v < 0) | (v >= self.fiber_spec.fiber_alphabet.size)
-        inconsistent = (outside_fiber | (copies != v)).any(axis=1)
-        if (bad := outside | null | inconsistent).any():
-            r = int(bad.argmax())
-            context = tuple(rows[r, :k].tolist())
-            if outside[r]:
-                raise ValueError("letter index out of range for the driving alphabet")
-            if null[r]:
-                raise ModelMismatchError(f"driving block {context} has zero probability")
-            block = tuple(rows[r, k:].tolist())
-            raise ModelMismatchError(f"fiber block {block} is inconsistent with driving block {context}")
+        _refuse_blocks(self.driving_spec, rows, k, (outside_fiber | (copies != v)).any(axis=1))
         counts = (pattern == np.arange(k)).sum(axis=1)
         for d in _present(counts):
             if d not in self._count_codes:
@@ -226,8 +215,8 @@ class BlockCodebookFamily:
 
     def codebook_for(self, u) -> BinaryCodebook:
         """Context u's codebook over full fiber k-blocks, expanded from its count code."""
-        u = np.asarray(u, dtype=np.int64)
-        if u.shape != (self.k,):
+        u = _integers(u)
+        if len(u) != self.k:
             raise ValueError(f"context must have length {self.k}")
         counts, pattern = self._codes(u[None, :], walk(self.fiber_spec.action_kind, u).first[None, :])
         code = self._count_codes[int(counts[0])]
@@ -264,10 +253,12 @@ class EncodedStream:
 
 
 def _coded_pairs(name: OrbitName, family: BlockCodebookFamily):
-    """The name's checked table of distinct (u, v) pairs: family._checked_table on its two words."""
+    """family._checked_table on the name's two words, then its tail checked against the fiber alphabet."""
     if name.fiber_spec != family.fiber_spec:
         raise ValueError("name and family disagree on the fiber system")
-    return family._checked_table((name.driving, name.letters), name.first)
+    table, counts, ranks = family._checked_table((name.driving, name.letters), name.first)
+    _integers(name.letters[len(table.index) * family.k :], family.fiber_spec.fiber_alphabet.size, "fiber letters")
+    return table, counts, ranks
 
 
 def encode(name: OrbitName, family: BlockCodebookFamily) -> EncodedStream:
@@ -275,7 +266,7 @@ def encode(name: OrbitName, family: BlockCodebookFamily) -> EncodedStream:
 
     Remainder symbols (n mod k of them) are raw coded at ceil(log2 |fiber|)
     bits each.  A block pair outside the model support raises
-    ModelMismatchError.
+    ModelMismatchError, a tail symbol outside the fiber alphabet ValueError.
     """
     table, counts, ranks = _coded_pairs(name, family)
     k = family.k
@@ -300,7 +291,7 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
     MalformedStreamError.  The name comes back in the dtype emit_name
     gives it, driving._letter_dtype(|F|).
     """
-    letters = _letters_of(alpha)
+    letters = _integers(alpha)
     k = family.k
     size = family.fiber_spec.fiber_alphabet.size
     n = len(letters)
@@ -353,8 +344,7 @@ def pair_counts(alpha, omega, k: int) -> Counter:
     Blocks start at offsets 0, k, 2k, ... and every full block is counted;
     the counter's keys are (u, v) tuples in first-occurrence order.
     """
-    a = _letters_of(alpha)
-    w = _letters_of(omega)
+    a, w = _integers(alpha), _integers(omega)
     if len(a) != len(w):
         raise ValueError("driving and fiber sequences must have equal length")
     k = _integer(k, "window length", 1)
@@ -587,8 +577,7 @@ def empirical_two_pass_rate(name: OrbitName, k: int, driving_alphabet_size: int)
     """
     k = _integer(k, "block length", 1)
     size = _integer(driving_alphabet_size, "driving alphabet size", 1)
-    if len(name) and size <= name.driving.max():
-        raise ValueError(f"driving alphabet size {size} does not hold driving letter {name.driving.max()}")
+    _integers(name.driving, size, "driving letters")
     n = len(name)
     m = n // k
     raw = (name.fiber_spec.fiber_alphabet.size - 1).bit_length()

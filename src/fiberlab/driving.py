@@ -28,7 +28,8 @@ read off the bit lengths of numerator and denominator, and an ideal length
 is log2(num / den), which equals log2 of the Fraction's float because int
 division is correctly rounded.  Which blocks are positive is read off one
 support per chain, pi > 0 and Pi > 0 (MarkovChainSpec._support), by every
-coder (_block_faults, before any numerator) and by the chain diagnostics.
+coder (_block_faults, before any numerator) and by the chain diagnostics,
+and every coder refuses its first offending block by _refuse_blocks.
 
 Every sampled letter and orbit-name symbol is read off its uniform by one
 inverse CDF, _inverse_cdf.  The Markov sampler steps a transition table:
@@ -208,17 +209,6 @@ def _letter_dtype(size: int) -> np.dtype:
     return np.min_scalar_type(max(size - 1, 0))
 
 
-def _letters_of(word) -> np.ndarray:
-    """The letter indices of a Word, a DrivingTrajectory or a sequence.
-
-    Read by actions._integers: a trajectory's uint8 letters are not copied,
-    a Word's tuple or a list becomes int64, and floats or 2-D are refused.
-    """
-    if isinstance(word, (Word, DrivingTrajectory)):
-        word = word.letters
-    return _integers(word)
-
-
 def _cylinder_den(spec: MarkovChainSpec, k: int) -> int:
     """The denominator den(pi) * lcm(den Pi)**(k-1) of every k-block's cylinder probability."""
     return spec._pi_numerators[1] * spec._Pi_numerators[1] ** (k - 1)
@@ -233,6 +223,22 @@ def _block_faults(spec: MarkovChainSpec, rows: np.ndarray) -> tuple[np.ndarray, 
     rows = np.where(outside[:, None], 0, rows)  # index safely; outside rows are flagged
     null = ~(outside | (starts[rows[:, 0]] & moves[rows[:, :-1], rows[:, 1:]].all(axis=1)))
     return outside, null
+
+
+def _refuse_blocks(spec: MarkovChainSpec, rows: np.ndarray, k: int, inconsistent=False) -> None:
+    """The one block refusal: raise at the first offending row of rows, k-letter driving blocks each
+    followed by a fiber block or by none.  A driving letter outside the alphabet raises ValueError, a
+    null driving block or a row flagged inconsistent (one bool per row) ModelMismatchError."""
+    outside, null = _block_faults(spec, rows[:, :k])
+    if (bad := outside | null | inconsistent).any():
+        r = int(bad.argmax())
+        context = tuple(rows[r, :k].tolist())
+        if outside[r]:
+            raise ValueError("letter index out of range for the driving alphabet")
+        if null[r]:
+            raise ModelMismatchError(f"driving block {context} has zero probability")
+        block = tuple(rows[r, k:].tolist())
+        raise ModelMismatchError(f"fiber block {block} is inconsistent with driving block {context}")
 
 
 def _cylinder_numerators(spec: MarkovChainSpec, rows: np.ndarray) -> tuple[np.ndarray, int]:
@@ -255,7 +261,7 @@ def cylinder_prob(spec: MarkovChainSpec, v) -> Fraction:
 
     The empty word has probability 1.
     """
-    letters = _letters_of(v)
+    letters = _integers(v)
     if isinstance(v, Word) and v.alphabet != spec.alphabet:
         raise ValueError("word is over a different alphabet")
     if not len(letters):
@@ -327,6 +333,10 @@ class DrivingTrajectory:
 
     def __len__(self) -> int:
         return len(self.letters)
+
+    def __array__(self, dtype=None, copy=None):
+        """The letters array itself, not a copy, unless numpy asks for one (see actions._integers)."""
+        return np.array(self.letters, dtype=dtype, copy=copy)
 
 
 def _cumulative(probs) -> np.ndarray:
@@ -530,25 +540,21 @@ def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockC
     Full k-blocks cost ceil(-log2 nu[block]) bits; the n mod k remainder
     symbols are raw coded at ceil(log2 |alphabet|) bits each.  nu is
     computed once per distinct block, as integer numerators over one
-    denominator; the first block (in block order) that holds a letter
-    outside the alphabet raises ValueError, or that has zero probability
-    raises ModelMismatchError.
+    denominator.  The first offending block, in block order, is refused by
+    _refuse_blocks, and then a remainder letter outside the alphabet
+    raises ValueError.
     """
     k = _integer(k, "block length", 1)
-    letters = _letters_of(trajectory)
+    letters = _integers(trajectory)
     n = len(letters)
     m = n // k
     table = _block_table((letters,), k)
     nums, den = np.empty(len(table.first), dtype=object), _cylinder_den(spec, k)
     for lo, hi in _spans(len(table.first)):
         rows = _gather(table, lo, hi)
-        outside, null = _block_faults(spec, rows)
-        if (bad := outside | null).any():
-            r = int(bad.argmax())
-            if outside[r]:
-                raise ValueError("letter index out of range for the driving alphabet")
-            raise ModelMismatchError(f"block {tuple(rows[r].tolist())} has zero probability under the chain")
+        _refuse_blocks(spec, rows, k)
         nums[lo:hi] = _cylinder_numerators(spec, rows)[0]
+    _integers(letters[m * k :], spec.alphabet.size, "driving letters")
     nums_list = nums.tolist()
     total = sum(c * _shannon_bits(num, den) for c, num in zip(table.counts.tolist(), nums_list))
     ideal = _sequential_sum(np.array([-math.log2(num / den) for num in nums_list])[table.index])
@@ -559,7 +565,5 @@ def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockC
 
 def block_code_rate(spec: MarkovChainSpec, trajectory, k: int) -> float:
     """Bits per symbol spent by the plain block coder on the trajectory."""
-    letters = _letters_of(trajectory)
-    if len(letters) == 0:
-        return 0.0
-    return block_code_details(spec, letters, k).total_bits / len(letters)
+    letters = _integers(trajectory)
+    return block_code_details(spec, letters, k).total_bits / len(letters) if len(letters) else 0.0

@@ -32,9 +32,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .actions import ACTION_KINDS, INVERSE, Z2_VECTORS, _check_seed, _integer, _spans, check_driving_size, walk
+from .actions import ACTION_KINDS, INVERSE, Z2_VECTORS, _check_seed, _integer, _integers, _spans, check_driving_size
+from .actions import walk
 from .driving import _EXACT_HINT, MarkovChainSpec, _as_fraction, _cumulative, _inverse_cdf, _letter_dtype
-from .driving import _letters_of, _listed, _over_lcm
+from .driving import _listed, _over_lcm
 from .errors import InfiniteInformationError, ResourceLimitError
 from .words import Alphabet
 
@@ -102,9 +103,9 @@ class OrbitName:
     first is the walk of the driving word (see actions.walk), kept so the
     name's information needs no second walk; it is computed when omitted.
     emit_name stores letters in driving._letter_dtype(|F|), uint8 up to
-    256 symbols and uint16 up to 65536; driving keeps the dtype it was
-    given (uint8 for a sampled trajectory), and first is int32 while the
-    name is shorter than 2**31.
+    256 symbols and uint16 up to 65536; both words are read by
+    actions._integers and keep their integer dtype (uint8 for a sampled
+    trajectory), and first is int32 while the name is shorter than 2**31.
     """
 
     fiber_spec: FiberSystemSpec
@@ -114,6 +115,8 @@ class OrbitName:
     first: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "driving", _integers(self.driving))
+        object.__setattr__(self, "letters", _integers(self.letters))
         if len(self.driving) != len(self.letters):
             raise ValueError("orbit name must be as long as its driving word")
         if self.first is None:
@@ -139,7 +142,7 @@ def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
     Symbols are stored in driving._letter_dtype(|F|).
     """
     seed = _check_seed(seed)
-    driving = _letters_of(alpha)
+    driving = _integers(alpha)
     # the name is allocated before the walk's temporaries, so that freeing
     # them leaves one free stretch of heap rather than holes below it
     letters = np.zeros(len(driving), dtype=_letter_dtype(spec.fiber_alphabet.size))
@@ -164,11 +167,9 @@ def _first_symbols(spec: FiberSystemSpec, first: np.ndarray, v) -> np.ndarray | 
     v is read a span of positions at a time (actions._spans), so no
     temporary is as long as v, and the symbols keep v's own dtype.
     """
-    v = _letters_of(v)
+    v = _integers(v, spec.fiber_alphabet.size, "fiber letters")
     if len(v) != len(first):
         raise ValueError("driving and fiber words must have equal length")
-    if v.size and (v.min() < 0 or v.max() >= spec.fiber_alphabet.size):
-        raise ValueError("fiber letter out of range")
     symbols = [v[:0]]  # so that an empty v concatenates too
     for lo, hi in _spans(len(v)):
         at, here = first[lo:hi], v[lo:hi]
@@ -192,7 +193,7 @@ def information_function(spec: FiberSystemSpec, alpha, omega) -> float:
             raise ValueError("name and spec disagree on the action")
         first = alpha.first
     else:
-        first = walk(spec.action_kind, _letters_of(alpha)).first
+        first = walk(spec.action_kind, alpha).first
     symbols = _first_symbols(spec, first, omega)
     if symbols is None:
         raise InfiniteInformationError("prefix pair has zero probability")

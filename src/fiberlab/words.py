@@ -7,9 +7,11 @@ The empty word is a first-class value (index 0 in the global enumeration).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .actions import _integer
+import numpy as np
+
+from .actions import _integer, _integers
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,7 @@ class Word:
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(_integer(x, "a letter index") for x in self.letters))
-        for x in self.letters:
-            if not 0 <= x < self.alphabet.size:
-                raise ValueError(f"letter index {x} out of range for alphabet of size {self.alphabet.size}")
+        _integers(self.letters, self.alphabet.size, "letter indices")
 
     @classmethod
     def from_symbols(cls, alphabet: Alphabet, symbols: Iterable[str]) -> "Word":
@@ -67,6 +67,10 @@ class Word:
 
     def __iter__(self):
         return iter(self.letters)
+
+    def __array__(self, dtype=None, copy=None):
+        """The letter indices, as int64 unless numpy asks for another dtype (see actions._integers)."""
+        return np.array(self.letters, dtype=np.int64 if dtype is None else dtype)
 
 
 def _as_letter_sequences(words) -> list[tuple]:

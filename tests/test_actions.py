@@ -10,16 +10,24 @@ import pytest
 from fiberlab import (
     Alphabet,
     BlockCodebookFamily,
+    DrivingTrajectory,
     ExperimentConfig,
     FiberSystemSpec,
     MarkovChainSpec,
+    OrbitName,
     Word,
+    block_code_rate,
     canonical_kraft_code,
+    conditional_rate,
     cylinder_prob,
+    decode,
     driving_preset,
     emit_name,
+    empirical_two_pass_rate,
+    encode,
     enumerate_word,
     exact_averaged_entropy,
+    information_function,
     kraft_sum,
     range_ratio_curve,
     sample_trajectory,
@@ -27,6 +35,7 @@ from fiberlab import (
     visit_record,
     walk,
 )
+from fiberlab import actions
 from fiberlab.actions import _CHUNK
 from fiberlab.coding import pair_counts
 from fiberlab.config import ConfigError
@@ -176,6 +185,14 @@ def test_range_ratio_curve_refuses_no_seeds():
     # a mean over no trajectories is 0/0
     with pytest.raises(ValueError, match="at least one seed"):
         range_ratio_curve("z2", driving_preset("z2-uniform"), [], [100])
+
+
+def test_range_ratio_curve_takes_an_array_of_seeds():
+    # "if not seeds" once asked numpy for the truth value of the array
+    z2 = driving_preset("z2-uniform")
+    assert range_ratio_curve("z2", z2, np.array([1, 2]), [10, 100]) == range_ratio_curve("z2", z2, [1, 2], [10, 100])
+    with pytest.raises(ValueError, match="at least one seed"):
+        range_ratio_curve("z2", z2, np.array([], dtype=np.int64), [100])
 
 
 NOT_INTEGERS = [1.9, 2.0, "7", True, np.float64(3.0), np.True_]
@@ -348,6 +365,95 @@ def test_letters_that_are_not_one_dimensional_integers_are_refused():
     # an empty word is still empty int64 letters
     assert len(walk("z2", []).first) == 0
     assert cylinder_prob(z2_chain, ()) == 1
+
+
+# a word, given the chain whose alphabet holds its letters, in each form a letters argument takes
+LETTER_FORMS = {
+    "list": lambda word, chain: word.tolist(),
+    "tuple": lambda word, chain: tuple(word.tolist()),
+    "int64": lambda word, chain: word.astype(np.int64),
+    "uint8": lambda word, chain: word.astype(np.uint8),
+    "Word": lambda word, chain: Word(chain.alphabet, tuple(word.tolist())),
+    "DrivingTrajectory": lambda word, chain: DrivingTrajectory(chain, 3, word.astype(np.uint8)),
+}
+NOT_LETTERS = {
+    "floats": lambda word, chain: word.astype(np.float64),
+    "bools": lambda word, chain: word.astype(bool),
+    "2-D": lambda word, chain: word[:, None],
+}
+LETTER_ENTRIES = ["walk", "visit_record", "emit_name", "information_function", "decode", "block_code_rate",
+                  "cylinder_prob", "pair_counts", "codebook_for", "OrbitName", "encode", "conditional_rate",
+                  "empirical_two_pass_rate"]
+
+
+def letters_entry_points():
+    """Entry point -> a call that reads one driving word in the form given(word, chain) gives it.
+
+    Each call returns a value that == compares; a rebuilt orbit name gets
+    its driving word and its symbols in the same form.
+    """
+    chain, fiber = system_preset("z2-uniform")
+    symbols_chain = MarkovChainSpec.bernoulli(fiber.fiber_alphabet, fiber.p)
+    trajectory = sample_trajectory(chain, 23, 3)
+    alpha = trajectory.letters
+    name = emit_name(fiber, trajectory, 3)
+    family = BlockCodebookFamily(4, fiber, chain)
+    stream = encode(name, family)
+
+    def rebuilt(given):
+        return OrbitName(fiber, given(alpha, chain), given(name.letters, symbols_chain))
+
+    def rebuilt_parts(given):
+        built = rebuilt(given)
+        return [part.tolist() for part in (built.driving, built.letters, built.first)]
+
+    return {
+        "walk": lambda given: [part.tolist() for part in walk("z2", given(alpha, chain), 5)],
+        "visit_record": lambda given: visit_record("z2", given(alpha, chain)).distinct_counts.tolist(),
+        "emit_name": lambda given: emit_name(fiber, given(alpha, chain), 3).letters.tolist(),
+        "information_function": lambda given: information_function(fiber, given(alpha, chain), name.letters),
+        "decode": lambda given: decode(stream, given(alpha, chain), family).tolist(),
+        "block_code_rate": lambda given: block_code_rate(chain, given(alpha, chain), 4),
+        "cylinder_prob": lambda given: cylinder_prob(chain, given(alpha, chain)),
+        "pair_counts": lambda given: pair_counts(given(alpha, chain), name.letters, 4),
+        "codebook_for": lambda given: family.codebook_for(given(alpha[:4], chain)),
+        "OrbitName": rebuilt_parts,
+        "encode": lambda given: encode(rebuilt(given), family),
+        "conditional_rate": lambda given: conditional_rate(rebuilt(given), family, exact=None),
+        "empirical_two_pass_rate": lambda given: empirical_two_pass_rate(rebuilt(given), 4, 4),
+    }
+
+
+@pytest.mark.parametrize("form", list(LETTER_FORMS))
+@pytest.mark.parametrize("entry", LETTER_ENTRIES)
+def test_every_entry_point_reads_letters_by_one_rule(entry, form):
+    # walk, visit_record and OrbitName once refused a Word or a trajectory,
+    # and a name built from lists could not be coded
+    run = letters_entry_points()[entry]
+    assert run(LETTER_FORMS[form]) == run(LETTER_FORMS["int64"])
+
+
+@pytest.mark.parametrize("form", list(NOT_LETTERS))
+@pytest.mark.parametrize("entry", LETTER_ENTRIES)
+def test_every_entry_point_refuses_what_is_not_letters(entry, form):
+    # codebook_for once truncated floats to letters
+    with pytest.raises(ValueError, match="letters must be one-dimensional integers"):
+        letters_entry_points()[entry](NOT_LETTERS[form])
+
+
+def test_letters_are_read_without_a_copy_and_a_name_is_no_driving_word():
+    chain, fiber = system_preset("z2-uniform")
+    trajectory = sample_trajectory(chain, 23, 3)
+    name = emit_name(fiber, trajectory, 3)
+    assert np.shares_memory(actions._integers(trajectory), trajectory.letters)
+    assert np.shares_memory(name.driving, trajectory.letters)
+    # a name has letters too, its symbols, which are no driving word
+    for run in (lambda: walk("z2", name), lambda: emit_name(fiber, name, 3), lambda: cylinder_prob(chain, name)):
+        with pytest.raises(ValueError, match="letters must be one-dimensional integers"):
+            run()
+    for symbols in (name.letters[:, None], name.letters.astype(np.float64), name.letters.astype(bool)):
+        with pytest.raises(ValueError, match="letters must be one-dimensional integers"):
+            OrbitName(fiber, trajectory, symbols)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1, _CHUNK + 1])

@@ -570,6 +570,15 @@ def test_out_of_range_context_and_inconsistent_block_raise_in_block_order():
             run(outside_first, family)
         with pytest.raises(ModelMismatchError, match="inconsistent"):
             run(inconsistent_first, family)
+    # a tail symbol outside the fiber alphabet raises after every block; encode
+    # once wrote 5 as bits "101" and -1 as "-1", in a stream decode rejected
+    for symbol in (5, -1):
+        for run in (encode, conditional_rate):
+            with pytest.raises(ValueError, match=r"fiber letters must lie in \[0, 2\)") as raised:
+                run(OrbitName(MONOID, np.array([0, 1, 0]), np.array([0, 1, symbol])), family)
+            assert raised.type is ValueError
+            with pytest.raises(ModelMismatchError, match=r"fiber block \(0, 2\) is inconsistent"):
+                run(OrbitName(MONOID, np.array([0, 1, 0]), np.array([0, 2, symbol])), family)
 
 
 def test_decode_checks_every_context_before_reading_bits():
@@ -636,7 +645,7 @@ def test_two_pass_rate_checks_the_driving_alphabet_size():
     for size in (0, -3):
         with pytest.raises(ValueError, match="driving alphabet size must be >= 1"):
             empirical_two_pass_rate(name, 4, size)
-    with pytest.raises(ValueError, match="driving alphabet size 1 does not hold driving letter 1"):
+    with pytest.raises(ValueError, match=r"driving letters must lie in \[0, 1\)"):
         empirical_two_pass_rate(name, 4, 1)
     assert empirical_two_pass_rate(name, 4, 2).rate < empirical_two_pass_rate(name, 4, 3).rate
 

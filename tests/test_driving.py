@@ -594,6 +594,12 @@ def test_block_code_details_raise_at_the_first_offending_block_either_way():
     with pytest.raises(ValueError, match="out of range") as raised:
         block_code_details(F2, [0, 1, 5], 3)  # a A is null, but the block holds letter 5
     assert raised.type is ValueError
+    # the n mod k remainder comes last; it was once raw coded unchecked
+    for run in (block_code_details, block_code_rate):
+        with pytest.raises(ValueError, match=r"driving letters must lie in \[0, 4\)"):
+            run(F2, [0, 2, 7], 2)
+    with pytest.raises(ModelMismatchError, match=r"driving block \(0, 1\) has zero probability"):
+        block_code_details(F2, [0, 1, 7], 2)
 
 
 @pytest.mark.parametrize("spec,pi_den,step_den", [(F2, 4, 3), (MIXED, 5, 6)], ids=["f2-markov", "mixed"])

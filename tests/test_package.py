@@ -85,6 +85,33 @@ def test_one_support_and_one_inverse_cdf():
     assert compared == {("driving.py", "MarkovChainSpec._support")}
 
 
+def _is_min_below_zero(node: ast.AST) -> bool:
+    """Whether node compares x.min() < 0: a letter range check, not the builtin min(...) of a probability check."""
+    return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+            and getattr(node.left.func, "attr", None) == "min" and isinstance(node.ops[0], ast.Lt)
+            and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value == 0)
+
+
+def test_one_letters_rule_and_one_block_refusal():
+    # actions._integers reads every letters argument and driving._refuse_blocks
+    # refuses every coder's first offending block; driving._letters_of once
+    # read letters beside _integers, walk and fiber._first_symbols checked
+    # letter ranges by hand, and the plain and conditional coders each wrote
+    # the first-offending-row refusal out
+    refused, ranged, readers = set(), set(), []
+    for path in sorted(Path(fiberlab.__file__).parent.glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("ModelMismatchError"):
+                refused.add((path.name, scope))
+            elif _is_min_below_zero(node):
+                ranged.add((path.name, scope))
+            elif isinstance(node, ast.FunctionDef) and node.name == "_letters_of":
+                readers.append(path.name)
+    assert refused == {("driving.py", "_refuse_blocks")}
+    assert ranged == {("actions.py", "_integers")}
+    assert readers == []
+
+
 def test_only_actions_calls_operator_index():
     # actions._integer is the one integer rule; config once converted its
     # integers by an operator.index of its own, beside the one that

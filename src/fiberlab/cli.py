@@ -4,10 +4,13 @@ Subcommands: verify-brudno, verify-ar, entropy, range, simulate.  Exit
 codes: 0 on success, 1 when an asserted inequality or tolerance fails
 (reports are still written), 2 on any library error (bad configuration,
 model mismatch, resource cap, out of memory, unwritable report) as one
-stderr line.  Reports are deterministic functions of (config, seeds).  A
-verify command runs its grid cells in order, in the one process that
-writes the verdict, so a run's CPU time and peak RSS are its own.  Report
-rows stream (see _write_rows).
+stderr line.  Reports are deterministic functions of (config, seeds).
+verify-brudno, verify-ar and simulate sample and name each seed's path
+once, to the largest horizon, and every (n, k) cell codes a prefix of it
+(_seed_cells), as the theorem follows one driving sequence as n grows.
+Seeds run in order, in the one process that writes the verdict, so a
+run's CPU time and peak RSS are its own; rows are written in (n, k, seed)
+order and stream (see _write_rows).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .coding import (
 from .config import SYSTEM_PRESETS, ConfigError, ExperimentConfig, load_config, load_config_file
 from .driving import sample_trajectory
 from .errors import ResourceLimitError
-from .fiber import emit_name, exact_averaged_entropy, exact_rate_or_none
+from .fiber import OrbitName, emit_name, exact_averaged_entropy, exact_rate_or_none
 
 def _write_rows(config: ExperimentConfig, stem: str, columns, rows) -> Path:
     """Write an iterable of rows, dicts keyed by columns, one row at a time.
@@ -75,23 +78,36 @@ def _write_summary(config: ExperimentConfig, stem: str, summary: dict) -> Path:
     return path
 
 
-def _grid(config: ExperimentConfig):
-    """Each verify cell's (n, k, seed), in report row order."""
-    return [(n, k, seed) for n in config.horizons for k in config.block_lengths for seed in config.seeds]
+def _seed_cells(config: ExperimentConfig, seed: int, cells, code) -> list:
+    """Sample and name seed's path once, to the largest horizon, and return
+    code(prefix, family) for each (n, family) of cells, in order.
+
+    The prefix is the path's first n letters, symbols and first visits, as
+    views: none of them depends on the path's length, so it is the name of
+    a path sampled at n.  One frame per seed: the path is freed before the
+    next seed's is sampled.
+    """
+    name = emit_name(config.fiber, sample_trajectory(config.driving, config.horizons[-1], seed), seed)
+    return [code(OrbitName(config.fiber, name.driving[:n], name.letters[:n], seed, name.first[:n]), family)
+            for n, family in cells]
 
 
-def _brudno_cell(config: ExperimentConfig, n: int, k: int, seed: int, exact_rate) -> EstimatorReport:
-    # one frame per cell: its name and walk are freed before the next cell samples
-    trajectory = sample_trajectory(config.driving, n, seed)
-    name = emit_name(config.fiber, trajectory, seed)
-    family = BlockCodebookFamily(k, config.fiber, config.driving)
-    return conditional_rate(name, family, exact=exact_rate)
+def _verify_grid(config: ExperimentConfig, code) -> list:
+    """code(name, family) on every verify cell, in report row order (n, k, seed).
+
+    One family per k is built before any path is sampled and shared by
+    every cell: its count codes depend on the fiber system and d alone.
+    """
+    families = [BlockCodebookFamily(k, config.fiber, config.driving) for k in config.block_lengths]
+    cells = [(n, family) for n in config.horizons for family in families]
+    by_seed = [_seed_cells(config, seed, cells, code) for seed in config.seeds]
+    return [report for cell in zip(*by_seed) for report in cell]
 
 
 def cmd_verify_brudno(config: ExperimentConfig) -> int:
     config.check_codebook_cap()
     exact_by_k = {k: exact_rate_or_none(config.fiber, config.driving, k) for k in config.block_lengths}
-    reports = [_brudno_cell(config, n, k, seed, exact_by_k[k]) for n, k, seed in _grid(config)]
+    reports = _verify_grid(config, lambda name, family: conditional_rate(name, family, exact=exact_by_k[family.k]))
     ok = all(report.bounds_hold for report in reports)
     max_code_gap = 0.0
     max_cross_gap = 0.0
@@ -118,7 +134,7 @@ def cmd_verify_brudno(config: ExperimentConfig) -> int:
 
 def cmd_verify_ar(config: ExperimentConfig) -> int:
     config.check_codebook_cap()
-    reports = [ar_decomposition_check(config.driving, config.fiber, n, k, seed) for n, k, seed in _grid(config)]
+    reports = _verify_grid(config, ar_decomposition_check)
     worst = max((abs(r.residual) for r in reports), default=0.0)
     ok = worst <= config.tolerance
     _write_rows(config, "ar", ArDecompositionReport.COLUMNS, (report.to_csv_row() for report in reports))
@@ -150,20 +166,22 @@ def cmd_range(config: ExperimentConfig) -> int:
     return 0
 
 
+def _dump(config: ExperimentConfig, name: OrbitName) -> Path:
+    rows = (
+        {
+            "i": i,
+            "alpha": config.driving.alphabet.symbols[int(a)],
+            "omega": config.fiber.fiber_alphabet.symbols[int(w)],
+        }
+        for i, (a, w) in enumerate(zip(name.driving, name.letters))
+    )
+    return _write_rows(config, f"simulate_seed{name.seed}", ("i", "alpha", "omega"), rows)
+
+
 def cmd_simulate(config: ExperimentConfig) -> int:
     n = config.horizons[-1]
     for seed in config.seeds:
-        trajectory = sample_trajectory(config.driving, n, seed)
-        name = emit_name(config.fiber, trajectory, seed)
-        rows = (
-            {
-                "i": i,
-                "alpha": config.driving.alphabet.symbols[int(a)],
-                "omega": config.fiber.fiber_alphabet.symbols[int(w)],
-            }
-            for i, (a, w) in enumerate(zip(trajectory.letters, name.letters))
-        )
-        _write_rows(config, f"simulate_seed{seed}", ("i", "alpha", "omega"), rows)
+        _seed_cells(config, seed, [(n, None)], lambda name, _: _dump(config, name))
     print(f"simulate: {len(config.seeds)} dump(s) of {n} steps written")
     return 0
 

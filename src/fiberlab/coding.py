@@ -34,7 +34,9 @@ lengths, the cross entropy sums counts times log2 mu over the whole
 table, and the joint coder reads its lengths off the same pairs.  Spans
 are checked in order, so the first offending row raises, as a
 block-by-block loop would, by the plain coder's refusal too
-(driving._refuse_blocks); letters are read by actions._integers.
+(driving._refuse_blocks); letters are read by actions._integers, the
+letters after the last block too.  The coders sample nothing: both
+conditional_rate and ar_decomposition_check take a name and a family.
 
 A block's first visits are read off a walk across it.  Group coordinates
 cancel on the right, so two steps of a block visit the same coordinate of
@@ -62,6 +64,8 @@ from fractions import Fraction
 import numpy as np
 
 from .actions import _integer, _integers, _real, _spans, check_driving_size, walk
+
+# coding calls neither sample_trajectory nor emit_name; bench/child.py's tracer wraps both here too
 from .driving import (
     MarkovChainSpec,
     _block_table,
@@ -253,11 +257,13 @@ class EncodedStream:
 
 
 def _coded_pairs(name: OrbitName, family: BlockCodebookFamily):
-    """family._checked_table on the name's two words, then its tail checked against the fiber alphabet."""
+    """family._checked_table on the name's two words, then their tails checked against the two alphabets."""
     if name.fiber_spec != family.fiber_spec:
         raise ValueError("name and family disagree on the fiber system")
     table, counts, ranks = family._checked_table((name.driving, name.letters), name.first)
-    _integers(name.letters[len(table.index) * family.k :], family.fiber_spec.fiber_alphabet.size, "fiber letters")
+    tail = len(table.index) * family.k
+    _integers(name.driving[tail:], family.driving_spec.alphabet.size, "driving letters")
+    _integers(name.letters[tail:], family.fiber_spec.fiber_alphabet.size, "fiber letters")
     return table, counts, ranks
 
 
@@ -302,6 +308,7 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
         raise MalformedStreamError('stream bits must be "0" or "1"')
     first = walk(family.fiber_spec.action_kind, letters[: m * k]).first
     table, counts, _ = family._checked_table((letters,), first)
+    _integers(letters[m * k :], family.driving_spec.alphabet.size, "driving letters")
     codes = [family._count_codes[d] for d in counts.tolist()]
     bits = stream.bits
     pos = 0
@@ -485,7 +492,7 @@ class ArDecompositionReport:
 
     n: int
     k: int
-    seed: int
+    seed: int | None
     joint_rate: float
     plain_rate: float
     conditional_rate: float
@@ -501,32 +508,23 @@ class ArDecompositionReport:
         return {column: getattr(self, column) for column in self.COLUMNS}
 
 
-def ar_decomposition_check(
-    driving_spec: MarkovChainSpec,
-    fiber_spec: FiberSystemSpec,
-    n: int,
-    k: int,
-    seed: int,
-) -> ArDecompositionReport:
-    """Compare joint, plain and conditional block-code rates on one run.
+def ar_decomposition_check(name: OrbitName, family: BlockCodebookFamily) -> ArDecompositionReport:
+    """Compare joint, plain and conditional block-code rates on one name.
 
-    The joint coder spends ceil(-log2(nu[u] mu[u|v])) bits per aligned
-    pair block and raw codes remainder pairs; the plain coder is the
-    driving block coder, whose exact nu numerators the joint coder reuses;
-    the conditional coder is the contextual fiber coder.  The report
-    carries joint - plain - conditional.  The family is built first, so a
-    bad block length or a chain that does not fit the action is refused
-    before anything is sampled.
+    It takes what conditional_rate takes and samples nothing: the plain
+    coder reads name.driving, the report carries name.seed.  The joint
+    coder spends ceil(-log2(nu[u] mu[u|v])) bits per aligned pair block
+    and raw codes remainder pairs; the plain coder is the driving block
+    coder, whose exact nu numerators the joint coder reuses; the
+    conditional coder is the contextual fiber coder.  The report carries
+    joint - plain - conditional.
     """
-    family = BlockCodebookFamily(k, fiber_spec, driving_spec)
-    trajectory = sample_trajectory(driving_spec, n, seed)
-    name = emit_name(fiber_spec, trajectory, seed)
     cond, table, counts, ranks = _conditional(name, family, None)
-
+    n, k = len(name), family.k
     if n == 0:
-        return ArDecompositionReport(0, k, seed, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return ArDecompositionReport(0, k, name.seed, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    plain = block_code_details(driving_spec, trajectory, k)
+    plain = block_code_details(family.driving_spec, name.driving, k)
 
     # every pair is consistent and every context positive: the conditional pass checked both
     contexts = plain.table.index[table.first]
@@ -535,14 +533,14 @@ def ar_decomposition_check(
     lengths = [max(1, _shannon_bits(num, dens[d])) for num, d in zip(nums, counts.tolist())]
     log2nu = np.array([math.log2(num / plain.den) for num in plain.nums.tolist()])
     ideals = -family._read(counts, ranks, "log2mu") - log2nu[contexts]
-    pair_raw = (driving_spec.alphabet.size * fiber_spec.fiber_alphabet.size - 1).bit_length()
+    pair_raw = (family.driving_spec.alphabet.size * family.fiber_spec.fiber_alphabet.size - 1).bit_length()
     joint_total = int(table.counts @ np.array(lengths, dtype=np.int64)) + (n - plain.m * k) * pair_raw
     joint_ideal = _sequential_sum(ideals[table.index])
 
     return ArDecompositionReport(
         n=n,
         k=k,
-        seed=seed,
+        seed=name.seed,
         joint_rate=joint_total / n,
         plain_rate=plain.total_bits / n,
         conditional_rate=cond.code_rate,

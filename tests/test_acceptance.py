@@ -160,13 +160,15 @@ def test_criterion_4_shift_averaging_identity():
 
 def test_criterion_5_entropy_decomposition():
     with budget("criterion 5: joint minus plain minus conditional rates", 120):
-        monoid = ar_decomposition_check(BERNOULLI2, MONOID, 2 ** 17, 8, 3)
+        monoid = ar_decomposition_check(emit_name(MONOID, sample_trajectory(BERNOULLI2, 2 ** 17, 3), 3),
+                                        BlockCodebookFamily(8, MONOID, BERNOULLI2))
         assert abs(monoid.residual) <= 0.05
         assert monoid.joint_rate == pytest.approx(2.0, abs=1e-12)
         assert monoid.plain_rate == pytest.approx(1.0, abs=1e-12)
         assert monoid.conditional_rate == pytest.approx(1.0, abs=1e-12)
 
-        f2 = ar_decomposition_check(F2_DRIVING, F2, 10 ** 5, 10, 4)
+        f2 = ar_decomposition_check(emit_name(F2, sample_trajectory(F2_DRIVING, 10 ** 5, 4), 4),
+                                    BlockCodebookFamily(10, F2, F2_DRIVING))
         assert abs(f2.residual) <= 0.1
         # the ideal per-symbol cost of the plain coder approaches the
         # entropy rate; its coded rate carries the ceil and first-symbol

@@ -1,7 +1,9 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiberlab import BlockCodebookFamily, ar_decomposition_check, conditional_rate, emit_name, sample_trajectory
 from fiberlab.cli import COMMANDS, cmd_entropy, main
 from fiberlab.config import MAX_HORIZON, ConfigError, ExperimentConfig, load_config, system_preset
 from fiberlab.driving import driving_preset
+from fiberlab.fiber import exact_rate_or_none
 
 
 def run(args):
@@ -181,6 +185,67 @@ def test_report_bytes_do_not_depend_on_the_chunk(tmp_path, monkeypatch, preset):
     for chunk in (1, 2, 3, 7):
         monkeypatch.setattr(actions, "_CHUNK", chunk)
         assert reports(f"chunk{chunk}") == want, chunk
+
+
+GRID = {"horizons": [0, 29, 61, 2003], "block_lengths": [2, 3], "seeds": [1, 2]}
+
+
+@pytest.mark.parametrize("preset", ["free-monoid-uniform", "z2-uniform", "f2-markov"])
+def test_each_verify_row_equals_its_cell_sampled_at_its_own_n(tmp_path, preset):
+    # the CLI codes each cell on a prefix of the seed's one path; a path
+    # sampled and named at the cell's own n, with a family of its own, gives
+    # the same report
+    config = load_config({"preset": preset, **GRID, "out": str(tmp_path)})
+    for command, stem in (("verify-brudno", "brudno"), ("verify-ar", "ar")):
+        assert COMMANDS[command](config) == 0
+        with open(tmp_path / f"{stem}.csv", newline="", encoding="utf-8") as handle:
+            next(handle)  # the schema line
+            written = list(csv.DictReader(handle))
+        expected = []
+        for n in config.horizons:
+            for k in config.block_lengths:
+                for seed in config.seeds:
+                    name = emit_name(config.fiber, sample_trajectory(config.driving, n, seed), seed)
+                    family = BlockCodebookFamily(k, config.fiber, config.driving)
+                    if command == "verify-brudno":
+                        exact = exact_rate_or_none(config.fiber, config.driving, k)
+                        report = conditional_rate(name, family, exact=exact)
+                    else:
+                        report = ar_decomposition_check(name, family)
+                    expected.append({column: str(value) for column, value in report.to_csv_row().items()})
+        assert written == expected, command
+
+
+@pytest.mark.parametrize("horizons,block_lengths", [([50], [2]), ([10, 50], [2, 3]), ([0, 7, 20, 50], [1, 2, 4])])
+def test_every_command_samples_and_names_each_seed_once(tmp_path, monkeypatch, horizons, block_lengths):
+    # one path per seed, at the largest horizon, whatever the grid; and the
+    # previous seed's path is freed before the next seed is sampled
+    from fiberlab import cli
+
+    sampled, named, alive = [], [], []
+    sample_of, name_of = cli.sample_trajectory, cli.emit_name
+
+    def sample(spec, n, seed):
+        assert all(letters() is None for letters in alive), "a path outlived its seed"
+        sampled.append((n, seed))
+        return sample_of(spec, n, seed)
+
+    def name(spec, alpha, seed):
+        orbit = name_of(spec, alpha, seed)
+        named.append((len(orbit), seed))
+        alive.append(weakref.ref(orbit.letters))
+        return orbit
+
+    monkeypatch.setattr(cli, "sample_trajectory", sample)
+    monkeypatch.setattr(cli, "emit_name", name)
+    seeds = [3, 1, 2]
+    config = load_config({"preset": "z2-uniform", "horizons": horizons, "block_lengths": block_lengths,
+                          "seeds": seeds, "out": str(tmp_path)})
+    for command in ("verify-brudno", "verify-ar", "simulate"):
+        for calls in (sampled, named, alive):
+            calls.clear()
+        assert COMMANDS[command](config) == 0
+        assert sampled == named == [(horizons[-1], seed) for seed in seeds], command
 
 
 def test_cli_verify_ar_never_loads_numpy_ma(tmp_path):

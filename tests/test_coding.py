@@ -60,6 +60,11 @@ FIFTHS = FiberSystemSpec("z2", Alphabet(("0", "1", "2")), (Fraction(1, 5), Fract
 ONE_SYMBOL = FiberSystemSpec("z2", Alphabet(("x",)), (Fraction(1),))
 
 
+def sampled(fiber, chain, n, seed):
+    """The name read along a run of chain sampled at n under seed."""
+    return emit_name(fiber, sample_trajectory(chain, n, seed), seed)
+
+
 def positive_contexts(driving, k):
     size = driving.alphabet.size
     return [u for u in itertools.product(range(size), repeat=k) if cylinder_prob(driving, u) != 0]
@@ -333,7 +338,7 @@ def test_the_verdict_skips_a_missing_cross_entropy_bound_and_keeps_the_length_bo
 
 
 def test_ar_decomposition_monoid_analytic():
-    report = ar_decomposition_check(BERNOULLI2, MONOID, 8192, 8, 4)
+    report = ar_decomposition_check(sampled(MONOID, BERNOULLI2, 8192, 4), BlockCodebookFamily(8, MONOID, BERNOULLI2))
     assert report.joint_rate == pytest.approx(2.0)
     assert report.plain_rate == pytest.approx(1.0)
     assert report.conditional_rate == pytest.approx(1.0)
@@ -341,7 +346,7 @@ def test_ar_decomposition_monoid_analytic():
 
 
 def test_ar_decomposition_f2_exact_block_costs():
-    report = ar_decomposition_check(F2_DRIVING, F2, 5000, 10, 4)
+    report = ar_decomposition_check(sampled(F2, F2_DRIVING, 5000, 4), BlockCodebookFamily(10, F2, F2_DRIVING))
     assert report.joint_rate == pytest.approx(2.7, abs=1e-12)
     assert report.plain_rate == pytest.approx(1.7, abs=1e-12)
     assert report.conditional_rate == pytest.approx(1.0, abs=1e-12)
@@ -366,8 +371,8 @@ def test_joint_coder_equals_the_fraction_block_loop(chain, fiber, k):
     # the joint coder before it scored pairs by integer numerators, kept as
     # the reference: one Fraction nu * mu and one ideal per block, in block order
     n, seed = 3001, 11
-    letters = sample_trajectory(chain, n, seed).letters.tolist()
-    name = emit_name(fiber, letters, seed).letters.tolist()
+    orbit = sampled(fiber, chain, n, seed)
+    letters, name = orbit.driving.tolist(), orbit.letters.tolist()
     total, ideal = 0, 0.0
     for i in range(n // k):
         u, v = letters[i * k : (i + 1) * k], name[i * k : (i + 1) * k]
@@ -375,7 +380,7 @@ def test_joint_coder_equals_the_fraction_block_loop(chain, fiber, k):
         total += max(1, shannon_length(nu * mu))
         ideal += -math.log2(float(mu)) - math.log2(float(nu))
     pair_raw = (chain.alphabet.size * fiber.fiber_alphabet.size - 1).bit_length()
-    report = ar_decomposition_check(chain, fiber, n, k, seed)
+    report = ar_decomposition_check(orbit, BlockCodebookFamily(k, fiber, chain))
     assert report.joint_rate == (total + (n % k) * pair_raw) / n
     assert report.joint_ideal_rate == ideal / n
 
@@ -399,7 +404,7 @@ def test_length_bound_check_reads_every_count_code_entry():
 
 
 def test_ar_decomposition_empty_run():
-    report = ar_decomposition_check(BERNOULLI2, MONOID, 0, 4, 1)
+    report = ar_decomposition_check(sampled(MONOID, BERNOULLI2, 0, 1), BlockCodebookFamily(4, MONOID, BERNOULLI2))
     assert report.joint_rate == report.plain_rate == report.conditional_rate == 0.0
     assert report.residual == 0.0
 
@@ -485,7 +490,7 @@ def test_runs_shorter_than_a_block_are_all_tail(preset, n):
     report = conditional_rate(name, family, exact=None)
     assert report.code_rate == 1.0 and report.tail_bits == n
     assert report.cross_entropy_rate is None and report.eq15_ok is None
-    ar = ar_decomposition_check(chain, fiber, n, 8, 3)
+    ar = ar_decomposition_check(name, family)
     assert ar.plain_rate == (chain.alphabet.size - 1).bit_length()
     assert ar.joint_rate == (2 * chain.alphabet.size - 1).bit_length()
     assert ar.conditional_rate == 1.0 and ar.residual == 0.0
@@ -498,7 +503,7 @@ def test_ideal_rates_of_a_certain_run_are_positive_zero():
     one = Alphabet(("x",))
     chain = MarkovChainSpec.bernoulli(one, (Fraction(1),))
     fiber = FiberSystemSpec("free-monoid", one, (Fraction(1),))
-    report = ar_decomposition_check(chain, fiber, 20, 4, 1)
+    report = ar_decomposition_check(sampled(fiber, chain, 20, 1), BlockCodebookFamily(4, fiber, chain))
     assert math.copysign(1.0, report.joint_ideal_rate) == math.copysign(1.0, report.plain_ideal_rate) == 1.0
 
 
@@ -525,8 +530,9 @@ def test_cells_compute_nu_once_per_context_and_walk_no_context(monkeypatch):
     )
     monkeypatch.setattr(coding, "walk", lambda kind, letters: walked.append(letters) or walk_of(kind, letters))
     n, k, seed = 20_003, 8, 5
-    ar_decomposition_check(F2_DRIVING, F2, n, k, seed)
-    letters = sample_trajectory(F2_DRIVING, n, seed).letters.tolist()
+    name = sampled(F2, F2_DRIVING, n, seed)
+    ar_decomposition_check(name, BlockCodebookFamily(k, F2, F2_DRIVING))
+    letters = name.driving.tolist()
     contexts = {tuple(letters[i * k : (i + 1) * k]) for i in range(n // k)}
     assert len(nu_calls) == 1
     assert sorted(map(tuple, nu_calls[0])) == sorted(contexts)
@@ -598,8 +604,9 @@ def test_one_cell_builds_the_pair_table_once(monkeypatch):
     trajectory = sample_trajectory(Z2_DRIVING, n, seed)
     conditional_rate(emit_name(Z2, trajectory, seed), BlockCodebookFamily(k, Z2, Z2_DRIVING), exact=None)
     assert len(built) == 1
+    name = sampled(F2, F2_DRIVING, n, seed)
     built.clear()
-    ar_decomposition_check(F2_DRIVING, F2, n, k, seed)
+    ar_decomposition_check(name, BlockCodebookFamily(k, F2, F2_DRIVING))
     assert len(built) == 1
 
 
@@ -673,15 +680,30 @@ def test_conditional_rate_refuses_an_exact_rate_that_is_no_finite_real(monkeypat
             conditional_rate(name, family, exact=exact)
 
 
-def test_ar_decomposition_check_refuses_before_it_samples(monkeypatch):
-    # a block length of 2.5 at n = 2e6 once sampled and named the whole run
-    # before the family refused it, and so did a z2 fiber on a 3-letter chain
-    monkeypatch.setattr(coding, "sample_trajectory", lambda *args: pytest.fail("sampled the run"))
+def test_the_family_refuses_a_bad_block_length_or_chain():
+    # ar_decomposition_check takes a built family, so a bad k or a chain
+    # that does not fit the action is refused before any name exists
     with pytest.raises(ValueError, match="block length must be an integer"):
-        ar_decomposition_check(Z2_DRIVING, Z2, 2 * 10 ** 6, 2.5, 1)
+        BlockCodebookFamily(2.5, Z2, Z2_DRIVING)
     three = MarkovChainSpec.bernoulli(Alphabet(("a", "b", "c")), (Fraction(1, 3),) * 3)
     with pytest.raises(ValueError, match="driving alphabet of size 4"):
-        ar_decomposition_check(three, Z2, 2 * 10 ** 6, 2, 1)
+        BlockCodebookFamily(2, Z2, three)
+
+
+def test_a_driving_remainder_outside_the_chain_is_refused():
+    # the conditional coder once checked only the driving letters of full
+    # blocks: under the binary chain at k = 2, [0, 1, 7] encoded as "010",
+    # decoded back and was rated 1.0 bit per symbol
+    from fiberlab import EncodedStream
+
+    family = BlockCodebookFamily(2, MONOID, BERNOULLI2)
+    name = OrbitName(MONOID, np.array([0, 1, 7]), np.array([0, 1, 0]))
+    runs = (lambda: encode(name, family), lambda: conditional_rate(name, family, exact=None),
+            lambda: ar_decomposition_check(name, family),
+            lambda: decode(EncodedStream("010", 1, 2, "0"), name.driving, family))
+    for run in runs:
+        with pytest.raises(ValueError, match=r"driving letters must lie in \[0, 2\)"):
+            run()
 
 
 def pattern_codebook(spec, pattern):
@@ -755,7 +777,7 @@ def coder_results(fiber, chain, n, k, seed):
         "conditional_rate": conditional_rate(name, family, exact=None),
         "bits": stream.bits,
         "decode": decode(stream, name.driving, family).tolist(),
-        "ar": ar_decomposition_check(chain, fiber, n, k, seed),
+        "ar": ar_decomposition_check(name, family),
         "plain": (plain.total_bits, plain.ideal_bits, plain.m, plain.tail_bits, plain.nums.tolist(), plain.den),
         "plain table": [_gather(table).tolist(), table.index.tolist(), table.counts.tolist(), table.first.tolist()],
         "pair_counts": list(pair_counts(name.driving, name.letters, k).items()),

@@ -32,6 +32,12 @@ simulate, each at a small horizon.  They were recorded before the report
 columns, the verify verdicts and the simulate rows were each moved to one
 owner.
 
+The multi-horizon digests pin the verify reports of a grid of several
+horizons, block lengths and seeds, 0 and tails included.  They were
+recorded while every (n, k, seed) cell still sampled and named a path of
+its own, before each seed's path was sampled once and its cells coded
+prefixes of it.
+
 The exact-layer digest pins exact_averaged_entropy over a grid of systems
 and horizons: each value as repr(bits), each refusal as "Type: message".
 It was recorded before the choice of a range path and each path's cap
@@ -138,6 +144,15 @@ FORMAT_DIGESTS = {
     ),
 }
 
+MULTI_HORIZON_GRID = {"horizons": [0, 29, 61, 2003], "block_lengths": [2, 3], "format": "csv"}
+
+MULTI_HORIZON_DIGESTS = {
+    ("verify-brudno", "z2-uniform"): "2d13ce62b430f66ef2ee72e35deac581b1a0ad65063818928a18f781ef4f5215",
+    ("verify-brudno", "f2-markov"): "597bb26ea7917985fe07d5a2bb17e7cb1667527f11aa6ff3dc696f519fcd7e94",
+    ("verify-ar", "z2-uniform"): "423b1203f6daaa74a19f9b51e709c0e6e2985213c78a553081457809b0d26a3a",
+    ("verify-ar", "f2-markov"): "232eadfd77c4b1eef8e2ec585fcac22d87b7719a7068b3ff5d9ff67cc23097b9",
+}
+
 UNIFORM_F2 = MarkovChainSpec.bernoulli(Alphabet(("a", "A", "b", "B")), (Fraction(1, 4),) * 4)
 
 EXACT_DIGEST = "d218b325738aa423db92e9fd09a5d2b6ebfae6b307ab74c1f9515570a9a654e4"
@@ -228,6 +243,12 @@ def test_skewed_fiber_report_bytes_are_unchanged(tmp_path, command, law):
 def test_report_formats_are_unchanged(tmp_path, command, format):
     config, digest = FORMAT_DIGESTS[command, format]
     assert config_digest(tmp_path, command, {**config, "format": format}) == digest
+
+
+@pytest.mark.parametrize("command,preset", sorted(MULTI_HORIZON_DIGESTS))
+def test_multi_horizon_report_bytes_are_unchanged(tmp_path, command, preset):
+    config = {"preset": preset, **MULTI_HORIZON_GRID}
+    assert config_digest(tmp_path, command, config) == MULTI_HORIZON_DIGESTS[command, preset]
 
 
 def test_f2_markov_brudno_reports_equal_the_free_monoid_ones(tmp_path):

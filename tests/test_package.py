@@ -147,3 +147,18 @@ def test_no_module_reads_the_environment_or_starts_workers():
             found += [(path.name, name) for name in names
                       if name.split(".")[0] in pools or name in ("environ", "environb", "getenv")]
     assert found == []
+
+
+def test_each_seed_is_sampled_and_named_in_one_place():
+    # the CLI samples and names each seed's path once, in _seed_cells, and
+    # codes every cell on a prefix of it; _brudno_cell, cmd_simulate and
+    # ar_decomposition_check once each sampled and named a path of their own
+    called = set()
+    for path in sorted(Path(fiberlab.__file__).parent.glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("sample_trajectory", "emit_name"):
+                    called.add((name, path.name, scope))
+    assert called == {("emit_name", "cli.py", "_seed_cells"), ("sample_trajectory", "cli.py", "_seed_cells"),
+                      ("sample_trajectory", "actions.py", "range_ratio_curve")}

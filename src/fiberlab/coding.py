@@ -51,6 +51,11 @@ denominator, and the joint coder reuses them:
 a pair's context is the plain table's row of the pair's first block, and
 its joint length is read off nu's numerator times mu's over the product
 of their denominators.
+
+Every per-run verdict is decided in integers, with no float tolerance:
+the length bound, eq15 as its corollary, and the information floor from
+the first-visit symbol counts (conditional_rate, _no_undershoot).  The
+report's float rates are never compared.
 """
 
 from __future__ import annotations
@@ -65,7 +70,8 @@ import numpy as np
 
 from .actions import _integer, _integers, _real, _spans, check_driving_size, walk
 
-# coding calls neither sample_trajectory nor emit_name; bench/child.py's tracer wraps both here too
+# coding calls none of sample_trajectory, emit_name and information_function (it reads
+# fiber._information); bench/child.py's tracer wraps all three here too
 from .driving import (
     MarkovChainSpec,
     _block_table,
@@ -77,10 +83,9 @@ from .driving import (
     sample_trajectory,
 )
 from .errors import MalformedStreamError
-from .fiber import FiberSystemSpec, OrbitName, emit_name, exact_rate_or_none, information_function
+from .fiber import FiberSystemSpec, OrbitName, _information, emit_name, exact_rate_or_none, information_function
 from .kraft import BinaryCodebook, _shannon_bits, canonical_kraft_code, shannon_length
 
-_TOL = 1e-12
 # the information-function floor gates a verdict from this horizon on
 UNDERSHOOT_MIN_N = 1000
 
@@ -394,8 +399,11 @@ class EstimatorReport:
     def bounds_hold(self) -> bool:
         """The run's verdict on its three per-run inequalities.
 
-        The length bound always gates, the cross-entropy bound where a block
-        was coded, and the information-function floor from n = UNDERSHOOT_MIN_N on.
+        The length bound always gates, the cross-entropy bound (eq15) where a
+        block was coded, and the information-function floor from
+        n = UNDERSHOOT_MIN_N on.  Each flag was decided exactly, in integers
+        (see conditional_rate): eq15 is read off the length bound, and the
+        floor off the first-visit symbol counts.
         """
         gates = [self.length_bound_ok, self.eq15_ok]
         if self.n >= UNDERSHOOT_MIN_N:
@@ -408,6 +416,30 @@ class EstimatorReport:
         return dict(zip(self.COLUMNS, ("" if v is None else v for v in values)))
 
 
+def _no_undershoot(spec: FiberSystemSpec, bits: int, n: int, counts: np.ndarray) -> bool:
+    """Exact verdict on the floor bits >= J_n - 2 log2 n, for n >= 1.
+
+    counts[s] is how often symbol s is read at a first visit, so
+    J_n = sum_s counts[s] * log2(den / num_s), with p_s = num_s / den, and
+    the floor reads 2**bits * n**2 * prod_s num_s**counts[s] >= den**R_n,
+    R_n = sum_s counts[s].  It is first decided from the spec's brackets of
+    2**64 * log2(den / num_s) (FiberSystemSpec._log2_brackets) and from
+    log2(n**2) in [b - 1, b), b the bit length of n**2; only a bracket that
+    straddles the floor falls back to the big-integer comparison.
+    """
+    counts = counts.tolist()
+    brackets = spec._log2_brackets
+    lo = sum(c * low for c, (low, _) in zip(counts, brackets))
+    hi = sum(c * high for c, (_, high) in zip(counts, brackets))
+    b = (n * n).bit_length()
+    if hi <= (bits + b - 1) << 64:
+        return True
+    if lo >= (bits + b) << 64:
+        return False
+    nums, den = spec._p_numerators
+    return math.prod(num ** c for num, c in zip(nums.tolist(), counts)) * n * n << bits >= den ** sum(counts)
+
+
 def _conditional(name: OrbitName, family: BlockCodebookFamily, exact):
     """conditional_rate's report, then the table, first-visit counts and ranks of its pairs."""
     k = family.k
@@ -418,17 +450,20 @@ def _conditional(name: OrbitName, family: BlockCodebookFamily, exact):
     total_bits = int(table.counts @ family._read(counts, ranks, "lengths")) + tail_bits
     code_rate = total_bits / n if n else 0.0
 
+    length_bound_ok = family.verify_length_bounds()
+
     cross = None
     eq15_ok = None
     if m >= 1:
         cross = _sequential_sum(-(table.counts * family._read(counts, ranks, "log2mu"))) / (m * k)
-        eq15_ok = code_rate <= cross + 1.0 / k + tail_bits / n + _TOL
+        eq15_ok = length_bound_ok
 
     info_rate = None
     no_undershoot_ok = None
     if n >= 1:
-        info_rate = information_function(name.fiber_spec, name, name.letters) / n
-        no_undershoot_ok = code_rate >= info_rate - 2.0 * math.log2(n) / n - _TOL
+        info_bits, symbol_counts = _information(name.fiber_spec, name, name.letters)
+        info_rate = info_bits / n
+        no_undershoot_ok = _no_undershoot(name.fiber_spec, total_bits, n, symbol_counts)
 
     if exact == "auto":
         exact = exact_rate_or_none(name.fiber_spec, family.driving_spec, k)
@@ -443,7 +478,7 @@ def _conditional(name: OrbitName, family: BlockCodebookFamily, exact):
         info_rate=info_rate,
         total_bits=total_bits,
         tail_bits=tail_bits,
-        length_bound_ok=family.verify_length_bounds(),
+        length_bound_ok=length_bound_ok,
         eq15_ok=eq15_ok,
         no_undershoot_ok=no_undershoot_ok,
     )
@@ -454,13 +489,24 @@ def conditional_rate(name: OrbitName, family: BlockCodebookFamily, exact="auto")
     """Code the name and report bits per symbol against its entropy references.
 
     The coded rate is checked on every run against the per-block length
-    bound, the blockwise cross-entropy bound
+    bound, the blockwise cross-entropy bound (eq15)
     code_rate <= H_hat/k + 1/k + tail/n, and the information-function
-    floor code_rate >= J/n - 2 log2(n)/n.  exact may be "auto" (compute
-    the exact rate unless exact_averaged_entropy refuses k past its cap),
-    None, or a precomputed finite real that is not a bool; anything else
-    raises ValueError before the name is coded.  The bits are counted, not
-    written: they equal len(encode(name, family).bits).
+    floor code_rate >= J/n - 2 log2(n)/n, each decided exactly:
+    - the length bound l <= -log2 mu + 1 is checked as num * 2**l <= 2 * den
+      on every built codeword (verify_length_bounds);
+    - eq15 follows from it.  Summed over the m coded blocks, the lengths
+      obey sum l <= S + m, with S = sum -log2 mu >= 0 and H_hat/k = S/(mk);
+      and m k <= n, so S/n <= S/(mk) and m/n <= 1/k.  Hence
+      code_rate = (sum l + tail)/n <= H_hat/k + 1/k + tail/n, and eq15_ok
+      is the length bound's verdict.  The float H_hat/k is reported, not
+      compared;
+    - the floor is decided in integers from the counts of each symbol at
+      first visits (_no_undershoot); J/n is reported, not compared.
+    exact may be "auto" (compute the exact rate unless
+    exact_averaged_entropy refuses k past its cap), None, or a precomputed
+    finite real that is not a bool; anything else raises ValueError before
+    the name is coded.  The bits are counted, not written: they equal
+    len(encode(name, family).bits).
     """
     if exact is not None and not (isinstance(exact, str) and exact == "auto"):
         if not math.isfinite(exact := _real(exact, "exact")):

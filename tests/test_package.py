@@ -162,3 +162,44 @@ def test_each_seed_is_sampled_and_named_in_one_place():
                     called.add((name, path.name, scope))
     assert called == {("emit_name", "cli.py", "_seed_cells"), ("sample_trajectory", "cli.py", "_seed_cells"),
                       ("sample_trajectory", "actions.py", "range_ratio_curve")}
+
+
+def _function(tree: ast.AST, scope: str) -> ast.FunctionDef:
+    (node,) = [node for inner, node in _scoped(tree) if isinstance(node, ast.FunctionDef)
+               and f"{inner}.{node.name}".lstrip(".") == scope]
+    return node
+
+
+def test_every_verdict_is_decided_in_integers():
+    # eq15 and the information floor were float comparisons padded by
+    # coding._TOL = 1e-12; eq15 is now read off the length bound and the
+    # floor decided by coding._no_undershoot, and no module binds a float
+    # tolerance at module level
+    floats = []
+    for path in sorted(Path(fiberlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+            floats += [(path.name, name) for name in names if "TOL" in name.upper()]
+            if isinstance(node.value, ast.Constant) and isinstance(node.value.value, float):
+                floats += [(path.name, name) for name in names]
+    assert floats == []
+
+    tree = ast.parse(Path(fiberlab.coding.__file__).read_text(encoding="utf-8"))
+    values = {}
+    for node in ast.walk(_function(tree, "_conditional")):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                values.setdefault(ast.unparse(target), set()).add(ast.unparse(node.value))
+    assert values["length_bound_ok"] == {"family.verify_length_bounds()"}
+    assert values["eq15_ok"] == {"None", "length_bound_ok"}
+    assert values["no_undershoot_ok"] == {"None", "_no_undershoot(name.fiber_spec, total_bits, n, symbol_counts)"}
+    # the deciders themselves form no float: no float literal, true division, float() or log
+    for scope in ("_no_undershoot", "BlockCodebookFamily.verify_length_bounds"):
+        for node in ast.walk(_function(tree, scope)):
+            assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), scope
+            assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)), scope
+            assert not (isinstance(node, ast.Call) and ast.unparse(node.func) in ("float", "math.log2")), scope

@@ -70,8 +70,7 @@ import numpy as np
 
 from .actions import _integer, _integers, _real, _spans, check_driving_size, walk
 
-# coding calls none of sample_trajectory, emit_name and information_function (it reads
-# fiber._information); bench/child.py's tracer wraps all three here too
+# coding calls neither sample_trajectory nor emit_name; bench/child.py's tracer wraps both here too
 from .driving import (
     MarkovChainSpec,
     _block_table,
@@ -83,7 +82,7 @@ from .driving import (
     sample_trajectory,
 )
 from .errors import MalformedStreamError
-from .fiber import FiberSystemSpec, OrbitName, _information, emit_name, exact_rate_or_none, information_function
+from .fiber import FiberSystemSpec, OrbitName, _first_symbols, emit_name, exact_rate_or_none, information_function
 from .kraft import BinaryCodebook, _shannon_bits, canonical_kraft_code, shannon_length
 
 # the information-function floor gates a verdict from this horizon on
@@ -372,7 +371,10 @@ def pair_counts(alpha, omega, k: int) -> Counter:
 class EstimatorReport:
     """Per-run record of coded, empirical and exact per-symbol rates.
 
-    COLUMNS names the report's CSV columns, in order.
+    COLUMNS names the report's CSV columns, in order.  eq15_ok is the
+    length bound's certificate of eq15 where a block was coded (None where
+    none was): True proves eq15, while False says only that the length
+    bound failed, not that eq15 does.
     """
 
     COLUMNS = ("n", "k", "code_rate", "H_hat_over_k", "exact_h_k", "residual", "seed")
@@ -401,9 +403,9 @@ class EstimatorReport:
 
         The length bound always gates, the cross-entropy bound (eq15) where a
         block was coded, and the information-function floor from
-        n = UNDERSHOOT_MIN_N on.  Each flag was decided exactly, in integers
-        (see conditional_rate): eq15 is read off the length bound, and the
-        floor off the first-visit symbol counts.
+        n = UNDERSHOOT_MIN_N on.  conditional_rate decides each exactly, in
+        integers, and sets eq15_ok to the length bound's own verdict, its
+        certificate of eq15.
         """
         gates = [self.length_bound_ok, self.eq15_ok]
         if self.n >= UNDERSHOOT_MIN_N:
@@ -416,26 +418,14 @@ class EstimatorReport:
         return dict(zip(self.COLUMNS, ("" if v is None else v for v in values)))
 
 
-def _no_undershoot(spec: FiberSystemSpec, bits: int, n: int, counts: np.ndarray) -> bool:
+def _no_undershoot(spec: FiberSystemSpec, bits: int, n: int, counts: list[int]) -> bool:
     """Exact verdict on the floor bits >= J_n - 2 log2 n, for n >= 1.
 
     counts[s] is how often symbol s is read at a first visit, so
     J_n = sum_s counts[s] * log2(den / num_s), with p_s = num_s / den, and
     the floor reads 2**bits * n**2 * prod_s num_s**counts[s] >= den**R_n,
-    R_n = sum_s counts[s].  It is first decided from the spec's brackets of
-    2**64 * log2(den / num_s) (FiberSystemSpec._log2_brackets) and from
-    log2(n**2) in [b - 1, b), b the bit length of n**2; only a bracket that
-    straddles the floor falls back to the big-integer comparison.
+    R_n = sum_s counts[s], compared in big integers.
     """
-    counts = counts.tolist()
-    brackets = spec._log2_brackets
-    lo = sum(c * low for c, (low, _) in zip(counts, brackets))
-    hi = sum(c * high for c, (_, high) in zip(counts, brackets))
-    b = (n * n).bit_length()
-    if hi <= (bits + b - 1) << 64:
-        return True
-    if lo >= (bits + b) << 64:
-        return False
     nums, den = spec._p_numerators
     return math.prod(num ** c for num, c in zip(nums.tolist(), counts)) * n * n << bits >= den ** sum(counts)
 
@@ -461,9 +451,11 @@ def _conditional(name: OrbitName, family: BlockCodebookFamily, exact):
     info_rate = None
     no_undershoot_ok = None
     if n >= 1:
-        info_bits, symbol_counts = _information(name.fiber_spec, name, name.letters)
-        info_rate = info_bits / n
-        no_undershoot_ok = _no_undershoot(name.fiber_spec, total_bits, n, symbol_counts)
+        info_rate = information_function(name.fiber_spec, name, name.letters) / n
+        # information_function refuses an inconsistent name, so every first visit reads a symbol
+        symbols = _first_symbols(name.fiber_spec, name.first, name.letters)
+        symbol_counts = np.bincount(symbols.astype(np.intp), minlength=name.fiber_spec.fiber_alphabet.size)
+        no_undershoot_ok = _no_undershoot(name.fiber_spec, total_bits, n, symbol_counts.tolist())
 
     if exact == "auto":
         exact = exact_rate_or_none(name.fiber_spec, family.driving_spec, k)

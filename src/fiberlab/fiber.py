@@ -79,12 +79,6 @@ class FiberSystemSpec:
     def _p_numerators(self) -> tuple[np.ndarray, int]:
         return _over_lcm(self.p)
 
-    @cached_property
-    def _log2_brackets(self) -> tuple[tuple[int, int], ...]:
-        """Per symbol s, integers lo <= 2**64 * log2(den / num_s) <= hi (_log2_bracket)."""
-        nums, den = self._p_numerators
-        return tuple(_log2_bracket(den, num) for num in nums.tolist())
-
     @classmethod
     def from_dict(cls, data: dict) -> "FiberSystemSpec":
         return cls(data["action"], Alphabet(_listed(data["fiber_alphabet"], "fiber_alphabet")), _listed(data["p"], "p"))
@@ -96,38 +90,6 @@ class FiberSystemSpec:
     def symbol_entropy(self) -> float:
         """Shannon entropy of the per-coordinate distribution, in bits, computed once per spec."""
         return self._entropy_bits
-
-
-def _log2_bracket(a: int, b: int) -> tuple[int, int]:
-    """Integers lo <= 2**64 * log2(a / b) <= hi, for integers a >= b >= 1.
-
-    With a / b = 2**e * y and y in [1, 2), the binary digits of log2(y)
-    are read by squaring: y**2 >= 2 gives digit 1 and goes on with
-    y**2 / 2, else digit 0 and y**2.  y is held in fixed point with 128
-    fractional bits, rounded down at every step for lo and up for hi, so
-    the lower run reads the digits of a number at most y and the upper run
-    those of one at least y, each staying in [1, 2].  After 64 digits the
-    upper run's remainder is at most one unit, added unless it is 0, so a
-    power of two has lo = hi.
-    """
-    e = a.bit_length() - b.bit_length()
-    if b << e > a:
-        e -= 1
-    one = 1 << 128
-
-    def digits(div):
-        """2**64 * e plus 64 digits of log2(y), every step rounded by div, and the last y."""
-        y, out = div(a * one, b << e), 0
-        for _ in range(64):
-            y = div(y * y, one)
-            out = 2 * out + (y >= 2 * one)
-            if y >= 2 * one:
-                y = div(y, 2)
-        return (e << 64) + out, y
-
-    lo, _ = digits(lambda x, d: x // d)
-    hi, rest = digits(lambda x, d: -(-x // d))
-    return lo, hi + (rest > one)
 
 
 def _log2p(spec: FiberSystemSpec) -> np.ndarray:
@@ -226,12 +188,6 @@ def information_function(spec: FiberSystemSpec, alpha, omega) -> float:
     InfiniteInformationError on an inconsistent (zero-probability) prefix
     pair.  Names produced by emit_name are always consistent.
     """
-    return _information(spec, alpha, omega)[0]
-
-
-def _information(spec: FiberSystemSpec, alpha, omega) -> tuple[float, np.ndarray]:
-    """information_function's bits, and how often each symbol is read at a
-    first visit, both from one _first_symbols pass."""
     if isinstance(alpha, OrbitName):
         if alpha.fiber_spec.action_kind != spec.action_kind:
             raise ValueError("name and spec disagree on the action")
@@ -241,21 +197,15 @@ def _information(spec: FiberSystemSpec, alpha, omega) -> tuple[float, np.ndarray
     symbols = _first_symbols(spec, first, omega)
     if symbols is None:
         raise InfiniteInformationError("prefix pair has zero probability")
-    counts = np.bincount(symbols.astype(np.intp), minlength=spec.fiber_alphabet.size)
-    return -float(_log2p(spec)[symbols].sum()), counts
+    return -float(_log2p(spec)[symbols].sum())
 
 
 @dataclass(frozen=True)
 class ExactAveragedEntropy:
-    """Averaged entropy of the first n orbit symbols and its per-symbol rate.
-
-    expected_distinct is E[R_n], the expected number of distinct
-    coordinates, exactly; bits is float(expected_distinct) * H(p).
-    """
+    """Averaged entropy of the first n orbit symbols and its per-symbol rate."""
 
     n: int
     bits: float
-    expected_distinct: Fraction
 
     @property
     def rate(self) -> float:
@@ -475,8 +425,8 @@ def exact_averaged_entropy(spec: FiberSystemSpec, driving_spec: MarkovChainSpec,
     """
     n = _integer(n, "n", 1)
     check_driving_size(spec.action_kind, driving_spec.alphabet.size)
-    expected = _expected_distinct(driving_spec, spec.action_kind, n)
-    return ExactAveragedEntropy(n, float(expected) * spec.symbol_entropy(), expected)
+    bits = float(_expected_distinct(driving_spec, spec.action_kind, n)) * spec.symbol_entropy()
+    return ExactAveragedEntropy(n, bits)
 
 
 def exact_rate_or_none(spec: FiberSystemSpec, driving_spec: MarkovChainSpec, k: int) -> float | None:

@@ -1,5 +1,4 @@
 import copy
-import decimal
 import hashlib
 import itertools
 import math
@@ -324,38 +323,6 @@ def test_exact_averaged_entropy_z2_three_steps():
     result = exact_averaged_entropy(Z2, Z2_DRIVING, 3)
     assert result.bits == pytest.approx(2.75, abs=1e-12)
     assert result.rate == pytest.approx(2.75 / 3, abs=1e-12)
-
-
-def test_exact_averaged_entropy_keeps_the_expected_range_as_a_fraction():
-    # bits was the only field, float(E[R_n]) * H(p), so the exact E[R_n] was lost
-    thirds = FiberSystemSpec("z2", BINARY, (Fraction(1, 3), Fraction(2, 3)))
-    for spec, driving, n, expected in [(Z2, Z2_DRIVING, 3, Fraction(11, 4)), (thirds, Z2_DRIVING, 3, Fraction(11, 4)),
-                                       (F2, F2_DRIVING, 6, Fraction(6)), (F2, NONSTATIONARY4, 5, None)]:
-        result = exact_averaged_entropy(spec, driving, n)
-        if expected is not None:
-            assert result.expected_distinct == expected
-        assert type(result.expected_distinct) is Fraction
-        assert result.expected_distinct == fiber_module._expected_distinct(driving, spec.action_kind, n)
-        assert result.bits == float(result.expected_distinct) * spec.symbol_entropy()
-
-
-def test_log2_brackets_hold_the_logarithm_within_two_units():
-    # lo <= 2**64 * log2(a / b) <= hi, checked against a 60-digit decimal
-    # logarithm; a power of two is exact
-    cases = [(1, 1), (2, 1), (4, 1), (2 ** 70, 1), (3, 1), (3, 2), (4, 3), (6, 1), (7, 6), (5, 3), (10, 9),
-             (2 ** 64 + 1, 2 ** 64), (10 ** 30 + 7, 3), (2 ** 70 + 1, 3), (3 ** 40, 2 ** 63)]
-    with decimal.localcontext() as context:
-        context.prec = 60
-        for a, b in cases:
-            lo, hi = fiber_module._log2_bracket(a, b)
-            if a % b == 0 and (a // b) & (a // b - 1) == 0:
-                assert lo == hi == ((a // b).bit_length() - 1) << 64
-                continue
-            exact = (decimal.Decimal(a) / b).ln() / decimal.Decimal(2).ln() * 2 ** 64
-            assert lo < exact < hi and hi - lo <= 2, (a, b)
-    spec = FiberSystemSpec("z2", Alphabet(("0", "1", "2")), (Fraction(1, 5), Fraction(1, 5), Fraction(3, 5)))
-    assert spec._log2_brackets is spec._log2_brackets
-    assert spec._log2_brackets == ((fiber_module._log2_bracket(5, 1),) * 2 + (fiber_module._log2_bracket(5, 3),))
 
 
 def test_exact_averaged_entropy_f2_is_linear():

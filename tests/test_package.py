@@ -172,31 +172,35 @@ def _function(tree: ast.AST, scope: str) -> ast.FunctionDef:
 
 def test_every_verdict_is_decided_in_integers():
     # eq15 and the information floor were float comparisons padded by
-    # coding._TOL = 1e-12; eq15 is now read off the length bound and the
-    # floor decided by coding._no_undershoot, and no module binds a float
-    # tolerance at module level
-    floats = []
+    # coding._TOL = 1e-12; eq15 is now certified by the length bound and the
+    # floor decided by coding._no_undershoot
+    tolerances = []
     for path in sorted(Path(fiberlab.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-                continue
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
-            floats += [(path.name, name) for name in names if "TOL" in name.upper()]
-            if isinstance(node.value, ast.Constant) and isinstance(node.value.value, float):
-                floats += [(path.name, name) for name in names]
-    assert floats == []
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            tolerances += [(path.name, name.id) for target in targets if target is not None
+                           for name in ast.walk(target) if isinstance(name, ast.Name) and "TOL" in name.id.upper()]
+    assert tolerances == []
 
     tree = ast.parse(Path(fiberlab.coding.__file__).read_text(encoding="utf-8"))
-    values = {}
+    assigned = {}
     for node in ast.walk(_function(tree, "_conditional")):
         if isinstance(node, ast.Assign):
             for target in node.targets:
-                values.setdefault(ast.unparse(target), set()).add(ast.unparse(node.value))
-    assert values["length_bound_ok"] == {"family.verify_length_bounds()"}
-    assert values["eq15_ok"] == {"None", "length_bound_ok"}
-    assert values["no_undershoot_ok"] == {"None", "_no_undershoot(name.fiber_spec, total_bits, n, symbol_counts)"}
+                assigned.setdefault(ast.unparse(target), []).append(node.value)
+
+    def called(value):
+        """The name of the function a value is the result of, through a local bound once; None for None."""
+        if isinstance(value, ast.Name):
+            (value,) = assigned[value.id]
+        if isinstance(value, ast.Constant):
+            return value.value
+        if not isinstance(value, ast.Call):
+            return ast.unparse(value)
+        return value.func.attr if isinstance(value.func, ast.Attribute) else ast.unparse(value.func)
+
+    assert {called(value) for value in assigned["eq15_ok"]} == {None, "verify_length_bounds"}
+    assert {called(value) for value in assigned["no_undershoot_ok"]} == {None, "_no_undershoot"}
     # the deciders themselves form no float: no float literal, true division, float() or log
     for scope in ("_no_undershoot", "BlockCodebookFamily.verify_length_bounds"):
         for node in ast.walk(_function(tree, scope)):

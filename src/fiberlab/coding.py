@@ -13,28 +13,33 @@ one), so v's order is the lexicographic order of its first-visit symbols,
 and lengths depend on those symbols alone.  The family therefore keeps one
 code per count d, over the assignments a in F^d of symbols to first
 visits, and the codeword of v is that of a = v at its first visits.  At
-most k codes are built, each the first time a block with its count
-occurs, which keeps long-horizon runs cheap.
+most k codes are built, each after the first checked pass in which a
+block with its count occurs, which keeps long-horizon runs cheap.
 
 An assignment is held as its rank, the integer with digits a in base |F|,
 first symbol most significant, so ranks order assignments
 lexicographically and a count code is a set of arrays indexed by rank:
 codewords, lengths, log2 mu and mu.  mu is exact, an integer numerator
 over the code's one denominator lcm(den p)**d, so lengths, the length
-bound and the joint coder's lengths are integer computations.
+bound and the joint coder's lengths are integer computations, taken over
+whole object arrays of numerators (kraft._shannon_bits).
 
 The cost of a block depends on its (u, v) pair alone, so the coders work
 from one table of a name's distinct aligned pairs in first-occurrence
 order (driving._block_table), built once per cell.  One checked pass
 (BlockCodebookFamily._checked_table), which decode runs on its contexts,
-checks, patterns and ranks the rows a span at a time (actions._spans),
+checks, counts and ranks the rows a span at a time (actions._spans),
 keeping only each pair's first-visit count and rank: encode joins
 codewords by block index, the coded length is counts times codeword
 lengths, the cross entropy sums counts times log2 mu over the whole
-table, and the joint coder reads its lengths off the same pairs.  Spans
-are checked in order, so the first offending row raises, as a
-block-by-block loop would, by the plain coder's refusal too
-(driving._refuse_blocks); letters are read by actions._integers, the
+table, and the joint coder reads its lengths off the same pairs.  A
+span's rows are read off the words as k columns, and one sweep per
+column of their walks (_block_patterns) gives every step the first step
+of its block at its coordinate, with no k x k comparison and no
+temporary larger than the span; decode and codebook_for undo a rank on
+the same patterns.  Spans are checked in order, so the first offending
+row raises, as a block-by-block loop would, by the plain coder's refusal
+too (driving._refuse_blocks); letters are read by actions._integers, the
 letters after the last block too.  The coders sample nothing: both
 conditional_rate and ar_decomposition_check take a name and a family.
 
@@ -108,23 +113,36 @@ class _CountCode:
         for _ in range(d):
             nums = [x * q for x in nums for q in p_nums]
         den = p_den ** d
+        self.numerators = np.empty(len(nums), dtype=object)
+        self.numerators[:] = nums
         # clamp covers the degenerate one-symbol fiber where mu = 1
-        lengths = [max(1, _shannon_bits(x, den)) for x in nums]
+        self.lengths = np.maximum(_shannon_bits(self.numerators, den), 1).astype(np.int64)
+        lengths = self.lengths.tolist()
         entries = canonical_kraft_code(dict(enumerate(lengths))).entries
         self.words = np.empty(len(nums), dtype=object)
         self.words[:] = [entries[r] for r in range(len(nums))]
-        self.lengths = np.array(lengths, dtype=np.int64)
         self.log2mu = np.array([math.log2(x / den) for x in nums])
-        self.numerators = np.empty(len(nums), dtype=object)
-        self.numerators[:] = nums
         self.den = den
         self.decode_map = {w: r for r, w in enumerate(self.words.tolist())}
         self.lengths_sorted = sorted(set(lengths))
 
 
-def _patterns(first: np.ndarray) -> np.ndarray:
-    """pattern[r, i] = the smallest j with first[r, j] == first[r, i], for walks first[r] across blocks."""
-    return (first[:, :, None] == first[:, None, :]).argmax(axis=2)
+def _block_patterns(walks: np.ndarray) -> np.ndarray:
+    """The one reading of block patterns, swept column by column over a table of block walks.
+
+    walks[i, r] is the coordinate of step i of block r, and pattern[i, r]
+    is the first step j <= i of block r at that coordinate, so step i is a
+    first visit of block r exactly when pattern[i, r] == i.  Sweep j
+    compares column j with the columns after it and marks them where they
+    meet; the sweeps run from the last column to the first, so the first
+    step that meets a column marks it last.  No temporary is larger than
+    walks.
+    """
+    pattern = np.empty(walks.shape, dtype=np.intp)
+    pattern[:] = np.arange(len(walks))[:, None]
+    for j in range(len(walks) - 2, -1, -1):
+        np.putmask(pattern[j + 1 :], walks[j + 1 :] == walks[j], j)
+    return pattern
 
 
 def _present(counts: np.ndarray) -> list[int]:
@@ -136,27 +154,14 @@ def _present(counts: np.ndarray) -> list[int]:
     return np.flatnonzero(np.bincount(counts)).tolist()
 
 
-def _place_values(pattern: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where each block's first visits lie, and each position's weight in the block's rank.
-
-    A block with d first visits that reads a_0 .. a_{d-1} there has rank
-    sum a_j size**(d-1-j).  Every position carries the weight of the first
-    visit it copies, so the rank is the sum of block * weight over first
-    visits and block = rank // weight % size at every position.
-    """
-    first_visit = pattern == np.arange(pattern.shape[1])
-    slots = np.cumsum(first_visit, axis=1)
-    return first_visit, size ** (slots[:, -1:] - np.take_along_axis(slots, pattern, axis=1))
-
-
 class BlockCodebookFamily:
     """The per-context codebooks for one (fiber system, driving chain, k).
 
     A context's codebook is the count code of its number d of first
     visits, read through its first-visit pattern (see the module
-    docstring), so the family keeps one memo, d -> code, filled the first
-    time a block with count d is checked.  It never holds more than k
-    codes, the code for d having |F|**d entries.
+    docstring), so the family keeps one memo, d -> code, filled after the
+    first checked pass that meets a block with count d.  It never holds
+    more than k codes, the code for d having |F|**d entries.
     """
 
     def __init__(self, k: int, fiber_spec: FiberSystemSpec, driving_spec: MarkovChainSpec):
@@ -168,71 +173,102 @@ class BlockCodebookFamily:
         self.fiber_bits = (fiber_spec.fiber_alphabet.size - 1).bit_length()
         self._count_codes: dict[int, _CountCode] = {}
 
-    def _codes(self, rows: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Check table rows and return each row's first-visit count and pattern.
+    def _rank_rows(self, walks: np.ndarray, contexts: np.ndarray, blocks: np.ndarray | None = None):
+        """Check table rows and return each row's first-visit count d and rank.
 
-        A row is a context u, or a pair u + v, of k letters each; first[r]
-        is a walk across row r's driving block.  The first offending row
-        raises, by driving._refuse_blocks: a fiber block is inconsistent
-        when it gives one coordinate two symbols or uses a letter outside
-        the fiber alphabet.  The count code of every row is built before
-        this returns.
+        The table is held by columns: walks[:, r] is a walk across row r's
+        driving block contexts[:, r], and blocks[:, r] is its fiber block,
+        or blocks is None for a table of contexts alone, whose ranks are 0.
+        A fiber block is inconsistent when a step reads another symbol than
+        the first visit of its coordinate, or a letter outside the fiber
+        alphabet; the first offending row raises, by driving._refuse_blocks.
         """
-        k = self.k
-        v = rows[:, k:]
-        pattern = _patterns(first)
-        # context rows have no v; cut to v's width, the pattern checks nothing there
-        copies = np.take_along_axis(v, pattern[:, : v.shape[1]], axis=1)
-        outside_fiber = (v < 0) | (v >= self.fiber_spec.fiber_alphabet.size)
-        _refuse_blocks(self.driving_spec, rows, k, (outside_fiber | (copies != v)).any(axis=1))
-        counts = (pattern == np.arange(k)).sum(axis=1)
+        size = self.fiber_spec.fiber_alphabet.size
+        pattern = _block_patterns(walks)
+        first_visits = pattern == np.arange(len(pattern))[:, None]
+        counts = first_visits.sum(axis=0)
+        ranks = np.zeros_like(counts)
+        inconsistent = False
+        if blocks is not None:
+            # each step's first visit, read off the flat table of blocks
+            copies = blocks.ravel()[pattern * blocks.shape[1] + np.arange(blocks.shape[1])]
+            inconsistent = ((blocks < 0) | (blocks >= size) | (copies != blocks)).any(axis=0)
+            for symbols, new in zip(blocks, first_visits):
+                ranks = np.where(new, ranks * size + symbols, ranks)
+        _refuse_blocks(self.driving_spec, contexts.T, inconsistent, None if blocks is None else blocks.T)
+        return counts, ranks
+
+    def _build_codes(self, counts: np.ndarray) -> None:
+        """Build the count code of every count present that has none yet."""
         for d in _present(counts):
             if d not in self._count_codes:
                 self._count_codes[d] = _CountCode(self.fiber_spec, d)
-        return counts, pattern
+
+    def _blocks(self, walks: np.ndarray, counts: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """The fiber blocks of the given ranks, by columns: _rank_rows's ranking undone on the same patterns.
+
+        Block r, walked by walks[:, r], has counts[r] first visits, whose
+        symbols are the base-|F| digits of ranks[r], first symbol most
+        significant; every step reads the digit of its coordinate's first
+        visit, whose place is the number of first visits after it.  One
+        walk and one count, walks of one column and counts of one entry,
+        may serve every block.
+        """
+        size = self.fiber_spec.fiber_alphabet.size
+        pattern = _block_patterns(walks)
+        after = counts - np.cumsum(pattern == np.arange(len(pattern))[:, None], axis=0)
+        places = after.ravel()[pattern * after.shape[1] + np.arange(after.shape[1])]
+        return (ranks // size ** places % size).astype(_letter_dtype(size))
 
     def _checked_table(self, words, first: np.ndarray):
         """Table the k-blocks of words, (driving,) or (driving, fiber), and check every row.
 
         Each row reads its block's walk off first, a walk of the driving
-        word.  Returns the table and, per row, its first-visit count d and
-        the rank in the count code for d of its fiber block (0 for a context).
+        word.  A span of rows at a time, the rows' blocks are read off the
+        words as columns, in the words' own dtypes, and checked by _rank_rows.
+        Returns the table and, per row, its first-visit count d and the
+        rank in the count code for d of its fiber block (0 for a context);
+        the count code of every row is built before this returns.
         """
         k = self.k
         table = _block_table(words, k)
         counts = np.empty(len(table.first), dtype=np.int64)
-        ranks = np.zeros_like(counts)
+        ranks = np.empty_like(counts)
         for lo, hi in _spans(len(table.first)):
-            rows = _gather(table, lo, hi)
-            counts[lo:hi], pattern = self._codes(rows, first[table.first[lo:hi, None] * k + np.arange(k)])
-            if len(words) > 1:
-                first_visit, place = _place_values(pattern, self.fiber_spec.fiber_alphabet.size)
-                ranks[lo:hi] = np.where(first_visit, rows[:, k:] * place, 0).sum(axis=1)
+            # at[i, r] is the position of step i of row lo + r in the words
+            at = table.first[lo:hi] * k + np.arange(k)[:, None]
+            counts[lo:hi], ranks[lo:hi] = self._rank_rows(first[at], *(word[at] for word in words))
+        # after the spans, so that the family's lasting arrays are not laid above their temporaries
+        self._build_codes(counts)
         return table, counts, ranks
 
     def _read(self, counts: np.ndarray, ranks: np.ndarray, field: str) -> np.ndarray:
-        """One field of _CountCode per row, at the row's rank in its count code."""
-        out = None
-        for d in _present(counts):
-            values = getattr(self._count_codes[d], field)
-            if out is None:
-                out = np.empty(len(counts), dtype=values.dtype)
-            rows = counts == d
-            out[rows] = values[ranks[rows]]
-        return np.empty(0) if out is None else out
+        """One field of _CountCode per row, at the row's rank in its count code.
+
+        The field's arrays for the counts present are laid end to end, so
+        one gather reads every row.
+        """
+        present = _present(counts)
+        if not present:
+            return np.empty(0)
+        fields = [getattr(self._count_codes[d], field) for d in present]
+        starts = np.zeros(self.k + 1, dtype=np.int64)
+        starts[present] = np.cumsum([0] + [len(values) for values in fields[:-1]])
+        return np.concatenate(fields)[starts[counts] + ranks]
 
     def codebook_for(self, u) -> BinaryCodebook:
         """Context u's codebook over full fiber k-blocks, expanded from its count code."""
         u = _integers(u)
         if len(u) != self.k:
             raise ValueError(f"context must have length {self.k}")
-        counts, pattern = self._codes(u[None, :], walk(self.fiber_spec.action_kind, u).first[None, :])
+        walks = walk(self.fiber_spec.action_kind, u).first[:, None]
+        counts, _ = self._rank_rows(walks, u[:, None])
+        self._build_codes(counts)
         code = self._count_codes[int(counts[0])]
-        _, place = _place_values(pattern, self.fiber_spec.fiber_alphabet.size)
         # the canonical order, (length, v), is (length, rank)
         ranks = np.argsort(code.lengths, kind="stable")
-        blocks = ranks[:, None] // place % self.fiber_spec.fiber_alphabet.size
-        return BinaryCodebook(dict(zip(zip(*blocks.T.tolist()), code.words[ranks].tolist())))
+        blocks = self._blocks(walks, counts, ranks)
+        return BinaryCodebook(dict(zip(zip(*blocks.tolist()), code.words[ranks].tolist())))
 
     def verify_length_bounds(self) -> bool:
         """Exact check that every built length obeys l <= -log2 mu + 1, as num * 2**l <= 2 * den."""
@@ -294,8 +330,9 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
     Then the stream is scanned bit by bit until the prefix read so far
     matches a codeword of the current context's count code, which gives
     the rank of the block's first-visit symbols, and so on; each span of
-    blocks is expanded through the patterns of its own walk as soon as it
-    is read, and the raw tail is parsed last.  A stream of other block
+    blocks is expanded from its ranks through the patterns of its own walk
+    (BlockCodebookFamily._blocks) as soon as it is read, and the raw tail
+    is parsed last.  A stream of other block
     length or block count than family.k and len(alpha) // k, a character
     other than "0" or "1", or any leftover or missing bits, raise
     MalformedStreamError.  The name comes back in the dtype emit_name
@@ -332,8 +369,9 @@ def decode(stream: EncodedStream, alpha, family: BlockCodebookFamily) -> np.ndar
                 raise MalformedStreamError("bits exhausted before a codeword matched")
             ranks.append(rank)
         # a block's pattern is that of its own walk, which its context row shares
-        _, place = _place_values(_patterns(first[lo * k : hi * k].reshape(-1, k)), size)
-        decoded[lo * k : hi * k] = (np.array(ranks, dtype=np.int64)[:, None] // place % size).ravel()
+        walks = first[lo * k : hi * k].reshape(-1, k).T
+        blocks = family._blocks(walks, counts[table.index[lo:hi]], np.array(ranks, dtype=np.int64))
+        decoded[lo * k : hi * k].reshape(-1, k)[:] = blocks.T
     raw = family.fiber_bits
     for i in range(m * k, n):
         if pos + raw > len(bits):
@@ -566,13 +604,18 @@ def ar_decomposition_check(name: OrbitName, family: BlockCodebookFamily) -> ArDe
 
     # every pair is consistent and every context positive: the conditional pass checked both
     contexts = plain.table.index[table.first]
-    nums = (plain.nums[contexts] * family._read(counts, ranks, "numerators")).tolist()
-    dens = {d: plain.den * code.den for d, code in family._count_codes.items()}
-    lengths = [max(1, _shannon_bits(num, dens[d])) for num, d in zip(nums, counts.tolist())]
+    dens = np.empty(k + 1, dtype=object)
+    for d, code in family._count_codes.items():
+        dens[d] = plain.den * code.den
+    lengths = np.empty(len(contexts), dtype=np.int64)
+    # a span at a time, so that no array of big-integer products is as long as the table
+    for lo, hi in _spans(len(contexts)):
+        nums = plain.nums[contexts[lo:hi]] * family._read(counts[lo:hi], ranks[lo:hi], "numerators")
+        lengths[lo:hi] = np.maximum(_shannon_bits(nums, dens[counts[lo:hi]]), 1)
     log2nu = np.array([math.log2(num / plain.den) for num in plain.nums.tolist()])
     ideals = -family._read(counts, ranks, "log2mu") - log2nu[contexts]
     pair_raw = (family.driving_spec.alphabet.size * family.fiber_spec.fiber_alphabet.size - 1).bit_length()
-    joint_total = int(table.counts @ np.array(lengths, dtype=np.int64)) + (n - plain.m * k) * pair_raw
+    joint_total = int(table.counts @ lengths) + (n - plain.m * k) * pair_raw
     joint_ideal = _sequential_sum(ideals[table.index])
 
     return ArDecompositionReport(

@@ -225,19 +225,20 @@ def _block_faults(spec: MarkovChainSpec, rows: np.ndarray) -> tuple[np.ndarray, 
     return outside, null
 
 
-def _refuse_blocks(spec: MarkovChainSpec, rows: np.ndarray, k: int, inconsistent=False) -> None:
-    """The one block refusal: raise at the first offending row of rows, k-letter driving blocks each
-    followed by a fiber block or by none.  A driving letter outside the alphabet raises ValueError, a
-    null driving block or a row flagged inconsistent (one bool per row) ModelMismatchError."""
-    outside, null = _block_faults(spec, rows[:, :k])
+def _refuse_blocks(spec: MarkovChainSpec, contexts: np.ndarray, inconsistent=False, blocks=None) -> None:
+    """The one block refusal: raise at the first offending row of contexts, a table of driving blocks in
+    their own dtype, with blocks[r] row r's fiber block where rows are flagged inconsistent (one bool per
+    row).  A driving letter outside the alphabet raises ValueError, a null driving block or an
+    inconsistent row ModelMismatchError."""
+    outside, null = _block_faults(spec, contexts)
     if (bad := outside | null | inconsistent).any():
         r = int(bad.argmax())
-        context = tuple(rows[r, :k].tolist())
+        context = tuple(contexts[r].tolist())
         if outside[r]:
             raise ValueError("letter index out of range for the driving alphabet")
         if null[r]:
             raise ModelMismatchError(f"driving block {context} has zero probability")
-        block = tuple(rows[r, k:].tolist())
+        block = tuple(blocks[r].tolist())
         raise ModelMismatchError(f"fiber block {block} is inconsistent with driving block {context}")
 
 
@@ -480,8 +481,9 @@ def _block_table(words, k: int) -> _BlockTable:
     ranked densely whenever the next column would take it past 2**62, so
     any letters and any k fit.  The blocks stay views of the words,
     w[: m * k].reshape(m, k), in their own dtypes, and only one column at
-    a time is widened to int64 to be keyed; callers gather the distinct
-    rows they need, as int64, a span at a time (_gather, actions._spans).
+    a time is widened to int64 to be keyed; the coders read the distinct
+    rows they need a span at a time (actions._spans), in the words' own
+    dtypes, and pair_counts gathers them as int64 (_gather).
     """
     m = len(words[0]) // k
     views = tuple(w[: m * k].reshape(m, k) for w in words)
@@ -550,14 +552,15 @@ def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockC
     m = n // k
     table = _block_table((letters,), k)
     nums, den = np.empty(len(table.first), dtype=object), _cylinder_den(spec, k)
+    bits = np.empty(len(table.first), dtype=np.int64)
     for lo, hi in _spans(len(table.first)):
-        rows = _gather(table, lo, hi)
-        _refuse_blocks(spec, rows, k)
+        rows = table.windows[0][table.first[lo:hi]]
+        _refuse_blocks(spec, rows)
         nums[lo:hi] = _cylinder_numerators(spec, rows)[0]
+        bits[lo:hi] = _shannon_bits(nums[lo:hi], den)
     _integers(letters[m * k :], spec.alphabet.size, "driving letters")
-    nums_list = nums.tolist()
-    total = sum(c * _shannon_bits(num, den) for c, num in zip(table.counts.tolist(), nums_list))
-    ideal = _sequential_sum(np.array([-math.log2(num / den) for num in nums_list])[table.index])
+    total = int(table.counts @ bits)
+    ideal = _sequential_sum(np.array([-math.log2(num / den) for num in nums.tolist()])[table.index])
     raw = (spec.alphabet.size - 1).bit_length()
     tail_bits = (n - m * k) * raw
     return PlainBlockCode(total + tail_bits, ideal, m, tail_bits, table, nums, den)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
 
+import numpy as np
+
 from .actions import _integer
 from .errors import KraftInfeasibleError
 from .words import is_prefix_free
@@ -39,12 +41,20 @@ def shannon_length(probability: Fraction) -> int:
     return _shannon_bits(p.numerator, p.denominator)
 
 
-def _shannon_bits(num: int, den: int) -> int:
-    """ceil(-log2(num / den)) for integers 0 < num <= den, reduced or not."""
+# int.bit_length of one Python int, or of each entry of an object array of them
+_bit_length = np.frompyfunc(int.bit_length, 1, 1)
+
+
+def _shannon_bits(num, den):
+    """ceil(-log2(num / den)) for integers 0 < num <= den, reduced or not.
+
+    num and den may also be object arrays of Python ints, or one of each,
+    and then the lengths come back elementwise as an object array, from
+    whole-array shifts and comparisons, with no Python loop.
+    """
     # shifted by this much, num has den's bit length, so one more shift at most
-    length = den.bit_length() - num.bit_length()
-    length += (num << length) < den
-    return length
+    length = _bit_length(den) - _bit_length(num)
+    return length + ((num << length) < den)
 
 
 @dataclass(frozen=True)

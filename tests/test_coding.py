@@ -36,7 +36,7 @@ from fiberlab import (
     walk,
 )
 from fiberlab import actions, coding, driving, fiber as fiber_module
-from fiberlab.coding import UNDERSHOOT_MIN_N, EstimatorReport, _patterns, pair_counts
+from fiberlab.coding import UNDERSHOOT_MIN_N, EstimatorReport, _block_patterns, pair_counts
 from fiberlab.driving import _gather, block_code_details
 from oracles import conditional_cylinder_fraction, sliding_pair_counts
 from test_driving import rational_chains
@@ -447,13 +447,92 @@ def test_block_pattern_is_read_off_the_name_walk(fiber, chain, revisits):
     name = emit_name(fiber, sample_trajectory(chain, 2000, 11), seed=11)
     repeating = 0
     for k in (1, 5, 8):
-        patterns = _patterns(np.lib.stride_tricks.sliding_window_view(name.first, k))
+        patterns = _block_patterns(np.lib.stride_tricks.sliding_window_view(name.first, k).T).T
         for s, pattern in enumerate(patterns.tolist()):
             expected = walk(fiber.action_kind, name.driving[s : s + k]).first.tolist()
             assert pattern == expected
             repeating += expected != list(range(k))
         assert len(patterns) == len(name) - k + 1
     assert bool(repeating) == revisits
+
+
+def block_oracle(chain, fiber, u, v=None):
+    """(d, rank) of one (context, fiber block) pair, or the error its refusal raises.
+
+    Read off the walk of the lone context and fiber._first_symbols; a
+    context alone has the d of its walk and rank 0.
+    """
+    context = tuple(u)
+    if max(u) >= chain.alphabet.size:
+        return ValueError("letter index out of range for the driving alphabet")
+    if cylinder_prob(chain, u) == 0:
+        return ModelMismatchError(f"driving block {context} has zero probability")
+    first = walk(fiber.action_kind, u).first
+    if v is None:
+        return len(fiber_module._first_symbols(fiber, first, [0] * len(u))), 0
+    size = fiber.fiber_alphabet.size
+    symbols = fiber_module._first_symbols(fiber, first, v) if max(v) < size else None
+    if symbols is None:
+        return ModelMismatchError(f"fiber block {tuple(v)} is inconsistent with driving block {context}")
+    rank = 0
+    for s in symbols.tolist():
+        rank = rank * size + s
+    return len(symbols), rank
+
+
+@st.composite
+def block_words(draw):
+    """A chain, a fiber system it drives, k, and a sampled (driving, fiber) pair of words, in uint8
+    or int64, with at most one letter replaced by a letter up to one past its alphabet."""
+    # the group actions first, where blocks revisit coordinates
+    kind = draw(st.sampled_from(("z2", "f2", "free-monoid")))
+    chain = draw(rational_chains(st.integers(2, 5) if kind == "free-monoid" else st.just(4)))
+    k = draw(st.integers(1, 12 if kind == "free-monoid" else 8), label="k")
+    # past k = 8 a count code of three symbols would hold up to 3**12 codewords
+    weights = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3 if k <= 8 else 2))
+    fiber = FiberSystemSpec(kind, Alphabet(tuple("xyz"[: len(weights)])),
+                            tuple(Fraction(w, sum(weights)) for w in weights))
+    n = draw(st.integers(1, 10), label="blocks") * k + draw(st.integers(0, k - 1), label="tail")
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    name = emit_name(fiber, sample_trajectory(chain, n, seed), seed)
+    dtype = draw(st.sampled_from((np.uint8, np.int64)), label="dtype")
+    words = [name.driving.astype(dtype), name.letters.astype(dtype)]
+    # one letter of the driving word (0) or of the name (1) changed, or none
+    changed = draw(st.sampled_from((1, 0, None)), label="changed word")
+    if changed is not None:
+        size = (chain.alphabet.size, fiber.fiber_alphabet.size)[changed]
+        words[changed][draw(st.integers(0, n - 1))] = draw(st.integers(0, size))
+    return chain, fiber, k, words
+
+
+@pytest.mark.filterwarnings("ignore:sampling from a non-stationary chain")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(block_words())
+def test_the_column_sweeps_count_rank_and_refuse_each_row_as_its_lone_block_does(drawn):
+    # the checked pass reads d, the rank and the refusal of every distinct
+    # row off column sweeps of the name's walk, for pairs and for contexts alone,
+    # and _blocks undoes the ranks; a block's own walk and the symbols it
+    # reads at first visits say the same, and the first offending row raises
+    chain, fiber, k, (alpha, omega) = drawn
+    m = len(alpha) // k
+    # a driving letter one past the alphabet is refused before its walk is read
+    first = walk(fiber.action_kind, np.minimum(alpha, chain.alphabet.size - 1)).first
+    for words in ((alpha, omega), (alpha,)):
+        rows = dict.fromkeys(tuple(tuple(w[i * k : i * k + k].tolist()) for w in words) for i in range(m))
+        expected = [block_oracle(chain, fiber, *row) for row in rows]
+        family = BlockCodebookFamily(k, fiber, chain)
+        fault = next((e for e in expected if isinstance(e, Exception)), None)
+        if fault is not None:
+            with pytest.raises(type(fault)) as raised:
+                family._checked_table(words, first)
+            assert str(raised.value) == str(fault)
+            continue
+        table, counts, ranks = family._checked_table(words, first)
+        assert list(zip(counts.tolist(), ranks.tolist())) == expected
+        assert sorted(family._count_codes) == sorted(set(counts.tolist()))
+        if len(words) == 2:
+            at = table.first * k + np.arange(k)[:, None]
+            assert family._blocks(first[at], counts, ranks).T.tolist() == [list(v) for _, v in rows]
 
 
 def square_then_backtrack():

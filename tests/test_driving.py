@@ -345,8 +345,8 @@ def test_markov_sampler_equals_the_per_letter_bisect_loop(spec, seed):
 
 
 @st.composite
-def rational_chains(draw):
-    s = draw(st.integers(2, 5))
+def rational_chains(draw, sizes=st.integers(2, 5)):
+    s = draw(sizes)
     weights = st.lists(st.integers(0, 6), min_size=s, max_size=s).filter(any)
     pi = draw(weights)
     rows = [draw(weights) for _ in range(s)]

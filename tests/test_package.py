@@ -207,3 +207,32 @@ def test_every_verdict_is_decided_in_integers():
             assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), scope
             assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)), scope
             assert not (isinstance(node, ast.Call) and ast.unparse(node.func) in ("float", "math.log2")), scope
+
+
+def _axis(call: ast.Call):
+    """The axis a reduction call names, by keyword or as its first argument; None when it names none."""
+    given = [keyword.value for keyword in call.keywords if keyword.arg == "axis"] or call.args[:1]
+    return given[0].value if given and isinstance(given[0], ast.Constant) else None
+
+
+def test_block_patterns_are_swept_in_one_function_with_no_cube():
+    # coding._block_patterns compares the steps of a table of block walks
+    # one column at a time, for the coders, decode and codebook_for alike;
+    # the coders once formed a (rows, k, k) cube,
+    # first[:, :, None] == first[:, None, :], and took its argmax over axis 2
+    cubes, swept = [], set()
+    for path in sorted(Path(fiberlab.__file__).parent.glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                subscripts = [x for x in operands if isinstance(x, ast.Subscript)]
+                if any(isinstance(x.slice, ast.Tuple) and len(x.slice.elts) >= 3 for x in subscripts):
+                    cubes.append((path.name, scope, ast.unparse(node)))
+                # two steps of one table tested for equality: where two steps meet at one coordinate
+                same_table = len(subscripts) > 1 and len({ast.unparse(x.value) for x in subscripts}) == 1
+                if same_table and any(isinstance(op, ast.Eq) for op in node.ops):
+                    swept.add((path.name, scope))
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "argmax" and _axis(node) == 2:
+                cubes.append((path.name, scope, ast.unparse(node)))
+    assert cubes == []
+    assert swept == {("coding.py", "_block_patterns")}

@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fiberlab import (
@@ -15,6 +17,7 @@ from fiberlab import (
     kraft_sum,
     shannon_length,
 )
+from fiberlab.kraft import _shannon_bits
 
 BINARY = Alphabet(("0", "1"))
 
@@ -138,6 +141,22 @@ def test_shannon_length_matches_its_definition_at_powers_of_two():
     cases += [Fraction(1, 2 ** l) for l in range(60, 300, 7)]
     for p in cases:
         assert shannon_length(p) == by_definition(p)
+
+
+def test_shannon_bits_over_object_arrays_equal_the_lengths_of_each_entry():
+    # the coders take their lengths over whole object arrays; each entry is
+    # the scalar length, reduced or not, past 64 bits too, with a denominator
+    # per entry or one for all
+    cases = [Fraction(1)] + [Fraction(1, 2 ** l) + d for l in (1, 2, 53, 64, 65, 200) for d in (0, Fraction(1, 2 ** 300))]
+    cases += [Fraction(1, 3) ** 40, Fraction(2, 3), Fraction(5, 7) * Fraction(1, 4) ** 33]
+    nums = np.array([p.numerator * 3 for p in cases], dtype=object)
+    dens = np.array([p.denominator * 3 for p in cases], dtype=object)
+    expected = [shannon_length(p) for p in cases]
+    assert _shannon_bits(nums, dens).tolist() == expected
+    one = math.lcm(*(p.denominator for p in cases))
+    scaled = np.array([p.numerator * (one // p.denominator) for p in cases], dtype=object)
+    assert _shannon_bits(scaled, one).tolist() == expected
+    assert _shannon_bits(np.empty(0, dtype=object), one).tolist() == []
 
 
 def test_kraft_sum_matches_its_definition():

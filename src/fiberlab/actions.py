@@ -22,25 +22,32 @@ symbol draws of the distinct coordinates in first-visit order: each the
 Everything else is read off these: position i is a first visit when
 first[i] == i, so visit counts are a cumulative sum, and an orbit name is
 fixed by its symbols at the first visits.  Three kernels meet the
-contract, one per action: z2 sums the generator vectors and groups equal
-positions by one sort; the free monoid chains one key per step (its
-prefixes never repeat); and f2 numbers the tree nodes it meets, then
-chains their keys in node order, each from its parent's.  A kernel only
-yields its keys in first-visit order, and _draws alone hashes them under
-the seed, a span at a time: no list of keys is built but the f2 tree's.
-Without a seed no key is made, so the walks that only read first hash
-nothing.
+contract, one per action.  z2 sums the steps into its two coordinates,
+numbers each position by its offset in the walk's bounding box (by its
+rank among the distinct offsets when the box holds more than _BOX_CELLS
+cells per step), and reads first visits off one table of each cell's
+first step, with no sort.  The free monoid chains one key per step (its
+prefixes never repeat), and f2 numbers the tree nodes it meets, then
+chains their keys in node order, each from its parent's.  A kernel hands
+_draws its keys in first-visit order, one span of _spans at a time: z2 as
+one formatted list per span, the chains as an islice of their key
+iterator.  _draws alone hashes them under the seed, and no list of all
+keys is built but the f2 tree's.  Without a seed no key is made, so the
+walks that only read first hash nothing.
 
-Every chunked pass (_draws' joins, fiber's name reads, the sampler, the
-coders' rows and JSON report rows) takes the spans of _CHUNK that _spans
-cuts, and gives the same result for any span length.
+Every chunked pass (z2's first-visit table, _draws' key spans and joins,
+fiber's name reads, the sampler, the coders' rows and JSON report rows)
+takes the spans of _CHUNK that _spans cuts, and gives the same result
+for any span length.
 
 Per-letter arrays take the smallest dtype that holds their values:
 driving letters are uint8 (every driving alphabet has at most 256
-letters), first is int32 while n < 2**31 (int64 past it), and draws are
-uint64.  Every letters argument is read by one rule, _integers, which
-checks them against an alphabet size when given one; walk() then reads
-uint8 letters as they are and copies other integer letters to uint8 once.
+letters), first and z2's coordinates are int32 while n < 2**31 (int64
+past it), z2's position codes are int32 while the box holds fewer than
+2**31 cells, and draws are uint64.  Every letters argument is read by
+one rule, _integers, which checks them against an alphabet size when
+given one; walk() then reads uint8 letters as they are and copies other
+integer letters to uint8 once.
 
 The tests keep a generic walk that steps and keys one coordinate at a
 time (tests/oracles.py) as the oracle the kernels must equal.
@@ -62,7 +69,6 @@ import numpy as np
 ACTION_KINDS = ("free-monoid", "z2", "f2")
 
 Z2_VECTORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-_Z2_PACKED = np.array([(dx << 32) + dy for dx, dy in Z2_VECTORS], dtype=np.int64)
 # both groups pair their generators: INVERSE[a] is the letter of a's inverse
 INVERSE = (1, 0, 3, 2)
 _INVERSE = np.array(INVERSE, dtype=np.uint8)
@@ -80,6 +86,10 @@ _F2_IDENTITY = hashlib.blake2b(b"fiberlab:f2:e", digest_size=16).digest()
 # items every chunked pass takes at once (_spans): a span of digests, with
 # bytes.join's 80-byte buffer view per part, stays under 1 MB
 _CHUNK = 2 ** 12
+# a z2 walk whose bounding box holds more than this many cells per step
+# numbers its positions by rank rather than by their offset in the box, so
+# its first-visit table holds at most 3.5 step indices per step (_walk_z2)
+_BOX_CELLS = 3.5
 
 
 def _index_dtype(n: int) -> np.dtype:
@@ -185,26 +195,34 @@ def _check_seed(seed) -> int:
     return seed
 
 
-def _draws(keys, count: int, seed: int) -> np.ndarray:
-    """The uint64 symbol draws of the first count keys: the one draw rule.
+def _draws(spans, count: int, seed: int) -> np.ndarray:
+    """The uint64 symbol draws of count keys: the one draw rule.
 
-    Draw d is the little-endian 8-byte blake2b digest of the d-th key,
-    keyed by the seed's 8 little-endian bytes.  Each draw is a copy of one
-    keyed hasher, so the key block is compressed once, and keys are taken
-    from the iterator and their digests joined a span at a time.
+    spans gives the keys of each span (lo, hi) of _spans(count), hi - lo
+    keys each, as a list or an iterator.  Draw d is the little-endian
+    8-byte blake2b digest of the d-th key, keyed by the seed's 8
+    little-endian bytes.  Each draw is a copy of one keyed hasher, so the
+    key block is compressed once, and a span's digests are joined at once.
     """
     draw = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little")).copy
     draws = np.empty(count, dtype=np.uint64)
-    keys = iter(keys)
-    for lo, hi in _spans(count):
+    for (lo, hi), keys in zip(_spans(count), spans):
         digests = []
         append = digests.append
-        for key in islice(keys, hi - lo):
+        for key in keys:
             h = draw()
             h.update(key)
             append(h.digest())
         draws[lo:hi] = np.frombuffer(b"".join(digests), dtype="<u8")
+        # a span's keys and digests go before the next span's keys are made
+        del keys, digests, append
     return draws
+
+
+def _cut(keys, count: int):
+    """An iterator of count keys as the spans of _spans(count), one islice each."""
+    keys = iter(keys)
+    return (islice(keys, hi - lo) for lo, hi in _spans(count))
 
 
 def _chain(key: bytes, steps: bytes):
@@ -226,7 +244,7 @@ def _chained(identity: bytes, letters: np.ndarray, seed: int | None) -> Walk:
     first = np.arange(n, dtype=_index_dtype(n))
     if seed is None:
         return Walk(first, None)
-    return Walk(first, _draws(_chain(identity, letters[:-1].tobytes()), n, seed))
+    return Walk(first, _draws(_cut(_chain(identity, letters[:-1].tobytes()), n), n, seed))
 
 
 def _walk_free_monoid(letters: np.ndarray, seed: int | None) -> Walk:
@@ -235,42 +253,72 @@ def _walk_free_monoid(letters: np.ndarray, seed: int | None) -> Walk:
 
 def _walk_z2(letters: np.ndarray, seed: int | None) -> Walk:
     n = len(letters)
-    # position (x, y) as the int64 x * 2**32 + y, one-to-one while |y| < 2**31,
-    # so one cumulative sum of packed steps gives every position
-    packed = np.zeros(n, dtype=np.int64)
-    # in mode "clip" take writes straight to out, as the checked letters allow
-    np.take(_Z2_PACKED, letters[:-1], out=packed[1:], mode="clip")
-    np.cumsum(packed, out=packed)
-    # a sort groups equal positions; sorting the positions in place as well
-    # lays them out as the order reads them, with no second buffer, and the
-    # default sorts are faster than a stable one and need no merge buffer
-    order = np.argsort(packed)
-    packed.sort()
-    new = np.ones(n, dtype=bool)
-    np.not_equal(packed[1:], packed[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    positions = None if seed is None else packed[starts]
-    del new, packed
-    # a group's first visit is its least step, wherever the sort put it
-    first = np.empty(n, dtype=_index_dtype(n))
-    at = np.minimum.reduceat(order, starts).astype(first.dtype)
-    sizes = np.diff(starts, append=n)
-    del starts
-    first[order] = np.repeat(at, sizes)
-    del order, sizes
+    index = _index_dtype(n)
+    # letters 0 and 1 step x by +1 and -1, letters 2 and 3 step y (Z2_VECTORS)
+    x, y = _coordinate(letters, 0, index), _coordinate(letters, 2, index)
+    # c_0 = (0, 0), so 0 bounds every box, an empty walk's too
+    x0, y0 = int(x.min(initial=0)), int(y.min(initial=0))
+    height = int(y.max(initial=0)) - y0 + 1
+    cells = (int(x.max(initial=0)) - x0 + 1) * height
+    # a position's code is its offset in the walk's bounding box, in place
+    # over x when the box's dtype is x's
+    code = x.astype(_index_dtype(cells), copy=False)
+    code -= x0
+    code *= height
+    y -= y0
+    code += y
+    del x, y
+    # a box this sparse would outweigh the walk: rank the offsets instead
+    offsets = _rank(code) if cells > _BOX_CELLS * n else None
+    # table[c] is the first step at code c as soon as the span that holds
+    # that step is taken, so each span reads its own first visits, in step
+    # order, and first overwrites the codes
+    table = np.full(cells if offsets is None else len(offsets), n, dtype=index)
+    visits = [code[:0]]
+    for lo, hi in _spans(n):
+        span, i = code[lo:hi], np.arange(lo, hi, dtype=index)
+        np.minimum.at(table, span, i)
+        at = table[span]
+        if seed is not None:
+            visits.append(span[at == i])
+        span[:] = at
+    del table
+    first = code.astype(index, copy=False)
     if seed is None:
         return Walk(first, None)
-    positions = positions[np.argsort(at)]
-    del at
-    return Walk(first, _draws(_z2_keys(positions), len(positions), seed))
+    visits = np.concatenate(visits)
+    if offsets is not None:
+        visits = offsets[visits]
+    return Walk(first, _draws(_z2_keys(visits, height, x0, y0), len(visits), seed))
 
 
-def _z2_keys(positions: np.ndarray):
-    """The key b"x,y" of each packed position, formatted a span at a time."""
-    for lo, hi in _spans(len(positions)):
-        span = positions[lo:hi]
-        y = ((span + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
-        yield from map(b"%d,%d".__mod__, zip(((span - y) >> 32).tolist(), y.tolist()))
+def _rank(code: np.ndarray) -> np.ndarray:
+    """The distinct codes in order; each code is replaced by its rank among them, in place."""
+    distinct = np.unique(code)
+    for lo, hi in _spans(len(code)):
+        code[lo:hi] = np.searchsorted(distinct, code[lo:hi])
+    return distinct
+
+
+def _coordinate(letters: np.ndarray, up: int, index: np.dtype) -> np.ndarray:
+    """The running coordinate that letter up steps by +1 and letter up + 1 by -1, from 0.
+
+    Each letter is compared with a one-byte temporary, and the sum runs in place.
+    """
+    axis = np.zeros(len(letters), dtype=index)
+    steps = letters[:-1]
+    axis[1:] = steps == up
+    np.subtract(axis[1:], steps == up + 1, out=axis[1:])
+    return np.cumsum(axis, dtype=index, out=axis)
+
+
+def _z2_keys(offsets: np.ndarray, height: int, x0: int, y0: int):
+    """The list of keys b"x,y" of each span of box offsets, (x - x0) * height + y - y0."""
+    for lo, hi in _spans(len(offsets)):
+        x, y = np.divmod(offsets[lo:hi], height)
+        x += x0
+        y += y0
+        yield list(map(b"%d,%d".__mod__, zip(x.tolist(), y.tolist())))
 
 
 def _walk_f2(letters: np.ndarray, seed: int | None) -> Walk:
@@ -308,7 +356,7 @@ def _walk_f2(letters: np.ndarray, seed: int | None) -> Walk:
     # the walk's edges and node per step go before the keys are chained,
     # to keep them off the peak
     del children, node
-    return Walk(first, _draws(_tree_keys(head, parent), len(head), seed))
+    return Walk(first, _draws(_cut(_tree_keys(head, parent), len(head)), len(head), seed))
 
 
 def _tree_keys(head: array, parent: array):
@@ -342,7 +390,10 @@ def walk(kind: str, letters, seed: int | None = None) -> Walk:
     little-endian bytes.  Without one, draws is None and no key is hashed.
 
     Each action has its own kernel; all of them equal the generic walk
-    that steps one letter at a time.
+    that steps one letter at a time.  z2 numbers its positions densely and
+    reads first from a table of each position's first step, so it sorts
+    nothing unless its bounding box holds more than _BOX_CELLS cells per
+    step; each kernel hands _draws its keys one span at a time.
     """
     limit = driving_size(kind) or _MONOID_LETTERS
     if seed is not None:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fiberlab import (
     Alphabet,
@@ -36,7 +38,7 @@ from fiberlab import (
     walk,
 )
 from fiberlab import actions
-from fiberlab.actions import _CHUNK
+from fiberlab.actions import _CHUNK, Z2_VECTORS
 from fiberlab.coding import pair_counts
 from fiberlab.config import ConfigError
 from fiberlab.driving import block_code_details
@@ -481,3 +483,57 @@ def test_chain_and_draw_loops_cross_draw_chunks(kind, path, offset):
     got = walk(kind, letters, seed=5)
     assert np.array_equal(got.first, np.array(first, dtype=np.int64))
     assert got.draws.tolist() == keyed_draws(5, keys)
+
+
+@st.composite
+def z2_words(draw):
+    """A z2 driving word of 0 to 40 letters: random, a straight line, or a
+    staircase that alternates one step of each axis, whose bounding box
+    grows as n**2 / 4."""
+    n = draw(st.sampled_from([0, 1, 2]) | st.integers(0, 40))
+    shape = draw(st.sampled_from(["random", "line", "staircase"]))
+    if shape == "random":
+        return shape, draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if shape == "line":
+        return shape, [draw(st.integers(0, 3))] * n
+    pair = [draw(st.sampled_from([E1, NEG_E1])), draw(st.sampled_from([E2, NEG_E2]))]
+    return shape, (pair * n)[:n]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(z2_words(), st.integers(0, 2 ** 64 - 1))
+@example(("line", []), 0)
+@example(("line", [E2]), 1)
+@example(("random", [E1, NEG_E1]), 2)
+@example(("line", [NEG_E2] * 9), 3)
+@example(("staircase", [E1, E2] * 10), 2 ** 64 - 1)
+def test_z2_numbers_its_positions_by_box_or_by_rank_as_the_oracle_walks(word, seed):
+    # the z2 kernel numbers positions by their offset in the walk's bounding
+    # box, or by their rank when the box holds more than _BOX_CELLS cells per
+    # step; either way first and the draws are the generic walk's, across
+    # the spans of a small chunk
+    shape, letters = word
+    ranked = []
+    rank = actions._rank
+
+    def spy(code):
+        ranked.append(len(code))
+        return rank(code)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(actions, "_CHUNK", 4)
+        patch.setattr(actions, "_rank", spy)
+        got = walk("z2", letters, seed)
+        first, keys = reference_walk("z2", letters)
+    assert got.first.tolist() == first
+    assert got.draws.tolist() == keyed_draws(seed, keys)
+    x, y = zip(*([(0, 0)] + [Z2_VECTORS[letter] for letter in letters[:-1]]))
+    box = (np.ptp(np.cumsum(x)) + 1) * (np.ptp(np.cumsum(y)) + 1)
+    assert ranked == ([len(letters)] if box > actions._BOX_CELLS * len(letters) else [])
+    # a line's box is the line itself (an empty walk's box is one cell, more
+    # than 3.5 per letter), and a staircase of 16 letters spans 9 by 8 cells:
+    # the examples take both numberings
+    if shape == "line" and letters:
+        assert not ranked
+    if shape == "staircase" and len(letters) >= 16:
+        assert ranked

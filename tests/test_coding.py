@@ -939,14 +939,16 @@ def test_a_late_offending_row_raises_the_unchunked_message(monkeypatch, chunk):
 
 # tracemalloc bytes per letter at n = 2e5, seed 3, k = 8, each call's own
 # peak: the measured value with about 15% over it.  Measured: walk 4.0 (f2,
-# whose f2-markov words never cancel, so first is an int32 arange) and 18.8
-# (z2: packed positions, the sort's int64 order and the int32 first);
-# emit_name 16.8 and 21.6 (the walk, its uint64 draws and the uint8 name);
+# whose f2-markov words never cancel, so first is an int32 arange) and 9.2
+# (z2: its int32 x and y coordinates and a one-byte comparison; the box
+# code, which becomes first in place, and the first-visit table of the
+# walk's 1.03 box cells per letter come after them); emit_name 16.8 and
+# 11.8 (the walk, its uint64 draws and the uint8 name);
 # conditional_rate 16.3 and 16.3 (the pair table's keys and the
 # information function's float64 -log2 p).
 BYTES_PER_LETTER = {
     "f2-markov": {"walk": 5, "emit_name": 20, "conditional_rate": 19},
-    "z2-uniform": {"walk": 22, "emit_name": 25, "conditional_rate": 19},
+    "z2-uniform": {"walk": 10.5, "emit_name": 13.7, "conditional_rate": 19},
 }
 
 

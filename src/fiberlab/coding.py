@@ -49,18 +49,18 @@ the block's own walk exactly when they visit the same coordinate of any
 longer walk that contains the block, and free-monoid coordinates never
 repeat.  A name's blocks therefore take their patterns from the name's
 walk, and decode walks the driving word once; only codebook_for walks a
-lone context.  Positivity is read off the chain's support, by the plain
-coder's refusal (driving._refuse_blocks); the exact context probability nu is
-computed only by the plain coder, as integer numerators over one
-denominator, and the joint coder reuses them:
-a pair's context is the plain table's row of the pair's first block, and
-its joint length is read off nu's numerator times mu's over the product
-of their denominators.
+lone context.  Positivity is read off the chain's support
+(driving._refuse_blocks).  verify-ar's three coders price the one pair
+table: the plain coder (driving._plain_code) gives each distinct pair its
+context's exact nu, an integer numerator over one denominator, and the
+joint length is read off nu's numerator times mu's over the product of
+their denominators.
 
 Every per-run verdict is decided in integers, with no float tolerance:
 the length bound, eq15 as its corollary, and the information floor from
-the first-visit symbol counts (conditional_rate, _no_undershoot).  The
-report's float rates are never compared.
+the first-visit symbol counts (conditional_rate, _no_undershoot), read in
+the one pass that gives J_n (fiber._information).  The report's float
+rates are never compared.
 """
 
 from __future__ import annotations
@@ -75,20 +75,13 @@ import numpy as np
 
 from .actions import _integer, _integers, _real, _spans, check_driving_size, walk
 
-# coding calls neither sample_trajectory nor emit_name; bench/child.py's tracer wraps both here too
-from .driving import (
-    MarkovChainSpec,
-    _block_table,
-    _gather,
-    _letter_dtype,
-    _refuse_blocks,
-    _sequential_sum,
-    block_code_details,
-    sample_trajectory,
-)
+# coding calls none of sample_trajectory, emit_name, block_code_details and
+# information_function; bench/child.py's tracer wraps all four here
+from .driving import MarkovChainSpec, _block_table, _cylinder_den, _gather, _letter_dtype, _plain_code
+from .driving import _refuse_blocks, _sequential_sum, block_code_details, sample_trajectory
 from .errors import MalformedStreamError
-from .fiber import FiberSystemSpec, OrbitName, _first_symbols, emit_name, exact_rate_or_none, information_function
-from .kraft import BinaryCodebook, _shannon_bits, canonical_kraft_code, shannon_length
+from .fiber import FiberSystemSpec, OrbitName, _information, emit_name, exact_rate_or_none, information_function
+from .kraft import BinaryCodebook, _canonical_words, _shannon_bits, shannon_length
 
 # the information-function floor gates a verdict from this horizon on
 UNDERSHOOT_MIN_N = 1000
@@ -117,14 +110,14 @@ class _CountCode:
         self.numerators[:] = nums
         # clamp covers the degenerate one-symbol fiber where mu = 1
         self.lengths = np.maximum(_shannon_bits(self.numerators, den), 1).astype(np.int64)
-        lengths = self.lengths.tolist()
-        entries = canonical_kraft_code(dict(enumerate(lengths))).entries
+        # the canonical order, (length, v), is (length, rank)
+        order = np.argsort(self.lengths, kind="stable")
         self.words = np.empty(len(nums), dtype=object)
-        self.words[:] = [entries[r] for r in range(len(nums))]
+        self.words[order] = _canonical_words(self.lengths[order].tolist())
         self.log2mu = np.array([math.log2(x / den) for x in nums])
         self.den = den
         self.decode_map = {w: r for r, w in enumerate(self.words.tolist())}
-        self.lengths_sorted = sorted(set(lengths))
+        self.lengths_sorted = sorted(set(self.lengths.tolist()))
 
 
 def _block_patterns(walks: np.ndarray) -> np.ndarray:
@@ -489,9 +482,9 @@ def _conditional(name: OrbitName, family: BlockCodebookFamily, exact):
     info_rate = None
     no_undershoot_ok = None
     if n >= 1:
-        info_rate = information_function(name.fiber_spec, name, name.letters) / n
-        # information_function refuses an inconsistent name, so every first visit reads a symbol
-        symbols = _first_symbols(name.fiber_spec, name.first, name.letters)
+        # one read of the first visits gives J_n and the symbol counts the floor is decided on
+        information, symbols = _information(name.fiber_spec, name.first, name.letters)
+        info_rate = information / n
         symbol_counts = np.bincount(symbols.astype(np.intp), minlength=name.fiber_spec.fiber_alphabet.size)
         no_undershoot_ok = _no_undershoot(name.fiber_spec, total_bits, n, symbol_counts.tolist())
 
@@ -553,18 +546,8 @@ class ArDecompositionReport:
     COLUMNS names the report's CSV columns, in order.
     """
 
-    COLUMNS = (
-        "n",
-        "k",
-        "joint_rate",
-        "plain_rate",
-        "conditional_rate",
-        "residual",
-        "joint_ideal_rate",
-        "plain_ideal_rate",
-        "conditional_cross_rate",
-        "seed",
-    )
+    COLUMNS = ("n", "k", "joint_rate", "plain_rate", "conditional_rate", "residual", "joint_ideal_rate",
+               "plain_ideal_rate", "conditional_cross_rate", "seed")
 
     n: int
     k: int
@@ -587,35 +570,33 @@ class ArDecompositionReport:
 def ar_decomposition_check(name: OrbitName, family: BlockCodebookFamily) -> ArDecompositionReport:
     """Compare joint, plain and conditional block-code rates on one name.
 
-    It takes what conditional_rate takes and samples nothing: the plain
-    coder reads name.driving, the report carries name.seed.  The joint
-    coder spends ceil(-log2(nu[u] mu[u|v])) bits per aligned pair block
-    and raw codes remainder pairs; the plain coder is the driving block
-    coder, whose exact nu numerators the joint coder reuses; the
-    conditional coder is the contextual fiber coder.  The report carries
-    joint - plain - conditional.
+    It takes what conditional_rate takes and samples nothing: the report
+    carries name.seed.  The joint coder spends ceil(-log2(nu[u] mu[v|u]))
+    bits per aligned pair block and raw codes remainder pairs, the plain
+    coder is the driving block coder and the conditional coder the
+    contextual fiber coder, all three on the one pair table the conditional
+    pass checked.  The report carries joint - plain - conditional.
     """
     cond, table, counts, ranks = _conditional(name, family, None)
     n, k = len(name), family.k
     if n == 0:
         return ArDecompositionReport(0, k, name.seed, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    plain = block_code_details(family.driving_spec, name.driving, k)
-
-    # every pair is consistent and every context positive: the conditional pass checked both
-    contexts = plain.table.index[table.first]
+    # the conditional pass checked every pair and its context: the plain coder prices each pair's context
+    m = len(table.index)
+    plain, nu, log2nu = _plain_code(family.driving_spec, table, n - m * k)
+    den = _cylinder_den(family.driving_spec, k)
     dens = np.empty(k + 1, dtype=object)
     for d, code in family._count_codes.items():
-        dens[d] = plain.den * code.den
-    lengths = np.empty(len(contexts), dtype=np.int64)
+        dens[d] = den * code.den
+    lengths = np.empty(len(table.first), dtype=np.int64)
     # a span at a time, so that no array of big-integer products is as long as the table
-    for lo, hi in _spans(len(contexts)):
-        nums = plain.nums[contexts[lo:hi]] * family._read(counts[lo:hi], ranks[lo:hi], "numerators")
+    for lo, hi in _spans(len(lengths)):
+        nums = nu[lo:hi] * family._read(counts[lo:hi], ranks[lo:hi], "numerators")
         lengths[lo:hi] = np.maximum(_shannon_bits(nums, dens[counts[lo:hi]]), 1)
-    log2nu = np.array([math.log2(num / plain.den) for num in plain.nums.tolist()])
-    ideals = -family._read(counts, ranks, "log2mu") - log2nu[contexts]
+    ideals = -family._read(counts, ranks, "log2mu") - log2nu
     pair_raw = (family.driving_spec.alphabet.size * family.fiber_spec.fiber_alphabet.size - 1).bit_length()
-    joint_total = int(table.counts @ lengths) + (n - plain.m * k) * pair_raw
+    joint_total = int(table.counts @ lengths) + (n - m * k) * pair_raw
     joint_ideal = _sequential_sum(ideals[table.index])
 
     return ArDecompositionReport(

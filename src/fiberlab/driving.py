@@ -12,9 +12,11 @@ Block coders cost a word block by block, and the cost of a block depends
 on its letters alone, so they work from _block_table: the distinct aligned
 k-blocks in first-occurrence order and each block's index into them.  The
 table keeps its blocks as views of the words, and the coders gather, check
-and score its distinct blocks a span at a time (actions._spans), in table
-order, keeping one value per block.  Per-block sums are then taken in
-block order over whole arrays, as a block-by-block loop takes them.
+and score its distinct rows a span at a time (actions._spans), in table
+order, keeping one value per row.  The plain coder (_plain_code) prices a
+table's driving columns, a word's own table or a name's pair table alike.
+Per-row sums are then taken in block order over whole arrays, as a
+block-by-block loop takes them.
 
 Each law's integer numerators over its least common denominator are
 cached on its spec, and a spec is validated on them: entries are
@@ -521,49 +523,45 @@ def _sequential_sum(values) -> float:
 
 
 class PlainBlockCode(NamedTuple):
-    """The plain block coder's bit counts on one driving word.
-
-    table holds the word's distinct full blocks (see _block_table); block
-    _gather(table)[j] has exact cylinder probability nums[j] / den.
-    """
+    """The plain block coder's bit counts: Shannon lengths with the raw tail, and ideal lengths."""
 
     total_bits: int
     ideal_bits: float
-    m: int
-    tail_bits: int
-    table: _BlockTable
-    nums: np.ndarray
-    den: int
+
+
+def _plain_code(spec: MarkovChainSpec, table: _BlockTable, tail: int) -> tuple[PlainBlockCode, np.ndarray, np.ndarray]:
+    """The plain coder on the driving columns, windows[0], of a checked table: a word's or a name's pairs.
+
+    Returns the PlainBlockCode, with tail letters raw coded, then each
+    distinct row's cylinder numerator over _cylinder_den(spec, k) and its log2 nu.
+    """
+    view = table.windows[0]
+    nums, den = np.empty(len(table.first), dtype=object), _cylinder_den(spec, view.shape[1])
+    bits, log2nu = np.empty(len(table.first), dtype=np.int64), np.empty(len(table.first))
+    for lo, hi in _spans(len(table.first)):
+        nums[lo:hi] = _cylinder_numerators(spec, view[table.first[lo:hi]])[0]
+        bits[lo:hi] = _shannon_bits(nums[lo:hi], den)
+        log2nu[lo:hi] = [math.log2(num / den) for num in nums[lo:hi].tolist()]
+    total = int(table.counts @ bits) + tail * (spec.alphabet.size - 1).bit_length()
+    return PlainBlockCode(total, _sequential_sum(-log2nu[table.index])), nums, log2nu
 
 
 def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockCode:
     """Total and ideal bit counts of the plain per-block Shannon coder.
 
     Full k-blocks cost ceil(-log2 nu[block]) bits; the n mod k remainder
-    symbols are raw coded at ceil(log2 |alphabet|) bits each.  nu is
-    computed once per distinct block, as integer numerators over one
-    denominator.  The first offending block, in block order, is refused by
-    _refuse_blocks, and then a remainder letter outside the alphabet
-    raises ValueError.
+    symbols are raw coded at ceil(log2 |alphabet|) bits each.  The first
+    offending block, in block order, is refused by _refuse_blocks, and then
+    a remainder letter outside the alphabet raises ValueError.
     """
     k = _integer(k, "block length", 1)
     letters = _integers(trajectory)
-    n = len(letters)
-    m = n // k
     table = _block_table((letters,), k)
-    nums, den = np.empty(len(table.first), dtype=object), _cylinder_den(spec, k)
-    bits = np.empty(len(table.first), dtype=np.int64)
     for lo, hi in _spans(len(table.first)):
-        rows = table.windows[0][table.first[lo:hi]]
-        _refuse_blocks(spec, rows)
-        nums[lo:hi] = _cylinder_numerators(spec, rows)[0]
-        bits[lo:hi] = _shannon_bits(nums[lo:hi], den)
+        _refuse_blocks(spec, table.windows[0][table.first[lo:hi]])
+    m = len(table.index)
     _integers(letters[m * k :], spec.alphabet.size, "driving letters")
-    total = int(table.counts @ bits)
-    ideal = _sequential_sum(np.array([-math.log2(num / den) for num in nums.tolist()])[table.index])
-    raw = (spec.alphabet.size - 1).bit_length()
-    tail_bits = (n - m * k) * raw
-    return PlainBlockCode(total + tail_bits, ideal, m, tail_bits, table, nums, den)
+    return _plain_code(spec, table, len(letters) - m * k)[0]
 
 
 def block_code_rate(spec: MarkovChainSpec, trajectory, k: int) -> float:

@@ -194,10 +194,15 @@ def information_function(spec: FiberSystemSpec, alpha, omega) -> float:
         first = alpha.first
     else:
         first = walk(spec.action_kind, alpha).first
-    symbols = _first_symbols(spec, first, omega)
+    return _information(spec, first, omega)[0]
+
+
+def _information(spec: FiberSystemSpec, first: np.ndarray, v) -> tuple[float, np.ndarray]:
+    """-log2 p summed over v's first visits, and the symbols v reads there; the one refusal of a null pair."""
+    symbols = _first_symbols(spec, first, v)
     if symbols is None:
         raise InfiniteInformationError("prefix pair has zero probability")
-    return -float(_log2p(spec)[symbols].sum())
+    return -float(_log2p(spec)[symbols].sum()), symbols
 
 
 @dataclass(frozen=True)

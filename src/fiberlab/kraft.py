@@ -87,15 +87,23 @@ def canonical_kraft_code(lengths: Mapping[Hashable, int]) -> BinaryCodebook:
     """
     for l in lengths.values():
         _integer(l, "a codeword length", 1)
-    if kraft_sum(lengths.values()) > 1:
-        raise KraftInfeasibleError("requested lengths violate Kraft's inequality")
     items = sorted(lengths.items(), key=lambda kv: (kv[1], kv[0]))
-    entries = {}
-    code = 0
-    prev_len = items[0][1] if items else 0
-    for block, length in items:
-        code <<= length - prev_len
-        prev_len = length
-        entries[block] = format(code, f"0{length}b")
+    words = _canonical_words([length for _, length in items])
+    return BinaryCodebook({block: word for (block, _), word in zip(items, words)})
+
+
+def _canonical_words(lengths: list[int]) -> list[str]:
+    """The canonical codewords, consecutive binary fractions, of ascending integer lengths >= 1.
+
+    After word i, code = sum_{j<=i} 2**(l_i - l_j), so code / 2**l_max is the
+    Kraft sum, decided once at the end: KraftInfeasibleError when it exceeds 1.
+    """
+    words, code, last = [], 0, 0
+    for length in lengths:
+        code <<= length - last
+        last = length
+        words.append(format(code, f"0{length}b"))
         code += 1
-    return BinaryCodebook(entries)
+    if code > 1 << last:
+        raise KraftInfeasibleError("requested lengths violate Kraft's inequality")
+    return words

@@ -605,8 +605,10 @@ def test_pair_counts_match_the_window_loop():
         assert all(type(x) is int for u, v in counts for x in u + v)
 
 
-def test_cells_compute_nu_once_per_context_and_walk_no_context(monkeypatch):
-    # nu is scored in one call per cell, over exactly the cell's distinct contexts
+def test_cells_compute_nu_once_per_pair_and_walk_no_context(monkeypatch):
+    # nu is scored in one call per cell, over the driving blocks of the pair
+    # table's distinct rows in table order: the plain coder prices the pair
+    # table that the conditional pass checked, and tables no contexts of its own
     nu_calls, walked = [], []
     nu_of, walk_of = driving._cylinder_numerators, coding.walk
     monkeypatch.setattr(
@@ -616,10 +618,8 @@ def test_cells_compute_nu_once_per_context_and_walk_no_context(monkeypatch):
     n, k, seed = 20_003, 8, 5
     name = sampled(F2, F2_DRIVING, n, seed)
     ar_decomposition_check(name, BlockCodebookFamily(k, F2, F2_DRIVING))
-    letters = name.driving.tolist()
-    contexts = {tuple(letters[i * k : (i + 1) * k]) for i in range(n // k)}
     assert len(nu_calls) == 1
-    assert sorted(map(tuple, nu_calls[0])) == sorted(contexts)
+    assert list(map(tuple, nu_calls[0])) == [u for u, _ in pair_counts(name.driving, name.letters, k)]
     assert walked == []
     nu_calls.clear()
     trajectory = sample_trajectory(Z2_DRIVING, n, seed)
@@ -681,17 +681,30 @@ def test_decode_checks_every_context_before_reading_bits():
 
 
 def test_one_cell_builds_the_pair_table_once(monkeypatch):
-    built = []
-    table_of = coding._block_table
-    monkeypatch.setattr(coding, "_block_table", lambda *args: built.append(args) or table_of(*args))
+    # a verify-ar cell once tabled its blocks twice, the pair table in the
+    # conditional pass and the driving word's table in the plain coder,
+    # whose refusal flagged every context again; and every cell read the
+    # name's first visits twice, for J_n and for the floor's symbol counts
+    built, flagged, read = [], [], []
+    for module in (coding, driving):
+        spy = lambda *args, table_of=module._block_table: built.append(args) or table_of(*args)  # noqa: E731
+        monkeypatch.setattr(module, "_block_table", spy)
+    faults = driving._block_faults
+    monkeypatch.setattr(driving, "_block_faults", lambda spec, rows: flagged.append(len(rows)) or faults(spec, rows))
+    symbols_of = fiber_module._first_symbols
+    monkeypatch.setattr(fiber_module, "_first_symbols", lambda *args: read.append(args) or symbols_of(*args))
     n, k, seed = 20_003, 8, 5
-    trajectory = sample_trajectory(Z2_DRIVING, n, seed)
-    conditional_rate(emit_name(Z2, trajectory, seed), BlockCodebookFamily(k, Z2, Z2_DRIVING), exact=None)
-    assert len(built) == 1
+    name = emit_name(Z2, sample_trajectory(Z2_DRIVING, n, seed), seed)
+    conditional_rate(name, BlockCodebookFamily(k, Z2, Z2_DRIVING), exact=None)
+    assert len(built) == 1 and len(read) == 1
+    assert sum(flagged) == len(pair_counts(name.driving, name.letters, k))
     name = sampled(F2, F2_DRIVING, n, seed)
-    built.clear()
+    for calls in (built, flagged, read):
+        calls.clear()
     ar_decomposition_check(name, BlockCodebookFamily(k, F2, F2_DRIVING))
-    assert len(built) == 1
+    assert len(built) == 1 and len(read) == 1
+    # each distinct pair's row, and so each distinct context, is flagged once
+    assert sum(flagged) == len(pair_counts(name.driving, name.letters, k))
 
 
 # a stationary z2 chain that is not i.i.d.: it repeats its last step w.p. 1/2
@@ -855,15 +868,20 @@ def coder_results(fiber, chain, n, k, seed):
     name = emit_name(fiber, trajectory, seed)
     family = BlockCodebookFamily(k, fiber, chain)
     stream = encode(name, family)
+    ar = ar_decomposition_check(name, family)
     plain = block_code_details(chain, trajectory, k)
-    table = plain.table
+    # the plain coder prices the pair table's contexts in ar, and the word's own table here
+    assert ar.plain_rate == plain.total_bits / n and ar.plain_ideal_rate == plain.ideal_bits / n
+    table = driving._block_table((trajectory.letters,), k)
+    rows = _gather(table)
     return {
         "conditional_rate": conditional_rate(name, family, exact=None),
         "bits": stream.bits,
         "decode": decode(stream, name.driving, family).tolist(),
-        "ar": ar_decomposition_check(name, family),
-        "plain": (plain.total_bits, plain.ideal_bits, plain.m, plain.tail_bits, plain.nums.tolist(), plain.den),
-        "plain table": [_gather(table).tolist(), table.index.tolist(), table.counts.tolist(), table.first.tolist()],
+        "ar": ar,
+        "plain": (plain.total_bits, plain.ideal_bits),
+        "plain table": [rows.tolist(), table.index.tolist(), table.counts.tolist(), table.first.tolist(),
+                        driving._cylinder_numerators(chain, rows)[0].tolist()],
         "pair_counts": list(pair_counts(name.driving, name.letters, k).items()),
     }
 

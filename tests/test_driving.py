@@ -571,11 +571,12 @@ def test_block_code_details_match_the_block_loop():
         plain = block_code_details(spec, letters, k)
         assert plain.total_bits == total + (n - m * k) * raw
         assert plain.ideal_bits == ideal  # same additions in the same order
-        assert plain.m == m and plain.tail_bits == (n - m * k) * raw
         blocks = [tuple(letters[i * k : (i + 1) * k]) for i in range(m)]
-        rows = [tuple(row) for row in _gather(plain.table).tolist()]
+        distinct = _gather(_block_table((np.array(letters),), k))
+        rows = [tuple(row) for row in distinct.tolist()]
         assert rows == list(dict.fromkeys(blocks))
-        assert [Fraction(num, plain.den) for num in plain.nums.tolist()] == [cylinder_prob(spec, b) for b in rows]
+        nums, den = _cylinder_numerators(spec, distinct)
+        assert [Fraction(num, den) for num in nums.tolist()] == [cylinder_prob(spec, b) for b in rows]
 
 
 def test_block_code_details_raise_at_the_first_null_block():

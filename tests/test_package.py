@@ -35,6 +35,23 @@ def test_only_actions_binds_the_chunk():
     assert bound == [("fiberlab.actions", "_CHUNK")]
 
 
+def test_every_name_the_bench_tracer_wraps_is_still_bound():
+    # bench/child.py times a layer by replacing a function in the fiberlab
+    # modules that look it up at call time, tracer.wrap([modules], "name", ...);
+    # coding binds block_code_details and information_function for the tracer
+    # alone, so a change that dropped such a name would fail only a traced run
+    child = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+    wrapped = []
+    for node in ast.walk(ast.parse(child.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "tracer.wrap":
+            modules, name = node.args[0], node.args[1]
+            wrapped += [(module.id, name.value) for module in modules.elts]
+    assert {("coding", "block_code_details"), ("coding", "information_function")} <= set(wrapped)
+    unbound = [(module, name) for module, name in wrapped
+               if not hasattr(importlib.import_module(f"fiberlab.{module}"), name)]
+    assert unbound == []
+
+
 def _keyed_blake2b_calls(tree: ast.AST) -> list[ast.Call]:
     """Every call of blake2b, plain or as an attribute, with a key= keyword."""
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)

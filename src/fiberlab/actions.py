@@ -22,32 +22,36 @@ symbol draws of the distinct coordinates in first-visit order: each the
 Everything else is read off these: position i is a first visit when
 first[i] == i, so visit counts are a cumulative sum, and an orbit name is
 fixed by its symbols at the first visits.  Three kernels meet the
-contract, one per action.  z2 sums the steps into its two coordinates,
-numbers each position by its offset in the walk's bounding box (by its
-rank among the distinct offsets when the box holds more than _BOX_CELLS
-cells per step), and reads first visits off one table of each cell's
-first step, with no sort.  The free monoid chains one key per step (its
-prefixes never repeat), and f2 numbers the tree nodes it meets, then
-chains their keys in node order, each from its parent's.  A kernel hands
-_draws its keys in first-visit order, one span of _spans at a time: z2 as
-one formatted list per span, the chains as an islice of their key
-iterator.  _draws alone hashes them under the seed, and no list of all
-keys is built but the f2 tree's.  Without a seed no key is made, so the
-walks that only read first hash nothing.
+contract, one per action, and each walks a span of positions at a time
+(_walk_spans): it fills first[lo:hi] and draws the span's new
+coordinates before it takes the next span, so that no other array is as
+long as the word.  walk(), visit_record and fiber.emit_name read the same
+spans.  z2 finds its bounding box in a first pass of running sums that
+carries each span's end point, then numbers every position by its offset
+in the box, summed again a span at a time, and marks the visited offsets,
+one bit each; a position's rank among the visited offsets indexes one
+table of first steps, one entry per visited cell, with no sort (it ranks
+by a sort only when the box holds more than _BOX_CELLS cells per step).
+The free monoid chains one key per step (its prefixes never repeat), and
+f2 numbers the tree nodes it meets and chains each new node's key from
+its parent's.  A kernel hands _draws one list of keys per span, in
+first-visit order; _draws alone hashes them under the seed, and no list
+of all keys is built but the f2 tree's.  Without a seed no key is made,
+so the walks that only read first hash nothing.
 
-Every chunked pass (z2's first-visit table, _draws' key spans and joins,
-fiber's name reads, the sampler, the coders' rows and JSON report rows)
-takes the spans of _CHUNK that _spans cuts, and gives the same result
-for any span length.
+Every chunked pass (the walk kernels, fiber's name reads, the sampler,
+the coders' rows and JSON report rows) takes the spans of _CHUNK that
+_spans cuts, and gives the same result for any span length; z2's two
+set-up passes alone, which hand out no span, take _SET_UP of them at a
+time.
 
 Per-letter arrays take the smallest dtype that holds their values:
 driving letters are uint8 (every driving alphabet has at most 256
-letters), first and z2's coordinates are int32 while n < 2**31 (int64
-past it), z2's position codes are int32 while the box holds fewer than
-2**31 cells, and draws are uint64.  Every letters argument is read by
-one rule, _integers, which checks them against an alphabet size when
-given one; walk() then reads uint8 letters as they are and copies other
-integer letters to uint8 once.
+letters), first is int32 while n < 2**31 (int64 past it), z2's offsets are
+int32 while the box holds fewer than 2**31 cells, and draws are uint64.
+Every letters argument is read by one rule, _integers, which checks them
+against an alphabet size when given one; walk() then reads uint8 letters
+as they are and copies other integer letters to uint8 once.
 
 The tests keep a generic walk that steps and keys one coordinate at a
 time (tests/oracles.py) as the oracle the kernels must equal.
@@ -61,7 +65,6 @@ import numbers
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -72,6 +75,10 @@ Z2_VECTORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 # both groups pair their generators: INVERSE[a] is the letter of a's inverse
 INVERSE = (1, 0, 3, 2)
 _INVERSE = np.array(INVERSE, dtype=np.uint8)
+# each letter's step along x and along y (Z2_VECTORS)
+_Z2_X, _Z2_Y = np.array(Z2_VECTORS, dtype=np.int64).T.copy()
+# _BELOW[b] has the b bits below bit b set: a word's bits before bit b
+_BELOW = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
 # a free-monoid key chains one byte per letter
 _MONOID_LETTERS = 256
@@ -83,13 +90,17 @@ _CHAIN_HASHER = hashlib.blake2b(digest_size=16)
 # the keys of the two word identities, from which every other key chains
 _MONOID_IDENTITY = hashlib.blake2b(b"fiberlab:free-monoid:e", digest_size=16).digest()
 _F2_IDENTITY = hashlib.blake2b(b"fiberlab:f2:e", digest_size=16).digest()
-# items every chunked pass takes at once (_spans): a span of digests, with
-# bytes.join's 80-byte buffer view per part, stays under 1 MB
+# items every chunked pass takes at once (_spans): a span's keys, or the
+# k-blocks of a span of a pair table's rows, stay well under 1 MB
 _CHUNK = 2 ** 12
 # a z2 walk whose bounding box holds more than this many cells per step
-# numbers its positions by rank rather than by their offset in the box, so
-# its first-visit table holds at most 3.5 step indices per step (_walk_z2)
+# ranks its offsets by a sort rather than by the box's bits of visited
+# cells, whose one byte per cell while they are marked stays at most 3.5
+# bytes per step (_walk_z2)
 _BOX_CELLS = 3.5
+# z2's set-up passes, which find its bounding box and mark its offsets and
+# hand out no span, take spans of this many _CHUNKs: fewer spans cost less
+_SET_UP = 4
 
 
 def _index_dtype(n: int) -> np.dtype:
@@ -195,101 +206,178 @@ def _check_seed(seed) -> int:
     return seed
 
 
-def _draws(spans, count: int, seed: int) -> np.ndarray:
-    """The uint64 symbol draws of count keys: the one draw rule.
+def _draws(seed: int):
+    """The one draw rule, as a function from a list of keys to their uint64 symbol draws.
 
-    spans gives the keys of each span (lo, hi) of _spans(count), hi - lo
-    keys each, as a list or an iterator.  Draw d is the little-endian
-    8-byte blake2b digest of the d-th key, keyed by the seed's 8
-    little-endian bytes.  Each draw is a copy of one keyed hasher, so the
-    key block is compressed once, and a span's digests are joined at once.
+    Draw d is the little-endian 8-byte blake2b digest of the d-th key,
+    keyed by the seed's 8 little-endian bytes.  Each draw is a copy of one
+    keyed hasher, made here once per walk, so the key block is compressed
+    once, and each digest is appended to one buffer as it is made, so no
+    list of digests is held beside the keys.
     """
-    draw = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little")).copy
-    draws = np.empty(count, dtype=np.uint64)
-    for (lo, hi), keys in zip(_spans(count), spans):
-        digests = []
-        append = digests.append
+    copy = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little")).copy
+
+    def draws(keys: list) -> np.ndarray:
+        digests = bytearray()
         for key in keys:
-            h = draw()
+            h = copy()
             h.update(key)
-            append(h.digest())
-        draws[lo:hi] = np.frombuffer(b"".join(digests), dtype="<u8")
-        # a span's keys and digests go before the next span's keys are made
-        del keys, digests, append
+            digests += h.digest()
+        return np.frombuffer(digests, dtype="<u8")
+
     return draws
 
 
-def _cut(keys, count: int):
-    """An iterator of count keys as the spans of _spans(count), one islice each."""
-    keys = iter(keys)
-    return (islice(keys, hi - lo) for lo, hi in _spans(count))
-
-
-def _chain(key: bytes, steps: bytes):
-    """key, then each key chained from the one before by the next letter of steps."""
-    chain, byte = _CHAIN_HASHER.copy, _BYTES
-    yield key
+def _chain(key: bytes, steps: bytes, keys: list) -> list:
+    """keys, extended by each key chained from the one before, from key on, by the next letter of steps."""
+    chain, byte, append = _CHAIN_HASHER.copy, _BYTES, keys.append
     # bytes iterate as ints, with no list of Python ints alongside
     for letter in steps:
         h = chain()
         h.update(key + byte[letter])
         key = h.digest()
-        yield key
+        append(key)
+    return keys
 
 
-def _chained(identity: bytes, letters: np.ndarray, seed: int | None) -> Walk:
+def _chained(identity: bytes, letters: np.ndarray, first: np.ndarray, draws):
     # every step reaches a new coordinate: coordinate i chains letter i - 1
-    # onto the key of coordinate i - 1, and only the last key is held
+    # onto the key of coordinate i - 1, and a span carries only its last key
+    key = identity
+    for lo, hi in _spans(len(letters)):
+        first[lo:hi] = np.arange(lo, hi, dtype=first.dtype)
+        drawn = None
+        if draws is not None:
+            keys = _chain(key, letters[max(lo - 1, 0) : hi - 1].tobytes(), [] if lo else [identity])
+            key = keys[-1]
+            drawn = draws(keys)
+            # a span's keys go before the span is read and the next span's keys are made
+            del keys
+        yield Walk(first[lo:hi], drawn)
+
+
+def _walk_free_monoid(letters: np.ndarray, first: np.ndarray, draws):
+    return _chained(_MONOID_IDENTITY, letters, first, draws)
+
+
+def _sums(increments: np.ndarray, letters: np.ndarray, start: int, multiple: int = 1, out=None):
+    """start plus the running sums of increments[letter] at each position, one array per span.
+
+    The spans are those of _spans(n, multiple=multiple), each written into
+    out[lo:hi] when out is given.  Position i sums the letters before it,
+    so position 0 holds start; a span picks up where the span before it
+    ended, in increments' dtype.
+    """
+    end = start
+    for lo, hi in _spans(len(letters), multiple=multiple):
+        sums = np.empty(hi - lo, dtype=increments.dtype) if out is None else out[lo:hi]
+        # position lo sums letters 0 .. lo - 1, so the span reads letters lo - 1 .. hi - 2
+        head = 0 if lo else 1
+        sums[:head] = 0
+        # every letter is in range, and "clip" writes out directly, with no buffered copy
+        increments.take(letters[lo - 1 + head : hi - 1].astype(np.intp), out=sums[head:], mode="clip")
+        np.cumsum(sums, out=sums)
+        sums += end
+        end = int(sums[-1])
+        yield sums
+        # each span goes before the next one is summed
+        del sums
+
+
+def _box(letters: np.ndarray) -> tuple[int, int, int, int]:
+    """x0, x1, y0, y1: the least and greatest coordinates of the walk, with c_0 = (0, 0) among them.
+
+    One pass of running sums of x * 2**32 + y gives both axes while
+    |y| < 2**31, as it is on a walk of fewer than 2**31 steps: x is read
+    off the sums' extremes and y off their low 32 bits; a longer walk takes
+    a pass per axis.
+    """
+    if len(letters) >= 2 ** 31:
+        return (*_extremes(_Z2_X, letters), *_extremes(_Z2_Y, letters))
+    x0 = x1 = y0 = y1 = 0
+    for sums in _sums((_Z2_X << 32) + _Z2_Y, letters, 0, _SET_UP * _CHUNK):
+        x0 = min(x0, (int(sums.min()) + 2 ** 31) >> 32)
+        x1 = max(x1, (int(sums.max()) + 2 ** 31) >> 32)
+        y = sums.astype(np.int32)
+        y0, y1 = min(y0, int(y.min())), max(y1, int(y.max()))
+        # a span goes before the next one is summed
+        del sums, y
+    return x0, x1, y0, y1
+
+
+def _extremes(increments: np.ndarray, letters: np.ndarray) -> tuple[int, int]:
+    """The least and the greatest of 0 and the running sums of increments[letter]: one axis of _box."""
+    low = high = 0
+    for sums in _sums(increments, letters, 0, _SET_UP * _CHUNK):
+        low, high = min(low, int(sums.min())), max(high, int(sums.max()))
+        del sums
+    return low, high
+
+
+def _walk_z2(letters: np.ndarray, first: np.ndarray, draws):
     n = len(letters)
-    first = np.arange(n, dtype=_index_dtype(n))
-    if seed is None:
-        return Walk(first, None)
-    return Walk(first, _draws(_cut(_chain(identity, letters[:-1].tobytes()), n), n, seed))
-
-
-def _walk_free_monoid(letters: np.ndarray, seed: int | None) -> Walk:
-    return _chained(_MONOID_IDENTITY, letters, seed)
-
-
-def _walk_z2(letters: np.ndarray, seed: int | None) -> Walk:
-    n = len(letters)
-    index = _index_dtype(n)
-    # letters 0 and 1 step x by +1 and -1, letters 2 and 3 step y (Z2_VECTORS)
-    x, y = _coordinate(letters, 0, index), _coordinate(letters, 2, index)
-    # c_0 = (0, 0), so 0 bounds every box, an empty walk's too
-    x0, y0 = int(x.min(initial=0)), int(y.min(initial=0))
-    height = int(y.max(initial=0)) - y0 + 1
-    cells = (int(x.max(initial=0)) - x0 + 1) * height
-    # a position's code is its offset in the walk's bounding box, in place
-    # over x when the box's dtype is x's
-    code = x.astype(_index_dtype(cells), copy=False)
-    code -= x0
-    code *= height
-    y -= y0
-    code += y
-    del x, y
-    # a box this sparse would outweigh the walk: rank the offsets instead
-    offsets = _rank(code) if cells > _BOX_CELLS * n else None
-    # table[c] is the first step at code c as soon as the span that holds
-    # that step is taken, so each span reads its own first visits, in step
-    # order, and first overwrites the codes
-    table = np.full(cells if offsets is None else len(offsets), n, dtype=index)
-    visits = [code[:0]]
+    x0, x1, y0, y1 = _box(letters)
+    height = y1 - y0 + 1
+    cells = (x1 - x0 + 1) * height
+    # a box this sparse would outweigh the walk: rank the offsets by a sort
+    # instead (so too a box whose offsets first cannot hold, past 6e8 steps)
+    ranked = cells > _BOX_CELLS * n or _index_dtype(cells).itemsize > first.itemsize
+    # a position's code is its offset in the box, (x - x0) * height + y - y0,
+    # summed a span at a time from each letter's move of it; the codes of a
+    # dense box wait in first, and their first steps overwrite them
+    moves = (_Z2_X * height + _Z2_Y).astype(_index_dtype(cells) if ranked else first.dtype)
+    codes = np.empty(n, dtype=moves.dtype) if ranked else first
+    seen = None if ranked else np.zeros(-(-cells // 64) * 64, dtype=bool)
+    for code in _sums(moves, letters, -x0 * height - y0, _SET_UP * _CHUNK, codes):
+        if seen is not None:
+            seen[code] = True
+    if ranked:
+        offsets = _rank(codes)
+        distinct = len(offsets)
+    else:
+        rank, distinct = _box_ranks(seen)
+        del seen
+    # table[r] is the first step at the r-th visited offset as soon as the
+    # span that holds that step is taken, so each span reads its own first
+    # visits, in step order
+    table = np.full(distinct, n, dtype=first.dtype)
     for lo, hi in _spans(n):
-        span, i = code[lo:hi], np.arange(lo, hi, dtype=index)
-        np.minimum.at(table, span, i)
-        at = table[span]
-        if seed is not None:
-            visits.append(span[at == i])
-        span[:] = at
-    del table
-    first = code.astype(index, copy=False)
-    if seed is None:
-        return Walk(first, None)
-    visits = np.concatenate(visits)
-    if offsets is not None:
-        visits = offsets[visits]
-    return Walk(first, _draws(_z2_keys(visits, height, x0, y0), len(visits), seed))
+        code = codes[lo:hi]
+        ranks = code if ranked else rank(code)
+        i = np.arange(lo, hi, dtype=first.dtype)
+        np.minimum.at(table, ranks, i)
+        at = table.take(ranks)
+        drawn = None
+        if draws is not None:
+            new = at == i
+            drawn = draws(_z2_keys(offsets.take(ranks[new]) if ranked else code[new], height, x0, y0))
+        first[lo:hi] = at
+        # a span's arrays go before the span is read and the next one is numbered
+        del code, ranks, i, at
+        yield Walk(first[lo:hi], drawn)
+
+
+def _box_ranks(seen: np.ndarray):
+    """The rank of each visited box offset among them, as a function of a span of offsets, and their number.
+
+    seen marks the visited offsets, a multiple of 64 of them.  They are
+    packed one bit each, 64 to a word, with the number of visited offsets in
+    the words before each word, so that the table of first steps holds one
+    entry per visited offset rather than one per cell of the box.
+    """
+    words = np.packbits(seen, bitorder="little").view("<u8")
+    before = np.zeros(len(words) + 1, dtype=_index_dtype(len(seen)))
+    np.cumsum(np.bitwise_count(words), dtype=before.dtype, out=before[1:])
+
+    def rank(code: np.ndarray) -> np.ndarray:
+        word = code >> 6
+        bits = _BELOW.take(code & 63)
+        bits &= words.take(word)
+        ranks = before.take(word)
+        ranks += np.bitwise_count(bits)
+        return ranks
+
+    return rank, int(before[-1])
 
 
 def _rank(code: np.ndarray) -> np.ndarray:
@@ -300,79 +388,87 @@ def _rank(code: np.ndarray) -> np.ndarray:
     return distinct
 
 
-def _coordinate(letters: np.ndarray, up: int, index: np.dtype) -> np.ndarray:
-    """The running coordinate that letter up steps by +1 and letter up + 1 by -1, from 0.
-
-    Each letter is compared with a one-byte temporary, and the sum runs in place.
-    """
-    axis = np.zeros(len(letters), dtype=index)
-    steps = letters[:-1]
-    axis[1:] = steps == up
-    np.subtract(axis[1:], steps == up + 1, out=axis[1:])
-    return np.cumsum(axis, dtype=index, out=axis)
+def _z2_keys(offsets: np.ndarray, height: int, x0: int, y0: int) -> list:
+    """The keys b"x,y" of box offsets (x - x0) * height + y - y0."""
+    x, y = np.divmod(offsets, height)
+    x += x0
+    y += y0
+    return list(map(b"%d,%d".__mod__, zip(x.tolist(), y.tolist())))
 
 
-def _z2_keys(offsets: np.ndarray, height: int, x0: int, y0: int):
-    """The list of keys b"x,y" of each span of box offsets, (x - x0) * height + y - y0."""
-    for lo, hi in _spans(len(offsets)):
-        x, y = np.divmod(offsets[lo:hi], height)
-        x += x0
-        y += y0
-        yield list(map(b"%d,%d".__mod__, zip(x.tolist(), y.tolist())))
+def _reduced(steps: np.ndarray) -> bool:
+    """Whether no letter of steps is followed by its inverse, read a span at a time."""
+    return not any((steps[lo + 1 : hi + 1] == _INVERSE.take(steps[lo:hi])).any() for lo, hi in _spans(len(steps) - 1))
 
 
-def _walk_f2(letters: np.ndarray, seed: int | None) -> Walk:
-    steps = letters[:-1]
-    if not (steps[1:] == _INVERSE[steps[:-1]]).any():
+def _walk_f2(letters: np.ndarray, first: np.ndarray, draws):
+    if _reduced(letters[:-1]):
         # a reduced word never cancels its head, so it never revisits
-        return _chained(_F2_IDENTITY, letters, seed)
+        return _chained(_F2_IDENTITY, letters, first, draws)
+    return _tree(letters, first, draws)
+
+
+def _tree(letters: np.ndarray, first: np.ndarray, draws):
     # tree nodes are numbered in first-visit order; node 0 is the identity.
     # A child is entered from its parent only after being left upwards, so
     # children (node * 4 + letter -> child) holds just the edges walked back.
-    index = _index_dtype(len(letters)).char
+    index = first.dtype.char
     head = array("b", [-1])
     parent = array(index, [-1])
     born = array(index, [0])
     children: dict[int, int] = {}
-    node = array(index, [0]) * len(letters)
-    cur = 0
-    for i, letter in enumerate(steps.tolist(), 1):
-        if head[cur] == INVERSE[letter]:
-            up = parent[cur]
-            children[up * 4 + head[cur]] = cur
-            cur = up
-        else:
-            child = children.get(cur * 4 + letter)
-            if child is None:
-                child = len(head)
-                head.append(letter)
-                parent.append(cur)
-                born.append(i)
-            cur = child
-        node[i] = cur
-    first = np.frombuffer(born, dtype=index)[np.frombuffer(node, dtype=index)]
-    if seed is None:
-        return Walk(first, None)
-    # the walk's edges and node per step go before the keys are chained,
-    # to keep them off the peak
-    del children, node
-    return Walk(first, _draws(_cut(_tree_keys(head, parent), len(head)), len(head), seed))
-
-
-def _tree_keys(head: array, parent: array):
-    """Each tree node's key in node order, chained from its parent's, numbered before it."""
-    chain, byte = _CHAIN_HASHER.copy, _BYTES
     keys = [_F2_IDENTITY]
-    yield keys[0]
-    for letter, up in islice(zip(head, parent), 1, None):
+    cur = 0
+    for lo, hi in _spans(len(letters)):
+        # position 0 is the identity; position i > 0 steps by letter i - 1
+        steps = array(index, [0] if lo == 0 else [])
+        nodes = len(head) if lo else 0
+        for letter in letters[max(lo - 1, 0) : hi - 1].tolist():
+            if head[cur] == INVERSE[letter]:
+                up = parent[cur]
+                children[up * 4 + head[cur]] = cur
+                cur = up
+            else:
+                child = children.get(cur * 4 + letter)
+                if child is None:
+                    child = len(head)
+                    head.append(letter)
+                    parent.append(cur)
+                    born.append(lo + len(steps))
+                cur = child
+            steps.append(born[cur])
+        first[lo:hi] = steps
+        # the nodes born in the span are its first visits
+        yield Walk(first[lo:hi], None if draws is None else draws(_tree_keys(head, parent, keys)[nodes:]))
+
+
+def _tree_keys(head: array, parent: array, keys: list) -> list:
+    """keys, extended to every tree node in node order, each node's key chained from its parent's."""
+    chain, byte = _CHAIN_HASHER.copy, _BYTES
+    for letter, up in zip(head[len(keys) :], parent[len(keys) :]):
         h = chain()
         h.update(keys[up] + byte[letter])
-        key = h.digest()
-        keys.append(key)
-        yield key
+        keys.append(h.digest())
+    return keys
 
 
 _KERNELS = {"free-monoid": _walk_free_monoid, "z2": _walk_z2, "f2": _walk_f2}
+
+
+def _walk_spans(kind: str, letters, seed: int | None = None):
+    """walk() a span at a time: the letters as walk() reads them, first, and one Walk per span of _spans(n).
+
+    The kernel fills first a span at a time; span (lo, hi) is the Walk of
+    first[lo:hi], filled, and, given a seed, the draws of the span's first
+    visits, else None.  A kernel never reads a span of first again once it
+    has handed it out, so the reader may overwrite it.  The seed and the
+    letters are checked, and first is allocated, before the kernel is called.
+    """
+    limit = driving_size(kind) or _MONOID_LETTERS
+    draws = None if seed is None else _draws(_check_seed(seed))
+    letters = _integers(letters, limit, f"driving letters of action {kind!r}").astype(np.uint8, copy=False)
+    first = np.empty(len(letters), dtype=_index_dtype(len(letters)))
+    return letters, first, _KERNELS[kind](letters, first, draws)
 
 
 def walk(kind: str, letters, seed: int | None = None) -> Walk:
@@ -390,16 +486,12 @@ def walk(kind: str, letters, seed: int | None = None) -> Walk:
     little-endian bytes.  Without one, draws is None and no key is hashed.
 
     Each action has its own kernel; all of them equal the generic walk
-    that steps one letter at a time.  z2 numbers its positions densely and
-    reads first from a table of each position's first step, so it sorts
-    nothing unless its bounding box holds more than _BOX_CELLS cells per
-    step; each kernel hands _draws its keys one span at a time.
+    that steps one letter at a time.  A kernel walks a span of positions
+    at a time (_walk_spans), and walk() joins the spans' draws.
     """
-    limit = driving_size(kind) or _MONOID_LETTERS
-    if seed is not None:
-        seed = _check_seed(seed)
-    letters = _integers(letters, limit, f"driving letters of action {kind!r}")
-    return _KERNELS[kind](letters.astype(np.uint8, copy=False), seed)
+    _, first, spans = _walk_spans(kind, letters, seed)
+    draws = [np.empty(0, dtype=np.uint64)] + [span.draws for span in spans]
+    return Walk(first, None if seed is None else np.concatenate(draws, dtype=np.uint64))
 
 
 @dataclass(frozen=True)
@@ -418,8 +510,14 @@ class VisitRecord:
 
 
 def visit_record(kind: str, alpha) -> VisitRecord:
-    first = walk(kind, alpha).first
-    return VisitRecord(np.cumsum(first == np.arange(len(first), dtype=first.dtype), dtype=first.dtype))
+    _, counts, spans = _walk_spans(kind, alpha)
+    # each span's first steps become its counts as soon as it is walked
+    hi = 0
+    for steps, _ in spans:
+        lo, hi = hi, hi + len(steps)
+        np.cumsum(steps == np.arange(lo, hi, dtype=steps.dtype), dtype=steps.dtype, out=steps)
+        steps += counts[lo - 1] if lo else 0
+    return VisitRecord(counts)
 
 
 def range_ratio_curve(kind: str, spec, seeds: Sequence[int], checkpoints: Sequence[int]):

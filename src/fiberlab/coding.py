@@ -30,14 +30,15 @@ order (driving._block_table), built once per cell.  One checked pass
 (BlockCodebookFamily._checked_table), which decode runs on its contexts,
 checks, counts and ranks the rows a span at a time (actions._spans),
 keeping only each pair's first-visit count and rank: encode joins
-codewords by block index, the coded length is counts times codeword
-lengths, the cross entropy sums counts times log2 mu over the whole
-table, and the joint coder reads its lengths off the same pairs.  A
-span's rows are read off the words as k columns, and one sweep per
-column of their walks (_block_patterns) gives every step the first step
-of its block at its coordinate, with no k x k comparison and no
-temporary larger than the span; decode and codebook_for undo a rank on
-the same patterns.  Spans are checked in order, so the first offending
+codewords by block index, and the coded length (counts times codeword
+lengths), the cross entropy (counts times log2 mu, summed in table
+order) and the joint coder's lengths are read off the same pairs a span
+at a time, each float sum carried from span to span.  A span's rows are
+read off the words as k contiguous columns, and one sweep per column of
+their walks (_block_patterns) gives every step the first step of its
+block at its coordinate, with no k x k comparison and no temporary
+larger than the span; decode and codebook_for undo a rank on the same
+patterns.  Spans are checked in order, so the first offending
 row raises, as a block-by-block loop would, by the plain coder's refusal
 too (driving._refuse_blocks); letters are read by actions._integers, the
 letters after the last block too.  The coders sample nothing: both
@@ -51,16 +52,16 @@ repeat.  A name's blocks therefore take their patterns from the name's
 walk, and decode walks the driving word once; only codebook_for walks a
 lone context.  Positivity is read off the chain's support
 (driving._refuse_blocks).  verify-ar's three coders price the one pair
-table: the plain coder (driving._plain_code) gives each distinct pair its
-context's exact nu, an integer numerator over one denominator, and the
-joint length is read off nu's numerator times mu's over the product of
-their denominators.
+table: the plain coder (driving._plain_code) gives each distinct context
+its exact nu once, an integer numerator over one denominator, each pair
+reads its context's (the table's contexts), and the joint length is read
+off nu's numerator times mu's over the product of their denominators.
 
 Every per-run verdict is decided in integers, with no float tolerance:
 the length bound, eq15 as its corollary, and the information floor from
 the first-visit symbol counts (conditional_rate, _no_undershoot), read in
-the one pass that gives J_n (fiber._information).  The report's float
-rates are never compared.
+the one pass whose counts also give J_n (fiber._information).  The
+report's float rates are never compared.
 """
 
 from __future__ import annotations
@@ -129,9 +130,9 @@ def _block_patterns(walks: np.ndarray) -> np.ndarray:
     compares column j with the columns after it and marks them where they
     meet; the sweeps run from the last column to the first, so the first
     step that meets a column marks it last.  No temporary is larger than
-    walks.
+    walks, and pattern takes the smallest dtype that holds a step.
     """
-    pattern = np.empty(walks.shape, dtype=np.intp)
+    pattern = np.empty(walks.shape, dtype=_letter_dtype(len(walks)))
     pattern[:] = np.arange(len(walks))[:, None]
     for j in range(len(walks) - 2, -1, -1):
         np.putmask(pattern[j + 1 :], walks[j + 1 :] == walks[j], j)
@@ -180,12 +181,13 @@ class BlockCodebookFamily:
         pattern = _block_patterns(walks)
         first_visits = pattern == np.arange(len(pattern))[:, None]
         counts = first_visits.sum(axis=0)
-        ranks = np.zeros_like(counts)
+        ranks = np.zeros(len(counts), dtype=np.int64)
         inconsistent = False
         if blocks is not None:
-            # each step's first visit, read off the flat table of blocks
-            copies = blocks.ravel()[pattern * blocks.shape[1] + np.arange(blocks.shape[1])]
-            inconsistent = ((blocks < 0) | (blocks >= size) | (copies != blocks)).any(axis=0)
+            inconsistent = ((blocks < 0) | (blocks >= size)).any(axis=0)
+            for j in range(len(blocks) - 1):
+                # a step whose first visit is step j must read step j's symbol
+                inconsistent |= ((pattern[j + 1 :] == j) & (blocks[j + 1 :] != blocks[j])).any(axis=0)
             for symbols, new in zip(blocks, first_visits):
                 ranks = np.where(new, ranks * size + symbols, ranks)
         _refuse_blocks(self.driving_spec, contexts.T, inconsistent, None if blocks is None else blocks.T)
@@ -210,7 +212,7 @@ class BlockCodebookFamily:
         size = self.fiber_spec.fiber_alphabet.size
         pattern = _block_patterns(walks)
         after = counts - np.cumsum(pattern == np.arange(len(pattern))[:, None], axis=0)
-        places = after.ravel()[pattern * after.shape[1] + np.arange(after.shape[1])]
+        places = np.take_along_axis(after, pattern, axis=0)
         return (ranks // size ** places % size).astype(_letter_dtype(size))
 
     def _checked_table(self, words, first: np.ndarray):
@@ -225,12 +227,15 @@ class BlockCodebookFamily:
         """
         k = self.k
         table = _block_table(words, k)
-        counts = np.empty(len(table.first), dtype=np.int64)
-        ranks = np.empty_like(counts)
+        walks = first[: len(table.index) * k].reshape(-1, k)
+        counts = np.empty(len(table.first), dtype=_letter_dtype(k + 1))
+        ranks = np.empty(len(table.first), dtype=np.int64)
         for lo, hi in _spans(len(table.first)):
-            # at[i, r] is the position of step i of row lo + r in the words
-            at = table.first[lo:hi] * k + np.arange(k)[:, None]
-            counts[lo:hi], ranks[lo:hi] = self._rank_rows(first[at], *(word[at] for word in words))
+            # the rows' walks and blocks, laid out as columns
+            rows = table.first[lo:hi]
+            columns = [np.ascontiguousarray(view[rows].T) for view in (walks, *table.windows)]
+            counts[lo:hi], ranks[lo:hi] = self._rank_rows(*columns)
+            del columns
         # after the spans, so that the family's lasting arrays are not laid above their temporaries
         self._build_codes(counts)
         return table, counts, ranks
@@ -468,7 +473,13 @@ def _conditional(name: OrbitName, family: BlockCodebookFamily, exact):
     table, counts, ranks = _coded_pairs(name, family)
     m = len(table.index)
     tail_bits = (n - m * k) * family.fiber_bits
-    total_bits = int(table.counts @ family._read(counts, ranks, "lengths")) + tail_bits
+    # a span of distinct pairs at a time: their coded lengths, and their
+    # cross entropy summed in table order
+    total_bits, cross_bits = tail_bits, 0.0
+    for lo, hi in _spans(len(table.first)):
+        weights, d, rank = table.counts[lo:hi], counts[lo:hi], ranks[lo:hi]
+        total_bits += int(weights @ family._read(d, rank, "lengths"))
+        cross_bits = _sequential_sum(-(weights * family._read(d, rank, "log2mu")), cross_bits)
     code_rate = total_bits / n if n else 0.0
 
     length_bound_ok = family.verify_length_bounds()
@@ -476,17 +487,16 @@ def _conditional(name: OrbitName, family: BlockCodebookFamily, exact):
     cross = None
     eq15_ok = None
     if m >= 1:
-        cross = _sequential_sum(-(table.counts * family._read(counts, ranks, "log2mu"))) / (m * k)
+        cross = cross_bits / (m * k)
         eq15_ok = length_bound_ok
 
     info_rate = None
     no_undershoot_ok = None
     if n >= 1:
         # one read of the first visits gives J_n and the symbol counts the floor is decided on
-        information, symbols = _information(name.fiber_spec, name.first, name.letters)
+        information, symbol_counts = _information(name.fiber_spec, name.first, name.letters)
         info_rate = information / n
-        symbol_counts = np.bincount(symbols.astype(np.intp), minlength=name.fiber_spec.fiber_alphabet.size)
-        no_undershoot_ok = _no_undershoot(name.fiber_spec, total_bits, n, symbol_counts.tolist())
+        no_undershoot_ok = _no_undershoot(name.fiber_spec, total_bits, n, symbol_counts)
 
     if exact == "auto":
         exact = exact_rate_or_none(name.fiber_spec, family.driving_spec, k)
@@ -582,22 +592,26 @@ def ar_decomposition_check(name: OrbitName, family: BlockCodebookFamily) -> ArDe
     if n == 0:
         return ArDecompositionReport(0, k, name.seed, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    # the conditional pass checked every pair and its context: the plain coder prices each pair's context
+    # the conditional pass checked every pair and its context: the plain coder prices each context
     m = len(table.index)
     plain, nu, log2nu = _plain_code(family.driving_spec, table, n - m * k)
     den = _cylinder_den(family.driving_spec, k)
     dens = np.empty(k + 1, dtype=object)
     for d, code in family._count_codes.items():
         dens[d] = den * code.den
-    lengths = np.empty(len(table.first), dtype=np.int64)
-    # a span at a time, so that no array of big-integer products is as long as the table
-    for lo, hi in _spans(len(lengths)):
-        nums = nu[lo:hi] * family._read(counts[lo:hi], ranks[lo:hi], "numerators")
-        lengths[lo:hi] = np.maximum(_shannon_bits(nums, dens[counts[lo:hi]]), 1)
-    ideals = -family._read(counts, ranks, "log2mu") - log2nu
     pair_raw = (family.driving_spec.alphabet.size * family.fiber_spec.fiber_alphabet.size - 1).bit_length()
-    joint_total = int(table.counts @ lengths) + (n - m * k) * pair_raw
-    joint_ideal = _sequential_sum(ideals[table.index])
+    joint_total = (n - m * k) * pair_raw
+    # a span at a time, so that no array of big-integer products is as long as the table
+    for lo, hi in _spans(len(table.first)):
+        d = counts[lo:hi]
+        nums = nu.take(table.contexts[lo:hi]) * family._read(d, ranks[lo:hi], "numerators")
+        joint_total += int(table.counts[lo:hi] @ np.maximum(_shannon_bits(nums, dens[d]), 1))
+    # the ideal joint lengths, summed in block order a span of blocks at a time
+    joint_ideal = 0.0
+    for lo, hi in _spans(m):
+        pairs = table.index[lo:hi]
+        log2mu = family._read(counts.take(pairs), ranks.take(pairs), "log2mu")
+        joint_ideal = _sequential_sum(-log2mu - log2nu.take(table.contexts.take(pairs)), joint_ideal)
 
     return ArDecompositionReport(
         n=n,

@@ -13,10 +13,11 @@ on its letters alone, so they work from _block_table: the distinct aligned
 k-blocks in first-occurrence order and each block's index into them.  The
 table keeps its blocks as views of the words, and the coders gather, check
 and score its distinct rows a span at a time (actions._spans), in table
-order, keeping one value per row.  The plain coder (_plain_code) prices a
-table's driving columns, a word's own table or a name's pair table alike.
-Per-row sums are then taken in block order over whole arrays, as a
-block-by-block loop takes them.
+order, keeping one value per row.  The plain coder (_plain_code) prices
+the distinct blocks of a table's driving columns, its contexts, once
+each, in a word's own table or a name's pair table alike.  Float sums
+are taken in block order a span of blocks at a time, each span from the
+sum before it, so they add as a block-by-block loop adds.
 
 Each law's integer numerators over its least common denominator are
 cached on its spec, and a spec is validated on them: entries are
@@ -59,7 +60,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .actions import INVERSE, _check_seed, _integer, _integers, _spans
+from .actions import INVERSE, _check_seed, _index_dtype, _integer, _integers, _spans
 from .errors import ModelMismatchError
 from .kraft import _shannon_bits
 from .words import Alphabet, Word
@@ -452,13 +453,16 @@ class _BlockTable(NamedTuple):
     contiguous word, whose row i is the word's block i.  Row i lays the
     words' blocks i side by side; distinct row j is row first[j] (see
     _gather), counts[j] is how many rows equal it, and index[i] is the
-    distinct row equal to row i.
+    distinct row equal to row i.  contexts[j] numbers distinct row j's
+    block of the first word, windows[0][first[j]], among the distinct
+    blocks of that word, in the order of their keys.
     """
 
     windows: tuple[np.ndarray, ...]
     index: np.ndarray
     counts: np.ndarray
     first: np.ndarray
+    contexts: np.ndarray
 
 
 def _gather(table: _BlockTable, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -478,48 +482,94 @@ def _block_table(words, k: int) -> _BlockTable:
 
     Row i lays the words' blocks i, w[i * k : i * k + k], side by side; the
     n mod k letters past the last block are left out.  Each row is keyed by
-    one int64: its columns read as mixed-radix digits, each offset by its
-    column's minimum and counted in its column's span, and the key is
-    ranked densely whenever the next column would take it past 2**62, so
-    any letters and any k fit.  The blocks stay views of the words,
-    w[: m * k].reshape(m, k), in their own dtypes, and only one column at
-    a time is widened to int64 to be keyed; the coders read the distinct
-    rows they need a span at a time (actions._spans), in the words' own
-    dtypes, and pair_counts gathers them as int64 (_gather).
+    one int64: its columns read as mixed-radix digits, the first word's
+    most significant, each offset by its column's minimum and counted in
+    its column's span, and the key is ranked densely whenever the next
+    column would take it past 2**62, so any letters and any k fit.  The
+    blocks stay views of the words, w[: m * k].reshape(m, k), in their own
+    dtypes, and each column is added into the key from its view.  The
+    coders read the distinct rows they need a span at a time
+    (actions._spans), in the words' own dtypes, and pair_counts gathers
+    them as int64 (_gather).
+
+    The rows are numbered from the sorted keys, so that no more than about
+    four int64 arrays as long as the table are alive at once: each row
+    takes its key's place among the distinct keys, each distinct key its
+    first row, and the distinct keys are renumbered in first-occurrence
+    order.  Rows with equal first-word blocks have neighbouring keys, since
+    those digits are most significant and a dense rank keeps the order; so
+    the contexts are read off the sorted keys, by comparing the part of
+    each key that the first word's columns made with its neighbour's.  No
+    result depends on how a sort orders equal keys.
     """
     m = len(words[0]) // k
     views = tuple(w[: m * k].reshape(m, k) for w in words)
     if not m:
-        empty = np.empty(0, dtype=np.int64)
-        return _BlockTable(views, empty, empty, empty)
+        empty = np.empty(0, dtype=np.intp)
+        return _BlockTable(views, empty, empty, empty, empty)
     key, span = np.zeros(m, dtype=np.int64), 1
-    for column in (view[:, j].astype(np.int64) for view in views for j in range(k)):
-        lo = int(column.min())
-        width = int(column.max()) - lo + 1
-        if span * width > _KEY_LIMIT:
-            key, span = _dense_rank(key)
+    for word, view in enumerate(views):
+        for j in range(k):
+            column = view[:, j] if np.can_cast(view.dtype, np.int64) else view[:, j].astype(np.int64)
+            lo = int(column.min())
+            width = int(column.max()) - lo + 1
             if span * width > _KEY_LIMIT:
-                # a column wider than the limit leaves too little room even
-                # after the key is ranked; ranking it too leaves at most m values
-                (column, width), lo = _dense_rank(column), 0
-        # in place, on the column's own int64 copy
-        column -= lo
-        key *= width
-        key += column
-        span *= width
-    _, first, inverse, counts = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+                key, span = _dense_rank(key)
+                if span * width > _KEY_LIMIT:
+                    # a column wider than the limit leaves too little room even
+                    # after the key is ranked; ranking it too leaves at most m values
+                    (column, width), lo = _dense_rank(column), 0
+            # in place; a sum past int64 on the way wraps back, as the key stays below span * width
+            key *= width
+            key += column
+            key -= lo
+            span *= width
+        if not word:
+            # the first word's part of the key, which numbers its blocks
+            context = key.copy() if len(views) > 1 else key
+    order = np.argsort(key)
+    # the sorted keys, then where each distinct key starts among them, then
+    # each sorted row's place among the distinct keys, all in one array
+    places = key.take(order)
+    del key
+    places[1:] = places[1:] != places[:-1]
+    places[0] = 1
+    starts = np.flatnonzero(places)
+    np.cumsum(places, out=places)
+    places -= 1
+    index = np.empty(m, dtype=np.intp)
+    index[order] = places
+    del places
+    # the first row of each distinct key, its least row whatever the sort's order of equal keys
+    first = np.minimum.reduceat(order, starts)
+    del order, starts
+    # a distinct key starts a new context where the first word's part of it changes
+    context = context.take(first)
+    contexts = np.zeros(len(first), dtype=_index_dtype(m))
+    np.not_equal(context[1:], context[:-1], out=contexts[1:], casting="unsafe")
+    del context
+    np.cumsum(contexts, out=contexts)
+    # renumber the distinct keys in first-occurrence order
     order = np.argsort(first)
+    first.sort()
+    contexts = contexts.take(order)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return _BlockTable(views, rank[inverse], counts[order], first[order])
+    del order
+    for lo, hi in _spans(m):
+        index[lo:hi] = rank.take(index[lo:hi])
+    del rank
+    return _BlockTable(views, index, np.bincount(index, minlength=len(first)), first, contexts)
 
 
-def _sequential_sum(values) -> float:
-    """Sum values left to right from 0.0, as a block-by-block loop does.
+def _sequential_sum(values, start: float = 0.0) -> float:
+    """start plus values, added left to right, as a block-by-block loop adds them.
 
     np.cumsum adds sequentially; np.sum adds pairwise and rounds otherwise.
+    A sum taken a span at a time, each span from the last one's sum, adds
+    the same values in the same order, so it rounds as one sum does.
     """
-    return float(np.cumsum(np.concatenate(([0.0], np.asarray(values, dtype=float))))[-1])
+    return float(np.cumsum(np.concatenate(([start], np.asarray(values, dtype=float))))[-1])
 
 
 class PlainBlockCode(NamedTuple):
@@ -532,18 +582,28 @@ class PlainBlockCode(NamedTuple):
 def _plain_code(spec: MarkovChainSpec, table: _BlockTable, tail: int) -> tuple[PlainBlockCode, np.ndarray, np.ndarray]:
     """The plain coder on the driving columns, windows[0], of a checked table: a word's or a name's pairs.
 
-    Returns the PlainBlockCode, with tail letters raw coded, then each
-    distinct row's cylinder numerator over _cylinder_den(spec, k) and its log2 nu.
+    Each distinct context (table.contexts) is priced once, from its first
+    block.  Returns the PlainBlockCode, with tail letters raw coded, then
+    each context's cylinder numerator over _cylinder_den(spec, k) and its
+    log2 nu.
     """
-    view = table.windows[0]
-    nums, den = np.empty(len(table.first), dtype=object), _cylinder_den(spec, view.shape[1])
-    bits, log2nu = np.empty(len(table.first), dtype=np.int64), np.empty(len(table.first))
-    for lo, hi in _spans(len(table.first)):
-        nums[lo:hi] = _cylinder_numerators(spec, view[table.first[lo:hi]])[0]
+    view, contexts = table.windows[0], table.contexts
+    size = int(contexts.max()) + 1 if len(contexts) else 0
+    rows = np.full(size, len(view), dtype=np.intp)
+    np.minimum.at(rows, contexts, table.first)
+    nums, den = np.empty(size, dtype=object), _cylinder_den(spec, view.shape[1])
+    bits, log2nu = np.empty(size, dtype=np.int64), np.empty(size)
+    for lo, hi in _spans(size):
+        nums[lo:hi] = _cylinder_numerators(spec, view[rows[lo:hi]])[0]
         bits[lo:hi] = _shannon_bits(nums[lo:hi], den)
         log2nu[lo:hi] = [math.log2(num / den) for num in nums[lo:hi].tolist()]
-    total = int(table.counts @ bits) + tail * (spec.alphabet.size - 1).bit_length()
-    return PlainBlockCode(total, _sequential_sum(-log2nu[table.index])), nums, log2nu
+    total = tail * (spec.alphabet.size - 1).bit_length()
+    for lo, hi in _spans(len(contexts)):
+        total += int(table.counts[lo:hi] @ bits.take(contexts[lo:hi]))
+    ideal = 0.0
+    for lo, hi in _spans(len(table.index)):
+        ideal = _sequential_sum(-log2nu.take(contexts.take(table.index[lo:hi])), ideal)
+    return PlainBlockCode(total, ideal), nums, log2nu
 
 
 def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockCode:

@@ -6,21 +6,22 @@ i.i.d.) symbol distribution on a fiber alphabet.  Configurations are
 uncountable objects, so they are realized lazily: the symbol at a
 coordinate is a deterministic keyed hash of (seed, canonical coordinate
 key).  An orbit name is fixed by its symbols at the first visits of its
-driving walk, so only first visits are hashed, the information function
-is -log2 p summed over them (both read a name a span at a time, by
-actions._spans), and the averaged entropy is the expected number of
-distinct coordinates times H(p).  That expectation (the range of
-a random walk) is an exact Fraction, found without listing driving words
-by one of three paths chosen from the input: exactly n where no
-coordinate can repeat (the free monoid, and f2 under a chain that never
-steps to an inverse), the renewal identity for z2 under i.i.d. steps, and
-a backward taboo recursion over the driving chain otherwise.  The path is
-chosen once per (chain, action) and kept on the chain with one table that
-serves every n up to the longest asked; a path's cap is checked before
-its table grows, so the cap bounds what the chain keeps.  The tests
-keep the full (u, v) enumeration as an independent oracle
-(tests/oracles.py).  Sampled names are compared with the exact rates by
-the coders (coding.conditional_rate).
+driving walk, so only first visits are hashed, as the walk meets them a
+span at a time (actions._walk_spans); the information function is -log2 p
+summed over them, read off how often each symbol is read there (both
+read a name a span at a time, by actions._spans); and the averaged
+entropy is the expected number of distinct coordinates times H(p).  That
+expectation (the range of a random walk) is an exact Fraction, found
+without listing driving words by one of three paths chosen from the
+input: exactly n where no coordinate can repeat (the free monoid, and f2
+under a chain that never steps to an inverse), the renewal identity for
+z2 under i.i.d. steps, and a backward taboo recursion over the driving
+chain otherwise.  The path is chosen once per (chain, action) and kept on
+the chain with one table that serves every n up to the longest asked; a
+path's cap is checked before its table grows, so the cap bounds what the
+chain keeps.  The tests keep the full (u, v) enumeration as an
+independent oracle (tests/oracles.py).  Sampled names are compared with
+the exact rates by the coders (coding.conditional_rate).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .actions import ACTION_KINDS, INVERSE, Z2_VECTORS, _check_seed, _integer, _integers, _spans, check_driving_size
-from .actions import walk
+from .actions import ACTION_KINDS, INVERSE, Z2_VECTORS, _check_seed, _integer, _integers, _spans
+from .actions import _walk_spans, check_driving_size, walk
 from .driving import _EXACT_HINT, MarkovChainSpec, _as_fraction, _cumulative, _inverse_cdf, _letter_dtype
 from .driving import _listed, _over_lcm
 from .errors import InfiniteInformationError, ResourceLimitError
@@ -134,29 +135,32 @@ def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
     as an integer over 2**64 (a float64 u in [0, 1]) and mapped through the
     sampler's inverse CDF (driving._inverse_cdf) of p, u = 1.0 to the last
     symbol.  Each distinct coordinate is hashed once, when the walk first
-    meets it.  The name is then read a span of positions at a time
-    (actions._spans): the span's draws are mapped to u and to symbols, each
-    with the same float64 operations as one pass over all of them, and
-    written at their first visits, and every step reads its first visit,
-    which lies in the span or before it; so the name is always consistent.
+    meets it.  The walk is taken a span of positions at a time
+    (actions._walk_spans), and the name is filled as each span comes: the
+    span's first visits and the draws of its new coordinates are mapped to
+    u and to symbols, each with the same float64 operations as one pass
+    over all of them, and written at their first visits, and every step
+    reads its first visit, which lies in the span or before it; so the name
+    is always consistent, and only first and the name are as long as alpha.
     Symbols are stored in driving._letter_dtype(|F|).
     """
     seed = _check_seed(seed)
     driving = _integers(alpha)
-    # the name is allocated before the walk's temporaries, so that freeing
-    # them leaves one free stretch of heap rather than holes below it
+    # the name and first are allocated before the walk's set-up temporaries,
+    # so that freeing them leaves one free stretch of heap rather than holes
     letters = np.zeros(len(driving), dtype=_letter_dtype(spec.fiber_alphabet.size))
-    first, draws = walk(spec.action_kind, driving, seed)
     cumulative = _cumulative(spec.p)
-    drawn = 0
-    for lo, hi in _spans(len(first)):
-        steps, name = first[lo:hi], letters[lo:hi]
-        new = steps == np.arange(lo, hi)
-        u = draws[drawn : drawn + np.count_nonzero(new)].astype(np.float64)
-        drawn += len(u)
+    _, first, spans = _walk_spans(spec.action_kind, driving, seed)
+    hi = 0
+    for steps, drawn in spans:
+        lo, hi = hi, hi + len(steps)
+        u = drawn.astype(np.float64)
         u /= 2.0 ** 64
-        name[new] = _inverse_cdf(cumulative, u)
+        name = letters[lo:hi]
+        name[steps == np.arange(lo, hi, dtype=steps.dtype)] = _inverse_cdf(cumulative, u)
         name[:] = letters[steps]
+        # the span goes before the walk takes the next one
+        del steps, drawn, u
     return OrbitName(spec, driving, letters, seed, first)
 
 
@@ -197,12 +201,22 @@ def information_function(spec: FiberSystemSpec, alpha, omega) -> float:
     return _information(spec, first, omega)[0]
 
 
-def _information(spec: FiberSystemSpec, first: np.ndarray, v) -> tuple[float, np.ndarray]:
-    """-log2 p summed over v's first visits, and the symbols v reads there; the one refusal of a null pair."""
+def _information(spec: FiberSystemSpec, first: np.ndarray, v) -> tuple[float, list[int]]:
+    """-log2 p summed over v's first visits, and how often each symbol is read there; the one refusal of a null pair.
+
+    The symbols are counted a span at a time, and the sum is read off the
+    counts, the products counts[s] * log2 p[s] summed exactly by math.fsum,
+    so no float is formed per first visit and the value does not depend on
+    how a vectorized sum would pair its terms.
+    """
     symbols = _first_symbols(spec, first, v)
     if symbols is None:
         raise InfiniteInformationError("prefix pair has zero probability")
-    return -float(_log2p(spec)[symbols].sum()), symbols
+    counts = np.zeros(spec.fiber_alphabet.size, dtype=np.int64)
+    for lo, hi in _spans(len(symbols)):
+        counts += np.bincount(symbols[lo:hi], minlength=len(counts))
+    counts = counts.tolist()
+    return -math.fsum(c * x for c, x in zip(counts, _log2p(spec).tolist())), counts
 
 
 @dataclass(frozen=True)

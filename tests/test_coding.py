@@ -605,9 +605,9 @@ def test_pair_counts_match_the_window_loop():
         assert all(type(x) is int for u, v in counts for x in u + v)
 
 
-def test_cells_compute_nu_once_per_pair_and_walk_no_context(monkeypatch):
-    # nu is scored in one call per cell, over the driving blocks of the pair
-    # table's distinct rows in table order: the plain coder prices the pair
+def test_cells_compute_nu_once_per_context_and_walk_no_context(monkeypatch):
+    # nu is scored in one call per cell, over each distinct driving block of
+    # the pair table once: the plain coder prices the contexts of the pair
     # table that the conditional pass checked, and tables no contexts of its own
     nu_calls, walked = [], []
     nu_of, walk_of = driving._cylinder_numerators, coding.walk
@@ -619,12 +619,34 @@ def test_cells_compute_nu_once_per_pair_and_walk_no_context(monkeypatch):
     name = sampled(F2, F2_DRIVING, n, seed)
     ar_decomposition_check(name, BlockCodebookFamily(k, F2, F2_DRIVING))
     assert len(nu_calls) == 1
-    assert list(map(tuple, nu_calls[0])) == [u for u, _ in pair_counts(name.driving, name.letters, k)]
+    contexts = {u for u, _ in pair_counts(name.driving, name.letters, k)}
+    assert sorted(map(tuple, nu_calls[0])) == sorted(contexts)
     assert walked == []
     nu_calls.clear()
     trajectory = sample_trajectory(Z2_DRIVING, n, seed)
     conditional_rate(emit_name(Z2, trajectory, seed), BlockCodebookFamily(k, Z2, Z2_DRIVING), exact=None)
     assert nu_calls == [] and walked == []
+
+
+@pytest.mark.parametrize("preset", ["free-monoid-uniform", "f2-markov"])
+def test_the_plain_coder_prices_each_context_once(monkeypatch, preset):
+    # verify-ar's plain coder once priced every distinct pair of the pair
+    # table: on the free monoid 25,000 pair rows at n = 2e5, k = 8, where the
+    # binary chain has at most 256 contexts; it reads each pair's context
+    # off the pair key, whose driving digits are most significant
+    seen = []
+    nu_of = driving._cylinder_numerators
+    monkeypatch.setattr(driving, "_cylinder_numerators", lambda spec, rows: seen.append(len(rows)) or nu_of(spec, rows))
+    chain, fiber = system_preset(preset)
+    n, k = 200_000, 8
+    name = emit_name(fiber, sample_trajectory(chain, n, 3), seed=3)
+    report = ar_decomposition_check(name, BlockCodebookFamily(k, fiber, chain))
+    pairs = pair_counts(name.driving, name.letters, k)
+    contexts = {u for u, _ in pairs}
+    assert sum(seen) == len(contexts) < len(pairs)
+    if preset == "free-monoid-uniform":
+        assert len(contexts) <= 2 ** k and len(pairs) > 20_000
+    assert report.plain_rate == block_code_details(chain, name.driving, k).total_bits / n
 
 
 @pytest.mark.parametrize("preset", ["free-monoid-uniform", "z2-uniform", "f2-markov"])
@@ -956,17 +978,18 @@ def test_a_late_offending_row_raises_the_unchunked_message(monkeypatch, chunk):
 
 
 # tracemalloc bytes per letter at n = 2e5, seed 3, k = 8, each call's own
-# peak: the measured value with about 15% over it.  Measured: walk 4.0 (f2,
-# whose f2-markov words never cancel, so first is an int32 arange) and 9.2
-# (z2: its int32 x and y coordinates and a one-byte comparison; the box
-# code, which becomes first in place, and the first-visit table of the
-# walk's 1.03 box cells per letter come after them); emit_name 16.8 and
-# 11.8 (the walk, its uint64 draws and the uint8 name);
-# conditional_rate 16.3 and 16.3 (the pair table's keys and the
-# information function's float64 -log2 p).
+# peak: the measured value with about 15% over it.  Measured: walk 4.2
+# (f2, whose f2-markov words never cancel, so first is an int32 arange,
+# filled a span at a time) and 5.7 (z2: first, the set-up passes' spans,
+# then the visited cells' bits and the table of one first step per
+# visited cell); emit_name 6.35 and 7.15 (first and the uint8 name, 5
+# bytes per letter, then one span's keys and, on z2, the bits and the
+# table); conditional_rate 7.3 and 7.3 (the pair table's index, counts,
+# first and contexts, each pair's rank and count, and the first-visit
+# symbols).
 BYTES_PER_LETTER = {
-    "f2-markov": {"walk": 5, "emit_name": 20, "conditional_rate": 19},
-    "z2-uniform": {"walk": 10.5, "emit_name": 13.7, "conditional_rate": 19},
+    "f2-markov": {"walk": 4.8, "emit_name": 7.3, "conditional_rate": 8.4},
+    "z2-uniform": {"walk": 6.6, "emit_name": 8.2, "conditional_rate": 8.4},
 }
 
 
@@ -985,12 +1008,28 @@ def test_bytes_per_letter_stay_under_their_bounds(traced_peak, preset):
 
 def test_conditional_rate_holds_no_pair_table(traced_peak):
     # the 25,000 distinct pairs of this name, gathered, patterned and ranked
-    # all at once, took the peak to 11.7 MB; chunks of actions._CHUNK
-    # rows keep only each pair's count and rank
+    # all at once, took the peak to 11.7 MB; chunks of actions._CHUNK rows
+    # keep only each pair's count and rank, and the pair table is numbered
+    # from its sorted keys: measured 1.39 MiB
     name = emit_name(Z2, sample_trajectory(Z2_DRIVING, 200_000, 3), seed=3)
     family = BlockCodebookFamily(8, Z2, Z2_DRIVING)
     _, peak = traced_peak(lambda: conditional_rate(name, family))
-    assert peak < 6 * 2 ** 20
+    assert peak < 1.6 * 2 ** 20
+
+
+def test_an_ar_cell_holds_a_few_bytes_per_letter_at_any_horizon(traced_peak):
+    # an f2-markov verify-ar cell once held 14 bytes per letter at every
+    # horizon past 2e5: the pair table's np.unique outputs, the joint
+    # coder's numerators and ideal lengths per pair, and -log2 p per first
+    # visit.  Measured 10.0 and 6.7 bytes per letter at 1e5 and 4e5, and
+    # 5.6 bytes per added letter between them
+    driving_spec, fiber_spec = system_preset("f2-markov")
+    peaks = {}
+    for n in (100_000, 400_000):
+        name = emit_name(fiber_spec, sample_trajectory(driving_spec, n, 3), seed=3)
+        _, peaks[n] = traced_peak(lambda: ar_decomposition_check(name, BlockCodebookFamily(8, fiber_spec, driving_spec)))
+    assert peaks[400_000] / 400_000 <= peaks[100_000] / 100_000
+    assert (peaks[400_000] - peaks[100_000]) / 300_000 < 6.4, peaks
 
 
 @st.composite

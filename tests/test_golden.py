@@ -51,7 +51,11 @@ outputs, without the one line that pinned the unknown-method refusal.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -287,3 +291,42 @@ def test_exact_averaged_entropy_values_and_refusals_are_unchanged():
             outcome = f"{type(error).__name__}: {error}"
         lines.append(f"{label} {n} {method}: {outcome}")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXACT_DIGEST
+
+
+# golden cases rerun with numpy held to its baseline SIMD: the per-span
+# float sums of the coders, the draws' float64 u and the multi-horizon
+# prefixes, each of which must not depend on the host's vector width
+BASELINE_CASES = [
+    "test_multi_horizon_report_bytes_are_unchanged[verify-ar-f2-markov]",
+    "test_multi_horizon_report_bytes_are_unchanged[verify-brudno-z2-uniform]",
+    "test_report_bytes_with_a_tail_are_unchanged[verify-ar-z2-uniform]",
+    "test_skewed_fiber_report_bytes_are_unchanged[verify-ar-fifths]",
+    "test_skewed_codeword_bits_are_unchanged[thirds-5-1]",
+    "test_orbit_name_bytes_are_unchanged[z2-1]",
+    "test_orbit_name_bytes_are_unchanged[f2-1]",
+]
+
+BASELINE_RUN = """
+import sys
+import pytest
+from numpy._core._multiarray_umath import __cpu_features__
+disabled = sys.argv[1].split()
+assert not any(__cpu_features__[feature] for feature in disabled), "numpy kept a disabled feature"
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[2:]]))
+"""
+
+
+def test_golden_bytes_do_not_depend_on_the_cpu_features():
+    # NPY_DISABLE_CPU_FEATURES turns off every feature numpy dispatches to
+    # at run time and this host has, read off numpy's own dispatch list
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    disabled = " ".join(feature for feature in __cpu_dispatch__ if __cpu_features__.get(feature))
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+    cases = [f"{Path(__file__).resolve()}::{case}" for case in BASELINE_CASES]
+    run = subprocess.run([sys.executable, "-c", BASELINE_RUN, disabled, *cases], env=env, cwd=here.parent,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert f"{len(BASELINE_CASES)} passed" in run.stdout

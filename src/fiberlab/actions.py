@@ -26,18 +26,20 @@ contract, one per action, and each walks a span of positions at a time
 (_walk_spans): it fills first[lo:hi] and draws the span's new
 coordinates before it takes the next span, so that no other array is as
 long as the word.  walk(), visit_record and fiber.emit_name read the same
-spans.  z2 finds its bounding box in a first pass of running sums that
-carries each span's end point, then numbers every position by its offset
-in the box, summed again a span at a time, and marks the visited offsets,
-one bit each; a position's rank among the visited offsets indexes one
-table of first steps, one entry per visited cell, with no sort (it ranks
-by a sort only when the box holds more than _BOX_CELLS cells per step).
-The free monoid chains one key per step (its prefixes never repeat), and
-f2 numbers the tree nodes it meets and chains each new node's key from
-its parent's.  A kernel hands _draws one list of keys per span, in
-first-visit order; _draws alone hashes them under the seed, and no list
-of all keys is built but the f2 tree's.  Without a seed no key is made,
-so the walks that only read first hash nothing.
+spans.  z2 finds its bounding box in a first pass of running sums of
+both axes at once, each span's taken from the point where it begins,
+then numbers every position by its offset in the box, summed again a
+span at a time, and marks the visited offsets, one bit each; a
+position's rank among the visited offsets indexes one table of first
+steps, one entry per visited cell, with no sort (it ranks by a sort only
+when the box holds more than _BOX_CELLS cells per step).  The free
+monoid chains one key per step (its prefixes never repeat), and f2
+numbers the tree nodes it meets and chains each new node's key from its
+parent's.  A kernel hands _draws the keys of one span at a time, in
+first-visit order (z2 formats each as _draws reads it); _draws alone
+hashes them under the seed, and no list of all keys is built but the f2
+tree's.  Without a seed no key is made, so the walks that only read
+first hash nothing.
 
 Every chunked pass (the walk kernels, fiber's name reads, the sampler,
 the coders' rows and JSON report rows) takes the spans of _CHUNK that
@@ -75,8 +77,9 @@ Z2_VECTORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 # both groups pair their generators: INVERSE[a] is the letter of a's inverse
 INVERSE = (1, 0, 3, 2)
 _INVERSE = np.array(INVERSE, dtype=np.uint8)
-# each letter's step along x and along y (Z2_VECTORS)
+# each letter's step along x and along y (Z2_VECTORS), and both as x * 2**32 + y
 _Z2_X, _Z2_Y = np.array(Z2_VECTORS, dtype=np.int64).T.copy()
+_Z2_XY = (_Z2_X << 32) + _Z2_Y
 # _BELOW[b] has the b bits below bit b set: a word's bits before bit b
 _BELOW = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
@@ -207,7 +210,7 @@ def _check_seed(seed) -> int:
 
 
 def _draws(seed: int):
-    """The one draw rule, as a function from a list of keys to their uint64 symbol draws.
+    """The one draw rule, as a function from an iterable of keys to their uint64 symbol draws.
 
     Draw d is the little-endian 8-byte blake2b digest of the d-th key,
     keyed by the seed's 8 little-endian bytes.  Each draw is a copy of one
@@ -217,7 +220,7 @@ def _draws(seed: int):
     """
     copy = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little")).copy
 
-    def draws(keys: list) -> np.ndarray:
+    def draws(keys) -> np.ndarray:
         digests = bytearray()
         for key in keys:
             h = copy()
@@ -287,31 +290,24 @@ def _sums(increments: np.ndarray, letters: np.ndarray, start: int, multiple: int
 def _box(letters: np.ndarray) -> tuple[int, int, int, int]:
     """x0, x1, y0, y1: the least and greatest coordinates of the walk, with c_0 = (0, 0) among them.
 
-    One pass of running sums of x * 2**32 + y gives both axes while
-    |y| < 2**31, as it is on a walk of fewer than 2**31 steps: x is read
-    off the sums' extremes and y off their low 32 bits; a longer walk takes
-    a pass per axis.
+    One pass of running sums of x * 2**32 + y, each span's summed from the
+    point where the span begins: a span moves y by less than 2**31, so its
+    sums order positions by x, then y, x is their high half, rounded, and
+    y their low 32 bits.  Each span's extremes are offset by that point,
+    carried as Python ints, so the pass is exact at any n.
     """
-    if len(letters) >= 2 ** 31:
-        return (*_extremes(_Z2_X, letters), *_extremes(_Z2_Y, letters))
-    x0 = x1 = y0 = y1 = 0
-    for sums in _sums((_Z2_X << 32) + _Z2_Y, letters, 0, _SET_UP * _CHUNK):
-        x0 = min(x0, (int(sums.min()) + 2 ** 31) >> 32)
-        x1 = max(x1, (int(sums.max()) + 2 ** 31) >> 32)
-        y = sums.astype(np.int32)
-        y0, y1 = min(y0, int(y.min())), max(y1, int(y.max()))
+    x = y = x0 = x1 = y0 = y1 = 0
+    # c_1 .. c_{n-1} are reached by letters 0 .. n - 2
+    for lo, hi in _spans(len(letters) - 1, multiple=_SET_UP * _CHUNK):
+        sums = np.cumsum(_Z2_XY.take(letters[lo:hi].astype(np.intp), mode="clip"))
+        low, high, end = ((int(v) + 2 ** 31) >> 32 for v in (sums.min(), sums.max(), sums[-1]))
+        x0, x1 = min(x0, x + low), max(x1, x + high)
+        ys = sums.astype(np.int32)
+        y0, y1 = min(y0, y + int(ys.min())), max(y1, y + int(ys.max()))
+        x, y = x + end, y + int(ys[-1])
         # a span goes before the next one is summed
-        del sums, y
+        del sums, ys
     return x0, x1, y0, y1
-
-
-def _extremes(increments: np.ndarray, letters: np.ndarray) -> tuple[int, int]:
-    """The least and the greatest of 0 and the running sums of increments[letter]: one axis of _box."""
-    low = high = 0
-    for sums in _sums(increments, letters, 0, _SET_UP * _CHUNK):
-        low, high = min(low, int(sums.min())), max(high, int(sums.max()))
-        del sums
-    return low, high
 
 
 def _walk_z2(letters: np.ndarray, first: np.ndarray, draws):
@@ -388,12 +384,12 @@ def _rank(code: np.ndarray) -> np.ndarray:
     return distinct
 
 
-def _z2_keys(offsets: np.ndarray, height: int, x0: int, y0: int) -> list:
-    """The keys b"x,y" of box offsets (x - x0) * height + y - y0."""
+def _z2_keys(offsets: np.ndarray, height: int, x0: int, y0: int):
+    """The keys b"x,y" of box offsets (x - x0) * height + y - y0, made one at a time as they are read."""
     x, y = np.divmod(offsets, height)
     x += x0
     y += y0
-    return list(map(b"%d,%d".__mod__, zip(x.tolist(), y.tolist())))
+    return map(b"%d,%d".__mod__, zip(x.tolist(), y.tolist()))
 
 
 def _reduced(steps: np.ndarray) -> bool:
@@ -456,7 +452,7 @@ _KERNELS = {"free-monoid": _walk_free_monoid, "z2": _walk_z2, "f2": _walk_f2}
 
 
 def _walk_spans(kind: str, letters, seed: int | None = None):
-    """walk() a span at a time: the letters as walk() reads them, first, and one Walk per span of _spans(n).
+    """walk() a span at a time: first, and one Walk per span of _spans(n).
 
     The kernel fills first a span at a time; span (lo, hi) is the Walk of
     first[lo:hi], filled, and, given a seed, the draws of the span's first
@@ -468,7 +464,7 @@ def _walk_spans(kind: str, letters, seed: int | None = None):
     draws = None if seed is None else _draws(_check_seed(seed))
     letters = _integers(letters, limit, f"driving letters of action {kind!r}").astype(np.uint8, copy=False)
     first = np.empty(len(letters), dtype=_index_dtype(len(letters)))
-    return letters, first, _KERNELS[kind](letters, first, draws)
+    return first, _KERNELS[kind](letters, first, draws)
 
 
 def walk(kind: str, letters, seed: int | None = None) -> Walk:
@@ -489,7 +485,7 @@ def walk(kind: str, letters, seed: int | None = None) -> Walk:
     that steps one letter at a time.  A kernel walks a span of positions
     at a time (_walk_spans), and walk() joins the spans' draws.
     """
-    _, first, spans = _walk_spans(kind, letters, seed)
+    first, spans = _walk_spans(kind, letters, seed)
     draws = [np.empty(0, dtype=np.uint64)] + [span.draws for span in spans]
     return Walk(first, None if seed is None else np.concatenate(draws, dtype=np.uint64))
 
@@ -510,7 +506,7 @@ class VisitRecord:
 
 
 def visit_record(kind: str, alpha) -> VisitRecord:
-    _, counts, spans = _walk_spans(kind, alpha)
+    counts, spans = _walk_spans(kind, alpha)
     # each span's first steps become its counts as soon as it is walked
     hi = 0
     for steps, _ in spans:

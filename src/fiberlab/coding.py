@@ -410,7 +410,9 @@ class EstimatorReport:
     COLUMNS names the report's CSV columns, in order.  eq15_ok is the
     length bound's certificate of eq15 where a block was coded (None where
     none was): True proves eq15, while False says only that the length
-    bound failed, not that eq15 does.
+    bound failed, not that eq15 does.  info_rate is J_n / n, with J_n read
+    off the symbols' first-visit counts (fiber._information): it can
+    differ by an ulp or two from a sum over the first visits one by one.
     """
 
     COLUMNS = ("n", "k", "code_rate", "H_hat_over_k", "exact_h_k", "residual", "seed")

@@ -150,7 +150,7 @@ def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
     # so that freeing them leaves one free stretch of heap rather than holes
     letters = np.zeros(len(driving), dtype=_letter_dtype(spec.fiber_alphabet.size))
     cumulative = _cumulative(spec.p)
-    _, first, spans = _walk_spans(spec.action_kind, driving, seed)
+    first, spans = _walk_spans(spec.action_kind, driving, seed)
     hi = 0
     for steps, drawn in spans:
         lo, hi = hi, hi + len(steps)
@@ -205,9 +205,11 @@ def _information(spec: FiberSystemSpec, first: np.ndarray, v) -> tuple[float, li
     """-log2 p summed over v's first visits, and how often each symbol is read there; the one refusal of a null pair.
 
     The symbols are counted a span at a time, and the sum is read off the
-    counts, the products counts[s] * log2 p[s] summed exactly by math.fsum,
-    so no float is formed per first visit and the value does not depend on
-    how a vectorized sum would pair its terms.
+    counts: each product counts[s] * log2 p[s] is rounded once, and the
+    products are summed exactly by math.fsum, so no float is formed per
+    first visit and the value does not depend on how a vectorized sum
+    would pair its terms.  It can differ by an ulp or two from a float64
+    sum over the first visits one by one.
     """
     symbols = _first_symbols(spec, first, v)
     if symbols is None:

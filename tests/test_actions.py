@@ -543,17 +543,16 @@ def test_z2_numbers_its_positions_by_box_or_by_rank_as_the_oracle_walks(word, se
 @given(z2_words(), st.sampled_from([1, 3, 4096]))
 @example(("line", [NEG_E2] * 70_000), 4096)
 @example(("line", [E1] * 70_000), 5)
-def test_the_packed_bounding_box_equals_one_pass_per_axis(word, chunk):
-    # _box sums x * 2**32 + y in one pass while the walk is shorter than
-    # 2**31 steps, and past that takes one pass per axis (_extremes); both
-    # give the extremes of the coordinates, c_0 = (0, 0) among them, across
-    # spans of any length, far from the origin too
+def test_the_bounding_box_holds_every_coordinate_across_spans(word, chunk):
+    # _box sums x * 2**32 + y in one pass, each span's from the point where
+    # it begins, and carries that point into the next span: it gives the
+    # extremes of the coordinates, c_0 = (0, 0) among them, across spans of
+    # any length, far from the origin too
     _, letters = word
     letters = np.array(letters, dtype=np.uint8)
     steps = np.array(Z2_VECTORS)[letters[:-1]].reshape(-1, 2)
     x, y = np.concatenate(([(0, 0)], np.cumsum(steps, axis=0))).T
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(actions, "_CHUNK", chunk)
-        packed = actions._box(letters)
-        per_axis = (*actions._extremes(actions._Z2_X, letters), *actions._extremes(actions._Z2_Y, letters))
-    assert packed == per_axis == (x.min(), x.max(), y.min(), y.max())
+        box = actions._box(letters)
+    assert box == (x.min(), x.max(), y.min(), y.max())

@@ -982,14 +982,14 @@ def test_a_late_offending_row_raises_the_unchunked_message(monkeypatch, chunk):
 # (f2, whose f2-markov words never cancel, so first is an int32 arange,
 # filled a span at a time) and 5.7 (z2: first, the set-up passes' spans,
 # then the visited cells' bits and the table of one first step per
-# visited cell); emit_name 6.35 and 7.15 (first and the uint8 name, 5
-# bytes per letter, then one span's keys and, on z2, the bits and the
-# table); conditional_rate 7.3 and 7.3 (the pair table's index, counts,
+# visited cell); emit_name 6.35 and 6.8 (first and the uint8 name, 5
+# bytes per letter, then one span's keys and, on z2, the bits, the table
+# and one span's ranks); conditional_rate 7.3 and 7.3 (the pair table's index, counts,
 # first and contexts, each pair's rank and count, and the first-visit
 # symbols).
 BYTES_PER_LETTER = {
     "f2-markov": {"walk": 4.8, "emit_name": 7.3, "conditional_rate": 8.4},
-    "z2-uniform": {"walk": 6.6, "emit_name": 8.2, "conditional_rate": 8.4},
+    "z2-uniform": {"walk": 6.6, "emit_name": 7.8, "conditional_rate": 8.4},
 }
 
 

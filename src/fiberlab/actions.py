@@ -36,9 +36,11 @@ when the box holds more than _BOX_CELLS cells per step).  The free
 monoid chains one key per step (its prefixes never repeat), and f2
 numbers the tree nodes it meets and chains each new node's key from its
 parent's.  A kernel hands _draws the keys of one span at a time, in
-first-visit order (z2 formats each as _draws reads it); _draws alone
-hashes them under the seed, and no list of all keys is built but the f2
-tree's.  Without a seed no key is made, so the walks that only read
+first-visit order; _draws alone hashes them under the seed, and no list
+of all keys is built but the f2 tree's.  z2 makes each key as _draws
+reads it, as the sum of two bytes from tables of b"x," and b"y" over the
+span's own x and y ranges (_z2_keys), so no integer is formatted twice in
+a span.  Without a seed no key is made, so the walks that only read
 first hash nothing.
 
 Every chunked pass (the walk kernels, fiber's name reads, the sampler,
@@ -214,9 +216,12 @@ def _draws(seed: int):
 
     Draw d is the little-endian 8-byte blake2b digest of the d-th key,
     keyed by the seed's 8 little-endian bytes.  Each draw is a copy of one
-    keyed hasher, made here once per walk, so the key block is compressed
-    once, and each digest is appended to one buffer as it is made, so no
-    list of digests is held beside the keys.
+    keyed hasher, made here once per walk, so no draw parses the
+    parameters again.  Copying does not save the key block: the hasher
+    only buffers it, and every copy compresses it on its first update, so
+    a draw costs about as much as an unkeyed hash of two blocks.  Each
+    digest is appended to one buffer as it is made, so no list of digests
+    is held beside the keys.
     """
     copy = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little")).copy
 
@@ -385,11 +390,22 @@ def _rank(code: np.ndarray) -> np.ndarray:
 
 
 def _z2_keys(offsets: np.ndarray, height: int, x0: int, y0: int):
-    """The keys b"x,y" of box offsets (x - x0) * height + y - y0, made one at a time as they are read."""
+    """The keys b"x,y" of box offsets (x - x0) * height + y - y0, made one at a time as they are read.
+
+    Each key is xs[x] + ys[y], from a table of b"x," over the x range of
+    these offsets and one of b"y" over their y range, so each value is
+    formatted once; a span's offsets lie within a span's length of each
+    other, so neither table is longer than the span.
+    """
+    if not len(offsets):
+        return ()
     x, y = np.divmod(offsets, height)
-    x += x0
-    y += y0
-    return map(b"%d,%d".__mod__, zip(x.tolist(), y.tolist()))
+    xlo, ylo = int(x.min()), int(y.min())
+    xs = list(map(b"%d,".__mod__, range(x0 + xlo, x0 + int(x.max()) + 1)))
+    ys = list(map(b"%d".__mod__, range(y0 + ylo, y0 + int(y.max()) + 1)))
+    x -= xlo
+    y -= ylo
+    return map(operator.add, map(xs.__getitem__, x.tolist()), map(ys.__getitem__, y.tolist()))
 
 
 def _reduced(steps: np.ndarray) -> bool:

@@ -35,16 +35,18 @@ coder (_block_faults, before any numerator) and by the chain diagnostics,
 and every coder refuses its first offending block by _refuse_blocks.
 
 Every sampled letter and orbit-name symbol is read off its uniform by one
-inverse CDF, _inverse_cdf.  The Markov sampler steps a transition table:
-the next letter depends on a uniform only through the interval of distinct
-cumulative values it falls in, so one vectorized search per span of
-uniforms gives each step's interval.  The table composes: r steps are one
-lookup of (r intervals, state), so a Python loop finds the state at every
-r-th step only and r vectorized gathers fill in the letters between.
-Uniforms are drawn a span at a time from the one PCG64 stream, which gives
-the same doubles as one draw of all of them, and letters are kept in the
-smallest dtype that holds them (_letter_dtype), uint8 for every action's
-alphabet.
+inverse CDF, _inverse_cdf, which builds a guide table once per law and
+reads each uniform with one lookup, searching only the few that land in a
+bucket a cumulative value cuts.  The Markov sampler steps a transition
+table: the next letter depends on a uniform only through the interval of
+distinct cumulative values it falls in, and that interval is the same
+inverse CDF, of the distinct values with a +inf sentinel, read off a span
+of uniforms at a time.  The table composes: r steps are one lookup of
+(r intervals, state), so a Python loop finds the state at every r-th step
+only and r vectorized gathers fill in the letters between.  Uniforms are
+drawn a span at a time from the one PCG64 stream, which gives the same
+doubles as one draw of all of them, and letters are kept in the smallest
+dtype that holds them (_letter_dtype), uint8 for every action's alphabet.
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ _KEY_LIMIT = 2 ** 62
 # entries the sampler's composed step table may hold: it resolves r letters
 # per lookup, for the largest r whose table of C**r * s entries fits
 _COMPOSED_ENTRIES = 2 ** 12
+# an inverse CDF's guide table has a power-of-two number of buckets, at
+# least this many and at least _BUCKETS_PER_CUT per cumulative value, so
+# that few uniforms land in a bucket with a cumulative value inside it
+_GUIDE_BUCKETS = 2 ** 8
+_BUCKETS_PER_CUT = 4
 
 
 def _as_fraction(x) -> Fraction:
@@ -348,9 +355,41 @@ def _cumulative(probs) -> np.ndarray:
     return np.fromiter(accumulate(float(p) for p in probs), dtype=np.float64)
 
 
-def _inverse_cdf(cumulative: np.ndarray, u):
-    """The one inverse CDF, of every letter and symbol drawn: min(#{c in cumulative : c <= u}, size - 1)."""
-    return np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
+def _inverse_cdf(cumulative: np.ndarray):
+    """The one inverse CDF, of every letter and symbol drawn, as a function of a float64 array of uniforms:
+    u maps to min(#{c in cumulative : c <= u}, size - 1), in _letter_dtype(size).
+
+    The function reads u off a guide table (Chen and Asau 1974; Devroye
+    1986), built here once per law.  G, a power of two, is at least
+    _GUIDE_BUCKETS and at least _BUCKETS_PER_CUT per cumulative value, so
+    u * G is exact and bucket j = floor(u * G) spans [j / G, (j + 1) / G);
+    bucket G takes u = 1.0 and anything above it.  Bucket j holds the
+    answer at its left edge, which is the answer for every u in it unless
+    a cumulative value lies strictly inside it.  Such buckets are flagged,
+    and only the uniforms that land in one are searched for among the
+    cumulative values.  So every answer is exact, and a law of L symbols
+    flags at most L of its 4 L or more buckets.
+    """
+    size = len(cumulative)
+    buckets = max(_GUIDE_BUCKETS, 2 ** (_BUCKETS_PER_CUT * size - 1).bit_length())
+    # j / G is exact, so the table holds the exact answer at each left edge
+    guide = np.minimum(np.searchsorted(cumulative, np.arange(buckets + 1) / buckets, side="right"), size - 1)
+    guide = guide.astype(_letter_dtype(size))
+    # a value c lies strictly inside bucket min(floor(c * G), G) unless c * G is that bucket's edge
+    scaled = cumulative * buckets
+    inside = np.minimum(np.floor(scaled), buckets)
+    flagged = np.zeros(buckets + 1, dtype=bool)
+    flagged[inside[scaled != inside].astype(np.intp)] = True
+
+    def read(u: np.ndarray) -> np.ndarray:
+        bucket = (u * buckets).astype(np.intp)
+        letters = guide.take(bucket, mode="clip")
+        searched = flagged.take(bucket, mode="clip")
+        if searched.any():
+            letters[searched] = np.minimum(np.searchsorted(cumulative, u[searched], side="right"), size - 1)
+        return letters
+
+    return read
 
 
 def _composition_depth(cuts: int, s: int) -> int:
@@ -381,11 +420,13 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
     The generator is numpy's PCG64 seeded with the given 64-bit seed; one
     uniform draw per letter is mapped through the inverse CDF (_inverse_cdf)
     of pi or of the current state's row of Pi, in alphabet order, so
-    trajectories are bitwise reproducible for equal seeds.
+    trajectories are bitwise reproducible for equal seeds.  Each law's
+    guide table is built once per call.
 
     The letter after state a depends on u only through its cut c in [0, C),
     the number of the C - 1 distinct cumulative values of all rows that are
-    <= u.  So r steps compose into one table comp[code * s + a] of
+    <= u, read off the inverse CDF of those values with a +inf sentinel
+    appended.  So r steps compose into one table comp[code * s + a] of
     C**r * s entries, the state r steps after a, with code the r cuts read
     as base-C digits.  r is the largest depth whose table holds at most
     _COMPOSED_ENTRIES entries (at least 1, which is the plain step table);
@@ -408,19 +449,25 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
     letters = np.empty(n, dtype=_letter_dtype(s))
     if n == 0:
         return DrivingTrajectory(spec, seed, letters)
-    pi_cum = _cumulative(spec.pi)
+    pi_letter = _inverse_cdf(_cumulative(spec.pi))
     if spec._iid:
         # Bernoulli fast path, identical to the generic loop, a span of uniforms at a time
         for lo, hi in _spans(n):
-            letters[lo:hi] = _inverse_cdf(pi_cum, rng.random(hi - lo))
+            letters[lo:hi] = pi_letter(rng.random(hi - lo))
         return DrivingTrajectory(spec, seed, letters)
-    letters[0] = _inverse_cdf(pi_cum, rng.random())
+    letters[:1] = pi_letter(rng.random(1))
     # The next letter depends on u only through c, the number of distinct
     # cumulative values <= u: after[c, a] is the letter after state a for
-    # such u, picked at -inf (c = 0) or at the c-th smallest value.
+    # such u, picked at the c-th smallest value, or at 0.0 for c = 0: no u
+    # reaches c = 0 when 0.0 is among the values, and when it is not, every
+    # row reads letter 0 there, as below all of them.  c is the inverse CDF
+    # of the values with +inf appended, whose clip to the last index never
+    # bites, as no uniform reaches +inf.
     row_cums = [_cumulative(row) for row in spec.Pi]
     edges = np.array(sorted({c for row in row_cums for c in row.tolist()}))
-    after = np.array([_inverse_cdf(row, np.concatenate(([-math.inf], edges))) for row in row_cums]).T
+    picks = np.concatenate(([0.0], edges))
+    after = np.array([_inverse_cdf(row)(picks) for row in row_cums]).T
+    cut = _inverse_cdf(np.append(edges, math.inf))
     r = _composition_depth(len(after), s)
     comp = _composed(after, r).ravel().tolist()
     weights = len(after) ** np.arange(r - 1, -1, -1)
@@ -429,7 +476,7 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
         # padded with c = 0, whose letters are computed but never kept
         size = stop - start
         cuts = np.zeros(-(-size // r) * r, dtype=np.int64)
-        cuts[:size] = np.searchsorted(edges, rng.random(size), side="right")
+        cuts[:size] = cut(rng.random(size))
         cuts = cuts.reshape(-1, r)
         # the Python loop visits block starts only: the state before each block
         state = int(letters[start - 1])

@@ -134,22 +134,23 @@ def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
     draw, an 8-byte blake2b hash keyed by the seed (see actions.walk), read
     as an integer over 2**64 (a float64 u in [0, 1]) and mapped through the
     sampler's inverse CDF (driving._inverse_cdf) of p, u = 1.0 to the last
-    symbol.  Each distinct coordinate is hashed once, when the walk first
-    meets it.  The walk is taken a span of positions at a time
-    (actions._walk_spans), and the name is filled as each span comes: the
-    span's first visits and the draws of its new coordinates are mapped to
-    u and to symbols, each with the same float64 operations as one pass
-    over all of them, and written at their first visits, and every step
-    reads its first visit, which lies in the span or before it; so the name
-    is always consistent, and only first and the name are as long as alpha.
-    Symbols are stored in driving._letter_dtype(|F|).
+    symbol, whose guide table is built once per call.  Each distinct
+    coordinate is hashed once, when the walk first meets it.  The walk is
+    taken a span of positions at a time (actions._walk_spans), and the
+    name is filled as each span comes: the span's first visits and the
+    draws of its new coordinates are mapped to u and to symbols, each with
+    the same float64 operations as one pass over all of them, and written
+    at their first visits, and every step reads its first visit, which
+    lies in the span or before it; so the name is always consistent, and
+    only first and the name are as long as alpha.  Symbols are stored in
+    driving._letter_dtype(|F|).
     """
     seed = _check_seed(seed)
     driving = _integers(alpha)
     # the name and first are allocated before the walk's set-up temporaries,
     # so that freeing them leaves one free stretch of heap rather than holes
     letters = np.zeros(len(driving), dtype=_letter_dtype(spec.fiber_alphabet.size))
-    cumulative = _cumulative(spec.p)
+    symbol = _inverse_cdf(_cumulative(spec.p))
     first, spans = _walk_spans(spec.action_kind, driving, seed)
     hi = 0
     for steps, drawn in spans:
@@ -157,7 +158,7 @@ def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
         u = drawn.astype(np.float64)
         u /= 2.0 ** 64
         name = letters[lo:hi]
-        name[steps == np.arange(lo, hi, dtype=steps.dtype)] = _inverse_cdf(cumulative, u)
+        name[steps == np.arange(lo, hi, dtype=steps.dtype)] = symbol(u)
         name[:] = letters[steps]
         # the span goes before the walk takes the next one
         del steps, drawn, u

@@ -556,3 +556,41 @@ def test_the_bounding_box_holds_every_coordinate_across_spans(word, chunk):
         patch.setattr(actions, "_CHUNK", chunk)
         box = actions._box(letters)
     assert box == (x.min(), x.max(), y.min(), y.max())
+
+
+# a word that circles the origin, so that its spans cross zero on both
+# axes, then paces between two cells, so that its last spans meet no new cell
+CIRCLING = [E1] * 3 + [E2] * 3 + [NEG_E1] * 6 + [NEG_E2] * 6 + [E1] * 6 + [E2] * 2 + [NEG_E1, E1] * 20
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(z2_words(), st.sampled_from([1, 3, 4096]))
+@example(("random", CIRCLING), 1)
+@example(("random", CIRCLING), 3)
+@example(("random", CIRCLING), 4096)
+@example(("random", np.random.default_rng(7).integers(0, 4, 20_000).tolist()), 4096)
+@example(("line", [E1] * 70_000), 4096)
+@example(("line", [NEG_E2] * 70_000), 3)
+@example(("staircase", [NEG_E1, E2] * 3_000), 4096)
+@example(("staircase", [E1, NEG_E2] * 40), 3)
+def test_z2_keys_from_axis_tables_are_the_oracle_keys(word, chunk):
+    # each z2 key is xs[x] + ys[y], from tables over its span's own x and y
+    # ranges: the keys _draws is handed are the oracle's b"%d,%d" keys, on
+    # the box path and the ranked one, and a span with no new cell hands none
+    _, letters = word
+    handed = []
+
+    def drawn(seed):
+        def draws(keys):
+            keys = list(keys)
+            handed.extend(keys)
+            return np.zeros(len(keys), dtype=np.uint64)
+
+        return draws
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(actions, "_CHUNK", chunk)
+        patch.setattr(actions, "_draws", drawn)
+        walk("z2", letters, seed=1)
+    assert handed == reference_walk("z2", letters)[1]
+    assert {type(key) for key in handed} <= {bytes}

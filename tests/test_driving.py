@@ -27,6 +27,7 @@ from fiberlab import (
     sample_trajectory,
 )
 from fiberlab.actions import _CHUNK
+from fiberlab import driving
 from fiberlab.driving import (
     _block_faults,
     _block_table,
@@ -35,6 +36,7 @@ from fiberlab.driving import (
     _cylinder_numerators,
     _gather,
     _inverse_cdf,
+    _letter_dtype,
     block_code_details,
 )
 from fiberlab.kraft import shannon_length
@@ -387,14 +389,118 @@ def test_support_readings_equal_their_oracles_on_random_sparse_chains(spec, data
             assert out
         else:
             assert not out and zero == (prob == 0)
-    # the one inverse CDF, on a float and on an array, against bisect on the list
+    # the one inverse CDF, on one uniform at a time and on an array, against bisect on the list
     us = data.draw(st.lists(st.floats(0, 1), max_size=8), label="u")
     for law in (spec.pi, *spec.Pi):
         cumulative = _cumulative(law)
         points = [0.0, 1.0, *cumulative.tolist(), *us]
         expected = [min(bisect_right(cumulative.tolist(), u), s - 1) for u in points]
-        assert [int(_inverse_cdf(cumulative, u)) for u in points] == expected
-        assert _inverse_cdf(cumulative, np.array(points)).tolist() == expected
+        read = _inverse_cdf(cumulative)
+        assert [int(read(np.array([u]))[0]) for u in points] == expected
+        assert read(np.array(points)).tolist() == expected
+
+
+
+@st.composite
+def rational_laws(draw):
+    """A law of 1 to 300 symbols with rational entries, zeros among them."""
+    size = draw(st.sampled_from([1, 2, 3, 300]) | st.integers(1, 300))
+    weights = draw(st.lists(st.integers(0, 9), min_size=size, max_size=size).filter(any))
+    return law_of(weights)
+
+
+def law_of(weights):
+    """The law proportional to integer weights, as Fractions."""
+    total = sum(weights)
+    return tuple(Fraction(w, total) for w in weights)
+
+
+def guide_points(cumulative):
+    """Every bucket edge of the law's guide table, and every midpoint in case
+    the table were twice as fine, every cumulative value, 0.0 and 1.0, each
+    with its two float neighbours, none below 0."""
+    size = len(cumulative)
+    buckets = 2 * max(driving._GUIDE_BUCKETS, 2 ** (driving._BUCKETS_PER_CUT * size - 1).bit_length())
+    points = np.concatenate((np.arange(buckets + 1) / buckets, cumulative, [0.0, 1.0]))
+    points = np.concatenate((points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)))
+    return points[points >= 0]
+
+
+def assert_guide_is_the_bisect(law):
+    cumulative = _cumulative(law)
+    points = guide_points(cumulative)
+    got = _inverse_cdf(cumulative)(points)
+    assert got.dtype == _letter_dtype(len(law))
+    listed = cumulative.tolist()
+    assert got.tolist() == [min(bisect_right(listed, u), len(law) - 1) for u in points.tolist()]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rational_laws())
+def test_the_guide_table_is_the_bisect_at_every_edge(law):
+    # a guide table reads u off the bucket floor(u * G) and searches only
+    # where a cumulative value cuts the bucket: at every edge, every
+    # cumulative value and their float neighbours it must equal bisect
+    assert_guide_is_the_bisect(law)
+
+
+def test_the_guide_table_is_the_bisect_on_a_large_alphabet():
+    assert_guide_is_the_bisect(law_of(np.random.default_rng(4).integers(0, 10, 2 ** 16).tolist()))
+
+
+def test_the_guide_table_searches_few_uniforms(monkeypatch):
+    # a dyadic law puts every cumulative value on a bucket edge, so no
+    # uniform is searched; a law of L symbols cuts at most L of its 4 L or
+    # more buckets, so a large alphabet is not all searched either
+    searched = []
+    search = np.searchsorted
+
+    def spy(a, v, side):
+        searched.append(np.size(v))
+        return search(a, v, side=side)
+
+    large = law_of(np.random.default_rng(4).integers(1, 10, 2 ** 16).tolist())
+    u = np.random.default_rng(5).random(100_000)
+    for law, most in (((Fraction(1, 2),) * 2, 0), ((Fraction(1, 4),) * 4, 0), ((Fraction(1, 3),) * 3, 0.02),
+                      (large, 0.3)):
+        read = _inverse_cdf(_cumulative(law))
+        searched.clear()
+        monkeypatch.setattr(np, "searchsorted", spy)
+        read(u)
+        monkeypatch.undo()
+        assert sum(searched) <= most * len(u)
+
+
+def test_a_markov_cut_past_the_last_cumulative_value_keeps_its_letter(monkeypatch):
+    # ten tenths sum to 1 - 2**-53 in floats, so a uniform there is past
+    # every cumulative value of every row: its cut counts all of them (the
+    # +inf sentinel keeps that count from being clipped), and a row with a
+    # trailing zero gives its zero-probability last letter there, as the
+    # per-letter loop does
+    tenths, zero = (Fraction(1, 10),) * 10, (Fraction(0),)
+    spec = MarkovChainSpec(Alphabet(tuple("abcdefghijk")), tenths + zero,
+                           tuple(tenths + zero if a < 10 else zero + tenths for a in range(11)))
+
+    class TopTenth(np.random.Generator):
+        """A generator that moves every uniform of 0.9 or more to the largest double below 1."""
+
+        def random(self, n):
+            us = super().random(n)
+            us[us >= 0.9] = np.nextafter(1.0, 0.0)
+            return us
+
+    monkeypatch.setattr(np.random, "Generator", TopTenth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # not stationary
+        letters = sample_trajectory(spec, 1000, 9).letters
+    assert np.count_nonzero(letters == 10) > 50
+    assert letters.tolist() == bisect_trajectory(spec, 1000, 9)
+
+
+def test_the_f2_sampler_reads_its_cuts_off_the_guide_table():
+    # f2-markov's rows cut at 1/3 and 2/3, inside buckets, so some of its
+    # 2e5 uniforms take the search and the rest the table alone
+    assert sample_trajectory(F2, 200_000, 11).letters.tolist() == bisect_trajectory(F2, 200_000, 11)
 
 
 def fraction_is_stationary(spec):

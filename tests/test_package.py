@@ -84,11 +84,15 @@ def test_one_support_and_one_inverse_cdf():
     # positive, and driving._inverse_cdf the one reading of a uniform; the
     # coders, the diagnostics and the range paths once compared the
     # numerators with 0 or Pi's Fractions by hand, and the sampler and
-    # emit_name each searched the cumulative sums their own way
+    # emit_name each searched the cumulative sums their own way.  Only the
+    # inverse CDF's guide table and actions._rank, which ranks box offsets,
+    # not uniforms, call searchsorted, so no second search of uniforms grows back
     numerators = {"_pi_numerators", "_Pi_numerators"}
-    compared, bisected = set(), []
+    compared, bisected, searched = set(), [], set()
     for path in sorted(Path(fiberlab.__file__).parent.glob("*.py")):
         for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "searchsorted":
+                searched.add((path.name, scope))
             if isinstance(node, ast.Import):
                 bisected += [path.name for alias in node.names if alias.name.split(".")[0] == "bisect"]
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bisect":
@@ -100,6 +104,7 @@ def test_one_support_and_one_inverse_cdf():
                     compared.add((path.name, scope))
     assert bisected == []
     assert compared == {("driving.py", "MarkovChainSpec._support")}
+    assert searched == {("driving.py", "_inverse_cdf"), ("driving.py", "_inverse_cdf.read"), ("actions.py", "_rank")}
 
 
 def _is_min_below_zero(node: ast.AST) -> bool:

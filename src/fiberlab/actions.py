@@ -35,13 +35,16 @@ steps, one entry per visited cell, with no sort (it ranks by a sort only
 when the box holds more than _BOX_CELLS cells per step).  The free
 monoid chains one key per step (its prefixes never repeat), and f2
 numbers the tree nodes it meets and chains each new node's key from its
-parent's.  A kernel hands _draws the keys of one span at a time, in
-first-visit order; _draws alone hashes them under the seed, and no list
-of all keys is built but the f2 tree's.  z2 makes each key as _draws
-reads it, as the sum of two bytes from tables of b"x," and b"y" over the
-span's own x and y ranges (_z2_keys), so no integer is formatted twice in
-a span.  Without a seed no key is made, so the walks that only read
-first hash nothing.
+parent's.  _draws alone hashes under the seed, a span at a time, in
+first-visit order.  z2 hands it a span's keys; a word kernel hands it a
+span's letters, and the tree each new node's parent, and _draws chains
+each new key and draws it in one loop, so no span's keys are listed.  A
+chained word carries only its last key from span to span, and the f2
+tree alone keeps a key per node, as a node's children chain from it.
+z2 makes each key as _draws reads it, as the sum of two bytes from
+tables of b"x," and b"y" over the span's own x and y ranges (_z2_keys),
+so no integer is formatted twice in a span.  Without a seed no key is
+made, so the walks that only read first hash nothing.
 
 Every chunked pass (the walk kernels, fiber's name reads, the sampler,
 the coders' rows and JSON report rows) takes the spans of _CHUNK that
@@ -212,7 +215,7 @@ def _check_seed(seed) -> int:
 
 
 def _draws(seed: int):
-    """The one draw rule, as a function from an iterable of keys to their uint64 symbol draws.
+    """The one draw rule, as a function from keys, or from the letters that chain them, to uint64 symbol draws.
 
     Draw d is the little-endian 8-byte blake2b digest of the d-th key,
     keyed by the seed's 8 little-endian bytes.  Each draw is a copy of one
@@ -222,46 +225,73 @@ def _draws(seed: int):
     a draw costs about as much as an unkeyed hash of two blocks.  Each
     digest is appended to one buffer as it is made, so no list of digests
     is held beside the keys.
+
+    draws(keys) draws keys as they come.  draws(keys, letters, parents)
+    makes one new key per letter and draws it at once, in one loop: new
+    key i is a copy of _CHAIN_HASHER updated by its parent's key, then by
+    letter i's byte, and its parent is keys[parents[i]], with keys
+    extended by each new key; without parents its parent is the key made
+    before it, keys[-1] for the first, and keys[-1] ends as the last new
+    key.  The chain hasher is read as each call begins.
     """
     copy = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little")).copy
 
-    def draws(keys) -> np.ndarray:
+    def draws(keys, letters=None, parents=None) -> np.ndarray:
         digests = bytearray()
-        for key in keys:
-            h = copy()
-            h.update(key)
-            digests += h.digest()
+        if letters is None:
+            for key in keys:
+                h = copy()
+                h.update(key)
+                digests += h.digest()
+            return np.frombuffer(digests, dtype="<u8")
+        chain, byte = _CHAIN_HASHER.copy, _BYTES
+        if parents is None:
+            key = keys[-1]
+            # bytes iterate as ints, with no list of Python ints alongside
+            for letter in letters:
+                h = chain()
+                h.update(key)
+                h.update(byte[letter])
+                key = h.digest()
+                h = copy()
+                h.update(key)
+                digests += h.digest()
+            keys[-1] = key
+        else:
+            append = keys.append
+            for letter, up in zip(letters, parents):
+                h = chain()
+                h.update(keys[up])
+                h.update(byte[letter])
+                key = h.digest()
+                append(key)
+                h = copy()
+                h.update(key)
+                digests += h.digest()
         return np.frombuffer(digests, dtype="<u8")
 
     return draws
 
 
-def _chain(key: bytes, steps: bytes, keys: list) -> list:
-    """keys, extended by each key chained from the one before, from key on, by the next letter of steps."""
-    chain, byte, append = _CHAIN_HASHER.copy, _BYTES, keys.append
-    # bytes iterate as ints, with no list of Python ints alongside
-    for letter in steps:
-        h = chain()
-        h.update(key + byte[letter])
-        key = h.digest()
-        append(key)
-    return keys
-
-
 def _chained(identity: bytes, letters: np.ndarray, first: np.ndarray, draws):
     # every step reaches a new coordinate: coordinate i chains letter i - 1
-    # onto the key of coordinate i - 1, and a span carries only its last key
-    key = identity
+    # onto the key of coordinate i - 1, and keys holds only the last key
+    keys = [identity]
     for lo, hi in _spans(len(letters)):
         first[lo:hi] = np.arange(lo, hi, dtype=first.dtype)
         drawn = None
         if draws is not None:
-            keys = _chain(key, letters[max(lo - 1, 0) : hi - 1].tobytes(), [] if lo else [identity])
-            key = keys[-1]
-            drawn = draws(keys)
-            # a span's keys go before the span is read and the next span's keys are made
-            del keys
+            drawn = _drawn(draws, lo, keys, letters[max(lo - 1, 0) : hi - 1].tobytes())
         yield Walk(first[lo:hi], drawn)
+
+
+def _drawn(draws, lo: int, keys: list, *chain) -> np.ndarray:
+    """The draws of the word coordinates new in the span from lo: those of draws(keys, *chain), after, in
+    the first span, that of the identity, keys[0], which no letter chains."""
+    if lo:
+        return draws(keys, *chain)
+    identity = draws(keys[:1])
+    return np.concatenate((identity, draws(keys, *chain)))
 
 
 def _walk_free_monoid(letters: np.ndarray, first: np.ndarray, draws):
@@ -434,7 +464,6 @@ def _tree(letters: np.ndarray, first: np.ndarray, draws):
     for lo, hi in _spans(len(letters)):
         # position 0 is the identity; position i > 0 steps by letter i - 1
         steps = array(index, [0] if lo == 0 else [])
-        nodes = len(head) if lo else 0
         for letter in letters[max(lo - 1, 0) : hi - 1].tolist():
             if head[cur] == INVERSE[letter]:
                 up = parent[cur]
@@ -450,18 +479,12 @@ def _tree(letters: np.ndarray, first: np.ndarray, draws):
                 cur = child
             steps.append(born[cur])
         first[lo:hi] = steps
-        # the nodes born in the span are its first visits
-        yield Walk(first[lo:hi], None if draws is None else draws(_tree_keys(head, parent, keys)[nodes:]))
-
-
-def _tree_keys(head: array, parent: array, keys: list) -> list:
-    """keys, extended to every tree node in node order, each node's key chained from its parent's."""
-    chain, byte = _CHAIN_HASHER.copy, _BYTES
-    for letter, up in zip(head[len(keys) :], parent[len(keys) :]):
-        h = chain()
-        h.update(keys[up] + byte[letter])
-        keys.append(h.digest())
-    return keys
+        drawn = None
+        if draws is not None:
+            # the nodes born in the span are its first visits, each chained
+            # from its parent's key, which keys holds for every node
+            drawn = _drawn(draws, lo, keys, head[len(keys) :], parent[len(keys) :])
+        yield Walk(first[lo:hi], drawn)
 
 
 _KERNELS = {"free-monoid": _walk_free_monoid, "z2": _walk_z2, "f2": _walk_f2}

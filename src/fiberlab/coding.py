@@ -22,7 +22,9 @@ lexicographically and a count code is a set of arrays indexed by rank:
 codewords, lengths, log2 mu and mu.  mu is exact, an integer numerator
 over the code's one denominator lcm(den p)**d, so lengths, the length
 bound and the joint coder's lengths are integer computations, taken over
-whole object arrays of numerators (kraft._shannon_bits).
+whole arrays of numerators (kraft._shannon_bits): object arrays of
+Python ints, which the joint coder reads as int64 where its denominator
+lies below 2**53 (kraft._numerator_dtype).
 
 The cost of a block depends on its (u, v) pair alone, so the coders work
 from one table of a name's distinct aligned pairs in first-occurrence
@@ -55,7 +57,8 @@ lone context.  Positivity is read off the chain's support
 table: the plain coder (driving._plain_code) gives each distinct context
 its exact nu once, an integer numerator over one denominator, each pair
 reads its context's (the table's contexts), and the joint length is read
-off nu's numerator times mu's over the product of their denominators.
+off nu's numerator times mu's over the product of their denominators,
+in int64 while that product lies below 2**53.
 
 Every per-run verdict is decided in integers, with no float tolerance:
 the length bound, eq15 as its corollary, and the information floor from
@@ -82,7 +85,7 @@ from .driving import MarkovChainSpec, _block_table, _cylinder_den, _gather, _let
 from .driving import _refuse_blocks, _sequential_sum, block_code_details, sample_trajectory
 from .errors import MalformedStreamError
 from .fiber import FiberSystemSpec, OrbitName, _information, emit_name, exact_rate_or_none, information_function
-from .kraft import BinaryCodebook, _canonical_words, _shannon_bits, shannon_length
+from .kraft import BinaryCodebook, _canonical_words, _numerator_dtype, _shannon_bits, shannon_length
 
 # the information-function floor gates a verdict from this horizon on
 UNDERSHOOT_MIN_N = 1000
@@ -598,15 +601,16 @@ def ar_decomposition_check(name: OrbitName, family: BlockCodebookFamily) -> ArDe
     m = len(table.index)
     plain, nu, log2nu = _plain_code(family.driving_spec, table, n - m * k)
     den = _cylinder_den(family.driving_spec, k)
-    dens = np.empty(k + 1, dtype=object)
-    for d, code in family._count_codes.items():
-        dens[d] = den * code.den
+    # nu * mu over den * code.den, in int64 while the largest such denominator allows
+    dens = [den * family._count_codes[d].den if d in family._count_codes else 1 for d in range(k + 1)]
+    dens = np.array(dens, dtype=_numerator_dtype(max(dens)))
     pair_raw = (family.driving_spec.alphabet.size * family.fiber_spec.fiber_alphabet.size - 1).bit_length()
     joint_total = (n - m * k) * pair_raw
-    # a span at a time, so that no array of big-integer products is as long as the table
+    # a span at a time, so that no array of products is as long as the table
     for lo, hi in _spans(len(table.first)):
         d = counts[lo:hi]
-        nums = nu.take(table.contexts[lo:hi]) * family._read(d, ranks[lo:hi], "numerators")
+        mu = family._read(d, ranks[lo:hi], "numerators").astype(dens.dtype, copy=False)
+        nums = nu.take(table.contexts[lo:hi]).astype(dens.dtype, copy=False) * mu
         joint_total += int(table.counts[lo:hi] @ np.maximum(_shannon_bits(nums, dens[d]), 1))
     # the ideal joint lengths, summed in block order a span of blocks at a time
     joint_ideal = 0.0

@@ -26,8 +26,10 @@ stationary when pi's numerators times Pi's equal pi's times den(Pi).  The
 cylinder probabilities of k-blocks share one denominator,
 den(pi) * lcm(den Pi)**(k-1), so a table of blocks is scored
 as integer numerators over it (_cylinder_numerators), in Python ints that
-cannot overflow; cylinder_prob is the one-row case.  A Shannon length is
-read off the bit lengths of numerator and denominator, and an ideal length
+cannot overflow, or, where it lies below 2**53 as the plain coder reads
+them, in int64 (kraft._numerator_dtype); cylinder_prob is the one-row
+case.  A Shannon length is read off the bit lengths of numerator and
+denominator (np.frexp's exponent in int64), and an ideal length
 is log2(num / den), which equals log2 of the Fraction's float because int
 division is correctly rounded.  Which blocks are positive is read off one
 support per chain, pi > 0 and Pi > 0 (MarkovChainSpec._support), by every
@@ -64,7 +66,7 @@ import numpy as np
 
 from .actions import INVERSE, _check_seed, _index_dtype, _integer, _integers, _spans
 from .errors import ModelMismatchError
-from .kraft import _shannon_bits
+from .kraft import _numerator_dtype, _shannon_bits
 from .words import Alphabet, Word
 
 # the end of the message that refuses an inexact probability sum
@@ -257,14 +259,20 @@ def _cylinder_numerators(spec: MarkovChainSpec, rows: np.ndarray) -> tuple[np.nd
 
     Returns (nums, den): row r has probability nums[r] / den, with
     den = den(pi) * lcm(den Pi)**(k-1) and den(x) the least common
-    denominator of x's entries.  The numerators are Python ints, products
-    of the integer numerators of pi and Pi, so none can overflow.
+    denominator of x's entries.  The numerators are products of the
+    integer numerators of pi and Pi in kraft._numerator_dtype(den): int64
+    below 2**53, where no partial product exceeds den, else Python ints,
+    so none can overflow.
     """
-    steps = spec._Pi_numerators[0]
-    nums = spec._pi_numerators[0][rows[:, 0]]
-    for j in range(1, rows.shape[1]):
-        nums = nums * steps[rows[:, j - 1], rows[:, j]]
-    return nums, _cylinder_den(spec, rows.shape[1])
+    den = _cylinder_den(spec, rows.shape[1])
+    dtype = _numerator_dtype(den)
+    nums = spec._pi_numerators[0].astype(dtype)[rows[:, 0]]
+    if rows.shape[1] > 1:
+        # Pi's numerators fit den's dtype only when a block takes a step
+        steps = spec._Pi_numerators[0].astype(dtype)
+        for j in range(1, rows.shape[1]):
+            nums = nums * steps[rows[:, j - 1], rows[:, j]]
+    return nums, den
 
 
 def cylinder_prob(spec: MarkovChainSpec, v) -> Fraction:
@@ -280,7 +288,7 @@ def cylinder_prob(spec: MarkovChainSpec, v) -> Fraction:
     if _block_faults(spec, letters[None, :])[0][0]:
         raise ValueError("letter index out of range for the driving alphabet")
     nums, den = _cylinder_numerators(spec, letters[None, :])
-    return Fraction(nums[0], den)
+    return Fraction(int(nums[0]), den)
 
 
 def is_stationary(spec: MarkovChainSpec) -> bool:
@@ -631,14 +639,15 @@ def _plain_code(spec: MarkovChainSpec, table: _BlockTable, tail: int) -> tuple[P
 
     Each distinct context (table.contexts) is priced once, from its first
     block.  Returns the PlainBlockCode, with tail letters raw coded, then
-    each context's cylinder numerator over _cylinder_den(spec, k) and its
-    log2 nu.
+    each context's cylinder numerator over _cylinder_den(spec, k), in
+    kraft._numerator_dtype of that denominator, and its log2 nu.
     """
     view, contexts = table.windows[0], table.contexts
     size = int(contexts.max()) + 1 if len(contexts) else 0
     rows = np.full(size, len(view), dtype=np.intp)
     np.minimum.at(rows, contexts, table.first)
-    nums, den = np.empty(size, dtype=object), _cylinder_den(spec, view.shape[1])
+    den = _cylinder_den(spec, view.shape[1])
+    nums = np.empty(size, dtype=_numerator_dtype(den))
     bits, log2nu = np.empty(size, dtype=np.int64), np.empty(size)
     for lo, hi in _spans(size):
         nums[lo:hi] = _cylinder_numerators(spec, view[rows[lo:hi]])[0]

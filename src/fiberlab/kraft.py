@@ -41,16 +41,37 @@ def shannon_length(probability: Fraction) -> int:
     return _shannon_bits(p.numerator, p.denominator)
 
 
+# numerators over a denominator below this are held as int64: each is
+# exact as a float64, so np.frexp reads its bit length, and a numerator
+# shifted to its denominator's bit length, at most twice the denominator,
+# stays far below 2**63
+_MACHINE_DEN = 2 ** 53
+
 # int.bit_length of one Python int, or of each entry of an object array of them
-_bit_length = np.frompyfunc(int.bit_length, 1, 1)
+_int_bit_length = np.frompyfunc(int.bit_length, 1, 1)
+
+
+def _numerator_dtype(den: int) -> np.dtype:
+    """The dtype of numerators over den, or over a denominator it bounds: int64 below _MACHINE_DEN, else Python ints."""
+    return np.dtype(np.int64 if den < _MACHINE_DEN else object)
+
+
+def _bit_length(x):
+    """The bit length of a Python int, of each entry of an object array of them, or of each entry of an
+    integer array below _MACHINE_DEN, read off np.frexp's exponent."""
+    if isinstance(x, np.ndarray) and x.dtype != object:
+        return np.frexp(x)[1]
+    return _int_bit_length(x)
 
 
 def _shannon_bits(num, den):
     """ceil(-log2(num / den)) for integers 0 < num <= den, reduced or not.
 
-    num and den may also be object arrays of Python ints, or one of each,
-    and then the lengths come back elementwise as an object array, from
-    whole-array shifts and comparisons, with no Python loop.
+    num and den may also be arrays, or one of each, and then the lengths
+    come back elementwise, from whole-array shifts and comparisons, with
+    no Python loop: an object array of Python ints, or a machine-integer
+    array when num is an int64 array and den one too or a Python int,
+    both below _MACHINE_DEN.
     """
     # shifted by this much, num has den's bit length, so one more shift at most
     length = _bit_length(den) - _bit_length(num)

@@ -35,7 +35,7 @@ from fiberlab import (
     system_preset,
     walk,
 )
-from fiberlab import actions, coding, driving, fiber as fiber_module
+from fiberlab import actions, coding, driving, fiber as fiber_module, kraft
 from fiberlab.coding import UNDERSHOOT_MIN_N, EstimatorReport, _block_patterns, pair_counts
 from fiberlab.driving import _gather, block_code_details
 from oracles import conditional_cylinder_fraction, sliding_pair_counts
@@ -388,6 +388,79 @@ def test_joint_coder_equals_the_fraction_block_loop(chain, fiber, k):
     report = ar_decomposition_check(orbit, BlockCodebookFamily(k, fiber, chain))
     assert report.joint_rate == (total + (n % k) * pair_raw) / n
     assert report.joint_ideal_rate == ideal / n
+
+
+def _bernoulli(den, *nums):
+    """The Bernoulli chain that draws letter i with probability nums[i] / den."""
+    return MarkovChainSpec.bernoulli(Alphabet(tuple("abcd"[: len(nums)])), tuple(Fraction(x, den) for x in nums))
+
+
+def _sticky(den):
+    """A binary chain that starts uniformly and keeps its letter with probability (den - 1) / den."""
+    keep, swap = Fraction(den - 1, den), Fraction(1, den)
+    return MarkovChainSpec(BINARY, (HALF, HALF), ((keep, swap), (swap, keep)))
+
+
+# cylinder denominators on either side of 2**53, with numerators 1, den - 1
+# and powers of two: k = 1 blocks of Bernoulli chains over c, and k = 2
+# blocks of a sticky chain over 2 * d; 2**54 - 1 rounds up to a power of
+# two as a float64, so its bit length read off np.frexp would be one too many
+INT64_EDGE = 2 ** 53
+BOUNDARY_CHAINS = (
+    [(_bernoulli(c, c - 1, 1), 1) for c in (2 ** 52 - 1, 2 ** 52 + 1, 2 ** 53 - 1, 2 ** 53, 2 ** 54 - 1)]
+    + [(_bernoulli(c, 2 ** 51, 2 ** 40, 1, c - 2 ** 51 - 2 ** 40 - 1), 1) for c in (2 ** 52, 2 ** 52 + 1, 2 ** 53 + 1)]
+    + [(_sticky(d), 2) for d in (2 ** 51 - 1, 2 ** 51 + 1, 2 ** 52)]
+)
+ONE_SYMBOL_MONOID = FiberSystemSpec("free-monoid", Alphabet(("x",)), (Fraction(1),))
+
+
+def test_the_boundary_chains_straddle_2_53():
+    # the laws stay unreduced, so each cylinder denominator is the one intended
+    dens = [driving._cylinder_den(chain, k) for chain, k in BOUNDARY_CHAINS]
+    assert dens == [2 ** 52 - 1, 2 ** 52 + 1, 2 ** 53 - 1, 2 ** 53, 2 ** 54 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 + 1,
+                    2 ** 52 - 2, 2 ** 52 + 2, 2 ** 53]
+
+
+@pytest.mark.parametrize("fiber", [ONE_SYMBOL_MONOID, MONOID], ids=["one-symbol", "halves"])
+@pytest.mark.parametrize("chain, k", BOUNDARY_CHAINS)
+def test_blocks_are_priced_alike_in_int64_and_in_python_ints(monkeypatch, chain, k, fiber):
+    # numerators over a denominator below 2**53 are priced as int64 and the
+    # others as Python ints (kraft._numerator_dtype); either way the plain
+    # and joint totals are those of Fraction Shannon lengths block by block
+    plain_dtypes, joint_dtypes = [], []
+    real = kraft._shannon_bits
+
+    def plain_bits(num, den):
+        plain_dtypes.append(num.dtype)
+        return real(num, den)
+
+    def joint_bits(num, den):
+        # the count codes price their own object numerators over a Python int
+        if isinstance(den, np.ndarray):
+            joint_dtypes.append(num.dtype)
+        return real(num, den)
+
+    monkeypatch.setattr(driving, "_shannon_bits", plain_bits)
+    monkeypatch.setattr(coding, "_shannon_bits", joint_bits)
+    size = chain.alphabet.size
+    letters = [0, 0, 0, 1, 1, 0, 1, 1] + list(range(size)) * 2 + [0]
+    n = len(letters)
+    name = emit_name(fiber, letters, seed=1)
+    report = ar_decomposition_check(name, BlockCodebookFamily(k, fiber, chain))
+    plain = joint = 0
+    for i in range(n // k):
+        u, v = letters[i * k : (i + 1) * k], name.letters[i * k : (i + 1) * k].tolist()
+        nu = cylinder_prob(chain, u)
+        plain += shannon_length(nu)
+        joint += max(1, shannon_length(nu * conditional_cylinder_fraction(fiber, u, v)))
+    plain += (n % k) * (size - 1).bit_length()
+    joint += (n % k) * (size * fiber.fiber_alphabet.size - 1).bit_length()
+    assert block_code_details(chain, letters, k).total_bits == plain
+    assert report.plain_rate == plain / n and report.joint_rate == joint / n
+    den = driving._cylinder_den(chain, k)
+    joint_den = den * fiber.fiber_alphabet.size ** k
+    assert set(plain_dtypes) == {np.dtype(np.int64 if den < INT64_EDGE else object)}
+    assert set(joint_dtypes) == {np.dtype(np.int64 if joint_den < INT64_EDGE else object)}
 
 
 def test_length_bound_check_reads_every_count_code_entry():
@@ -982,14 +1055,16 @@ def test_a_late_offending_row_raises_the_unchunked_message(monkeypatch, chunk):
 # (f2, whose f2-markov words never cancel, so first is an int32 arange,
 # filled a span at a time) and 5.7 (z2: first, the set-up passes' spans,
 # then the visited cells' bits and the table of one first step per
-# visited cell); emit_name 6.35 and 6.8 (first and the uint8 name, 5
-# bytes per letter, then one span's keys and, on z2, the bits, the table
-# and one span's ranks); conditional_rate 7.3 and 7.3 (the pair table's index, counts,
-# first and contexts, each pair's rank and count, and the first-visit
-# symbols).
+# visited cell); emit_name 5.7 and 6.8 (first and the uint8 name, 5
+# bytes per letter, then one span's draws and, on z2, the bits, the table,
+# one span's ranks and its keys); conditional_rate 7.3 and 7.3 (the pair
+# table's index, counts, first and contexts, each pair's rank and count,
+# and the first-visit symbols); ar_decomposition_check 7.3 and 9.1 (the
+# conditional pass's, then, on z2's 20,808 contexts, the plain coder's row,
+# int64 numerator, length and log2 nu per context).
 BYTES_PER_LETTER = {
-    "f2-markov": {"walk": 4.8, "emit_name": 7.3, "conditional_rate": 8.4},
-    "z2-uniform": {"walk": 6.6, "emit_name": 7.8, "conditional_rate": 8.4},
+    "f2-markov": {"walk": 4.8, "emit_name": 6.5, "conditional_rate": 8.4, "ar_decomposition_check": 8.4},
+    "z2-uniform": {"walk": 6.6, "emit_name": 7.8, "conditional_rate": 8.4, "ar_decomposition_check": 10.5},
 }
 
 
@@ -1002,7 +1077,9 @@ def test_bytes_per_letter_stay_under_their_bounds(traced_peak, preset):
     name, emitted = traced_peak(lambda: emit_name(fiber_spec, trajectory, seed=3))
     family = BlockCodebookFamily(8, fiber_spec, driving_spec)
     _, coded = traced_peak(lambda: conditional_rate(name, family))
-    measured = {"walk": walked / n, "emit_name": emitted / n, "conditional_rate": coded / n}
+    _, checked = traced_peak(lambda: ar_decomposition_check(name, BlockCodebookFamily(8, fiber_spec, driving_spec)))
+    measured = {"walk": walked / n, "emit_name": emitted / n, "conditional_rate": coded / n,
+                "ar_decomposition_check": checked / n}
     assert all(measured[call] < bound for call, bound in BYTES_PER_LETTER[preset].items()), measured
 
 

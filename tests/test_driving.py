@@ -735,6 +735,11 @@ def test_cylinder_numerators_do_not_overflow():
     assert den == 5 * 6 ** 79
     for u, num in zip(rows.tolist(), nums.tolist()):
         assert Fraction(num, den) == fraction_cylinder(MIXED, u) > 0
+    # one-letter blocks are int64 over den(pi) = 2, whatever Pi's denominator
+    rare = Fraction(1, 3 ** 50)
+    wide = MarkovChainSpec(UNIFORM2.alphabet, UNIFORM2.pi, ((rare, 1 - rare), UNIFORM2.Pi[1]))
+    nums, den = _cylinder_numerators(wide, np.array([[0], [1]]))
+    assert den == 2 and nums.dtype == np.int64 and nums.tolist() == [1, 1]
 
 
 @pytest.mark.parametrize(

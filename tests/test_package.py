@@ -107,6 +107,19 @@ def test_one_support_and_one_inverse_cdf():
     assert searched == {("driving.py", "_inverse_cdf"), ("driving.py", "_inverse_cdf.read"), ("actions.py", "_rank")}
 
 
+def test_one_chain_rule():
+    # the draw rule chains each new word key from its parent's and draws it
+    # in one loop; the free monoid's chain and the f2 tree's node keys were
+    # once two hand-copied loops over the chain hasher, each before a second
+    # pass that drew the keys
+    copied = set()
+    for path in sorted(Path(fiberlab.__file__).parent.glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "copy" and ast.unparse(node.value) == "_CHAIN_HASHER":
+                copied.add((path.name, scope))
+    assert copied == {("actions.py", "_draws.draws")}
+
+
 def _is_min_below_zero(node: ast.AST) -> bool:
     """Whether node compares x.min() < 0: a letter range check, not the builtin min(...) of a probability check."""
     return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)

@@ -71,7 +71,6 @@ import math
 import numbers
 import operator
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -529,9 +528,8 @@ def walk(kind: str, letters, seed: int | None = None) -> Walk:
     return Walk(first, None if seed is None else np.concatenate(draws, dtype=np.uint64))
 
 
-@dataclass(frozen=True)
-class VisitRecord:
-    """Distinct-coordinate counts along a driving word of length n.
+class VisitRecord(NamedTuple):
+    """Distinct-coordinate counts along a driving word of length n, as a NamedTuple.
 
     distinct_counts[i] is the number of distinct coordinates among
     c_0 .. c_i, with the coordinates of walk(), in the dtype of its first.

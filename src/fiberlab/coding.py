@@ -72,8 +72,8 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +86,7 @@ from .driving import _refuse_blocks, _sequential_sum, block_code_details, sample
 from .errors import MalformedStreamError
 from .fiber import FiberSystemSpec, OrbitName, _information, emit_name, exact_rate_or_none, information_function
 from .kraft import BinaryCodebook, _canonical_words, _numerator_dtype, _shannon_bits, shannon_length
+from .records import FrozenRecord
 
 # the information-function floor gates a verdict from this horizon on
 UNDERSHOOT_MIN_N = 1000
@@ -280,9 +281,11 @@ class BlockCodebookFamily:
         return True
 
 
-@dataclass(frozen=True)
-class EncodedStream:
-    """Concatenated per-block codewords followed by the raw-coded tail."""
+class EncodedStream(FrozenRecord):
+    """Concatenated per-block codewords followed by the raw-coded tail.
+
+    A validated record (records.FrozenRecord): the bits must end with the tail.
+    """
 
     bits: str
     m: int
@@ -406,9 +409,8 @@ def pair_counts(alpha, omega, k: int) -> Counter:
     return counts
 
 
-@dataclass(frozen=True)
-class EstimatorReport:
-    """Per-run record of coded, empirical and exact per-symbol rates.
+class EstimatorReport(NamedTuple):
+    """Per-run record of coded, empirical and exact per-symbol rates, as a NamedTuple.
 
     COLUMNS names the report's CSV columns, in order.  eq15_ok is the
     length bound's certificate of eq15 where a block was coded (None where
@@ -552,9 +554,8 @@ def conditional_rate(name: OrbitName, family: BlockCodebookFamily, exact="auto")
     return _conditional(name, family, exact)[0]
 
 
-@dataclass(frozen=True)
-class ArDecompositionReport:
-    """Joint, plain and conditional coded rates for one sampled run.
+class ArDecompositionReport(NamedTuple):
+    """Joint, plain and conditional coded rates for one sampled run, as a NamedTuple.
 
     The ideal companions drop the integer rounding and tail costs: they
     are the exact -log2 probabilities of the coded blocks per symbol.
@@ -632,9 +633,8 @@ def ar_decomposition_check(name: OrbitName, family: BlockCodebookFamily) -> ArDe
     )
 
 
-@dataclass(frozen=True)
-class TwoPassReport:
-    """Model-free coded rate with the frequency table charged as a header."""
+class TwoPassReport(NamedTuple):
+    """Model-free coded rate with the frequency table charged as a header, as a NamedTuple."""
 
     n: int
     k: int

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
 from .actions import _check_seed, _integer, _real, check_driving_size
 from .driving import PRESETS, MarkovChainSpec, _listed, driving_preset, is_stationary
 from .fiber import ENUMERATION_CAP, FiberSystemSpec, _exceeds_cap
+from .records import FrozenRecord
 from .words import Alphabet
 
 # the longest horizon a config may ask for.  Peak RSS (ru_maxrss) and CPU
@@ -63,8 +63,13 @@ def _each(key: str, values, rule) -> tuple:
     return tuple(_converted(key, value, rule) for value in values)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(FrozenRecord):
+    """One experiment: the system, the horizons, block lengths and seeds, and where reports go.
+
+    A validated record (records.FrozenRecord): every value is converted
+    once, by the library's rules, and the whole is checked against the caps.
+    """
+
     driving: MarkovChainSpec
     fiber: FiberSystemSpec
     horizons: tuple[int, ...]
@@ -132,7 +137,7 @@ class ExperimentConfig:
 
 # the keys a config document may hold, and those of its driving and fiber
 # spec objects; any other key is refused, not ignored
-_KEYS = {field.name for field in fields(ExperimentConfig)} | {"preset"}
+_KEYS = {*ExperimentConfig._fields, "preset"}
 _SPEC_KEYS = {"driving": {"alphabet", "pi", "Pi"}, "fiber": {"action", "fiber_alphabet", "p"}}
 # the values of the keys a document leaves out that ExperimentConfig has no default for
 _DEFAULTS = {"horizons": (5000,), "block_lengths": (4,), "seeds": (1, 2), "out": "fiberlab-reports"}

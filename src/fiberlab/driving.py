@@ -56,7 +56,6 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -67,6 +66,7 @@ import numpy as np
 from .actions import INVERSE, _check_seed, _index_dtype, _integer, _integers, _spans
 from .errors import ModelMismatchError
 from .kraft import _numerator_dtype, _shannon_bits
+from .records import FrozenRecord
 from .words import Alphabet, Word
 
 # the end of the message that refuses an inexact probability sum
@@ -112,12 +112,13 @@ def _over_lcm(probs) -> tuple[np.ndarray, int]:
     return np.array([x.numerator * (den // x.denominator) for x in probs], dtype=object), den
 
 
-@dataclass(frozen=True)
-class MarkovChainSpec:
+class MarkovChainSpec(FrozenRecord):
     """Initial vector pi and row-stochastic matrix Pi over a driving alphabet.
 
     A Bernoulli chain is the special case where every row of Pi equals one
-    fixed distribution.
+    fixed distribution.  A validated record (records.FrozenRecord): the
+    laws are read as Fractions and checked once; the integer forms cached
+    on a spec are no fields, so ==, hash and repr read only the three laws.
     """
 
     alphabet: Alphabet
@@ -304,10 +305,19 @@ def is_stationary(spec: MarkovChainSpec) -> bool:
 
 
 def is_irreducible(spec: MarkovChainSpec) -> bool:
-    """Whether the directed graph of positive transitions is strongly connected: its reachability
-    closure over paths of at most s steps, (I + moves)**s in boolean arithmetic, is all True."""
-    moves = spec._support[1]
-    return bool(np.linalg.matrix_power(moves | np.eye(len(moves), dtype=bool), len(moves)).all())
+    """Whether the chain's runs live on one communicating class: the states reachable from the
+    support of pi are strongly connected in the graph of positive transitions.
+
+    A state no run reaches does not count, so a stationary chain whose pi
+    vanishes off one closed class is irreducible.  The reachability closure
+    over paths of at most s steps is (I + moves)**s in boolean arithmetic;
+    the reached states are its rows' union over pi > 0, and no path between
+    two of them leaves them.
+    """
+    starts, moves = spec._support
+    closure = np.linalg.matrix_power(moves | np.eye(len(moves), dtype=bool), len(moves))
+    reached = closure[starts].any(axis=0)
+    return bool(closure[np.ix_(reached, reached)].all())
 
 
 def bufetov_condition(spec: MarkovChainSpec) -> bool:
@@ -337,13 +347,13 @@ def entropy_rate(spec: MarkovChainSpec) -> float:
     return rate
 
 
-@dataclass(frozen=True)
-class DrivingTrajectory:
+class DrivingTrajectory(FrozenRecord):
     """A sampled finite trajectory of the driving chain.
 
     letters holds one letter index per step, in _letter_dtype(size): uint8
     for every alphabet an action takes, which has at most 256 letters
-    (actions.check_driving_size).
+    (actions.check_driving_size).  A record (records.FrozenRecord), not a
+    NamedTuple, as len() is its number of letters.
     """
 
     spec: MarkovChainSpec

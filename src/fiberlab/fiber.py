@@ -27,9 +27,9 @@ the exact rates by the coders (coding.conditional_rate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .actions import _walk_spans, check_driving_size, walk
 from .driving import _EXACT_HINT, MarkovChainSpec, _as_fraction, _cumulative, _inverse_cdf, _letter_dtype
 from .driving import _listed, _over_lcm
 from .errors import InfiniteInformationError, ResourceLimitError
+from .records import FrozenRecord
 from .words import Alphabet
 
 # the one cap on exhaustive work, each bound checked by the code that
@@ -56,9 +57,12 @@ def _exceeds_cap(base: int, power: int) -> bool:
     return base ** min(power, ENUMERATION_CAP.bit_length()) > ENUMERATION_CAP
 
 
-@dataclass(frozen=True)
-class FiberSystemSpec:
-    """A coordinate action plus a fully supported symbol distribution."""
+class FiberSystemSpec(FrozenRecord):
+    """A coordinate action plus a fully supported symbol distribution.
+
+    A validated record (records.FrozenRecord): the law is read as
+    Fractions and checked once, when the spec is built.
+    """
 
     action_kind: str
     fiber_alphabet: Alphabet
@@ -97,8 +101,7 @@ def _log2p(spec: FiberSystemSpec) -> np.ndarray:
     return np.array([math.log2(float(q)) for q in spec.p])
 
 
-@dataclass(frozen=True)
-class OrbitName:
+class OrbitName(FrozenRecord):
     """The fiber symbols read while a configuration is driven along alpha.
 
     first is the walk of the driving word (see actions.walk), kept so the
@@ -107,13 +110,17 @@ class OrbitName:
     256 symbols and uint16 up to 65536; both words are read by
     actions._integers and keep their integer dtype (uint8 for a sampled
     trajectory), and first is int32 while the name is shorter than 2**31.
+    A validated record (records.FrozenRecord) whose first, derived from the
+    driving word, takes no part in ==, hash or repr.
     """
 
     fiber_spec: FiberSystemSpec
     driving: np.ndarray
     letters: np.ndarray
     seed: int | None = None
-    first: np.ndarray | None = field(default=None, repr=False, compare=False)
+    first: np.ndarray | None = None
+
+    _uncompared = ("first",)
 
     def __post_init__(self):
         object.__setattr__(self, "driving", _integers(self.driving))
@@ -222,9 +229,8 @@ def _information(spec: FiberSystemSpec, first: np.ndarray, v) -> tuple[float, li
     return -math.fsum(c * x for c, x in zip(counts, _log2p(spec).tolist())), counts
 
 
-@dataclass(frozen=True)
-class ExactAveragedEntropy:
-    """Averaged entropy of the first n orbit symbols and its per-symbol rate."""
+class ExactAveragedEntropy(NamedTuple):
+    """Averaged entropy of the first n orbit symbols and its per-symbol rate, as a NamedTuple."""
 
     n: int
     bits: float

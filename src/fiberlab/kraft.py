@@ -8,7 +8,6 @@ accept an infeasible profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .actions import _integer
 from .errors import KraftInfeasibleError
+from .records import FrozenRecord
 from .words import is_prefix_free
 
 
@@ -78,9 +78,12 @@ def _shannon_bits(num, den):
     return length + ((num << length) < den)
 
 
-@dataclass(frozen=True)
-class BinaryCodebook:
-    """An injective, prefix-free map from source blocks to bit strings."""
+class BinaryCodebook(FrozenRecord):
+    """An injective, prefix-free map from source blocks to bit strings.
+
+    A validated record (records.FrozenRecord): the codewords are checked
+    distinct, prefix free and Kraft-feasible once, when it is built.
+    """
 
     entries: dict
 

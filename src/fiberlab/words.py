@@ -6,17 +6,20 @@ The empty word is a first-class value (index 0 in the global enumeration).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .actions import _integer, _integers
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """An ordered, finite, non-empty set of distinct symbol labels."""
+class Alphabet(FrozenRecord):
+    """An ordered, finite, non-empty set of distinct symbol labels.
+
+    A validated record (records.FrozenRecord): each label is read as a str
+    once, and alphabets compare and hash by their labels.
+    """
 
     symbols: tuple[str, ...]
 
@@ -44,9 +47,12 @@ class Alphabet:
         return iter(self.symbols)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite (possibly empty) word over an alphabet, held as letter indices."""
+class Word(FrozenRecord):
+    """A finite (possibly empty) word over an alphabet, held as letter indices.
+
+    A validated record (records.FrozenRecord): every letter is checked
+    against the alphabet once, when the word is built.
+    """
 
     alphabet: Alphabet
     letters: tuple[int, ...] = ()

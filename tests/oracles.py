@@ -115,24 +115,28 @@ def sliding_pair_counts(alpha, omega, k: int, m: int) -> Counter:
 
 
 def is_irreducible(spec) -> bool:
-    """Whether the graph of positive transitions is strongly connected, by
-    depth-first search over Fraction comparisons: the list-based check the
-    support's boolean reachability closure replaced, kept as the oracle."""
+    """Whether the states reachable from the support of pi are strongly
+    connected in the graph of positive transitions, by depth-first search
+    over Fraction comparisons: the list-based check the support's boolean
+    reachability closure replaced, kept as the oracle."""
     s = spec.alphabet.size
     forward = [[j for j in range(s) if spec.Pi[i][j] > 0] for i in range(s)]
     backward = [[j for j in range(s) if spec.Pi[j][i] > 0] for i in range(s)]
 
-    def reaches_all(adjacency):
-        seen = {0}
-        stack = [0]
+    def reached(adjacency, starts):
+        seen = set(starts)
+        stack = list(starts)
         while stack:
             for j in adjacency[stack.pop()]:
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
-        return len(seen) == s
+        return seen
 
-    return reaches_all(forward) and reaches_all(backward)
+    live = reached(forward, [i for i in range(s) if spec.pi[i] > 0])
+    root = min(live)
+    # no path between two live states leaves them, so a search from one live state covers the rest
+    return reached(forward, [root]) == live and reached(backward, [root]) >= live
 
 
 def bufetov_condition(spec) -> bool:

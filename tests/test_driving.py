@@ -211,6 +211,15 @@ def test_is_irreducible():
         ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
     )
     assert not is_irreducible(identity)
+    # pi vanishes on +-e2, so no run leaves {+e1, -e1}, on which the chain is
+    # ergodic, though +-e2 is not reached from it
+    half = Fraction(1, 2)
+    lines = MarkovChainSpec(
+        Alphabet(("+e1", "-e1", "+e2", "-e2")), (half, half, 0, 0),
+        ((half, half, 0, 0), (half, half, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)),
+    )
+    assert is_stationary(lines)
+    assert is_irreducible(lines) and oracles.is_irreducible(lines)
 
 
 def test_bufetov_condition():

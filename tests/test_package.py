@@ -107,6 +107,24 @@ def test_one_support_and_one_inverse_cdf():
     assert searched == {("driving.py", "_inverse_cdf"), ("driving.py", "_inverse_cdf.read"), ("actions.py", "_rank")}
 
 
+def test_no_module_generates_record_code():
+    # the value types generate no code at import: the validated ones share
+    # records.FrozenRecord's methods and the result bundles are NamedTuples;
+    # dataclasses once compiled six methods for each of fourteen classes on
+    # every import, about a tenth of a run's set-up
+    imported = []
+    for path in sorted(Path(fiberlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [path.name for alias in node.names if alias.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+                imported.append(path.name)
+    assert imported == []
+    bundles = (fiberlab.fiber.ExactAveragedEntropy, fiberlab.coding.EstimatorReport,
+               fiberlab.coding.ArDecompositionReport, fiberlab.coding.TwoPassReport, fiberlab.actions.VisitRecord)
+    assert all(issubclass(bundle, tuple) for bundle in bundles)
+
+
 def test_one_chain_rule():
     # the draw rule chains each new word key from its parent's and draws it
     # in one loop; the free monoid's chain and the f2 tree's node keys were

@@ -36,15 +36,17 @@ when the box holds more than _BOX_CELLS cells per step).  The free
 monoid chains one key per step (its prefixes never repeat), and f2
 numbers the tree nodes it meets and chains each new node's key from its
 parent's.  _draws alone hashes under the seed, a span at a time, in
-first-visit order.  z2 hands it a span's keys; a word kernel hands it a
-span's letters, and the tree each new node's parent, and _draws chains
-each new key and draws it in one loop, so no span's keys are listed.  A
-chained word carries only its last key from span to span, and the f2
-tree alone keeps a key per node, as a node's children chain from it.
-z2 makes each key as _draws reads it, as the sum of two bytes from
-tables of b"x," and b"y" over the span's own x and y ranges (_z2_keys),
-so no integer is formatted twice in a span.  Without a seed no key is
-made, so the walks that only read first hash nothing.
+first-visit order.  z2 hands it a span's keys as heads and tails; a word
+kernel hands it a span's letters, and the tree each new node's parent,
+and _draws chains each new key and draws it in one loop, so no span's
+keys are listed.  A chained word carries only its last key from span to
+span, and the f2 tree alone keeps a key per node, as a node's children
+chain from it.  A z2 key is never joined: its head b"x," and its tail
+b"y" come from tables over the span's own x and y ranges (_z2_keys), so
+no integer is formatted twice in a span, and _draws feeds each head to
+one copy of the keyed hasher per span, which each of its cells' draws
+copies and feeds the tail.  Without a seed no key is made, so the walks
+that only read first hash nothing.
 
 Every chunked pass (the walk kernels, fiber's name reads, the sampler,
 the coders' rows and JSON report rows) takes the spans of _CHUNK that
@@ -214,33 +216,43 @@ def _check_seed(seed) -> int:
 
 
 def _draws(seed: int):
-    """The one draw rule, as a function from keys, or from the letters that chain them, to uint64 symbol draws.
+    """The one draw rule, as a function from heads and tails, or from the letters that chain keys, to uint64 symbol draws.
 
     Draw d is the little-endian 8-byte blake2b digest of the d-th key,
-    keyed by the seed's 8 little-endian bytes.  Each draw is a copy of one
-    keyed hasher, made here once per walk, so no draw parses the
-    parameters again.  Copying does not save the key block: the hasher
-    only buffers it, and every copy compresses it on its first update, so
-    a draw costs about as much as an unkeyed hash of two blocks.  Each
-    digest is appended to one buffer as it is made, so no list of digests
-    is held beside the keys.
+    keyed by the seed's 8 little-endian bytes.  Every draw is a copy of
+    one keyed hasher, made here once per walk, so no draw parses the
+    parameters again.  Copying does not save the key block: CPython's
+    blake2b buffers up to two blocks, the key block and whatever is fed
+    after it, and compresses them only when a copy digests, so a draw
+    costs about as much as an unkeyed hash of two blocks however much of
+    its key was fed before the copy.  Each digest is appended to one
+    buffer as it is made, so no list of digests is held beside the keys.
 
-    draws(keys) draws keys as they come.  draws(keys, letters, parents)
-    makes one new key per letter and draws it at once, in one loop: new
-    key i is a copy of _CHAIN_HASHER updated by its parent's key, then by
-    letter i's byte, and its parent is keys[parents[i]], with keys
-    extended by each new key; without parents its parent is the key made
-    before it, keys[-1] for the first, and keys[-1] ends as the last new
-    key.  The chain hasher is read as each call begins.
+    draws(heads, tails, pairs) draws the key heads[h] + tails[t] for each
+    (h, t) in pairs: each head is fed to its own copy of the keyed hasher
+    once per call, and each draw copies its head's hasher and feeds it
+    the tail, so no key is joined; the heads save building keys, not a
+    compression.  draws(keys, letters=letters, parents=parents) makes one
+    new key per letter and draws it at once, in one loop: new key i is a
+    copy of _CHAIN_HASHER updated by its parent's key, then by letter i's
+    byte, and its parent is keys[parents[i]], with keys extended by each
+    new key; without parents its parent is the key made before it,
+    keys[-1] for the first, and keys[-1] ends as the last new key.  The
+    chain hasher is read as each call begins.
     """
     copy = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little")).copy
 
-    def draws(keys, letters=None, parents=None) -> np.ndarray:
+    def draws(keys, tails=(), pairs=(), letters=None, parents=None) -> np.ndarray:
         digests = bytearray()
         if letters is None:
-            for key in keys:
+            fed = []
+            for head in keys:
                 h = copy()
-                h.update(key)
+                h.update(head)
+                fed.append(h.copy)
+            for head, tail in pairs:
+                h = fed[head]()
+                h.update(tails[tail])
                 digests += h.digest()
             return np.frombuffer(digests, dtype="<u8")
         chain, byte = _CHAIN_HASHER.copy, _BYTES
@@ -284,13 +296,14 @@ def _chained(identity: bytes, letters: np.ndarray, first: np.ndarray, draws):
         yield Walk(first[lo:hi], drawn)
 
 
-def _drawn(draws, lo: int, keys: list, *chain) -> np.ndarray:
-    """The draws of the word coordinates new in the span from lo: those of draws(keys, *chain), after, in
-    the first span, that of the identity, keys[0], which no letter chains."""
+def _drawn(draws, lo: int, keys: list, letters, parents=None) -> np.ndarray:
+    """The draws of the word coordinates new in the span from lo: those of letters and parents chained onto
+    keys, after, in the first span, that of the identity, keys[0], which no letter chains: a head with an
+    empty tail."""
     if lo:
-        return draws(keys, *chain)
-    identity = draws(keys[:1])
-    return np.concatenate((identity, draws(keys, *chain)))
+        return draws(keys, letters=letters, parents=parents)
+    identity = draws(keys[:1], [b""], [(0, 0)])
+    return np.concatenate((identity, draws(keys, letters=letters, parents=parents)))
 
 
 def _walk_free_monoid(letters: np.ndarray, first: np.ndarray, draws):
@@ -360,7 +373,7 @@ def _walk_z2(letters: np.ndarray, first: np.ndarray, draws):
     seen = None if ranked else np.zeros(-(-cells // 64) * 64, dtype=bool)
     for code in _sums(moves, letters, -x0 * height - y0, _SET_UP * _CHUNK, codes):
         if seen is not None:
-            seen[code] = True
+            seen[code.astype(np.intp)] = True
     if ranked:
         offsets = _rank(codes)
         distinct = len(offsets)
@@ -380,7 +393,7 @@ def _walk_z2(letters: np.ndarray, first: np.ndarray, draws):
         drawn = None
         if draws is not None:
             new = at == i
-            drawn = draws(_z2_keys(offsets.take(ranks[new]) if ranked else code[new], height, x0, y0))
+            drawn = draws(*_z2_keys(offsets.take(ranks[new]) if ranked else code[new], height, x0, y0))
         first[lo:hi] = at
         # a span's arrays go before the span is read and the next one is numbered
         del code, ranks, i, at
@@ -393,17 +406,20 @@ def _box_ranks(seen: np.ndarray):
     seen marks the visited offsets, a multiple of 64 of them.  They are
     packed one bit each, 64 to a word, with the number of visited offsets in
     the words before each word, so that the table of first steps holds one
-    entry per visited offset rather than one per cell of the box.
+    entry per visited offset rather than one per cell of the box.  The
+    ranks are intp, as take and np.minimum.at read indices without a cast.
     """
     words = np.packbits(seen, bitorder="little").view("<u8")
-    before = np.zeros(len(words) + 1, dtype=_index_dtype(len(seen)))
+    before = np.zeros(len(words) + 1, dtype=np.intp)
     np.cumsum(np.bitwise_count(words), dtype=before.dtype, out=before[1:])
 
     def rank(code: np.ndarray) -> np.ndarray:
-        word = code >> 6
-        bits = _BELOW.take(code & 63)
+        word = code.astype(np.intp)
+        bits = _BELOW.take(word & 63)
+        word >>= 6
         bits &= words.take(word)
         ranks = before.take(word)
+        del word
         ranks += np.bitwise_count(bits)
         return ranks
 
@@ -419,22 +435,23 @@ def _rank(code: np.ndarray) -> np.ndarray:
 
 
 def _z2_keys(offsets: np.ndarray, height: int, x0: int, y0: int):
-    """The keys b"x,y" of box offsets (x - x0) * height + y - y0, made one at a time as they are read.
+    """The keys b"x,y" of box offsets (x - x0) * height + y - y0, as _draws' heads, tails and pairs.
 
-    Each key is xs[x] + ys[y], from a table of b"x," over the x range of
-    these offsets and one of b"y" over their y range, so each value is
-    formatted once; a span's offsets lie within a span's length of each
-    other, so neither table is longer than the span.
+    The heads are b"x," over the x range of these offsets and the tails
+    b"y" over their y range, so each value is formatted once and no key is
+    joined; each offset's pair names its head and its tail by their
+    numbers.  A span's offsets lie within a span's length of each other,
+    so neither table is longer than the span.
     """
     if not len(offsets):
-        return ()
+        return (), (), ()
     x, y = np.divmod(offsets, height)
     xlo, ylo = int(x.min()), int(y.min())
-    xs = list(map(b"%d,".__mod__, range(x0 + xlo, x0 + int(x.max()) + 1)))
-    ys = list(map(b"%d".__mod__, range(y0 + ylo, y0 + int(y.max()) + 1)))
+    heads = list(map(b"%d,".__mod__, range(x0 + xlo, x0 + int(x.max()) + 1)))
+    tails = list(map(b"%d".__mod__, range(y0 + ylo, y0 + int(y.max()) + 1)))
     x -= xlo
     y -= ylo
-    return map(operator.add, map(xs.__getitem__, x.tolist()), map(ys.__getitem__, y.tolist()))
+    return heads, tails, zip(x.tolist(), y.tolist())
 
 
 def _reduced(steps: np.ndarray) -> bool:

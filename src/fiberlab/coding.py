@@ -237,7 +237,7 @@ class BlockCodebookFamily:
         for lo, hi in _spans(len(table.first)):
             # the rows' walks and blocks, laid out as columns
             rows = table.first[lo:hi]
-            columns = [np.ascontiguousarray(view[rows].T) for view in (walks, *table.windows)]
+            columns = [np.ascontiguousarray(view.take(rows, axis=0).T) for view in (walks, *table.windows)]
             counts[lo:hi], ranks[lo:hi] = self._rank_rows(*columns)
             del columns
         # after the spans, so that the family's lasting arrays are not laid above their temporaries
@@ -256,7 +256,7 @@ class BlockCodebookFamily:
         fields = [getattr(self._count_codes[d], field) for d in present]
         starts = np.zeros(self.k + 1, dtype=np.int64)
         starts[present] = np.cumsum([0] + [len(values) for values in fields[:-1]])
-        return np.concatenate(fields)[starts[counts] + ranks]
+        return np.concatenate(fields).take(starts.take(counts) + ranks)
 
     def codebook_for(self, u) -> BinaryCodebook:
         """Context u's codebook over full fiber k-blocks, expanded from its count code."""

@@ -232,10 +232,20 @@ def _block_faults(spec: MarkovChainSpec, rows: np.ndarray) -> tuple[np.ndarray, 
     outside[r] tells whether row r holds a letter outside the alphabet, and
     null[r] whether row r lies inside it and has probability zero."""
     starts, moves = spec._support
-    outside = ((rows < 0) | (rows >= len(starts))).any(axis=1)
-    rows = np.where(outside[:, None], 0, rows)  # index safely; outside rows are flagged
-    null = ~(outside | (starts[rows[:, 0]] & moves[rows[:, :-1], rows[:, 1:]].all(axis=1)))
-    return outside, null
+    size = len(starts)
+    outside = ((rows < 0) | (rows >= size)).any(axis=1)
+    if outside.any():
+        rows = np.where(outside[:, None], 0, rows)  # index safely; outside rows are flagged
+    # read a column at a time, as the coders hand their blocks in (rows.T):
+    # each step (letter, next letter) is one intp index into moves, flattened
+    columns, follows = rows.T, moves.ravel()
+    allowed = starts.take(columns[0])
+    for letter, after in zip(columns[:-1], columns[1:]):
+        step = letter.astype(np.intp)
+        step *= size
+        step += after
+        allowed &= follows.take(step)
+    return outside, ~(outside | allowed)
 
 
 def _refuse_blocks(spec: MarkovChainSpec, contexts: np.ndarray, inconsistent=False, blocks=None) -> None:
@@ -533,7 +543,7 @@ class _BlockTable(NamedTuple):
 def _gather(table: _BlockTable, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Distinct rows lo .. hi - 1 of the table, as one int64 array."""
     first = table.first[lo:hi]
-    return np.concatenate([view[first] for view in table.windows], axis=1, dtype=np.int64)
+    return np.concatenate([view.take(first, axis=0) for view in table.windows], axis=1, dtype=np.int64)
 
 
 def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -647,9 +657,11 @@ class PlainBlockCode(NamedTuple):
 def _plain_code(spec: MarkovChainSpec, table: _BlockTable, tail: int) -> tuple[PlainBlockCode, np.ndarray, np.ndarray]:
     """The plain coder on the driving columns, windows[0], of a checked table: a word's or a name's pairs.
 
-    Each distinct context (table.contexts) is priced once, from its first
-    block.  Returns the PlainBlockCode, with tail letters raw coded, then
-    each context's cylinder numerator over _cylinder_den(spec, k), in
+    Each distinct context's (table.contexts) numerator is formed once,
+    from its first block, and its Shannon length is read off that
+    numerator a span of distinct rows at a time.  Returns the
+    PlainBlockCode, with tail letters raw coded, then each context's
+    cylinder numerator over _cylinder_den(spec, k), in
     kraft._numerator_dtype of that denominator, and its log2 nu.
     """
     view, contexts = table.windows[0], table.contexts
@@ -657,15 +669,17 @@ def _plain_code(spec: MarkovChainSpec, table: _BlockTable, tail: int) -> tuple[P
     rows = np.full(size, len(view), dtype=np.intp)
     np.minimum.at(rows, contexts, table.first)
     den = _cylinder_den(spec, view.shape[1])
-    nums = np.empty(size, dtype=_numerator_dtype(den))
-    bits, log2nu = np.empty(size, dtype=np.int64), np.empty(size)
+    nums, log2nu = np.empty(size, dtype=_numerator_dtype(den)), np.empty(size)
     for lo, hi in _spans(size):
-        nums[lo:hi] = _cylinder_numerators(spec, view[rows[lo:hi]])[0]
-        bits[lo:hi] = _shannon_bits(nums[lo:hi], den)
+        nums[lo:hi] = _cylinder_numerators(spec, view.take(rows[lo:hi], axis=0))[0]
         log2nu[lo:hi] = [math.log2(num / den) for num in nums[lo:hi].tolist()]
+    # the first rows go once the numerators are formed, and each distinct
+    # row's Shannon length is read off its context's numerator as the rows
+    # are summed, so no length per context is held
+    del rows
     total = tail * (spec.alphabet.size - 1).bit_length()
     for lo, hi in _spans(len(contexts)):
-        total += int(table.counts[lo:hi] @ bits.take(contexts[lo:hi]))
+        total += int(table.counts[lo:hi] @ _shannon_bits(nums.take(contexts[lo:hi]), den))
     ideal = 0.0
     for lo, hi in _spans(len(table.index)):
         ideal = _sequential_sum(-log2nu.take(contexts.take(table.index[lo:hi])), ideal)
@@ -684,7 +698,7 @@ def block_code_details(spec: MarkovChainSpec, trajectory, k: int) -> PlainBlockC
     letters = _integers(trajectory)
     table = _block_table((letters,), k)
     for lo, hi in _spans(len(table.first)):
-        _refuse_blocks(spec, table.windows[0][table.first[lo:hi]])
+        _refuse_blocks(spec, table.windows[0].take(table.first[lo:hi], axis=0))
     m = len(table.index)
     _integers(letters[m * k :], spec.alphabet.size, "driving letters")
     return _plain_code(spec, table, len(letters) - m * k)[0]

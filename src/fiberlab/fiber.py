@@ -166,7 +166,7 @@ def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
         u /= 2.0 ** 64
         name = letters[lo:hi]
         name[steps == np.arange(lo, hi, dtype=steps.dtype)] = symbol(u)
-        name[:] = letters[steps]
+        name[:] = letters.take(steps)
         # the span goes before the walk takes the next one
         del steps, drawn, u
     return OrbitName(spec, driving, letters, seed, first)
@@ -185,9 +185,9 @@ def _first_symbols(spec: FiberSystemSpec, first: np.ndarray, v) -> np.ndarray | 
     symbols = [v[:0]]  # so that an empty v concatenates too
     for lo, hi in _spans(len(v)):
         at, here = first[lo:hi], v[lo:hi]
-        if not np.array_equal(v[at], here):
+        if not np.array_equal(v.take(at), here):
             return None
-        symbols.append(here[at == np.arange(lo, hi)])
+        symbols.append(here[at == np.arange(lo, hi, dtype=at.dtype)])
     return np.concatenate(symbols)
 
 

@@ -574,15 +574,16 @@ CIRCLING = [E1] * 3 + [E2] * 3 + [NEG_E1] * 6 + [NEG_E2] * 6 + [E1] * 6 + [E2] *
 @example(("staircase", [NEG_E1, E2] * 3_000), 4096)
 @example(("staircase", [E1, NEG_E2] * 40), 3)
 def test_z2_keys_from_axis_tables_are_the_oracle_keys(word, chunk):
-    # each z2 key is xs[x] + ys[y], from tables over its span's own x and y
-    # ranges: the keys _draws is handed are the oracle's b"%d,%d" keys, on
-    # the box path and the ranked one, and a span with no new cell hands none
+    # each z2 key is handed to _draws as a head b"x," and a tail b"y", by
+    # their numbers in tables over its span's own x and y ranges: each head
+    # + tail is the oracle's b"%d,%d" key, on the box path and the ranked
+    # one, and a span with no new cell hands none
     _, letters = word
     handed = []
 
     def drawn(seed):
-        def draws(keys):
-            keys = list(keys)
+        def draws(heads, tails, pairs):
+            keys = [heads[head] + tails[tail] for head, tail in pairs]
             handed.extend(keys)
             return np.zeros(len(keys), dtype=np.uint64)
 
@@ -594,3 +595,17 @@ def test_z2_keys_from_axis_tables_are_the_oracle_keys(word, chunk):
         walk("z2", letters, seed=1)
     assert handed == reference_walk("z2", letters)[1]
     assert {type(key) for key in handed} <= {bytes}
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_a_head_and_its_tail_draw_their_joined_key(seed):
+    # _draws feeds each head to a copy of the keyed hasher and each tail to
+    # a copy of its head: the draw of head + tail, with an empty tail the
+    # draw of the head alone, as a word's identity is drawn
+    heads = [b"", b"0,", b"-12,", b"fiberlab", bytes(range(200))]
+    tails = [b"", b"7", b"-3", bytes(130)]
+    pairs = [(h, t) for h in range(len(heads)) for t in range(len(tails))][::-1]
+    draws = actions._draws(seed)
+    assert draws(heads, tails, pairs).tolist() == keyed_draws(seed, [heads[h] + tails[t] for h, t in pairs])
+    assert draws(heads[3:4], [b""], [(0, 0)]).tolist() == keyed_draws(seed, [b"fiberlab"])
+    assert draws(heads, tails, []).tolist() == []

@@ -1055,16 +1055,17 @@ def test_a_late_offending_row_raises_the_unchunked_message(monkeypatch, chunk):
 # (f2, whose f2-markov words never cancel, so first is an int32 arange,
 # filled a span at a time) and 5.7 (z2: first, the set-up passes' spans,
 # then the visited cells' bits and the table of one first step per
-# visited cell); emit_name 5.7 and 6.8 (first and the uint8 name, 5
+# visited cell); emit_name 5.7 and 7.1 (first and the uint8 name, 5
 # bytes per letter, then one span's draws and, on z2, the bits, the table,
-# one span's ranks and its keys); conditional_rate 7.3 and 7.3 (the pair
-# table's index, counts, first and contexts, each pair's rank and count,
-# and the first-visit symbols); ar_decomposition_check 7.3 and 9.1 (the
-# conditional pass's, then, on z2's 20,808 contexts, the plain coder's row,
-# int64 numerator, length and log2 nu per context).
+# one span's ranks, its tails and a keyed hasher per x value);
+# conditional_rate 6.8 and 6.8 (the pair table's index, counts, first and
+# contexts, each pair's rank and count, and the first-visit symbols);
+# ar_decomposition_check 6.8 and 8.3 (the conditional pass's, then, on
+# z2's 20,808 contexts, the plain coder's row, int64 numerator and log2 nu
+# per context, its rows freed before the lengths are summed).
 BYTES_PER_LETTER = {
-    "f2-markov": {"walk": 4.8, "emit_name": 6.5, "conditional_rate": 8.4, "ar_decomposition_check": 8.4},
-    "z2-uniform": {"walk": 6.6, "emit_name": 7.8, "conditional_rate": 8.4, "ar_decomposition_check": 10.5},
+    "f2-markov": {"walk": 4.8, "emit_name": 6.5, "conditional_rate": 7.9, "ar_decomposition_check": 7.9},
+    "z2-uniform": {"walk": 6.6, "emit_name": 7.8, "conditional_rate": 7.9, "ar_decomposition_check": 9.5},
 }
 
 

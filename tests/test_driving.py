@@ -390,7 +390,11 @@ def test_support_readings_equal_their_oracles_on_random_sparse_chains(spec, data
     # driving rows with letters inside and just outside the alphabet
     k = data.draw(st.integers(1, 4), label="k")
     rows = data.draw(st.lists(st.lists(st.integers(-1, s), min_size=k, max_size=k), min_size=1, max_size=8))
-    outside, null = _block_faults(spec, np.array(rows, dtype=np.int64))
+    table = np.array(rows, dtype=np.int64)
+    outside, null = _block_faults(spec, table)
+    # the coders hand their blocks in as columns; the layout changes no fault
+    by_columns = _block_faults(spec, np.ascontiguousarray(table.T).T)
+    assert np.array_equal(by_columns[0], outside) and np.array_equal(by_columns[1], null)
     for row, out, zero in zip(rows, outside.tolist(), null.tolist()):
         try:
             prob = cylinder_prob(spec, row)

@@ -109,25 +109,38 @@ def test_emit_name_distribution_is_roughly_uniform():
 
 
 class CountingCopies:
-    """A hasher whose copies are counted under one label."""
+    """A hasher whose copies are counted under one label.
 
-    def __init__(self, hasher, calls, label):
-        self.hasher, self.calls, self.label = hasher, calls, label
+    Given more labels, each copy is itself a CountingCopies under the next
+    label, and every digest of such a copy is counted under "digest".
+    """
+
+    def __init__(self, hasher, calls, label, *labels):
+        self.hasher, self.calls, self.label, self.labels = hasher, calls, label, labels
 
     def copy(self):
         self.calls[self.label] += 1
-        return self.hasher.copy()
+        copied = self.hasher.copy()
+        return CountingCopies(copied, self.calls, *self.labels) if self.labels else copied
+
+    def update(self, data):
+        self.hasher.update(data)
+
+    def digest(self):
+        self.calls["digest"] += 1
+        return self.hasher.digest()
 
 
 def count_hashes(monkeypatch) -> Counter:
-    """Count keyed hashers made, their copies (draws) and chain-hasher copies."""
+    """Count keyed hashers made, their copies, copies of those copies and their
+    digests (draws), and chain-hasher copies."""
     calls = Counter()
     real = hashlib.blake2b
 
     def counting(*args, **kwargs):
         if "key" in kwargs:
             calls["keyed"] += 1
-            return CountingCopies(real(*args, **kwargs), calls, "draw")
+            return CountingCopies(real(*args, **kwargs), calls, "copy", "copy of a copy", "deeper copy")
         calls["unkeyed"] += 1
         return real(*args, **kwargs)
 
@@ -140,18 +153,34 @@ def count_hashes(monkeypatch) -> Counter:
 HASH_CASES = [(Z2, Z2_DRIVING), (F2, F2_DRIVING), (F2, UNIFORM4), (MONOID, BERNOULLI2)]
 
 
+def x_values_per_span(letters) -> int:
+    """The distinct x values of the z2 coordinates in each span of positions, summed over the spans."""
+    steps = np.array([dx for dx, _ in actions.Z2_VECTORS])
+    x = np.concatenate(([0], np.cumsum(steps[np.asarray(letters[:-1], dtype=np.intp)])))
+    return sum(len(np.unique(x[lo:hi])) for lo, hi in actions._spans(len(x)))
+
+
 @pytest.mark.parametrize("spec, driving", HASH_CASES)
 def test_emit_name_hashes_each_distinct_coordinate_once(monkeypatch, spec, driving):
-    # the floor while name bytes are pinned: one symbol draw per distinct
-    # coordinate, each a copy of the one keyed hasher of the call, and one
-    # chain hash, a copy of the chain hasher, per word coordinate other
-    # than the identity
+    # the floor while name bytes are pinned: one digest per distinct
+    # coordinate, all from the one keyed hasher of the call, and one chain
+    # hash, a copy of the chain hasher, per word coordinate other than the
+    # identity.  z2 feeds each span's x values b"x," to at most one copy of
+    # the keyed hasher each, and draws each new cell from a copy of its x's
+    # copy; a word draws each chained key from a copy of the keyed hasher,
+    # and the identity from a copy of its head, fed the identity's key
     letters = sample_trajectory(driving, 5000, 4).letters
     distinct = visit_record(spec.action_kind, letters).distinct_count
     calls = count_hashes(monkeypatch)
     emit_name(spec, letters, seed=3)
-    chains = {"z2": 0, "f2": distinct - 1, "free-monoid": len(letters) - 1}[spec.action_kind]
-    assert (calls["keyed"], calls["draw"], calls["chain"], calls["unkeyed"]) == (1, distinct, chains, 0)
+    kind = spec.action_kind
+    chains = {"z2": 0, "f2": distinct - 1, "free-monoid": len(letters) - 1}[kind]
+    assert (calls["keyed"], calls["digest"], calls["chain"], calls["unkeyed"]) == (1, distinct, chains, 0)
+    if kind == "z2":
+        assert calls["copy of a copy"] == distinct and calls["copy"] <= x_values_per_span(letters) < distinct
+    else:
+        assert (calls["copy"], calls["copy of a copy"]) == (distinct, 1)
+    assert calls["deeper copy"] == 0
 
 
 def test_emit_name_holds_no_list_of_keys(traced_peak):

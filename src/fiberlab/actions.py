@@ -427,8 +427,18 @@ def _box_ranks(seen: np.ndarray):
 
 
 def _rank(code: np.ndarray) -> np.ndarray:
-    """The distinct codes in order; each code is replaced by its rank among them, in place."""
-    distinct = np.unique(code)
+    """The distinct codes in order; each code is replaced by its rank among them, in place.
+
+    The distinct codes are read off one sorted copy, where a code differs
+    from its neighbour, and the ranks are searched for a span at a time.
+    np.unique would do the same, but its first call imports numpy.ma.
+    """
+    ordered = np.sort(code)
+    new = np.empty(len(ordered), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    del ordered, new
     for lo, hi in _spans(len(code)):
         code[lo:hi] = np.searchsorted(distinct, code[lo:hi])
     return distinct

@@ -28,10 +28,13 @@ lies below 2**53 (kraft._numerator_dtype).
 
 The cost of a block depends on its (u, v) pair alone, so the coders work
 from one table of a name's distinct aligned pairs in first-occurrence
-order (driving._block_table), built once per cell.  One checked pass
-(BlockCodebookFamily._checked_table), which decode runs on its contexts,
-checks, counts and ranks the rows a span at a time (actions._spans),
-keeping only each pair's first-visit count and rank: encode joins
+order (driving._block_table), built once per cell from one sort of its
+row-tagged keys, with its index, counts, first rows and contexts in
+int32.  One checked pass (BlockCodebookFamily._checked_table), which
+decode runs on its contexts, checks, counts and ranks the rows a span at
+a time (actions._spans), keeping only each pair's first-visit count and
+rank, each in the smallest unsigned dtype that holds it (uint8 for k = 8
+and a binary fiber): encode joins
 codewords by block index, and the coded length (counts times codeword
 lengths), the cross entropy (counts times log2 mu, summed in table
 order) and the joint coder's lengths are read off the same pairs a span
@@ -226,14 +229,15 @@ class BlockCodebookFamily:
         word.  A span of rows at a time, the rows' blocks are read off the
         words as columns, in the words' own dtypes, and checked by _rank_rows.
         Returns the table and, per row, its first-visit count d and the
-        rank in the count code for d of its fiber block (0 for a context);
-        the count code of every row is built before this returns.
+        rank in the count code for d of its fiber block (0 for a context),
+        in the smallest unsigned dtype that holds |F|**k - 1 (uint64 past
+        it); the count code of every row is built before this returns.
         """
-        k = self.k
+        k, size = self.k, self.fiber_spec.fiber_alphabet.size
         table = _block_table(words, k)
         walks = first[: len(table.index) * k].reshape(-1, k)
         counts = np.empty(len(table.first), dtype=_letter_dtype(k + 1))
-        ranks = np.empty(len(table.first), dtype=np.int64)
+        ranks = np.empty(len(table.first), dtype=_letter_dtype(min(size ** k, 2 ** 64)))
         for lo, hi in _spans(len(table.first)):
             # the rows' walks and blocks, laid out as columns
             rows = table.first[lo:hi]
@@ -256,7 +260,8 @@ class BlockCodebookFamily:
         fields = [getattr(self._count_codes[d], field) for d in present]
         starts = np.zeros(self.k + 1, dtype=np.int64)
         starts[present] = np.cumsum([0] + [len(values) for values in fields[:-1]])
-        return np.concatenate(fields).take(starts.take(counts) + ranks)
+        # in int64, as int64 plus uint64 ranks would give float64
+        return np.concatenate(fields).take(np.add(starts.take(counts), ranks, dtype=np.int64))
 
     def codebook_for(self, u) -> BinaryCodebook:
         """Context u's codebook over full fiber k-blocks, expanded from its count code."""

@@ -15,17 +15,18 @@ from fractions import Fraction
 from pathlib import Path
 
 from .actions import _check_seed, _integer, _real, check_driving_size
-from .driving import PRESETS, MarkovChainSpec, _listed, driving_preset, is_stationary
+from .driving import PRESETS, MarkovChainSpec, _listed, driving_preset, is_irreducible, is_stationary
 from .fiber import ENUMERATION_CAP, FiberSystemSpec, _exceeds_cap
 from .records import FrozenRecord
 from .words import Alphabet
 
 # the longest horizon a config may ask for.  Peak RSS (ru_maxrss) and CPU
-# time of one cell at n = 1e7, seed 1, on a 2-vCPU x86-64 host (Python
-# 3.11, numpy 2.4), with uint8 letters and symbols and int32 first visits:
-# verify-brudno on z2-uniform at k = 8 242 MB and 5.5 s, verify-ar on
-# f2-markov at k = 8 268 MB and 15-19 s, range on z2-uniform 229 MB and
-# 1.5 s, CSV simulate on z2-uniform 242 MB and 26-30 s
+# time of one command at n = 1e7, seed 1, in a fresh process on a 2-vCPU
+# x86-64 host (Python 3.11, numpy 2.4), with uint8 letters and symbols,
+# int32 first visits and an int32 pair table, from one run each:
+# verify-brudno on z2-uniform at k = 8 122 MB and 2.3 s, verify-ar on
+# f2-markov at k = 8 121 MB and 11.2 s, range on z2-uniform 99 MB and
+# 0.6 s, CSV simulate on z2-uniform 104 MB and 22 s
 MAX_HORIZON = 10 ** 7
 
 SYSTEM_PRESETS = tuple(PRESETS)
@@ -133,6 +134,13 @@ class ExperimentConfig(FrozenRecord):
         # block contexts are coded under the stationary block law
         if not is_stationary(self.driving):
             raise ConfigError("the driving chain must be stationary: pi must be invariant under Pi")
+        # every exact value a report quotes averages over the chain's runs,
+        # which one communicating class must carry
+        if not is_irreducible(self.driving):
+            raise ConfigError(
+                "the driving chain must be irreducible: the states reachable from pi > 0 must all "
+                "communicate under Pi > 0"
+            )
 
 
 # the keys a config document may hold, and those of its driving and fiber

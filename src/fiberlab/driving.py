@@ -63,7 +63,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .actions import INVERSE, _check_seed, _index_dtype, _integer, _integers, _spans
+from .actions import INVERSE, _check_seed, _index_dtype, _integer, _integers, _rank, _spans
 from .errors import ModelMismatchError
 from .kraft import _numerator_dtype, _shannon_bits
 from .records import FrozenRecord
@@ -71,7 +71,7 @@ from .words import Alphabet, Word
 
 # the end of the message that refuses an inexact probability sum
 _EXACT_HINT = ' (a float is read as its binary value; give exact strings such as "1/10")'
-# a block table's window keys stay at or below this, so they fit an int64
+# a block table's keys, tagged with their rows, stay at or below this, so they fit an int64
 _KEY_LIMIT = 2 ** 62
 # entries the sampler's composed step table may hold: it resolves r letters
 # per lookup, for the largest r whose table of C**r * s entries fits
@@ -530,7 +530,9 @@ class _BlockTable(NamedTuple):
     _gather), counts[j] is how many rows equal it, and index[i] is the
     distinct row equal to row i.  contexts[j] numbers distinct row j's
     block of the first word, windows[0][first[j]], among the distinct
-    blocks of that word, in the order of their keys.
+    blocks of that word, in the order of their keys.  index, counts,
+    first and contexts are held in actions._index_dtype(m), int32 while
+    m < 2**31.
     """
 
     windows: tuple[np.ndarray, ...]
@@ -546,10 +548,12 @@ def _gather(table: _BlockTable, lo: int = 0, hi: int | None = None) -> np.ndarra
     return np.concatenate([view.take(first, axis=0) for view in table.windows], axis=1, dtype=np.int64)
 
 
-def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each value's rank among the distinct values, and their number."""
-    distinct, rank = np.unique(values, return_inverse=True)
-    return rank, len(distinct)
+def _placed(values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The array with values[j] at place at[j], for a permutation at, scattered a span at a time."""
+    placed = np.empty_like(values)
+    for lo, hi in _spans(len(at)):
+        placed[at[lo:hi]] = values[lo:hi]
+    return placed
 
 
 def _block_table(words, k: int) -> _BlockTable:
@@ -559,28 +563,35 @@ def _block_table(words, k: int) -> _BlockTable:
     n mod k letters past the last block are left out.  Each row is keyed by
     one int64: its columns read as mixed-radix digits, the first word's
     most significant, each offset by its column's minimum and counted in
-    its column's span, and the key is ranked densely whenever the next
-    column would take it past 2**62, so any letters and any k fit.  The
-    blocks stay views of the words, w[: m * k].reshape(m, k), in their own
-    dtypes, and each column is added into the key from its view.  The
-    coders read the distinct rows they need a span at a time
-    (actions._spans), in the words' own dtypes, and pair_counts gathers
-    them as int64 (_gather).
+    its column's span, and the key is ranked densely (actions._rank)
+    whenever the next column would take it past 2**62, so any letters and
+    any k fit.  The blocks stay views of the words, w[: m * k].reshape(m,
+    k), in their own dtypes, and each column is added into the key from
+    its view.  The coders read the distinct rows they need a span at a
+    time (actions._spans), in the words' own dtypes, and pair_counts
+    gathers them as int64 (_gather).
 
-    The rows are numbered from the sorted keys, so that no more than about
-    four int64 arrays as long as the table are alive at once: each row
-    takes its key's place among the distinct keys, each distinct key its
-    first row, and the distinct keys are renumbered in first-occurrence
-    order.  Rows with equal first-word blocks have neighbouring keys, since
-    those digits are most significant and a dense rank keeps the order; so
-    the contexts are read off the sorted keys, by comparing the part of
-    each key that the first word's columns made with its neighbour's.  No
-    result depends on how a sort orders equal keys.
+    The rows are numbered from one in-place sort of their keys, each tagged
+    with its row, key << bits | row with bits = (m - 1).bit_length(), the
+    key ranked densely first when the tag would take it past 2**62.  The
+    tagged keys are distinct, so their order is fixed and no result
+    depends on how a sort orders equal keys; each distinct key's run of
+    sorted keys begins at its least row, its first row.  A mask of the
+    first rows numbers the distinct keys in first-occurrence order by a
+    running count, and each row takes the number of its key's first row.
+    Rows with equal first-word blocks have neighbouring keys, since those
+    digits are most significant and a dense rank keeps the order; so the
+    contexts are numbered in key order, where the part of each distinct
+    key that the first word's columns made differs from its neighbour's.
+    Every array as long as the table but the key and its first word's
+    part is held in actions._index_dtype(m), so that no more than about 25
+    bytes per row are alive at once (3.3 bytes per letter at k = 8).
     """
     m = len(words[0]) // k
     views = tuple(w[: m * k].reshape(m, k) for w in words)
+    dtype = _index_dtype(m)
     if not m:
-        empty = np.empty(0, dtype=np.intp)
+        empty = np.empty(0, dtype=dtype)
         return _BlockTable(views, empty, empty, empty, empty)
     key, span = np.zeros(m, dtype=np.int64), 1
     for word, view in enumerate(views):
@@ -589,52 +600,84 @@ def _block_table(words, k: int) -> _BlockTable:
             lo = int(column.min())
             width = int(column.max()) - lo + 1
             if span * width > _KEY_LIMIT:
-                key, span = _dense_rank(key)
+                span = len(_rank(key))
                 if span * width > _KEY_LIMIT:
                     # a column wider than the limit leaves too little room even
-                    # after the key is ranked; ranking it too leaves at most m values
-                    (column, width), lo = _dense_rank(column), 0
+                    # after the key is ranked; ranking a copy of it leaves at most m values
+                    column = column.astype(np.int64)
+                    width, lo = len(_rank(column)), 0
             # in place; a sum past int64 on the way wraps back, as the key stays below span * width
             key *= width
             key += column
             key -= lo
             span *= width
-        if not word:
+        if not word and len(views) > 1:
             # the first word's part of the key, which numbers its blocks
-            context = key.copy() if len(views) > 1 else key
-    order = np.argsort(key)
-    # the sorted keys, then where each distinct key starts among them, then
-    # each sorted row's place among the distinct keys, all in one array
-    places = key.take(order)
-    del key
-    places[1:] = places[1:] != places[:-1]
-    places[0] = 1
-    starts = np.flatnonzero(places)
-    np.cumsum(places, out=places)
-    places -= 1
-    index = np.empty(m, dtype=np.intp)
-    index[order] = places
-    del places
-    # the first row of each distinct key, its least row whatever the sort's order of equal keys
-    first = np.minimum.reduceat(order, starts)
-    del order, starts
-    # a distinct key starts a new context where the first word's part of it changes
-    context = context.take(first)
-    contexts = np.zeros(len(first), dtype=_index_dtype(m))
-    np.not_equal(context[1:], context[:-1], out=contexts[1:], casting="unsafe")
-    del context
-    np.cumsum(contexts, out=contexts)
-    # renumber the distinct keys in first-occurrence order
-    order = np.argsort(first)
-    first.sort()
-    contexts = contexts.take(order)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    del order
+            context = key.copy()
+    bits = (m - 1).bit_length()
+    if span << bits > _KEY_LIMIT:
+        _rank(key)
+    key <<= bits
     for lo, hi in _spans(m):
-        index[lo:hi] = rank.take(index[lo:hi])
-    del rank
-    return _BlockTable(views, index, np.bincount(index, minlength=len(first)), first, contexts)
+        key[lo:hi] |= np.arange(lo, hi)
+    key.sort()
+    # each sorted key's row, then where a distinct key's run begins
+    rows = np.empty(m, dtype=dtype)
+    for lo, hi in _spans(m):
+        rows[lo:hi] = key[lo:hi] & ((1 << bits) - 1)
+    key >>= bits
+    new = np.empty(m, dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    del key
+    # the first row of each distinct key, in key order; numpy reads a whole
+    # int32 index array as intp, so every gather and scatter by one takes
+    # a span of it at a time
+    leads = rows[new]
+    size = len(leads)
+    # a distinct key starts a new context where the first word's part of it changes
+    if len(views) > 1:
+        sorted_contexts = np.zeros(size, dtype=dtype)
+        for lo, hi in _spans(size):
+            part = context.take(leads[max(lo - 1, 0) : hi])
+            np.not_equal(part[1:], part[:-1], out=sorted_contexts[max(lo, 1) : hi], casting="unsafe")
+        del context, part
+        np.cumsum(sorted_contexts, dtype=dtype, out=sorted_contexts)
+    else:
+        sorted_contexts = np.arange(size, dtype=dtype)
+    # each row's distinct key numbered in key order, and each key's count,
+    # run by run: a span of sorted keys runs over a range of distinct keys
+    index = np.empty(m, dtype=dtype)
+    sorted_counts = np.zeros(size, dtype=dtype)
+    last = -1
+    for lo, hi in _spans(m):
+        runs = np.cumsum(new[lo:hi], dtype=dtype)
+        runs += last
+        index[rows[lo:hi]] = runs
+        start, last = int(runs[0]), int(runs[-1])
+        runs -= start
+        sorted_counts[start : last + 1] += np.bincount(runs)
+    del rows, new, runs
+    # renumber the distinct keys in first-occurrence order, by a running
+    # count over the mask of their first rows
+    count = np.zeros(m, dtype=dtype)
+    for lo, hi in _spans(size):
+        count[leads[lo:hi]] = 1
+    np.cumsum(count, dtype=dtype, out=count)
+    numbers = np.empty(size, dtype=dtype)
+    for lo, hi in _spans(size):
+        numbers[lo:hi] = count.take(leads[lo:hi])
+    del count
+    numbers -= 1
+    first = _placed(leads, numbers)
+    del leads
+    contexts = _placed(sorted_contexts, numbers)
+    del sorted_contexts
+    counts = _placed(sorted_counts, numbers)
+    del sorted_counts
+    for lo, hi in _spans(m):
+        index[lo:hi] = numbers.take(index[lo:hi])
+    return _BlockTable(views, index, counts, first, contexts)
 
 
 def _sequential_sum(values, start: float = 0.0) -> float:
@@ -666,7 +709,7 @@ def _plain_code(spec: MarkovChainSpec, table: _BlockTable, tail: int) -> tuple[P
     """
     view, contexts = table.windows[0], table.contexts
     size = int(contexts.max()) + 1 if len(contexts) else 0
-    rows = np.full(size, len(view), dtype=np.intp)
+    rows = np.full(size, len(view), dtype=table.first.dtype)
     np.minimum.at(rows, contexts, table.first)
     den = _cylinder_den(spec, view.shape[1])
     nums, log2nu = np.empty(size, dtype=_numerator_dtype(den)), np.empty(size)

@@ -172,23 +172,21 @@ def emit_name(spec: FiberSystemSpec, alpha, seed: int) -> OrbitName:
     return OrbitName(spec, driving, letters, seed, first)
 
 
-def _first_symbols(spec: FiberSystemSpec, first: np.ndarray, v) -> np.ndarray | None:
-    """The symbols v reads at first visits, or None when v gives a
-    revisited coordinate two different symbols.
+def _first_symbol_spans(spec: FiberSystemSpec, first: np.ndarray, v):
+    """The symbols v reads at first visits, one span of positions at a time (actions._spans), in v's own dtype.
 
-    v is read a span of positions at a time (actions._spans), so no
-    temporary is as long as v, and the symbols keep v's own dtype.
+    v is checked before the first span, and a span in which v gives a
+    revisited coordinate another symbol than its first visit's raises
+    InfiniteInformationError: the one refusal of a null pair.
     """
     v = _integers(v, spec.fiber_alphabet.size, "fiber letters")
     if len(v) != len(first):
         raise ValueError("driving and fiber words must have equal length")
-    symbols = [v[:0]]  # so that an empty v concatenates too
     for lo, hi in _spans(len(v)):
         at, here = first[lo:hi], v[lo:hi]
         if not np.array_equal(v.take(at), here):
-            return None
-        symbols.append(here[at == np.arange(lo, hi, dtype=at.dtype)])
-    return np.concatenate(symbols)
+            raise InfiniteInformationError("prefix pair has zero probability")
+        yield here[at == np.arange(lo, hi, dtype=at.dtype)]
 
 
 def information_function(spec: FiberSystemSpec, alpha, omega) -> float:
@@ -210,21 +208,19 @@ def information_function(spec: FiberSystemSpec, alpha, omega) -> float:
 
 
 def _information(spec: FiberSystemSpec, first: np.ndarray, v) -> tuple[float, list[int]]:
-    """-log2 p summed over v's first visits, and how often each symbol is read there; the one refusal of a null pair.
+    """-log2 p summed over v's first visits, and how often each symbol is read there.
 
-    The symbols are counted a span at a time, and the sum is read off the
-    counts: each product counts[s] * log2 p[s] is rounded once, and the
-    products are summed exactly by math.fsum, so no float is formed per
-    first visit and the value does not depend on how a vectorized sum
-    would pair its terms.  It can differ by an ulp or two from a float64
-    sum over the first visits one by one.
+    The symbols are counted a span at a time, as _first_symbol_spans reads
+    them, so none are kept, and the sum is read off the counts: each
+    product counts[s] * log2 p[s] is rounded once, and the products are
+    summed exactly by math.fsum, so no float is formed per first visit and
+    the value does not depend on how a vectorized sum would pair its terms.
+    It can differ by an ulp or two from a float64 sum over the first
+    visits one by one.
     """
-    symbols = _first_symbols(spec, first, v)
-    if symbols is None:
-        raise InfiniteInformationError("prefix pair has zero probability")
     counts = np.zeros(spec.fiber_alphabet.size, dtype=np.int64)
-    for lo, hi in _spans(len(symbols)):
-        counts += np.bincount(symbols[lo:hi], minlength=len(counts))
+    for symbols in _first_symbol_spans(spec, first, v):
+        counts += np.bincount(symbols, minlength=len(counts))
     counts = counts.tolist()
     return -math.fsum(c * x for c, x in zip(counts, _log2p(spec).tolist())), counts
 

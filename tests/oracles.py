@@ -12,8 +12,8 @@ import numpy as np
 
 from fiberlab.actions import INVERSE, Z2_VECTORS, walk
 from fiberlab.driving import cylinder_prob
-from fiberlab.errors import ResourceLimitError
-from fiberlab.fiber import _exceeds_cap, _first_symbols, _log2p
+from fiberlab.errors import InfiniteInformationError, ResourceLimitError
+from fiberlab.fiber import _exceeds_cap, _first_symbol_spans, _log2p
 
 
 def _digest(data: bytes) -> bytes:
@@ -64,6 +64,16 @@ def reference_walk(kind, letters):
     return first, keys
 
 
+def first_symbols(spec, first, v):
+    """The symbols v reads at first visits, all in one array, or None when v
+    gives a revisited coordinate two different symbols: fiber's span-wise
+    reading (_first_symbol_spans) joined."""
+    try:
+        return np.concatenate([np.empty(0, dtype=np.int64), *_first_symbol_spans(spec, first, v)])
+    except InfiniteInformationError:
+        return None
+
+
 def conditional_cylinder_fraction(spec, u, v) -> Fraction:
     """Exact probability that the orbit driven by u reads the fiber word v.
 
@@ -71,7 +81,7 @@ def conditional_cylinder_fraction(spec, u, v) -> Fraction:
     otherwise the product of p over the distinct coordinates visited.  The
     (u, v) oracle of the information function and the block coders.
     """
-    symbols = _first_symbols(spec, walk(spec.action_kind, u).first, v)
+    symbols = first_symbols(spec, walk(spec.action_kind, u).first, v)
     if symbols is None:
         return Fraction(0)
     return math.prod((spec.p[s] for s in symbols.tolist()), start=Fraction(1))
@@ -150,3 +160,25 @@ def bufetov_condition(spec) -> bool:
             if not any(a in successors[d] and b in successors[d] for d in range(s)):
                 return False
     return True
+
+
+def block_table(words, k: int):
+    """The block table built from row tuples in a dict: the distinct rows in
+    first-occurrence order, their counts, each block's index into them, each
+    distinct row's first row, and its context, the number of its first
+    word's block among that word's distinct blocks in key order (the order
+    of their letters, first letter most significant).  Rows are tuples of
+    one tuple of ints per word."""
+    m = len(words[0]) // k
+    blocks = [np.asarray(w)[: m * k].reshape(m, k).tolist() for w in words]
+    rows = [tuple(tuple(word[i]) for word in blocks) for i in range(m)]
+    numbers, first = {}, []
+    index = []
+    for i, row in enumerate(rows):
+        if row not in numbers:
+            numbers[row] = len(numbers)
+            first.append(i)
+        index.append(numbers[row])
+    counts = Counter(index)
+    contexts = {block: c for c, block in enumerate(sorted({row[0] for row in numbers}))}
+    return list(numbers), index, [counts[j] for j in range(len(numbers))], first, [contexts[row[0]] for row in numbers]

@@ -261,6 +261,43 @@ def test_cli_verify_ar_never_loads_numpy_ma(tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
 
 
+# one ar cell on a chain given as (action, alphabet size, pi) on the command
+# line, with the two _rank bindings counted: the modules that ranked, then
+# whether numpy.ma was loaded
+RANKED_CELL = """
+import sys
+from fiberlab import actions, driving
+from fiberlab import Alphabet, BlockCodebookFamily, FiberSystemSpec, MarkovChainSpec
+from fiberlab import ar_decomposition_check, emit_name, sample_trajectory
+
+kind, size, pi = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+ranked = []
+for module in (actions, driving):
+    def counted(*args, rank=module._rank, name=module.__name__):
+        ranked.append(name)
+        return rank(*args)
+    module._rank = counted
+chain = MarkovChainSpec.bernoulli(Alphabet(tuple(map(str, range(size)))), pi)
+fiber = FiberSystemSpec(kind, Alphabet(("0", "1")), ("1/2", "1/2"))
+name = emit_name(fiber, sample_trajectory(chain, 20000, 1), seed=1)
+ar_decomposition_check(name, BlockCodebookFamily(8, fiber, chain))
+print(sorted(set(ranked)), "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("chain, ranked", [
+    # i.i.d. +e1 and +e2 steps: a box of about (n / 2)**2 cells, which the walk ranks by a sort
+    (["z2", "4", "1/2", "0", "1/2", "0"], "['fiberlab.actions']"),
+    # 256**8 keys pass 2**62, so the block table ranks its key
+    (["free-monoid", "256", *["1/256"] * 256], "['fiberlab.driving']"),
+], ids=["sparse z2 box", "key past the limit"])
+def test_ranking_never_loads_numpy_ma(chain, ranked):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", RANKED_CELL, *chain], check=True, env=env, capture_output=True,
+                            text=True)
+    assert result.stdout.splitlines()[-1] == f"{ranked} False"
+
+
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
     code = "import sys, fiberlab.cli; print('concurrent.futures.process' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -304,6 +341,34 @@ NON_STATIONARY = {
     "block_lengths": [3],
     "seeds": [1],
 }
+
+
+def z2_chain_config(pi, out):
+    """A stationary z2 chain: +e1 steps to itself, and +e2 and -e2 step to either of them uniformly."""
+    stay, half = ["1", "0", "0", "0"], ["0", "0", "1/2", "1/2"]
+    driving = {"alphabet": ["+e1", "-e1", "+e2", "-e2"], "pi": pi, "Pi": [stay, stay, half, half]}
+    fiber = {"action": "z2", "fiber_alphabet": ["0", "1"], "p": ["1/2", "1/2"]}
+    return {"driving": driving, "fiber": fiber, "horizons": [200], "block_lengths": [4], "seeds": [1], "out": out}
+
+
+def test_a_reducible_driving_chain_is_refused_at_load(tmp_path, capsys):
+    # two closed classes, {+e1} and {+e2, -e2}: each run's rate tends to its
+    # own class's value, while the exact column would quote their average
+    out = tmp_path / "reports"
+    two_classes = z2_chain_config(["1/2", "0", "1/4", "1/4"], str(out))
+    with pytest.raises(ConfigError, match="^the driving chain must be irreducible"):
+        load_config(two_classes)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(two_classes), encoding="utf-8")
+    for command in ("verify-brudno", "verify-ar", "entropy", "range", "simulate"):
+        assert run([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fiberlab: configuration error: the driving chain must be irreducible")
+        assert err.count("\n") == 1
+    assert not out.exists()
+    # the states no run reaches do not count: pi on {+e2, -e2} alone loads
+    one_class = load_config(z2_chain_config(["0", "0", "1/2", "1/2"], str(out)))
+    assert one_class.driving.pi[2:] == (Fraction(1, 2),) * 2
 
 
 @pytest.mark.parametrize("case", ["range-n-0", "non-stationary", "out-under-a-file", "out-of-memory"])
@@ -383,8 +448,9 @@ def test_cli_refuses_a_probability_that_is_no_number(tmp_path, capsys, where, va
 
 
 def monoid_config(letters, out):
-    """A free-monoid system on this many letters: a uniform first letter, then repeated."""
-    Pi = [[int(a == b) for b in range(letters)] for a in range(letters)]
+    """A free-monoid system on this many letters: a uniform first letter, then the next letter, cyclically
+    (an irreducible chain, as a config must drive)."""
+    Pi = [[int(b == (a + 1) % letters) for b in range(letters)] for a in range(letters)]
     driving = {"alphabet": [str(a) for a in range(letters)], "pi": [f"1/{letters}"] * letters, "Pi": Pi}
     fiber = {"action": "free-monoid", "fiber_alphabet": ["0", "1"], "p": ["1/2", "1/2"]}
     return {"driving": driving, "fiber": fiber, "horizons": [50], "block_lengths": [1], "seeds": [1], "out": str(out)}

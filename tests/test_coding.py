@@ -38,7 +38,7 @@ from fiberlab import (
 from fiberlab import actions, coding, driving, fiber as fiber_module, kraft
 from fiberlab.coding import UNDERSHOOT_MIN_N, EstimatorReport, _block_patterns, pair_counts
 from fiberlab.driving import _gather, block_code_details
-from oracles import conditional_cylinder_fraction, sliding_pair_counts
+from oracles import conditional_cylinder_fraction, first_symbols, sliding_pair_counts
 from test_driving import rational_chains
 
 BINARY = Alphabet(("0", "1"))
@@ -532,7 +532,7 @@ def test_block_pattern_is_read_off_the_name_walk(fiber, chain, revisits):
 def block_oracle(chain, fiber, u, v=None):
     """(d, rank) of one (context, fiber block) pair, or the error its refusal raises.
 
-    Read off the walk of the lone context and fiber._first_symbols; a
+    Read off the walk of the lone context and oracles.first_symbols; a
     context alone has the d of its walk and rank 0.
     """
     context = tuple(u)
@@ -542,9 +542,9 @@ def block_oracle(chain, fiber, u, v=None):
         return ModelMismatchError(f"driving block {context} has zero probability")
     first = walk(fiber.action_kind, u).first
     if v is None:
-        return len(fiber_module._first_symbols(fiber, first, [0] * len(u))), 0
+        return len(first_symbols(fiber, first, [0] * len(u))), 0
     size = fiber.fiber_alphabet.size
-    symbols = fiber_module._first_symbols(fiber, first, v) if max(v) < size else None
+    symbols = first_symbols(fiber, first, v) if max(v) < size else None
     if symbols is None:
         return ModelMismatchError(f"fiber block {tuple(v)} is inconsistent with driving block {context}")
     rank = 0
@@ -786,8 +786,8 @@ def test_one_cell_builds_the_pair_table_once(monkeypatch):
         monkeypatch.setattr(module, "_block_table", spy)
     faults = driving._block_faults
     monkeypatch.setattr(driving, "_block_faults", lambda spec, rows: flagged.append(len(rows)) or faults(spec, rows))
-    symbols_of = fiber_module._first_symbols
-    monkeypatch.setattr(fiber_module, "_first_symbols", lambda *args: read.append(args) or symbols_of(*args))
+    symbols_of = fiber_module._first_symbol_spans
+    monkeypatch.setattr(fiber_module, "_first_symbol_spans", lambda *args: read.append(args) or symbols_of(*args))
     n, k, seed = 20_003, 8, 5
     name = emit_name(Z2, sample_trajectory(Z2_DRIVING, n, seed), seed)
     conditional_rate(name, BlockCodebookFamily(k, Z2, Z2_DRIVING), exact=None)
@@ -1058,14 +1058,17 @@ def test_a_late_offending_row_raises_the_unchunked_message(monkeypatch, chunk):
 # visited cell); emit_name 5.7 and 7.1 (first and the uint8 name, 5
 # bytes per letter, then one span's draws and, on z2, the bits, the table,
 # one span's ranks, its tails and a keyed hasher per x value);
-# conditional_rate 6.8 and 6.8 (the pair table's index, counts, first and
-# contexts, each pair's rank and count, and the first-visit symbols);
-# ar_decomposition_check 6.8 and 8.3 (the conditional pass's, then, on
-# z2's 20,808 contexts, the plain coder's row, int64 numerator and log2 nu
-# per context, its rows freed before the lengths are summed).
+# conditional_rate 4.4 and 4.4 (the pair table's int32 index, counts,
+# first and contexts, each pair's uint8 rank and count, and one span's
+# checked rows; 6.8 and 6.8 with an int64 table and ranks, the table
+# numbered by two argsorts and the first-visit symbols joined);
+# ar_decomposition_check 4.4 and 5.5 (the conditional pass's, then, on
+# z2's 20,808 contexts, the plain coder's int32 row, int64 numerator and
+# log2 nu per context, its rows freed before the lengths are summed; 6.8
+# and 8.3 before).
 BYTES_PER_LETTER = {
-    "f2-markov": {"walk": 4.8, "emit_name": 6.5, "conditional_rate": 7.9, "ar_decomposition_check": 7.9},
-    "z2-uniform": {"walk": 6.6, "emit_name": 7.8, "conditional_rate": 7.9, "ar_decomposition_check": 9.5},
+    "f2-markov": {"walk": 4.8, "emit_name": 6.5, "conditional_rate": 5.1, "ar_decomposition_check": 5.1},
+    "z2-uniform": {"walk": 6.6, "emit_name": 7.8, "conditional_rate": 5.1, "ar_decomposition_check": 6.3},
 }
 
 
@@ -1088,26 +1091,41 @@ def test_conditional_rate_holds_no_pair_table(traced_peak):
     # the 25,000 distinct pairs of this name, gathered, patterned and ranked
     # all at once, took the peak to 11.7 MB; chunks of actions._CHUNK rows
     # keep only each pair's count and rank, and the pair table is numbered
-    # from its sorted keys: measured 1.39 MiB
+    # from one sort of its row-tagged keys in int32: measured 0.84 MiB (1.29
+    # with an int64 table numbered by two argsorts)
     name = emit_name(Z2, sample_trajectory(Z2_DRIVING, 200_000, 3), seed=3)
     family = BlockCodebookFamily(8, Z2, Z2_DRIVING)
     _, peak = traced_peak(lambda: conditional_rate(name, family))
-    assert peak < 1.6 * 2 ** 20
+    assert peak < 1.0 * 2 ** 20
+
+
+def ar_cell_peaks(traced_peak, preset):
+    """The tracemalloc peaks of a k = 8 ar_decomposition_check at n = 1e5 and 4e5, seed 3."""
+    driving_spec, fiber_spec = system_preset(preset)
+    peaks = {}
+    for n in (100_000, 400_000):
+        name = emit_name(fiber_spec, sample_trajectory(driving_spec, n, 3), seed=3)
+        _, peaks[n] = traced_peak(lambda: ar_decomposition_check(name, BlockCodebookFamily(8, fiber_spec, driving_spec)))
+    assert peaks[400_000] / 400_000 <= peaks[100_000] / 100_000
+    return peaks
 
 
 def test_an_ar_cell_holds_a_few_bytes_per_letter_at_any_horizon(traced_peak):
     # an f2-markov verify-ar cell once held 14 bytes per letter at every
     # horizon past 2e5: the pair table's np.unique outputs, the joint
     # coder's numerators and ideal lengths per pair, and -log2 p per first
-    # visit.  Measured 10.0 and 6.7 bytes per letter at 1e5 and 4e5, and
-    # 5.6 bytes per added letter between them
-    driving_spec, fiber_spec = system_preset("f2-markov")
-    peaks = {}
-    for n in (100_000, 400_000):
-        name = emit_name(fiber_spec, sample_trajectory(driving_spec, n, 3), seed=3)
-        _, peaks[n] = traced_peak(lambda: ar_decomposition_check(name, BlockCodebookFamily(8, fiber_spec, driving_spec)))
-    assert peaks[400_000] / 400_000 <= peaks[100_000] / 100_000
-    assert (peaks[400_000] - peaks[100_000]) / 300_000 < 6.4, peaks
+    # visit.  Measured 6.6 and 3.3 bytes per letter at 1e5 and 4e5, and 2.2
+    # bytes per added letter between them (5.95 with an int64 table and
+    # ranks and the first-visit symbols joined)
+    peaks = ar_cell_peaks(traced_peak, "f2-markov")
+    assert (peaks[400_000] - peaks[100_000]) / 300_000 < 2.6, peaks
+
+
+def test_a_z2_ar_cell_holds_a_few_bytes_per_added_letter(traced_peak):
+    # measured 6.9 and 4.6 bytes per letter at 1e5 and 4e5, and 3.8 bytes
+    # per added letter between them (6.5 with an int64 table and ranks)
+    peaks = ar_cell_peaks(traced_peak, "z2-uniform")
+    assert (peaks[400_000] - peaks[100_000]) / 300_000 < 4.4, peaks
 
 
 @st.composite
@@ -1171,7 +1189,7 @@ def test_the_verdicts_equal_their_big_integer_oracles_on_small_systems(system, s
     if n == 0:
         assert report.no_undershoot_ok is None
         return
-    symbols = fiber_module._first_symbols(fiber, name.first, name.letters)
+    symbols = first_symbols(fiber, name.first, name.letters)
     counts = np.bincount(symbols, minlength=fiber.fiber_alphabet.size).tolist()
     # the floor is decided from the counts at first visits only
     decider.assert_called_once_with(fiber, report.total_bits, n, counts)
@@ -1259,7 +1277,7 @@ def test_a_drawn_pair_codes_only_when_every_block_is_positive_and_consistent(sys
     blocks = [(alpha[i : i + k], omega[i : i + k]) for i in range(0, n - n % k, k)]
     positive = inside and all(
         cylinder_prob(chain, u) > 0
-        and fiber_module._first_symbols(fiber, walk(fiber.action_kind, u).first, v) is not None
+        and first_symbols(fiber, walk(fiber.action_kind, u).first, v) is not None
         for u, v in blocks
     )
     family = BlockCodebookFamily(k, fiber, chain)

@@ -5,6 +5,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from fiberlab import (
     is_stationary,
     sample_trajectory,
 )
-from fiberlab.actions import _CHUNK
-from fiberlab import driving
+from fiberlab.actions import _CHUNK, _index_dtype
+from fiberlab import actions, driving
 from fiberlab.driving import (
     _block_faults,
     _block_table,
@@ -88,7 +89,8 @@ def bisect_trajectory(spec, n, seed):
 
 def void_block_table(words, k):
     """The block table keyed by each row's raw bytes as one void scalar,
-    which the int64 mixed-radix key replaced, kept as the oracle."""
+    which the int64 mixed-radix key replaced, kept as the oracle; index,
+    counts and first in the table's actions._index_dtype(m)."""
     m = len(words[0]) // k
     rows = np.concatenate([np.asarray(w, dtype=np.int64)[: m * k].reshape(m, k) for w in words], axis=1)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
@@ -96,7 +98,8 @@ def void_block_table(words, k):
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return rows[first[order]], rank[inverse], counts[order], first[order]
+    numbered = (rank[inverse], counts[order], first[order])
+    return rows[first[order]], *(x.astype(_index_dtype(m)) for x in numbered)
 
 
 def assert_block_table_is_the_void_key_table(words, k):
@@ -593,6 +596,47 @@ def test_block_table_of_small_words_equals_the_void_key_table(dtype, count, n, k
     letters = st.lists(st.integers(0, np.iinfo(dtype).max), min_size=n, max_size=n)
     words = tuple(np.array(data.draw(letters), dtype=dtype) for _ in range(count))
     assert_block_table_is_the_void_key_table(words, k)
+
+
+@st.composite
+def tabled_words(draw):
+    """1-3 words of uint8, uint16 or int64 letters and k in 1..5, with m = 0, 1 or up to 40 blocks and a tail.
+
+    Letters come from a small pool of each dtype's values, so that rows
+    repeat, and wide ones pass the key limit, where the table ranks its key
+    densely.  Rows are random, all equal, or all distinct.
+    """
+    dtype = np.dtype(draw(st.sampled_from([np.uint8, np.uint16, np.int64])))
+    count, k = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    m = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 40)))
+    n = m * k + draw(st.integers(0, k - 1))
+    info = np.iinfo(dtype)
+    letters = st.integers(int(info.min), int(info.max))
+    pool = draw(st.lists(st.one_of(st.sampled_from([int(info.min), int(info.max)]), letters), min_size=1, max_size=4,
+                         unique=True))
+    words = np.array(draw(st.lists(st.sampled_from(pool), min_size=count * n, max_size=count * n)), dtype=dtype)
+    words = words.reshape(count, n)
+    rows = words[:, : m * k].reshape(count, m, k)
+    shape = draw(st.sampled_from(["random", "equal", "distinct"]))
+    if shape == "equal":
+        rows[:] = rows[:, :1]
+    elif shape == "distinct" and m:
+        rows[0, :, 0] = draw(st.lists(letters, min_size=m, max_size=m, unique=True))
+    return tuple(words), k
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tabled_words(), st.sampled_from([None, 1, 2, 3]))
+def test_block_table_equals_the_dict_table(tabled, chunk):
+    words, k = tabled
+    with mock.patch.object(actions, "_CHUNK", chunk or actions._CHUNK):
+        table = _block_table(words, k)
+    rows, index, counts, first, contexts = oracles.block_table(words, k)
+    got = [tuple(tuple(row[j : j + k]) for j in range(0, len(words) * k, k)) for row in _gather(table).tolist()]
+    assert got == rows
+    assert (table.index.tolist(), table.counts.tolist(), table.first.tolist()) == (index, counts, first)
+    assert table.contexts.tolist() == contexts
+    assert {x.dtype for x in table[1:]} == {np.dtype(np.int32)}
 
 
 def test_small_dtypes_never_wrap():

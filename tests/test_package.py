@@ -107,6 +107,21 @@ def test_one_support_and_one_inverse_cdf():
     assert searched == {("driving.py", "_inverse_cdf"), ("driving.py", "_inverse_cdf.read"), ("actions.py", "_rank")}
 
 
+def test_no_module_calls_unique():
+    # np.unique loads numpy.ma on its first call (numpy 2.4), about 9 ms of
+    # CPU and 1.7 MB of RSS; actions._rank ranks by a sort instead, for the
+    # sparse z2 box and the block table's dense rank alike
+    called = []
+    for path in sorted(Path(fiberlab.__file__).parent.glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "unique":
+                called.append((path.name, scope))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+                called += [(path.name, name) for name in names + [a.name for a in node.names] if name.endswith(".ma")]
+    assert called == []
+
+
 def test_no_module_generates_record_code():
     # the value types generate no code at import: the validated ones share
     # records.FrozenRecord's methods and the result bundles are NamedTuples;

@@ -14,6 +14,9 @@ integer pair written b"x,y"; a word key chains a 16-byte blake2b digest
 per letter onto the identity's key (_MONOID_IDENTITY, _F2_IDENTITY), so a
 key depends only on the coordinate itself, never on how or when it was
 reached.  Two coordinates are equal exactly when their keys are.
+blake2b is CPython's builtin _blake2.blake2b, the type hashlib itself
+hands out for blake2b, imported directly: hashlib would load OpenSSL's
+libcrypto (_hashlib, about 3.6 MB) that no fiberlab hash uses.
 
 walk() is the one contract for stepping a driving word.  It returns
 first[i], the smallest j with c_j = c_i, and, when given a seed, the
@@ -68,10 +71,10 @@ time (tests/oracles.py) as the oracle the kernels must equal.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
 import operator
+from _blake2 import blake2b
 from array import array
 from typing import NamedTuple, Sequence
 
@@ -95,10 +98,10 @@ _BYTES = [bytes([letter]) for letter in range(_MONOID_LETTERS)]
 
 # every chain hash is a copy of this one hasher: the same digest as
 # blake2b(data, digest_size=16), without parsing the parameters each time
-_CHAIN_HASHER = hashlib.blake2b(digest_size=16)
+_CHAIN_HASHER = blake2b(digest_size=16)
 # the keys of the two word identities, from which every other key chains
-_MONOID_IDENTITY = hashlib.blake2b(b"fiberlab:free-monoid:e", digest_size=16).digest()
-_F2_IDENTITY = hashlib.blake2b(b"fiberlab:f2:e", digest_size=16).digest()
+_MONOID_IDENTITY = blake2b(b"fiberlab:free-monoid:e", digest_size=16).digest()
+_F2_IDENTITY = blake2b(b"fiberlab:f2:e", digest_size=16).digest()
 # items every chunked pass takes at once (_spans): a span's keys, or the
 # k-blocks of a span of a pair table's rows, stay well under 1 MB
 _CHUNK = 2 ** 12
@@ -240,7 +243,7 @@ def _draws(seed: int):
     keys[-1] for the first, and keys[-1] ends as the last new key.  The
     chain hasher is read as each call begins.
     """
-    copy = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little")).copy
+    copy = blake2b(digest_size=8, key=seed.to_bytes(8, "little")).copy
 
     def draws(keys, tails=(), pairs=(), letters=None, parents=None) -> np.ndarray:
         digests = bytearray()

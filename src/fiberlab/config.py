@@ -24,9 +24,10 @@ from .words import Alphabet
 # time of one command at n = 1e7, seed 1, in a fresh process on a 2-vCPU
 # x86-64 host (Python 3.11, numpy 2.4), with uint8 letters and symbols,
 # int32 first visits and an int32 pair table, from one run each:
-# verify-brudno on z2-uniform at k = 8 122 MB and 2.3 s, verify-ar on
-# f2-markov at k = 8 121 MB and 11.2 s, range on z2-uniform 99 MB and
-# 0.6 s, CSV simulate on z2-uniform 104 MB and 22 s
+# verify-brudno on z2-uniform at k = 8 117 MB and 2.2 s, verify-ar on
+# f2-markov at k = 8 115 MB and 9.3 s, range on z2-uniform 93 MB and
+# 0.6 s, CSV simulate on z2-uniform 98 MB and 24 s.  The host's speed
+# drifts, so a rerun's CPU time can differ by a quarter
 MAX_HORIZON = 10 ** 7
 
 SYSTEM_PRESETS = tuple(PRESETS)

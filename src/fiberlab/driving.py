@@ -49,6 +49,13 @@ only and r vectorized gathers fill in the letters between.  Uniforms are
 drawn a span at a time from the one PCG64 stream, which gives the same
 doubles as one draw of all of them, and letters are kept in the smallest
 dtype that holds them (_letter_dtype), uint8 for every action's alphabet.
+
+The stream is fiberlab's own (_Uniforms), bit-identical to numpy's
+Generator(PCG64(seed)).random, which the tests keep as its oracle.  It
+jumps the 128-bit state a span at a time by two tables built once per
+process (_jumps), and it spares every run the numpy.random import, about
+2.5 MB and 6 ms, and the OpenSSL libcrypto that numpy.random would load
+through secrets and hmac.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ import math
 import operator
 import warnings
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
@@ -81,6 +88,10 @@ _COMPOSED_ENTRIES = 2 ** 12
 # that few uniforms land in a bucket with a cumulative value inside it
 _GUIDE_BUCKETS = 2 ** 8
 _BUCKETS_PER_CUT = 4
+# numpy's PCG64 (O'Neill 2014): a 128-bit LCG with this multiplier, stepped
+# before each output, and seeded by SeedSequence's hash of 32-bit words
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
 
 
 def _as_fraction(x) -> Fraction:
@@ -441,11 +452,158 @@ def _composed(after: np.ndarray, r: int) -> np.ndarray:
     return comp
 
 
+def _hasher(const: int, mult: int):
+    """SeedSequence's 32-bit hash, whose constant steps by mult at each call."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_state(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64), in Python ints, for a seed below 2**64.
+
+    The seed's 32-bit words, least significant first, are hashed into a
+    pool of four words, and every pool word is mixed with the hash of
+    every other.  Eight words hashed out of the pool, read in pairs
+    little-endian, are the four 64-bit words.
+    """
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_in = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hash_in(word) for word in words + [0] * (4 - len(words))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hash_in(pool[src])) & _M32
+                pool[dst] = mixed ^ mixed >> 16
+    hash_out = _hasher(0x8B51F9DD, 0x58F38DED)
+    halves = [hash_out(pool[i % 4]) for i in range(8)]
+    return [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _halves(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, ...]:
+    """128-bit values held as uint64 (hi, lo), with lo's 32-bit halves, as _mul_add reads them."""
+    return hi, lo, lo >> np.uint64(32), lo & np.uint64(_M32)
+
+
+def _mul_add(v, k: int, d, hi: np.ndarray, lo: np.ndarray, t: np.ndarray, u: np.ndarray, carry: np.ndarray) -> None:
+    """hi, lo = the 64-bit halves of v * k + d mod 2**128, elementwise, by in-place ufuncs.
+
+    v is a _halves tuple of arrays, k a 128-bit int and d a (hi, lo) pair
+    of ints or of uint64 arrays; t, u (uint64) and carry (bool) are scratch
+    as long as v.  The high word of the low halves' product is summed from
+    the four products of their 32-bit halves, each exact in uint64: with
+    v_lo = v1 2**32 + v0 and k_lo = k1 2**32 + k0, it is v1 k1 + (v0 k1 >> 32)
+    + (v1 k0 + (v0 k1 & _M32) + (v0 k0 >> 32) >> 32), and the inner sum stays
+    below 2**64.  The other cross products wrap mod 2**64 as they should.
+    """
+    v_hi, v_lo, v1, v0 = v
+    k_hi, k_lo, k1, k0 = k >> 64 & _M64, k & _M64, k >> 32 & _M32, k & _M32
+    np.multiply(v0, k0, out=t)
+    np.right_shift(t, 32, out=t)
+    np.multiply(v0, k1, out=u)
+    np.right_shift(u, 32, out=hi)
+    np.bitwise_and(u, _M32, out=u)
+    np.add(t, u, out=t)
+    np.multiply(v1, k0, out=u)
+    np.add(t, u, out=t)
+    np.right_shift(t, 32, out=t)
+    np.add(hi, t, out=hi)
+    for a, b in ((v1, k1), (v_lo, k_hi), (v_hi, k_lo)):
+        np.multiply(a, b, out=t)
+        np.add(hi, t, out=hi)
+    np.multiply(v_lo, k_lo, out=lo)
+    d_hi, d_lo = d
+    np.add(lo, d_lo, out=lo)
+    np.less(lo, d_lo, out=carry)
+    np.add(hi, carry, out=hi)
+    np.add(hi, d_hi, out=hi)
+
+
+@cache
+def _jumps(span: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """PCG64's jump tables over one span, built once per span length: A_j = M**j as
+    _halves and G_j = the sum of M**i over i < j as (hi, lo), for j = 1..span, mod 2**128.
+
+    The state j steps after s is A_j * s + inc * G_j.  The tables double:
+    A_{m+j} = M**m * A_j and G_{m+j} = M**m * G_j + G_m.
+    """
+    a_hi, a_lo, g_hi, g_lo, t, u = (np.empty(span, dtype=np.uint64) for _ in range(6))
+    carry = np.empty(span, dtype=bool)
+    a_hi[0], a_lo[0], g_hi[0], g_lo[0] = _PCG_MULT >> 64, _PCG_MULT & _M64, 0, 1
+    # the tables hold j = 1..m, power is M**m and total is G_m
+    m, power, total = 1, _PCG_MULT, 1
+    while m < span:
+        j = min(m, span - m)
+        for hi, lo, add in ((a_hi, a_lo, 0), (g_hi, g_lo, total)):
+            _mul_add(_halves(hi[:j], lo[:j]), power, (add >> 64, add & _M64),
+                     hi[m : m + j], lo[m : m + j], t[:j], u[:j], carry[:j])
+        m, power, total = m + j, power * power & _M128, (power + 1) * total & _M128
+    tables = _halves(a_hi, a_lo), g_hi, g_lo
+    # every stream of this span shares them
+    for table in (*tables[0], g_hi, g_lo):
+        table.flags.writeable = False
+    return tables
+
+
+class _Uniforms:
+    """A uniform stream bit-identical to numpy's Generator(PCG64(seed)).random, however the requests are split.
+
+    The state is seeded from _seed_state(seed) as PCG64 seeds it, and a
+    request is served a span of the jump tables (_jumps) at a time: the
+    span's states are A_j * s + C_j, with s the state before the span and
+    C_j = inc * G_j, computed once per stream.  Each uniform is the state's
+    XSL-RR output, the xor of its halves rotated right by its top 6 bits,
+    shifted right 11 and scaled by 2**-53.  The tables span one _spans
+    span, _CHUNK uniforms, as read when the stream is made, and every
+    array a span needs is held by the stream, so a request allocates only
+    the doubles it returns.
+    """
+
+    def __init__(self, seed: int):
+        _, span = next(_spans())
+        self._a, g_hi, g_lo = _jumps(span)
+        s_hi, s_lo, i_hi, i_lo = _seed_state(seed)
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        self._state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+        self._hi, self._lo, self._c_hi, self._c_lo, self._t, self._u = (
+            np.empty(span, dtype=np.uint64) for _ in range(6))
+        self._carry = np.empty(span, dtype=bool)
+        _mul_add(_halves(g_hi, g_lo), inc, (0, 0), self._c_hi, self._c_lo, self._t, self._u, self._carry)
+
+    def random(self, size: int) -> np.ndarray:
+        """The next size uniforms in [0, 1), as a new float64 array."""
+        out = np.empty(size)
+        span = len(self._hi)
+        for start in range(0, size, span):
+            m = min(span, size - start)
+            hi, lo, t, u, carry = (x[:m] for x in (self._hi, self._lo, self._t, self._u, self._carry))
+            _mul_add([x[:m] for x in self._a], self._state, (self._c_hi[:m], self._c_lo[:m]), hi, lo, t, u, carry)
+            self._state = int(hi[-1]) << 64 | int(lo[-1])
+            # numpy shifts a uint64 left by 64 to 0, so a rotation by 0 ors x with 0
+            np.bitwise_xor(hi, lo, out=lo)
+            np.right_shift(hi, 58, out=hi)
+            np.right_shift(lo, hi, out=t)
+            np.subtract(64, hi, out=hi)
+            np.left_shift(lo, hi, out=lo)
+            np.bitwise_or(t, lo, out=t)
+            np.right_shift(t, 11, out=t)
+            # below 2**53, so its int64 view, which numpy converts faster, is exact as a double
+            np.multiply(t.view(np.int64), 2.0 ** -53, out=out[start : start + m])
+        return out
+
+
 def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajectory:
     """Sample n letters, the first from pi and each next from the Pi row of
     the current state.
 
-    The generator is numpy's PCG64 seeded with the given 64-bit seed; one
+    The generator is _Uniforms, bit for bit numpy's
+    Generator(PCG64(seed)).random for the given 64-bit seed; one
     uniform draw per letter is mapped through the inverse CDF (_inverse_cdf)
     of pi or of the current state's row of Pi, in alphabet order, so
     trajectories are bitwise reproducible for equal seeds.  Each law's
@@ -472,7 +630,7 @@ def sample_trajectory(spec: MarkovChainSpec, n: int, seed: int) -> DrivingTrajec
     n, seed = _integer(n, "n", 0), _check_seed(seed)
     if not is_stationary(spec):
         warnings.warn("sampling from a non-stationary chain", stacklevel=2)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _Uniforms(seed)
     s = spec.alphabet.size
     letters = np.empty(n, dtype=_letter_dtype(s))
     if n == 0:

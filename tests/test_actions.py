@@ -62,6 +62,15 @@ def keyed_draws(seed, keys):
     return [int.from_bytes(hashlib.blake2b(k, digest_size=8, key=key).digest(), "little") for k in keys]
 
 
+def test_actions_hashes_with_the_blake2b_hashlib_hands_out():
+    # actions takes blake2b from _blake2, so that no run loads hashlib's
+    # OpenSSL backend; hashlib routes blake2b to the same builtin type
+    import _blake2
+
+    assert hashlib.blake2b is _blake2.blake2b
+    assert actions.blake2b is _blake2.blake2b
+
+
 def test_initial_state_is_identity():
     for kind in ("free-monoid", "z2", "f2"):
         first, draws = walk(kind, [0], seed=1)

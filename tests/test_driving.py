@@ -74,9 +74,12 @@ def fraction_cylinder(spec, u):
     return prob
 
 
-def bisect_trajectory(spec, n, seed):
-    """The per-letter bisect loop the transition table replaced, kept as the oracle."""
-    us = np.random.Generator(np.random.PCG64(seed)).random(n).tolist()
+def bisect_trajectory(spec, n, seed, us=None):
+    """The per-letter bisect loop the transition table replaced, kept as the
+    oracle, on numpy's PCG64 uniforms for the seed unless given its own."""
+    if us is None:
+        us = np.random.Generator(np.random.PCG64(seed)).random(n)
+    us = us.tolist()
     pi_cum = list(itertools.accumulate(float(p) for p in spec.pi))
     row_cums = [list(itertools.accumulate(float(p) for p in row)) for row in spec.Pi]
     letters, cum = [], pi_cum
@@ -266,13 +269,17 @@ def test_sample_trajectory_empty_and_reproducible():
     assert not np.array_equal(a, c)
 
 
-class TopUniforms(np.random.Generator):
-    """A generator whose every third uniform is the largest double below 1."""
+def top_every_third(us):
+    """us with every third uniform moved to the largest double below 1."""
+    us[::3] = np.nextafter(1.0, 0.0)
+    return us
+
+
+class TopUniforms(driving._Uniforms):
+    """A stream whose every third uniform of each request is the largest double below 1."""
 
     def random(self, n):
-        us = super().random(n)
-        us[::3] = np.nextafter(1.0, 0.0)
-        return us
+        return top_every_third(super().random(n))
 
 
 def test_sample_trajectory_fast_path_matches_generic_loop(monkeypatch):
@@ -291,11 +298,13 @@ def test_sample_trajectory_fast_path_matches_generic_loop(monkeypatch):
     # is past the last cumulative value and is clipped to the last letter
     tenths = MarkovChainSpec.bernoulli(Alphabet(tuple("0123456789")), (Fraction(1, 10),) * 10)
     assert list(itertools.accumulate([0.1] * 10))[-1] == np.nextafter(1.0, 0.0)
-    monkeypatch.setattr(np.random, "Generator", TopUniforms)
+    monkeypatch.setattr(driving, "_Uniforms", TopUniforms)
     letters = sample_trajectory(tenths, 1000, 9).letters
     assert letters.dtype == np.uint8
     assert letters[::3].tolist() == [9] * 334
-    assert letters.tolist() == bisect_trajectory(tenths, 1000, 9)
+    # the sampler takes its 1000 uniforms in one request
+    top = top_every_third(np.random.Generator(np.random.PCG64(9)).random(1000))
+    assert letters.tolist() == bisect_trajectory(tenths, 1000, 9, top)
 
 
 def sampler_depth(spec):
@@ -497,20 +506,65 @@ def test_a_markov_cut_past_the_last_cumulative_value_keeps_its_letter(monkeypatc
     spec = MarkovChainSpec(Alphabet(tuple("abcdefghijk")), tenths + zero,
                            tuple(tenths + zero if a < 10 else zero + tenths for a in range(11)))
 
-    class TopTenth(np.random.Generator):
-        """A generator that moves every uniform of 0.9 or more to the largest double below 1."""
+    def top_tenth(us):
+        """us with every uniform of 0.9 or more moved to the largest double below 1."""
+        us[us >= 0.9] = np.nextafter(1.0, 0.0)
+        return us
 
+    class TopTenth(driving._Uniforms):
         def random(self, n):
-            us = super().random(n)
-            us[us >= 0.9] = np.nextafter(1.0, 0.0)
-            return us
+            return top_tenth(super().random(n))
 
-    monkeypatch.setattr(np.random, "Generator", TopTenth)
+    monkeypatch.setattr(driving, "_Uniforms", TopTenth)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # not stationary
         letters = sample_trajectory(spec, 1000, 9).letters
     assert np.count_nonzero(letters == 10) > 50
-    assert letters.tolist() == bisect_trajectory(spec, 1000, 9)
+    top = top_tenth(np.random.Generator(np.random.PCG64(9)).random(1000))
+    assert letters.tolist() == bisect_trajectory(spec, 1000, 9, top)
+
+
+# seeds at the edges of SeedSequence's 32-bit words and of the 64-bit range
+EDGE_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1)
+# requests around the stream's span, _CHUNK uniforms, and past it
+REQUESTS = ((1, 4095, 4096, 4097, 10_000), (10_000, 4097, 1, 4096, 4095), (4096, 4096, 1, 1, 10_000, 4097))
+
+
+def assert_stream_is_numpys(seed, sizes):
+    """driving._Uniforms(seed) answers each request in sizes with the doubles numpy's PCG64 Generator gives."""
+    ours, numpys = driving._Uniforms(seed), np.random.Generator(np.random.PCG64(seed))
+    for size in sizes:
+        us = ours.random(size)
+        assert us.dtype == np.float64 and np.array_equal(us, numpys.random(size)), (seed, size)
+
+
+def test_the_stream_seeds_as_numpys_seed_sequence():
+    for seed in EDGE_SEEDS + (7, 2 ** 40 + 3):
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+        assert driving._seed_state(seed) == expected
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_the_stream_is_numpys_pcg64_however_requests_split(seed):
+    for sizes in REQUESTS:
+        assert_stream_is_numpys(seed, sizes)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 4096 + 5])
+def test_the_stream_is_numpys_pcg64_over_any_span(chunk):
+    # the jump tables span _CHUNK as read when a stream is made; a request
+    # longer than them takes several spans
+    with mock.patch.object(actions, "_CHUNK", chunk):
+        for seed in (0, 2 ** 64 - 1):
+            assert_stream_is_numpys(seed, (1, 2, 9, 4097, 0, 13))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 64 - 1),
+       st.lists(st.sampled_from((0, 1, 4095, 4096, 4097)) | st.integers(0, 9000), max_size=4))
+def test_the_stream_is_numpys_pcg64_for_any_seed(seed, sizes):
+    assert driving._seed_state(seed) == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+    assert_stream_is_numpys(seed, sizes)
 
 
 def test_the_f2_sampler_reads_its_cuts_off_the_guide_table():

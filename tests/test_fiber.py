@@ -1,5 +1,4 @@
 import copy
-import hashlib
 import itertools
 import math
 import statistics
@@ -135,7 +134,7 @@ def count_hashes(monkeypatch) -> Counter:
     """Count keyed hashers made, their copies, copies of those copies and their
     digests (draws), and chain-hasher copies."""
     calls = Counter()
-    real = hashlib.blake2b
+    real = actions.blake2b
 
     def counting(*args, **kwargs):
         if "key" in kwargs:
@@ -144,7 +143,7 @@ def count_hashes(monkeypatch) -> Counter:
         calls["unkeyed"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(actions.hashlib, "blake2b", counting)
+    monkeypatch.setattr(actions, "blake2b", counting)
     monkeypatch.setattr(actions, "_CHAIN_HASHER", CountingCopies(actions._CHAIN_HASHER, calls, "chain"))
     return calls
 
@@ -227,7 +226,7 @@ def test_one_pass_draw_equals_the_scalar_inverse_cdf(monkeypatch):
         values += [v for d in (0, 1, 2 ** 11, 2 ** 20, 2 ** 36) for v in (m - d, m + d) if v < 2 ** 64]
     values += np.random.default_rng(8).integers(0, 2 ** 64, 300, dtype=np.uint64).tolist()
     digests = iter(v.to_bytes(8, "little") for v in values)
-    real = hashlib.blake2b
+    real = actions.blake2b
 
     class Fixed:
         def copy(self):
@@ -242,7 +241,7 @@ def test_one_pass_draw_equals_the_scalar_inverse_cdf(monkeypatch):
     def fixed_draws(*args, **kwargs):
         return Fixed() if "key" in kwargs else real(*args, **kwargs)
 
-    monkeypatch.setattr(actions.hashlib, "blake2b", fixed_draws)
+    monkeypatch.setattr(actions, "blake2b", fixed_draws)
     name = emit_name(thirds, [0] * len(values), seed=1)
     expected = [min(bisect_right(cumulative, v / 2.0 ** 64), 2) for v in values]
     assert name.letters.tolist() == expected

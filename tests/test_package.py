@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import fiberlab
@@ -120,6 +123,50 @@ def test_no_module_calls_unique():
                 names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
                 called += [(path.name, name) for name in names + [a.name for a in node.names] if name.endswith(".ma")]
     assert called == []
+
+
+def test_no_module_imports_hashlib_or_numpy_random():
+    # hashlib maps OpenSSL's libcrypto (_hashlib, about 3.6 MB) although
+    # fiberlab's one hash is the builtin _blake2.blake2b, and numpy.random
+    # (about 2.5 MB, loaded at its first np.random access) would map it
+    # again through secrets and hmac; driving._Uniforms is numpy's PCG64
+    # stream bit for bit, so no module names either
+    named, blake = [], set()
+    for path in sorted(Path(fiberlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and node.attr == "random":
+                names = [f"{ast.unparse(node.value)}.random"]
+            else:
+                continue
+            named += [(path.name, name) for name in names if name in ("hashlib", "numpy.random", "np.random")]
+            blake.update(path.name for name in names if name.split(".")[0] == "_blake2")
+    assert named == []
+    assert blake == {"actions.py"}
+
+
+# a fiberlab import and small verify-brudno, verify-ar, range and simulate
+# runs, then the modules of the three library loads they must not make
+FOOTPRINT_RUN = """
+import sys
+import fiberlab
+from fiberlab.cli import main
+
+for command, preset in (("verify-brudno", "z2-uniform"), ("verify-ar", "f2-markov"),
+                        ("range", "z2-uniform"), ("simulate", "f2-markov")):
+    assert main([command, "--preset", preset, "--n", "2000", "--k", "4", "--seed", "1", "--out", sys.argv[1]]) == 0
+print(sorted(name for name in ("_hashlib", "hmac", "numpy.random") if name in sys.modules))
+"""
+
+
+def test_no_run_loads_openssl_or_numpy_random(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", FOOTPRINT_RUN, str(tmp_path)], check=True, env=env,
+                            capture_output=True, text=True)
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_no_module_generates_record_code():

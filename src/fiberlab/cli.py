@@ -36,11 +36,13 @@ from .errors import ResourceLimitError
 from .fiber import OrbitName, emit_name, exact_averaged_entropy, exact_rate_or_none
 
 def _write_rows(config: ExperimentConfig, stem: str, columns, rows) -> Path:
-    """Write an iterable of rows, dicts keyed by columns, one row at a time.
+    """Write an iterable of rows, tuples in the order of columns, one row at a time.
 
-    JSON reports keep the bytes of json.dumps(payload, indent=2,
-    sort_keys=True) on the whole payload: its keys sort as columns, rows,
-    schema, and rows are encoded a span at a time (actions._spans) and
+    CSV reports are a schema line, then the header and the rows through
+    csv.writer.  JSON reports keep the bytes of json.dumps(payload,
+    indent=2, sort_keys=True) on the whole payload, each row an object
+    keyed by columns: its keys sort as columns, rows, schema, and rows are
+    zipped with columns and encoded a span at a time (actions._spans) and
     indented to their depth: one encode call per row would cost more than
     the rows, and one for the whole report would hold every row in memory.
     """
@@ -53,7 +55,7 @@ def _write_rows(config: ExperimentConfig, stem: str, columns, rows) -> Path:
             handle.write(encode({"columns": list(columns)})[:-2] + ',\n  "rows": [')
             rows = iter(rows)
             for lo, hi in _spans():
-                if not (batch := list(islice(rows, hi - lo))):
+                if not (batch := [dict(zip(columns, row)) for row in islice(rows, hi - lo)]):
                     break
                 # "[" + rows at depth 1 + "\n]", cut to the rows, one level deeper
                 handle.write(("," if lo else "") + encode(batch)[1:-2].replace("\n", "\n  "))
@@ -64,8 +66,8 @@ def _write_rows(config: ExperimentConfig, stem: str, columns, rows) -> Path:
     path = config.out / f"{stem}.csv"
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(f"# {schema}\n")
-        writer = csv.DictWriter(handle, fieldnames=columns)
-        writer.writeheader()
+        writer = csv.writer(handle)
+        writer.writerow(columns)
         writer.writerows(rows)
     return path
 
@@ -116,7 +118,7 @@ def cmd_verify_brudno(config: ExperimentConfig) -> int:
             max_code_gap = max(max_code_gap, abs(report.code_rate - report.exact_rate))
             if report.cross_entropy_rate is not None:
                 max_cross_gap = max(max_cross_gap, abs(report.cross_entropy_rate - report.exact_rate))
-    _write_rows(config, "brudno", EstimatorReport.COLUMNS, (report.to_csv_row() for report in reports))
+    _write_rows(config, "brudno", EstimatorReport.COLUMNS, (report.row() for report in reports))
     _write_summary(
         config,
         "brudno",
@@ -137,7 +139,7 @@ def cmd_verify_ar(config: ExperimentConfig) -> int:
     reports = _verify_grid(config, ar_decomposition_check)
     worst = max((abs(r.residual) for r in reports), default=0.0)
     ok = worst <= config.tolerance
-    _write_rows(config, "ar", ArDecompositionReport.COLUMNS, (report.to_csv_row() for report in reports))
+    _write_rows(config, "ar", ArDecompositionReport.COLUMNS, (report.row() for report in reports))
     _write_summary(
         config,
         "ar",
@@ -152,7 +154,7 @@ def cmd_entropy(config: ExperimentConfig) -> int:
     rows = []
     for k in config.block_lengths:
         result = exact_averaged_entropy(config.fiber, config.driving, k)
-        rows.append({"k": k, "H_k": result.bits, "h_k": result.rate})
+        rows.append((k, result.bits, result.rate))
     _write_rows(config, "entropy", ("k", "H_k", "h_k"), rows)
     print(f"entropy: {len(rows)} block lengths written")
     return 0
@@ -160,21 +162,16 @@ def cmd_entropy(config: ExperimentConfig) -> int:
 
 def cmd_range(config: ExperimentConfig) -> int:
     curve = range_ratio_curve(config.fiber.action_kind, config.driving, config.seeds, config.horizons)
-    rows = [{"n": c, "mean_ratio": ratio} for c, ratio in curve]
-    _write_rows(config, "range", ("n", "mean_ratio"), rows)
-    print(f"range: {len(rows)} checkpoints written")
+    _write_rows(config, "range", ("n", "mean_ratio"), curve)
+    print(f"range: {len(curve)} checkpoints written")
     return 0
 
 
 def _dump(config: ExperimentConfig, name: OrbitName) -> Path:
-    rows = (
-        {
-            "i": i,
-            "alpha": config.driving.alphabet.symbols[int(a)],
-            "omega": config.fiber.fiber_alphabet.symbols[int(w)],
-        }
-        for i, (a, w) in enumerate(zip(name.driving, name.letters))
-    )
+    alpha, omega = config.driving.alphabet.symbols, config.fiber.fiber_alphabet.symbols
+    rows = (row for lo, hi in _spans(len(name))
+            for row in zip(range(lo, hi), map(alpha.__getitem__, name.driving[lo:hi].tolist()),
+                           map(omega.__getitem__, name.letters[lo:hi].tolist())))
     return _write_rows(config, f"simulate_seed{name.seed}", ("i", "alpha", "omega"), rows)
 
 

@@ -75,7 +75,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -88,7 +87,7 @@ from .driving import MarkovChainSpec, _block_table, _cylinder_den, _gather, _let
 from .driving import _refuse_blocks, _sequential_sum, block_code_details, sample_trajectory
 from .errors import MalformedStreamError
 from .fiber import FiberSystemSpec, OrbitName, _information, emit_name, exact_rate_or_none, information_function
-from .kraft import BinaryCodebook, _canonical_words, _numerator_dtype, _shannon_bits, shannon_length
+from .kraft import BinaryCodebook, _canonical_words, _numerator_dtype, _shannon_bits
 from .records import FrozenRecord
 
 # the information-function floor gates a verdict from this horizon on
@@ -417,12 +416,13 @@ def pair_counts(alpha, omega, k: int) -> Counter:
 class EstimatorReport(NamedTuple):
     """Per-run record of coded, empirical and exact per-symbol rates, as a NamedTuple.
 
-    COLUMNS names the report's CSV columns, in order.  eq15_ok is the
-    length bound's certificate of eq15 where a block was coded (None where
-    none was): True proves eq15, while False says only that the length
-    bound failed, not that eq15 does.  info_rate is J_n / n, with J_n read
-    off the symbols' first-visit counts (fiber._information): it can
-    differ by an ulp or two from a sum over the first visits one by one.
+    COLUMNS names the report's columns and row() gives its values, in
+    that order.  eq15_ok is the length bound's certificate of eq15 where a
+    block was coded (None where none was): True proves eq15, while False
+    says only that the length bound failed, not that eq15 does.  info_rate
+    is J_n / n, with J_n read off the symbols' first-visit counts
+    (fiber._information): it can differ by an ulp or two from a sum over
+    the first visits one by one.
     """
 
     COLUMNS = ("n", "k", "code_rate", "H_hat_over_k", "exact_h_k", "residual", "seed")
@@ -460,10 +460,10 @@ class EstimatorReport(NamedTuple):
             gates.append(self.no_undershoot_ok)
         return all(bool(gate) for gate in gates if gate is not None)
 
-    def to_csv_row(self) -> dict:
+    def row(self) -> tuple:
         values = (self.n, self.k, self.code_rate, self.cross_entropy_rate, self.exact_rate, self.residual,
                   self.seed)
-        return dict(zip(self.COLUMNS, ("" if v is None else v for v in values)))
+        return tuple("" if v is None else v for v in values)
 
 
 def _no_undershoot(spec: FiberSystemSpec, bits: int, n: int, counts: list[int]) -> bool:
@@ -564,7 +564,8 @@ class ArDecompositionReport(NamedTuple):
 
     The ideal companions drop the integer rounding and tail costs: they
     are the exact -log2 probabilities of the coded blocks per symbol.
-    COLUMNS names the report's CSV columns, in order.
+    COLUMNS names the report's columns and row() gives its values, in
+    that order.
     """
 
     COLUMNS = ("n", "k", "joint_rate", "plain_rate", "conditional_rate", "residual", "joint_ideal_rate",
@@ -584,8 +585,8 @@ class ArDecompositionReport(NamedTuple):
     def residual(self) -> float:
         return self.joint_rate - self.plain_rate - self.conditional_rate
 
-    def to_csv_row(self) -> dict:
-        return {column: getattr(self, column) for column in self.COLUMNS}
+    def row(self) -> tuple:
+        return tuple(getattr(self, column) for column in self.COLUMNS)
 
 
 def ar_decomposition_check(name: OrbitName, family: BlockCodebookFamily) -> ArDecompositionReport:
@@ -652,9 +653,10 @@ class TwoPassReport(NamedTuple):
 def empirical_two_pass_rate(name: OrbitName, k: int, driving_alphabet_size: int) -> TwoPassReport:
     """Code the name from its own pair frequencies, counting the header.
 
-    First pass counts aligned block pairs; the header serializes every
-    (context, block, count) triple at fixed widths; the payload uses
-    Shannon lengths for the empirical conditional frequencies.  This
+    First pass counts aligned block pairs (driving._block_table); the
+    header serializes every (context, block, count) triple at fixed
+    widths; the payload uses Shannon lengths for the empirical conditional
+    frequencies, each pair's count over its context's total in int64.  This
     cross-checks the model-based coder: no side knowledge of the measure
     is assumed, and the header cost is charged to the rate.  k is checked
     first, so a name shorter than k is refused for a bad k too, then the
@@ -669,16 +671,14 @@ def empirical_two_pass_rate(name: OrbitName, k: int, driving_alphabet_size: int)
     if m == 0:
         tail_bits = n * raw
         return TwoPassReport(n, k, tail_bits / n if n else 0.0, 0, 0, tail_bits)
-    counts = pair_counts(name.driving, name.letters, k)
-    context_totals: Counter = Counter()
-    for (u, _), c in counts.items():
-        context_totals[u] += c
+    table = _block_table((name.driving, name.letters), k)
+    counts = table.counts.astype(np.int64)
+    totals = np.zeros(int(table.contexts.max()) + 1, dtype=np.int64)
+    np.add.at(totals, table.contexts, counts)
     theta_bits = (size - 1).bit_length()
     count_bits = m.bit_length()
-    header_bits = 64 + len(counts) * (k * theta_bits + k * raw + count_bits)
-    payload_bits = 0
-    for (u, v), c in counts.items():
-        payload_bits += c * max(1, shannon_length(Fraction(c, context_totals[u])))
+    header_bits = 64 + len(table.first) * (k * theta_bits + k * raw + count_bits)
+    payload_bits = int(counts @ np.maximum(_shannon_bits(counts, totals.take(table.contexts)), 1))
     tail_bits = (n - m * k) * raw
     total = header_bits + payload_bits + tail_bits
     return TwoPassReport(n, k, total / n, header_bits, payload_bits, tail_bits)

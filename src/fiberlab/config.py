@@ -26,7 +26,7 @@ from .words import Alphabet
 # int32 first visits and an int32 pair table, from one run each:
 # verify-brudno on z2-uniform at k = 8 117 MB and 2.2 s, verify-ar on
 # f2-markov at k = 8 115 MB and 9.3 s, range on z2-uniform 93 MB and
-# 0.6 s, CSV simulate on z2-uniform 98 MB and 24 s.  The host's speed
+# 0.6 s, CSV simulate on z2-uniform 98 MB and 8.4 s.  The host's speed
 # drifts, so a rerun's CPU time can differ by a quarter
 MAX_HORIZON = 10 ** 7
 

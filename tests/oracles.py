@@ -11,9 +11,11 @@ from operator import itemgetter
 import numpy as np
 
 from fiberlab.actions import INVERSE, Z2_VECTORS, walk
+from fiberlab.coding import TwoPassReport
 from fiberlab.driving import cylinder_prob
 from fiberlab.errors import InfiniteInformationError, ResourceLimitError
 from fiberlab.fiber import _exceeds_cap, _first_symbol_spans, _log2p
+from fiberlab.kraft import shannon_length
 
 
 def _digest(data: bytes) -> bytes:
@@ -182,3 +184,22 @@ def block_table(words, k: int):
     counts = Counter(index)
     contexts = {block: c for c, block in enumerate(sorted({row[0] for row in numbers}))}
     return list(numbers), index, [counts[j] for j in range(len(numbers))], first, [contexts[row[0]] for row in numbers]
+
+
+def two_pass_report(name, k: int, driving_alphabet_size: int) -> TwoPassReport:
+    """The two-pass coder's report from a Counter of (u, v) tuple keys and
+    one Fraction per pair: the formula the pair-table coder replaced, kept
+    as the oracle.  It takes a valid k and alphabet size."""
+    alpha, omega = np.asarray(name.driving).tolist(), np.asarray(name.letters).tolist()
+    n, m = len(alpha), len(alpha) // k
+    raw = (name.fiber_spec.fiber_alphabet.size - 1).bit_length()
+    if m == 0:
+        return TwoPassReport(n, k, n * raw / n if n else 0.0, 0, 0, n * raw)
+    counts = Counter((tuple(alpha[i : i + k]), tuple(omega[i : i + k])) for i in range(0, m * k, k))
+    context_totals = Counter()
+    for (u, _), c in counts.items():
+        context_totals[u] += c
+    header_bits = 64 + len(counts) * (k * (driving_alphabet_size - 1).bit_length() + k * raw + m.bit_length())
+    payload_bits = sum(c * max(1, shannon_length(Fraction(c, context_totals[u]))) for (u, _), c in counts.items())
+    tail_bits = (n - m * k) * raw
+    return TwoPassReport(n, k, (header_bits + payload_bits + tail_bits) / n, header_bits, payload_bits, tail_bits)

@@ -114,7 +114,9 @@ def test_cli_verify_ar_tolerance_zero_fails(tmp_path):
     out = tmp_path / "reports"
     base = ["verify-ar", "--preset", "f2-markov", "--n", "1000", "--k", "5", "--seed", "1", "--out", str(out)]
     assert run(base + ["--tolerance", "0.1"]) == 0
-    # finite-n overhead is strictly positive, so tolerance 0 must fail
+    # the overhead is zero here: joint = 2800 bits = 1800 plain + 1000
+    # conditional; tolerance 0 fails on float noise, the residual of -2.22e-16
+    # left by subtracting three rates (ROADMAP item 15)
     assert run(base + ["--tolerance", "0"]) == 1
     summary = json.loads((out / "ar_summary.json").read_text())
     assert summary["pass"] is False
@@ -139,8 +141,8 @@ def test_cli_simulate_is_byte_identical(tmp_path):
 
 
 def test_cli_simulate_streams_its_csv_rows(tmp_path, traced_peak):
-    # one dict per step held at once took 24 MB at this n; the CSV writer now
-    # reads the rows one at a time, and the peak is the run's own arrays
+    # holding every row at once took 24 MB at this n; the CSV writer reads
+    # the rows one at a time, and the peak is the run's own arrays
     out = tmp_path / "reports"
     args = ["simulate", "--preset", "z2-uniform", "--n", "100000", "--seed", "1", "--out", str(out)]
     code, peak = traced_peak(lambda: run(args))
@@ -150,19 +152,32 @@ def test_cli_simulate_streams_its_csv_rows(tmp_path, traced_peak):
 
 @pytest.mark.parametrize("rows", [
     [],
-    [{"i": 0, "x": 0.1, "y": ""}],
-    [{"i": 0, "x": 0.1, "y": ""}, {"i": 1, "x": -2.5e-300, "y": "b"}, {"i": 2, "x": float("nan"), "y": ""}],
+    [(0, 0.1, "")],
+    [(0, 0.1, ""), (1, -2.5e-300, 'b,"q"'), (2, float("nan"), "")],
 ], ids=["0-rows", "1-row", "3-rows"])
 @pytest.mark.parametrize("batch", [2, 2 ** 12])
 def test_cli_json_reports_stream_the_bytes_of_one_dump(tmp_path, monkeypatch, rows, batch):
+    # rows are tuples in the order of the columns, in either format; a CSV
+    # report has the bytes csv.DictWriter gives on the same rows as dicts,
+    # its quoting included
     from fiberlab import actions, cli
 
     monkeypatch.setattr(actions, "_CHUNK", batch)  # 2 splits three rows across batches
-    config = load_config({"preset": "z2-uniform", "out": str(tmp_path), "format": "json"})
     columns = ("i", "x", "y")
-    path = cli._write_rows(config, "probe", columns, iter(rows))
-    payload = {"schema": "fiberlab.probe.v1", "columns": list(columns), "rows": rows}
-    assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    dicts = [dict(zip(columns, row)) for row in rows]
+    for format in ("csv", "json"):
+        config = load_config({"preset": "z2-uniform", "out": str(tmp_path / format), "format": format})
+        path = cli._write_rows(config, "probe", columns, iter(rows))
+        if format == "json":
+            payload = {"schema": "fiberlab.probe.v1", "columns": list(columns), "rows": dicts}
+            assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            continue
+        with open(tmp_path / "expected.csv", "w", newline="", encoding="utf-8") as handle:
+            handle.write("# fiberlab.probe.v1\n")
+            writer = csv.DictWriter(handle, fieldnames=columns)
+            writer.writeheader()
+            writer.writerows(dicts)
+        assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 @pytest.mark.parametrize("preset", ["free-monoid-uniform", "z2-uniform", "f2-markov"])
@@ -212,7 +227,7 @@ def test_each_verify_row_equals_its_cell_sampled_at_its_own_n(tmp_path, preset):
                         report = conditional_rate(name, family, exact=exact)
                     else:
                         report = ar_decomposition_check(name, family)
-                    expected.append({column: str(value) for column, value in report.to_csv_row().items()})
+                    expected.append(dict(zip(report.COLUMNS, map(str, report.row()))))
         assert written == expected, command
 
 

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiberlab import (
@@ -38,7 +38,7 @@ from fiberlab import (
 from fiberlab import actions, coding, driving, fiber as fiber_module, kraft
 from fiberlab.coding import UNDERSHOOT_MIN_N, EstimatorReport, _block_patterns, pair_counts
 from fiberlab.driving import _gather, block_code_details
-from oracles import conditional_cylinder_fraction, first_symbols, sliding_pair_counts
+from oracles import conditional_cylinder_fraction, first_symbols, sliding_pair_counts, two_pass_report
 from test_driving import rational_chains
 
 BINARY = Alphabet(("0", "1"))
@@ -1137,6 +1137,21 @@ def small_systems(draw, n_max, k_max):
     fiber = FiberSystemSpec(kind, Alphabet(tuple("xyz"[: len(weights)])),
                             tuple(Fraction(w, sum(weights)) for w in weights))
     return chain, fiber, draw(st.integers(0, n_max)), draw(st.integers(1, k_max))
+
+
+@pytest.mark.filterwarnings("ignore:sampling from a non-stationary chain")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_systems(300, 6), st.integers(0, 2 ** 64 - 1), st.integers(0, 3))
+@example((Z2_DRIVING, THIRDS, 3, 5), 1, 0)
+@example((BERNOULLI2, MONOID, 1, 2), 1, 2)
+def test_two_pass_rate_equals_its_counter_oracle(system, seed, extra):
+    # the coder prices the pair table in int64; it walked a Counter of tuple
+    # keys and formed one Fraction per pair.  Fiber laws are dyadic or not,
+    # and n is 0, below k (the examples), a multiple of k or not
+    chain, fiber, n, k = system
+    name = emit_name(fiber, sample_trajectory(chain, n, seed), seed)
+    size = chain.alphabet.size + extra
+    assert empirical_two_pass_rate(name, k, size) == two_pass_report(name, k, size)
 
 
 def floor_oracle(fiber, bits, n, counts):
